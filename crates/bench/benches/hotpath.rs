@@ -1,9 +1,10 @@
-//! The committed hot-path suite behind `BENCH_2.json`: GEMM, conv forward,
-//! conv backward, one training step, and a whole replica fleet.
+//! The committed hot-path suite behind `BENCH_7.json`: GEMM, conv forward,
+//! conv backward, one training step, and a whole replica fleet, each under
+//! the deterministic orders and under `Permuted` (nondeterministic mode).
 //!
 //! Benchmark names are stable identifiers — `scripts/bench_compare.sh`
 //! parses them out of `cargo bench` output and compares against the
-//! committed `BENCH_2.json`, so renaming one is a breaking change for the
+//! committed `BENCH_7.json`, so renaming one is a breaking change for the
 //! regression gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -17,6 +18,10 @@ use nstensor::{
     conv2d_backward_ws, conv2d_forward_ws, matmul_ws, ConvGeometry, ReduceOrder, Reducer, Shape,
     Tensor, Workspace,
 };
+
+/// Amplification `repro` runs nondeterministic mode at by default
+/// (`ExperimentSettings::amp_ulps`).
+const AMP_ULPS: f32 = 512.0;
 
 /// Deterministic pseudo-random tensor fill (no RNG crates in benches).
 fn filled(shape: Shape, seed: u64) -> Tensor {
@@ -67,9 +72,10 @@ fn bench_conv(c: &mut Criterion) {
     for (name, order) in [
         ("sequential", ReduceOrder::Sequential),
         ("fixed_tree", ReduceOrder::FixedTree),
+        ("permuted", ReduceOrder::Permuted),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &order, |bch, &order| {
-            let mut red = Reducer::new(order, 40, 7);
+            let mut red = Reducer::new(order, 40, 7).with_amplification(AMP_ULPS);
             let mut ws = Workspace::new();
             bch.iter(|| {
                 std::hint::black_box(
@@ -85,15 +91,23 @@ fn bench_conv(c: &mut Criterion) {
     let mut red = Reducer::sequential();
     let mut ws = Workspace::new();
     let y = conv2d_forward_ws(&x, &w, &b, &geom, &mut red, 1, &mut ws).unwrap();
-    group.bench_function("sequential", |bch| {
-        let mut red = Reducer::sequential();
-        let mut ws = Workspace::new();
-        bch.iter(|| {
-            std::hint::black_box(
-                conv2d_backward_ws(&x, &w, &y, &geom, &mut red, 1, &mut ws).unwrap(),
-            )
+    for (name, base) in [
+        ("sequential", Reducer::sequential()),
+        (
+            "permuted",
+            Reducer::new(ReduceOrder::Permuted, 40, 7).with_amplification(AMP_ULPS),
+        ),
+    ] {
+        group.bench_function(name, |bch| {
+            let mut red = base.clone();
+            let mut ws = Workspace::new();
+            bch.iter(|| {
+                std::hint::black_box(
+                    conv2d_backward_ws(&x, &w, &y, &geom, &mut red, 1, &mut ws).unwrap(),
+                )
+            });
         });
-    });
+    }
     group.finish();
 }
 
@@ -108,10 +122,19 @@ fn bench_train_step(c: &mut Criterion) {
             Device::v100(),
             ExecutionMode::Deterministic,
         ),
+        (
+            "small_cnn/v100_default",
+            Device::v100(),
+            ExecutionMode::Default,
+        ),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &mode, |bch, &mode| {
             let mut net = zoo::small_cnn(12, 3, 10, false, &root);
-            let mut exec = ExecutionContext::new(device, mode, 3);
+            let mut exec = ExecutionContext::builder(device)
+                .mode(mode)
+                .entropy(3)
+                .amp_ulps(AMP_ULPS)
+                .build();
             let x = filled(Shape::of(&[16, 3, 12, 12]), 11);
             let labels: Vec<u32> = (0..16).map(|i| (i % 10) as u32).collect();
             let mut step = 0u64;

@@ -329,6 +329,13 @@ pub fn conv2d_forward_ws(
     let bv = bias.as_slice();
     let ov = out.as_mut_slice();
     let sample = geom.in_c * geom.in_h * geom.in_w;
+    // Do not batch the Permuted branch. Drawing the specs in reference
+    // order and reordering them into the batched `(o, s, p)` output order
+    // for one GEMM is bit-identical and passes every test, but on a
+    // 2-core x86-64 host a prototype of it raised noisebench's
+    // `impl_noise` peak RSS from 19.3 to 27.3 MB (+41%), because each
+    // layer's `Workspace` then keeps batch-sized plan, im2col and output
+    // buffers. It bought only about 3% more throughput.
     if red.order() == ReduceOrder::Permuted {
         // The reference draws each sample's permutation specs before the
         // next sample's, so Permuted keeps one plan (and one GEMM) per
@@ -684,6 +691,114 @@ mod tests {
                 assert_eq!(gr.dx.as_slice(), g0.dx.as_slice(), "{order:?} dx");
                 assert_eq!(gr.dw.as_slice(), g0.dw.as_slice(), "{order:?} dw");
                 assert_eq!(gr.db.as_slice(), g0.db.as_slice(), "{order:?} db");
+            }
+        }
+    }
+
+    /// The per-element reducer path the engine must reproduce: forward
+    /// draws one `Reducer::dot` per output in sample-major `(s, o, p)`
+    /// order and adds the bias after it; backward then draws `dW` as
+    /// `out_c × patch_len` dots over the whole batch's `(s, p)` axis in
+    /// `(o, kk)` order, followed by `out_c` bias-gradient sums.
+    fn reducer_reference(
+        x: &Tensor,
+        w: &Tensor,
+        b: &Tensor,
+        dy: &Tensor,
+        g: &ConvGeometry,
+        red: &mut Reducer,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let n = x.shape().dim(0);
+        let (oc, pl, pixels) = (g.out_c, g.patch_len(), g.out_pixels());
+        let sample = g.in_c * g.in_h * g.in_w;
+        let mut col = vec![0f32; n * pixels * pl];
+        for s in 0..n {
+            im2col(
+                &x.as_slice()[s * sample..(s + 1) * sample],
+                g,
+                &mut col[s * pixels * pl..(s + 1) * pixels * pl],
+            );
+        }
+        let wv = w.as_slice();
+        let mut y = Vec::new();
+        for s in 0..n {
+            for o in 0..oc {
+                for p in 0..pixels {
+                    let patch = &col[(s * pixels + p) * pl..(s * pixels + p + 1) * pl];
+                    y.push(red.dot(&wv[o * pl..(o + 1) * pl], patch) + b.as_slice()[o]);
+                }
+            }
+        }
+        let dyv = dy.as_slice();
+        let dy_r: Vec<Vec<f32>> = (0..oc)
+            .map(|o| {
+                (0..n)
+                    .flat_map(|s| dyv[(s * oc + o) * pixels..(s * oc + o + 1) * pixels].to_vec())
+                    .collect()
+            })
+            .collect();
+        let mut dw = Vec::new();
+        for row in &dy_r {
+            for kk in 0..pl {
+                let column: Vec<f32> = (0..n * pixels).map(|q| col[q * pl + kk]).collect();
+                dw.push(red.dot(row, &column));
+            }
+        }
+        let db = dy_r.iter().map(|row| red.sum(row)).collect();
+        (y, dw, db)
+    }
+
+    #[test]
+    fn ws_variants_bit_identical_to_reducer_reference() {
+        // Patch lengths 9 (below every lane count past 2, so lanes clamp to
+        // k), 27 and 72; output pixel counts 49, 25 and 12, none a
+        // multiple of NR; strides 1 and 2.
+        let geoms = [
+            ConvGeometry::new(1, 5, 3, 1, 1, 7, 7),
+            ConvGeometry::new(3, 6, 3, 2, 1, 9, 9),
+            ConvGeometry::new(8, 4, 3, 1, 0, 6, 5),
+        ];
+        for g in &geoms {
+            let (x, w, b) = setup(g, 3);
+            let mut dy = conv2d_forward(&x, &w, &b, g, &mut Reducer::sequential()).unwrap();
+            dy.scale(0.5);
+            for order in [
+                ReduceOrder::Sequential,
+                ReduceOrder::FixedTree,
+                ReduceOrder::Permuted,
+            ] {
+                for lanes in [1, 2, 27, 40, 64] {
+                    for amp in [0.0, 512.0] {
+                        let base = Reducer::new(order, lanes, 31).with_amplification(amp);
+                        let mut ref_red = base.clone();
+                        let (y0, dw0, db0) = reducer_reference(&x, &w, &b, &dy, g, &mut ref_red);
+                        for threads in [1, 2] {
+                            let what =
+                                format!("{g:?} {order:?} lanes={lanes} amp={amp} t={threads}");
+                            let mut red = base.clone();
+                            let mut ws = Workspace::new();
+                            let y = conv2d_forward_ws(&x, &w, &b, g, &mut red, threads, &mut ws)
+                                .unwrap();
+                            let gr = conv2d_backward_ws(&x, &w, &dy, g, &mut red, threads, &mut ws)
+                                .unwrap();
+                            for (name, fast, reference) in [
+                                ("y", y.as_slice(), &y0),
+                                ("dw", gr.dw.as_slice(), &dw0),
+                                ("db", gr.db.as_slice(), &db0),
+                            ] {
+                                assert_eq!(fast.len(), reference.len(), "{what} {name} len");
+                                for (idx, (f, r)) in fast.iter().zip(reference).enumerate() {
+                                    assert_eq!(
+                                        f.to_bits(),
+                                        r.to_bits(),
+                                        "{what} {name}[{idx}]: {f} vs {r}"
+                                    );
+                                }
+                            }
+                            assert_eq!(red.snapshot(), ref_red.snapshot(), "{what} snapshot");
+                        }
+                    }
+                }
             }
         }
     }

@@ -23,6 +23,21 @@
 //! auto-vectorizer turns into wide FMAs without touching any single
 //! chain's order.
 //!
+//! The [`ReduceOrder::Permuted`] combine keeps each output's order the
+//! same way. Per tile row, the `l` lane partials of all `NR` columns sit
+//! in one buffer, lane `dl` of column `j` at `dl·NR + j`. Each column's
+//! two transpositions are applied *in place within column `j`*, in the
+//! reference's order, so a second swap that lands on a slot the first
+//! moved sees the moved value exactly as the reference's
+//! `p.swap(0, j1); p.swap(1.min(l - 1), j2)` does. The lane rows are then
+//! copied once to rows `l..2l`, which turns the rotated read
+//! `p[(t + rot) % l]` into row `rot + t`: a fixed per-column offset
+//! `rot·NR + j` with no modulo. Every column's sum starts at 0.0 and adds
+//! its `l` lanes in exactly the reference order; what changes is only
+//! that the `NR` columns' chains advance together
+//! (`for t in 0..l { for j in 0..NR { s[j] += … } }`), so the combine is
+//! bound by add throughput rather than by one chain's add latency.
+//!
 //! The remaining subtlety is the scheduler RNG: the reference path draws
 //! permutations interleaved with compute, one output at a time in
 //! row-major order. [`Reducer::plan_dots`] pre-draws all of them in that
@@ -38,7 +53,7 @@
 
 use crate::error::ShapeError;
 use crate::pack::{pack_b_panels, pack_bt_panels, transpose_into, MR, NR};
-use crate::reduce::{DotPlan, ReduceOrder, Reducer, MAX_LANES};
+use crate::reduce::{DotPlan, PermuteSpec, ReduceOrder, Reducer, MAX_LANES};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -417,12 +432,15 @@ fn band_fixed_tree(
     }
 }
 
+/// Length of one tile row's combine buffer: room for `l ≤ MAX_LANES` lane
+/// rows of `NR` partials, twice over. A power of two, so masking an index
+/// with `ROW - 1` proves it in bounds without a check.
+const ROW: usize = 2 * MAX_LANES * NR;
+
 /// [`ReduceOrder::Permuted`] micro-kernel: lane partials are computed in
-/// registers (one store per lane, never load-modify-store), then each
-/// output column combines its lane column under the pre-drawn
-/// [`PermuteSpec`](crate::reduce::PermuteSpec) for that output — the two
-/// transpositions, the rotated left-to-right sum, and (when the plan is
-/// amplified) the scheduler-drawn scale.
+/// registers (one store per lane, never load-modify-store) into a
+/// per-tile-row buffer, then [`combine_permuted_row`] folds all `NR`
+/// output columns of the row together.
 #[allow(clippy::too_many_arguments)]
 fn band_permuted(
     a: &[f32],
@@ -436,9 +454,10 @@ fn band_permuted(
 ) {
     let l = plan.lanes;
     let panels = n.div_ceil(NR);
-    // `MR × l × NR` lane partials (row-major, lane-major within a row) —
-    // ≤ 8 KiB, L1-resident. Written exactly once per tile, so no zeroing.
-    let mut lanebuf = vec![0f32; MR * l * NR];
+    // One combine buffer per tile row; lane `dl` occupies row `dl`
+    // (`[dl * NR..][..NR]`). Rows `0..l` are rewritten every tile and rows
+    // `l..2l` are copied from them, so nothing needs zeroing between tiles.
+    let mut bufs = [[0f32; ROW]; MR];
     for p in 0..panels {
         let panel = &packed[p * k * NR..(p + 1) * k * NR];
         let col0 = p * NR;
@@ -447,42 +466,55 @@ fn band_permuted(
         while i < rows {
             let rm = MR.min(rows - i);
             let arows = tile_rows(a, k, row0 + i, rm);
-            {
-                let lanebuf = &mut lanebuf;
-                for_each_lane_partial(&arows, panel, l, k, rm, |r, dl, partial| {
-                    lanebuf[(r * l + dl) * NR..(r * l + dl) * NR + NR].copy_from_slice(partial);
-                });
-            }
-            for r in 0..rm {
-                let lanes_r = &lanebuf[r * l * NR..(r + 1) * l * NR];
-                let orow = &mut band[(i + r) * n + col0..(i + r) * n + col0 + cols];
-                for (j, o) in orow.iter_mut().enumerate() {
-                    let spec = &plan.specs[(row0 + i + r) * n + col0 + j];
-                    let mut tmp = [0f32; MAX_LANES];
-                    for lane in 0..l {
-                        tmp[lane] = lanes_r[lane * NR + j];
-                    }
-                    let part = &mut tmp[..l];
-                    part.swap(0, spec.j1 as usize);
-                    part.swap(1.min(l - 1), spec.j2 as usize);
-                    // Rotated read order (rot, …, l-1, 0, …, rot-1)
-                    // without a per-element modulo.
-                    let rot = spec.rot as usize;
-                    let mut s = 0f32;
-                    for &v in &part[rot..] {
-                        s += v;
-                    }
-                    for &v in &part[..rot] {
-                        s += v;
-                    }
-                    if plan.amplified {
-                        s *= spec.scale;
-                    }
-                    *o = s;
-                }
+            for_each_lane_partial(&arows, panel, l, k, rm, |r, dl, partial| {
+                bufs[r][dl * NR..dl * NR + NR].copy_from_slice(partial);
+            });
+            for (r, buf) in bufs.iter_mut().enumerate().take(rm) {
+                let first = (row0 + i + r) * n + col0;
+                combine_permuted_row(
+                    buf,
+                    l,
+                    &plan.specs[first..first + cols],
+                    plan.amplified,
+                    &mut band[(i + r) * n + col0..(i + r) * n + col0 + cols],
+                );
             }
             i += rm;
         }
+    }
+}
+
+/// Combines one tile row: `buf` holds lane `dl`'s partial for column `j`
+/// at `dl * NR + j`, and `specs[j]` is column `j`'s pre-drawn combine.
+/// Swaps in place within each column, duplicates the lane rows, then
+/// advances all `NR` sums together; the [module docs](self) give the
+/// argument that each column's add order is the reference's.
+#[inline(always)]
+fn combine_permuted_row(
+    buf: &mut [f32; ROW],
+    l: usize,
+    specs: &[PermuteSpec],
+    amplified: bool,
+    out: &mut [f32],
+) {
+    let second = 1.min(l - 1) * NR;
+    // Padding columns (past `specs.len()`) read their lanes unrotated;
+    // their sums are discarded.
+    let mut off: [usize; NR] = core::array::from_fn(|j| j);
+    for (j, spec) in specs.iter().enumerate() {
+        buf.swap(j, spec.j1 as usize * NR + j);
+        buf.swap(second + j, spec.j2 as usize * NR + j);
+        off[j] = spec.rot as usize * NR + j;
+    }
+    buf.copy_within(..l * NR, l * NR);
+    let mut s = [0f32; NR];
+    for t in 0..l {
+        for j in 0..NR {
+            s[j] += buf[(t * NR + off[j]) & (ROW - 1)];
+        }
+    }
+    for ((o, &v), spec) in out.iter_mut().zip(&s).zip(specs) {
+        *o = if amplified { v * spec.scale } else { v };
     }
 }
 
@@ -527,7 +559,9 @@ mod tests {
             ReduceOrder::FixedTree,
             ReduceOrder::Permuted,
         ] {
-            for lanes in [1, 3, 40, MAX_LANES] {
+            // lanes = 2: the second swap targets slot 1, which the first
+            // swap may already have moved.
+            for lanes in [1, 2, 3, 40, MAX_LANES] {
                 v.push(Reducer::new(order, lanes, 77));
                 v.push(Reducer::new(order, lanes, 77).with_amplification(1e4));
             }
@@ -548,7 +582,15 @@ mod tests {
 
     #[test]
     fn matmul_bit_identical_to_reference_all_orders() {
-        for (m, k, n) in [(1, 1, 1), (3, 5, 2), (7, 129, 9), (16, 40, 24)] {
+        // (13, 70, 37): a remainder row tile and a last panel with padded
+        // columns, behind two full panels.
+        for (m, k, n) in [
+            (1, 1, 1),
+            (3, 5, 2),
+            (7, 129, 9),
+            (16, 40, 24),
+            (13, 70, 37),
+        ] {
             let a = filled(m, k, 1);
             let b = filled(k, n, 2);
             for red in reducers() {
