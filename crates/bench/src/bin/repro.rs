@@ -24,8 +24,10 @@
 //! replicas (`procs` concurrent workers; 0 = host parallelism): this
 //! binary re-executes itself in a hidden `--worker` mode, one process per
 //! replica attempt, under a heartbeat watchdog that kills and
-//! re-dispatches hung or crashed workers. Results are bit-identical to
-//! in-process runs and share the same checkpoint store.
+//! re-dispatches hung or crashed workers. Either way each grid is one
+//! call (`stability::fig2`, `fig5`, `run_table2_grid`) through the same
+//! replica supervisor and checkpoint store; only the attempt body
+//! differs, so results are bit-identical to in-process runs.
 
 use noisescope::experiments::{cost, extensions, fairness, ordering, stability};
 use noisescope::paper;
@@ -107,7 +109,6 @@ fn main() {
     }
     // Durable fleet progress: interrupted grids resume from here.
     let store = CheckpointStore::for_settings(out_dir.join(".ckpt"), &settings);
-    let ckpt_every = 1;
     println!(
         "# NoiseScope reproduction — replicas={} amp_ulps={} epochs_scale={} seed={}\n",
         settings.replicas, settings.amp_ulps, settings.epochs_scale, settings.base_seed
@@ -180,11 +181,7 @@ fn main() {
     }
     if exps.contains("fig2") {
         let started = Instant::now();
-        let grid = match &fleet {
-            Some(opts) => stability::fig2_fleet(&settings, &store, ckpt_every, opts),
-            None => stability::fig2_resumable(&settings, &store, ckpt_every),
-        }
-        .expect("checkpoint store IO");
+        let grid = stability::fig2(&settings, &store, fleet.as_ref()).expect("checkpoint store IO");
         println!(
             "{}",
             stability::render_fig_panel(&grid, "V100", "Figure 2 (batch-norm ablation)")
@@ -210,11 +207,7 @@ fn main() {
     }
     if exps.contains("fig5") {
         let started = Instant::now();
-        let grid = match &fleet {
-            Some(opts) => stability::fig5_fleet(&settings, &store, ckpt_every, opts),
-            None => stability::fig5_resumable(&settings, &store, ckpt_every),
-        }
-        .expect("checkpoint store IO");
+        let grid = stability::fig5(&settings, &store, fleet.as_ref()).expect("checkpoint store IO");
         let mut rows = Vec::new();
         for r in &grid.reports {
             rows.push(vec![
@@ -260,11 +253,8 @@ fn main() {
         .any(|e| exps.contains(*e));
     if needs_grid {
         let started = Instant::now();
-        let grid = match &fleet {
-            Some(opts) => stability::run_table2_grid_fleet(&settings, &store, ckpt_every, opts),
-            None => stability::run_table2_grid_resumable(&settings, &store, ckpt_every),
-        }
-        .expect("checkpoint store IO");
+        let grid = stability::run_table2_grid(&settings, &store, fleet.as_ref())
+            .expect("checkpoint store IO");
         eprintln!(
             "stability grid done in {:.1}s",
             started.elapsed().as_secs_f32()

@@ -1,8 +1,15 @@
 //! One entry point per table and figure of the paper.
 //!
+//! The stability grids ([`stability::run_stability_grid`] and the
+//! Table-2, Figure-2 and Figure-5 presets) take a
+//! [`crate::resume::CheckpointStore`] and an optional
+//! [`crate::fleet::FleetOptions`]: one grid driver runs every cell
+//! through the same replica supervisor, in process or in worker
+//! processes.
+//!
 //! | Paper artifact | Function |
 //! |---|---|
-//! | Table 2 (accuracy ± std per hardware × task × variant) | [`stability::run_stability_grid`] + [`stability::render_table2`] |
+//! | Table 2 (accuracy ± std per hardware × task × variant) | [`stability::run_table2_grid`] + [`stability::render_table2`] |
 //! | Figure 1 (stddev/churn/L2 by noise source, V100) | [`stability::render_fig_panel`] |
 //! | Figure 2 (batch-norm ablation) | [`stability::fig2`] |
 //! | Table 3 (CelebA subgroup counts) | [`fairness::table3`] |

@@ -3,7 +3,7 @@
 use crate::fleet::{run_variant_fleet, FleetOptions};
 use crate::report::{render_table, stability_report, StabilityReport};
 use crate::resume::{run_variant_resumable, CheckpointStore};
-use crate::runner::{run_variant, PreparedTask, VariantRuns};
+use crate::runner::PreparedTask;
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
@@ -37,24 +37,45 @@ impl StabilityGrid {
     }
 }
 
-/// The shared grid driver: visits every (task × device × variant) cell
-/// through `run_cell`, so the in-process, resumable, and fleet grids are
-/// one loop with three replica engines — they cannot drift apart.
-fn run_grid_with<F>(
+/// How often grid replicas sink an epoch checkpoint to the store.
+const CHECKPOINT_EVERY_EPOCHS: u32 = 1;
+
+/// Runs every (task × device × variant) combination with durable per-cell
+/// progress: completed replicas are loaded from `store`, in-flight
+/// replicas checkpoint every epoch, and an interrupted grid resumes from
+/// wherever it stopped — mid-fleet and mid-training — bit-identically.
+///
+/// With `fleet`, every cell's replicas run in supervised worker processes
+/// ([`crate::fleet::run_variant_fleet`]); otherwise they run in process
+/// ([`crate::resume::run_variant_resumable`]). Both share `store` cells,
+/// and therefore resumability and bit-identity.
+///
+/// # Errors
+///
+/// Store/spawn IO failures or an invalid configuration; training faults
+/// and worker deaths degrade into flagged reports.
+pub fn run_stability_grid(
     tasks: &[TaskSpec],
     devices: &[Device],
     variants: &[NoiseVariant],
-    mut run_cell: F,
-) -> std::io::Result<StabilityGrid>
-where
-    F: FnMut(&PreparedTask, &Device, NoiseVariant) -> std::io::Result<VariantRuns>,
-{
+    settings: &ExperimentSettings,
+    store: &CheckpointStore,
+    fleet: Option<&FleetOptions>,
+) -> std::io::Result<StabilityGrid> {
     let mut reports = Vec::new();
     for task in tasks {
         let prepared = PreparedTask::prepare(task);
         for device in devices {
             for &variant in variants {
-                let runs = run_cell(&prepared, device, variant)?;
+                let every = CHECKPOINT_EVERY_EPOCHS;
+                let runs = match fleet {
+                    Some(opts) => {
+                        run_variant_fleet(&prepared, device, variant, settings, store, every, opts)
+                    }
+                    None => {
+                        run_variant_resumable(&prepared, device, variant, settings, store, every)
+                    }
+                }?;
                 reports.push(stability_report(&prepared, device, variant, &runs));
             }
         }
@@ -62,167 +83,38 @@ where
     Ok(StabilityGrid { reports })
 }
 
-/// Runs every (task × device × variant) combination.
-pub fn run_stability_grid(
-    tasks: &[TaskSpec],
-    devices: &[Device],
-    variants: &[NoiseVariant],
-    settings: &ExperimentSettings,
-) -> StabilityGrid {
-    run_grid_with(tasks, devices, variants, |prepared, device, variant| {
-        Ok(run_variant(prepared, device, variant, settings))
-    })
-    .expect("in-process grid cells are infallible")
-}
-
-/// [`run_stability_grid`] with durable per-cell progress: completed
-/// replicas are loaded from `store`, in-flight replicas checkpoint every
-/// `checkpoint_every_epochs` epochs, and an interrupted grid resumes from
-/// wherever it stopped — mid-fleet and mid-training — bit-identically.
-///
-/// # Errors
-///
-/// Only store IO failures; training faults degrade into flagged reports.
-pub fn run_stability_grid_resumable(
-    tasks: &[TaskSpec],
-    devices: &[Device],
-    variants: &[NoiseVariant],
-    settings: &ExperimentSettings,
-    store: &CheckpointStore,
-    checkpoint_every_epochs: u32,
-) -> std::io::Result<StabilityGrid> {
-    run_grid_with(tasks, devices, variants, |prepared, device, variant| {
-        run_variant_resumable(
-            prepared,
-            device,
-            variant,
-            settings,
-            store,
-            checkpoint_every_epochs,
-        )
-    })
-}
-
-/// [`run_stability_grid_resumable`] with process isolation: every cell's
-/// replicas run in supervised worker processes
-/// ([`crate::fleet::run_variant_fleet`]), sharing `store` cells — and
-/// therefore resumability and bit-identity — with the in-process engines.
-///
-/// # Errors
-///
-/// Store/spawn IO failures or an invalid configuration; worker deaths
-/// degrade into flagged reports.
-pub fn run_stability_grid_fleet(
-    tasks: &[TaskSpec],
-    devices: &[Device],
-    variants: &[NoiseVariant],
-    settings: &ExperimentSettings,
-    store: &CheckpointStore,
-    checkpoint_every_epochs: u32,
-    opts: &FleetOptions,
-) -> std::io::Result<StabilityGrid> {
-    run_grid_with(tasks, devices, variants, |prepared, device, variant| {
-        run_variant_fleet(
-            prepared,
-            device,
-            variant,
-            settings,
-            store,
-            checkpoint_every_epochs,
-            opts,
-        )
-    })
-}
-
-/// ImageNet-sim rides the Table-2 grid with a capped fleet (the paper
-/// trains 5 replicas there).
-fn imagenet_settings(settings: &ExperimentSettings) -> ExperimentSettings {
-    ExperimentSettings {
-        replicas: settings.replicas.min(5),
-        ..*settings
-    }
-}
-
 /// The paper's Table-2 grid: the three CIFAR tasks on P100/RTX5000/V100
-/// plus ResNet-50/ImageNet-sim on V100, under the three measured variants.
-pub fn run_table2_grid(settings: &ExperimentSettings) -> StabilityGrid {
+/// plus ResNet-50/ImageNet-sim on V100, under the three measured variants
+/// (see [`run_stability_grid`] for `store` and `fleet`).
+///
+/// # Errors
+///
+/// As [`run_stability_grid`].
+pub fn run_table2_grid(
+    settings: &ExperimentSettings,
+    store: &CheckpointStore,
+    fleet: Option<&FleetOptions>,
+) -> std::io::Result<StabilityGrid> {
     let mut grid = run_stability_grid(
         &TaskSpec::table2_tasks(),
         &Device::stability_gpus(),
         &NoiseVariant::MEASURED,
         settings,
-    );
+        store,
+        fleet,
+    )?;
     // ImageNet-sim row (V100 only; the paper trains 5 replicas).
+    let imagenet = ExperimentSettings {
+        replicas: settings.replicas.min(5),
+        ..*settings
+    };
     let extra = run_stability_grid(
         &[TaskSpec::resnet50_imagenet()],
         &[Device::v100()],
         &NoiseVariant::MEASURED,
-        &imagenet_settings(settings),
-    );
-    grid.reports.extend(extra.reports);
-    grid
-}
-
-/// [`run_table2_grid`] with durable progress under `store` (see
-/// [`run_stability_grid_resumable`]).
-///
-/// # Errors
-///
-/// Only store IO failures.
-pub fn run_table2_grid_resumable(
-    settings: &ExperimentSettings,
-    store: &CheckpointStore,
-    checkpoint_every_epochs: u32,
-) -> std::io::Result<StabilityGrid> {
-    let mut grid = run_stability_grid_resumable(
-        &TaskSpec::table2_tasks(),
-        &Device::stability_gpus(),
-        &NoiseVariant::MEASURED,
-        settings,
+        &imagenet,
         store,
-        checkpoint_every_epochs,
-    )?;
-    let extra = run_stability_grid_resumable(
-        &[TaskSpec::resnet50_imagenet()],
-        &[Device::v100()],
-        &NoiseVariant::MEASURED,
-        &imagenet_settings(settings),
-        store,
-        checkpoint_every_epochs,
-    )?;
-    grid.reports.extend(extra.reports);
-    Ok(grid)
-}
-
-/// [`run_table2_grid`] under process-isolated workers (see
-/// [`run_stability_grid_fleet`]).
-///
-/// # Errors
-///
-/// Store/spawn IO failures or an invalid configuration.
-pub fn run_table2_grid_fleet(
-    settings: &ExperimentSettings,
-    store: &CheckpointStore,
-    checkpoint_every_epochs: u32,
-    opts: &FleetOptions,
-) -> std::io::Result<StabilityGrid> {
-    let mut grid = run_stability_grid_fleet(
-        &TaskSpec::table2_tasks(),
-        &Device::stability_gpus(),
-        &NoiseVariant::MEASURED,
-        settings,
-        store,
-        checkpoint_every_epochs,
-        opts,
-    )?;
-    let extra = run_stability_grid_fleet(
-        &[TaskSpec::resnet50_imagenet()],
-        &[Device::v100()],
-        &NoiseVariant::MEASURED,
-        &imagenet_settings(settings),
-        store,
-        checkpoint_every_epochs,
-        opts,
+        fleet,
     )?;
     grid.reports.extend(extra.reports);
     Ok(grid)
@@ -270,66 +162,29 @@ pub fn render_fig_panel(grid: &StabilityGrid, device: &str, figure: &str) -> Str
     )
 }
 
-/// The Figure-2 cells: the batch-norm ablation of the small CNN on V100.
-fn fig2_tasks() -> [TaskSpec; 2] {
-    [
-        TaskSpec::small_cnn_cifar10(),
-        TaskSpec::small_cnn_bn_cifar10(),
-    ]
-}
-
-/// Figure 2: the batch-norm ablation of the small CNN on V100.
-pub fn fig2(settings: &ExperimentSettings) -> StabilityGrid {
+/// Figure 2: the batch-norm ablation of the small CNN on V100 (see
+/// [`run_stability_grid`] for `store` and `fleet`). The CI fleet job runs
+/// this under pinned hang+abort chaos and asserts bit-identity with the
+/// in-process golden run.
+///
+/// # Errors
+///
+/// As [`run_stability_grid`].
+pub fn fig2(
+    settings: &ExperimentSettings,
+    store: &CheckpointStore,
+    fleet: Option<&FleetOptions>,
+) -> std::io::Result<StabilityGrid> {
     run_stability_grid(
-        &fig2_tasks(),
-        &[Device::v100()],
-        &NoiseVariant::MEASURED,
-        settings,
-    )
-}
-
-/// [`fig2`] with durable progress under `store`.
-///
-/// # Errors
-///
-/// Only store IO failures.
-pub fn fig2_resumable(
-    settings: &ExperimentSettings,
-    store: &CheckpointStore,
-    checkpoint_every_epochs: u32,
-) -> std::io::Result<StabilityGrid> {
-    run_stability_grid_resumable(
-        &fig2_tasks(),
+        &[
+            TaskSpec::small_cnn_cifar10(),
+            TaskSpec::small_cnn_bn_cifar10(),
+        ],
         &[Device::v100()],
         &NoiseVariant::MEASURED,
         settings,
         store,
-        checkpoint_every_epochs,
-    )
-}
-
-/// [`fig2`] under process-isolated workers (see
-/// [`run_stability_grid_fleet`]). The CI resilience job runs this under
-/// pinned hang+abort chaos and asserts bit-identity with the in-process
-/// golden run.
-///
-/// # Errors
-///
-/// Store/spawn IO failures or an invalid configuration.
-pub fn fig2_fleet(
-    settings: &ExperimentSettings,
-    store: &CheckpointStore,
-    checkpoint_every_epochs: u32,
-    opts: &FleetOptions,
-) -> std::io::Result<StabilityGrid> {
-    run_stability_grid_fleet(
-        &fig2_tasks(),
-        &[Device::v100()],
-        &NoiseVariant::MEASURED,
-        settings,
-        store,
-        checkpoint_every_epochs,
-        opts,
+        fleet,
     )
 }
 
@@ -367,68 +222,31 @@ pub fn fig4_from_reports(grid: &StabilityGrid) -> Vec<Fig4Series> {
         .collect()
 }
 
-/// The Figure-5 accelerator sweep, including Tensor Cores and the TPU.
-fn fig5_devices() -> [Device; 5] {
-    [
-        Device::p100(),
-        Device::v100(),
-        Device::rtx5000(),
-        Device::rtx5000_tensor_cores(),
-        Device::tpu_v2(),
-    ]
-}
-
 /// Figure 5: ResNet-18/CIFAR-100-sim across accelerator types, including
-/// Tensor Cores and the TPU.
-pub fn fig5(settings: &ExperimentSettings) -> StabilityGrid {
+/// Tensor Cores and the TPU (see [`run_stability_grid`] for `store` and
+/// `fleet`).
+///
+/// # Errors
+///
+/// As [`run_stability_grid`].
+pub fn fig5(
+    settings: &ExperimentSettings,
+    store: &CheckpointStore,
+    fleet: Option<&FleetOptions>,
+) -> std::io::Result<StabilityGrid> {
     run_stability_grid(
         &[TaskSpec::resnet18_cifar100()],
-        &fig5_devices(),
-        &NoiseVariant::MEASURED,
-        settings,
-    )
-}
-
-/// [`fig5`] with durable progress under `store`.
-///
-/// # Errors
-///
-/// Only store IO failures.
-pub fn fig5_resumable(
-    settings: &ExperimentSettings,
-    store: &CheckpointStore,
-    checkpoint_every_epochs: u32,
-) -> std::io::Result<StabilityGrid> {
-    run_stability_grid_resumable(
-        &[TaskSpec::resnet18_cifar100()],
-        &fig5_devices(),
+        &[
+            Device::p100(),
+            Device::v100(),
+            Device::rtx5000(),
+            Device::rtx5000_tensor_cores(),
+            Device::tpu_v2(),
+        ],
         &NoiseVariant::MEASURED,
         settings,
         store,
-        checkpoint_every_epochs,
-    )
-}
-
-/// [`fig5`] under process-isolated workers (see
-/// [`run_stability_grid_fleet`]).
-///
-/// # Errors
-///
-/// Store/spawn IO failures or an invalid configuration.
-pub fn fig5_fleet(
-    settings: &ExperimentSettings,
-    store: &CheckpointStore,
-    checkpoint_every_epochs: u32,
-    opts: &FleetOptions,
-) -> std::io::Result<StabilityGrid> {
-    run_stability_grid_fleet(
-        &[TaskSpec::resnet18_cifar100()],
-        &fig5_devices(),
-        &NoiseVariant::MEASURED,
-        settings,
-        store,
-        checkpoint_every_epochs,
-        opts,
+        fleet,
     )
 }
 
@@ -437,6 +255,7 @@ pub fn fig5_fleet(
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use crate::resume::tests::Scratch;
     use crate::task::DataSource;
     use nsdata::GaussianSpec;
 
@@ -463,12 +282,16 @@ mod tests {
 
     #[test]
     fn grid_covers_all_cells() {
+        let scratch = Scratch::new("grid-cells");
         let grid = run_stability_grid(
             &[tiny_task("A"), tiny_task("B")],
             &[Device::cpu()],
             &[NoiseVariant::Algo, NoiseVariant::Control],
             &tiny_settings(),
-        );
+            &scratch.0,
+            None,
+        )
+        .expect("grid runs");
         assert_eq!(grid.reports.len(), 4);
         assert!(grid.cell("A", "CPU", NoiseVariant::Algo).is_some());
         assert!(grid.cell("A", "CPU", NoiseVariant::Impl).is_none());
@@ -477,12 +300,16 @@ mod tests {
 
     #[test]
     fn control_cells_have_zero_variance() {
+        let scratch = Scratch::new("grid-control");
         let grid = run_stability_grid(
             &[tiny_task("A")],
             &[Device::v100()],
             &[NoiseVariant::Control],
             &tiny_settings(),
-        );
+            &scratch.0,
+            None,
+        )
+        .expect("grid runs");
         let r = &grid.reports[0];
         assert_eq!(r.std_accuracy, 0.0);
         assert_eq!(r.churn, 0.0);
@@ -491,12 +318,16 @@ mod tests {
 
     #[test]
     fn renderers_produce_tables() {
+        let scratch = Scratch::new("grid-render");
         let grid = run_stability_grid(
             &[tiny_task("A")],
             &[Device::v100()],
             &[NoiseVariant::Algo],
             &tiny_settings(),
-        );
+            &scratch.0,
+            None,
+        )
+        .expect("grid runs");
         let t2 = render_table2(&grid);
         assert!(t2.contains("Table 2"));
         assert!(t2.contains("V100"));

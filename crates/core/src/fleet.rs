@@ -13,13 +13,14 @@
 //!   `--worker` mode ([`worker_main`]). Each worker runs exactly one
 //!   `(replica, attempt)`, reads its [`ReplicaSpec`] from stdin and
 //!   writes [`Heartbeat`] / result / [`WorkerFault`] frames to stdout.
-//! - **The supervisor** ([`run_variant_fleet`]) dispatches pending
-//!   replicas to a bounded pool of worker processes, watches each with a
-//!   heartbeat watchdog plus an absolute wall-clock deadline, kills
-//!   stalled or crashed workers, classifies how they died (clean exit /
-//!   panic exit code / signal / timeout), and re-dispatches under the
-//!   same bounded retry budget as the in-process supervisor, with a
-//!   deterministic capped-exponential backoff between attempts.
+//! - **The supervisor** ([`run_variant_fleet`]) is the one cell driver
+//!   of [`crate::runner`] with a process-spawning attempt body: it
+//!   dispatches pending replicas to a bounded pool of worker processes,
+//!   watches each with a heartbeat watchdog plus an absolute wall-clock
+//!   deadline, kills stalled or crashed workers, classifies how they died
+//!   (clean exit / panic exit code / signal / timeout), and re-dispatches
+//!   under the same attempt loop and retry budget as in-process runs,
+//!   with a deterministic capped-exponential backoff between attempts.
 //! - **Durability** reuses [`crate::resume::CheckpointStore`] cells
 //!   verbatim: workers sink epoch checkpoints to the cell directory, so
 //!   a killed worker's retry resumes from the last durable checkpoint
@@ -50,9 +51,10 @@
 //! by scanning forward one byte at a time, so a torn or garbled stream
 //! degrades into skipped bytes, never a wedged supervisor.
 
-use crate::resume::{self, CheckpointStore};
+use crate::resume::{self, bad, CheckpointStore, Reader};
 use crate::runner::{
-    run_replica_with, PreparedTask, ReplicaOptions, ReplicaResult, ReplicaStatus, VariantRuns,
+    run_cell, run_replica_with, AttemptOutcome, PreparedTask, ReplicaOptions, ReplicaResult,
+    VariantRuns,
 };
 use crate::settings::ExperimentSettings;
 use crate::task::{DataSource, ModelKind, TaskSpec};
@@ -239,75 +241,6 @@ impl Enc {
     }
 }
 
-fn bad(detail: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("fleet frame: {detail}"))
-}
-
-/// Bounds-checked little-endian payload reader; truncated or foreign
-/// bytes surface as [`io::ErrorKind::InvalidData`], never a panic.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Dec<'_> {
-    fn take(&mut self, n: usize) -> io::Result<&[u8]> {
-        let end = self.pos.checked_add(n).ok_or_else(|| bad("overflow"))?;
-        if end > self.buf.len() {
-            return Err(bad("truncated"));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-    fn size(&mut self) -> io::Result<usize> {
-        Ok(self.u64()? as usize)
-    }
-    fn f32b(&mut self) -> io::Result<f32> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-    fn flag(&mut self) -> io::Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(bad(&format!("bad flag byte {b}"))),
-        }
-    }
-    /// A declared byte length, sanity-checked against the bytes that
-    /// remain so a corrupt length cannot trigger a huge allocation.
-    fn len(&mut self) -> io::Result<usize> {
-        let n = self.u64()? as usize;
-        if n > self.buf.len() - self.pos {
-            return Err(bad("length exceeds payload"));
-        }
-        Ok(n)
-    }
-    fn str(&mut self) -> io::Result<String> {
-        let n = self.len()?;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| bad("non-UTF-8 string"))
-    }
-    fn opt_u64(&mut self) -> io::Result<Option<u64>> {
-        Ok(if self.flag()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
-    }
-}
-
 fn enc_model(e: &mut Enc, m: &ModelKind) {
     match *m {
         ModelKind::SmallCnn { with_bn } => {
@@ -329,7 +262,7 @@ fn enc_model(e: &mut Enc, m: &ModelKind) {
     }
 }
 
-fn dec_model(d: &mut Dec<'_>) -> io::Result<ModelKind> {
+fn dec_model(d: &mut Reader<'_>) -> io::Result<ModelKind> {
     Ok(match d.u8()? {
         0 => ModelKind::SmallCnn { with_bn: d.flag()? },
         1 => ModelKind::SmallCnnDropout { rate: d.f32b()? },
@@ -371,7 +304,7 @@ fn enc_data(e: &mut Enc, data: &DataSource) {
     }
 }
 
-fn dec_data(d: &mut Dec<'_>) -> io::Result<DataSource> {
+fn dec_data(d: &mut Reader<'_>) -> io::Result<DataSource> {
     Ok(match d.u8()? {
         0 => DataSource::Gaussian(nsdata::GaussianSpec {
             classes: d.size()?,
@@ -428,7 +361,7 @@ fn enc_schedule(e: &mut Enc, s: &LrSchedule) {
     }
 }
 
-fn dec_schedule(d: &mut Dec<'_>) -> io::Result<LrSchedule> {
+fn dec_schedule(d: &mut Reader<'_>) -> io::Result<LrSchedule> {
     Ok(match d.u8()? {
         0 => LrSchedule::Constant { lr: d.f32b()? },
         1 => LrSchedule::StepDecay {
@@ -458,7 +391,7 @@ fn enc_train(e: &mut Enc, t: &TrainConfig) {
     e.opt_u64(t.dropout_seed_override);
 }
 
-fn dec_train(d: &mut Dec<'_>) -> io::Result<TrainConfig> {
+fn dec_train(d: &mut Reader<'_>) -> io::Result<TrainConfig> {
     Ok(TrainConfig {
         epochs: d.u32()?,
         batch_size: d.size()?,
@@ -501,7 +434,7 @@ fn enc_settings(e: &mut Enc, s: &ExperimentSettings) {
     e.u32(s.heartbeat_every_steps);
 }
 
-fn dec_settings(d: &mut Dec<'_>) -> io::Result<ExperimentSettings> {
+fn dec_settings(d: &mut Reader<'_>) -> io::Result<ExperimentSettings> {
     Ok(ExperimentSettings {
         replicas: d.u32()?,
         base_seed: d.u64()?,
@@ -538,7 +471,7 @@ fn enc_variant(e: &mut Enc, v: NoiseVariant) {
     });
 }
 
-fn dec_variant(d: &mut Dec<'_>) -> io::Result<NoiseVariant> {
+fn dec_variant(d: &mut Reader<'_>) -> io::Result<NoiseVariant> {
     Ok(match d.u8()? {
         0 => NoiseVariant::AlgoImpl,
         1 => NoiseVariant::Algo,
@@ -565,7 +498,7 @@ fn enc_spec(e: &mut Enc, s: &ReplicaSpec) {
     e.u32(s.checkpoint_every_epochs);
 }
 
-fn dec_spec(d: &mut Dec<'_>) -> io::Result<ReplicaSpec> {
+fn dec_spec(d: &mut Reader<'_>) -> io::Result<ReplicaSpec> {
     Ok(ReplicaSpec {
         task: TaskSpec {
             name: d.str()?,
@@ -614,10 +547,7 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
 }
 
 fn decode_payload(payload: &[u8]) -> io::Result<Frame> {
-    let mut d = Dec {
-        buf: payload,
-        pos: 0,
-    };
+    let mut d = Reader::new(payload);
     let frame = match d.u8()? {
         TAG_SPEC => Frame::Spec(Box::new(dec_spec(&mut d)?)),
         TAG_HEARTBEAT => Frame::Heartbeat(Heartbeat {
@@ -638,7 +568,7 @@ fn decode_payload(payload: &[u8]) -> io::Result<Frame> {
         }),
         t => return Err(bad(&format!("unknown frame tag {t}"))),
     };
-    if d.pos != payload.len() {
+    if !d.is_done() {
         return Err(bad("trailing bytes"));
     }
     Ok(frame)
@@ -789,16 +719,9 @@ fn worker_run() -> io::Result<()> {
     let prepared = PreparedTask::prepare(&spec.task);
 
     // Resume from the cell's durable checkpoint if one survived a prior
-    // (killed) attempt; anything unreadable degrades to a fresh start.
+    // (killed) attempt.
     let ckpt = resume::ckpt_path(&spec.cell_dir, spec.replica);
-    let resume_from = match Checkpoint::load(&ckpt) {
-        Ok(c) => Some(c),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-        Err(_) => {
-            std::fs::remove_file(&ckpt).ok();
-            None
-        }
-    };
+    let resume_from = resume::load_checkpoint(&ckpt);
 
     let stdout = io::stdout();
     let (replica, attempt) = (spec.replica, spec.attempt);
@@ -896,21 +819,6 @@ impl Default for FleetOptions {
     }
 }
 
-/// How one worker process attempt ended, from the supervisor's seat.
-#[derive(Debug)]
-enum AttemptOutcome {
-    /// Exit 0 with a result frame delivered.
-    Clean(Box<ReplicaResult>),
-    /// Exit 0 with a graceful [`WorkerFault`] frame (structured training
-    /// error — launch failure, divergence, ...).
-    Faulted(String),
-    /// Abnormal death: panic exit code, signal, or a clean exit that
-    /// never delivered a result.
-    Crashed(String),
-    /// Killed by the heartbeat watchdog or the absolute deadline.
-    TimedOut,
-}
-
 /// Kills and reaps the child on every exit path — early `?` returns and
 /// panics included — so the supervisor can never leak a zombie or leave
 /// an orphan training replica burning CPU.
@@ -930,28 +838,16 @@ fn backoff_ms(attempt: u32) -> u64 {
     (BACKOFF_BASE_MS << (attempt - 1).min(16)).min(BACKOFF_CAP_MS)
 }
 
-/// Everything fixed across one cell's replicas during fleet dispatch.
-struct FleetCell<'a> {
-    task: &'a TaskSpec,
-    device_name: &'a str,
-    variant: NoiseVariant,
-    settings: &'a ExperimentSettings,
-    dir: &'a Path,
-    checkpoint_every_epochs: u32,
-    worker_exe: &'a Path,
-    worker_args: &'a [OsString],
-}
-
 /// Spawns one worker process for `spec`, feeds it the spec frame, and
 /// supervises it to an [`AttemptOutcome`]: frames reset the watchdog, a
 /// silent worker or one past the absolute deadline is killed, and an
 /// exited worker is classified from its frames and exit status.
-fn run_attempt(cell: &FleetCell<'_>, spec: &ReplicaSpec) -> io::Result<AttemptOutcome> {
+fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<AttemptOutcome> {
     use std::process::{Command, Stdio};
     use std::sync::mpsc;
 
-    let child = Command::new(cell.worker_exe)
-        .args(cell.worker_args)
+    let child = Command::new(exe)
+        .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
@@ -1081,76 +977,12 @@ fn classify_signal(_status: &std::process::ExitStatus) -> AttemptOutcome {
     AttemptOutcome::Crashed("killed by unknown cause".into())
 }
 
-/// One replica under process-isolated supervision: dispatch, watch,
-/// classify, and re-dispatch within the retry budget (resuming from the
-/// cell's durable checkpoint). Persists the result/status exactly like
-/// the in-process resumable supervisor — the supervisor is the single
-/// writer of result and status files; workers only touch checkpoints.
-fn supervise_fleet(
-    cell: &FleetCell<'_>,
-    replica: u32,
-) -> io::Result<(Option<ReplicaResult>, ReplicaStatus)> {
-    let ckpt = resume::ckpt_path(cell.dir, replica);
-    let mut last = AttemptOutcome::Crashed("never dispatched".into());
-    for attempt in 0..=cell.settings.retry_budget {
-        if attempt > 0 {
-            std::thread::sleep(Duration::from_millis(backoff_ms(attempt)));
-        }
-        let spec = ReplicaSpec {
-            task: cell.task.clone(),
-            device_name: cell.device_name.to_string(),
-            variant: cell.variant,
-            settings: *cell.settings,
-            replica,
-            attempt,
-            cell_dir: cell.dir.to_path_buf(),
-            checkpoint_every_epochs: cell.checkpoint_every_epochs,
-        };
-        match run_attempt(cell, &spec)? {
-            AttemptOutcome::Clean(result) => {
-                let status = if attempt == 0 {
-                    ReplicaStatus::Ok
-                } else {
-                    ReplicaStatus::Retried {
-                        attempts: attempt + 1,
-                    }
-                };
-                resume::write_atomic(
-                    &resume::result_path(cell.dir, replica),
-                    &resume::encode_result(&result),
-                )?;
-                resume::write_atomic(
-                    &resume::status_path(cell.dir, replica),
-                    resume::status_line(&status).as_bytes(),
-                )?;
-                std::fs::remove_file(&ckpt).ok();
-                return Ok((Some(*result), status));
-            }
-            other => last = other,
-        }
-    }
-    let attempts = cell.settings.retry_budget + 1;
-    let status = match last {
-        AttemptOutcome::TimedOut => ReplicaStatus::TimedOut { attempts },
-        AttemptOutcome::Crashed(reason) => ReplicaStatus::Crashed {
-            reason: format!("{attempts} attempts; last: {reason}"),
-        },
-        AttemptOutcome::Faulted(reason) => ReplicaStatus::Failed {
-            reason: format!("{attempts} attempts exhausted; last: {reason}"),
-        },
-        AttemptOutcome::Clean(_) => unreachable!("clean attempts return early"),
-    };
-    resume::write_atomic(
-        &resume::status_path(cell.dir, replica),
-        resume::status_line(&status).as_bytes(),
-    )?;
-    Ok((None, status))
-}
-
 /// [`crate::resume::run_variant_resumable`] with process isolation: each
 /// pending replica runs in its own worker process under a heartbeat
 /// watchdog, so hangs and process-fatal faults (aborts, signals) degrade
 /// into supervised retries instead of a wedged or dead experiment.
+/// Retries wait a deterministic capped-exponential backoff and resume
+/// from the cell's durable checkpoint.
 ///
 /// Durable progress lives in the same [`CheckpointStore`] cells with the
 /// same formats — fleet runs, resumable runs, and in-process runs are
@@ -1161,7 +993,7 @@ fn supervise_fleet(
 /// Store/spawn IO failures, a custom (non-preset) device, a non-UTF-8
 /// store path, or settings that fail
 /// [`ExperimentSettings::validate_for`]. Worker deaths are *not* errors:
-/// they degrade into [`ReplicaStatus`] entries.
+/// they degrade into [`crate::runner::ReplicaStatus`] entries.
 pub fn run_variant_fleet(
     prepared: &PreparedTask,
     device: &Device,
@@ -1171,131 +1003,57 @@ pub fn run_variant_fleet(
     checkpoint_every_epochs: u32,
     opts: &FleetOptions,
 ) -> io::Result<VariantRuns> {
-    settings
-        .validate_for(&prepared.spec)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
     if device_by_name(device.name()).is_none() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "device {:?} is not a preset; fleet mode ships devices by name",
-                device.name()
-            ),
-        ));
+        return Err(invalid(format!(
+            "device {:?} is not a preset; fleet mode ships devices by name",
+            device.name()
+        )));
     }
     let dir = store.cell_dir(&prepared.spec.name, device.name(), variant);
-    std::fs::create_dir_all(&dir)?;
     if dir.to_str().is_none() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "fleet mode requires a UTF-8 checkpoint-store path",
+        return Err(invalid(
+            "fleet mode requires a UTF-8 checkpoint-store path".into(),
         ));
     }
     let worker_exe = match &opts.worker_exe {
         Some(p) => p.clone(),
         None => std::env::current_exe()?,
     };
-    let n = settings.replicas;
-
-    type Supervised = (Option<ReplicaResult>, ReplicaStatus);
-    let mut harvested: Vec<Option<io::Result<Supervised>>> = (0..n).map(|_| None).collect();
-    let mut pending: Vec<u32> = Vec::new();
-    for r in 0..n {
-        match std::fs::read(resume::result_path(&dir, r)).map(|b| resume::decode_result(&b)) {
-            Ok(Ok(result)) => {
-                let status = std::fs::read_to_string(resume::status_path(&dir, r))
-                    .ok()
-                    .and_then(|s| resume::parse_status(&s))
-                    .unwrap_or(ReplicaStatus::Ok);
-                harvested[r as usize] = Some(Ok((Some(result), status)));
-            }
-            _ => pending.push(r),
+    let attempt = |replica, attempt| {
+        if attempt > 0 {
+            std::thread::sleep(Duration::from_millis(backoff_ms(attempt)));
         }
-    }
-
-    let cell = FleetCell {
-        task: &prepared.spec,
-        device_name: device.name(),
+        let spec = ReplicaSpec {
+            task: prepared.spec.clone(),
+            device_name: device.name().to_string(),
+            variant,
+            settings: *settings,
+            replica,
+            attempt,
+            cell_dir: dir.clone(),
+            checkpoint_every_epochs,
+        };
+        run_attempt(&worker_exe, &opts.worker_args, &spec)
+    };
+    // Each pool thread blocks on its own worker *process*, so `procs` is
+    // the process-level parallelism cap.
+    run_cell(
+        prepared,
+        device,
         variant,
         settings,
-        dir: &dir,
-        checkpoint_every_epochs,
-        worker_exe: &worker_exe,
-        worker_args: &opts.worker_args,
-    };
-    let procs = if opts.procs == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        opts.procs
-    }
-    .min(pending.len().max(1));
-
-    if procs <= 1 {
-        for &r in &pending {
-            harvested[r as usize] = Some(supervise_fleet(&cell, r));
-        }
-    } else {
-        // Dispatcher threads pull replica indices from a shared counter;
-        // each thread blocks on its own worker *process*, so `procs` is
-        // the process-level parallelism cap.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let pending = &pending;
-        let cell = &cell;
-        let collected = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..procs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(u32, io::Result<Supervised>)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&r) = pending.get(i) else {
-                                return local;
-                            };
-                            local.push((r, supervise_fleet(cell, r)));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fleet dispatcher thread panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (r, out) in collected {
-            harvested[r as usize] = Some(out);
-        }
-    }
-
-    let mut results = Vec::with_capacity(n as usize);
-    let mut statuses = Vec::with_capacity(n as usize);
-    let mut manifest = Vec::with_capacity(n as usize);
-    for (r, slot) in harvested.into_iter().enumerate() {
-        let (result, status) = slot.expect("replica not supervised")?;
-        manifest.push((r as u32, resume::status_line(&status)));
-        results.extend(result);
-        statuses.push(status);
-    }
-    resume::write_manifest(
-        &dir,
-        &prepared.spec.name,
-        device.name(),
-        variant,
-        &manifest,
-        n,
-    )?;
-    Ok(VariantRuns {
-        variant,
-        results,
-        statuses,
-    })
+        Some(&dir),
+        opts.procs,
+        &attempt,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Preds;
+    use crate::resume::tests::Scratch;
+    use crate::runner::{Preds, ReplicaStatus};
     use proptest::prelude::*;
 
     fn sample_spec() -> ReplicaSpec {
@@ -1533,23 +1291,6 @@ mod tests {
         t.train.epochs = 1;
         t.augment = false;
         t
-    }
-
-    struct Scratch(CheckpointStore);
-
-    impl Scratch {
-        fn new(tag: &str) -> Self {
-            let dir =
-                std::env::temp_dir().join(format!("noisescope-fleet-{tag}-{}", std::process::id()));
-            std::fs::remove_dir_all(&dir).ok();
-            Scratch(CheckpointStore::new(dir))
-        }
-    }
-
-    impl Drop for Scratch {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(self.0.root()).ok();
-        }
     }
 
     #[cfg(unix)]

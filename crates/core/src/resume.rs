@@ -30,8 +30,7 @@
 //! ```
 
 use crate::runner::{
-    run_replica_with, Preds, PreparedTask, ReplicaOptions, ReplicaResult, ReplicaStatus,
-    VariantRuns,
+    in_process_attempt, run_cell, Preds, PreparedTask, ReplicaResult, ReplicaStatus, VariantRuns,
 };
 use crate::settings::ExperimentSettings;
 use crate::variant::NoiseVariant;
@@ -75,16 +74,17 @@ impl CheckpointStore {
 
     /// A store scoped under `root` by a fingerprint of every settings knob
     /// that shapes replica results. Cells are keyed only by (task, device,
-    /// variant), so without the scope a run with a different seed or epoch
-    /// scale would silently reuse stale cached replicas.
+    /// variant), so without the scope a run with a different seed, entropy
+    /// salt or epoch scale would silently reuse stale cached replicas.
     pub fn for_settings(root: impl Into<PathBuf>, settings: &ExperimentSettings) -> Self {
         let fp = format!(
-            "s{}-r{}-u{}-e{}-t{}",
+            "s{}-r{}-u{}-e{}-t{}-x{:x}",
             settings.base_seed,
             settings.replicas,
             settings.amp_ulps,
             settings.epochs_scale,
-            settings.exec_threads
+            settings.exec_threads,
+            settings.entropy_salt
         );
         Self {
             root: root.into().join(path_component(&fp)),
@@ -138,23 +138,30 @@ pub(crate) fn encode_result(r: &ReplicaResult) -> Vec<u8> {
     out
 }
 
-/// Little-endian reader over a persisted result; every accessor
-/// bounds-checks so truncated or foreign files surface as
+/// Bounds-checked little-endian reader, shared by the result codec here
+/// and the fleet wire codec; truncated or foreign bytes surface as
 /// [`io::ErrorKind::InvalidData`], never a panic.
-struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-fn bad(detail: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("replica result: {detail}"),
-    )
+/// An [`io::ErrorKind::InvalidData`] error for undecodable bytes.
+pub(crate) fn bad(detail: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, detail.to_string())
 }
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> io::Result<&[u8]> {
+impl<'a> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
+    }
+
+    /// Whether every byte has been consumed.
+    pub(crate) fn is_done(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
         let end = self.pos.checked_add(n).ok_or_else(|| bad("overflow"))?;
         if end > self.buf.len() {
             return Err(bad("truncated"));
@@ -164,36 +171,65 @@ impl Reader<'_> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> io::Result<u8> {
+    pub(crate) fn u8(&mut self) -> io::Result<u8> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> io::Result<u32> {
+    pub(crate) fn u32(&mut self) -> io::Result<u32> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
 
-    fn u64(&mut self) -> io::Result<u64> {
+    pub(crate) fn u64(&mut self) -> io::Result<u64> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
 
+    pub(crate) fn size(&mut self) -> io::Result<usize> {
+        Ok(self.u64()? as usize)
+    }
+
+    pub(crate) fn f32b(&mut self) -> io::Result<f32> {
+        Ok(f32::from_bits(self.u32()?))
+    }
+
+    pub(crate) fn flag(&mut self) -> io::Result<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(bad(&format!("bad flag byte {b}"))),
+        }
+    }
+
     /// A declared element count, sanity-checked against the bytes that
     /// actually remain so a corrupt length cannot trigger a huge
     /// allocation.
-    fn len(&mut self, elem_size: usize) -> io::Result<usize> {
+    pub(crate) fn len(&mut self, elem_size: usize) -> io::Result<usize> {
         let n = self.u64()? as usize;
         if n.saturating_mul(elem_size) > self.buf.len() - self.pos {
             return Err(bad("length exceeds payload"));
         }
         Ok(n)
     }
+
+    pub(crate) fn str(&mut self) -> io::Result<String> {
+        let n = self.len(1)?;
+        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| bad("non-UTF-8 string"))
+    }
+
+    pub(crate) fn opt_u64(&mut self) -> io::Result<Option<u64>> {
+        Ok(if self.flag()? {
+            Some(self.u64()?)
+        } else {
+            None
+        })
+    }
 }
 
 pub(crate) fn decode_result(bytes: &[u8]) -> io::Result<ReplicaResult> {
-    let mut r = Reader { buf: bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     if r.u32()? != RESULT_MAGIC {
         return Err(bad("bad magic"));
     }
@@ -224,7 +260,7 @@ pub(crate) fn decode_result(bytes: &[u8]) -> io::Result<ReplicaResult> {
         weights.push(f32::from_bits(r.u32()?));
     }
     let final_train_loss = f32::from_bits(r.u32()?);
-    if r.pos != bytes.len() {
+    if !r.is_done() {
         return Err(bad("trailing bytes"));
     }
     Ok(ReplicaResult {
@@ -301,105 +337,36 @@ pub(crate) fn ckpt_path(dir: &Path, replica: u32) -> PathBuf {
     dir.join(format!("r{replica}.ckpt"))
 }
 
+/// The replica's newest epoch checkpoint, if one survived a prior
+/// attempt. An unreadable one (partial write, disk corruption, ...) is
+/// deleted: it must degrade to a fresh start, not kill the replica.
+pub(crate) fn load_checkpoint(path: &Path) -> Option<Checkpoint> {
+    match Checkpoint::load(path) {
+        Ok(c) => Some(c),
+        Err(e) => {
+            if e.kind() != io::ErrorKind::NotFound {
+                std::fs::remove_file(path).ok();
+            }
+            None
+        }
+    }
+}
+
 /// Rewrites the cell's human-readable progress manifest.
 pub(crate) fn write_manifest(
     dir: &Path,
     task: &str,
     device: &str,
     variant: NoiseVariant,
-    statuses: &[(u32, String)],
-    total: u32,
+    statuses: &[ReplicaStatus],
 ) -> io::Result<()> {
-    let mut out = format!(
-        "cell: {task} / {device} / {variant}\nreplicas: {} of {total} accounted for\n",
-        statuses.len()
-    );
-    for (r, s) in statuses {
-        out.push_str(&format!("r{r}: {s}\n"));
+    let n = statuses.len();
+    let mut out =
+        format!("cell: {task} / {device} / {variant}\nreplicas: {n} of {n} accounted for\n");
+    for (r, s) in statuses.iter().enumerate() {
+        out.push_str(&format!("r{r}: {}\n", status_line(s)));
     }
     write_atomic(&dir.join("manifest.txt"), out.as_bytes())
-}
-
-/// One replica under supervision with durable progress: attempts resume
-/// from the newest on-disk epoch checkpoint and sink fresh checkpoints as
-/// they train. Checkpoints are only ever emitted at fault-free epoch
-/// boundaries (`fit` aborts *before* the sink on a faulted step), so a
-/// checkpoint from a crashed attempt is still a bit-exact prefix of the
-/// clean trajectory and safe for any later attempt to resume from.
-fn supervise_resumable(
-    prepared: &PreparedTask,
-    device: &Device,
-    variant: NoiseVariant,
-    settings: &ExperimentSettings,
-    replica: u32,
-    dir: &Path,
-    checkpoint_every_epochs: u32,
-) -> io::Result<(Option<ReplicaResult>, ReplicaStatus)> {
-    let ckpt = ckpt_path(dir, replica);
-    let mut last_reason = String::new();
-    for attempt in 0..=settings.retry_budget {
-        // An unreadable checkpoint (partial write survived a crash before
-        // the atomic rename existed, disk corruption, ...) must degrade to
-        // a fresh start, not kill the replica.
-        let resume = match Checkpoint::load(&ckpt) {
-            Ok(c) => Some(c),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(_) => {
-                std::fs::remove_file(&ckpt).ok();
-                None
-            }
-        };
-        let mut sink_err: Option<io::Error> = None;
-        let mut sink = |c: &Checkpoint| {
-            if sink_err.is_none() {
-                if let Err(e) = c.save(&ckpt) {
-                    sink_err = Some(e);
-                }
-            }
-        };
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_replica_with(
-                prepared,
-                device,
-                variant,
-                settings,
-                replica,
-                ReplicaOptions {
-                    attempt,
-                    resume: resume.as_ref(),
-                    checkpoint_every_epochs,
-                    sink: Some(&mut sink),
-                    ..ReplicaOptions::default()
-                },
-            )
-        }));
-        if let Some(e) = sink_err {
-            return Err(e);
-        }
-        match outcome {
-            Ok(Ok(result)) => {
-                let status = if attempt == 0 {
-                    ReplicaStatus::Ok
-                } else {
-                    ReplicaStatus::Retried {
-                        attempts: attempt + 1,
-                    }
-                };
-                write_atomic(&result_path(dir, replica), &encode_result(&result))?;
-                write_atomic(&status_path(dir, replica), status_line(&status).as_bytes())?;
-                std::fs::remove_file(&ckpt).ok();
-                return Ok((Some(result), status));
-            }
-            Ok(Err(err)) => last_reason = err.to_string(),
-            Err(payload) => last_reason = crate::runner::panic_reason(payload),
-        }
-    }
-    let attempts = settings.retry_budget + 1;
-    let status = ReplicaStatus::Failed {
-        reason: format!("{attempts} attempts exhausted; last: {last_reason}"),
-    };
-    write_atomic(&status_path(dir, replica), status_line(&status).as_bytes())?;
-    Ok((None, status))
 }
 
 /// [`crate::runner::run_variant`] with durable progress: completed
@@ -426,118 +393,22 @@ pub fn run_variant_resumable(
     store: &CheckpointStore,
     checkpoint_every_epochs: u32,
 ) -> io::Result<VariantRuns> {
-    settings
-        .validate_for(&prepared.spec)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     let dir = store.cell_dir(&prepared.spec.name, device.name(), variant);
-    std::fs::create_dir_all(&dir)?;
-    let n = settings.replicas;
-
-    type Supervised = (Option<ReplicaResult>, ReplicaStatus);
-    let mut harvested: Vec<Option<io::Result<Supervised>>> = (0..n).map(|_| None).collect();
-    let mut pending: Vec<u32> = Vec::new();
-    for r in 0..n {
-        // A readable result file is a completed replica; anything else
-        // (absent, torn write predating atomic saves, foreign bytes) means
-        // the replica runs again.
-        match std::fs::read(result_path(&dir, r)).map(|b| decode_result(&b)) {
-            Ok(Ok(result)) => {
-                let status = std::fs::read_to_string(status_path(&dir, r))
-                    .ok()
-                    .and_then(|s| parse_status(&s))
-                    .unwrap_or(ReplicaStatus::Ok);
-                harvested[r as usize] = Some(Ok((Some(result), status)));
-            }
-            _ => pending.push(r),
-        }
-    }
-
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(pending.len().max(1));
-    if workers <= 1 {
-        for &r in &pending {
-            harvested[r as usize] = Some(supervise_resumable(
-                prepared,
-                device,
-                variant,
-                settings,
-                r,
-                &dir,
-                checkpoint_every_epochs,
-            ));
-        }
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let pending = &pending;
-        let dir_ref = &dir;
-        let collected = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(u32, io::Result<Supervised>)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&r) = pending.get(i) else {
-                                return local;
-                            };
-                            local.push((
-                                r,
-                                supervise_resumable(
-                                    prepared,
-                                    device,
-                                    variant,
-                                    settings,
-                                    r,
-                                    dir_ref,
-                                    checkpoint_every_epochs,
-                                ),
-                            ));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("resumable supervisor thread panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (r, out) in collected {
-            harvested[r as usize] = Some(out);
-        }
-    }
-
-    let mut results = Vec::with_capacity(n as usize);
-    let mut statuses = Vec::with_capacity(n as usize);
-    let mut manifest = Vec::with_capacity(n as usize);
-    for (r, cell) in harvested.into_iter().enumerate() {
-        let (result, status) = cell.expect("replica not supervised")?;
-        manifest.push((r as u32, status_line(&status)));
-        results.extend(result);
-        statuses.push(status);
-    }
-    write_manifest(
-        &dir,
-        &prepared.spec.name,
-        device.name(),
-        variant,
-        &manifest,
-        n,
-    )?;
-    Ok(VariantRuns {
-        variant,
-        results,
-        statuses,
-    })
+    let durable = Some((dir.as_path(), checkpoint_every_epochs));
+    let attempt = |replica, attempt| {
+        in_process_attempt(
+            prepared, device, variant, settings, durable, replica, attempt,
+        )
+    };
+    run_cell(prepared, device, variant, settings, Some(&dir), 0, &attempt)
 }
 
 #[cfg(test)]
 // Bit-identical resume is the property under test.
 #[allow(clippy::float_cmp)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::runner::run_variant;
+    use crate::runner::{run_replica_with, run_variant, ReplicaOptions};
     use crate::task::{DataSource, TaskSpec};
     use nsdata::GaussianSpec;
 
@@ -562,12 +433,12 @@ mod tests {
     }
 
     /// A unique scratch store per test, cleaned up on drop.
-    struct Scratch(CheckpointStore);
+    pub(crate) struct Scratch(pub(crate) CheckpointStore);
 
     impl Scratch {
-        fn new(tag: &str) -> Self {
-            let dir = std::env::temp_dir()
-                .join(format!("noisescope-resume-{tag}-{}", std::process::id()));
+        pub(crate) fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("noisescope-store-{tag}-{}", std::process::id()));
             std::fs::remove_dir_all(&dir).ok();
             Scratch(CheckpointStore::new(dir))
         }
@@ -773,6 +644,41 @@ mod tests {
             );
             assert_eq!(a.preds, b.preds);
         }
+    }
+
+    #[test]
+    fn entropy_salt_scopes_the_settings_store() {
+        // Two runs on one store root that differ only in entropy salt must
+        // not share cells: each must equal its own fresh in-memory fleet.
+        let root = Scratch::new("salt");
+        let prepared = PreparedTask::prepare(&tiny_task());
+        let device = Device::v100();
+        let mut firsts = Vec::new();
+        for salt in [0xA, 0xB] {
+            let settings = ExperimentSettings {
+                entropy_salt: salt,
+                ..tiny_settings()
+            };
+            let store = CheckpointStore::for_settings(root.0.root(), &settings);
+            let durable =
+                run_variant_resumable(&prepared, &device, NoiseVariant::Impl, &settings, &store, 0)
+                    .expect("resumable fleet");
+            let fresh = run_variant(&prepared, &device, NoiseVariant::Impl, &settings);
+            assert_eq!(durable.results.len(), fresh.results.len());
+            for (a, b) in fresh.results.iter().zip(&durable.results) {
+                assert_eq!(
+                    a.weights, b.weights,
+                    "salt {salt:#x}, replica {}",
+                    a.replica
+                );
+                assert_eq!(a.preds, b.preds, "salt {salt:#x}, replica {}", a.replica);
+            }
+            firsts.push(durable.results[0].weights.clone());
+        }
+        assert_ne!(
+            firsts[0], firsts[1],
+            "IMPL replicas must depend on the salt"
+        );
     }
 
     #[test]

@@ -1,6 +1,14 @@
 //! Replica fleets: train N independent models under a noise variant and
 //! collect everything the stability metrics need.
+//!
+//! Every fleet — in process ([`run_variant`]), durable
+//! ([`crate::resume::run_variant_resumable`]) or process-isolated
+//! ([`crate::fleet::run_variant_fleet`]) — goes through one cell driver
+//! here: one store harvest, one thread pool, and one supervised attempt
+//! loop per replica. The entry points differ only in the body of a single
+//! attempt.
 
+use crate::resume;
 use crate::settings::ExperimentSettings;
 use crate::task::{DataSource, TaskSpec};
 use crate::variant::NoiseVariant;
@@ -11,6 +19,9 @@ use nnet::trainer::{
 };
 use nsdata::{CelebaData, ShiftFlip, SplitDataset};
 use serde::{Deserialize, Serialize};
+use std::io;
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A task with its dataset materialized (generation happens once; the
 /// dataset is a fixed artifact shared by every replica, like CIFAR on
@@ -426,7 +437,7 @@ pub fn run_replica_with(
 }
 
 /// Renders a caught panic payload for a `ReplicaStatus::Failed` reason.
-pub(crate) fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("panic: {s}")
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -436,55 +447,208 @@ pub(crate) fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one replica under supervision: panics are isolated with
-/// `catch_unwind`, and failed attempts (structured errors *or* panics) are
-/// retried up to `settings.retry_budget` extra times. Deterministic
-/// re-derivation of all seeds makes a successful retry bit-identical to a
-/// never-faulted run.
-fn supervise_replica(
+/// How one attempt of one replica ended, from the supervisor's seat.
+#[derive(Debug)]
+pub(crate) enum AttemptOutcome {
+    /// A result was delivered.
+    Clean(Box<ReplicaResult>),
+    /// A structured training error or a caught panic (in process), or a
+    /// graceful [`crate::fleet::WorkerFault`] frame (worker process).
+    Faulted(String),
+    /// Worker processes only: abnormal death — panic exit code, signal,
+    /// or a clean exit that never delivered a result.
+    Crashed(String),
+    /// Worker processes only: killed by the heartbeat watchdog or the
+    /// absolute deadline.
+    TimedOut,
+}
+
+/// The in-process attempt body: `catch_unwind` around
+/// [`run_replica_with`]. With a durable `(cell dir, checkpoint cadence)`
+/// the attempt resumes from the replica's newest epoch checkpoint and
+/// sinks fresh ones as it trains. Checkpoints are only ever emitted at
+/// fault-free epoch boundaries (`fit` aborts *before* the sink on a
+/// faulted step), so a checkpoint from a crashed attempt is still a
+/// bit-exact prefix of the clean trajectory and safe for any later
+/// attempt to resume from.
+pub(crate) fn in_process_attempt(
     prepared: &PreparedTask,
     device: &Device,
     variant: NoiseVariant,
     settings: &ExperimentSettings,
+    durable: Option<(&Path, u32)>,
     replica: u32,
-) -> (Option<ReplicaResult>, ReplicaStatus) {
-    let mut last_reason = String::new();
-    for attempt in 0..=settings.retry_budget {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_replica_with(
-                prepared,
-                device,
-                variant,
-                settings,
-                replica,
-                ReplicaOptions {
-                    attempt,
-                    ..ReplicaOptions::default()
-                },
-            )
-        }));
-        match outcome {
-            Ok(Ok(result)) => {
-                let status = if attempt == 0 {
-                    ReplicaStatus::Ok
-                } else {
-                    ReplicaStatus::Retried {
-                        attempts: attempt + 1,
-                    }
-                };
-                return (Some(result), status);
+    attempt: u32,
+) -> io::Result<AttemptOutcome> {
+    let ckpt = durable.map(|(dir, _)| resume::ckpt_path(dir, replica));
+    let resume_from = ckpt.as_deref().and_then(resume::load_checkpoint);
+    let mut sink_err: Option<io::Error> = None;
+    let mut sink = |c: &Checkpoint| {
+        if let (true, Some(path)) = (sink_err.is_none(), &ckpt) {
+            sink_err = c.save(path).err();
+        }
+    };
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_replica_with(
+            prepared,
+            device,
+            variant,
+            settings,
+            replica,
+            ReplicaOptions {
+                attempt,
+                resume: resume_from.as_ref(),
+                checkpoint_every_epochs: durable.map_or(0, |(_, every)| every),
+                sink: Some(&mut sink),
+                ..ReplicaOptions::default()
+            },
+        )
+    }));
+    if let Some(e) = sink_err {
+        return Err(e);
+    }
+    Ok(match outcome {
+        Ok(Ok(result)) => AttemptOutcome::Clean(Box::new(result)),
+        Ok(Err(err)) => AttemptOutcome::Faulted(err.to_string()),
+        Err(payload) => AttemptOutcome::Faulted(panic_reason(payload)),
+    })
+}
+
+/// Runs one replica under supervision: attempts run until one is clean
+/// or `settings.retry_budget` retries are spent. Deterministic
+/// re-derivation of all seeds makes a successful retry bit-identical to a
+/// never-faulted run. With a store cell `dir`, the outcome is persisted
+/// (result, then status) and a completed replica's checkpoint removed;
+/// the supervisor is the single writer of result and status files.
+fn supervise(
+    settings: &ExperimentSettings,
+    dir: Option<&Path>,
+    replica: u32,
+    attempt: &(dyn Fn(u32, u32) -> io::Result<AttemptOutcome> + Sync),
+) -> io::Result<(Option<ReplicaResult>, ReplicaStatus)> {
+    let mut a = 0;
+    let (result, status) = loop {
+        let attempts = a + 1;
+        match attempt(replica, a)? {
+            AttemptOutcome::Clean(r) if a == 0 => break (Some(*r), ReplicaStatus::Ok),
+            AttemptOutcome::Clean(r) => break (Some(*r), ReplicaStatus::Retried { attempts }),
+            _ if a < settings.retry_budget => a += 1,
+            AttemptOutcome::TimedOut => break (None, ReplicaStatus::TimedOut { attempts }),
+            AttemptOutcome::Crashed(reason) => {
+                let reason = format!("{attempts} attempts; last: {reason}");
+                break (None, ReplicaStatus::Crashed { reason });
             }
-            Ok(Err(err)) => last_reason = err.to_string(),
-            Err(payload) => last_reason = panic_reason(payload),
+            AttemptOutcome::Faulted(reason) => {
+                let reason = format!("{attempts} attempts exhausted; last: {reason}");
+                break (None, ReplicaStatus::Failed { reason });
+            }
+        }
+    };
+    if let Some(dir) = dir {
+        if let Some(r) = &result {
+            resume::write_atomic(
+                &resume::result_path(dir, replica),
+                &resume::encode_result(r),
+            )?;
+        }
+        let line = resume::status_line(&status);
+        resume::write_atomic(&resume::status_path(dir, replica), line.as_bytes())?;
+        if result.is_some() {
+            std::fs::remove_file(resume::ckpt_path(dir, replica)).ok();
         }
     }
-    let attempts = settings.retry_budget + 1;
-    (
-        None,
-        ReplicaStatus::Failed {
-            reason: format!("{attempts} attempts exhausted; last: {last_reason}"),
-        },
-    )
+    Ok((result, status))
+}
+
+/// The one cell driver behind [`run_variant`],
+/// [`crate::resume::run_variant_resumable`] and
+/// [`crate::fleet::run_variant_fleet`]; they differ only in the body of
+/// one `attempt(replica, attempt)`.
+///
+/// Validates the settings, loads completed replicas from the store cell
+/// `dir` (when there is one), and runs the pending replicas through
+/// [`supervise`] on a pool of `workers` threads (0 = host parallelism).
+/// Workers pull replica indices from a shared counter and the harvest
+/// scatters by index, so results are in replica order no matter which
+/// worker trained what; replica *contents* never depend on scheduling,
+/// because each replica derives its seeds and entropy from its index.
+pub(crate) fn run_cell(
+    prepared: &PreparedTask,
+    device: &Device,
+    variant: NoiseVariant,
+    settings: &ExperimentSettings,
+    dir: Option<&Path>,
+    workers: usize,
+    attempt: &(dyn Fn(u32, u32) -> io::Result<AttemptOutcome> + Sync),
+) -> io::Result<VariantRuns> {
+    settings
+        .validate_for(&prepared.spec)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    let n = settings.replicas as usize;
+    let mut slots: Vec<Option<(Option<ReplicaResult>, ReplicaStatus)>> = vec![None; n];
+    if let Some(dir) = dir {
+        std::fs::create_dir_all(dir)?;
+        for (r, slot) in (0..).zip(&mut slots) {
+            // A readable result file is a completed replica; anything else
+            // (absent, torn write predating atomic saves, foreign bytes)
+            // means the replica runs again.
+            if let Ok(Ok(result)) =
+                std::fs::read(resume::result_path(dir, r)).map(|b| resume::decode_result(&b))
+            {
+                let status = std::fs::read_to_string(resume::status_path(dir, r))
+                    .ok()
+                    .and_then(|s| resume::parse_status(&s))
+                    .unwrap_or(ReplicaStatus::Ok);
+                *slot = Some((Some(result), status));
+            }
+        }
+    }
+    let pending: Vec<u32> = (0..)
+        .zip(&slots)
+        .filter(|(_, s)| s.is_none())
+        .map(|(r, _)| r)
+        .collect();
+    let workers = match workers {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        w => w,
+    }
+    .min(pending.len())
+    .max(1);
+    let next = AtomicUsize::new(0);
+    let supervised = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    while let Some(&r) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        local.push((r, supervise(settings, dir, r, attempt)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("supervisor thread panicked"))
+            .collect::<Vec<_>>()
+    });
+    for (r, out) in supervised {
+        slots[r as usize] = Some(out?);
+    }
+    let (mut results, mut statuses) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for slot in slots {
+        let (result, status) = slot.expect("every replica is harvested or supervised");
+        results.extend(result);
+        statuses.push(status);
+    }
+    if let Some(dir) = dir {
+        resume::write_manifest(dir, &prepared.spec.name, device.name(), variant, &statuses)?;
+    }
+    Ok(VariantRuns {
+        variant,
+        results,
+        statuses,
+    })
 }
 
 /// Trains the whole replica fleet for a variant, parallelized over the
@@ -511,68 +675,13 @@ pub fn run_variant(
     variant: NoiseVariant,
     settings: &ExperimentSettings,
 ) -> VariantRuns {
-    if let Err(e) = settings.validate_for(&prepared.spec) {
-        panic!("invalid experiment configuration: {e}");
-    }
-    let n = settings.replicas;
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n as usize)
-        .max(1);
-    type Supervised = (Option<ReplicaResult>, ReplicaStatus);
-    let mut harvested: Vec<Option<Supervised>> = (0..n).map(|_| None).collect();
-    if workers <= 1 {
-        for r in 0..n {
-            harvested[r as usize] = Some(supervise_replica(prepared, device, variant, settings, r));
-        }
-    } else {
-        // Workers pull replica indices from a shared counter and return
-        // their (index, result) pairs through the join handle; the harvest
-        // scatters by index, so fleet results are in replica order no
-        // matter which worker trained what. Replica *contents* never depend
-        // on scheduling anyway — each replica derives its seeds and entropy
-        // from its index alone.
-        let next = std::sync::atomic::AtomicU32::new(0);
-        let collected = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(u32, Supervised)> = Vec::new();
-                        loop {
-                            let r = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if r >= n {
-                                return local;
-                            }
-                            local.push((
-                                r,
-                                supervise_replica(prepared, device, variant, settings, r),
-                            ));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("supervisor thread panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (r, out) in collected {
-            harvested[r as usize] = Some(out);
-        }
-    }
-    let mut results = Vec::with_capacity(n as usize);
-    let mut statuses = Vec::with_capacity(n as usize);
-    for cell in harvested {
-        let (result, status) = cell.expect("replica not supervised");
-        results.extend(result);
-        statuses.push(status);
-    }
-    VariantRuns {
-        variant,
-        results,
-        statuses,
-    }
+    // Without a store the in-process attempt does no IO, so the only
+    // error is the up-front validation.
+    let attempt = |replica, attempt| {
+        in_process_attempt(prepared, device, variant, settings, None, replica, attempt)
+    };
+    run_cell(prepared, device, variant, settings, None, 0, &attempt)
+        .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"))
 }
 
 #[cfg(test)]

@@ -203,25 +203,6 @@ impl ExecutionContext {
         Self::builder(device).mode(mode).entropy(entropy).build()
     }
 
-    /// Creates a context with the amplified-noise tier enabled.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `ExecutionContext::builder(device).mode(..).entropy(..).amp_ulps(..).build()` \
-                — positional f32/u64 arguments were too easy to swap"
-    )]
-    pub fn with_amplification(
-        device: Device,
-        mode: ExecutionMode,
-        entropy: u64,
-        amp_ulps: f32,
-    ) -> Self {
-        Self::builder(device)
-            .mode(mode)
-            .entropy(entropy)
-            .amp_ulps(amp_ulps)
-            .build()
-    }
-
     /// The accumulation order a given op class uses on this device/mode.
     pub fn order_for(device: &Device, mode: ExecutionMode, class: OpClass) -> ReduceOrder {
         if device.arch() == Architecture::Cpu {
@@ -677,24 +658,5 @@ mod tests {
             ctx.reducer(OpClass::Misc).sum(&[1.0]);
         }
         assert!(!ctx.chaos_armed());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_amplification_matches_builder() {
-        let xs: Vec<f32> = (0..800).map(|i| (i as f32 * 0.9).sin()).collect();
-        let mut old =
-            ExecutionContext::with_amplification(Device::v100(), ExecutionMode::Default, 7, 1e4);
-        let mut new = ExecutionContext::builder(Device::v100())
-            .mode(ExecutionMode::Default)
-            .entropy(7)
-            .amp_ulps(1e4)
-            .build();
-        for class in OpClass::ALL {
-            assert_eq!(
-                old.reducer(class).sum(&xs).to_bits(),
-                new.reducer(class).sum(&xs).to_bits()
-            );
-        }
     }
 }
