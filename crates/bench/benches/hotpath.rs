@@ -1,10 +1,10 @@
-//! The committed hot-path suite behind `BENCH_7.json`: GEMM, conv forward,
+//! The committed hot-path suite behind `BENCH_9.json`: GEMM, conv forward,
 //! conv backward, one training step, and a whole replica fleet, each under
 //! the deterministic orders and under `Permuted` (nondeterministic mode).
 //!
 //! Benchmark names are stable identifiers — `scripts/bench_compare.sh`
 //! parses them out of `cargo bench` output and compares against the
-//! committed `BENCH_7.json`, so renaming one is a breaking change for the
+//! committed `BENCH_9.json`, so renaming one is a breaking change for the
 //! regression gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

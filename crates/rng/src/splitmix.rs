@@ -8,6 +8,17 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The counter increment: the state after `n` draws is `seed + n·GAMMA`.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The output function: a bijective avalanche mix of one counter value.
+#[inline(always)]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A SplitMix64 generator.
 ///
 /// # Example
@@ -41,11 +52,29 @@ impl SplitMix64 {
     /// Returns the next 64 random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GAMMA);
+        mix(self.state)
+    }
+
+    /// The value the `n + 1`-th [`SplitMix64::next_u64`] call from here
+    /// would return, without advancing: `peek(0)` is the next draw.
+    ///
+    /// SplitMix64 is a counter passed through a bijective mixer, so any
+    /// draw ahead is computable in O(1). Draws that do not depend on each
+    /// other can therefore be computed in any order (and vectorized) while
+    /// reproducing the sequential stream exactly.
+    #[inline]
+    pub fn peek(&self, n: u64) -> u64 {
+        mix(self
+            .state
+            .wrapping_add(n.wrapping_add(1).wrapping_mul(GAMMA)))
+    }
+
+    /// Advances the generator by `n` draws in O(1): the state afterwards
+    /// equals the state after `n` [`SplitMix64::next_u64`] calls.
+    #[inline]
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Returns the next 32 random bits.
@@ -117,6 +146,47 @@ mod tests {
         let mut resumed = SplitMix64::new(g.state());
         for _ in 0..32 {
             assert_eq!(g.next_u64(), resumed.next_u64());
+        }
+    }
+
+    /// `n` sequential draws from `g`: the generator after them, and the
+    /// draw that would follow.
+    fn stepped(mut g: SplitMix64, n: u64) -> (SplitMix64, u64) {
+        for _ in 0..n {
+            g.next_u64();
+        }
+        let mut ahead = g;
+        (g, ahead.next_u64())
+    }
+
+    #[test]
+    fn peek_and_skip_match_sequential_draws() {
+        // The last seed sits just below u64::MAX, so the counter wraps on
+        // the first draw.
+        for seed in [0, 42, u64::MAX - 5] {
+            for n in [0, 1, 2, 1000] {
+                let g = SplitMix64::new(seed);
+                let (after, next) = stepped(g, n);
+                assert_eq!(g.peek(n), next, "peek({n}) from {seed:#x}");
+                let mut skipped = g;
+                skipped.skip(n);
+                assert_eq!(skipped, after, "skip({n}) from {seed:#x}");
+                // peek does not advance.
+                assert_eq!(g, SplitMix64::new(seed));
+            }
+        }
+    }
+
+    #[test]
+    fn skip_round_trips_through_state() {
+        let mut g = SplitMix64::new(99);
+        g.skip(1000);
+        let mut resumed = SplitMix64::new(g.state());
+        let (mut sequential, _) = stepped(SplitMix64::new(99), 1000);
+        for _ in 0..32 {
+            let want = sequential.next_u64();
+            assert_eq!(g.next_u64(), want);
+            assert_eq!(resumed.next_u64(), want);
         }
     }
 

@@ -25,26 +25,32 @@
 //!
 //! The [`ReduceOrder::Permuted`] combine keeps each output's order the
 //! same way. Per tile row, the `l` lane partials of all `NR` columns sit
-//! in one buffer, lane `dl` of column `j` at `dl·NR + j`. Each column's
-//! two transpositions are applied *in place within column `j`*, in the
+//! in one buffer, lane `dl` of column `j` at `[dl][j]`. Each column's two
+//! transpositions are applied *in place within column `j`*, in the
 //! reference's order, so a second swap that lands on a slot the first
 //! moved sees the moved value exactly as the reference's
-//! `p.swap(0, j1); p.swap(1.min(l - 1), j2)` does. The lane rows are then
-//! copied once to rows `l..2l`, which turns the rotated read
-//! `p[(t + rot) % l]` into row `rot + t`: a fixed per-column offset
-//! `rot·NR + j` with no modulo. Every column's sum starts at 0.0 and adds
-//! its `l` lanes in exactly the reference order; what changes is only
-//! that the `NR` columns' chains advance together
-//! (`for t in 0..l { for j in 0..NR { s[j] += … } }`), so the combine is
-//! bound by add throughput rather than by one chain's add latency.
+//! `p.swap(0, j1); p.swap(1.min(l - 1), j2)` does. The reference then
+//! adds `p[(t + rot) % l]` for `t = 0..l`: lanes `rot..l`, then lanes
+//! `0..rot`. The combine makes two passes over the `l` lane rows; in the
+//! first, column `j` takes row `t` when `t ≥ rot_j`, in the second when
+//! `t < rot_j`. Every column's sum starts at 0.0 and adds its `l` lanes in
+//! exactly the reference order; what changes is only that the `NR`
+//! columns' chains advance together, so the combine is bound by add
+//! throughput rather than by one chain's add latency. "Takes" is a
+//! bitwise select between `s + x` and `s`, not a branch: the add a column
+//! skips is computed and dropped, so no value from it, NaN payloads
+//! included, reaches the sum.
 //!
 //! The remaining subtlety is the scheduler RNG: the reference path draws
 //! permutations interleaved with compute, one output at a time in
-//! row-major order. [`Reducer::plan_dots`] pre-draws all of them in that
-//! exact order into a [`DotPlan`] *before* the engine runs, so tiles and
-//! threads are free to race over outputs while the reducer ends the GEMM
-//! in precisely the state `m·n` sequential `dot` calls would have left
-//! it. That makes the engine bit-invariant in the thread count by
+//! row-major order. [`Reducer::plan_dots`] pre-draws all of them into a
+//! [`DotPlan`] *before* the engine runs, so tiles and threads are free to
+//! race over outputs while the reducer ends the GEMM in precisely the
+//! state `m·n` sequential `dot` calls would have left it. The scheduler is
+//! a SplitMix64 counter, so output `o`'s `d`-th draw is a closed-form
+//! function of `o` and the plan fills all outputs' specs in one loop that
+//! vectorizes across outputs, then skips the scheduler past them in O(1).
+//! That makes the engine bit-invariant in the thread count by
 //! construction.
 //!
 //! [`ReduceOrder`]: crate::reduce::ReduceOrder
@@ -432,11 +438,6 @@ fn band_fixed_tree(
     }
 }
 
-/// Length of one tile row's combine buffer: room for `l ≤ MAX_LANES` lane
-/// rows of `NR` partials, twice over. A power of two, so masking an index
-/// with `ROW - 1` proves it in bounds without a check.
-const ROW: usize = 2 * MAX_LANES * NR;
-
 /// [`ReduceOrder::Permuted`] micro-kernel: lane partials are computed in
 /// registers (one store per lane, never load-modify-store) into a
 /// per-tile-row buffer, then [`combine_permuted_row`] folds all `NR`
@@ -454,10 +455,9 @@ fn band_permuted(
 ) {
     let l = plan.lanes;
     let panels = n.div_ceil(NR);
-    // One combine buffer per tile row; lane `dl` occupies row `dl`
-    // (`[dl * NR..][..NR]`). Rows `0..l` are rewritten every tile and rows
-    // `l..2l` are copied from them, so nothing needs zeroing between tiles.
-    let mut bufs = [[0f32; ROW]; MR];
+    // One combine buffer per tile row. Rows `0..l` are rewritten every
+    // tile, so nothing needs zeroing between tiles.
+    let mut bufs = [[[0f32; NR]; MAX_LANES]; MR];
     for p in 0..panels {
         let panel = &packed[p * k * NR..(p + 1) * k * NR];
         let col0 = p * NR;
@@ -467,13 +467,12 @@ fn band_permuted(
             let rm = MR.min(rows - i);
             let arows = tile_rows(a, k, row0 + i, rm);
             for_each_lane_partial(&arows, panel, l, k, rm, |r, dl, partial| {
-                bufs[r][dl * NR..dl * NR + NR].copy_from_slice(partial);
+                bufs[r][dl] = *partial;
             });
             for (r, buf) in bufs.iter_mut().enumerate().take(rm) {
                 let first = (row0 + i + r) * n + col0;
                 combine_permuted_row(
-                    buf,
-                    l,
+                    &mut buf[..l],
                     &plan.specs[first..first + cols],
                     plan.amplified,
                     &mut band[(i + r) * n + col0..(i + r) * n + col0 + cols],
@@ -484,33 +483,41 @@ fn band_permuted(
     }
 }
 
-/// Combines one tile row: `buf` holds lane `dl`'s partial for column `j`
-/// at `dl * NR + j`, and `specs[j]` is column `j`'s pre-drawn combine.
-/// Swaps in place within each column, duplicates the lane rows, then
-/// advances all `NR` sums together; the [module docs](self) give the
+/// Combines one tile row: `lanes[dl][j]` is lane `dl`'s partial for
+/// column `j`, and `specs[j]` is column `j`'s pre-drawn combine. Swaps in
+/// place within each column, then advances all `NR` sums together in two
+/// masked passes over the lane rows; the [module docs](self) give the
 /// argument that each column's add order is the reference's.
 #[inline(always)]
 fn combine_permuted_row(
-    buf: &mut [f32; ROW],
-    l: usize,
+    lanes: &mut [[f32; NR]],
     specs: &[PermuteSpec],
     amplified: bool,
     out: &mut [f32],
 ) {
-    let second = 1.min(l - 1) * NR;
-    // Padding columns (past `specs.len()`) read their lanes unrotated;
-    // their sums are discarded.
-    let mut off: [usize; NR] = core::array::from_fn(|j| j);
+    let second = 1.min(lanes.len() - 1);
+    // Padding columns (past `specs.len()`) keep rotation 0; their sums
+    // are discarded.
+    let mut rot = [0u32; NR];
     for (j, spec) in specs.iter().enumerate() {
-        buf.swap(j, spec.j1 as usize * NR + j);
-        buf.swap(second + j, spec.j2 as usize * NR + j);
-        off[j] = spec.rot as usize * NR + j;
+        let (j1, j2) = (spec.j1 as usize, spec.j2 as usize);
+        (lanes[0][j], lanes[j1][j]) = (lanes[j1][j], lanes[0][j]);
+        (lanes[second][j], lanes[j2][j]) = (lanes[j2][j], lanes[second][j]);
+        rot[j] = u32::from(spec.rot);
     }
-    buf.copy_within(..l * NR, l * NR);
+    // Column `j` adds lanes `rot_j..l` in the first pass and `0..rot_j`
+    // in the second. The select is a bitwise mask over the sum, not a
+    // branch: the add a column skips is computed and dropped, so its
+    // value (NaN included) never reaches the column's sum.
     let mut s = [0f32; NR];
-    for t in 0..l {
-        for j in 0..NR {
-            s[j] += buf[(t * NR + off[j]) & (ROW - 1)];
+    for first_pass in [true, false] {
+        for (t, row) in (0u32..).zip(lanes.iter()) {
+            for j in 0..NR {
+                let take = (t >= rot[j]) == first_pass;
+                let mask = u32::from(take).wrapping_neg();
+                let (kept, added) = (s[j].to_bits(), (s[j] + row[j]).to_bits());
+                s[j] = f32::from_bits((added & mask) | (kept & !mask));
+            }
         }
     }
     for ((o, &v), spec) in out.iter_mut().zip(&s).zip(specs) {
@@ -609,6 +616,56 @@ mod tests {
                     ref_red.dot(probe.as_slice(), probe.as_slice()).to_bits(),
                     "reducer RNG state diverged"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn permuted_non_finite_bit_identical_to_reference() {
+        // Quiet NaNs with distinct payloads, both signs: the payload (and
+        // sign) an output ends with tells which NaN lane its combine added
+        // first, so an add the combine should have skipped shows up here.
+        let nan = |bits: u32| f32::from_bits(bits);
+        let (m, k, n) = (6, 80, 37);
+        let mut a = filled(m, k, 14);
+        let mut b = filled(k, n, 15);
+        let av = a.as_mut_slice();
+        // Row 0: four payloads spread over different lanes at every l.
+        for (kk, bits) in [
+            (3, 0x7fc0_0001),
+            (10, 0x7fc0_0002),
+            (17, 0xffc0_0003),
+            (41, 0x7fc0_0004),
+        ] {
+            av[kk] = nan(bits);
+        }
+        // Row 1: +Inf and -Inf meet in the combine (or in one lane).
+        av[k + 5] = f32::INFINITY;
+        av[k + 6] = f32::NEG_INFINITY;
+        // Row 2: one infinity only.
+        av[2 * k + 30] = f32::INFINITY;
+        // Row 3: all ±0.0, so its finite columns sum zeros of both signs
+        // and sign-of-zero rounding shows through.
+        for (kk, x) in av[3 * k..4 * k].iter_mut().enumerate() {
+            *x = if kk % 3 == 0 { 0.0 } else { -0.0 };
+        }
+        // Column 5 of B carries payloads into every row; column 20 an
+        // infinity.
+        let bv = b.as_mut_slice();
+        bv[7 * n + 5] = nan(0x7fc0_0005);
+        bv[50 * n + 5] = nan(0xffc0_0006);
+        bv[12 * n + 20] = f32::NEG_INFINITY;
+        for lanes in [2, 27, 40] {
+            for seed in [1, 2, 3, 77] {
+                for amp in [0.0, 1e4] {
+                    let red =
+                        Reducer::new(ReduceOrder::Permuted, lanes, seed).with_amplification(amp);
+                    let mut ws = Workspace::new();
+                    let fast = matmul_ws(&a, &b, &mut red.clone(), 1, &mut ws).unwrap();
+                    let reference = matmul_reference(&a, &b, &mut red.clone()).unwrap();
+                    let what = format!("lanes {lanes} seed {seed} amp {amp}");
+                    assert_bits_eq(&fast, &reference, &what);
+                }
             }
         }
     }

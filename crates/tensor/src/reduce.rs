@@ -380,32 +380,20 @@ impl Reducer {
     /// This is the bridge that keeps the blocked GEMM engine bit-identical
     /// to the per-element reference path: the *plan* fixes every output's
     /// combine order up front, so the engine is free to reorder which
-    /// outputs are computed when.
+    /// outputs are computed when. The Permuted specs are computed in closed
+    /// form, not drawn one after another (see `draw_specs`).
     pub(crate) fn plan_dots(&mut self, count: usize, k_len: usize) -> DotPlan {
         self.invocations += count as u64;
         let lanes = self.lanes.min(k_len.max(1));
         let amplified = self.amp_ulps > 0.0;
         let specs = if self.order == ReduceOrder::Permuted {
-            (0..count)
-                .map(|_| {
-                    let (j1, j2, rot) = if lanes > 1 {
-                        (
-                            self.sched.next_below(lanes as u32) as u16,
-                            self.sched.next_below(lanes as u32) as u16,
-                            self.sched.next_below(lanes as u32) as u16,
-                        )
-                    } else {
-                        (0, 0, 0)
-                    };
-                    let scale = if amplified {
-                        let u = (self.sched.next_f64() as f32) * 2.0 - 1.0;
-                        1.0 + u * self.amp_ulps * f32::EPSILON
-                    } else {
-                        1.0
-                    };
-                    PermuteSpec { j1, j2, rot, scale }
-                })
-                .collect()
+            let (sched, amp) = (&mut self.sched, self.amp_ulps);
+            match (lanes > 1, amplified) {
+                (true, true) => draw_specs::<true, true>(sched, count, lanes, amp),
+                (true, false) => draw_specs::<true, false>(sched, count, lanes, amp),
+                (false, true) => draw_specs::<false, true>(sched, count, lanes, amp),
+                (false, false) => draw_specs::<false, false>(sched, count, lanes, amp),
+            }
         } else {
             Vec::new()
         };
@@ -416,6 +404,63 @@ impl Reducer {
             specs,
         }
     }
+}
+
+/// Draws `count` Permuted combine specs in closed form and advances
+/// `sched` past them: the specs and the final scheduler state are exactly
+/// those of `count` sequential [`Reducer::dot`] calls.
+///
+/// Each such call draws `PER = 3·SWAPS + AMP` values in a fixed order —
+/// `j1`, `j2`, `rot` when the combine has more than one lane, then the
+/// amplification draw — so output `o`'s draw `d` is the scheduler's
+/// `(o·PER + d)`-th draw ahead, which [`SplitMix64::peek`] computes
+/// without touching any other output's draws. With the lane and
+/// amplification branches hoisted into the const parameters, the loop
+/// carries no dependence from one output to the next and vectorizes
+/// across outputs. The conversions are [`SplitMix64::next_below`] and
+/// [`SplitMix64::next_f64`] applied to the peeked bits.
+fn draw_specs<const SWAPS: bool, const AMP: bool>(
+    sched: &mut SplitMix64,
+    count: usize,
+    lanes: usize,
+    amp_ulps: f32,
+) -> Vec<PermuteSpec> {
+    // Outputs are drawn a block at a time, each kind of draw into its own
+    // array, then interleaved into the specs. The draws of the last
+    // block's outputs past `count` are computed and dropped.
+    const BLOCK: usize = 64;
+    let start = *sched;
+    let per = 3 * u64::from(SWAPS) + u64::from(AMP);
+    let mut js = [[0u16; BLOCK]; 3];
+    let mut scale = [1f32; BLOCK];
+    let mut specs = Vec::with_capacity(count);
+    for o0 in (0..count).step_by(BLOCK) {
+        let first = o0 as u64 * per;
+        if SWAPS {
+            for (d, row) in (0u64..).zip(js.iter_mut()) {
+                for (i, j) in (0u64..).zip(row.iter_mut()) {
+                    let x = start.peek(first + i * per + d);
+                    *j = ((x >> 32).wrapping_mul(lanes as u64) >> 32) as u16;
+                }
+            }
+        }
+        if AMP {
+            for (i, s) in (0u64..).zip(scale.iter_mut()) {
+                let x = start.peek(first + i * per + per - 1);
+                let unit = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                let u = (unit as f32) * 2.0 - 1.0;
+                *s = 1.0 + u * amp_ulps * f32::EPSILON;
+            }
+        }
+        specs.extend((0..BLOCK.min(count - o0)).map(|i| PermuteSpec {
+            j1: js[0][i],
+            j2: js[1][i],
+            rot: js[2][i],
+            scale: scale[i],
+        }));
+    }
+    sched.skip(count as u64 * per);
+    specs
 }
 
 /// Fixed-order (left-to-right) `f64` summation for aggregation and
@@ -466,6 +511,71 @@ mod tests {
         (0..n)
             .map(|i| (((i * 2654435761) % 1000) as f32 - 500.0) * 1.7e-3)
             .collect()
+    }
+
+    /// The sequential draw loop `plan_dots` replaced: one output after
+    /// another, each drawing from the scheduler exactly as
+    /// [`Reducer::dot`] does. The oracle for the closed-form plan.
+    fn plan_specs_sequential(r: &mut Reducer, count: usize, k_len: usize) -> Vec<PermuteSpec> {
+        r.invocations += count as u64;
+        let lanes = r.lanes.min(k_len.max(1));
+        (0..count)
+            .map(|_| {
+                let (j1, j2, rot) = if lanes > 1 {
+                    (
+                        r.sched.next_below(lanes as u32) as u16,
+                        r.sched.next_below(lanes as u32) as u16,
+                        r.sched.next_below(lanes as u32) as u16,
+                    )
+                } else {
+                    (0, 0, 0)
+                };
+                let scale = if r.amp_ulps > 0.0 {
+                    let u = (r.sched.next_f64() as f32) * 2.0 - 1.0;
+                    1.0 + u * r.amp_ulps * f32::EPSILON
+                } else {
+                    1.0
+                };
+                PermuteSpec { j1, j2, rot, scale }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn closed_form_plan_matches_sequential_draws() {
+        const COUNT: usize = 4096;
+        // (lanes, k_len): l = 1 from one lane and from an empty reduction,
+        // then l = 27 and l = 40 with every rotation drawn at COUNT.
+        let shapes = [(1, 100), (40, 0), (27, 100), (40, 100), (MAX_LANES, 7)];
+        for (lanes, k_len) in shapes {
+            for amp in [0.0, 512.0] {
+                for seed in [0, 7, u64::MAX - 5] {
+                    let what = format!("lanes {lanes}, k {k_len}, amp {amp}, seed {seed:#x}");
+                    let base =
+                        Reducer::new(ReduceOrder::Permuted, lanes, seed).with_amplification(amp);
+                    let mut fast = base.clone();
+                    let mut oracle = base.clone();
+                    let plan = fast.plan_dots(COUNT, k_len);
+                    let want = plan_specs_sequential(&mut oracle, COUNT, k_len);
+                    assert_eq!(plan.specs.len(), want.len(), "{what}");
+                    for (o, (got, want)) in plan.specs.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            (got.j1, got.j2, got.rot, got.scale.to_bits()),
+                            (want.j1, want.j2, want.rot, want.scale.to_bits()),
+                            "{what}: output {o}"
+                        );
+                    }
+                    assert_eq!(fast.snapshot(), oracle.snapshot(), "{what}");
+                    if plan.lanes > 1 {
+                        let mut seen = vec![false; plan.lanes];
+                        for spec in &plan.specs {
+                            seen[spec.rot as usize] = true;
+                        }
+                        assert!(seen.iter().all(|&s| s), "{what}: a rotation never drawn");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

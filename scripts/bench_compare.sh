@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Compare a fresh `cargo bench -p ns-bench --bench hotpath` run against the
-# committed reference numbers in BENCH_7.json (which carries BENCH_2.json's
-# cases forward and adds the Permuted ones).
+# committed reference numbers in BENCH_9.json (the whole hot-path suite,
+# measured after the closed-form Permuted plan and two-pass combine; it
+# carries BENCH_7.json's cases forward).
 #
 # Usage:
 #   scripts/bench_compare.sh            # run benches, compare, warn on drift
@@ -16,7 +17,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-REF=BENCH_7.json
+REF=BENCH_9.json
 TOLERANCE=${BENCH_TOLERANCE:-1.75} # warn when slower than ref by this factor
 # The fault-tolerance layer (chaos hooks, checkpoint plumbing) must be
 # zero-cost when disarmed: `begin_step`/`take_fault` are a null check and

@@ -40,4 +40,15 @@ if [ -z "$hits" ] || [ -z "$total" ] || [ "$total" -eq 0 ] || [ $((hits * 10)) -
     exit 1
 fi
 
+# The benchmark (crates/bench/noisebench) is a cargo workspace of its own,
+# so none of the steps above builds it. Its self-tests, then one short run
+# of each workload at seed 1: a run exits 1 when its result digest differs
+# from the pinned seed-1 golden digest, the one full-scale bit-identity
+# check of the Permuted path.
+run cargo test -q --release --manifest-path crates/bench/noisebench/Cargo.toml
+for workload in impl_noise det_control fleet_resume; do
+    run cargo run -q --release --manifest-path crates/bench/noisebench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0
+done
+
 echo "All checks passed."
