@@ -157,7 +157,15 @@ pub struct AlgoSourcePoint {
 /// intrinsic to varying the order.) Extends the framework in the
 /// direction of Summers & Dinneen (2021), which the paper cites as the
 /// per-source study.
-pub fn algo_source_decomposition(settings: &ExperimentSettings) -> Vec<AlgoSourcePoint> {
+///
+/// # Errors
+///
+/// Returns the first replica's [`TrainError`](nnet::trainer::TrainError)
+/// (divergence, injected fault, or an empty run); no partial
+/// decomposition is returned.
+pub fn algo_source_decomposition(
+    settings: &ExperimentSettings,
+) -> Result<Vec<AlgoSourcePoint>, nnet::trainer::TrainError> {
     use detrand::{Philox, SeedPolicy};
     use hwsim::{ExecutionContext, ExecutionMode};
     use nnet::trainer::{predict_classes, Trainer};
@@ -200,24 +208,22 @@ pub fn algo_source_decomposition(settings: &ExperimentSettings) -> Vec<AlgoSourc
                 let mut exec = ExecutionContext::new(device, ExecutionMode::Default, 0);
                 let mut net = task.build_model(&model_root);
                 let augment = nsdata::ShiftFlip::standard();
-                Trainer::new(cfg)
-                    .fit(
-                        &mut net,
-                        prepared.train_set(),
-                        &mut exec,
-                        &model_root,
-                        Some(&augment),
-                    )
-                    .expect("algo-source decomposition training run");
+                Trainer::new(cfg).fit(
+                    &mut net,
+                    prepared.train_set(),
+                    &mut exec,
+                    &model_root,
+                    Some(&augment),
+                )?;
                 let p = predict_classes(&mut net, prepared.test_set(), &mut exec, &model_root, 64);
                 preds_sets.push(p);
                 weight_sets.push(net.flat_weights());
             }
-            AlgoSourcePoint {
+            Ok(AlgoSourcePoint {
                 source: source.to_string(),
                 churn: pairwise_mean_churn(&preds_sets),
                 l2: pairwise_mean_l2(&weight_sets),
-            }
+            })
         })
         .collect()
 }

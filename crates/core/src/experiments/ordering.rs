@@ -14,7 +14,7 @@ use crate::runner::PreparedTask;
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use hwsim::{Device, ExecutionContext, ExecutionMode};
-use nnet::trainer::{predict_classes, Targets, Trainer};
+use nnet::trainer::{predict_classes, Targets, TrainError, Trainer};
 use nsmetrics::{pairwise_mean_churn, pairwise_mean_l2};
 use serde::{Deserialize, Serialize};
 
@@ -37,7 +37,12 @@ pub struct OrderingPoint {
 /// than the stability experiments: order-only noise starts at 1-ulp scale
 /// (no amplification applies on the deterministic TPU datapath) and needs
 /// time to grow through the training dynamics.
-pub fn fig6(settings: &ExperimentSettings) -> Vec<OrderingPoint> {
+///
+/// # Errors
+///
+/// Returns the first replica's [`TrainError`] (divergence, injected fault,
+/// or an empty run); no partial series is returned.
+pub fn fig6(settings: &ExperimentSettings) -> Result<Vec<OrderingPoint>, TrainError> {
     let mut task = TaskSpec::small_cnn_cifar10();
     task.augment = false; // per-sample augmentation would covary with order
     task.train.schedule = nnet::schedule::LrSchedule::Constant { lr: 0.05 };
@@ -69,9 +74,7 @@ pub fn fig6(settings: &ExperimentSettings) -> Vec<OrderingPoint> {
             cfg.shuffle_seed_override = Some(settings.base_seed ^ (0xF16_6000 + replica as u64));
             let mut exec = ExecutionContext::new(device, ExecutionMode::Default, 0);
             let mut net = task.build_model(&algo);
-            Trainer::new(cfg)
-                .fit(&mut net, prepared.train_set(), &mut exec, &algo, None)
-                .expect("fig6 training run");
+            Trainer::new(cfg).fit(&mut net, prepared.train_set(), &mut exec, &algo, None)?;
             let p = predict_classes(&mut net, prepared.test_set(), &mut exec, &algo, 64);
             let labels = match &prepared.test_set().targets {
                 Targets::Classes(l) => l,
@@ -88,7 +91,7 @@ pub fn fig6(settings: &ExperimentSettings) -> Vec<OrderingPoint> {
             mean_accuracy: nsmetrics::mean(&accs),
         });
     }
-    points
+    Ok(points)
 }
 
 /// Renders the Figure-6 series.
@@ -124,7 +127,7 @@ mod tests {
             epochs_scale: 0.01, // 1-3 epochs per arm
             ..ExperimentSettings::default()
         };
-        let points = fig6(&settings);
+        let points = fig6(&settings).expect("smoke-scale fig6 trains");
         assert_eq!(points.len(), 3);
         let full = points.last().unwrap();
         // Full batch = one step per epoch; batch size equals train length.

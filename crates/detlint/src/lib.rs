@@ -42,10 +42,16 @@
 //!
 //! Reasons are mandatory and audited: an allow without a reason, or naming
 //! an unknown rule, is itself a gate-failing problem. Unused allows are
-//! reported as warnings so stale annotations get cleaned up.
+//! reported as warnings so stale annotations get cleaned up; under
+//! `--audit` they are DL009 findings.
+//!
+//! # One scan path
+//!
+//! [`scan_workspace`] is the only whole-workspace entry point: the
+//! `detlint` binary and the tier-1 test `tests/tests/detlint_clean.rs`
+//! both call it. It re-analyzes every file on every run; a full workspace
+//! scan takes tens of milliseconds.
 
-pub mod baseline;
-pub mod cache;
 pub mod config;
 pub mod dataflow;
 pub mod explain;
@@ -208,9 +214,6 @@ pub struct ScanReport {
     pub findings: Vec<Finding>,
     /// Findings silenced by a valid `detlint::allow`, with the reason.
     pub suppressed: Vec<(Finding, String)>,
-    /// Known findings matched by a `--baseline` file: reported as
-    /// warnings, not gate failures.
-    pub grandfathered: Vec<Finding>,
     /// Malformed suppressions (missing reason, unknown rule).
     pub problems: Vec<Problem>,
     /// Valid suppressions that matched nothing: `(file, line, rule)`.
@@ -221,21 +224,20 @@ pub struct ScanReport {
 
 impl ScanReport {
     /// `true` when the gate passes: no findings and no problems
-    /// (grandfathered findings and unused allows only warn).
+    /// (unused allows only warn).
     pub fn clean(&self) -> bool {
         self.findings.is_empty() && self.problems.is_empty()
     }
 
-    pub(crate) fn merge_file(&mut self, other: ScanReport) {
+    fn merge_file(&mut self, other: ScanReport) {
         self.findings.extend(other.findings);
         self.suppressed.extend(other.suppressed);
-        self.grandfathered.extend(other.grandfathered);
         self.problems.extend(other.problems);
         self.unused_allows.extend(other.unused_allows);
         self.files_scanned += other.files_scanned;
     }
 
-    pub(crate) fn sort(&mut self) {
+    fn sort(&mut self) {
         self.findings
             .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     }
@@ -349,21 +351,16 @@ pub fn scan_file(rel_path: &str, source: &str, config: &Config) -> ScanReport {
 /// Files are visited in sorted order so output is deterministic — detlint
 /// holds itself to the standard it enforces.
 pub fn scan_workspace(root: &Path, config: &Config) -> std::io::Result<ScanReport> {
+    let mut files = Vec::new();
+    collect_rs_files(root, root, config, &mut files)?;
+    files.sort();
     let mut report = ScanReport::default();
-    for rel in &workspace_files(root, config)? {
+    for rel in &files {
         let source = std::fs::read_to_string(root.join(rel))?;
         report.merge_file(scan_file(rel, &source, config));
     }
     report.sort();
     Ok(report)
-}
-
-/// The sorted list of workspace-relative `.rs` paths a scan covers.
-pub(crate) fn workspace_files(root: &Path, config: &Config) -> std::io::Result<Vec<String>> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, config, &mut files)?;
-    files.sort();
-    Ok(files)
 }
 
 fn collect_rs_files(

@@ -1,24 +1,19 @@
 //! The `detlint` binary: scans the workspace and reports hazards.
 //!
 //! ```text
-//! detlint [--json | --sarif] [--root <dir>] [--config <file>]
-//!         [--baseline <file>] [--write-baseline <file>] [--audit]
-//!         [--cache <file>] [--no-cache] [--explain DLxxx] [--list-rules]
+//! detlint [--json | --sarif] [--root <dir>] [--config <file>] [--audit]
+//!         [--explain DLxxx] [--list-rules]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` findings or malformed suppressions,
 //! `2` usage / IO / config error.
 //!
-//! Incremental analysis is on by default: per-file results are cached in
-//! `target/detlint-cache.json` keyed by content hash and config
-//! fingerprint, so a rerun with no edits re-analyzes nothing. Cache
-//! statistics go to stderr — stdout is bit-identical cold or warm.
+//! Every run re-analyzes every file through [`detlint::scan_workspace`],
+//! the same call the tier-1 test makes.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use detlint::baseline::Baseline;
-use detlint::cache::scan_workspace_cached;
 use detlint::{config::Config, explain, find_workspace_root, report, sarif, RuleId};
 
 const USAGE: &str = "detlint — determinism static analysis
@@ -29,70 +24,38 @@ USAGE: detlint [OPTIONS]
   --sarif                 SARIF 2.1.0 report on stdout (for CI upload)
   --root <dir>            workspace root (default: nearest detlint.toml)
   --config <file>         config file (default: <root>/detlint.toml)
-  --baseline <file>       grandfather findings recorded in <file>; only
-                          new findings fail the gate
-  --write-baseline <file> record current findings as the baseline, exit 0
   --audit                 stale allows become DL009 findings
-  --cache <file>          incremental cache location
-                          (default: <root>/target/detlint-cache.json)
-  --no-cache              re-analyze every file
   --explain <rule>        print rationale and examples for DL001..DL009
   --list-rules            print the rule table
 
 Scans every .rs file under the workspace root for determinism hazards
 (DL001..DL009) and exits nonzero if any unsuppressed finding remains.";
 
+#[derive(Default)]
 struct Args {
     json: bool,
     sarif: bool,
     root: Option<PathBuf>,
     config: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     audit: bool,
-    cache: Option<PathBuf>,
-    no_cache: bool,
     explain: Option<String>,
     list_rules: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        json: false,
-        sarif: false,
-        root: None,
-        config: None,
-        baseline: None,
-        write_baseline: None,
-        audit: false,
-        cache: None,
-        no_cache: false,
-        explain: None,
-        list_rules: false,
-    };
+    let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => args.json = true,
             "--sarif" => args.sarif = true,
             "--audit" => args.audit = true,
-            "--no-cache" => args.no_cache = true,
             "--list-rules" => args.list_rules = true,
             "--root" => {
                 args.root = Some(it.next().ok_or("--root requires a directory")?.into());
             }
             "--config" => {
                 args.config = Some(it.next().ok_or("--config requires a file")?.into());
-            }
-            "--baseline" => {
-                args.baseline = Some(it.next().ok_or("--baseline requires a file")?.into());
-            }
-            "--write-baseline" => {
-                args.write_baseline =
-                    Some(it.next().ok_or("--write-baseline requires a file")?.into());
-            }
-            "--cache" => {
-                args.cache = Some(it.next().ok_or("--cache requires a file")?.into());
             }
             "--explain" => {
                 args.explain = Some(it.next().ok_or("--explain requires a rule id")?);
@@ -141,41 +104,8 @@ fn run() -> Result<bool, String> {
     let mut config = Config::load(&config_path)?;
     config.audit = args.audit;
 
-    let cache_path = if args.no_cache {
-        None
-    } else {
-        Some(
-            args.cache
-                .unwrap_or_else(|| root.join("target/detlint-cache.json")),
-        )
-    };
-    let (mut report_data, stats) = scan_workspace_cached(&root, &config, cache_path.as_deref())
-        .map_err(|e| format!("scan failed: {e}"))?;
-    if cache_path.is_some() {
-        eprintln!(
-            "detlint: cache: {} hit(s), {} miss(es) of {} file(s)",
-            stats.hits,
-            stats.misses,
-            stats.total()
-        );
-    }
-
-    if let Some(path) = &args.write_baseline {
-        let base = Baseline::capture(&report_data, &root)
-            .map_err(|e| format!("baseline capture failed: {e}"))?;
-        base.save(path)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!(
-            "detlint: wrote {} entry(ies) to {}",
-            base.entries.len(),
-            path.display()
-        );
-        return Ok(true);
-    }
-    if let Some(path) = &args.baseline {
-        let base = Baseline::load(path)?;
-        base.apply(&mut report_data, &root);
-    }
+    let report_data =
+        detlint::scan_workspace(&root, &config).map_err(|e| format!("scan failed: {e}"))?;
 
     if args.sarif {
         let doc = serde_json::to_string_pretty(&sarif::sarif(&report_data))

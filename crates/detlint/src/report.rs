@@ -25,9 +25,6 @@ pub fn human(report: &ScanReport) -> String {
     for p in &report.problems {
         out.push_str(&format!("error: {}:{}: {}\n", p.file, p.line, p.message));
     }
-    for f in &report.grandfathered {
-        out.push_str(&format!("warning: {} [baselined]\n", render_finding(f)));
-    }
     for (file, line, rule) in &report.unused_allows {
         out.push_str(&format!(
             "warning: {file}:{line}: unused detlint::allow({})\n",
@@ -35,13 +32,8 @@ pub fn human(report: &ScanReport) -> String {
         ));
     }
     let status = if report.clean() { "clean" } else { "FAILED" };
-    let baselined = if report.grandfathered.is_empty() {
-        String::new()
-    } else {
-        format!("{} baselined, ", report.grandfathered.len())
-    };
     out.push_str(&format!(
-        "detlint: {status} — {} finding(s), {baselined}{} problem(s), \
+        "detlint: {status} — {} finding(s), {} problem(s), \
          {} suppressed, {} file(s) scanned\n",
         report.findings.len(),
         report.problems.len(),
@@ -67,11 +59,6 @@ pub fn json(report: &ScanReport) -> Value {
         "clean": report.clean(),
         "files_scanned": report.files_scanned,
         "findings": report.findings.iter().map(finding_value).collect::<Vec<_>>(),
-        "grandfathered": report
-            .grandfathered
-            .iter()
-            .map(finding_value)
-            .collect::<Vec<_>>(),
         "suppressed": report
             .suppressed
             .iter()

@@ -2,10 +2,8 @@
 //!
 //! The shape follows what GitHub code scanning ingests: a single run
 //! with a `tool.driver` describing every rule, and one `result` per
-//! finding with a `physicalLocation`. Gate-failing findings are
-//! `level: "error"` with `baselineState: "new"`; grandfathered findings
-//! (matched by `--baseline`) are `level: "warning"` with
-//! `baselineState: "unchanged"`; malformed suppressions surface as
+//! finding with a `physicalLocation`. Every finding fails the gate, so
+//! every result is `level: "error"`; malformed suppressions surface as
 //! errors under a synthetic `suppression-problem` rule so they are
 //! never silently dropped from the upload.
 
@@ -43,16 +41,15 @@ fn location(file: &str, line: u32) -> Value {
     })
 }
 
-fn result(f: &Finding, level: &str, baseline_state: &str) -> Value {
+fn result(f: &Finding) -> Value {
     // ruleIndex points into the rules array, which lists RuleId::ALL in
     // order followed by the synthetic problem rule.
     let idx = RuleId::ALL.iter().position(|r| *r == f.rule).unwrap_or(0);
     serde_json::json!({
         "ruleId": f.rule.as_str(),
         "ruleIndex": idx,
-        "level": level,
+        "level": "error",
         "message": { "text": f.message },
-        "baselineState": baseline_state,
         "locations": [location(&f.file, f.line)],
     })
 }
@@ -68,20 +65,13 @@ pub fn sarif(report: &ScanReport) -> Value {
     }));
     let problem_index = rules.len() - 1;
 
-    let mut results: Vec<Value> = Vec::new();
-    for f in &report.findings {
-        results.push(result(f, "error", "new"));
-    }
-    for f in &report.grandfathered {
-        results.push(result(f, "warning", "unchanged"));
-    }
+    let mut results: Vec<Value> = report.findings.iter().map(result).collect();
     for p in &report.problems {
         results.push(serde_json::json!({
             "ruleId": PROBLEM_RULE,
             "ruleIndex": problem_index,
             "level": "error",
             "message": { "text": p.message },
-            "baselineState": "new",
             "locations": [location(&p.file, p.line)],
         }));
     }
@@ -147,14 +137,7 @@ mod tests {
                 .and_then(|g| g.get("startLine"))
                 .and_then(Value::as_u64)
                 .is_some());
-            assert!(matches!(
-                r.get("level").and_then(Value::as_str),
-                Some("error" | "warning")
-            ));
-            assert!(matches!(
-                r.get("baselineState").and_then(Value::as_str),
-                Some("new" | "unchanged")
-            ));
+            assert_eq!(r.get("level").and_then(Value::as_str), Some("error"));
         }
     }
 
@@ -162,10 +145,7 @@ mod tests {
     fn sarif_document_has_the_github_code_scanning_shape() {
         let src = "pub fn f(xs: &[f32]) -> f32 {\n    xs.iter().sum()\n}\n\
                    // detlint::allow(DL001)\npub fn g() {}\n";
-        let mut report = crate::scan_file("crates/x/src/lib.rs", src, &Config::default());
-        // Exercise the grandfathered path too.
-        let moved = report.findings.pop().unwrap();
-        report.grandfathered.push(moved);
+        let report = crate::scan_file("crates/x/src/lib.rs", src, &Config::default());
         let doc = sarif(&report);
         shape_check(&doc);
         let results = doc.get("runs").unwrap().as_array().unwrap()[0]
@@ -174,10 +154,12 @@ mod tests {
             .as_array()
             .unwrap()
             .clone();
-        assert!(!results.is_empty());
-        assert!(results
+        // One result per finding and per malformed suppression.
+        let rule_ids: Vec<_> = results
             .iter()
-            .any(|r| r.get("baselineState").and_then(Value::as_str) == Some("unchanged")));
+            .map(|r| r.get("ruleId").and_then(Value::as_str).unwrap())
+            .collect();
+        assert_eq!(rule_ids, ["DL004", PROBLEM_RULE]);
         // Deterministic rendering.
         let a = serde_json::to_string(&doc).unwrap();
         let b = serde_json::to_string(&sarif(&report)).unwrap();

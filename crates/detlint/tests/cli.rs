@@ -1,0 +1,146 @@
+//! End-to-end tests of the `detlint` binary: exit codes, the human
+//! report, SARIF output and argument rejection, on scratch crates written
+//! under the test's temporary directory.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use serde_json::Value;
+
+/// One DL004 finding (line 4), one valid suppression (line 8), one allow
+/// with no reason (line 11) and one allow that covers no hazard (line 15,
+/// DL009 under `--audit`).
+const HAZARDS: &str = "//! Scratch crate for the detlint binary tests.
+
+pub fn unordered_total(xs: &[f32]) -> f32 {
+    xs.iter().sum()
+}
+
+pub fn justified_total(xs: &[f64; 4]) -> f64 {
+    xs.iter().sum() // detlint::allow(DL004, reason = \"fixed four-element input\")
+}
+
+// detlint::allow(DL003)
+pub fn no_reason() {}
+
+pub fn stale() -> u64 {
+    7 // detlint::allow(DL003, reason = \"the timing was removed\")
+}
+";
+
+const CLEAN: &str = "//! Scratch crate with nothing to report.
+
+pub fn answer() -> u64 {
+    42
+}
+";
+
+/// Writes `source` as `src/lib.rs` of a fresh scratch crate named `name`.
+fn scratch_crate(name: &str, source: &str) -> PathBuf {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("src")).expect("create scratch crate");
+    std::fs::write(root.join("src/lib.rs"), source).expect("write scratch source");
+    root
+}
+
+fn detlint(root: &Path, extra: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_detlint"))
+        .arg("--root")
+        .arg(root)
+        .args(extra)
+        .output()
+        .expect("run detlint")
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8(out.stdout.clone()).expect("utf-8 stdout")
+}
+
+#[test]
+fn audit_fails_on_a_finding_a_bad_allow_and_a_stale_allow() {
+    let root = scratch_crate("cli_hazards_human", HAZARDS);
+    let out = detlint(&root, &["--audit"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.starts_with("src/lib.rs:4: DL004 [IMPL] ")),
+        "{text}"
+    );
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.starts_with("src/lib.rs:15: DL009 [REPORTING] stale allow: ")),
+        "{text}"
+    );
+    assert!(
+        lines
+            .iter()
+            .any(|l| l
+                .starts_with("error: src/lib.rs:11: detlint::allow(DL003) is missing a reason")),
+        "{text}"
+    );
+    assert_eq!(
+        lines.last().copied(),
+        Some(
+            "detlint: FAILED — 2 finding(s), 1 problem(s), 1 suppressed, \
+             1 file(s) scanned"
+        )
+    );
+}
+
+#[test]
+fn sarif_has_one_result_per_finding_and_problem() {
+    let root = scratch_crate("cli_hazards_sarif", HAZARDS);
+    let out = detlint(&root, &["--audit", "--sarif"]);
+    assert_eq!(out.status.code(), Some(1));
+    let doc: Value = serde_json::from_str(&stdout(&out)).expect("SARIF parses as JSON");
+    let results = doc.get("runs").and_then(Value::as_array).expect("runs")[0]
+        .get("results")
+        .and_then(Value::as_array)
+        .expect("results");
+    let located: Vec<(&str, u64)> = results
+        .iter()
+        .map(|r| {
+            let line = r.get("locations").and_then(Value::as_array).unwrap()[0]
+                .get("physicalLocation")
+                .and_then(|p| p.get("region"))
+                .and_then(|g| g.get("startLine"))
+                .and_then(Value::as_u64)
+                .unwrap();
+            (r.get("ruleId").and_then(Value::as_str).unwrap(), line)
+        })
+        .collect();
+    assert_eq!(
+        located,
+        [("DL004", 4), ("DL009", 15), ("suppression-problem", 11)]
+    );
+}
+
+#[test]
+fn a_clean_crate_passes() {
+    let root = scratch_crate("cli_clean", CLEAN);
+    let out = detlint(&root, &["--audit"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    assert_eq!(
+        stdout(&out),
+        "detlint: clean — 0 finding(s), 0 problem(s), 0 suppressed, 1 file(s) scanned\n"
+    );
+}
+
+#[test]
+fn removed_flags_are_unknown_arguments() {
+    let root = scratch_crate("cli_removed_flags", CLEAN);
+    for flag in ["--cache", "--no-cache", "--baseline", "--write-baseline"] {
+        let out = detlint(&root, &[flag, "detlint.baseline.json"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument `{flag}`")),
+            "{flag}: {stderr}"
+        );
+    }
+}

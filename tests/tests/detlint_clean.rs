@@ -1,8 +1,9 @@
 //! Tier-1 gate: the workspace must be free of determinism hazards.
 //!
-//! Runs the same scan as `cargo run -p detlint` — every `.rs` file in the
-//! repository, under the committed `detlint.toml` — and fails with the full
-//! finding list if any unsuppressed hazard or malformed suppression exists.
+//! Runs the same scan as `cargo run -p detlint -- --audit` — every `.rs`
+//! file in the repository, under the committed `detlint.toml` — and fails
+//! with the full finding list if any unsuppressed hazard, malformed
+//! suppression or stale allow exists.
 //! This is what makes the lint a property of the codebase rather than an
 //! optional tool: a PR that introduces a `HashMap` iteration into a report,
 //! an ambient RNG seed, or an ad-hoc float reduction fails `cargo test`.
@@ -27,7 +28,9 @@ fn workspace_is_hazard_free() {
         "detlint.toml missing at workspace root {}",
         root.display()
     );
-    let config = Config::load(&config_path).expect("detlint.toml parses");
+    let mut config = Config::load(&config_path).expect("detlint.toml parses");
+    // As the CI gate runs it: a stale allow is a DL009 finding.
+    config.audit = true;
     let scan = detlint::scan_workspace(root, &config).expect("workspace scan");
     assert!(
         scan.files_scanned > 50,
