@@ -16,21 +16,23 @@
 //!
 //! Rendered tables go to stdout; machine-readable JSON goes to `--out`
 //! (default `results/`), published atomically (write-temp-then-rename) so
-//! an interrupt can never leave a truncated report. The stability grids
-//! are **resumable**: every completed replica and every in-flight epoch
-//! checkpoint is persisted under `<out>/.ckpt/` (scoped by a settings
-//! fingerprint), so an interrupted run picks up mid-fleet and
-//! mid-training — bit-identically — on the next invocation. Delete
-//! `<out>/.ckpt/` to force recomputation.
+//! an interrupt can never leave a truncated report. Every training
+//! experiment is **resumable**: every completed replica and every
+//! in-flight epoch checkpoint is persisted under `<out>/.ckpt/` (scoped
+//! by a settings fingerprint, one cell per task recipe, device and
+//! variant), so an interrupted run picks up mid-fleet and mid-training —
+//! bit-identically — on the next invocation. Delete `<out>/.ckpt/` to
+//! force recomputation.
 //!
-//! `--fleet <procs>` runs the stability grids with **process-isolated**
-//! replicas (`procs` concurrent workers; 0 = host parallelism): this
-//! binary re-executes itself in a hidden `--worker` mode, one process per
-//! replica attempt, under a heartbeat watchdog that kills and
-//! re-dispatches hung or crashed workers. Either way each grid is one
-//! call (`stability::fig2`, `fig5`, `run_table2_grid`) through the same
-//! replica supervisor and checkpoint store; only the attempt body
-//! differs, so results are bit-identical to in-process runs.
+//! `--fleet <procs>` runs the replicas of every training experiment
+//! except the lanes sweep (its synthetic devices cannot be shipped by
+//! name) **process-isolated** (`procs` concurrent workers; 0 = host
+//! parallelism): this binary re-executes itself in a hidden `--worker`
+//! mode, one process per replica attempt, under a heartbeat watchdog that
+//! kills and re-dispatches hung or crashed workers. Either way every cell
+//! goes through the same replica supervisor and checkpoint store; only
+//! the attempt body differs, so results are bit-identical to in-process
+//! runs.
 
 use noisescope::experiments::{cost, extensions, fairness, ordering, stability};
 use noisescope::paper;
@@ -96,8 +98,8 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "repro [--exp <id>]... [--out <dir>] [--fleet <procs>]\n  ids: {EXP_IDS}\n  \
-                     --fleet <procs>: process-isolated replicas for the stability grids \
-                     (0 = host parallelism)"
+                     --fleet <procs>: process-isolated replicas for every training experiment \
+                     except the lanes sweep (0 = host parallelism)"
                 );
                 return;
             }
@@ -129,7 +131,7 @@ fn main() {
         eprintln!("invalid configuration: {e}");
         std::process::exit(2);
     }
-    // Durable fleet progress: interrupted grids resume from here.
+    // Durable fleet progress: interrupted experiments resume from here.
     let store = CheckpointStore::for_settings(out_dir.join(".ckpt"), &settings);
     println!(
         "# NoiseScope reproduction — replicas={} amp_ulps={} epochs_scale={} seed={}\n",
@@ -137,7 +139,7 @@ fn main() {
     );
     eprintln!("checkpoint store: {}", store.root().display());
     if fleet.is_some() {
-        eprintln!("fleet mode: stability grids run with process-isolated replicas");
+        eprintln!("fleet mode: replicas run in worker processes (lanes sweep in process)");
     }
     let save = |name: &str, json: &serde_json::Value| {
         let path = out_dir.join(format!("{name}.json"));
@@ -198,7 +200,7 @@ fn main() {
         let started = Instant::now();
         // A failed training run degrades this experiment, not the whole
         // reproduction run.
-        match ordering::fig6(&settings) {
+        match ordering::fig6(&settings, Some(&store), fleet.as_ref()) {
             Ok(pts) => {
                 println!("{}", ordering::render_fig6(&pts));
                 save("fig6", &serde_json::to_value(&pts).unwrap());
@@ -219,9 +221,9 @@ fn main() {
     }
     if exps.contains("table5") {
         let started = Instant::now();
-        // A bad subgroup configuration degrades this experiment, not the
-        // whole reproduction run.
-        match fairness::fig3_table5(&settings) {
+        // A failed cell or a bad subgroup configuration degrades this
+        // experiment, not the whole reproduction run.
+        match fairness::fig3_table5(&settings, Some(&store), fleet.as_ref()) {
             Ok(tables) => {
                 println!("{}", fairness::render_table5(&tables));
                 save("table5", &serde_json::to_value(&tables).unwrap());
@@ -260,16 +262,29 @@ fn main() {
 
     if exps.contains("ext") {
         let started = Instant::now();
-        let dp = extensions::data_parallel_sweep(&settings);
-        println!("{}", extensions::render_data_parallel(&dp));
-        save("ext_data_parallel", &serde_json::to_value(&dp).unwrap());
-        let lanes = extensions::lanes_sweep(&settings);
-        println!("{}", extensions::render_lanes(&lanes));
-        save("ext_lanes", &serde_json::to_value(&lanes).unwrap());
-        let arch = extensions::architecture_instability(&settings);
-        println!("{}", extensions::render_architecture_instability(&arch));
-        save("ext_architectures", &serde_json::to_value(&arch).unwrap());
-        match extensions::algo_source_decomposition(&settings) {
+        let (store, fleet) = (Some(&store), fleet.as_ref());
+        match extensions::data_parallel_sweep(&settings, store, fleet) {
+            Ok(dp) => {
+                println!("{}", extensions::render_data_parallel(&dp));
+                save("ext_data_parallel", &serde_json::to_value(&dp).unwrap());
+            }
+            Err(e) => eprintln!("ext_data_parallel skipped: {e}"),
+        }
+        match extensions::lanes_sweep(&settings, store) {
+            Ok(lanes) => {
+                println!("{}", extensions::render_lanes(&lanes));
+                save("ext_lanes", &serde_json::to_value(&lanes).unwrap());
+            }
+            Err(e) => eprintln!("ext_lanes skipped: {e}"),
+        }
+        match extensions::architecture_instability(&settings, store, fleet) {
+            Ok(arch) => {
+                println!("{}", extensions::render_architecture_instability(&arch));
+                save("ext_architectures", &serde_json::to_value(&arch).unwrap());
+            }
+            Err(e) => eprintln!("ext_architectures skipped: {e}"),
+        }
+        match extensions::algo_source_decomposition(&settings, store, fleet) {
             Ok(sources) => {
                 println!("{}", extensions::render_algo_sources(&sources));
                 save("ext_algo_sources", &serde_json::to_value(&sources).unwrap());

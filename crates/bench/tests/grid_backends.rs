@@ -107,9 +107,8 @@ fn in_process_and_fleet_grids_are_byte_identical_and_match_run_variant() {
                 // Both stores now hold the complete cell; reading it back
                 // trains nothing and must reproduce the in-memory fleet.
                 for store in [&in_process.0, &processes.0] {
-                    let stored =
-                        run_variant_resumable(&prepared, device, variant, &settings, store, 1)
-                            .expect("store harvest");
+                    let stored = run_cell(&prepared, device, variant, &settings, Some(store), None)
+                        .expect("store harvest");
                     assert_bit_identical(&stored, &golden);
                 }
             }

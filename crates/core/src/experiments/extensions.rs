@@ -14,11 +14,14 @@
 //!   grows, isolating the parallelism → noise mechanism from all other
 //!   architectural differences.
 
+use super::{require_complete, ExperimentError};
+use crate::fleet::FleetOptions;
 use crate::report::render_table;
-use crate::runner::{run_variant, PreparedTask};
+use crate::resume::CheckpointStore;
+use crate::runner::{run_cell, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::{ModelKind, TaskSpec};
-use crate::variant::NoiseVariant;
+use crate::variant::{AlgoSource, NoiseVariant};
 use hwsim::{Architecture, Device};
 use nsmetrics::{pairwise_mean_churn, pairwise_mean_l2};
 use serde::{Deserialize, Serialize};
@@ -36,26 +39,31 @@ pub struct DataParallelPoint {
     pub mean_accuracy: f64,
 }
 
-/// Sweeps simulated data-parallel worker counts under IMPL-only noise.
-pub fn data_parallel_sweep(settings: &ExperimentSettings) -> Vec<DataParallelPoint> {
-    let device = Device::v100();
+/// Sweeps simulated data-parallel worker counts under IMPL-only noise,
+/// one [`run_cell`] per count with `store` and `fleet`.
+///
+/// # Errors
+///
+/// [`ExperimentError`] when a cell cannot run.
+pub fn data_parallel_sweep(
+    settings: &ExperimentSettings,
+    store: Option<&CheckpointStore>,
+    fleet: Option<&FleetOptions>,
+) -> Result<Vec<DataParallelPoint>, ExperimentError> {
+    let (device, variant) = (Device::v100(), NoiseVariant::Impl);
     [1usize, 2, 4, 8]
         .into_iter()
         .map(|workers| {
             let mut task = TaskSpec::resnet18_cifar10();
             task.train.data_parallel_workers = workers;
             let prepared = PreparedTask::prepare(&task);
-            let runs = run_variant(&prepared, &device, NoiseVariant::Impl, settings);
-            let preds = runs
-                .class_pred_sets()
-                .expect("CIFAR-style tasks predict classes");
-            let weights = runs.weight_sets();
-            DataParallelPoint {
+            let runs = run_cell(&prepared, &device, variant, settings, store, fleet)?;
+            Ok(DataParallelPoint {
                 workers,
-                churn: pairwise_mean_churn(&preds),
-                l2: pairwise_mean_l2(&weights),
+                churn: pairwise_mean_churn(&runs.class_pred_sets()?),
+                l2: pairwise_mean_l2(&runs.weight_sets()),
                 mean_accuracy: nsmetrics::mean(&runs.accuracies()),
-            }
+            })
         })
         .collect()
 }
@@ -74,26 +82,35 @@ pub struct LanesPoint {
 }
 
 /// Sweeps a synthetic GPU's core count under IMPL-only noise (everything
-/// else — throughput model, architecture family — held fixed).
-pub fn lanes_sweep(settings: &ExperimentSettings) -> Vec<LanesPoint> {
+/// else — throughput model, architecture family — held fixed), one
+/// [`run_cell`] per core count with `store`.
+///
+/// The sweep always runs in process: its devices come from
+/// [`Device::custom`], whose `&'static str` name cannot cross the fleet
+/// wire, which ships devices by preset name.
+///
+/// # Errors
+///
+/// [`ExperimentError`] when a cell cannot run.
+pub fn lanes_sweep(
+    settings: &ExperimentSettings,
+    store: Option<&CheckpointStore>,
+) -> Result<Vec<LanesPoint>, ExperimentError> {
     let task = TaskSpec::small_cnn_cifar10();
     let prepared = PreparedTask::prepare(&task);
+    let variant = NoiseVariant::Impl;
     [640u32, 1280, 2560, 5120]
         .into_iter()
         .map(|cores| {
             let device =
                 Device::custom("SWEEP-GPU", Architecture::Volta, cores, false, false, 14.9);
-            let runs = run_variant(&prepared, &device, NoiseVariant::Impl, settings);
-            LanesPoint {
+            let runs = run_cell(&prepared, &device, variant, settings, store, None)?;
+            Ok(LanesPoint {
                 cuda_cores: cores,
                 lanes: device.lanes(),
-                churn: pairwise_mean_churn(
-                    &runs
-                        .class_pred_sets()
-                        .expect("CIFAR-style tasks predict classes"),
-                ),
+                churn: pairwise_mean_churn(&runs.class_pred_sets()?),
                 l2: pairwise_mean_l2(&runs.weight_sets()),
-            }
+            })
         })
         .collect()
 }
@@ -149,80 +166,43 @@ pub struct AlgoSourcePoint {
     pub l2: f64,
 }
 
-/// Decomposes ALGO noise into its four sources (paper Table 1): for each
-/// arm, every factor is pinned except one — initialization, data
-/// shuffling, augmentation, or dropout — and the replicas run on the
-/// deterministic TPU so no scheduler noise mixes in. (Shuffle-order arms
-/// still pick up the data-order accumulation effect of Fig. 6; that is
-/// intrinsic to varying the order.) Extends the framework in the
-/// direction of Summers & Dinneen (2021), which the paper cites as the
-/// per-source study.
+/// Decomposes ALGO noise into its four sources (paper Table 1): one
+/// `ALGO:<source>` cell per source — initialization, data shuffling,
+/// augmentation, dropout — with every other stream pinned, plus the
+/// plain `ALGO` cell as "all". The replicas run on the deterministic TPU
+/// so no scheduler noise mixes in. (Shuffle-order arms still pick up the
+/// data-order accumulation effect of Fig. 6; that is intrinsic to varying
+/// the order.) Extends the framework in the direction of Summers &
+/// Dinneen (2021), which the paper cites as the per-source study.
 ///
 /// # Errors
 ///
-/// Returns the first replica's [`TrainError`](nnet::trainer::TrainError)
-/// (divergence, injected fault, or an empty run); no partial
-/// decomposition is returned.
+/// [`ExperimentError`] when a cell cannot run or any of its replicas
+/// fails; no partial decomposition is returned.
 pub fn algo_source_decomposition(
     settings: &ExperimentSettings,
-) -> Result<Vec<AlgoSourcePoint>, nnet::trainer::TrainError> {
-    use detrand::{Philox, SeedPolicy};
-    use hwsim::{ExecutionContext, ExecutionMode};
-    use nnet::trainer::{predict_classes, Trainer};
-
+    store: Option<&CheckpointStore>,
+    fleet: Option<&FleetOptions>,
+) -> Result<Vec<AlgoSourcePoint>, ExperimentError> {
     let mut task = TaskSpec::small_cnn_cifar10();
     task.model = ModelKind::SmallCnnDropout { rate: 0.2 };
     let prepared = PreparedTask::prepare(&task);
     let device = Device::tpu_v2();
-    let fixed = settings.base_seed;
-
-    let arms: [&str; 5] = ["init", "shuffle", "augment", "dropout", "all"];
-    arms.iter()
-        .map(|&source| {
-            let mut preds_sets = Vec::new();
-            let mut weight_sets = Vec::new();
-            for replica in 0..settings.replicas {
-                let vary = SeedPolicy::PerReplica.seed_for(fixed, replica);
-                // Pin every stream to `fixed`; open exactly one to `vary`.
-                let model_root = Philox::from_seed(if source == "init" || source == "all" {
-                    vary
-                } else {
-                    fixed
-                });
-                let mut cfg = task.train_config(settings);
-                cfg.shuffle_seed_override = Some(if source == "shuffle" || source == "all" {
-                    vary
-                } else {
-                    fixed
-                });
-                cfg.augment_seed_override = Some(if source == "augment" || source == "all" {
-                    vary
-                } else {
-                    fixed
-                });
-                cfg.dropout_seed_override = Some(if source == "dropout" || source == "all" {
-                    vary
-                } else {
-                    fixed
-                });
-                let mut exec = ExecutionContext::new(device, ExecutionMode::Default, 0);
-                let mut net = task.build_model(&model_root);
-                let augment = nsdata::ShiftFlip::standard();
-                Trainer::new(cfg).fit(
-                    &mut net,
-                    prepared.train_set(),
-                    &mut exec,
-                    &model_root,
-                    Some(&augment),
-                )?;
-                let p = predict_classes(&mut net, prepared.test_set(), &mut exec, &model_root, 64);
-                preds_sets.push(p);
-                weight_sets.push(net.flat_weights());
-            }
+    let arms = [
+        ("init", NoiseVariant::AlgoOnly(AlgoSource::Init)),
+        ("shuffle", NoiseVariant::AlgoOnly(AlgoSource::Shuffle)),
+        ("augment", NoiseVariant::AlgoOnly(AlgoSource::Augment)),
+        ("dropout", NoiseVariant::AlgoOnly(AlgoSource::Dropout)),
+        ("all", NoiseVariant::Algo),
+    ];
+    arms.into_iter()
+        .map(|(source, variant)| {
+            let runs = run_cell(&prepared, &device, variant, settings, store, fleet)?;
+            let runs = require_complete(runs)?;
             Ok(AlgoSourcePoint {
                 source: source.to_string(),
-                churn: pairwise_mean_churn(&preds_sets),
-                l2: pairwise_mean_l2(&weight_sets),
+                churn: pairwise_mean_churn(&runs.class_pred_sets()?),
+                l2: pairwise_mean_l2(&runs.weight_sets()),
             })
         })
         .collect()
@@ -264,9 +244,18 @@ pub struct ArchInstabilityPoint {
 /// noise on the same dataset — extends the paper's Fig. 1/2 observation
 /// (model design moderates noise) to LeNet-5, which Pham et al. (ASE'20)
 /// found to be the most variance-prone architecture across DL libraries,
-/// and to the bottleneck-ResNet topology.
-pub fn architecture_instability(settings: &ExperimentSettings) -> Vec<ArchInstabilityPoint> {
-    let device = Device::v100();
+/// and to the bottleneck-ResNet topology. One [`run_cell`] per model with
+/// `store` and `fleet`.
+///
+/// # Errors
+///
+/// [`ExperimentError`] when a cell cannot run.
+pub fn architecture_instability(
+    settings: &ExperimentSettings,
+    store: Option<&CheckpointStore>,
+    fleet: Option<&FleetOptions>,
+) -> Result<Vec<ArchInstabilityPoint>, ExperimentError> {
+    let (device, variant) = (Device::v100(), NoiseVariant::AlgoImpl);
     let models: [(&str, ModelKind); 4] = [
         ("LeNet5", ModelKind::LeNet5),
         ("SmallCNN", ModelKind::SmallCnn { with_bn: false }),
@@ -280,17 +269,13 @@ pub fn architecture_instability(settings: &ExperimentSettings) -> Vec<ArchInstab
             task.name = name.to_string();
             task.model = model;
             let prepared = PreparedTask::prepare(&task);
-            let runs = run_variant(&prepared, &device, NoiseVariant::AlgoImpl, settings);
-            ArchInstabilityPoint {
+            let runs = run_cell(&prepared, &device, variant, settings, store, fleet)?;
+            Ok(ArchInstabilityPoint {
                 model: name.to_string(),
-                churn: pairwise_mean_churn(
-                    &runs
-                        .class_pred_sets()
-                        .expect("CIFAR-style tasks predict classes"),
-                ),
+                churn: pairwise_mean_churn(&runs.class_pred_sets()?),
                 std_accuracy: nsmetrics::stddev(&runs.accuracies()),
                 mean_accuracy: nsmetrics::mean(&runs.accuracies()),
-            }
+            })
         })
         .collect()
 }
@@ -318,6 +303,7 @@ pub fn render_architecture_instability(points: &[ArchInstabilityPoint]) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_variant;
     use crate::task::DataSource;
     use nsdata::GaussianSpec;
 

@@ -1,8 +1,11 @@
 //! The fairness experiments: Table 3, Figure 3 and Table 5 (CelebA
 //! subgroup variance).
 
+use super::ExperimentError;
+use crate::fleet::FleetOptions;
 use crate::report::render_table;
-use crate::runner::{run_variant, PreparedData, PreparedTask};
+use crate::resume::CheckpointStore;
+use crate::runner::{run_cell, PreparedData, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
@@ -83,14 +86,20 @@ fn mask_for(meta: &[CelebaMeta], group: &str) -> Result<Vec<bool>, UnknownSubgro
 }
 
 /// Runs the CelebA experiment for the three measured variants on V100,
-/// returning one Table 5 per variant (Fig. 3 plots the same data).
+/// one [`run_cell`] per variant with `store` and `fleet`, returning one
+/// Table 5 per variant (Fig. 3 plots the same data).
 ///
 /// # Errors
 ///
-/// Returns [`UnknownSubgroupError`] if a subgroup name cannot be mapped to
-/// a metadata mask (impossible for the built-in [`SUBGROUPS`], but the
-/// mask path is fallible so custom subgroup lists degrade gracefully).
-pub fn fig3_table5(settings: &ExperimentSettings) -> Result<Vec<Table5>, UnknownSubgroupError> {
+/// [`UnknownSubgroupError`] if a subgroup name cannot be mapped to a
+/// metadata mask (impossible for the built-in [`SUBGROUPS`], but the mask
+/// path is fallible so custom subgroup lists degrade gracefully), and any
+/// other [`ExperimentError`] when a cell cannot run.
+pub fn fig3_table5(
+    settings: &ExperimentSettings,
+    store: Option<&CheckpointStore>,
+    fleet: Option<&FleetOptions>,
+) -> Result<Vec<Table5>, ExperimentError> {
     let task = TaskSpec::celeba();
     let prepared = PreparedTask::prepare(&task);
     let meta = match &prepared.data {
@@ -112,10 +121,8 @@ pub fn fig3_table5(settings: &ExperimentSettings) -> Result<Vec<Table5>, Unknown
     NoiseVariant::MEASURED
         .iter()
         .map(|&variant| {
-            let runs = run_variant(&prepared, &device, variant, settings);
-            let preds = runs
-                .binary_pred_sets()
-                .expect("CelebA attribute tasks predict binary labels");
+            let runs = run_cell(&prepared, &device, variant, settings, store, fleet)?;
+            let preds = runs.binary_pred_sets()?;
             // Per subgroup, per replica: accuracy/FPR/FNR; then stddev.
             let mut per_group: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> =
                 vec![(Vec::new(), Vec::new(), Vec::new()); SUBGROUPS.len()];
@@ -148,9 +155,8 @@ pub fn fig3_table5(settings: &ExperimentSettings) -> Result<Vec<Table5>, Unknown
                     }
                 })
                 .collect();
-            Table5 { variant, rows }
+            Ok(Table5 { variant, rows })
         })
-        .map(Ok)
         .collect()
 }
 

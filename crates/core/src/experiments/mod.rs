@@ -1,11 +1,10 @@
 //! One entry point per table and figure of the paper.
 //!
-//! The stability grids ([`stability::run_stability_grid`] and the
-//! Table-2, Figure-2 and Figure-5 presets) take a
-//! [`crate::resume::CheckpointStore`] and an optional
-//! [`crate::fleet::FleetOptions`]: one grid driver runs every cell
-//! through the same replica supervisor, in process or in worker
-//! processes.
+//! Every training experiment takes an optional
+//! [`crate::resume::CheckpointStore`] and optional
+//! [`crate::fleet::FleetOptions`] and runs each of its cells through
+//! [`crate::runner::run_cell`]: one replica supervisor, in process or in
+//! worker processes, durable when there is a store.
 //!
 //! | Paper artifact | Function |
 //! |---|---|
@@ -24,8 +23,25 @@
 //! | Extension: distributed data parallelism (§6) | [`extensions::data_parallel_sweep`] |
 //! | Extension: parallelism → noise ablation (§3.3) | [`extensions::lanes_sweep`] |
 
+use crate::runner::VariantRuns;
+
 pub mod cost;
 pub mod extensions;
 pub mod fairness;
 pub mod ordering;
 pub mod stability;
+
+/// Why a training experiment produced no result: an error from
+/// [`crate::runner::run_cell`], a [`crate::runner::PredsKindError`], a
+/// [`fairness::UnknownSubgroupError`], or a cell whose replicas failed.
+pub type ExperimentError = Box<dyn std::error::Error + Send + Sync>;
+
+/// `runs` when every replica delivered, else an error naming the failed
+/// ones: a pairwise metric over a partial cell would silently compare
+/// fewer replicas than asked for.
+fn require_complete(runs: VariantRuns) -> Result<VariantRuns, ExperimentError> {
+    match runs.failed_replicas() {
+        failed if failed.is_empty() => Ok(runs),
+        failed => Err(format!("{} cell: replicas {failed:?} failed", runs.variant).into()),
+    }
+}

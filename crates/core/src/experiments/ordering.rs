@@ -9,12 +9,15 @@
 //! floating-point accumulation order of the gradient reductions. This is
 //! the paper's "latent implementation noise" result.
 
+use super::{require_complete, ExperimentError};
+use crate::fleet::FleetOptions;
 use crate::report::render_table;
-use crate::runner::PreparedTask;
+use crate::resume::CheckpointStore;
+use crate::runner::{run_cell, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
-use hwsim::{Device, ExecutionContext, ExecutionMode};
-use nnet::trainer::{predict_classes, Targets, TrainError, Trainer};
+use crate::variant::{AlgoSource, NoiseVariant};
+use hwsim::Device;
 use nsmetrics::{pairwise_mean_churn, pairwise_mean_l2};
 use serde::{Deserialize, Serialize};
 
@@ -31,7 +34,10 @@ pub struct OrderingPoint {
     pub mean_accuracy: f64,
 }
 
-/// Runs the ordering experiment.
+/// Runs the ordering experiment: one `ALGO:shuffle` cell on the TPU per
+/// batch size, each a task with its batch size and epoch budget set in
+/// `task.train`, run through [`crate::runner::run_cell`] with `store`
+/// and `fleet`.
 ///
 /// Uses the small CNN on the CIFAR-10 stand-in with a longer epoch budget
 /// than the stability experiments: order-only noise starts at 1-ulp scale
@@ -40,58 +46,47 @@ pub struct OrderingPoint {
 ///
 /// # Errors
 ///
-/// Returns the first replica's [`TrainError`] (divergence, injected fault,
-/// or an empty run); no partial series is returned.
-pub fn fig6(settings: &ExperimentSettings) -> Result<Vec<OrderingPoint>, TrainError> {
+/// [`ExperimentError`] when a cell cannot run or any of its replicas
+/// fails; no partial series is returned.
+pub fn fig6(
+    settings: &ExperimentSettings,
+    store: Option<&CheckpointStore>,
+    fleet: Option<&FleetOptions>,
+) -> Result<Vec<OrderingPoint>, ExperimentError> {
     let mut task = TaskSpec::small_cnn_cifar10();
     task.augment = false; // per-sample augmentation would covary with order
     task.train.schedule = nnet::schedule::LrSchedule::Constant { lr: 0.05 };
     let prepared = PreparedTask::prepare(&task);
     let train_len = prepared.train_set().len();
-    let device = Device::tpu_v2();
-    let algo = detrand::Philox::from_seed(settings.base_seed); // fixed for all replicas
-
-    let batch_sizes = [16usize, 64, train_len];
-    let mut points = Vec::new();
-    for &bs in &batch_sizes {
-        let mut preds_sets = Vec::new();
-        let mut weight_sets = Vec::new();
-        let mut accs = Vec::new();
-        // Optimizer *steps*, not epochs, drive both learning and the
-        // amplification of order noise; give larger batches more epochs so
-        // every arm sees a comparable step budget (the paper trains 200
-        // epochs on the full dataset for every batch size).
-        let epochs = match bs {
-            b if b >= train_len => 300,
-            b if b >= 64 => 60,
-            _ => 30,
-        };
-        for replica in 0..settings.replicas {
-            let mut cfg = task.train_config(settings);
-            cfg.epochs = settings.scale_epochs(epochs);
-            cfg.batch_size = bs;
-            // The single varying factor: the shuffle stream's seed.
-            cfg.shuffle_seed_override = Some(settings.base_seed ^ (0xF16_6000 + replica as u64));
-            let mut exec = ExecutionContext::new(device, ExecutionMode::Default, 0);
-            let mut net = task.build_model(&algo);
-            Trainer::new(cfg).fit(&mut net, prepared.train_set(), &mut exec, &algo, None)?;
-            let p = predict_classes(&mut net, prepared.test_set(), &mut exec, &algo, 64);
-            let labels = match &prepared.test_set().targets {
-                Targets::Classes(l) => l,
-                Targets::Binary(_) => unreachable!(),
+    // The one varying factor: the shuffle stream's seed.
+    let (device, variant) = (
+        Device::tpu_v2(),
+        NoiseVariant::AlgoOnly(AlgoSource::Shuffle),
+    );
+    [16usize, 64, train_len]
+        .into_iter()
+        .map(|batch_size| {
+            let mut cell = prepared.clone();
+            cell.spec.train.batch_size = batch_size;
+            // Optimizer *steps*, not epochs, drive both learning and the
+            // amplification of order noise; give larger batches more
+            // epochs so every arm sees a comparable step budget (the paper
+            // trains 200 epochs on the full dataset for every batch size).
+            cell.spec.train.epochs = match batch_size {
+                b if b >= train_len => 300,
+                b if b >= 64 => 60,
+                _ => 30,
             };
-            accs.push(nsmetrics::accuracy(&p, labels));
-            preds_sets.push(p);
-            weight_sets.push(net.flat_weights());
-        }
-        points.push(OrderingPoint {
-            batch_size: bs,
-            churn: pairwise_mean_churn(&preds_sets),
-            l2: pairwise_mean_l2(&weight_sets),
-            mean_accuracy: nsmetrics::mean(&accs),
-        });
-    }
-    Ok(points)
+            let runs = run_cell(&cell, &device, variant, settings, store, fleet)?;
+            let runs = require_complete(runs)?;
+            Ok(OrderingPoint {
+                batch_size,
+                churn: pairwise_mean_churn(&runs.class_pred_sets()?),
+                l2: pairwise_mean_l2(&runs.weight_sets()),
+                mean_accuracy: nsmetrics::mean(&runs.accuracies()),
+            })
+        })
+        .collect()
 }
 
 /// Renders the Figure-6 series.
@@ -127,7 +122,7 @@ mod tests {
             epochs_scale: 0.01, // 1-3 epochs per arm
             ..ExperimentSettings::default()
         };
-        let points = fig6(&settings).expect("smoke-scale fig6 trains");
+        let points = fig6(&settings, None, None).expect("smoke-scale fig6 trains");
         assert_eq!(points.len(), 3);
         let full = points.last().unwrap();
         // Full batch = one step per epoch; batch size equals train length.

@@ -1,9 +1,9 @@
 //! The stability experiments: Table 2 and Figures 1, 2, 4, 5, 9, 10.
 
-use crate::fleet::{run_variant_fleet, FleetOptions};
+use crate::fleet::FleetOptions;
 use crate::report::{render_table, stability_report, StabilityReport};
-use crate::resume::{run_variant_resumable, CheckpointStore};
-use crate::runner::PreparedTask;
+use crate::resume::CheckpointStore;
+use crate::runner::{run_cell, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
@@ -37,18 +37,12 @@ impl StabilityGrid {
     }
 }
 
-/// How often grid replicas sink an epoch checkpoint to the store.
-const CHECKPOINT_EVERY_EPOCHS: u32 = 1;
-
-/// Runs every (task × device × variant) combination with durable per-cell
-/// progress: completed replicas are loaded from `store`, in-flight
-/// replicas checkpoint every epoch, and an interrupted grid resumes from
-/// wherever it stopped — mid-fleet and mid-training — bit-identically.
-///
-/// With `fleet`, every cell's replicas run in supervised worker processes
-/// ([`crate::fleet::run_variant_fleet`]); otherwise they run in process
-/// ([`crate::resume::run_variant_resumable`]). Both share `store` cells,
-/// and therefore resumability and bit-identity.
+/// Runs every (task × device × variant) combination through
+/// [`run_cell`] with durable per-cell progress: completed replicas are
+/// loaded from `store`, in-flight replicas checkpoint every epoch, and an
+/// interrupted grid resumes from wherever it stopped — mid-fleet and
+/// mid-training — bit-identically. With `fleet`, every cell's replicas
+/// run in supervised worker processes.
 ///
 /// # Errors
 ///
@@ -67,15 +61,7 @@ pub fn run_stability_grid(
         let prepared = PreparedTask::prepare(task);
         for device in devices {
             for &variant in variants {
-                let every = CHECKPOINT_EVERY_EPOCHS;
-                let runs = match fleet {
-                    Some(opts) => {
-                        run_variant_fleet(&prepared, device, variant, settings, store, every, opts)
-                    }
-                    None => {
-                        run_variant_resumable(&prepared, device, variant, settings, store, every)
-                    }
-                }?;
+                let runs = run_cell(&prepared, device, variant, settings, Some(store), fleet)?;
                 reports.push(stability_report(&prepared, device, variant, &runs));
             }
         }

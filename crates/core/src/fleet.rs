@@ -1,6 +1,6 @@
 //! Process-isolated fleet execution: a supervised worker pool that runs
 //! each replica in its own OS process, bit-for-bit identical to the
-//! in-process [`crate::runner::run_variant`].
+//! in-process [`crate::runner::run_cell`].
 //!
 //! The in-process supervisor recovers from everything `catch_unwind` can
 //! catch — but a wedged kernel ([`hwsim::FaultKind::Hang`]) stalls the
@@ -13,8 +13,9 @@
 //!   `--worker` mode ([`worker_main`]). Each worker runs exactly one
 //!   `(replica, attempt)`, reads its [`ReplicaSpec`] from stdin and
 //!   writes [`Heartbeat`] / result / [`WorkerFault`] frames to stdout.
-//! - **The supervisor** ([`run_variant_fleet`]) is the one cell driver
-//!   of [`crate::runner`] with a process-spawning attempt body: it
+//! - **The supervisor** ([`crate::runner::run_cell`] with
+//!   [`FleetOptions`]) is the one cell driver of [`crate::runner`] with a
+//!   process-spawning attempt body: it
 //!   dispatches pending replicas to a bounded pool of worker processes,
 //!   watches each with a heartbeat watchdog plus an absolute wall-clock
 //!   deadline, kills stalled or crashed workers, classifies how they died
@@ -25,8 +26,8 @@
 //!   verbatim: workers sink epoch checkpoints to the cell directory, so
 //!   a killed worker's retry resumes from the last durable checkpoint
 //!   instead of retraining from scratch; completed results/statuses are
-//!   written by the supervisor (single writer) in the exact format
-//!   `run_variant_resumable` reads.
+//!   written by the supervisor (single writer) in the exact format an
+//!   in-process run over the same store reads.
 //!
 //! **Bit-identity.** A replica is a pure function of `(task, device,
 //! variant, settings, replica)`; the IPC layer ships results with the
@@ -58,7 +59,7 @@ use crate::runner::{
 };
 use crate::settings::ExperimentSettings;
 use crate::task::{DataSource, ModelKind, TaskSpec};
-use crate::variant::NoiseVariant;
+use crate::variant::{AlgoSource, NoiseVariant};
 use hwsim::{ChaosConfig, Device};
 use nnet::checkpoint::Checkpoint;
 use nnet::schedule::LrSchedule;
@@ -71,7 +72,7 @@ use std::time::Duration;
 /// Magic prefix of every IPC frame ("NSFL").
 pub const FRAME_MAGIC: u32 = 0x4E53_464C;
 /// Wire-protocol version; a mismatch is treated as corruption.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 /// Upper bound on a frame payload. A length above this is corruption
 /// (a real result frame is a few hundred KiB), and capping it keeps a
 /// garbled length field from triggering a giant allocation.
@@ -139,19 +140,10 @@ pub struct ReplicaSpec {
     /// Which retry this is (0 = first execution); selects the chaos
     /// fault schedule.
     pub attempt: u32,
-    /// The [`CheckpointStore`] cell directory: the worker loads/saves
-    /// its durable epoch checkpoints here. Must be valid UTF-8 (checked
-    /// by the supervisor before dispatch).
+    /// The [`CheckpointStore`] cell directory: the worker resumes from
+    /// its durable checkpoint here and saves a new one after every epoch.
+    /// Must be valid UTF-8 (checked by the supervisor before dispatch).
     pub cell_dir: PathBuf,
-    /// Sink an epoch checkpoint every N completed epochs (0 disables).
-    pub checkpoint_every_epochs: u32,
-}
-
-impl ReplicaSpec {
-    /// Resolves the spec's device preset.
-    pub fn device(&self) -> Option<Device> {
-        device_by_name(&self.device_name)
-    }
 }
 
 /// Worker liveness proof, emitted every
@@ -463,12 +455,16 @@ fn dec_settings(d: &mut Reader<'_>) -> io::Result<ExperimentSettings> {
 }
 
 fn enc_variant(e: &mut Enc, v: NoiseVariant) {
-    e.u8(match v {
-        NoiseVariant::AlgoImpl => 0,
-        NoiseVariant::Algo => 1,
-        NoiseVariant::Impl => 2,
-        NoiseVariant::Control => 3,
-    });
+    match v {
+        NoiseVariant::AlgoImpl => e.u8(0),
+        NoiseVariant::Algo => e.u8(1),
+        NoiseVariant::Impl => e.u8(2),
+        NoiseVariant::Control => e.u8(3),
+        NoiseVariant::AlgoOnly(source) => {
+            e.u8(4);
+            e.u8(source as u8);
+        }
+    }
 }
 
 fn dec_variant(d: &mut Reader<'_>) -> io::Result<NoiseVariant> {
@@ -477,16 +473,39 @@ fn dec_variant(d: &mut Reader<'_>) -> io::Result<NoiseVariant> {
         1 => NoiseVariant::Algo,
         2 => NoiseVariant::Impl,
         3 => NoiseVariant::Control,
+        4 => NoiseVariant::AlgoOnly(match d.u8()? {
+            0 => AlgoSource::Init,
+            1 => AlgoSource::Shuffle,
+            2 => AlgoSource::Augment,
+            3 => AlgoSource::Dropout,
+            t => return Err(bad(&format!("unknown algo source tag {t}"))),
+        }),
         t => return Err(bad(&format!("unknown variant tag {t}"))),
     })
 }
 
+fn enc_task(e: &mut Enc, t: &TaskSpec) {
+    e.str(&t.name);
+    enc_model(e, &t.model);
+    enc_data(e, &t.data);
+    enc_train(e, &t.train);
+    e.flag(t.augment);
+}
+
+/// The bytes a checkpoint-store cell is keyed by (see
+/// [`crate::resume`]): the task exactly as a worker receives it, every
+/// [`Device`] field, and the variant.
+pub(crate) fn cell_key(task: &TaskSpec, device: &Device, variant: NoiseVariant) -> Vec<u8> {
+    let mut e = Enc::default();
+    enc_task(&mut e, task);
+    // `Debug` spells out every field, so a new one joins the key.
+    e.str(&format!("{device:?}"));
+    enc_variant(&mut e, variant);
+    e.buf
+}
+
 fn enc_spec(e: &mut Enc, s: &ReplicaSpec) {
-    e.str(&s.task.name);
-    enc_model(e, &s.task.model);
-    enc_data(e, &s.task.data);
-    enc_train(e, &s.task.train);
-    e.flag(s.task.augment);
+    enc_task(e, &s.task);
     e.str(&s.device_name);
     enc_variant(e, s.variant);
     enc_settings(e, &s.settings);
@@ -495,7 +514,6 @@ fn enc_spec(e: &mut Enc, s: &ReplicaSpec) {
     // Checked UTF-8 before dispatch; a lossy fallback here can only hit
     // paths the supervisor already rejected.
     e.str(&s.cell_dir.to_string_lossy());
-    e.u32(s.checkpoint_every_epochs);
 }
 
 fn dec_spec(d: &mut Reader<'_>) -> io::Result<ReplicaSpec> {
@@ -513,7 +531,6 @@ fn dec_spec(d: &mut Reader<'_>) -> io::Result<ReplicaSpec> {
         replica: d.u32()?,
         attempt: d.u32()?,
         cell_dir: PathBuf::from(d.str()?),
-        checkpoint_every_epochs: d.u32()?,
     })
 }
 
@@ -713,8 +730,7 @@ fn worker_run() -> io::Result<()> {
     spec.settings
         .validate_for(&spec.task)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    let device = spec
-        .device()
+    let device = device_by_name(&spec.device_name)
         .ok_or_else(|| bad(&format!("unknown device preset {:?}", spec.device_name)))?;
     let prepared = PreparedTask::prepare(&spec.task);
 
@@ -753,7 +769,6 @@ fn worker_run() -> io::Result<()> {
         ReplicaOptions {
             attempt,
             resume: resume_from.as_ref(),
-            checkpoint_every_epochs: spec.checkpoint_every_epochs,
             sink: Some(&mut sink),
             progress_every_steps: spec.settings.heartbeat_every_steps,
             progress: Some(&mut heartbeat),
@@ -977,32 +992,22 @@ fn classify_signal(_status: &std::process::ExitStatus) -> AttemptOutcome {
     AttemptOutcome::Crashed("killed by unknown cause".into())
 }
 
-/// [`crate::resume::run_variant_resumable`] with process isolation: each
-/// pending replica runs in its own worker process under a heartbeat
-/// watchdog, so hangs and process-fatal faults (aborts, signals) degrade
-/// into supervised retries instead of a wedged or dead experiment.
-/// Retries wait a deterministic capped-exponential backoff and resume
-/// from the cell's durable checkpoint.
-///
-/// Durable progress lives in the same [`CheckpointStore`] cells with the
-/// same formats — fleet runs, resumable runs, and in-process runs are
-/// interchangeable and bit-identical.
+/// The attempt body of [`crate::runner::run_cell`] with a fleet: each
+/// attempt runs in its own worker process (after a deterministic backoff
+/// on retries) and resumes from the store cell `dir`'s checkpoint.
 ///
 /// # Errors
 ///
-/// Store/spawn IO failures, a custom (non-preset) device, a non-UTF-8
-/// store path, or settings that fail
-/// [`ExperimentSettings::validate_for`]. Worker deaths are *not* errors:
-/// they degrade into [`crate::runner::ReplicaStatus`] entries.
-pub fn run_variant_fleet(
-    prepared: &PreparedTask,
-    device: &Device,
+/// [`io::ErrorKind::InvalidInput`] for a custom device or a non-UTF-8
+/// store path; the IO error of resolving the current executable.
+pub(crate) fn process_attempt<'a>(
+    prepared: &'a PreparedTask,
+    device: &'a Device,
     variant: NoiseVariant,
-    settings: &ExperimentSettings,
-    store: &CheckpointStore,
-    checkpoint_every_epochs: u32,
-    opts: &FleetOptions,
-) -> io::Result<VariantRuns> {
+    settings: &'a ExperimentSettings,
+    dir: &'a Path,
+    opts: &'a FleetOptions,
+) -> io::Result<impl Fn(u32, u32) -> io::Result<AttemptOutcome> + Sync + 'a> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
     if device_by_name(device.name()).is_none() {
         return Err(invalid(format!(
@@ -1010,7 +1015,6 @@ pub fn run_variant_fleet(
             device.name()
         )));
     }
-    let dir = store.cell_dir(&prepared.spec.name, device.name(), variant);
     if dir.to_str().is_none() {
         return Err(invalid(
             "fleet mode requires a UTF-8 checkpoint-store path".into(),
@@ -1020,7 +1024,7 @@ pub fn run_variant_fleet(
         Some(p) => p.clone(),
         None => std::env::current_exe()?,
     };
-    let attempt = |replica, attempt| {
+    Ok(move |replica, attempt| {
         if attempt > 0 {
             std::thread::sleep(Duration::from_millis(backoff_ms(attempt)));
         }
@@ -1031,22 +1035,28 @@ pub fn run_variant_fleet(
             settings: *settings,
             replica,
             attempt,
-            cell_dir: dir.clone(),
-            checkpoint_every_epochs,
+            cell_dir: dir.to_path_buf(),
         };
         run_attempt(&worker_exe, &opts.worker_args, &spec)
-    };
-    // Each pool thread blocks on its own worker *process*, so `procs` is
-    // the process-level parallelism cap.
-    run_cell(
-        prepared,
-        device,
-        variant,
-        settings,
-        Some(&dir),
-        opts.procs,
-        &attempt,
-    )
+    })
+}
+
+/// [`crate::runner::run_cell`] with a store and a fleet; store cells
+/// always checkpoint every epoch, so `_checkpoint_every_epochs` is unused.
+///
+/// # Errors
+///
+/// As [`crate::runner::run_cell`].
+pub fn run_variant_fleet(
+    prepared: &PreparedTask,
+    device: &Device,
+    variant: NoiseVariant,
+    settings: &ExperimentSettings,
+    store: &CheckpointStore,
+    _checkpoint_every_epochs: u32,
+    opts: &FleetOptions,
+) -> io::Result<VariantRuns> {
+    run_cell(prepared, device, variant, settings, Some(store), Some(opts))
 }
 
 #[cfg(test)]
@@ -1068,7 +1078,6 @@ mod tests {
             replica: 3,
             attempt: 1,
             cell_dir: PathBuf::from("/tmp/ns-cell"),
-            checkpoint_every_epochs: 2,
         }
     }
 
@@ -1090,13 +1099,16 @@ mod tests {
         assert_eq!(back.replica, spec.replica);
         assert_eq!(back.attempt, spec.attempt);
         assert_eq!(back.cell_dir, spec.cell_dir);
-        assert_eq!(back.checkpoint_every_epochs, spec.checkpoint_every_epochs);
         assert_eq!(dec.skipped(), 0);
     }
 
     #[test]
     fn spec_frames_round_trip() {
         assert_spec_round_trips(&sample_spec());
+        assert_spec_round_trips(&ReplicaSpec {
+            variant: NoiseVariant::AlgoOnly(AlgoSource::Augment),
+            ..sample_spec()
+        });
         // Every preset task exercises a different codec path (models,
         // schedules, data sources, override options).
         for task in [
@@ -1354,6 +1366,21 @@ mod tests {
     }
 
     #[test]
+    fn a_fleet_without_a_store_is_invalid_input() {
+        let prepared = PreparedTask::prepare(&tiny_task());
+        let err = crate::runner::run_cell(
+            &prepared,
+            &Device::cpu(),
+            NoiseVariant::Control,
+            &ExperimentSettings::default(),
+            None,
+            Some(&FleetOptions::default()),
+        )
+        .expect_err("workers checkpoint into the store");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
     #[cfg(unix)]
     fn crashing_workers_are_classified_and_exhaust_into_crashed() {
         let scratch = Scratch::new("crash");
@@ -1383,7 +1410,7 @@ mod tests {
         // The cell stays resumable: statuses on disk, flagged incomplete.
         let dir = scratch
             .0
-            .cell_dir(&prepared.spec.name, "V100", NoiseVariant::Impl);
+            .cell_dir(&prepared.spec, &Device::v100(), NoiseVariant::Impl);
         let manifest = std::fs::read_to_string(dir.join("manifest.txt")).expect("manifest");
         assert!(manifest.contains("crashed"), "{manifest}");
     }

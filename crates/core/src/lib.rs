@@ -17,10 +17,12 @@
 //! The crate's public surface is organized as:
 //!
 //! - [`variant::NoiseVariant`] — the paper's four experimental arms
-//!   (`ALGO+IMPL`, `ALGO`, `IMPL`, `Control`);
+//!   (`ALGO+IMPL`, `ALGO`, `IMPL`, `Control`), plus single-stream `ALGO`
+//!   arms;
 //! - [`task::TaskSpec`] — model × dataset × training-recipe presets
 //!   mirroring the paper's benchmarks;
-//! - [`runner`] — trains replica fleets and collects weights/predictions;
+//! - [`runner`] — trains replica fleets and collects weights/predictions,
+//!   through the one entry point [`runner::run_cell`];
 //! - [`report`] — stability reports (accuracy stddev, churn, normalized
 //!   L2) and text-table rendering;
 //! - [`experiments`] — one entry point per table/figure of the paper
@@ -58,14 +60,14 @@ pub mod variant;
 pub mod prelude {
     pub use crate::fleet::{run_variant_fleet, worker_main, FleetOptions};
     pub use crate::report::{render_table, save_json, stability_report, StabilityReport};
-    pub use crate::resume::{run_variant_resumable, CheckpointStore};
+    pub use crate::resume::CheckpointStore;
     pub use crate::runner::{
-        run_replica, run_replica_with, run_variant, Preds, PredsKindError, PreparedData,
+        run_cell, run_replica, run_replica_with, run_variant, Preds, PredsKindError, PreparedData,
         PreparedTask, ReplicaOptions, ReplicaResult, ReplicaStatus, VariantRuns,
     };
     pub use crate::settings::ExperimentSettings;
     pub use crate::settings::SettingsError;
     pub use crate::task::{DataSource, ModelKind, TaskSpec};
-    pub use crate::variant::NoiseVariant;
+    pub use crate::variant::{AlgoSource, NoiseVariant};
     pub use hwsim::{Device, ExecutionContext, ExecutionMode, OpClass};
 }

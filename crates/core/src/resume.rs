@@ -3,7 +3,8 @@
 //!
 //! The reproduction driver runs large (task × device × variant) grids that
 //! can be interrupted at any point — a wall-clock limit, a host failure, a
-//! ctrl-C. This module makes those interruptions cheap instead of fatal:
+//! ctrl-C. Handing [`crate::runner::run_cell`] a [`CheckpointStore`] makes
+//! those interruptions cheap instead of fatal:
 //!
 //! - every *completed* replica's [`ReplicaResult`] is persisted to its
 //!   cell directory the moment it finishes (resume skips it entirely);
@@ -22,17 +23,22 @@
 //! Layout under the store root (one directory per cell):
 //!
 //! ```text
-//! <root>/<task>/<device>/<variant>/
+//! <root>/<task>/<device>/<variant>-<key>/
 //!     r0.result      completed replica 0 (binary, byte-exact floats)
 //!     r0.status      "ok" | "retried N" | "failed <reason>"
 //!     r1.ckpt        epoch-boundary checkpoint of in-flight replica 1
 //!     manifest.txt   human-readable fleet progress
 //! ```
+//!
+//! `<key>` is a 64-bit FNV-1a hash of the task as the fleet wire codec
+//! ships it to a worker, every [`Device`] field and the variant, so a
+//! recipe that changes under the same task name gets a fresh cell. The
+//! settings are covered one level up, by [`CheckpointStore::for_settings`].
 
-use crate::runner::{
-    in_process_attempt, run_cell, Preds, PreparedTask, ReplicaResult, ReplicaStatus, VariantRuns,
-};
+use crate::fleet::cell_key;
+use crate::runner::{Preds, ReplicaResult, ReplicaStatus};
 use crate::settings::ExperimentSettings;
+use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
 use hwsim::Device;
 use nnet::checkpoint::Checkpoint;
@@ -73,7 +79,7 @@ impl CheckpointStore {
     }
 
     /// A store scoped under `root` by a fingerprint of every settings knob
-    /// that shapes replica results. Cells are keyed only by (task, device,
+    /// that shapes replica results. Cells are keyed by (task, device,
     /// variant), so without the scope a run with a different seed, entropy
     /// salt or epoch scale would silently reuse stale cached replicas.
     pub fn for_settings(root: impl Into<PathBuf>, settings: &ExperimentSettings) -> Self {
@@ -96,12 +102,19 @@ impl CheckpointStore {
         &self.root
     }
 
-    /// The directory holding one cell's progress.
-    pub fn cell_dir(&self, task: &str, device: &str, variant: NoiseVariant) -> PathBuf {
+    /// The directory holding one cell's progress (see the module docs for
+    /// the layout and the key).
+    pub fn cell_dir(&self, task: &TaskSpec, device: &Device, variant: NoiseVariant) -> PathBuf {
+        // 64-bit FNV-1a: stable across builds and platforms.
+        let key = cell_key(task, device, variant)
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
         self.root
-            .join(path_component(task))
-            .join(path_component(device))
-            .join(path_component(variant.label()))
+            .join(path_component(&task.name))
+            .join(path_component(device.name()))
+            .join(format!("{}-{key:016x}", path_component(variant.label())))
     }
 }
 
@@ -299,30 +312,20 @@ pub(crate) fn status_line(status: &ReplicaStatus) -> String {
 
 pub(crate) fn parse_status(line: &str) -> Option<ReplicaStatus> {
     let line = line.trim();
-    if line == "ok" {
-        return Some(ReplicaStatus::Ok);
-    }
-    if let Some(rest) = line.strip_prefix("retried ") {
-        return rest
-            .parse()
-            .ok()
-            .map(|attempts| ReplicaStatus::Retried { attempts });
-    }
-    if let Some(rest) = line.strip_prefix("timedout ") {
-        return rest
-            .parse()
-            .ok()
-            .map(|attempts| ReplicaStatus::TimedOut { attempts });
-    }
-    if let Some(reason) = line.strip_prefix("crashed ") {
-        return Some(ReplicaStatus::Crashed {
-            reason: reason.to_string(),
-        });
-    }
-    line.strip_prefix("failed ")
-        .map(|reason| ReplicaStatus::Failed {
-            reason: reason.to_string(),
-        })
+    let (kind, rest) = line.split_once(' ').unwrap_or((line, ""));
+    let reason = rest.to_string();
+    Some(match kind {
+        "ok" if rest.is_empty() => ReplicaStatus::Ok,
+        "retried" => ReplicaStatus::Retried {
+            attempts: rest.parse().ok()?,
+        },
+        "timedout" => ReplicaStatus::TimedOut {
+            attempts: rest.parse().ok()?,
+        },
+        "crashed" => ReplicaStatus::Crashed { reason },
+        "failed" => ReplicaStatus::Failed { reason },
+        _ => return None,
+    })
 }
 
 pub(crate) fn result_path(dir: &Path, replica: u32) -> PathBuf {
@@ -369,46 +372,12 @@ pub(crate) fn write_manifest(
     write_atomic(&dir.join("manifest.txt"), out.as_bytes())
 }
 
-/// [`crate::runner::run_variant`] with durable progress: completed
-/// replicas are loaded from the store instead of re-trained, in-flight
-/// replicas resume from their newest epoch checkpoint, and every
-/// completion is persisted before the fleet moves on.
-///
-/// `checkpoint_every_epochs = 0` still persists *results* (fleet-level
-/// resume) but no mid-training checkpoints.
-///
-/// Previously-`Failed` replicas are re-attempted on resume: under a
-/// deterministic chaos schedule they fail identically (cheap), while a
-/// real transient host fault gets a fresh chance.
-///
-/// # Errors
-///
-/// Only store IO failures are errors; training faults degrade into
-/// [`ReplicaStatus`] entries exactly as in the in-memory supervisor.
-pub fn run_variant_resumable(
-    prepared: &PreparedTask,
-    device: &Device,
-    variant: NoiseVariant,
-    settings: &ExperimentSettings,
-    store: &CheckpointStore,
-    checkpoint_every_epochs: u32,
-) -> io::Result<VariantRuns> {
-    let dir = store.cell_dir(&prepared.spec.name, device.name(), variant);
-    let durable = Some((dir.as_path(), checkpoint_every_epochs));
-    let attempt = |replica, attempt| {
-        in_process_attempt(
-            prepared, device, variant, settings, durable, replica, attempt,
-        )
-    };
-    run_cell(prepared, device, variant, settings, Some(&dir), 0, &attempt)
-}
-
 #[cfg(test)]
 // Bit-identical resume is the property under test.
 #[allow(clippy::float_cmp)]
 pub(crate) mod tests {
     use super::*;
-    use crate::runner::{run_replica_with, run_variant, ReplicaOptions};
+    use crate::runner::{run_cell, run_replica_with, run_variant, PreparedTask, ReplicaOptions};
     use crate::task::{DataSource, TaskSpec};
     use nsdata::GaussianSpec;
 
@@ -525,13 +494,13 @@ pub(crate) mod tests {
         let settings = tiny_settings();
         let device = Device::v100();
         let baseline = run_variant(&prepared, &device, NoiseVariant::Impl, &settings);
-        let durable = run_variant_resumable(
+        let durable = run_cell(
             &prepared,
             &device,
             NoiseVariant::Impl,
             &settings,
-            &scratch.0,
-            2,
+            Some(&scratch.0),
+            None,
         )
         .expect("resumable fleet");
         assert_eq!(durable.statuses, baseline.statuses);
@@ -541,7 +510,7 @@ pub(crate) mod tests {
         }
         let dir = scratch
             .0
-            .cell_dir(&prepared.spec.name, device.name(), NoiseVariant::Impl);
+            .cell_dir(&prepared.spec, &device, NoiseVariant::Impl);
         assert!(result_path(&dir, 0).exists());
         assert!(result_path(&dir, 1).exists());
         assert!(
@@ -564,21 +533,27 @@ pub(crate) mod tests {
             replicas: 1,
             ..settings
         };
-        let first =
-            run_variant_resumable(&prepared, &device, NoiseVariant::Impl, &one, &scratch.0, 0)
-                .expect("first pass");
+        let first = run_cell(
+            &prepared,
+            &device,
+            NoiseVariant::Impl,
+            &one,
+            Some(&scratch.0),
+            None,
+        )
+        .expect("first pass");
         assert_eq!(first.results.len(), 1);
 
         // Resume with the full fleet: replica 0 loads from disk (we corrupt
         // nothing but a re-train would be detected below anyway), replica 1
         // trains fresh.
-        let resumed = run_variant_resumable(
+        let resumed = run_cell(
             &prepared,
             &device,
             NoiseVariant::Impl,
             &settings,
-            &scratch.0,
-            0,
+            Some(&scratch.0),
+            None,
         )
         .expect("resumed pass");
         let reference = run_variant(&prepared, &device, NoiseVariant::Impl, &settings);
@@ -597,7 +572,7 @@ pub(crate) mod tests {
         let device = Device::v100();
         let dir = scratch
             .0
-            .cell_dir(&prepared.spec.name, device.name(), NoiseVariant::Impl);
+            .cell_dir(&prepared.spec, &device, NoiseVariant::Impl);
         std::fs::create_dir_all(&dir).expect("mkdir");
 
         // Simulate an interrupted replica 0: capture its epoch-2 checkpoint
@@ -615,7 +590,6 @@ pub(crate) mod tests {
             &settings,
             0,
             ReplicaOptions {
-                checkpoint_every_epochs: 2,
                 sink: Some(&mut sink),
                 ..ReplicaOptions::default()
             },
@@ -626,13 +600,13 @@ pub(crate) mod tests {
             .save(&ckpt_path(&dir, 0))
             .expect("plant checkpoint");
 
-        let resumed = run_variant_resumable(
+        let resumed = run_cell(
             &prepared,
             &device,
             NoiseVariant::Impl,
             &settings,
-            &scratch.0,
-            2,
+            Some(&scratch.0),
+            None,
         )
         .expect("resumed fleet");
         let reference = run_variant(&prepared, &device, NoiseVariant::Impl, &settings);
@@ -660,9 +634,15 @@ pub(crate) mod tests {
                 ..tiny_settings()
             };
             let store = CheckpointStore::for_settings(root.0.root(), &settings);
-            let durable =
-                run_variant_resumable(&prepared, &device, NoiseVariant::Impl, &settings, &store, 0)
-                    .expect("resumable fleet");
+            let durable = run_cell(
+                &prepared,
+                &device,
+                NoiseVariant::Impl,
+                &settings,
+                Some(&store),
+                None,
+            )
+            .expect("resumable fleet");
             let fresh = run_variant(&prepared, &device, NoiseVariant::Impl, &settings);
             assert_eq!(durable.results.len(), fresh.results.len());
             for (a, b) in fresh.results.iter().zip(&durable.results) {
@@ -682,6 +662,48 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_recipe_change_under_the_same_name_gets_a_fresh_cell() {
+        // Only `task.train` changes; the task keeps its name. The second
+        // run must train the new recipe, not harvest the first run's cell.
+        let scratch = Scratch::new("recipe");
+        let settings = tiny_settings();
+        let device = Device::v100();
+        let old = PreparedTask::prepare(&tiny_task());
+        let mut task = tiny_task();
+        task.train.batch_size = 8;
+        let new = PreparedTask::prepare(&task);
+        let first = run_cell(
+            &old,
+            &device,
+            NoiseVariant::Impl,
+            &settings,
+            Some(&scratch.0),
+            None,
+        )
+        .expect("first recipe");
+        let second = run_cell(
+            &new,
+            &device,
+            NoiseVariant::Impl,
+            &settings,
+            Some(&scratch.0),
+            None,
+        )
+        .expect("second recipe");
+        let fresh = run_variant(&new, &device, NoiseVariant::Impl, &settings);
+        assert_eq!(second.results.len(), fresh.results.len());
+        for ((f, s), o) in fresh
+            .results
+            .iter()
+            .zip(&second.results)
+            .zip(&first.results)
+        {
+            assert_eq!(f.weights, s.weights, "replica {}", f.replica);
+            assert_ne!(o.weights, s.weights, "replica {}", f.replica);
+        }
+    }
+
+    #[test]
     fn corrupt_store_files_degrade_to_retraining() {
         let scratch = Scratch::new("corrupt");
         let prepared = PreparedTask::prepare(&tiny_task());
@@ -689,18 +711,18 @@ pub(crate) mod tests {
         let device = Device::v100();
         let dir = scratch
             .0
-            .cell_dir(&prepared.spec.name, device.name(), NoiseVariant::Impl);
+            .cell_dir(&prepared.spec, &device, NoiseVariant::Impl);
         std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(result_path(&dir, 0), b"torn write").expect("plant corrupt result");
         std::fs::write(ckpt_path(&dir, 1), b"torn write").expect("plant corrupt ckpt");
 
-        let runs = run_variant_resumable(
+        let runs = run_cell(
             &prepared,
             &device,
             NoiseVariant::Impl,
             &settings,
-            &scratch.0,
-            0,
+            Some(&scratch.0),
+            None,
         )
         .expect("fleet survives corrupt store files");
         let reference = run_variant(&prepared, &device, NoiseVariant::Impl, &settings);

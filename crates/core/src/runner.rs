@@ -1,17 +1,19 @@
 //! Replica fleets: train N independent models under a noise variant and
 //! collect everything the stability metrics need.
 //!
-//! Every fleet — in process ([`run_variant`]), durable
-//! ([`crate::resume::run_variant_resumable`]) or process-isolated
-//! ([`crate::fleet::run_variant_fleet`]) — goes through one cell driver
-//! here: one store harvest, one thread pool, and one supervised attempt
-//! loop per replica. The entry points differ only in the body of a single
-//! attempt.
+//! Every experiment reaches its replicas through one entry point,
+//! [`run_cell`]: one store harvest, one thread pool, and one supervised
+//! attempt loop per replica. A [`CheckpointStore`] makes the cell durable
+//! and resumable; [`FleetOptions`] on top of it runs each attempt in a
+//! worker process instead of in process. [`run_variant`] and
+//! [`crate::fleet::run_variant_fleet`] are one-line wrappers over it.
 
-use crate::resume;
+use crate::fleet::{process_attempt, FleetOptions};
+use crate::resume::{self, CheckpointStore};
 use crate::settings::ExperimentSettings;
 use crate::task::{DataSource, TaskSpec};
-use crate::variant::NoiseVariant;
+use crate::variant::{AlgoSource, NoiseVariant};
+use detrand::Philox;
 use hwsim::{Device, ExecutionContext, FaultPlan};
 use nnet::checkpoint::Checkpoint;
 use nnet::trainer::{
@@ -243,17 +245,10 @@ impl VariantRuns {
     ///
     /// Returns [`PredsKindError`] if any replica holds binary predictions.
     pub fn class_pred_sets(&self) -> Result<Vec<Vec<u32>>, PredsKindError> {
-        self.results
-            .iter()
-            .map(|r| match &r.preds {
-                Preds::Classes(p) => Ok(p.clone()),
-                other => Err(PredsKindError {
-                    expected: "class",
-                    found: other.kind(),
-                    replica: r.replica,
-                }),
-            })
-            .collect()
+        self.pred_sets("class", |p| match p {
+            Preds::Classes(c) => Some(c),
+            Preds::Binary(_) => None,
+        })
     }
 
     /// Replica binary predictions.
@@ -262,19 +257,30 @@ impl VariantRuns {
     ///
     /// Returns [`PredsKindError`] if any replica holds class predictions.
     pub fn binary_pred_sets(&self) -> Result<Vec<Vec<u8>>, PredsKindError> {
-        self.results
-            .iter()
-            .map(|r| match &r.preds {
-                Preds::Binary(p) => Ok(p.clone()),
-                other => Err(PredsKindError {
-                    expected: "binary",
-                    found: other.kind(),
-                    replica: r.replica,
-                }),
+        self.pred_sets("binary", |p| match p {
+            Preds::Binary(b) => Some(b),
+            Preds::Classes(_) => None,
+        })
+    }
+
+    fn pred_sets<T: Clone>(
+        &self,
+        expected: &'static str,
+        pick: fn(&Preds) -> Option<&Vec<T>>,
+    ) -> Result<Vec<Vec<T>>, PredsKindError> {
+        let set = |r: &ReplicaResult| {
+            pick(&r.preds).cloned().ok_or(PredsKindError {
+                expected,
+                found: r.preds.kind(),
+                replica: r.replica,
             })
-            .collect()
+        };
+        self.results.iter().map(set).collect()
     }
 }
+
+/// How often a replica with a checkpoint sink emits a checkpoint.
+const CHECKPOINT_EVERY_EPOCHS: u32 = 1;
 
 /// Knobs for one supervised replica execution, beyond the cell identity.
 #[derive(Default)]
@@ -284,9 +290,8 @@ pub struct ReplicaOptions<'a> {
     pub attempt: u32,
     /// Resume mid-training from this checkpoint.
     pub resume: Option<&'a Checkpoint>,
-    /// Emit a checkpoint every N completed epochs (0 disables).
-    pub checkpoint_every_epochs: u32,
-    /// Receives emitted checkpoints (typically: persist to disk).
+    /// Receives a checkpoint after every completed epoch (typically:
+    /// persist to disk).
     pub sink: Option<&'a mut dyn FnMut(&Checkpoint)>,
     /// Invoke `progress` every N completed optimizer steps (0 disables).
     /// Pure observation — see [`nnet::trainer::FitOptions`].
@@ -301,7 +306,6 @@ impl std::fmt::Debug for ReplicaOptions<'_> {
         f.debug_struct("ReplicaOptions")
             .field("attempt", &self.attempt)
             .field("resume", &self.resume.map(|c| c.epochs_done))
-            .field("checkpoint_every_epochs", &self.checkpoint_every_epochs)
             .field("sink", &self.sink.is_some())
             .field("progress_every_steps", &self.progress_every_steps)
             .field("progress", &self.progress.is_some())
@@ -309,36 +313,9 @@ impl std::fmt::Debug for ReplicaOptions<'_> {
     }
 }
 
-/// The chaos fault schedule for one `(replica, attempt)` execution, over
-/// the task's actual training horizon in optimizer steps.
-fn fault_plan_for(
-    prepared: &PreparedTask,
-    settings: &ExperimentSettings,
-    replica: u32,
-    attempt: u32,
-) -> FaultPlan {
-    match &settings.chaos {
-        Some(cfg) => {
-            let train_cfg = prepared.spec.train_config(settings);
-            let steps_per_epoch = prepared
-                .train_set()
-                .len()
-                .div_ceil(train_cfg.batch_size)
-                .max(1) as u64;
-            FaultPlan::build(
-                cfg,
-                replica,
-                attempt,
-                train_cfg.epochs as u64 * steps_per_epoch,
-            )
-        }
-        None => FaultPlan::none(),
-    }
-}
-
 /// Trains one replica of a task on a device under a variant.
 ///
-/// Every seed (algorithmic root, scheduler entropy, chaos schedule) is
+/// Every seed (algorithmic streams, scheduler entropy, chaos schedule) is
 /// derived from the replica index, so a replica is a pure function of its
 /// arguments: re-running it — whether as a supervision retry or a
 /// checkpoint resume — reproduces the result bit-for-bit.
@@ -347,7 +324,7 @@ fn fault_plan_for(
 ///
 /// Returns the [`TrainError`] of a diverged, faulted or empty training
 /// run. Injected kernel panics are *not* caught here; the supervisor in
-/// [`run_variant`] isolates those.
+/// [`run_cell`] isolates those.
 pub fn run_replica(
     prepared: &PreparedTask,
     device: &Device,
@@ -380,16 +357,31 @@ pub fn run_replica_with(
     opts: ReplicaOptions<'_>,
 ) -> Result<ReplicaResult, TrainError> {
     let spec = &prepared.spec;
-    let algo = variant.seed_policy().root_for(settings.base_seed, replica);
+    // Each algorithmic stream is seeded per replica when the variant
+    // leaves it free and pinned to the base seed otherwise; the model
+    // root is the init stream.
+    let base = settings.base_seed;
+    let seed = |source| variant.stream_policy(source).seed_for(base, replica);
+    let algo = Philox::from_seed(seed(AlgoSource::Init));
+    let mut train = spec.train_config(settings);
+    train.shuffle_seed_override = Some(seed(AlgoSource::Shuffle));
+    train.augment_seed_override = Some(seed(AlgoSource::Augment));
+    train.dropout_seed_override = Some(seed(AlgoSource::Dropout));
+    // Chaos faults are scheduled over the run's horizon in optimizer steps.
+    let per_epoch = prepared.train_set().len().div_ceil(train.batch_size).max(1) as u64;
+    let horizon = u64::from(train.epochs) * per_epoch;
+    let chaos = settings.chaos.as_ref().map_or_else(FaultPlan::none, |cfg| {
+        FaultPlan::build(cfg, replica, opts.attempt, horizon)
+    });
     let mut exec = ExecutionContext::builder(*device)
         .mode(variant.exec_mode())
         .entropy(settings.entropy_for(replica))
         .amp_ulps(settings.amp_ulps)
         .threads(settings.exec_threads)
-        .chaos(fault_plan_for(prepared, settings, replica, opts.attempt))
+        .chaos(chaos)
         .build();
     let mut net = spec.build_model(&algo);
-    let trainer = Trainer::new(spec.train_config(settings));
+    let trainer = Trainer::new(train);
     let augment = ShiftFlip::standard();
     let report = trainer.fit_with(
         &mut net,
@@ -399,7 +391,7 @@ pub fn run_replica_with(
         if spec.augment { Some(&augment) } else { None },
         FitOptions {
             resume: opts.resume,
-            checkpoint_every_epochs: opts.checkpoint_every_epochs,
+            checkpoint_every_epochs: opts.sink.as_ref().map_or(0, |_| CHECKPOINT_EVERY_EPOCHS),
             sink: opts.sink,
             progress_every_steps: opts.progress_every_steps,
             progress: opts.progress,
@@ -438,13 +430,9 @@ pub fn run_replica_with(
 
 /// Renders a caught panic payload for a `ReplicaStatus::Failed` reason.
 fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panic: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panic: {s}")
-    } else {
-        "panic: <non-string payload>".to_string()
-    }
+    let text = payload.downcast_ref::<String>().map(String::as_str);
+    let text = text.or_else(|| payload.downcast_ref::<&str>().copied());
+    format!("panic: {}", text.unwrap_or("<non-string payload>"))
 }
 
 /// How one attempt of one replica ended, from the supervisor's seat.
@@ -464,23 +452,23 @@ pub(crate) enum AttemptOutcome {
 }
 
 /// The in-process attempt body: `catch_unwind` around
-/// [`run_replica_with`]. With a durable `(cell dir, checkpoint cadence)`
-/// the attempt resumes from the replica's newest epoch checkpoint and
+/// [`run_replica_with`]. With a durable store cell directory the attempt
+/// resumes from the replica's newest epoch checkpoint and
 /// sinks fresh ones as it trains. Checkpoints are only ever emitted at
 /// fault-free epoch boundaries (`fit` aborts *before* the sink on a
 /// faulted step), so a checkpoint from a crashed attempt is still a
 /// bit-exact prefix of the clean trajectory and safe for any later
 /// attempt to resume from.
-pub(crate) fn in_process_attempt(
+fn in_process_attempt(
     prepared: &PreparedTask,
     device: &Device,
     variant: NoiseVariant,
     settings: &ExperimentSettings,
-    durable: Option<(&Path, u32)>,
+    durable: Option<&Path>,
     replica: u32,
     attempt: u32,
 ) -> io::Result<AttemptOutcome> {
-    let ckpt = durable.map(|(dir, _)| resume::ckpt_path(dir, replica));
+    let ckpt = durable.map(|dir| resume::ckpt_path(dir, replica));
     let resume_from = ckpt.as_deref().and_then(resume::load_checkpoint);
     let mut sink_err: Option<io::Error> = None;
     let mut sink = |c: &Checkpoint| {
@@ -498,8 +486,7 @@ pub(crate) fn in_process_attempt(
             ReplicaOptions {
                 attempt,
                 resume: resume_from.as_ref(),
-                checkpoint_every_epochs: durable.map_or(0, |(_, every)| every),
-                sink: Some(&mut sink),
+                sink: durable.map(|_| &mut sink as &mut dyn FnMut(&Checkpoint)),
                 ..ReplicaOptions::default()
             },
         )
@@ -560,30 +547,60 @@ fn supervise(
     Ok((result, status))
 }
 
-/// The one cell driver behind [`run_variant`],
-/// [`crate::resume::run_variant_resumable`] and
-/// [`crate::fleet::run_variant_fleet`]; they differ only in the body of
-/// one `attempt(replica, attempt)`.
+/// Trains every replica of one (task, device, variant) cell under
+/// supervision: the one entry point every experiment uses.
 ///
-/// Validates the settings, loads completed replicas from the store cell
-/// `dir` (when there is one), and runs the pending replicas through
-/// [`supervise`] on a pool of `workers` threads (0 = host parallelism).
-/// Workers pull replica indices from a shared counter and the harvest
-/// scatters by index, so results are in replica order no matter which
-/// worker trained what; replica *contents* never depend on scheduling,
-/// because each replica derives its seeds and entropy from its index.
-pub(crate) fn run_cell(
+/// A panic or structured training failure costs a replica a retry (up to
+/// `settings.retry_budget`), never the cell; a replica whose budget is
+/// exhausted is recorded as failed in [`VariantRuns::statuses`] and is
+/// absent from `results`. With a `store`, completed replicas are loaded
+/// from the cell's directory instead of re-trained, in-flight replicas
+/// checkpoint every epoch and resume from their newest checkpoint, and
+/// every completion is persisted before the cell moves on. With a
+/// `fleet`, each attempt runs in a supervised worker process that
+/// checkpoints into the store cell (see [`crate::fleet`]). Pending
+/// replicas run on a thread pool (host parallelism, or `procs` threads
+/// each blocking on a worker process). Every combination produces the
+/// same bits: each replica derives its seeds and entropy from its index.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidInput`] for settings that fail
+/// [`ExperimentSettings::validate_for`], a fleet without a store, or a
+/// fleet on a device it cannot ship; otherwise store and spawn IO
+/// failures. Training faults and worker deaths degrade into
+/// [`ReplicaStatus`] entries.
+pub fn run_cell(
     prepared: &PreparedTask,
     device: &Device,
     variant: NoiseVariant,
     settings: &ExperimentSettings,
-    dir: Option<&Path>,
-    workers: usize,
-    attempt: &(dyn Fn(u32, u32) -> io::Result<AttemptOutcome> + Sync),
+    store: Option<&CheckpointStore>,
+    fleet: Option<&FleetOptions>,
 ) -> io::Result<VariantRuns> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
     settings
         .validate_for(&prepared.spec)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        .map_err(|e| invalid(e.to_string()))?;
+    let cell = store.map(|s| s.cell_dir(&prepared.spec, device, variant));
+    let dir = cell.as_deref();
+    type Attempt<'a> = Box<dyn Fn(u32, u32) -> io::Result<AttemptOutcome> + Sync + 'a>;
+    let (workers, attempt): (usize, Attempt) = match (fleet, dir) {
+        (None, _) => (
+            0,
+            Box::new(|r, a| in_process_attempt(prepared, device, variant, settings, dir, r, a)),
+        ),
+        (Some(opts), Some(cell)) => (
+            opts.procs,
+            Box::new(process_attempt(
+                prepared, device, variant, settings, cell, opts,
+            )?),
+        ),
+        (Some(_), None) => {
+            let msg = "a fleet needs a checkpoint store: workers checkpoint into its cells";
+            return Err(invalid(msg.into()));
+        }
+    };
     let n = settings.replicas as usize;
     let mut slots: Vec<Option<(Option<ReplicaResult>, ReplicaStatus)>> = vec![None; n];
     if let Some(dir) = dir {
@@ -621,7 +638,7 @@ pub(crate) fn run_cell(
                 scope.spawn(|| {
                     let mut local = Vec::new();
                     while let Some(&r) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        local.push((r, supervise(settings, dir, r, attempt)));
+                        local.push((r, supervise(settings, dir, r, &*attempt)));
                     }
                     local
                 })
@@ -651,36 +668,20 @@ pub(crate) fn run_cell(
     })
 }
 
-/// Trains the whole replica fleet for a variant, parallelized over the
-/// host's cores (replicas are embarrassingly parallel).
-///
-/// Each replica runs under supervision: a panic or structured training
-/// failure costs that replica a retry (up to `settings.retry_budget`),
-/// never the fleet. Replicas whose budget is exhausted are recorded as
-/// [`ReplicaStatus::Failed`] in [`VariantRuns::statuses`] and simply
-/// absent from `results` — partial fleets degrade into flagged reports
-/// instead of aborting the experiment.
+/// [`run_cell`] in process with no store.
 ///
 /// # Panics
 ///
-/// Panics up front (with the rendered
-/// [`crate::settings::SettingsError`]) if the settings or task fail
-/// [`ExperimentSettings::validate_for`] — the one entry point whose
-/// signature predates typed validation. The fallible entry points
-/// (`run_variant_resumable`, fleet dispatch, `repro` parsing) surface
-/// the same error as a `Result` instead.
+/// Panics (with the rendered [`crate::settings::SettingsError`]) if the
+/// settings or task fail [`ExperimentSettings::validate_for`], the only
+/// error [`run_cell`] can return without a store.
 pub fn run_variant(
     prepared: &PreparedTask,
     device: &Device,
     variant: NoiseVariant,
     settings: &ExperimentSettings,
 ) -> VariantRuns {
-    // Without a store the in-process attempt does no IO, so the only
-    // error is the up-front validation.
-    let attempt = |replica, attempt| {
-        in_process_attempt(prepared, device, variant, settings, None, replica, attempt)
-    };
-    run_cell(prepared, device, variant, settings, None, 0, &attempt)
+    run_cell(prepared, device, variant, settings, None, None)
         .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"))
 }
 

@@ -226,9 +226,9 @@ impl ExperimentSettings {
     /// a retry budget with no room for the initial attempt, and fleet
     /// heartbeat/timeout knobs that can never prove worker liveness.
     ///
-    /// Called at every entry point (`run_variant`,
-    /// `run_variant_resumable`, fleet dispatch, and `repro` argument
-    /// parsing); task-dependent checks live in
+    /// Called by `runner::run_cell` (and so by every experiment), by
+    /// fleet workers, and by `repro` argument parsing; task-dependent
+    /// checks live in
     /// [`ExperimentSettings::validate_for`].
     pub fn validate(&self) -> Result<(), SettingsError> {
         if self.replicas == 0 {

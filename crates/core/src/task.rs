@@ -114,11 +114,7 @@ impl TaskSpec {
                     momentum: 0.9,
                     weight_decay: 1e-4,
                 },
-                shuffle: true,
-                shuffle_seed_override: None,
-                data_parallel_workers: 1,
-                augment_seed_override: None,
-                dropout_seed_override: None,
+                ..TrainConfig::default()
             },
             augment: true,
         }
@@ -156,11 +152,7 @@ impl TaskSpec {
                     momentum: 0.9,
                     weight_decay: 1e-4,
                 },
-                shuffle: true,
-                shuffle_seed_override: None,
-                data_parallel_workers: 1,
-                augment_seed_override: None,
-                dropout_seed_override: None,
+                ..TrainConfig::default()
             },
             augment: true,
         }
@@ -207,11 +199,7 @@ impl TaskSpec {
                     momentum: 0.9,
                     weight_decay: 1e-4,
                 },
-                shuffle: true,
-                shuffle_seed_override: None,
-                data_parallel_workers: 1,
-                augment_seed_override: None,
-                dropout_seed_override: None,
+                ..TrainConfig::default()
             },
             augment: true,
         }
@@ -236,11 +224,7 @@ impl TaskSpec {
                     momentum: 0.9,
                     weight_decay: 1e-4,
                 },
-                shuffle: true,
-                shuffle_seed_override: None,
-                data_parallel_workers: 1,
-                augment_seed_override: None,
-                dropout_seed_override: None,
+                ..TrainConfig::default()
             },
             augment: false,
         }

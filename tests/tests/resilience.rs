@@ -42,7 +42,6 @@ fn golden_interrupt_resume_is_bitwise_identical_on_cpu_and_gpu() {
             &settings,
             0,
             ReplicaOptions {
-                checkpoint_every_epochs: 1,
                 sink: Some(&mut sink),
                 ..ReplicaOptions::default()
             },
