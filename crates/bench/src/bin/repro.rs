@@ -7,12 +7,14 @@
 //!        fig9 fig10 ext cost stability all (default: all)
 //! ```
 //!
-//! Figure 3 is produced by `table5`. An unknown id, or a flag with no
-//! value, exits 2 before anything is written under `--out`.
+//! Figure 3 is produced by `table5`. An unknown id, a flag with no
+//! value, or a malformed or invalid environment knob exits 2 before
+//! anything is written under `--out`.
 //!
 //! Environment knobs (see `noisescope::settings`): `NS_REPLICAS`,
-//! `NS_SEED`, `NS_AMP_ULPS`, `NS_EPOCHS_SCALE`, `NS_QUICK=1`,
-//! `NS_RETRIES`, `NS_CHAOS`, `NS_WORKER_TIMEOUT`, `NS_HEARTBEAT_EVERY`.
+//! `NS_SEED`, `NS_AMP_ULPS`, `NS_EPOCHS_SCALE`, `NS_EXEC_THREADS`,
+//! `NS_QUICK=1`, `NS_RETRIES`, `NS_CHAOS`, `NS_WORKER_TIMEOUT`,
+//! `NS_HEARTBEAT_EVERY`.
 //!
 //! Rendered tables go to stdout; machine-readable JSON goes to `--out`
 //! (default `results/`), published atomically (write-temp-then-rename) so
@@ -125,12 +127,13 @@ fn main() {
         }
     }
 
+    let settings = ExperimentSettings::from_env()
+        .and_then(|s| s.validate().map(|()| s))
+        .unwrap_or_else(|e| {
+            eprintln!("invalid configuration: {e}");
+            std::process::exit(2);
+        });
     std::fs::create_dir_all(&out_dir).expect("create output directory");
-    let settings = ExperimentSettings::from_env();
-    if let Err(e) = settings.validate() {
-        eprintln!("invalid configuration: {e}");
-        std::process::exit(2);
-    }
     // Durable fleet progress: interrupted experiments resume from here.
     let store = CheckpointStore::for_settings(out_dir.join(".ckpt"), &settings);
     println!(

@@ -1,5 +1,5 @@
-//! Command-line errors in the `repro` binary exit 2 before any experiment
-//! runs or anything is written under `--out`.
+//! Command-line and environment errors in the `repro` binary exit 2
+//! before any experiment runs or anything is written under `--out`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -53,4 +53,72 @@ fn a_flag_without_its_value_exits_2_without_panicking() {
         assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
         assert!(is_empty(&cwd), "{flag}: repro wrote a default --out");
     }
+}
+
+/// Runs `repro --exp table3 --out <scratch>/out` with every `NS_*`
+/// variable cleared except `env`; returns the run and the `--out` path.
+fn table3_with_env(scratch: &Path, env: &[(&str, &str)]) -> (Output, PathBuf) {
+    let out = scratch.join("out");
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+    for (name, _) in std::env::vars_os() {
+        if name.to_string_lossy().starts_with("NS_") {
+            cmd.env_remove(name);
+        }
+    }
+    let run = cmd
+        .envs(env.iter().copied())
+        .args([
+            "--exp",
+            "table3",
+            "--out",
+            out.to_str().expect("utf-8 path"),
+        ])
+        .current_dir(scratch)
+        .output()
+        .expect("run repro");
+    (run, out)
+}
+
+#[test]
+fn a_malformed_numeric_env_knob_exits_2_before_creating_out() {
+    let malformed = [
+        ("NS_REPLICAS", "1O"),
+        ("NS_SEED", "4two"),
+        ("NS_AMP_ULPS", "0,5"),
+        ("NS_EPOCHS_SCALE", "0,5"),
+        ("NS_EXEC_THREADS", "two"),
+        ("NS_RETRIES", "-1"),
+        ("NS_WORKER_TIMEOUT", "5s"),
+        ("NS_HEARTBEAT_EVERY", "4.0"),
+    ];
+    for (name, value) in malformed {
+        let scratch = empty_dir(&format!("repro_malformed_{name}"));
+        let (run, out) = table3_with_env(&scratch, &[(name, value)]);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{name}={value}: {stderr}");
+        assert!(stderr.contains(name), "{name}={value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}={value}: {stderr}");
+        assert!(!out.exists(), "{name}={value}: repro created --out");
+    }
+}
+
+#[test]
+fn well_formed_numeric_env_knobs_run() {
+    let scratch = empty_dir("repro_well_formed_env");
+    let (run, out) = table3_with_env(
+        &scratch,
+        &[
+            ("NS_REPLICAS", "2"),
+            ("NS_SEED", "7"),
+            ("NS_AMP_ULPS", "0.5"),
+            ("NS_EPOCHS_SCALE", "0.5"),
+            ("NS_EXEC_THREADS", "1"),
+            ("NS_RETRIES", "1"),
+            ("NS_WORKER_TIMEOUT", "30"),
+            ("NS_HEARTBEAT_EVERY", "4"),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{stderr}");
+    assert!(out.join("table3.json").is_file(), "{stderr}");
 }

@@ -54,8 +54,7 @@
 
 use crate::resume::{self, bad, CheckpointStore, Reader};
 use crate::runner::{
-    run_cell, run_replica_with, AttemptOutcome, PreparedTask, ReplicaOptions, ReplicaResult,
-    VariantRuns,
+    run_cell, run_replica_with, AttemptOutcome, PreparedTask, ReplicaResult, VariantRuns,
 };
 use crate::settings::ExperimentSettings;
 use crate::task::{DataSource, ModelKind, TaskSpec};
@@ -63,7 +62,7 @@ use crate::variant::{AlgoSource, NoiseVariant};
 use hwsim::{ChaosConfig, Device};
 use nnet::checkpoint::Checkpoint;
 use nnet::schedule::LrSchedule;
-use nnet::trainer::TrainConfig;
+use nnet::trainer::{FitOptions, TrainConfig};
 use std::ffi::OsString;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -766,8 +765,8 @@ fn worker_run() -> io::Result<()> {
         spec.variant,
         &spec.settings,
         replica,
-        ReplicaOptions {
-            attempt,
+        attempt,
+        FitOptions {
             resume: resume_from.as_ref(),
             sink: Some(&mut sink),
             progress_every_steps: spec.settings.heartbeat_every_steps,

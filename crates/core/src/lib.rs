@@ -63,11 +63,12 @@ pub mod prelude {
     pub use crate::resume::CheckpointStore;
     pub use crate::runner::{
         run_cell, run_replica, run_replica_with, run_variant, Preds, PredsKindError, PreparedData,
-        PreparedTask, ReplicaOptions, ReplicaResult, ReplicaStatus, VariantRuns,
+        PreparedTask, ReplicaResult, ReplicaStatus, VariantRuns,
     };
     pub use crate::settings::ExperimentSettings;
     pub use crate::settings::SettingsError;
     pub use crate::task::{DataSource, ModelKind, TaskSpec};
     pub use crate::variant::{AlgoSource, NoiseVariant};
     pub use hwsim::{Device, ExecutionContext, ExecutionMode, OpClass};
+    pub use nnet::trainer::FitOptions;
 }

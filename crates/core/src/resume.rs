@@ -41,8 +41,9 @@ use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
 use hwsim::Device;
+pub use nnet::checkpoint::write_atomic;
 use nnet::checkpoint::Checkpoint;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a persisted replica result ("NSRR").
@@ -285,21 +286,6 @@ pub(crate) fn decode_result(bytes: &[u8]) -> io::Result<ReplicaResult> {
     })
 }
 
-/// Writes `bytes` atomically (tmp + fsync + rename), so an interrupt
-/// mid-write never leaves a half-written file where a reader would look.
-/// Used for every durable artifact this crate publishes: checkpoint-store
-/// cells here, and (via [`crate::report::save_json`]) the `results/*.json`
-/// reports.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
 pub(crate) fn status_line(status: &ReplicaStatus) -> String {
     match status {
         ReplicaStatus::Ok => "ok".into(),
@@ -377,8 +363,9 @@ pub(crate) fn write_manifest(
 #[allow(clippy::float_cmp)]
 pub(crate) mod tests {
     use super::*;
-    use crate::runner::{run_cell, run_replica_with, run_variant, PreparedTask, ReplicaOptions};
+    use crate::runner::{run_cell, run_replica_with, run_variant, PreparedTask};
     use crate::task::{DataSource, TaskSpec};
+    use nnet::trainer::FitOptions;
     use nsdata::GaussianSpec;
 
     fn tiny_task() -> TaskSpec {
@@ -589,9 +576,10 @@ pub(crate) mod tests {
             NoiseVariant::Impl,
             &settings,
             0,
-            ReplicaOptions {
+            0,
+            FitOptions {
                 sink: Some(&mut sink),
-                ..ReplicaOptions::default()
+                ..FitOptions::default()
             },
         )
         .expect("probe replica");

@@ -279,40 +279,6 @@ impl VariantRuns {
     }
 }
 
-/// How often a replica with a checkpoint sink emits a checkpoint.
-const CHECKPOINT_EVERY_EPOCHS: u32 = 1;
-
-/// Knobs for one supervised replica execution, beyond the cell identity.
-#[derive(Default)]
-pub struct ReplicaOptions<'a> {
-    /// Which retry this is (0 = first execution); selects the chaos fault
-    /// schedule for transient-fault configs.
-    pub attempt: u32,
-    /// Resume mid-training from this checkpoint.
-    pub resume: Option<&'a Checkpoint>,
-    /// Receives a checkpoint after every completed epoch (typically:
-    /// persist to disk).
-    pub sink: Option<&'a mut dyn FnMut(&Checkpoint)>,
-    /// Invoke `progress` every N completed optimizer steps (0 disables).
-    /// Pure observation — see [`nnet::trainer::FitOptions`].
-    pub progress_every_steps: u32,
-    /// Receives the global step count at each progress interval (fleet
-    /// workers emit liveness heartbeats from here).
-    pub progress: Option<&'a mut dyn FnMut(u64)>,
-}
-
-impl std::fmt::Debug for ReplicaOptions<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplicaOptions")
-            .field("attempt", &self.attempt)
-            .field("resume", &self.resume.map(|c| c.epochs_done))
-            .field("sink", &self.sink.is_some())
-            .field("progress_every_steps", &self.progress_every_steps)
-            .field("progress", &self.progress.is_some())
-            .finish()
-    }
-}
-
 /// Trains one replica of a task on a device under a variant.
 ///
 /// Every seed (algorithmic streams, scheduler entropy, chaos schedule) is
@@ -338,12 +304,15 @@ pub fn run_replica(
         variant,
         settings,
         replica,
-        ReplicaOptions::default(),
+        0,
+        FitOptions::default(),
     )
 }
 
-/// [`run_replica`] with supervision knobs: retry attempt selection and
-/// checkpoint/resume wiring.
+/// [`run_replica`] as retry `attempt` (0 = first execution; it selects the
+/// chaos fault schedule for transient-fault configs), with `opts` handed to
+/// [`Trainer::fit_with`]: resume from a checkpoint, a sink that receives a
+/// checkpoint after every epoch, and a progress hook.
 ///
 /// # Errors
 ///
@@ -354,7 +323,8 @@ pub fn run_replica_with(
     variant: NoiseVariant,
     settings: &ExperimentSettings,
     replica: u32,
-    opts: ReplicaOptions<'_>,
+    attempt: u32,
+    opts: FitOptions<'_>,
 ) -> Result<ReplicaResult, TrainError> {
     let spec = &prepared.spec;
     // Each algorithmic stream is seeded per replica when the variant
@@ -371,7 +341,7 @@ pub fn run_replica_with(
     let per_epoch = prepared.train_set().len().div_ceil(train.batch_size).max(1) as u64;
     let horizon = u64::from(train.epochs) * per_epoch;
     let chaos = settings.chaos.as_ref().map_or_else(FaultPlan::none, |cfg| {
-        FaultPlan::build(cfg, replica, opts.attempt, horizon)
+        FaultPlan::build(cfg, replica, attempt, horizon)
     });
     let mut exec = ExecutionContext::builder(*device)
         .mode(variant.exec_mode())
@@ -389,13 +359,7 @@ pub fn run_replica_with(
         &mut exec,
         &algo,
         if spec.augment { Some(&augment) } else { None },
-        FitOptions {
-            resume: opts.resume,
-            checkpoint_every_epochs: opts.sink.as_ref().map_or(0, |_| CHECKPOINT_EVERY_EPOCHS),
-            sink: opts.sink,
-            progress_every_steps: opts.progress_every_steps,
-            progress: opts.progress,
-        },
+        opts,
     )?;
 
     let test = prepared.test_set();
@@ -483,11 +447,11 @@ fn in_process_attempt(
             variant,
             settings,
             replica,
-            ReplicaOptions {
-                attempt,
+            attempt,
+            FitOptions {
                 resume: resume_from.as_ref(),
                 sink: durable.map(|_| &mut sink as &mut dyn FnMut(&Checkpoint)),
-                ..ReplicaOptions::default()
+                ..FitOptions::default()
             },
         )
     }));

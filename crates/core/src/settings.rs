@@ -112,6 +112,14 @@ pub enum SettingsError {
         /// Configured watchdog window in milliseconds.
         worker_timeout_ms: u64,
     },
+    /// A numeric environment variable is set to a value that does not
+    /// parse as its type.
+    MalformedEnv {
+        /// The variable, e.g. `NS_REPLICAS`.
+        name: &'static str,
+        /// Its raw value.
+        value: String,
+    },
 }
 
 impl std::fmt::Display for SettingsError {
@@ -155,6 +163,9 @@ impl std::fmt::Display for SettingsError {
                  watchdog window ({worker_timeout_ms} ms); raise NS_WORKER_TIMEOUT or \
                  lower NS_HEARTBEAT_EVERY"
             ),
+            SettingsError::MalformedEnv { name, value } => {
+                write!(f, "{name}={value:?} is not a valid number")
+            }
         }
     }
 }
@@ -169,56 +180,48 @@ impl ExperimentSettings {
     /// (chaos-injection schedule, see [`hwsim::ChaosConfig::parse`]),
     /// `NS_WORKER_TIMEOUT` (fleet watchdog window, in seconds), and
     /// `NS_HEARTBEAT_EVERY` (fleet heartbeat interval, in steps).
-    pub fn from_env() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`SettingsError::MalformedEnv`] when a numeric variable is set but
+    /// does not parse: a typo must not silently run the default budget.
+    /// `NS_CHAOS` keeps its own ignore-with-warning behaviour.
+    pub fn from_env() -> Result<Self, SettingsError> {
         let mut s = Self::default();
         if let Ok(v) = std::env::var("NS_REPLICAS") {
-            if let Ok(n) = v.parse() {
-                s.replicas = n;
-            }
+            s.replicas = v.parse().map_err(|_| malformed("NS_REPLICAS", v))?;
         }
         if let Ok(v) = std::env::var("NS_SEED") {
-            if let Ok(n) = v.parse() {
-                s.base_seed = n;
-            }
+            s.base_seed = v.parse().map_err(|_| malformed("NS_SEED", v))?;
         }
         if let Ok(v) = std::env::var("NS_AMP_ULPS") {
-            if let Ok(n) = v.parse() {
-                s.amp_ulps = n;
-            }
+            s.amp_ulps = v.parse().map_err(|_| malformed("NS_AMP_ULPS", v))?;
         }
         if let Ok(v) = std::env::var("NS_EPOCHS_SCALE") {
-            if let Ok(n) = v.parse() {
-                s.epochs_scale = n;
-            }
+            s.epochs_scale = v.parse().map_err(|_| malformed("NS_EPOCHS_SCALE", v))?;
         }
         if let Ok(v) = std::env::var("NS_EXEC_THREADS") {
-            if let Ok(n) = v.parse::<usize>() {
-                s.exec_threads = n.max(1);
-            }
+            let n: usize = v.parse().map_err(|_| malformed("NS_EXEC_THREADS", v))?;
+            s.exec_threads = n.max(1);
         }
         if let Ok(v) = std::env::var("NS_RETRIES") {
-            if let Ok(n) = v.parse() {
-                s.retry_budget = n;
-            }
+            s.retry_budget = v.parse().map_err(|_| malformed("NS_RETRIES", v))?;
         }
         if let Some(cfg) = ChaosConfig::from_env() {
             s.chaos = Some(cfg);
         }
         if let Ok(v) = std::env::var("NS_WORKER_TIMEOUT") {
-            if let Ok(secs) = v.parse::<u64>() {
-                s.worker_timeout_ms = secs.saturating_mul(1000);
-            }
+            let secs: u64 = v.parse().map_err(|_| malformed("NS_WORKER_TIMEOUT", v))?;
+            s.worker_timeout_ms = secs.saturating_mul(1000);
         }
         if let Ok(v) = std::env::var("NS_HEARTBEAT_EVERY") {
-            if let Ok(n) = v.parse() {
-                s.heartbeat_every_steps = n;
-            }
+            s.heartbeat_every_steps = v.parse().map_err(|_| malformed("NS_HEARTBEAT_EVERY", v))?;
         }
         if std::env::var("NS_QUICK").map(|v| v == "1").unwrap_or(false) {
             s.replicas = s.replicas.min(3);
             s.epochs_scale *= 0.5;
         }
-        s
+        Ok(s)
     }
 
     /// Checks the settings for configurations that cannot run: zero
@@ -285,6 +288,11 @@ impl ExperimentSettings {
     pub fn scale_epochs(&self, epochs: u32) -> u32 {
         ((epochs as f32 * self.epochs_scale).round() as u32).max(1)
     }
+}
+
+/// The error for environment variable `name` set to the unparsable `value`.
+fn malformed(name: &'static str, value: String) -> SettingsError {
+    SettingsError::MalformedEnv { name, value }
 }
 
 #[cfg(test)]

@@ -289,20 +289,14 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the checkpoint atomically (temp file + rename), so a crash
-    /// mid-write never leaves a torn checkpoint for resume to trip over.
+    /// Writes the checkpoint with [`write_atomic`], so a crash mid-write
+    /// never leaves a torn checkpoint for resume to trip over.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&self.to_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        write_atomic(path, &self.to_bytes())
     }
 
     /// Loads a checkpoint written by [`Checkpoint::save`].
@@ -316,6 +310,24 @@ impl Checkpoint {
         Self::from_bytes(&bytes)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
+}
+
+/// Writes `bytes` atomically (tmp + fsync + rename), so an interrupt
+/// mid-write never leaves a half-written file where a reader would look.
+/// Every durable artifact of the workspace goes through it: checkpoints,
+/// checkpoint-store cells and the `results/*.json` reports.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]

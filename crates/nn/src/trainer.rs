@@ -261,9 +261,8 @@ pub struct TrainReport {
 pub struct FitOptions<'a> {
     /// Resume from this snapshot instead of starting at epoch 0.
     pub resume: Option<&'a Checkpoint>,
-    /// Emit a checkpoint to `sink` every N completed epochs (0 disables).
-    pub checkpoint_every_epochs: u32,
-    /// Receives each emitted checkpoint (typically: persist it to disk).
+    /// Receives a checkpoint after every completed epoch (typically:
+    /// persist it to disk).
     pub sink: Option<&'a mut dyn FnMut(&Checkpoint)>,
     /// Invoke `progress` after every N completed optimizer steps
     /// (0 disables). Pure observation: the hook sees the global step
@@ -278,7 +277,6 @@ impl fmt::Debug for FitOptions<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FitOptions")
             .field("resume", &self.resume.map(|c| c.epochs_done))
-            .field("checkpoint_every_epochs", &self.checkpoint_every_epochs)
             .field("sink", &self.sink.is_some())
             .field("progress_every_steps", &self.progress_every_steps)
             .field("progress", &self.progress.is_some())
@@ -341,8 +339,8 @@ impl Trainer {
     /// epoch boundary; because a replica is a pure function of its seeds
     /// and the checkpoint captures every RNG cursor byte-exactly, the
     /// resumed continuation is bitwise identical to the uninterrupted run.
-    /// With `opts.checkpoint_every_epochs > 0`, a [`Checkpoint`] is handed
-    /// to `opts.sink` at each matching epoch boundary.
+    /// With `opts.sink` set, a [`Checkpoint`] is handed to it at every
+    /// epoch boundary.
     ///
     /// # Errors
     ///
@@ -461,21 +459,19 @@ impl Trainer {
                 }
             }
             epoch_losses.push((loss_sum / batches.max(1) as f64) as f32);
-            if opts.checkpoint_every_epochs > 0 && (epoch + 1) % opts.checkpoint_every_epochs == 0 {
-                if let Some(sink) = opts.sink.as_mut() {
-                    let ck = capture_checkpoint(
-                        epoch + 1,
-                        step,
-                        &epoch_losses,
-                        net,
-                        &opt,
-                        exec,
-                        &shuffle_rng,
-                        &augment_rng,
-                        &order,
-                    );
-                    sink(&ck);
-                }
+            if let Some(sink) = opts.sink.as_mut() {
+                let ck = capture_checkpoint(
+                    epoch + 1,
+                    step,
+                    &epoch_losses,
+                    net,
+                    &opt,
+                    exec,
+                    &shuffle_rng,
+                    &augment_rng,
+                    &order,
+                );
+                sink(&ck);
             }
         }
         // Training is over: stop injecting faults so evaluation passes run
@@ -884,8 +880,6 @@ mod tests {
                 &root,
                 None,
                 FitOptions {
-                    resume: None,
-                    checkpoint_every_epochs: 3,
                     sink: Some(&mut sink),
                     ..FitOptions::default()
                 },
@@ -905,8 +899,6 @@ mod tests {
                 None,
                 FitOptions {
                     resume: Some(&ck),
-                    checkpoint_every_epochs: 0,
-                    sink: None,
                     ..FitOptions::default()
                 },
             )
@@ -943,8 +935,6 @@ mod tests {
             &root,
             None,
             FitOptions {
-                resume: None,
-                checkpoint_every_epochs: 1,
                 sink: Some(&mut sink),
                 ..FitOptions::default()
             },
@@ -964,8 +954,6 @@ mod tests {
             None,
             FitOptions {
                 resume: Some(&ck),
-                checkpoint_every_epochs: 0,
-                sink: None,
                 ..FitOptions::default()
             },
         )

@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# The full local CI gate — the same steps .github/workflows/ci.yml runs.
+# The local CI gate: the steps of the `test` and `noisebench` jobs in
+# .github/workflows/ci.yml. The `chaos` and `fleet` jobs (quick `repro`
+# runs under injected faults and in worker processes) are left to CI.
 # Run from anywhere inside the repository.
 set -euo pipefail
 

@@ -41,9 +41,10 @@ fn golden_interrupt_resume_is_bitwise_identical_on_cpu_and_gpu() {
             NoiseVariant::Impl,
             &settings,
             0,
-            ReplicaOptions {
+            0,
+            FitOptions {
                 sink: Some(&mut sink),
-                ..ReplicaOptions::default()
+                ..FitOptions::default()
             },
         )
         .expect("checkpointing replica trains");
@@ -56,9 +57,10 @@ fn golden_interrupt_resume_is_bitwise_identical_on_cpu_and_gpu() {
             NoiseVariant::Impl,
             &settings,
             0,
-            ReplicaOptions {
+            0,
+            FitOptions {
                 resume: Some(&ck),
-                ..ReplicaOptions::default()
+                ..FitOptions::default()
             },
         )
         .expect("resumed replica trains");
