@@ -9,7 +9,9 @@
 //!
 //! Figure 3 is produced by `table5`. An unknown id, a flag with no
 //! value, or a malformed or invalid environment knob exits 2 before
-//! anything is written under `--out`.
+//! anything is written under `--out`; so does an `--out` that cannot be
+//! created. A result file that cannot be written is reported and the
+//! remaining experiments still run; the exit status is then 1.
 //!
 //! Environment knobs (see `noisescope::settings`): `NS_REPLICAS`,
 //! `NS_SEED`, `NS_AMP_ULPS`, `NS_EPOCHS_SCALE`, `NS_EXEC_THREADS`,
@@ -27,8 +29,7 @@
 //! force recomputation.
 //!
 //! `--fleet <procs>` runs the replicas of every training experiment
-//! except the lanes sweep (its synthetic devices cannot be shipped by
-//! name) **process-isolated** (`procs` concurrent workers; 0 = host
+//! **process-isolated** (`procs` concurrent workers; 0 = host
 //! parallelism): this binary re-executes itself in a hidden `--worker`
 //! mode, one process per replica attempt, under a heartbeat watchdog that
 //! kills and re-dispatches hung or crashed workers. Either way every cell
@@ -101,7 +102,7 @@ fn main() {
                 println!(
                     "repro [--exp <id>]... [--out <dir>] [--fleet <procs>]\n  ids: {EXP_IDS}\n  \
                      --fleet <procs>: process-isolated replicas for every training experiment \
-                     except the lanes sweep (0 = host parallelism)"
+                     (0 = host parallelism)"
                 );
                 return;
             }
@@ -133,7 +134,10 @@ fn main() {
             eprintln!("invalid configuration: {e}");
             std::process::exit(2);
         });
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        eprintln!("cannot create output directory {}: {e}", out_dir.display());
+        std::process::exit(2);
+    }
     // Durable fleet progress: interrupted experiments resume from here.
     let store = CheckpointStore::for_settings(out_dir.join(".ckpt"), &settings);
     println!(
@@ -142,12 +146,20 @@ fn main() {
     );
     eprintln!("checkpoint store: {}", store.root().display());
     if fleet.is_some() {
-        eprintln!("fleet mode: replicas run in worker processes (lanes sweep in process)");
+        eprintln!("fleet mode: replicas run in worker processes");
     }
-    let save = |name: &str, json: &serde_json::Value| {
+    // A result that cannot be written costs that file, not the
+    // experiments still to run; the exit status reports it at the end.
+    let mut unsaved = false;
+    let mut save = |name: &str, json: &serde_json::Value| {
         let path = out_dir.join(format!("{name}.json"));
-        noisescope::report::save_json(&path, json).expect("write result file");
-        eprintln!("  wrote {}", path.display());
+        match noisescope::report::save_json(&path, json) {
+            Ok(()) => eprintln!("  wrote {}", path.display()),
+            Err(e) => {
+                eprintln!("{name}.json not written: {e}");
+                unsaved = true;
+            }
+        }
     };
     let t0 = Instant::now();
 
@@ -273,7 +285,7 @@ fn main() {
             }
             Err(e) => eprintln!("ext_data_parallel skipped: {e}"),
         }
-        match extensions::lanes_sweep(&settings, store) {
+        match extensions::lanes_sweep(&settings, store, fleet) {
             Ok(lanes) => {
                 println!("{}", extensions::render_lanes(&lanes));
                 save("ext_lanes", &serde_json::to_value(&lanes).unwrap());
@@ -365,4 +377,7 @@ fn main() {
     }
 
     eprintln!("total {:.1}s", t0.elapsed().as_secs_f32());
+    if unsaved {
+        std::process::exit(1);
+    }
 }

@@ -15,6 +15,7 @@
 //!   entries and an `[INCOMPLETE ...]` report — never a supervisor error.
 
 use hwsim::chaos::ChaosConfig;
+use hwsim::Architecture;
 use noisescope::prelude::*;
 use std::path::PathBuf;
 
@@ -113,20 +114,25 @@ fn fleet_run_is_bit_identical_to_in_process() {
         worker_timeout_ms: 60_000,
         ..ExperimentSettings::default()
     };
-    let fleet = run_variant_fleet(
-        &prepared,
-        &Device::cpu(),
-        NoiseVariant::AlgoImpl,
-        &settings,
-        &scratch.0,
-        1,
-        &repro_fleet(),
-    )
-    .expect("fleet run");
-    assert!(fleet.statuses.iter().all(|s| *s == ReplicaStatus::Ok));
+    // A preset, and a custom device like the lanes sweep's: both cross
+    // the worker boundary whole.
+    let sweep_gpu = Device::custom("SWEEP-GPU", Architecture::Volta, 640, false, false, 14.9);
+    for device in [Device::cpu(), sweep_gpu] {
+        let fleet = run_variant_fleet(
+            &prepared,
+            &device,
+            NoiseVariant::AlgoImpl,
+            &settings,
+            &scratch.0,
+            1,
+            &repro_fleet(),
+        )
+        .unwrap_or_else(|e| panic!("fleet run on {}: {e}", device.name()));
+        assert!(fleet.statuses.iter().all(|s| *s == ReplicaStatus::Ok));
 
-    let golden = run_variant(&prepared, &Device::cpu(), NoiseVariant::AlgoImpl, &settings);
-    assert_bit_identical(&fleet, &golden);
+        let golden = run_variant(&prepared, &device, NoiseVariant::AlgoImpl, &settings);
+        assert_bit_identical(&fleet, &golden);
+    }
 }
 
 #[test]
@@ -243,4 +249,29 @@ fn exhausted_retry_budget_degrades_into_incomplete_report() {
         line.contains("[INCOMPLETE"),
         "summary must flag the incomplete fleet: {line}"
     );
+}
+
+#[test]
+fn a_worker_without_a_decodable_spec_line_exits_2() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    for input in ["", "not json\n", "{}\n"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("--worker")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn worker");
+        child
+            .stdin
+            .take()
+            .expect("stdin piped")
+            .write_all(input.as_bytes())
+            .expect("write spec");
+        let out = child.wait_with_output().expect("worker exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{input:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{input:?}: no frame without a spec");
+    }
 }

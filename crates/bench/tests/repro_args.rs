@@ -1,5 +1,6 @@
 //! Command-line and environment errors in the `repro` binary exit 2
-//! before any experiment runs or anything is written under `--out`.
+//! before any experiment runs or anything is written under `--out`; a
+//! result file that cannot be written exits 1 after the run, naming it.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -121,4 +122,46 @@ fn well_formed_numeric_env_knobs_run() {
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert_eq!(run.status.code(), Some(0), "{stderr}");
     assert!(out.join("table3.json").is_file(), "{stderr}");
+}
+
+#[test]
+fn an_out_dir_that_cannot_be_created_exits_2_naming_it() {
+    let scratch = empty_dir("repro_uncreatable_out");
+    let file = scratch.join("file");
+    std::fs::write(&file, b"a regular file").expect("plant a file");
+    let out = file.join("out");
+    let run = repro(
+        &scratch,
+        &[
+            "--exp",
+            "table3",
+            "--out",
+            out.to_str().expect("utf-8 path"),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(&*out.to_string_lossy()), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn an_unwritable_result_file_exits_1_naming_it() {
+    let scratch = empty_dir("repro_unwritable_result");
+    let out = scratch.join("out");
+    // A directory where the result file should go: the rename onto it fails.
+    std::fs::create_dir_all(out.join("table3.json")).expect("plant a directory");
+    let run = repro(
+        &scratch,
+        &[
+            "--exp",
+            "table3",
+            "--out",
+            out.to_str().expect("utf-8 path"),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("table3.json not written"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -83,11 +83,8 @@ pub struct LanesPoint {
 
 /// Sweeps a synthetic GPU's core count under IMPL-only noise (everything
 /// else — throughput model, architecture family — held fixed), one
-/// [`run_cell`] per core count with `store`.
-///
-/// The sweep always runs in process: its devices come from
-/// [`Device::custom`], whose `&'static str` name cannot cross the fleet
-/// wire, which ships devices by preset name.
+/// [`run_cell`] per core count with `store` and `fleet`. The
+/// [`Device::custom`] devices cross the fleet wire like the presets.
 ///
 /// # Errors
 ///
@@ -95,6 +92,7 @@ pub struct LanesPoint {
 pub fn lanes_sweep(
     settings: &ExperimentSettings,
     store: Option<&CheckpointStore>,
+    fleet: Option<&FleetOptions>,
 ) -> Result<Vec<LanesPoint>, ExperimentError> {
     let task = TaskSpec::small_cnn_cifar10();
     let prepared = PreparedTask::prepare(&task);
@@ -104,7 +102,7 @@ pub fn lanes_sweep(
         .map(|cores| {
             let device =
                 Device::custom("SWEEP-GPU", Architecture::Volta, cores, false, false, 14.9);
-            let runs = run_cell(&prepared, &device, variant, settings, store, None)?;
+            let runs = run_cell(&prepared, &device, variant, settings, store, fleet)?;
             Ok(LanesPoint {
                 cuda_cores: cores,
                 lanes: device.lanes(),

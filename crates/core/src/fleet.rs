@@ -39,45 +39,52 @@
 //! bit-for-bit. The fleet end-to-end tests and the CI golden comparison
 //! assert exactly this.
 //!
-//! Wire format (all integers little-endian):
+//! Wire format. The supervisor writes the [`ReplicaSpec`] to the worker's
+//! stdin as one line of compact JSON, made by the types' own serde
+//! derives: every finite float round-trips exactly, and
+//! [`ExperimentSettings::validate`] rejects non-finite ones. Frames run
+//! worker → supervisor only (all integers little-endian):
 //!
 //! ```text
 //! frame  := magic:u32 version:u32 len:u32 payload[len]
 //! payload:= tag:u8 body
-//! tags   : 1 spec, 2 heartbeat, 3 result, 4 fault
+//! tags   : 2 heartbeat, 3 result, 4 fault
 //! ```
 //!
-//! The decoder treats anything malformed — bad magic, unknown version,
-//! oversized length, undecodable payload — as corruption and resynchronizes
-//! by scanning forward one byte at a time, so a torn or garbled stream
-//! degrades into skipped bytes, never a wedged supervisor.
+//! Frames stay binary: result weights must cross byte-exact, and the
+//! supervisor never runs the JSON parser (recursive descent, no depth
+//! bound) on bytes a worker wrote. The decoder treats anything malformed
+//! — bad magic, unknown version, oversized length, undecodable payload —
+//! as corruption and resynchronizes by scanning forward one byte at a
+//! time, so a torn or garbled stream degrades into skipped bytes, never a
+//! wedged supervisor.
 
 use crate::resume::{self, bad, CheckpointStore, Reader};
 use crate::runner::{
     run_cell, run_replica_with, AttemptOutcome, PreparedTask, ReplicaResult, VariantRuns,
 };
 use crate::settings::ExperimentSettings;
-use crate::task::{DataSource, ModelKind, TaskSpec};
-use crate::variant::{AlgoSource, NoiseVariant};
-use hwsim::{ChaosConfig, Device};
+use crate::task::TaskSpec;
+use crate::variant::NoiseVariant;
+use hwsim::Device;
 use nnet::checkpoint::Checkpoint;
-use nnet::schedule::LrSchedule;
-use nnet::trainer::{FitOptions, TrainConfig};
+use nnet::trainer::FitOptions;
+use serde::{Deserialize, Serialize};
 use std::ffi::OsString;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Magic prefix of every IPC frame ("NSFL").
 pub const FRAME_MAGIC: u32 = 0x4E53_464C;
 /// Wire-protocol version; a mismatch is treated as corruption.
-pub const PROTOCOL_VERSION: u32 = 2;
-/// Upper bound on a frame payload. A length above this is corruption
-/// (a real result frame is a few hundred KiB), and capping it keeps a
-/// garbled length field from triggering a giant allocation.
+pub const PROTOCOL_VERSION: u32 = 3;
+/// Upper bound on a frame payload, and on the spec line a worker reads.
+/// A length above this is corruption (a real result frame is a few
+/// hundred KiB), and capping it keeps a garbled length field from
+/// triggering a giant allocation.
 pub const MAX_FRAME_LEN: u32 = 256 << 20;
 
-const TAG_SPEC: u8 = 1;
 const TAG_HEARTBEAT: u8 = 2;
 const TAG_RESULT: u8 = 3;
 const TAG_FAULT: u8 = 4;
@@ -117,18 +124,18 @@ pub mod clock {
 }
 
 // ---------------------------------------------------------------------------
-// Frame types
+// Wire types
 // ---------------------------------------------------------------------------
 
 /// Everything a worker process needs to run one `(replica, attempt)`,
-/// shipped supervisor → worker as the first (and only) stdin frame.
-#[derive(Debug, Clone)]
+/// written supervisor → worker as one JSON line on stdin.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReplicaSpec {
     /// The task to train.
     pub task: TaskSpec,
-    /// Preset device name (see [`device_by_name`]); fleet mode does not
-    /// support custom devices because [`Device`] holds a `&'static str`.
-    pub device_name: String,
+    /// The device, every field of it: presets and [`Device::custom`]
+    /// devices cross the wire alike.
+    pub device: Device,
     /// The noise variant.
     pub variant: NoiseVariant,
     /// Full experiment settings (the worker derives every seed from
@@ -141,8 +148,9 @@ pub struct ReplicaSpec {
     pub attempt: u32,
     /// The [`CheckpointStore`] cell directory: the worker resumes from
     /// its durable checkpoint here and saves a new one after every epoch.
-    /// Must be valid UTF-8 (checked by the supervisor before dispatch).
-    pub cell_dir: PathBuf,
+    /// A `String` because the supervisor rejects a non-UTF-8 store path
+    /// before dispatch.
+    pub cell_dir: String,
 }
 
 /// Worker liveness proof, emitted every
@@ -170,17 +178,15 @@ pub struct WorkerFault {
     pub reason: String,
 }
 
-/// One IPC frame.
+/// One worker → supervisor IPC frame.
 #[derive(Debug, Clone)]
 pub enum Frame {
-    /// Supervisor → worker: the work order.
-    Spec(Box<ReplicaSpec>),
-    /// Worker → supervisor: liveness.
+    /// Liveness.
     Heartbeat(Heartbeat),
-    /// Worker → supervisor: the finished replica (byte-exact floats, the
-    /// same codec [`crate::resume`] persists).
+    /// The finished replica (byte-exact floats, the same codec
+    /// [`crate::resume`] persists).
     Result(Box<ReplicaResult>),
-    /// Worker → supervisor: a graceful training failure.
+    /// A graceful training failure.
     Fault(WorkerFault),
 }
 
@@ -188,9 +194,17 @@ pub enum Frame {
 // Codec
 // ---------------------------------------------------------------------------
 
-/// Little-endian payload writer. Field order *is* the codec: encode and
-/// decode below must visit fields identically, which the round-trip
-/// tests (unit + property) pin down.
+/// Writes `spec` as one line of compact JSON: the worker reads exactly
+/// one line, so it never depends on when the pipe closes.
+fn write_spec(w: &mut impl Write, spec: &ReplicaSpec) -> io::Result<()> {
+    let mut line = serde_json::to_string(spec).map_err(|e| bad(&e.to_string()))?;
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.flush()
+}
+
+/// Little-endian frame payload writer; [`decode_payload`] must visit
+/// fields in the same order, which the round-trip tests pin down.
 #[derive(Default)]
 struct Enc {
     buf: Vec<u8>,
@@ -206,340 +220,15 @@ impl Enc {
     fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn size(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    /// Bit-exact float (`to_bits`): text formatting cannot promise
-    /// bit-identity, so no float ever crosses the wire as text.
-    fn f32b(&mut self, v: f32) {
-        self.u32(v.to_bits());
-    }
-    fn flag(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
     fn str(&mut self, s: &str) {
-        self.size(s.len());
+        self.u64(s.len() as u64);
         self.buf.extend_from_slice(s.as_bytes());
     }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-}
-
-fn enc_model(e: &mut Enc, m: &ModelKind) {
-    match *m {
-        ModelKind::SmallCnn { with_bn } => {
-            e.u8(0);
-            e.flag(with_bn);
-        }
-        ModelKind::SmallCnnDropout { rate } => {
-            e.u8(1);
-            e.f32b(rate);
-        }
-        ModelKind::MicroResNet18 => e.u8(2),
-        ModelKind::MicroResNet50 => e.u8(3),
-        ModelKind::MicroResNetBottleneck => e.u8(4),
-        ModelKind::LeNet5 => e.u8(5),
-        ModelKind::MediumCnn { k } => {
-            e.u8(6);
-            e.size(k);
-        }
-    }
-}
-
-fn dec_model(d: &mut Reader<'_>) -> io::Result<ModelKind> {
-    Ok(match d.u8()? {
-        0 => ModelKind::SmallCnn { with_bn: d.flag()? },
-        1 => ModelKind::SmallCnnDropout { rate: d.f32b()? },
-        2 => ModelKind::MicroResNet18,
-        3 => ModelKind::MicroResNet50,
-        4 => ModelKind::MicroResNetBottleneck,
-        5 => ModelKind::LeNet5,
-        6 => ModelKind::MediumCnn { k: d.size()? },
-        t => return Err(bad(&format!("unknown model tag {t}"))),
-    })
-}
-
-fn enc_data(e: &mut Enc, data: &DataSource) {
-    match data {
-        DataSource::Gaussian(g) => {
-            e.u8(0);
-            e.size(g.classes);
-            e.size(g.superclasses);
-            e.size(g.hw);
-            e.size(g.channels);
-            e.size(g.train_per_class);
-            e.size(g.test_per_class);
-            e.f32b(g.class_sep);
-            e.f32b(g.super_sep);
-            e.f32b(g.noise_std);
-            e.f32b(g.label_noise);
-            e.u64(g.seed);
-        }
-        DataSource::Celeba(c) => {
-            e.u8(1);
-            e.size(c.train_len);
-            e.size(c.test_len);
-            e.size(c.hw);
-            e.size(c.channels);
-            e.f32b(c.signal);
-            e.f32b(c.noise_std);
-            e.u64(c.seed);
-        }
-    }
-}
-
-fn dec_data(d: &mut Reader<'_>) -> io::Result<DataSource> {
-    Ok(match d.u8()? {
-        0 => DataSource::Gaussian(nsdata::GaussianSpec {
-            classes: d.size()?,
-            superclasses: d.size()?,
-            hw: d.size()?,
-            channels: d.size()?,
-            train_per_class: d.size()?,
-            test_per_class: d.size()?,
-            class_sep: d.f32b()?,
-            super_sep: d.f32b()?,
-            noise_std: d.f32b()?,
-            label_noise: d.f32b()?,
-            seed: d.u64()?,
-        }),
-        1 => DataSource::Celeba(nsdata::CelebaSpec {
-            train_len: d.size()?,
-            test_len: d.size()?,
-            hw: d.size()?,
-            channels: d.size()?,
-            signal: d.f32b()?,
-            noise_std: d.f32b()?,
-            seed: d.u64()?,
-        }),
-        t => return Err(bad(&format!("unknown data tag {t}"))),
-    })
-}
-
-fn enc_schedule(e: &mut Enc, s: &LrSchedule) {
-    match *s {
-        LrSchedule::Constant { lr } => {
-            e.u8(0);
-            e.f32b(lr);
-        }
-        LrSchedule::StepDecay {
-            base_lr,
-            factor,
-            every,
-        } => {
-            e.u8(1);
-            e.f32b(base_lr);
-            e.f32b(factor);
-            e.u32(every);
-        }
-        LrSchedule::WarmupCosine {
-            base_lr,
-            warmup_epochs,
-            total_epochs,
-        } => {
-            e.u8(2);
-            e.f32b(base_lr);
-            e.u32(warmup_epochs);
-            e.u32(total_epochs);
-        }
-    }
-}
-
-fn dec_schedule(d: &mut Reader<'_>) -> io::Result<LrSchedule> {
-    Ok(match d.u8()? {
-        0 => LrSchedule::Constant { lr: d.f32b()? },
-        1 => LrSchedule::StepDecay {
-            base_lr: d.f32b()?,
-            factor: d.f32b()?,
-            every: d.u32()?,
-        },
-        2 => LrSchedule::WarmupCosine {
-            base_lr: d.f32b()?,
-            warmup_epochs: d.u32()?,
-            total_epochs: d.u32()?,
-        },
-        t => return Err(bad(&format!("unknown schedule tag {t}"))),
-    })
-}
-
-fn enc_train(e: &mut Enc, t: &TrainConfig) {
-    e.u32(t.epochs);
-    e.size(t.batch_size);
-    enc_schedule(e, &t.schedule);
-    e.f32b(t.sgd.momentum);
-    e.f32b(t.sgd.weight_decay);
-    e.flag(t.shuffle);
-    e.opt_u64(t.shuffle_seed_override);
-    e.size(t.data_parallel_workers);
-    e.opt_u64(t.augment_seed_override);
-    e.opt_u64(t.dropout_seed_override);
-}
-
-fn dec_train(d: &mut Reader<'_>) -> io::Result<TrainConfig> {
-    Ok(TrainConfig {
-        epochs: d.u32()?,
-        batch_size: d.size()?,
-        schedule: dec_schedule(d)?,
-        sgd: nnet::optim::SgdConfig {
-            momentum: d.f32b()?,
-            weight_decay: d.f32b()?,
-        },
-        shuffle: d.flag()?,
-        shuffle_seed_override: d.opt_u64()?,
-        data_parallel_workers: d.size()?,
-        augment_seed_override: d.opt_u64()?,
-        dropout_seed_override: d.opt_u64()?,
-    })
-}
-
-fn enc_settings(e: &mut Enc, s: &ExperimentSettings) {
-    e.u32(s.replicas);
-    e.u64(s.base_seed);
-    e.u64(s.entropy_salt);
-    e.f32b(s.amp_ulps);
-    e.f32b(s.epochs_scale);
-    e.size(s.exec_threads);
-    e.u32(s.retry_budget);
-    match &s.chaos {
-        Some(c) => {
-            e.u8(1);
-            e.u64(c.seed);
-            e.u32(c.launch_failures);
-            e.u32(c.kernel_panics);
-            e.u32(c.nan_poisons);
-            e.u32(c.hangs);
-            e.u32(c.aborts);
-            e.u32(c.hang_ms);
-            e.flag(c.persistent);
-        }
-        None => e.u8(0),
-    }
-    e.u64(s.worker_timeout_ms);
-    e.u32(s.heartbeat_every_steps);
-}
-
-fn dec_settings(d: &mut Reader<'_>) -> io::Result<ExperimentSettings> {
-    Ok(ExperimentSettings {
-        replicas: d.u32()?,
-        base_seed: d.u64()?,
-        entropy_salt: d.u64()?,
-        amp_ulps: d.f32b()?,
-        epochs_scale: d.f32b()?,
-        exec_threads: d.size()?,
-        retry_budget: d.u32()?,
-        chaos: if d.flag()? {
-            Some(ChaosConfig {
-                seed: d.u64()?,
-                launch_failures: d.u32()?,
-                kernel_panics: d.u32()?,
-                nan_poisons: d.u32()?,
-                hangs: d.u32()?,
-                aborts: d.u32()?,
-                hang_ms: d.u32()?,
-                persistent: d.flag()?,
-            })
-        } else {
-            None
-        },
-        worker_timeout_ms: d.u64()?,
-        heartbeat_every_steps: d.u32()?,
-    })
-}
-
-fn enc_variant(e: &mut Enc, v: NoiseVariant) {
-    match v {
-        NoiseVariant::AlgoImpl => e.u8(0),
-        NoiseVariant::Algo => e.u8(1),
-        NoiseVariant::Impl => e.u8(2),
-        NoiseVariant::Control => e.u8(3),
-        NoiseVariant::AlgoOnly(source) => {
-            e.u8(4);
-            e.u8(source as u8);
-        }
-    }
-}
-
-fn dec_variant(d: &mut Reader<'_>) -> io::Result<NoiseVariant> {
-    Ok(match d.u8()? {
-        0 => NoiseVariant::AlgoImpl,
-        1 => NoiseVariant::Algo,
-        2 => NoiseVariant::Impl,
-        3 => NoiseVariant::Control,
-        4 => NoiseVariant::AlgoOnly(match d.u8()? {
-            0 => AlgoSource::Init,
-            1 => AlgoSource::Shuffle,
-            2 => AlgoSource::Augment,
-            3 => AlgoSource::Dropout,
-            t => return Err(bad(&format!("unknown algo source tag {t}"))),
-        }),
-        t => return Err(bad(&format!("unknown variant tag {t}"))),
-    })
-}
-
-fn enc_task(e: &mut Enc, t: &TaskSpec) {
-    e.str(&t.name);
-    enc_model(e, &t.model);
-    enc_data(e, &t.data);
-    enc_train(e, &t.train);
-    e.flag(t.augment);
-}
-
-/// The bytes a checkpoint-store cell is keyed by (see
-/// [`crate::resume`]): the task exactly as a worker receives it, every
-/// [`Device`] field, and the variant.
-pub(crate) fn cell_key(task: &TaskSpec, device: &Device, variant: NoiseVariant) -> Vec<u8> {
-    let mut e = Enc::default();
-    enc_task(&mut e, task);
-    // `Debug` spells out every field, so a new one joins the key.
-    e.str(&format!("{device:?}"));
-    enc_variant(&mut e, variant);
-    e.buf
-}
-
-fn enc_spec(e: &mut Enc, s: &ReplicaSpec) {
-    enc_task(e, &s.task);
-    e.str(&s.device_name);
-    enc_variant(e, s.variant);
-    enc_settings(e, &s.settings);
-    e.u32(s.replica);
-    e.u32(s.attempt);
-    // Checked UTF-8 before dispatch; a lossy fallback here can only hit
-    // paths the supervisor already rejected.
-    e.str(&s.cell_dir.to_string_lossy());
-}
-
-fn dec_spec(d: &mut Reader<'_>) -> io::Result<ReplicaSpec> {
-    Ok(ReplicaSpec {
-        task: TaskSpec {
-            name: d.str()?,
-            model: dec_model(d)?,
-            data: dec_data(d)?,
-            train: dec_train(d)?,
-            augment: d.flag()?,
-        },
-        device_name: d.str()?,
-        variant: dec_variant(d)?,
-        settings: dec_settings(d)?,
-        replica: d.u32()?,
-        attempt: d.u32()?,
-        cell_dir: PathBuf::from(d.str()?),
-    })
 }
 
 fn encode_payload(frame: &Frame) -> Vec<u8> {
     let mut e = Enc::default();
     match frame {
-        Frame::Spec(s) => {
-            e.u8(TAG_SPEC);
-            enc_spec(&mut e, s);
-        }
         Frame::Heartbeat(h) => {
             e.u8(TAG_HEARTBEAT);
             e.u32(h.replica);
@@ -565,7 +254,6 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
 fn decode_payload(payload: &[u8]) -> io::Result<Frame> {
     let mut d = Reader::new(payload);
     let frame = match d.u8()? {
-        TAG_SPEC => Frame::Spec(Box::new(dec_spec(&mut d)?)),
         TAG_HEARTBEAT => Frame::Heartbeat(Heartbeat {
             replica: d.u32()?,
             attempt: d.u32()?,
@@ -683,34 +371,17 @@ impl FrameDecoder {
     }
 }
 
-/// Resolves a [`Device`] preset by its display name. Fleet IPC encodes
-/// devices by name because [`Device`] holds a `&'static str`; custom
-/// devices are therefore unsupported in fleet mode (the supervisor
-/// rejects them before dispatch).
-pub fn device_by_name(name: &str) -> Option<Device> {
-    Some(match name {
-        "P100" => Device::p100(),
-        "V100" => Device::v100(),
-        "RTX5000" => Device::rtx5000(),
-        "RTX5000-TC" => Device::rtx5000_tensor_cores(),
-        "T4" => Device::t4(),
-        "TPUv2" => Device::tpu_v2(),
-        "CPU" => Device::cpu(),
-        _ => return None,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Worker
 // ---------------------------------------------------------------------------
 
 /// Entry point of the hidden `--worker` mode of the `repro` binary: runs
-/// exactly one `(replica, attempt)` from a [`ReplicaSpec`] frame on
+/// exactly one `(replica, attempt)` from a [`ReplicaSpec`] line on
 /// stdin and reports over stdout. Returns the process exit code.
 ///
 /// Exit codes: `0` — protocol complete (a result *or* a graceful
 /// [`WorkerFault`] was delivered); `2` — the worker could not even start
-/// (no spec, invalid spec, unknown device). Training panics are *not*
+/// (no spec, an undecodable or invalid spec). Training panics are *not*
 /// caught: the process dies with the standard panic exit code (101) or a
 /// signal, and the supervisor classifies that from the outside — that
 /// asymmetry is the entire point of process isolation.
@@ -725,17 +396,21 @@ pub fn worker_main() -> i32 {
 }
 
 fn worker_run() -> io::Result<()> {
-    let spec = read_spec_from_stdin()?;
+    let mut line = String::new();
+    io::stdin()
+        .lock()
+        .take(u64::from(MAX_FRAME_LEN))
+        .read_line(&mut line)?;
+    let spec: ReplicaSpec =
+        serde_json::from_str(&line).map_err(|e| bad(&format!("undecodable spec: {e}")))?;
     spec.settings
         .validate_for(&spec.task)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    let device = device_by_name(&spec.device_name)
-        .ok_or_else(|| bad(&format!("unknown device preset {:?}", spec.device_name)))?;
     let prepared = PreparedTask::prepare(&spec.task);
 
     // Resume from the cell's durable checkpoint if one survived a prior
     // (killed) attempt.
-    let ckpt = resume::ckpt_path(&spec.cell_dir, spec.replica);
+    let ckpt = resume::ckpt_path(Path::new(&spec.cell_dir), spec.replica);
     let resume_from = resume::load_checkpoint(&ckpt);
 
     let stdout = io::stdout();
@@ -761,7 +436,7 @@ fn worker_run() -> io::Result<()> {
 
     let outcome = run_replica_with(
         &prepared,
-        &device,
+        &spec.device,
         spec.variant,
         &spec.settings,
         replica,
@@ -782,28 +457,6 @@ fn worker_run() -> io::Result<()> {
         }),
     };
     write_frame(&mut stdout.lock(), &frame)
-}
-
-fn read_spec_from_stdin() -> io::Result<ReplicaSpec> {
-    let mut stdin = io::stdin().lock();
-    let mut dec = FrameDecoder::new();
-    let mut buf = [0u8; 8192];
-    loop {
-        if let Some(frame) = dec.next_frame() {
-            match frame {
-                Frame::Spec(s) => return Ok(*s),
-                other => return Err(bad(&format!("expected a spec frame first, got {other:?}"))),
-            }
-        }
-        let n = stdin.read(&mut buf)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "fleet worker: stdin closed before a spec frame arrived",
-            ));
-        }
-        dec.push(&buf[..n]);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -852,7 +505,7 @@ fn backoff_ms(attempt: u32) -> u64 {
     (BACKOFF_BASE_MS << (attempt - 1).min(16)).min(BACKOFF_CAP_MS)
 }
 
-/// Spawns one worker process for `spec`, feeds it the spec frame, and
+/// Spawns one worker process for `spec`, feeds it the spec line, and
 /// supervises it to an [`AttemptOutcome`]: frames reset the watchdog, a
 /// silent worker or one past the absolute deadline is killed, and an
 /// exited worker is classified from its frames and exit status.
@@ -871,8 +524,7 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
     // Feed the work order and close stdin. A write failure means the
     // child died on arrival; the event loop classifies that.
     if let Some(mut stdin) = child.0.stdin.take() {
-        let _ = stdin.write_all(&encode_frame(&Frame::Spec(Box::new(spec.clone()))));
-        let _ = stdin.flush();
+        let _ = write_spec(&mut stdin, spec);
     }
 
     // The reader thread is *detached*, never joined: a misbehaving worker
@@ -911,8 +563,6 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
             Frame::Heartbeat(_) => {}
             Frame::Result(r) => *result = Some(*r),
             Frame::Fault(f) => *fault = Some(f.reason),
-            // A worker has no business sending a spec; ignore.
-            Frame::Spec(_) => {}
         }
     };
 
@@ -997,8 +647,8 @@ fn classify_signal(_status: &std::process::ExitStatus) -> AttemptOutcome {
 ///
 /// # Errors
 ///
-/// [`io::ErrorKind::InvalidInput`] for a custom device or a non-UTF-8
-/// store path; the IO error of resolving the current executable.
+/// [`io::ErrorKind::InvalidInput`] for a non-UTF-8 store path; the IO
+/// error of resolving the current executable.
 pub(crate) fn process_attempt<'a>(
     prepared: &'a PreparedTask,
     device: &'a Device,
@@ -1007,18 +657,12 @@ pub(crate) fn process_attempt<'a>(
     dir: &'a Path,
     opts: &'a FleetOptions,
 ) -> io::Result<impl Fn(u32, u32) -> io::Result<AttemptOutcome> + Sync + 'a> {
-    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
-    if device_by_name(device.name()).is_none() {
-        return Err(invalid(format!(
-            "device {:?} is not a preset; fleet mode ships devices by name",
-            device.name()
-        )));
-    }
-    if dir.to_str().is_none() {
-        return Err(invalid(
-            "fleet mode requires a UTF-8 checkpoint-store path".into(),
-        ));
-    }
+    let cell_dir = dir.to_str().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "fleet mode requires a UTF-8 checkpoint-store path",
+        )
+    })?;
     let worker_exe = match &opts.worker_exe {
         Some(p) => p.clone(),
         None => std::env::current_exe()?,
@@ -1029,12 +673,12 @@ pub(crate) fn process_attempt<'a>(
         }
         let spec = ReplicaSpec {
             task: prepared.spec.clone(),
-            device_name: device.name().to_string(),
+            device: *device,
             variant,
             settings: *settings,
             replica,
             attempt,
-            cell_dir: dir.to_path_buf(),
+            cell_dir: cell_dir.to_owned(),
         };
         run_attempt(&worker_exe, &opts.worker_args, &spec)
     })
@@ -1063,65 +707,80 @@ mod tests {
     use super::*;
     use crate::resume::tests::Scratch;
     use crate::runner::{Preds, ReplicaStatus};
+    use crate::task::{DataSource, ModelKind};
+    use crate::variant::AlgoSource;
+    use hwsim::{Architecture, ChaosConfig};
     use proptest::prelude::*;
 
-    fn sample_spec() -> ReplicaSpec {
-        ReplicaSpec {
-            task: TaskSpec::small_cnn_cifar10(),
-            device_name: "V100".into(),
-            variant: NoiseVariant::Impl,
-            settings: ExperimentSettings {
-                chaos: Some(ChaosConfig::parse("7:1,0,2,1,1@250!").expect("chaos parses")),
-                ..ExperimentSettings::default()
-            },
-            replica: 3,
-            attempt: 1,
-            cell_dir: PathBuf::from("/tmp/ns-cell"),
-        }
-    }
-
+    /// Every float that crosses the spec line must come back with its
+    /// exact bits; `f32`'s `Debug` is exact for finite values, so `Debug`
+    /// equality checks every field, floats included.
     fn assert_spec_round_trips(spec: &ReplicaSpec) {
-        let bytes = encode_frame(&Frame::Spec(Box::new(spec.clone())));
-        let mut dec = FrameDecoder::new();
-        dec.push(&bytes);
-        let Some(Frame::Spec(back)) = dec.next_frame() else {
-            panic!("spec frame did not decode");
-        };
-        assert_eq!(back.task.name, spec.task.name);
-        assert_eq!(back.task.model, spec.task.model);
-        assert_eq!(back.task.data, spec.task.data);
-        assert_eq!(back.task.train, spec.task.train);
-        assert_eq!(back.task.augment, spec.task.augment);
-        assert_eq!(back.device_name, spec.device_name);
-        assert_eq!(back.variant, spec.variant);
-        assert_eq!(back.settings, spec.settings);
-        assert_eq!(back.replica, spec.replica);
-        assert_eq!(back.attempt, spec.attempt);
-        assert_eq!(back.cell_dir, spec.cell_dir);
-        assert_eq!(dec.skipped(), 0);
+        let mut line = Vec::new();
+        write_spec(&mut line, spec).expect("write to a Vec");
+        assert_eq!(line.iter().filter(|&&b| b == b'\n').count(), 1);
+        assert_eq!(line.last(), Some(&b'\n'), "one line, newline-terminated");
+        let text = std::str::from_utf8(&line).expect("UTF-8 JSON");
+        let back: ReplicaSpec = serde_json::from_str(text).expect("spec decodes");
+        assert_eq!(format!("{back:?}"), format!("{spec:?}"));
     }
 
     #[test]
-    fn spec_frames_round_trip() {
-        assert_spec_round_trips(&sample_spec());
-        assert_spec_round_trips(&ReplicaSpec {
-            variant: NoiseVariant::AlgoOnly(AlgoSource::Augment),
-            ..sample_spec()
-        });
-        // Every preset task exercises a different codec path (models,
-        // schedules, data sources, override options).
-        for task in [
+    fn spec_lines_round_trip_bit_exactly() {
+        let devices = [
+            Device::p100(),
+            Device::v100(),
+            Device::rtx5000(),
+            Device::rtx5000_tensor_cores(),
+            Device::t4(),
+            Device::tpu_v2(),
+            Device::cpu(),
+            Device::custom("SWEEP-GPU", Architecture::Volta, 640, false, false, 14.9),
+            // A subnormal clock.
+            Device::custom("TINY", Architecture::Cpu, 1, true, true, f32::from_bits(1)),
+        ];
+        let chaos = Some(ChaosConfig::parse("7:1,0,2,1,1@250!").expect("chaos parses"));
+        // A task whose floats are a subnormal, -0.0 and f32::MAX.
+        let mut edge = TaskSpec::small_cnn_cifar10();
+        edge.model = ModelKind::SmallCnnDropout {
+            rate: f32::MIN_POSITIVE / 2.0,
+        };
+        if let DataSource::Gaussian(g) = &mut edge.data {
+            g.class_sep = -0.0;
+            g.noise_std = f32::MAX;
+        }
+        let tasks = [
+            TaskSpec::small_cnn_cifar10(),
             TaskSpec::small_cnn_bn_cifar10(),
+            TaskSpec::resnet18_cifar10(),
             TaskSpec::resnet18_cifar100(),
             TaskSpec::resnet50_imagenet(),
             TaskSpec::celeba(),
-        ] {
-            let mut spec = sample_spec();
-            spec.task = task;
-            spec.task.train.shuffle_seed_override = Some(99);
-            spec.task.train.dropout_seed_override = Some(0);
-            spec.settings.chaos = None;
-            assert_spec_round_trips(&spec);
+            edge,
+        ];
+        let variants = [
+            NoiseVariant::Impl,
+            NoiseVariant::AlgoOnly(AlgoSource::Augment),
+        ];
+        for (i, mut task) in tasks.into_iter().enumerate() {
+            task.train.shuffle_seed_override = Some(u64::MAX);
+            task.train.dropout_seed_override = Some(0);
+            for (j, device) in devices.iter().enumerate() {
+                let spec = ReplicaSpec {
+                    task: task.clone(),
+                    device: *device,
+                    variant: variants[(i + j) % 2],
+                    settings: ExperimentSettings {
+                        base_seed: u64::MAX,
+                        chaos: if (i + j) % 3 == 0 { None } else { chaos },
+                        ..ExperimentSettings::default()
+                    },
+                    replica: 3,
+                    attempt: 1,
+                    cell_dir: "/tmp/ns-cell/ü".into(),
+                };
+                assert_spec_round_trips(&spec);
+            }
         }
     }
 
@@ -1262,24 +921,6 @@ mod tests {
     }
 
     #[test]
-    fn device_names_cover_every_preset() {
-        for d in [
-            Device::p100(),
-            Device::v100(),
-            Device::rtx5000(),
-            Device::rtx5000_tensor_cores(),
-            Device::t4(),
-            Device::tpu_v2(),
-            Device::cpu(),
-        ] {
-            let back = device_by_name(d.name())
-                .unwrap_or_else(|| panic!("preset {:?} must resolve", d.name()));
-            assert_eq!(back.name(), d.name());
-        }
-        assert!(device_by_name("H100").is_none());
-    }
-
-    #[test]
     fn backoff_is_deterministic_and_capped() {
         assert_eq!(backoff_ms(1), 50);
         assert_eq!(backoff_ms(2), 100);
@@ -1324,7 +965,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_rejects_invalid_settings_and_custom_devices() {
+    fn fleet_rejects_invalid_settings() {
         let scratch = Scratch::new("reject");
         let prepared = PreparedTask::prepare(&tiny_task());
         let bad = ExperimentSettings {
@@ -1341,26 +982,6 @@ mod tests {
             &FleetOptions::default(),
         )
         .expect_err("zero replicas must be rejected");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-
-        let custom = Device::custom(
-            "FPGA-9000",
-            hwsim::Architecture::Turing,
-            512,
-            false,
-            false,
-            1.0,
-        );
-        let err = run_variant_fleet(
-            &prepared,
-            &custom,
-            NoiseVariant::Control,
-            &ExperimentSettings::default(),
-            &scratch.0,
-            0,
-            &FleetOptions::default(),
-        )
-        .expect_err("custom devices are not shippable by name");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 

@@ -30,12 +30,14 @@
 //!     manifest.txt   human-readable fleet progress
 //! ```
 //!
-//! `<key>` is a 64-bit FNV-1a hash of the task as the fleet wire codec
-//! ships it to a worker, every [`Device`] field and the variant, so a
-//! recipe that changes under the same task name gets a fresh cell. The
-//! settings are covered one level up, by [`CheckpointStore::for_settings`].
+//! `<key>` is a 64-bit FNV-1a hash of the compact JSON of `(task, device,
+//! variant)`, the same serde encoding the fleet ships to a worker. Every
+//! field is in it, so a recipe changed under the same task name or a
+//! custom device that differs in one field gets a fresh cell. JSON
+//! objects serialize with sorted keys, so the key is stable across builds.
+//! The settings are covered one level up, by
+//! [`CheckpointStore::for_settings`].
 
-use crate::fleet::cell_key;
 use crate::runner::{Preds, ReplicaResult, ReplicaStatus};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
@@ -107,9 +109,10 @@ impl CheckpointStore {
     /// the layout and the key).
     pub fn cell_dir(&self, task: &TaskSpec, device: &Device, variant: NoiseVariant) -> PathBuf {
         // 64-bit FNV-1a: stable across builds and platforms.
-        let key = cell_key(task, device, variant)
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        let key = serde_json::to_string(&(task, device, variant))
+            .expect("plain data always serializes")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
                 (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
             });
         self.root
@@ -153,7 +156,7 @@ pub(crate) fn encode_result(r: &ReplicaResult) -> Vec<u8> {
 }
 
 /// Bounds-checked little-endian reader, shared by the result codec here
-/// and the fleet wire codec; truncated or foreign bytes surface as
+/// and the fleet frame codec; truncated or foreign bytes surface as
 /// [`io::ErrorKind::InvalidData`], never a panic.
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
@@ -201,22 +204,6 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    pub(crate) fn size(&mut self) -> io::Result<usize> {
-        Ok(self.u64()? as usize)
-    }
-
-    pub(crate) fn f32b(&mut self) -> io::Result<f32> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    pub(crate) fn flag(&mut self) -> io::Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(bad(&format!("bad flag byte {b}"))),
-        }
-    }
-
     /// A declared element count, sanity-checked against the bytes that
     /// actually remain so a corrupt length cannot trigger a huge
     /// allocation.
@@ -231,14 +218,6 @@ impl<'a> Reader<'a> {
     pub(crate) fn str(&mut self) -> io::Result<String> {
         let n = self.len(1)?;
         String::from_utf8(self.take(n)?.to_vec()).map_err(|_| bad("non-UTF-8 string"))
-    }
-
-    pub(crate) fn opt_u64(&mut self) -> io::Result<Option<u64>> {
-        Ok(if self.flag()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
     }
 }
 
@@ -689,6 +668,25 @@ pub(crate) mod tests {
             assert_eq!(f.weights, s.weights, "replica {}", f.replica);
             assert_ne!(o.weights, s.weights, "replica {}", f.replica);
         }
+    }
+
+    #[test]
+    fn custom_devices_that_differ_in_one_field_get_their_own_cells() {
+        let store = CheckpointStore::new("store");
+        let task = tiny_task();
+        let sweep = |cores| {
+            Device::custom(
+                "SWEEP-GPU",
+                hwsim::Architecture::Volta,
+                cores,
+                false,
+                false,
+                14.9,
+            )
+        };
+        let dir = |device: &Device| store.cell_dir(&task, device, NoiseVariant::Impl);
+        assert_ne!(dir(&sweep(640)), dir(&sweep(1280)));
+        assert_eq!(dir(&sweep(640)), dir(&sweep(640)));
     }
 
     #[test]

@@ -531,7 +531,7 @@ fn supervise(
 ///
 /// [`io::ErrorKind::InvalidInput`] for settings that fail
 /// [`ExperimentSettings::validate_for`], a fleet without a store, or a
-/// fleet on a device it cannot ship; otherwise store and spawn IO
+/// fleet on a non-UTF-8 store path; otherwise store and spawn IO
 /// failures. Training faults and worker deaths degrade into
 /// [`ReplicaStatus`] entries.
 pub fn run_cell(

@@ -81,7 +81,13 @@ const UNORDERED_SANITIZERS: &[&str] = &[
 ];
 
 /// Calls that move a value across a thread or process boundary (DL007).
-const BOUNDARY_CALLS: &[&str] = &["spawn", "encode_frame", "write_frame", "encode_payload"];
+const BOUNDARY_CALLS: &[&str] = &[
+    "spawn",
+    "encode_frame",
+    "write_frame",
+    "encode_payload",
+    "write_spec",
+];
 
 /// Identifiers whose presence sanctions an entropy crossing: the
 /// index-derivation bridges and the snapshot/result codecs, which encode
@@ -504,7 +510,7 @@ fn float_accumulation_sink(ctx: &Ctx, s: usize, e: usize) -> Option<usize> {
 }
 
 /// A thread/process boundary call in the range: `spawn(`,
-/// `encode_frame(`, `write_frame(`, `encode_payload(`.
+/// `encode_frame(`, `write_frame(`, `encode_payload(`, `write_spec(`.
 fn boundary_call(ctx: &Ctx, s: usize, e: usize) -> Option<(usize, &'static str)> {
     for i in s..=e {
         let Some(id) = ctx.tokens[i].ident() else {

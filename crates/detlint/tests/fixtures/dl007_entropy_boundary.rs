@@ -16,6 +16,11 @@ pub fn encoded_draw(rng: &mut StreamRng) -> Vec<u8> {
     encode_frame(Tag::Result, tag) // fires: draw baked into an IPC frame
 }
 
+pub fn drawn_into_spec(rng: &mut StreamRng, stdin: &mut ChildStdin) {
+    let attempt = rng.next_u32();
+    write_spec(stdin, &Spec { attempt }) // fires: draw shipped to a worker in its spec line
+}
+
 pub fn sampled_then_spawned(dist: &Normal, rng: &mut StreamRng, scope: &Scope<'_>) {
     let noise = dist.sample(rng);
     scope.spawn(move || perturb(noise)); // fires: sampled value crosses the spawn
