@@ -10,8 +10,9 @@
 //! Figure 3 is produced by `table5`. An unknown id, a flag with no
 //! value, or a malformed or invalid environment knob exits 2 before
 //! anything is written under `--out`; so does an `--out` that cannot be
-//! created. A result file that cannot be written is reported and the
-//! remaining experiments still run; the exit status is then 1.
+//! created. A training experiment that fails (`<id> skipped: <error>`)
+//! or a result file that cannot be written is reported and the remaining
+//! experiments still run; the exit status is then 1.
 //!
 //! Environment knobs (see `noisescope::settings`): `NS_REPLICAS`,
 //! `NS_SEED`, `NS_AMP_ULPS`, `NS_EPOCHS_SCALE`, `NS_EXEC_THREADS`,
@@ -148,9 +149,15 @@ fn main() {
     if fleet.is_some() {
         eprintln!("fleet mode: replicas run in worker processes");
     }
-    // A result that cannot be written costs that file, not the
-    // experiments still to run; the exit status reports it at the end.
+    // A result that cannot be written costs that file, and a failed
+    // experiment costs that experiment, not the experiments still to run;
+    // the exit status reports either at the end.
     let mut unsaved = false;
+    let mut skipped = false;
+    let mut skip = |id: &str, e: &dyn std::fmt::Display| {
+        eprintln!("{id} skipped: {e}");
+        skipped = true;
+    };
     let mut save = |name: &str, json: &serde_json::Value| {
         let path = out_dir.join(format!("{name}.json"));
         match noisescope::report::save_json(&path, json) {
@@ -221,18 +228,22 @@ fn main() {
                 save("fig6", &serde_json::to_value(&pts).unwrap());
                 eprintln!("fig6 done in {:.1}s", started.elapsed().as_secs_f32());
             }
-            Err(e) => eprintln!("fig6 skipped: {e}"),
+            Err(e) => skip("fig6", &e),
         }
     }
     if exps.contains("fig2") {
         let started = Instant::now();
-        let grid = stability::fig2(&settings, &store, fleet.as_ref()).expect("checkpoint store IO");
-        println!(
-            "{}",
-            stability::render_fig_panel(&grid, "V100", "Figure 2 (batch-norm ablation)")
-        );
-        save("fig2", &serde_json::to_value(&grid).unwrap());
-        eprintln!("fig2 done in {:.1}s", started.elapsed().as_secs_f32());
+        match stability::fig2(&settings, &store, fleet.as_ref()) {
+            Ok(grid) => {
+                println!(
+                    "{}",
+                    stability::render_fig_panel(&grid, "V100", "Figure 2 (batch-norm ablation)")
+                );
+                save("fig2", &serde_json::to_value(&grid).unwrap());
+                eprintln!("fig2 done in {:.1}s", started.elapsed().as_secs_f32());
+            }
+            Err(e) => skip("fig2", &e),
+        }
     }
     if exps.contains("table5") {
         let started = Instant::now();
@@ -247,32 +258,36 @@ fn main() {
                     started.elapsed().as_secs_f32()
                 );
             }
-            Err(e) => eprintln!("table5/fig3 skipped: {e}"),
+            Err(e) => skip("table5/fig3", &e),
         }
     }
     if exps.contains("fig5") {
         let started = Instant::now();
-        let grid = stability::fig5(&settings, &store, fleet.as_ref()).expect("checkpoint store IO");
-        let mut rows = Vec::new();
-        for r in &grid.reports {
-            rows.push(vec![
-                r.device.clone(),
-                r.variant.label().to_string(),
-                format!("{:.3}", 100.0 * r.std_accuracy),
-                format!("{:.4}", r.churn),
-                format!("{:.4}", r.l2),
-            ]);
+        match stability::fig5(&settings, &store, fleet.as_ref()) {
+            Ok(grid) => {
+                let mut rows = Vec::new();
+                for r in &grid.reports {
+                    rows.push(vec![
+                        r.device.clone(),
+                        r.variant.label().to_string(),
+                        format!("{:.3}", 100.0 * r.std_accuracy),
+                        format!("{:.4}", r.churn),
+                        format!("{:.4}", r.l2),
+                    ]);
+                }
+                println!(
+                    "{}",
+                    noisescope::report::render_table(
+                        "Figure 5: ResNet18/CIFAR-100-sim across accelerators",
+                        &["Accelerator", "Variant", "stddev(acc) %", "churn", "l2"],
+                        &rows
+                    )
+                );
+                save("fig5", &serde_json::to_value(&grid).unwrap());
+                eprintln!("fig5 done in {:.1}s", started.elapsed().as_secs_f32());
+            }
+            Err(e) => skip("fig5", &e),
         }
-        println!(
-            "{}",
-            noisescope::report::render_table(
-                "Figure 5: ResNet18/CIFAR-100-sim across accelerators",
-                &["Accelerator", "Variant", "stddev(acc) %", "churn", "l2"],
-                &rows
-            )
-        );
-        save("fig5", &serde_json::to_value(&grid).unwrap());
-        eprintln!("fig5 done in {:.1}s", started.elapsed().as_secs_f32());
     }
 
     if exps.contains("ext") {
@@ -283,44 +298,56 @@ fn main() {
                 println!("{}", extensions::render_data_parallel(&dp));
                 save("ext_data_parallel", &serde_json::to_value(&dp).unwrap());
             }
-            Err(e) => eprintln!("ext_data_parallel skipped: {e}"),
+            Err(e) => skip("ext_data_parallel", &e),
         }
         match extensions::lanes_sweep(&settings, store, fleet) {
             Ok(lanes) => {
                 println!("{}", extensions::render_lanes(&lanes));
                 save("ext_lanes", &serde_json::to_value(&lanes).unwrap());
             }
-            Err(e) => eprintln!("ext_lanes skipped: {e}"),
+            Err(e) => skip("ext_lanes", &e),
         }
         match extensions::architecture_instability(&settings, store, fleet) {
             Ok(arch) => {
                 println!("{}", extensions::render_architecture_instability(&arch));
                 save("ext_architectures", &serde_json::to_value(&arch).unwrap());
             }
-            Err(e) => eprintln!("ext_architectures skipped: {e}"),
+            Err(e) => skip("ext_architectures", &e),
         }
         match extensions::algo_source_decomposition(&settings, store, fleet) {
             Ok(sources) => {
                 println!("{}", extensions::render_algo_sources(&sources));
                 save("ext_algo_sources", &serde_json::to_value(&sources).unwrap());
             }
-            Err(e) => eprintln!("ext_algo_sources skipped: {e}"),
+            Err(e) => skip("ext_algo_sources", &e),
         }
         eprintln!("extensions done in {:.1}s", started.elapsed().as_secs_f32());
     }
 
     // The Table-2 grid also powers Figures 1, 4, 9 and 10.
-    let needs_grid = ["table2", "fig1", "fig4", "fig9", "fig10"]
-        .iter()
-        .any(|e| exps.contains(*e));
-    if needs_grid {
+    let grid_ids: Vec<&str> = ["table2", "fig1", "fig4", "fig9", "fig10"]
+        .into_iter()
+        .filter(|e| exps.contains(*e))
+        .collect();
+    let grid = if grid_ids.is_empty() {
+        None
+    } else {
         let started = Instant::now();
-        let grid = stability::run_table2_grid(&settings, &store, fleet.as_ref())
-            .expect("checkpoint store IO");
-        eprintln!(
-            "stability grid done in {:.1}s",
-            started.elapsed().as_secs_f32()
-        );
+        match stability::run_table2_grid(&settings, &store, fleet.as_ref()) {
+            Ok(grid) => {
+                eprintln!(
+                    "stability grid done in {:.1}s",
+                    started.elapsed().as_secs_f32()
+                );
+                Some(grid)
+            }
+            Err(e) => {
+                skip(&grid_ids.join("/"), &e);
+                None
+            }
+        }
+    };
+    if let Some(grid) = grid {
         if exps.contains("table2") {
             println!("{}", stability::render_table2(&grid));
             println!(
@@ -377,7 +404,7 @@ fn main() {
     }
 
     eprintln!("total {:.1}s", t0.elapsed().as_secs_f32());
-    if unsaved {
+    if unsaved || skipped {
         std::process::exit(1);
     }
 }

@@ -272,6 +272,9 @@ fn a_worker_without_a_decodable_spec_line_exits_2() {
         let out = child.wait_with_output().expect("worker exits");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{input:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{input:?}: no frame without a spec");
+        assert!(
+            out.stdout.is_empty(),
+            "{input:?}: nothing on stdout without a spec"
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! Command-line and environment errors in the `repro` binary exit 2
 //! before any experiment runs or anything is written under `--out`; a
-//! result file that cannot be written exits 1 after the run, naming it.
+//! result file that cannot be written, or a training experiment that
+//! fails, exits 1 after the run, naming it.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -163,5 +164,22 @@ fn an_unwritable_result_file_exits_1_naming_it() {
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert_eq!(run.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("table3.json not written"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn a_training_experiment_that_cannot_reach_its_store_exits_1_naming_it() {
+    let scratch = empty_dir("repro_unreachable_store");
+    let out = scratch.join("out");
+    std::fs::create_dir_all(&out).expect("create --out");
+    // A regular file where the checkpoint store's directory should go.
+    std::fs::write(out.join(".ckpt"), b"a regular file").expect("plant a file");
+    let run = repro(
+        &scratch,
+        &["--exp", "fig2", "--out", out.to_str().expect("utf-8 path")],
+    );
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("fig2 skipped"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -11,8 +11,10 @@
 //!
 //! - **Workers** are re-executions of the `repro` binary in a hidden
 //!   `--worker` mode ([`worker_main`]). Each worker runs exactly one
-//!   `(replica, attempt)`, reads its [`ReplicaSpec`] from stdin and
-//!   writes [`Heartbeat`] / result / [`WorkerFault`] frames to stdout.
+//!   `(replica, attempt)` through the runner's one attempt body: it reads
+//!   its [`ReplicaSpec`] from stdin, checkpoints into and writes its
+//!   result to the store cell, and reports liveness and graceful faults
+//!   as text lines on stdout.
 //! - **The supervisor** ([`crate::runner::run_cell`] with
 //!   [`FleetOptions`]) is the one cell driver of [`crate::runner`] with a
 //!   process-spawning attempt body: it
@@ -23,77 +25,60 @@
 //!   under the same attempt loop and retry budget as in-process runs,
 //!   with a deterministic capped-exponential backoff between attempts.
 //! - **Durability** reuses [`crate::resume::CheckpointStore`] cells
-//!   verbatim: workers sink epoch checkpoints to the cell directory, so
-//!   a killed worker's retry resumes from the last durable checkpoint
-//!   instead of retraining from scratch; completed results/statuses are
-//!   written by the supervisor (single writer) in the exact format an
-//!   in-process run over the same store reads.
+//!   verbatim, under the store's one rule: the attempt writes `rK.ckpt`
+//!   and `rK.result`, the supervisor writes `rK.status` and the manifest.
+//!   A killed worker's retry resumes from the last durable checkpoint
+//!   instead of retraining from scratch.
 //!
 //! **Bit-identity.** A replica is a pure function of `(task, device,
-//! variant, settings, replica)`; the IPC layer ships results with the
-//! byte-exact codec of [`crate::resume`] (floats as `to_bits`), and
-//! supervision knobs (`worker_timeout_ms`, `heartbeat_every_steps`,
-//! process count) shape only *when* workers are killed, never *what* a
-//! replica computes. A fleet run — even one whose workers were killed
-//! and re-dispatched — therefore reproduces the in-process fleet
-//! bit-for-bit. The fleet end-to-end tests and the CI golden comparison
-//! assert exactly this.
+//! variant, settings, replica)`; the result crosses from worker to
+//! supervisor through the store's byte-exact result file (floats as
+//! `to_bits`), and supervision knobs (`worker_timeout_ms`,
+//! `heartbeat_every_steps`, process count) shape only *when* workers are
+//! killed, never *what* a replica computes. A fleet run — even one whose
+//! workers were killed and re-dispatched — therefore reproduces the
+//! in-process fleet bit-for-bit. The fleet end-to-end tests and the CI
+//! golden comparison assert exactly this.
 //!
 //! Wire format. The supervisor writes the [`ReplicaSpec`] to the worker's
 //! stdin as one line of compact JSON, made by the types' own serde
 //! derives: every finite float round-trips exactly, and
-//! [`ExperimentSettings::validate`] rejects non-finite ones. Frames run
-//! worker → supervisor only (all integers little-endian):
+//! [`ExperimentSettings::validate`] rejects non-finite ones. The worker
+//! writes two kinds of line to stdout:
 //!
 //! ```text
-//! frame  := magic:u32 version:u32 len:u32 payload[len]
-//! payload:= tag:u8 body
-//! tags   : 2 heartbeat, 3 result, 4 fault
+//! hb <step>        every heartbeat_every_steps optimizer steps
+//! fault <reason>   a structured training failure (newlines → spaces)
 //! ```
 //!
-//! Frames stay binary: result weights must cross byte-exact, and the
-//! supervisor never runs the JSON parser (recursive descent, no depth
-//! bound) on bytes a worker wrote. The decoder treats anything malformed
-//! — bad magic, unknown version, oversized length, undecodable payload —
-//! as corruption and resynchronizes by scanning forward one byte at a
-//! time, so a torn or garbled stream degrades into skipped bytes, never a
-//! wedged supervisor.
+//! The supervisor never runs the JSON parser on bytes a worker wrote: it
+//! reads lines of bounded length, and only a well-formed `hb` or `fault`
+//! line resets the watchdog, so garbage on the pipe is not liveness.
 
-use crate::resume::{self, bad, CheckpointStore, Reader};
-use crate::runner::{
-    run_cell, run_replica_with, AttemptOutcome, PreparedTask, ReplicaResult, VariantRuns,
-};
+use crate::resume::{self, bad, CheckpointStore};
+use crate::runner::{run_cell, train_attempt, AttemptOutcome, PreparedTask, VariantRuns};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
 use hwsim::Device;
-use nnet::checkpoint::Checkpoint;
-use nnet::trainer::FitOptions;
 use serde::{Deserialize, Serialize};
 use std::ffi::OsString;
 use std::io::{self, BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Magic prefix of every IPC frame ("NSFL").
-pub const FRAME_MAGIC: u32 = 0x4E53_464C;
-/// Wire-protocol version; a mismatch is treated as corruption.
-pub const PROTOCOL_VERSION: u32 = 3;
-/// Upper bound on a frame payload, and on the spec line a worker reads.
-/// A length above this is corruption (a real result frame is a few
-/// hundred KiB), and capping it keeps a garbled length field from
-/// triggering a giant allocation.
-pub const MAX_FRAME_LEN: u32 = 256 << 20;
-
-const TAG_HEARTBEAT: u8 = 2;
-const TAG_RESULT: u8 = 3;
-const TAG_FAULT: u8 = 4;
+/// Upper bound on the spec line a worker reads, so a runaway writer
+/// cannot trigger a giant allocation.
+const MAX_SPEC_LEN: u64 = 256 << 20;
+/// Upper bound on a worker's stdout line; a longer one is garbage and is
+/// skipped up to its newline.
+const MAX_LINE_LEN: u64 = 4096;
 
 /// Supervisor event-loop poll interval.
 const POLL: Duration = Duration::from_millis(25);
-/// After a worker exits, how long the supervisor waits for in-flight
-/// frames when the pipe has not reached EOF (an orphaned grandchild can
-/// hold it open indefinitely).
+/// After a worker exits, how long the supervisor waits for an in-flight
+/// `fault` line when the pipe has not reached EOF (an orphaned grandchild
+/// can hold it open indefinitely).
 const DRAIN_GRACE: Duration = Duration::from_millis(500);
 /// The absolute per-attempt deadline is the watchdog window times this
 /// factor — a backstop against a worker that heartbeats forever without
@@ -124,7 +109,7 @@ pub mod clock {
 }
 
 // ---------------------------------------------------------------------------
-// Wire types
+// Wire format
 // ---------------------------------------------------------------------------
 
 /// Everything a worker process needs to run one `(replica, attempt)`,
@@ -147,52 +132,11 @@ pub struct ReplicaSpec {
     /// fault schedule.
     pub attempt: u32,
     /// The [`CheckpointStore`] cell directory: the worker resumes from
-    /// its durable checkpoint here and saves a new one after every epoch.
-    /// A `String` because the supervisor rejects a non-UTF-8 store path
-    /// before dispatch.
+    /// its durable checkpoint here, saves a new one after every epoch and
+    /// writes its result file here. A `String` because the supervisor
+    /// rejects a non-UTF-8 store path before dispatch.
     pub cell_dir: String,
 }
-
-/// Worker liveness proof, emitted every
-/// [`ExperimentSettings::heartbeat_every_steps`] optimizer steps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Heartbeat {
-    /// Replica index.
-    pub replica: u32,
-    /// Attempt number.
-    pub attempt: u32,
-    /// Global optimizer step reached.
-    pub step: u64,
-}
-
-/// A structured training failure the worker survived long enough to
-/// report (launch failure, divergence, ...). The graceful sibling of a
-/// crash: the worker still exits 0 after delivering this.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerFault {
-    /// Replica index.
-    pub replica: u32,
-    /// Attempt number.
-    pub attempt: u32,
-    /// Rendered [`nnet::trainer::TrainError`].
-    pub reason: String,
-}
-
-/// One worker → supervisor IPC frame.
-#[derive(Debug, Clone)]
-pub enum Frame {
-    /// Liveness.
-    Heartbeat(Heartbeat),
-    /// The finished replica (byte-exact floats, the same codec
-    /// [`crate::resume`] persists).
-    Result(Box<ReplicaResult>),
-    /// A graceful training failure.
-    Fault(WorkerFault),
-}
-
-// ---------------------------------------------------------------------------
-// Codec
-// ---------------------------------------------------------------------------
 
 /// Writes `spec` as one line of compact JSON: the worker reads exactly
 /// one line, so it never depends on when the pipe closes.
@@ -203,171 +147,26 @@ fn write_spec(w: &mut impl Write, spec: &ReplicaSpec) -> io::Result<()> {
     w.flush()
 }
 
-/// Little-endian frame payload writer; [`decode_payload`] must visit
-/// fields in the same order, which the round-trip tests pin down.
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut e = Enc::default();
-    match frame {
-        Frame::Heartbeat(h) => {
-            e.u8(TAG_HEARTBEAT);
-            e.u32(h.replica);
-            e.u32(h.attempt);
-            e.u64(h.step);
-        }
-        Frame::Result(r) => {
-            e.u8(TAG_RESULT);
-            // The byte-exact result codec shared with the checkpoint
-            // store: what crosses the pipe is what lands on disk.
-            e.buf.extend_from_slice(&resume::encode_result(r));
-        }
-        Frame::Fault(f) => {
-            e.u8(TAG_FAULT);
-            e.u32(f.replica);
-            e.u32(f.attempt);
-            e.str(&f.reason);
-        }
-    }
-    e.buf
-}
-
-fn decode_payload(payload: &[u8]) -> io::Result<Frame> {
-    let mut d = Reader::new(payload);
-    let frame = match d.u8()? {
-        TAG_HEARTBEAT => Frame::Heartbeat(Heartbeat {
-            replica: d.u32()?,
-            attempt: d.u32()?,
-            step: d.u64()?,
-        }),
-        TAG_RESULT => {
-            // `decode_result` enforces its own trailing-bytes check.
-            return Ok(Frame::Result(Box::new(resume::decode_result(
-                &payload[1..],
-            )?)));
-        }
-        TAG_FAULT => Frame::Fault(WorkerFault {
-            replica: d.u32()?,
-            attempt: d.u32()?,
-            reason: d.str()?,
-        }),
-        t => return Err(bad(&format!("unknown frame tag {t}"))),
-    };
-    if !d.is_done() {
-        return Err(bad("trailing bytes"));
-    }
-    Ok(frame)
-}
-
-/// Encodes one length-prefixed frame (header + payload).
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let payload = encode_payload(frame);
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
-fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    w.write_all(&encode_frame(frame))?;
+/// Writes one `<kind> <body>` line to the supervisor, newlines in `body`
+/// turned into spaces so it stays one line.
+fn write_event(w: &mut impl Write, kind: &str, body: &str) -> io::Result<()> {
+    writeln!(w, "{kind} {}", body.replace('\n', " "))?;
     w.flush()
 }
 
-/// Incremental frame decoder over an arbitrarily-chunked byte stream.
-///
-/// Feed bytes with [`FrameDecoder::push`]; drain complete frames with
-/// [`FrameDecoder::next_frame`]. Corruption — bad magic, wrong version,
-/// an oversized length, an undecodable payload — is never fatal: the
-/// decoder advances one byte and rescans for the next plausible header,
-/// counting what it discarded in [`FrameDecoder::skipped`]. A partial
-/// frame simply waits for more bytes.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    pos: usize,
-    skipped: u64,
+/// A well-formed line from a worker.
+enum Event {
+    Heartbeat,
+    Fault(String),
 }
 
-impl FrameDecoder {
-    /// An empty decoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends raw stream bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes discarded while resynchronizing past corruption.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
-    /// The next complete frame, or `None` until more bytes arrive.
-    pub fn next_frame(&mut self) -> Option<Frame> {
-        loop {
-            let rem = &self.buf[self.pos..];
-            if rem.len() < 12 {
-                self.compact();
-                return None;
-            }
-            let magic = u32::from_le_bytes(rem[0..4].try_into().expect("4 bytes"));
-            let version = u32::from_le_bytes(rem[4..8].try_into().expect("4 bytes"));
-            let len = u32::from_le_bytes(rem[8..12].try_into().expect("4 bytes"));
-            if magic != FRAME_MAGIC || version != PROTOCOL_VERSION || len > MAX_FRAME_LEN {
-                self.pos += 1;
-                self.skipped += 1;
-                continue;
-            }
-            let total = 12 + len as usize;
-            if rem.len() < total {
-                self.compact();
-                return None;
-            }
-            match decode_payload(&rem[12..total]) {
-                Ok(frame) => {
-                    self.pos += total;
-                    self.compact();
-                    return Some(frame);
-                }
-                Err(_) => {
-                    // A header-shaped prefix over garbage; a true frame
-                    // may start inside it, so advance one byte, not
-                    // `total`.
-                    self.pos += 1;
-                    self.skipped += 1;
-                }
-            }
-        }
-    }
-
-    fn compact(&mut self) {
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
+/// Parses one newline-terminated worker line; anything else is `None`.
+fn parse_event(line: &[u8]) -> Option<Event> {
+    let line = std::str::from_utf8(line).ok()?.strip_suffix('\n')?;
+    match line.split_once(' ')? {
+        ("hb", step) => step.parse::<u64>().ok().map(|_| Event::Heartbeat),
+        ("fault", reason) => Some(Event::Fault(reason.to_owned())),
+        _ => None,
     }
 }
 
@@ -377,14 +176,14 @@ impl FrameDecoder {
 
 /// Entry point of the hidden `--worker` mode of the `repro` binary: runs
 /// exactly one `(replica, attempt)` from a [`ReplicaSpec`] line on
-/// stdin and reports over stdout. Returns the process exit code.
+/// stdin. Returns the process exit code.
 ///
-/// Exit codes: `0` — protocol complete (a result *or* a graceful
-/// [`WorkerFault`] was delivered); `2` — the worker could not even start
-/// (no spec, an undecodable or invalid spec). Training panics are *not*
-/// caught: the process dies with the standard panic exit code (101) or a
-/// signal, and the supervisor classifies that from the outside — that
-/// asymmetry is the entire point of process isolation.
+/// Exit codes: `0` — the result file is written, or a `fault` line was
+/// delivered; `2` — no spec, an undecodable or invalid spec, or the
+/// result could not be written. Training panics are *not* caught: the
+/// process dies with the standard panic exit code (101) or a signal, and
+/// the supervisor classifies that from the outside — that asymmetry is
+/// the entire point of process isolation.
 pub fn worker_main() -> i32 {
     match worker_run() {
         Ok(()) => 0,
@@ -397,10 +196,7 @@ pub fn worker_main() -> i32 {
 
 fn worker_run() -> io::Result<()> {
     let mut line = String::new();
-    io::stdin()
-        .lock()
-        .take(u64::from(MAX_FRAME_LEN))
-        .read_line(&mut line)?;
+    io::stdin().lock().take(MAX_SPEC_LEN).read_line(&mut line)?;
     let spec: ReplicaSpec =
         serde_json::from_str(&line).map_err(|e| bad(&format!("undecodable spec: {e}")))?;
     spec.settings
@@ -408,55 +204,29 @@ fn worker_run() -> io::Result<()> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     let prepared = PreparedTask::prepare(&spec.task);
 
-    // Resume from the cell's durable checkpoint if one survived a prior
-    // (killed) attempt.
-    let ckpt = resume::ckpt_path(Path::new(&spec.cell_dir), spec.replica);
-    let resume_from = resume::load_checkpoint(&ckpt);
-
     let stdout = io::stdout();
-    let (replica, attempt) = (spec.replica, spec.attempt);
     // If the supervisor disappears mid-run its pipe breaks; stop
     // emitting instead of erroring out — the watchdog (or init) reaps us.
     let mut pipe_dead = false;
     let mut heartbeat = |step: u64| {
         if !pipe_dead {
-            let hb = Frame::Heartbeat(Heartbeat {
-                replica,
-                attempt,
-                step,
-            });
-            pipe_dead = write_frame(&mut stdout.lock(), &hb).is_err();
+            pipe_dead = write_event(&mut stdout.lock(), "hb", &step.to_string()).is_err();
         }
     };
-    // Checkpoint saves are best-effort: a failed save costs a retry its
-    // resume point, never the attempt itself.
-    let mut sink = |c: &Checkpoint| {
-        c.save(&ckpt).ok();
-    };
-
-    let outcome = run_replica_with(
+    let outcome = train_attempt(
         &prepared,
         &spec.device,
         spec.variant,
         &spec.settings,
-        replica,
-        attempt,
-        FitOptions {
-            resume: resume_from.as_ref(),
-            sink: Some(&mut sink),
-            progress_every_steps: spec.settings.heartbeat_every_steps,
-            progress: Some(&mut heartbeat),
-        },
-    );
-    let frame = match outcome {
-        Ok(result) => Frame::Result(Box::new(result)),
-        Err(err) => Frame::Fault(WorkerFault {
-            replica,
-            attempt,
-            reason: err.to_string(),
-        }),
-    };
-    write_frame(&mut stdout.lock(), &frame)
+        Some(Path::new(&spec.cell_dir)),
+        spec.replica,
+        spec.attempt,
+        Some(&mut heartbeat),
+    )?;
+    match outcome {
+        Ok(_) => Ok(()),
+        Err(err) => write_event(&mut stdout.lock(), "fault", &err.to_string()),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -506,9 +276,10 @@ fn backoff_ms(attempt: u32) -> u64 {
 }
 
 /// Spawns one worker process for `spec`, feeds it the spec line, and
-/// supervises it to an [`AttemptOutcome`]: frames reset the watchdog, a
-/// silent worker or one past the absolute deadline is killed, and an
-/// exited worker is classified from its frames and exit status.
+/// supervises it to an [`AttemptOutcome`]: well-formed lines reset the
+/// watchdog, a silent worker or one past the absolute deadline is killed,
+/// and an exited worker is classified from its `fault` line, its result
+/// file and its exit status.
 fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<AttemptOutcome> {
     use std::process::{Command, Stdio};
     use std::sync::mpsc;
@@ -532,21 +303,32 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
     // worker itself is dead, and a join would block on that stranger's
     // lifetime. The thread exits on its own at pipe EOF or on the first
     // send after `rx` is dropped.
-    let mut child_out = child.0.stdout.take().expect("stdout piped");
-    let (tx, rx) = mpsc::channel::<Frame>();
+    let mut child_out = io::BufReader::new(child.0.stdout.take().expect("stdout piped"));
+    let (tx, rx) = mpsc::channel::<Event>();
     let _reader = std::thread::spawn(move || {
-        let mut dec = FrameDecoder::new();
-        let mut buf = [0u8; 8192];
+        let mut line = Vec::new();
+        // Whether the line being read has already overrun MAX_LINE_LEN.
+        let mut overlong = false;
         loop {
-            match child_out.read(&mut buf) {
+            line.clear();
+            match (&mut child_out)
+                .take(MAX_LINE_LEN)
+                .read_until(b'\n', &mut line)
+            {
                 Ok(0) | Err(_) => return,
-                Ok(n) => {
-                    dec.push(&buf[..n]);
-                    while let Some(frame) = dec.next_frame() {
-                        if tx.send(frame).is_err() {
-                            return;
-                        }
-                    }
+                Ok(_) => {}
+            }
+            if !line.ends_with(b"\n") {
+                overlong = true;
+                continue;
+            }
+            // The tail of an overlong line is garbage too.
+            if std::mem::take(&mut overlong) {
+                continue;
+            }
+            if let Some(event) = parse_event(&line) {
+                if tx.send(event).is_err() {
+                    return;
                 }
             }
         }
@@ -555,22 +337,16 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
     let timeout = Duration::from_millis(spec.settings.worker_timeout_ms);
     let deadline = timeout.saturating_mul(HARD_DEADLINE_FACTOR);
     let start = clock::now();
-    let mut last_frame = start;
-    let mut result: Option<ReplicaResult> = None;
+    let mut last_event = start;
     let mut fault: Option<String> = None;
-    let note = |frame: Frame, result: &mut Option<ReplicaResult>, fault: &mut Option<String>| {
-        match frame {
-            Frame::Heartbeat(_) => {}
-            Frame::Result(r) => *result = Some(*r),
-            Frame::Fault(f) => *fault = Some(f.reason),
-        }
-    };
 
     let exited = loop {
         match rx.recv_timeout(POLL) {
-            Ok(frame) => {
-                last_frame = clock::now();
-                note(frame, &mut result, &mut fault);
+            Ok(event) => {
+                last_event = clock::now();
+                if let Event::Fault(reason) = event {
+                    fault = Some(reason);
+                }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             // Reader hit EOF: the child closed stdout and is exiting (or
@@ -581,50 +357,55 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
             break Some(status);
         }
         let now = clock::now();
-        if now.duration_since(last_frame) >= timeout || now.duration_since(start) >= deadline {
+        if now.duration_since(last_event) >= timeout || now.duration_since(start) >= deadline {
             break None;
         }
     };
 
-    let Some(status) = exited else {
-        // Watchdog fired: kill and reap the worker.
-        drop(child);
-        return Ok(AttemptOutcome::TimedOut);
-    };
-    // The pipe may still hold frames the event loop never saw (e.g. the
-    // result of a worker that finished between polls). The worker flushed
-    // before exiting, so they arrive promptly; the grace window only
-    // matters when an orphaned grandchild keeps the pipe from EOF.
-    let grace = clock::now();
-    loop {
-        match rx.recv_timeout(POLL) {
-            Ok(frame) => note(frame, &mut result, &mut fault),
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if clock::now().duration_since(grace) >= DRAIN_GRACE {
-                    break;
+    let result = resume::result_path(Path::new(&spec.cell_dir), spec.replica);
+    let outcome = match exited {
+        // Watchdog fired: the worker is killed and reaped below.
+        None => AttemptOutcome::TimedOut,
+        Some(status) => {
+            // The pipe may still hold a `fault` line the event loop never
+            // saw. The worker flushed before exiting, so it arrives
+            // promptly; the grace window only matters when an orphaned
+            // grandchild keeps the pipe from EOF.
+            let grace = clock::now();
+            loop {
+                match rx.recv_timeout(POLL) {
+                    Ok(Event::Fault(reason)) => fault = Some(reason),
+                    Ok(Event::Heartbeat) => {}
+                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                    Err(mpsc::RecvTimeoutError::Timeout) => {
+                        if clock::now().duration_since(grace) >= DRAIN_GRACE {
+                            break;
+                        }
+                    }
                 }
             }
+            if let Some(reason) = fault {
+                AttemptOutcome::Faulted(reason)
+            } else if status.success() {
+                // The harvest's decoder: the file is what a later run loads.
+                match std::fs::read(&result).map(|b| resume::decode_result(&b)) {
+                    Ok(Ok(r)) => AttemptOutcome::Clean(Box::new(r)),
+                    _ => AttemptOutcome::Crashed("exited cleanly without a result file".into()),
+                }
+            } else if let Some(code) = status.code() {
+                AttemptOutcome::Crashed(format!("exit code {code}"))
+            } else {
+                classify_signal(&status)
+            }
         }
-    }
+    };
     drop(child);
-
-    Ok(if let Some(reason) = fault {
-        AttemptOutcome::Faulted(reason)
-    } else if status.success() {
-        match result {
-            Some(r) if r.replica == spec.replica => AttemptOutcome::Clean(Box::new(r)),
-            Some(r) => AttemptOutcome::Crashed(format!(
-                "protocol violation: result for replica {} on replica {}'s pipe",
-                r.replica, spec.replica
-            )),
-            None => AttemptOutcome::Crashed("exited cleanly without a result frame".into()),
-        }
-    } else if let Some(code) = status.code() {
-        AttemptOutcome::Crashed(format!("exit code {code}"))
-    } else {
-        classify_signal(&status)
-    })
+    if !matches!(outcome, AttemptOutcome::Clean(_)) {
+        // Only a clean exit completes a replica: a result written just
+        // before a kill must not be harvested next to a failed status.
+        std::fs::remove_file(&result).ok();
+    }
+    Ok(outcome)
 }
 
 #[cfg(unix)]
@@ -706,11 +487,10 @@ pub fn run_variant_fleet(
 mod tests {
     use super::*;
     use crate::resume::tests::Scratch;
-    use crate::runner::{Preds, ReplicaStatus};
+    use crate::runner::{Preds, ReplicaResult, ReplicaStatus};
     use crate::task::{DataSource, ModelKind};
     use crate::variant::AlgoSource;
     use hwsim::{Architecture, ChaosConfig};
-    use proptest::prelude::*;
 
     /// Every float that crosses the spec line must come back with its
     /// exact bits; `f32`'s `Debug` is exact for finite values, so `Debug`
@@ -781,142 +561,6 @@ mod tests {
                 };
                 assert_spec_round_trips(&spec);
             }
-        }
-    }
-
-    #[test]
-    fn heartbeat_fault_and_result_frames_round_trip() {
-        let mut dec = FrameDecoder::new();
-        let hb = Heartbeat {
-            replica: 5,
-            attempt: 2,
-            step: 1 << 40,
-        };
-        dec.push(&encode_frame(&Frame::Heartbeat(hb)));
-        assert!(matches!(dec.next_frame(), Some(Frame::Heartbeat(h)) if h == hb));
-
-        let fault = WorkerFault {
-            replica: 1,
-            attempt: 0,
-            reason: "kernel launch failure at step 12".into(),
-        };
-        dec.push(&encode_frame(&Frame::Fault(fault.clone())));
-        assert!(matches!(dec.next_frame(), Some(Frame::Fault(f)) if f == fault));
-
-        let result = ReplicaResult {
-            replica: 9,
-            accuracy: 0.71,
-            preds: Preds::Classes(vec![1, 2, 0]),
-            weights: vec![0.5, -1.25e-30, f32::MIN_POSITIVE],
-            final_train_loss: 0.03,
-        };
-        dec.push(&encode_frame(&Frame::Result(Box::new(result.clone()))));
-        let Some(Frame::Result(back)) = dec.next_frame() else {
-            panic!("result frame did not decode");
-        };
-        assert_eq!(back.replica, result.replica);
-        assert_eq!(back.accuracy.to_bits(), result.accuracy.to_bits());
-        assert_eq!(back.preds, result.preds);
-        let bits = |ws: &[f32]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&back.weights), bits(&result.weights));
-        assert_eq!(dec.skipped(), 0);
-    }
-
-    #[test]
-    fn decoder_reassembles_byte_by_byte() {
-        let frames = [
-            encode_frame(&Frame::Heartbeat(Heartbeat {
-                replica: 0,
-                attempt: 0,
-                step: 4,
-            })),
-            encode_frame(&Frame::Fault(WorkerFault {
-                replica: 0,
-                attempt: 0,
-                reason: "x".into(),
-            })),
-        ];
-        let mut dec = FrameDecoder::new();
-        let mut got = 0;
-        for byte in frames.iter().flatten() {
-            dec.push(&[*byte]);
-            while dec.next_frame().is_some() {
-                got += 1;
-            }
-        }
-        assert_eq!(got, 2);
-        assert_eq!(dec.skipped(), 0);
-    }
-
-    #[test]
-    fn decoder_resyncs_past_garbage_and_corrupt_headers() {
-        let hb = encode_frame(&Frame::Heartbeat(Heartbeat {
-            replica: 7,
-            attempt: 1,
-            step: 99,
-        }));
-        let mut stream = b"not a frame at all".to_vec();
-        // A plausible header whose length field is absurd: must be
-        // skipped, not allocated or waited for.
-        stream.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        stream.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-        stream.extend_from_slice(&u32::MAX.to_le_bytes());
-        // A real header over a garbage payload (bad tag).
-        stream.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        stream.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-        stream.extend_from_slice(&2u32.to_le_bytes());
-        stream.extend_from_slice(&[0xEE, 0xEE]);
-        // A wrong-version frame.
-        stream.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        stream.extend_from_slice(&99u32.to_le_bytes());
-        stream.extend_from_slice(&0u32.to_le_bytes());
-        stream.extend_from_slice(&hb);
-        let mut dec = FrameDecoder::new();
-        dec.push(&stream);
-        let Some(Frame::Heartbeat(h)) = dec.next_frame() else {
-            panic!("heartbeat not recovered after garbage");
-        };
-        assert_eq!(h.step, 99);
-        assert!(dec.skipped() > 0, "corruption must be counted");
-        assert!(dec.next_frame().is_none());
-    }
-
-    proptest! {
-        #[test]
-        fn frame_stream_survives_torn_buffers(
-            beats in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u64>()), 1..6),
-            garbage in proptest::collection::vec(any::<u8>(), 0..40),
-            chunk in 1usize..17,
-        ) {
-            // Garbage may not contain a frame-magic prefix byte sequence;
-            // with 40 arbitrary bytes the odds of a full valid frame are
-            // nil, but scrub magic bytes anyway to keep the property exact.
-            let mut garbage = garbage;
-            for b in &mut garbage {
-                if *b == (FRAME_MAGIC & 0xFF) as u8 {
-                    *b = 0;
-                }
-            }
-            let mut stream = garbage.clone();
-            let mut want = Vec::new();
-            for (replica, attempt, step) in beats {
-                let hb = Heartbeat { replica, attempt, step };
-                want.push(hb);
-                stream.extend_from_slice(&encode_frame(&Frame::Heartbeat(hb)));
-            }
-            let mut dec = FrameDecoder::new();
-            let mut got = Vec::new();
-            for piece in stream.chunks(chunk) {
-                dec.push(piece);
-                while let Some(frame) = dec.next_frame() {
-                    match frame {
-                        Frame::Heartbeat(h) => got.push(h),
-                        other => prop_assert!(false, "unexpected frame {other:?}"),
-                    }
-                }
-            }
-            prop_assert_eq!(got, want);
-            prop_assert_eq!(dec.skipped(), garbage.len() as u64);
         }
     }
 
@@ -1109,14 +753,8 @@ mod tests {
             retry_budget: 0,
             ..fast_settings()
         };
-        // A fake worker that delivers a well-formed fault frame and exits
+        // A fake worker that delivers a well-formed fault line and exits
         // cleanly, like a real worker reporting a TrainError.
-        let fault = encode_frame(&Frame::Fault(WorkerFault {
-            replica: 0,
-            attempt: 0,
-            reason: "injected kernel launch failure".into(),
-        }));
-        let hex: String = fault.iter().map(|b| format!("\\{:03o}", b)).collect();
         let runs = run_variant_fleet(
             &prepared,
             &Device::v100(),
@@ -1124,7 +762,7 @@ mod tests {
             &settings,
             &scratch.0,
             0,
-            &sh_fleet(&format!("printf '{hex}'")),
+            &sh_fleet("printf 'hb 4\\nfault injected kernel launch failure\\n'"),
         )
         .expect("a faulting fleet degrades, never errors");
         match &runs.statuses[0] {
@@ -1136,5 +774,152 @@ mod tests {
             }
             other => panic!("expected Failed, got {other:?}"),
         }
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_clean_exit_without_a_result_file_is_crashed() {
+        let scratch = Scratch::new("noresult");
+        let prepared = PreparedTask::prepare(&tiny_task());
+        let settings = ExperimentSettings {
+            replicas: 1,
+            retry_budget: 0,
+            ..fast_settings()
+        };
+        let runs = run_variant_fleet(
+            &prepared,
+            &Device::v100(),
+            NoiseVariant::Impl,
+            &settings,
+            &scratch.0,
+            0,
+            &sh_fleet("exit 0"),
+        )
+        .expect("a resultless fleet degrades, never errors");
+        match &runs.statuses[0] {
+            ReplicaStatus::Crashed { reason } => {
+                assert!(reason.contains("without a result file"), "{reason}");
+            }
+            other => panic!("expected Crashed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_result_left_by_a_crashed_worker_is_not_harvested() {
+        let scratch = Scratch::new("leftover");
+        let prepared = PreparedTask::prepare(&tiny_task());
+        let settings = ExperimentSettings {
+            replicas: 1,
+            retry_budget: 0,
+            ..fast_settings()
+        };
+        let dir = scratch
+            .0
+            .cell_dir(&prepared.spec, &Device::v100(), NoiseVariant::Impl);
+        let staged = scratch.0.root().join("staged.result");
+        std::fs::create_dir_all(scratch.0.root()).expect("mkdir");
+        let result = ReplicaResult {
+            replica: 0,
+            accuracy: 0.5,
+            preds: Preds::Classes(vec![1]),
+            weights: vec![1.0],
+            final_train_loss: 0.1,
+        };
+        std::fs::write(&staged, resume::encode_result(&result)).expect("stage a result");
+        // A worker that leaves a decodable result file, then dies.
+        let script = format!(
+            "cp '{}' '{}'; exit 7",
+            staged.display(),
+            resume::result_path(&dir, 0).display()
+        );
+        let runs = run_variant_fleet(
+            &prepared,
+            &Device::v100(),
+            NoiseVariant::Impl,
+            &settings,
+            &scratch.0,
+            0,
+            &sh_fleet(&script),
+        )
+        .expect("a crashing fleet degrades, never errors");
+        match &runs.statuses[0] {
+            ReplicaStatus::Crashed { reason } => {
+                assert!(reason.contains("exit code 7"), "{reason}");
+            }
+            other => panic!("expected Crashed(exit code 7), got {other:?}"),
+        }
+        assert!(runs.results.is_empty());
+        assert!(
+            !resume::result_path(&dir, 0).exists(),
+            "a later run would harvest it next to a crashed status"
+        );
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn heartbeat_lines_keep_a_worker_past_the_watchdog_window() {
+        let scratch = Scratch::new("heartbeat");
+        let prepared = PreparedTask::prepare(&tiny_task());
+        let settings = ExperimentSettings {
+            replicas: 1,
+            retry_budget: 0,
+            worker_timeout_ms: 300,
+            ..ExperimentSettings::default()
+        };
+        let start = clock::now();
+        // Ten heartbeats 100 ms apart: a second of life under a 300 ms
+        // watchdog, then a crash the supervisor must see as one.
+        let script = "for i in 1 2 3 4 5 6 7 8 9 10; do echo \"hb $i\"; sleep 0.1; done; exit 7";
+        let runs = run_variant_fleet(
+            &prepared,
+            &Device::v100(),
+            NoiseVariant::Impl,
+            &settings,
+            &scratch.0,
+            0,
+            &sh_fleet(script),
+        )
+        .expect("a crashing fleet degrades, never errors");
+        match &runs.statuses[0] {
+            ReplicaStatus::Crashed { reason } => {
+                assert!(reason.contains("exit code 7"), "{reason}");
+            }
+            other => panic!("expected Crashed(exit code 7), got {other:?}"),
+        }
+        assert!(start.elapsed() >= Duration::from_millis(900));
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn garbage_on_stdout_is_not_liveness() {
+        let scratch = Scratch::new("garbage");
+        let prepared = PreparedTask::prepare(&tiny_task());
+        let settings = ExperimentSettings {
+            replicas: 1,
+            retry_budget: 0,
+            worker_timeout_ms: 300,
+            ..ExperimentSettings::default()
+        };
+        let start = clock::now();
+        // 10 MiB without a newline, then a malformed line every 50 ms: if
+        // either counted as liveness, only the 18 s deadline would end it.
+        let script = "head -c 10485760 /dev/zero | tr '\\0' x; \
+                      while :; do echo 'hb nope'; sleep 0.05; done";
+        let runs = run_variant_fleet(
+            &prepared,
+            &Device::v100(),
+            NoiseVariant::Impl,
+            &settings,
+            &scratch.0,
+            0,
+            &sh_fleet(script),
+        )
+        .expect("a garbage-spewing fleet degrades, never errors");
+        assert_eq!(runs.statuses[0], ReplicaStatus::TimedOut { attempts: 1 });
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the watchdog must fire despite the garbage"
+        );
     }
 }

@@ -30,6 +30,11 @@
 //!     manifest.txt   human-readable fleet progress
 //! ```
 //!
+//! One rule says who writes what, in process and in a fleet worker alike:
+//! the replica attempt ([`crate::runner`]'s one attempt body) writes
+//! `rK.ckpt` and `rK.result`, and removes the checkpoint once the result
+//! is durable; the supervisor writes `rK.status` and `manifest.txt`.
+//!
 //! `<key>` is a 64-bit FNV-1a hash of the compact JSON of `(task, device,
 //! variant)`, the same serde encoding the fleet ships to a worker. Every
 //! field is in it, so a recipe changed under the same task name or a
@@ -44,7 +49,7 @@ use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
 use hwsim::Device;
 pub use nnet::checkpoint::write_atomic;
-use nnet::checkpoint::Checkpoint;
+use nnet::checkpoint::{Checkpoint, Reader};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -124,9 +129,7 @@ impl CheckpointStore {
 
 /// Encodes a [`ReplicaResult`] with byte-exact floats (`f32::to_bits` /
 /// `f64::to_bits`): a resumed fleet must reproduce an uninterrupted one
-/// bit-for-bit, and a text codec cannot promise that. Shared with the
-/// fleet IPC layer, which ships the same bytes over a pipe instead of
-/// through a file.
+/// bit-for-bit, and a text codec cannot promise that.
 pub(crate) fn encode_result(r: &ReplicaResult) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + 4 * r.weights.len());
     out.extend_from_slice(&RESULT_MAGIC.to_le_bytes());
@@ -155,72 +158,13 @@ pub(crate) fn encode_result(r: &ReplicaResult) -> Vec<u8> {
     out
 }
 
-/// Bounds-checked little-endian reader, shared by the result codec here
-/// and the fleet frame codec; truncated or foreign bytes surface as
-/// [`io::ErrorKind::InvalidData`], never a panic.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
 /// An [`io::ErrorKind::InvalidData`] error for undecodable bytes.
 pub(crate) fn bad(detail: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail.to_string())
 }
 
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Whether every byte has been consumed.
-    pub(crate) fn is_done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or_else(|| bad("overflow"))?;
-        if end > self.buf.len() {
-            return Err(bad("truncated"));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    pub(crate) fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// A declared element count, sanity-checked against the bytes that
-    /// actually remain so a corrupt length cannot trigger a huge
-    /// allocation.
-    pub(crate) fn len(&mut self, elem_size: usize) -> io::Result<usize> {
-        let n = self.u64()? as usize;
-        if n.saturating_mul(elem_size) > self.buf.len() - self.pos {
-            return Err(bad("length exceeds payload"));
-        }
-        Ok(n)
-    }
-
-    pub(crate) fn str(&mut self) -> io::Result<String> {
-        let n = self.len(1)?;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| bad("non-UTF-8 string"))
-    }
-}
-
+/// Decodes [`encode_result`]'s bytes; truncated or foreign bytes are
+/// [`io::ErrorKind::InvalidData`], never a panic.
 pub(crate) fn decode_result(bytes: &[u8]) -> io::Result<ReplicaResult> {
     let mut r = Reader::new(bytes);
     if r.u32()? != RESULT_MAGIC {
@@ -247,15 +191,9 @@ pub(crate) fn decode_result(bytes: &[u8]) -> io::Result<ReplicaResult> {
         }
         t => return Err(bad(&format!("unknown preds tag {t}"))),
     };
-    let n = r.len(4)?;
-    let mut weights = Vec::with_capacity(n);
-    for _ in 0..n {
-        weights.push(f32::from_bits(r.u32()?));
-    }
-    let final_train_loss = f32::from_bits(r.u32()?);
-    if !r.is_done() {
-        return Err(bad("trailing bytes"));
-    }
+    let weights = r.f32s()?;
+    let final_train_loss = r.f32()?;
+    r.finish()?;
     Ok(ReplicaResult {
         replica,
         accuracy,
@@ -687,6 +625,37 @@ pub(crate) mod tests {
         let dir = |device: &Device| store.cell_dir(&task, device, NoiseVariant::Impl);
         assert_ne!(dir(&sweep(640)), dir(&sweep(1280)));
         assert_eq!(dir(&sweep(640)), dir(&sweep(640)));
+    }
+
+    #[test]
+    fn a_failed_checkpoint_save_costs_the_resume_point_not_the_cell() {
+        let scratch = Scratch::new("ckptsquat");
+        let prepared = PreparedTask::prepare(&tiny_task());
+        let settings = tiny_settings();
+        let device = Device::v100();
+        let dir = scratch
+            .0
+            .cell_dir(&prepared.spec, &device, NoiseVariant::Impl);
+        // A directory squatting on replica 0's checkpoint: every save fails.
+        std::fs::create_dir_all(ckpt_path(&dir, 0)).expect("plant a directory");
+
+        let runs = run_cell(
+            &prepared,
+            &device,
+            NoiseVariant::Impl,
+            &settings,
+            Some(&scratch.0),
+            None,
+        )
+        .expect("checkpoint saves are best effort");
+        let reference = run_variant(&prepared, &device, NoiseVariant::Impl, &settings);
+        assert_eq!(runs.statuses, reference.statuses);
+        assert_eq!(runs.results.len(), 2);
+        for (a, b) in reference.results.iter().zip(&runs.results) {
+            assert_eq!(a.weights, b.weights, "replica {}", a.replica);
+            assert_eq!(a.preds, b.preds, "replica {}", a.replica);
+        }
+        assert!(result_path(&dir, 0).exists(), "result writes stay strict");
     }
 
     #[test]

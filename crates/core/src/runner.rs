@@ -5,8 +5,10 @@
 //! [`run_cell`]: one store harvest, one thread pool, and one supervised
 //! attempt loop per replica. A [`CheckpointStore`] makes the cell durable
 //! and resumable; [`FleetOptions`] on top of it runs each attempt in a
-//! worker process instead of in process. [`run_variant`] and
-//! [`crate::fleet::run_variant_fleet`] are one-line wrappers over it.
+//! worker process instead of in process. Both run the same attempt body,
+//! which writes the replica's checkpoints and result into the store cell;
+//! the supervisor writes only statuses and the manifest. [`run_variant`]
+//! and [`crate::fleet::run_variant_fleet`] are one-line wrappers over it.
 
 use crate::fleet::{process_attempt, FleetOptions};
 use crate::resume::{self, CheckpointStore};
@@ -405,62 +407,95 @@ pub(crate) enum AttemptOutcome {
     /// A result was delivered.
     Clean(Box<ReplicaResult>),
     /// A structured training error or a caught panic (in process), or a
-    /// graceful [`crate::fleet::WorkerFault`] frame (worker process).
+    /// `fault` line (worker process).
     Faulted(String),
     /// Worker processes only: abnormal death — panic exit code, signal,
-    /// or a clean exit that never delivered a result.
+    /// or a clean exit that left no decodable result file.
     Crashed(String),
     /// Worker processes only: killed by the heartbeat watchdog or the
     /// absolute deadline.
     TimedOut,
 }
 
-/// The in-process attempt body: `catch_unwind` around
-/// [`run_replica_with`]. With a durable store cell directory the attempt
-/// resumes from the replica's newest epoch checkpoint and
-/// sinks fresh ones as it trains. Checkpoints are only ever emitted at
-/// fault-free epoch boundaries (`fit` aborts *before* the sink on a
-/// faulted step), so a checkpoint from a crashed attempt is still a
-/// bit-exact prefix of the clean trajectory and safe for any later
-/// attempt to resume from.
+/// The one attempt body, run in process and in a fleet worker alike:
+/// [`run_replica_with`] as retry `attempt`, with `progress` as the
+/// trainer's progress hook (every `settings.heartbeat_every_steps`
+/// steps). With a store cell `dir` the attempt resumes from the replica's
+/// newest checkpoint, saves a new one after every epoch and, on success,
+/// writes the result file and removes the checkpoint. A checkpoint save is
+/// best effort — a failed one costs a later retry its resume point, never
+/// this attempt — while the result write is strict. Checkpoints are only
+/// ever emitted at fault-free epoch boundaries (`fit` aborts *before* the
+/// sink on a faulted step), so a checkpoint from a crashed attempt is
+/// still a bit-exact prefix of the clean trajectory and safe for any
+/// later attempt to resume from.
+///
+/// # Errors
+///
+/// The IO error of writing the result file; training failures are the
+/// inner [`TrainError`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn train_attempt(
+    prepared: &PreparedTask,
+    device: &Device,
+    variant: NoiseVariant,
+    settings: &ExperimentSettings,
+    dir: Option<&Path>,
+    replica: u32,
+    attempt: u32,
+    progress: Option<&mut dyn FnMut(u64)>,
+) -> io::Result<Result<ReplicaResult, TrainError>> {
+    let ckpt = dir.map(|dir| resume::ckpt_path(dir, replica));
+    let resume_from = ckpt.as_deref().and_then(resume::load_checkpoint);
+    let mut sink = |c: &Checkpoint| {
+        if let Some(path) = &ckpt {
+            c.save(path).ok();
+        }
+    };
+    let outcome = run_replica_with(
+        prepared,
+        device,
+        variant,
+        settings,
+        replica,
+        attempt,
+        FitOptions {
+            resume: resume_from.as_ref(),
+            sink: dir.map(|_| &mut sink as &mut dyn FnMut(&Checkpoint)),
+            progress_every_steps: settings.heartbeat_every_steps,
+            progress: progress.map(|p| p as &mut dyn FnMut(u64)),
+        },
+    );
+    if let (Some(dir), Ok(result)) = (dir, &outcome) {
+        resume::write_atomic(
+            &resume::result_path(dir, replica),
+            &resume::encode_result(result),
+        )?;
+        std::fs::remove_file(resume::ckpt_path(dir, replica)).ok();
+    }
+    Ok(outcome)
+}
+
+/// The in-process attempt: `catch_unwind` around [`train_attempt`], so a
+/// kernel panic costs the replica a retry, not the process.
 fn in_process_attempt(
     prepared: &PreparedTask,
     device: &Device,
     variant: NoiseVariant,
     settings: &ExperimentSettings,
-    durable: Option<&Path>,
+    dir: Option<&Path>,
     replica: u32,
     attempt: u32,
 ) -> io::Result<AttemptOutcome> {
-    let ckpt = durable.map(|dir| resume::ckpt_path(dir, replica));
-    let resume_from = ckpt.as_deref().and_then(resume::load_checkpoint);
-    let mut sink_err: Option<io::Error> = None;
-    let mut sink = |c: &Checkpoint| {
-        if let (true, Some(path)) = (sink_err.is_none(), &ckpt) {
-            sink_err = c.save(path).err();
-        }
-    };
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_replica_with(
-            prepared,
-            device,
-            variant,
-            settings,
-            replica,
-            attempt,
-            FitOptions {
-                resume: resume_from.as_ref(),
-                sink: durable.map(|_| &mut sink as &mut dyn FnMut(&Checkpoint)),
-                ..FitOptions::default()
-            },
+        train_attempt(
+            prepared, device, variant, settings, dir, replica, attempt, None,
         )
     }));
-    if let Some(e) = sink_err {
-        return Err(e);
-    }
     Ok(match outcome {
-        Ok(Ok(result)) => AttemptOutcome::Clean(Box::new(result)),
-        Ok(Err(err)) => AttemptOutcome::Faulted(err.to_string()),
+        Ok(Ok(Ok(result))) => AttemptOutcome::Clean(Box::new(result)),
+        Ok(Ok(Err(err))) => AttemptOutcome::Faulted(err.to_string()),
+        Ok(Err(io_err)) => return Err(io_err),
         Err(payload) => AttemptOutcome::Faulted(panic_reason(payload)),
     })
 }
@@ -468,9 +503,8 @@ fn in_process_attempt(
 /// Runs one replica under supervision: attempts run until one is clean
 /// or `settings.retry_budget` retries are spent. Deterministic
 /// re-derivation of all seeds makes a successful retry bit-identical to a
-/// never-faulted run. With a store cell `dir`, the outcome is persisted
-/// (result, then status) and a completed replica's checkpoint removed;
-/// the supervisor is the single writer of result and status files.
+/// never-faulted run. With a store cell `dir`, the status is persisted:
+/// the supervisor writes status files, the attempt its result.
 fn supervise(
     settings: &ExperimentSettings,
     dir: Option<&Path>,
@@ -496,17 +530,8 @@ fn supervise(
         }
     };
     if let Some(dir) = dir {
-        if let Some(r) = &result {
-            resume::write_atomic(
-                &resume::result_path(dir, replica),
-                &resume::encode_result(r),
-            )?;
-        }
         let line = resume::status_line(&status);
         resume::write_atomic(&resume::status_path(dir, replica), line.as_bytes())?;
-        if result.is_some() {
-            std::fs::remove_file(resume::ckpt_path(dir, replica)).ok();
-        }
     }
     Ok((result, status))
 }

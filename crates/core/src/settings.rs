@@ -41,15 +41,15 @@ pub struct ExperimentSettings {
     /// zero-cost path: no fault bookkeeping anywhere in the hot loop.
     pub chaos: Option<ChaosConfig>,
     /// Fleet-runner watchdog window in milliseconds: a worker process
-    /// that emits no frame (heartbeat, result, or fault) for this long is
+    /// that writes no well-formed `hb` or `fault` line for this long is
     /// killed and its attempt classified as timed out. Also the base of
     /// the per-replica wall-clock deadline. Supervision-only: it shapes
     /// *when* a worker is killed, never *what* a replica computes, so it
     /// stays out of the [`crate::resume::CheckpointStore`] fingerprint.
     pub worker_timeout_ms: u64,
-    /// Fleet workers emit a heartbeat frame every this many optimizer
-    /// steps (via the trainer progress hook). Supervision-only, like
-    /// `worker_timeout_ms`.
+    /// Fleet workers write an `hb <step>` line to stdout every this many
+    /// optimizer steps (via the trainer progress hook). Supervision-only,
+    /// like `worker_timeout_ms`.
     pub heartbeat_every_steps: u32,
 }
 

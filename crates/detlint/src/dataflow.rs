@@ -87,6 +87,7 @@ const BOUNDARY_CALLS: &[&str] = &[
     "write_frame",
     "encode_payload",
     "write_spec",
+    "write_event",
 ];
 
 /// Identifiers whose presence sanctions an entropy crossing: the
@@ -510,7 +511,8 @@ fn float_accumulation_sink(ctx: &Ctx, s: usize, e: usize) -> Option<usize> {
 }
 
 /// A thread/process boundary call in the range: `spawn(`,
-/// `encode_frame(`, `write_frame(`, `encode_payload(`, `write_spec(`.
+/// `encode_frame(`, `write_frame(`, `encode_payload(`, `write_spec(`,
+/// `write_event(`.
 fn boundary_call(ctx: &Ctx, s: usize, e: usize) -> Option<(usize, &'static str)> {
     for i in s..=e {
         let Some(id) = ctx.tokens[i].ident() else {

@@ -21,6 +21,11 @@ pub fn drawn_into_spec(rng: &mut StreamRng, stdin: &mut ChildStdin) {
     write_spec(stdin, &Spec { attempt }) // fires: draw shipped to a worker in its spec line
 }
 
+pub fn drawn_into_heartbeat(rng: &mut StreamRng, stdout: &mut Stdout) {
+    let step = rng.next_u64();
+    write_event(stdout, "hb", &step.to_string()) // fires: draw reported on a worker's stdout line
+}
+
 pub fn sampled_then_spawned(dist: &Normal, rng: &mut StreamRng, scope: &Scope<'_>) {
     let noise = dist.sample(rng);
     scope.spawn(move || perturb(noise)); // fires: sampled value crosses the spawn

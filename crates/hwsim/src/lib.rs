@@ -49,7 +49,6 @@ pub mod device;
 pub mod exec;
 pub mod kernels;
 pub mod profiler;
-pub mod trace;
 pub mod workload;
 
 pub use autotune::{select_conv_kernels, ConvKernelPlan};

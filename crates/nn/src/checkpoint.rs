@@ -84,6 +84,13 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
+/// Undecodable bytes are [`std::io::ErrorKind::InvalidData`].
+impl From<CheckpointError> for std::io::Error {
+    fn from(e: CheckpointError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+    }
+}
+
 // --- encoder -------------------------------------------------------------
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -125,13 +132,24 @@ fn put_stream(out: &mut Vec<u8>, s: &StreamSnapshot) {
 
 // --- decoder -------------------------------------------------------------
 
-struct Reader<'a> {
+/// Bounds-checked little-endian reader over a byte buffer: the decoder of
+/// checkpoints here and of the persisted replica results downstream.
+/// Every read past the end is [`CheckpointError::Truncated`], never a
+/// panic.
+#[derive(Debug)]
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+    /// A reader positioned at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         let end = self
             .pos
             .checked_add(n)
@@ -142,30 +160,34 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, CheckpointError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, CheckpointError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
 
-    fn f32(&mut self) -> Result<f32, CheckpointError> {
+    /// An `f32` from its `to_bits` pattern.
+    pub fn f32(&mut self) -> Result<f32, CheckpointError> {
         Ok(f32::from_bits(self.u32()?))
     }
 
-    /// Reads a length prefix, rejecting lengths the remaining buffer
-    /// cannot possibly hold (corrupt files must not trigger huge
-    /// allocations).
-    fn len(&mut self, elem_size: usize) -> Result<usize, CheckpointError> {
+    /// Reads a `u64` length prefix of `elem_size`-byte elements, rejecting
+    /// lengths the remaining buffer cannot possibly hold (corrupt files
+    /// must not trigger huge allocations).
+    pub fn len(&mut self, elem_size: usize) -> Result<usize, CheckpointError> {
         let n = self.u64()?;
         let remaining = (self.buf.len() - self.pos) as u64;
         if n.saturating_mul(elem_size.max(1) as u64) > remaining {
@@ -174,13 +196,22 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    fn f32s(&mut self) -> Result<Vec<f32>, CheckpointError> {
+    /// A length-prefixed `f32` vector.
+    pub fn f32s(&mut self) -> Result<Vec<f32>, CheckpointError> {
         let n = self.len(4)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.f32()?);
         }
         Ok(out)
+    }
+
+    /// Checks that every byte was consumed.
+    pub fn finish(self) -> Result<(), CheckpointError> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            n => Err(CheckpointError::TrailingBytes(n)),
+        }
     }
 
     fn stream(&mut self) -> Result<StreamSnapshot, CheckpointError> {
@@ -241,7 +272,7 @@ impl Checkpoint {
     /// Returns a [`CheckpointError`] on truncation, wrong magic/version, or
     /// trailing garbage. Never panics on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
+        let mut r = Reader::new(bytes);
         if r.u32()? != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
@@ -273,9 +304,7 @@ impl Checkpoint {
         for _ in 0..n_order {
             order.push(r.u32()?);
         }
-        if r.pos != bytes.len() {
-            return Err(CheckpointError::TrailingBytes(bytes.len() - r.pos));
-        }
+        r.finish()?;
         Ok(Self {
             epochs_done,
             steps,
@@ -306,9 +335,7 @@ impl Checkpoint {
     /// Propagates filesystem errors; decode failures surface as
     /// `InvalidData`.
     pub fn load(path: &Path) -> std::io::Result<Self> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        Ok(Self::from_bytes(&std::fs::read(path)?)?)
     }
 }
 
