@@ -803,6 +803,135 @@ mod tests {
         }
     }
 
+    /// The input gradient as the engine first computed it, kept as the
+    /// oracle for the fast path: `dy` re-laid to `[pixels, out_c]` per
+    /// sample, every `dcol[p, kk]` a fixed-lane dot over the channels
+    /// (channel `o` in lane `o % l`, lanes combined in index order from
+    /// 0.0), then the row-form `col2im` scatter, which adds each input
+    /// element's contributions in `(oy, ox)` order.
+    fn dx_oracle(w: &Tensor, dy: &Tensor, g: &ConvGeometry, lanes: usize) -> Vec<f32> {
+        let n = dy.shape().dim(0);
+        let (oc, pl, pixels) = (g.out_c, g.patch_len(), g.out_pixels());
+        let l = lanes.min(oc);
+        let (wv, dyv) = (w.as_slice(), dy.as_slice());
+        let sample = g.in_c * g.in_h * g.in_w;
+        let mut dx = vec![0f32; n * sample];
+        let mut dyt = vec![0f32; oc];
+        let mut dcol = vec![0f32; pixels * pl];
+        for s in 0..n {
+            for p in 0..pixels {
+                for (o, d) in dyt.iter_mut().enumerate() {
+                    *d = dyv[(s * oc + o) * pixels + p];
+                }
+                for kk in 0..pl {
+                    let mut lane = [0f32; crate::reduce::MAX_LANES];
+                    for (o, &d) in dyt.iter().enumerate() {
+                        lane[o % l] += d * wv[o * pl + kk];
+                    }
+                    let mut acc = 0f32;
+                    for &v in &lane[..l] {
+                        acc += v;
+                    }
+                    dcol[p * pl + kk] = acc;
+                }
+            }
+            col2im(&dcol, g, &mut dx[s * sample..(s + 1) * sample]);
+        }
+        dx
+    }
+
+    /// Scatters patch-major gradients back into an input-shaped buffer,
+    /// one output pixel at a time in `(oy, ox)` order.
+    fn col2im(dcol: &[f32], g: &ConvGeometry, out: &mut [f32]) {
+        let (oh, ow, pl) = (g.out_h(), g.out_w(), g.patch_len());
+        let kk = g.k * g.k;
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let row = (oy * ow + ox) * pl;
+                for c in 0..g.in_c {
+                    for ky in 0..g.k {
+                        let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                        for kx in 0..g.k {
+                            let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                            if iy >= 0
+                                && ix >= 0
+                                && (iy as usize) < g.in_h
+                                && (ix as usize) < g.in_w
+                            {
+                                out[c * g.in_h * g.in_w + iy as usize * g.in_w + ix as usize] +=
+                                    dcol[row + c * kk + ky * g.k + kx];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dx_bit_identical_to_row_form_oracle() {
+        // The three geometries of the reducer-reference test, a strided
+        // 1×1 and a 5×5 with padding 2; the last one also has out_c 32,
+        // so lanes 16 leaves two channels per lane.
+        let geoms = [
+            ConvGeometry::new(1, 5, 3, 1, 1, 7, 7),
+            ConvGeometry::new(3, 6, 3, 2, 1, 9, 9),
+            ConvGeometry::new(8, 4, 3, 1, 0, 6, 5),
+            ConvGeometry::new(4, 7, 1, 2, 0, 7, 8),
+            ConvGeometry::new(2, 32, 5, 1, 2, 6, 7),
+        ];
+        for g in &geoms {
+            let (x, mut w, b) = setup(g, 3);
+            let mut dy = conv2d_forward(&x, &w, &b, g, &mut Reducer::sequential()).unwrap();
+            dy.scale(0.5);
+            for special in [false, true] {
+                if special {
+                    // Products of ±Inf with 0.0 make NaN; -0.0 operands make
+                    // -0.0 products, which a lane or a sum starting at 0.0
+                    // turns into +0.0.
+                    let (dyv, wv) = (dy.as_mut_slice(), w.as_mut_slice());
+                    let specials = [f32::INFINITY, -0.0, f32::NAN, f32::NEG_INFINITY, 0.0];
+                    for (i, &v) in specials.iter().enumerate() {
+                        let at = (i * 37 + 5) % dyv.len();
+                        dyv[at] = v;
+                        let at = (i * 11 + 3) % wv.len();
+                        wv[at] = v;
+                    }
+                    for v in dyv.iter_mut().skip(1).step_by(7) {
+                        *v = -0.0;
+                    }
+                }
+                for lanes in [1, 2, 16, 40, 64] {
+                    let oracle = dx_oracle(&w, &dy, g, lanes);
+                    for order in [ReduceOrder::FixedTree, ReduceOrder::Permuted] {
+                        for threads in [1, 2] {
+                            let what = format!(
+                                "{g:?} special={special} lanes={lanes} {order:?} t={threads}"
+                            );
+                            let mut red = Reducer::new(order, lanes, 5);
+                            let mut ws = Workspace::new();
+                            let gr = conv2d_backward_ws(&x, &w, &dy, g, &mut red, threads, &mut ws)
+                                .unwrap();
+                            let fast = gr.dx.as_slice();
+                            assert_eq!(fast.len(), oracle.len(), "{what} len");
+                            for (idx, (f, r)) in fast.iter().zip(&oracle).enumerate() {
+                                if r.is_nan() {
+                                    assert!(f.is_nan(), "{what} dx[{idx}]: {f} vs NaN");
+                                } else {
+                                    assert_eq!(
+                                        f.to_bits(),
+                                        r.to_bits(),
+                                        "{what} dx[{idx}]: {f} vs {r}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn geometry_dims() {
         let g = ConvGeometry::new(3, 8, 3, 2, 1, 8, 8);
