@@ -4,7 +4,10 @@ use super::Layer;
 use crate::init::Init;
 use detrand::{Philox, StreamRng};
 use hwsim::{ExecutionContext, OpClass};
-use nstensor::{conv2d_backward_ws, conv2d_forward_ws, ConvGeometry, Shape, Tensor, Workspace};
+use nstensor::{
+    conv2d_backward_ws, conv2d_forward_ws, conv2d_param_grads_ws, ConvGeometry, Shape, Tensor,
+    Workspace,
+};
 
 /// A 2-D convolution layer (`[N, C, H, W]` input).
 ///
@@ -104,6 +107,22 @@ impl Layer for Conv2d {
         grads.dx
     }
 
+    /// dW and db only: the input gradient draws from no reducer, so
+    /// skipping it changes no bit.
+    fn backward_params(&mut self, dy: Tensor, exec: &mut ExecutionContext) {
+        let x = self.cached_x.take().expect("backward before forward");
+        let threads = exec.threads();
+        (self.dw, self.db) = conv2d_param_grads_ws(
+            &x,
+            &dy,
+            &self.geom,
+            exec.reducer(OpClass::WeightGrad),
+            threads,
+            &mut self.ws,
+        )
+        .expect("conv2d backward shape");
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         f(&mut self.w, &mut self.dw);
         f(&mut self.b, &mut self.db);
@@ -157,6 +176,48 @@ mod tests {
             assert!(g.as_slice().iter().any(|&v| v != 0.0) || g.is_empty());
         });
         assert_eq!(n, 2);
+    }
+
+    #[test]
+    fn param_only_backward_matches_full_backward() {
+        // V100 in default mode: the WeightGrad reducer is Permuted with
+        // amplification, so any extra or missing draw shows in the bits or
+        // the snapshot.
+        let grads = |params_only: bool| {
+            let (mut l, _, root) = make();
+            let mut exec = ExecutionContext::builder(Device::v100())
+                .mode(ExecutionMode::Default)
+                .entropy(4)
+                .amp_ulps(512.0)
+                .build();
+            let x = Tensor::from_vec(
+                Shape::of(&[2, 3, 6, 6]),
+                (0..216)
+                    .map(|i| ((i * 37 % 101) as f32 - 50.0) / 25.0)
+                    .collect(),
+            )
+            .unwrap();
+            let y = l.forward(x, &mut exec, &root, 0, true);
+            let dy = Tensor::from_vec(
+                y.shape(),
+                (0..y.len())
+                    .map(|i| ((i * 53 % 97) as f32 - 48.0) / 30.0)
+                    .collect(),
+            )
+            .unwrap();
+            if params_only {
+                l.backward_params(dy, &mut exec);
+            } else {
+                l.backward(dy, &mut exec);
+            }
+            let mut bits = Vec::new();
+            l.visit_params(&mut |_, g| bits.extend(g.as_slice().iter().map(|v| v.to_bits())));
+            (bits, exec.reducer(OpClass::WeightGrad).snapshot())
+        };
+        let (full, full_snap) = grads(false);
+        let (params, params_snap) = grads(true);
+        assert_eq!(params, full);
+        assert_eq!(params_snap, full_snap);
     }
 
     #[test]

@@ -30,7 +30,8 @@ use nstensor::Tensor;
 /// `forward` consumes the input and caches whatever the backward pass
 /// needs; `backward` consumes the upstream gradient and returns the
 /// downstream one, storing parameter gradients internally until the
-/// optimizer collects them through [`Layer::visit_params`].
+/// optimizer collects them through [`Layer::visit_params`]. The first
+/// layer of a network runs [`Layer::backward_params`] instead.
 pub trait Layer: std::fmt::Debug {
     /// Forward pass.
     ///
@@ -53,6 +54,23 @@ pub trait Layer: std::fmt::Debug {
     ///
     /// Implementations may panic if called before `forward`.
     fn backward(&mut self, dy: Tensor, exec: &mut ExecutionContext) -> Tensor;
+
+    /// Backward pass for a layer whose input gradient nobody reads (a
+    /// network's first layer): stores the parameter gradients and returns
+    /// nothing.
+    ///
+    /// The default runs [`Layer::backward`] and drops its result. A layer
+    /// may skip the input gradient only when computing it draws from no
+    /// reducer, so that skipping it leaves every later bit unchanged;
+    /// [`Dense`]'s input gradient advances the `InputGrad` reducer, so it
+    /// keeps the default.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if called before `forward`.
+    fn backward_params(&mut self, dy: Tensor, exec: &mut ExecutionContext) {
+        self.backward(dy, exec);
+    }
 
     /// Visits `(parameter, gradient)` pairs for the optimizer.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}

@@ -67,12 +67,20 @@ impl Network {
         x
     }
 
-    /// Backward pass through every layer in reverse.
-    pub fn backward(&mut self, mut dy: Tensor, exec: &mut ExecutionContext) -> Tensor {
-        for layer in self.layers.iter_mut().rev() {
+    /// Backward pass through every layer in reverse, leaving each layer's
+    /// parameter gradients for [`Network::visit_params`].
+    ///
+    /// Nothing reads the first layer's input gradient, so that layer runs
+    /// [`Layer::backward_params`], which skips it where that changes no
+    /// bit.
+    pub fn backward(&mut self, mut dy: Tensor, exec: &mut ExecutionContext) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        for layer in rest.iter_mut().rev() {
             dy = layer.backward(dy, exec);
         }
-        dy
+        first.backward_params(dy, exec);
     }
 
     /// Visits every `(parameter, gradient)` pair.
@@ -138,7 +146,7 @@ mod tests {
     use super::*;
     use crate::layers::{Dense, Relu};
     use detrand::StreamId;
-    use hwsim::{Device, ExecutionMode};
+    use hwsim::{Device, ExecutionMode, OpClass};
     use nstensor::Shape;
 
     fn mlp(seed: u64) -> (Network, Philox) {
@@ -163,8 +171,35 @@ mod tests {
             true,
         );
         assert_eq!(y.shape().dims(), &[4, 2]);
-        let dx = net.backward(Tensor::full(Shape::of(&[4, 2]), 1.0), &mut exec);
-        assert_eq!(dx.shape().dims(), &[4, 3]);
+        net.backward(Tensor::full(Shape::of(&[4, 2]), 1.0), &mut exec);
+        let mut shapes = Vec::new();
+        net.visit_params(&mut |p, g| {
+            assert_eq!(g.shape(), p.shape());
+            shapes.push(g.shape().dims().to_vec());
+        });
+        assert_eq!(shapes, vec![vec![3, 5], vec![5], vec![5, 2], vec![2]]);
+    }
+
+    #[test]
+    fn dense_first_network_still_advances_input_grad() {
+        // Dense keeps the default `backward_params`: its input gradient
+        // draws from the InputGrad reducer, so the first layer still
+        // computes it. Batch 4: 4×5 dots for the last Dense, 4×3 for the
+        // first.
+        let (mut net, root) = mlp(6);
+        let mut exec = ExecutionContext::new(Device::v100(), ExecutionMode::Default, 3);
+        net.forward(
+            Tensor::full(Shape::of(&[4, 3]), 0.5),
+            &mut exec,
+            &root,
+            0,
+            true,
+        );
+        net.backward(Tensor::full(Shape::of(&[4, 2]), 1.0), &mut exec);
+        assert_eq!(
+            exec.reducer(OpClass::InputGrad).invocations(),
+            4 * 5 + 4 * 3
+        );
     }
 
     #[test]

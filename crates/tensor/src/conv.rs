@@ -11,12 +11,23 @@
 //! reorders *which outputs* are computed when, never the k-dimension
 //! combine order inside one output, and all scheduler RNG is pre-drawn in
 //! reference order via [`Reducer::plan_dots`]. The `_ws` variants reuse
-//! caller-provided [`Workspace`] scratch (im2col columns, packed panels,
-//! transposes) across calls; the plain variants allocate privately.
+//! caller-provided [`Workspace`] scratch (packed panels, transposes,
+//! patch-gradient chunks) across calls; the plain variants allocate
+//! privately.
+//!
+//! im2col never materializes in row form: the forward pass and the
+//! weight gradient each write it straight into the packed panels their
+//! GEMM reads. Backward splits into [`conv2d_param_grads_ws`] (dW and db,
+//! the reducer's draws) and [`conv2d_input_grad_ws`] (dX, which draws
+//! nothing), so a caller that discards dX, as a network's first layer
+//! does, skips it without changing any later bit. dX runs in cache-sized
+//! chunks of samples, and its `col2im` adds each input element's
+//! contributions in output-pixel order, as a pixel-by-pixel scatter does
+//! (see `col2im_add`).
 
 use crate::error::ShapeError;
 use crate::gemm::gemm_packed_planned;
-use crate::pack::{pack_b_panels, NR};
+use crate::pack::{transpose_into, NR};
 use crate::reduce::{DotPlan, ReduceOrder, Reducer};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -122,58 +133,19 @@ pub struct Conv2dGrads {
     pub db: Tensor,
 }
 
-/// Lowers one sample into patch-major (`[out_pixels, patch_len]`) layout.
-fn im2col(x: &[f32], g: &ConvGeometry, out: &mut [f32]) {
-    let (oh, ow, pl) = (g.out_h(), g.out_w(), g.patch_len());
-    debug_assert_eq!(out.len(), oh * ow * pl);
-    let kk = g.k * g.k;
-    for oy in 0..oh {
-        for c in 0..g.in_c {
-            let chan = &x[c * g.in_h * g.in_w..(c + 1) * g.in_h * g.in_w];
-            for ky in 0..g.k {
-                let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                if iy < 0 || iy as usize >= g.in_h {
-                    for ox in 0..ow {
-                        let dst = (oy * ow + ox) * pl + c * kk + ky * g.k;
-                        out[dst..dst + g.k].fill(0.0);
-                    }
-                    continue;
-                }
-                let src_row = &chan[iy as usize * g.in_w..(iy as usize + 1) * g.in_w];
-                for ox in 0..ow {
-                    let dst = &mut out[(oy * ow + ox) * pl + c * kk + ky * g.k..][..g.k];
-                    let ix0 = (ox * g.stride) as isize - g.pad as isize;
-                    if ix0 >= 0 && ix0 as usize + g.k <= g.in_w {
-                        // Interior patch row: one contiguous copy.
-                        dst.copy_from_slice(&src_row[ix0 as usize..ix0 as usize + g.k]);
-                    } else {
-                        for (kx, d) in dst.iter_mut().enumerate() {
-                            let ix = ix0 + kx as isize;
-                            *d = if ix >= 0 && (ix as usize) < g.in_w {
-                                src_row[ix as usize]
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Lowers a batch of samples *directly into the GEMM engine's packed
-/// panel layout* (see [`crate::pack::pack_b_panels`]): element
-/// `[p * pl * NR + kk * NR + j]` is patch position `kk` of global output
-/// pixel `p * NR + j`, where global pixels run `(sample, oy, ox)`
-/// row-major across the batch. Panel columns past the last pixel are
-/// zeroed. Fusing the lowering with packing skips the intermediate
-/// `[pixels, patch_len]` buffer and turns the inner loop into contiguous
-/// row copies (one per run of output pixels sharing an image row).
+/// panel layout* (see [`crate::pack::pack_b_panels`]) with the output
+/// pixels as columns: element `[p * pl * NR + kk * NR + j]` is patch
+/// position `kk` of global output pixel `p * NR + j`, where global pixels
+/// run `(sample, oy, ox)` row-major across the batch. Panel columns past
+/// the last pixel are zeroed. Fusing the lowering with packing skips the
+/// intermediate `[pixels, patch_len]` buffer and turns the inner loop into
+/// contiguous row copies (one per run of output pixels sharing an image
+/// row). The forward pass's B operand.
 ///
 /// Packing only copies values, so this cannot perturb any accumulation
 /// order.
-pub(crate) fn im2col_packed(x: &[f32], g: &ConvGeometry, batch: usize, packed: &mut [f32]) {
+pub(crate) fn im2col_pixel_panels(x: &[f32], g: &ConvGeometry, batch: usize, packed: &mut [f32]) {
     let (oh, ow, pl) = (g.out_h(), g.out_w(), g.patch_len());
     let pixels = oh * ow;
     let np = batch * pixels;
@@ -253,28 +225,166 @@ pub(crate) fn im2col_packed(x: &[f32], g: &ConvGeometry, batch: usize, packed: &
     }
 }
 
-/// Scatters patch-major gradients back into an input-shaped buffer.
-fn col2im(dcol: &[f32], g: &ConvGeometry, out: &mut [f32]) {
+/// Lowers a batch of samples into packed panels with the *patch
+/// positions* as columns and the batch's output pixels as depth: element
+/// `[p * np * NR + q * NR + j]` is patch position `p * NR + j` of global
+/// output pixel `q` (`np` pixels in `(sample, oy, ox)` order). Patch
+/// columns past `patch_len` are zeroed. The weight gradient's B operand,
+/// written in place of a `[np, patch_len]` im2col plus a packing copy.
+///
+/// Each pixel's `NR` panel values are one contiguous store. A pixel whose
+/// whole patch lies inside the input reads them at fixed offsets from its
+/// top-left input element; a pixel on the padding border checks each tap.
+fn im2col_patch_panels(x: &[f32], g: &ConvGeometry, batch: usize, packed: &mut [f32]) {
     let (oh, ow, pl) = (g.out_h(), g.out_w(), g.patch_len());
-    let kk = g.k * g.k;
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row = (oy * ow + ox) * pl;
-            for c in 0..g.in_c {
-                for ky in 0..g.k {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                    for kx in 0..g.k {
-                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        if iy >= 0 && ix >= 0 && (iy as usize) < g.in_h && (ix as usize) < g.in_w {
-                            out[c * g.in_h * g.in_w + iy as usize * g.in_w + ix as usize] +=
-                                dcol[row + c * kk + ky * g.k + kx];
+    let pixels = oh * ow;
+    let np = batch * pixels;
+    let ihw = g.in_h * g.in_w;
+    let sample = g.in_c * ihw;
+    debug_assert_eq!(x.len(), batch * sample);
+    assert_eq!(
+        packed.len(),
+        pl.div_ceil(NR) * np * NR,
+        "packed buffer size"
+    );
+    // Whether output row `oy` (column `ox`) has its whole patch inside
+    // the input rows (columns).
+    let inside = |o: usize, extent: usize| {
+        let lo = (o * g.stride) as isize - g.pad as isize;
+        lo >= 0 && lo as usize + g.k <= extent
+    };
+    for (p, slab) in packed.chunks_exact_mut(np * NR).enumerate() {
+        let cols = NR.min(pl - p * NR);
+        // Channel, row tap and column tap of each panel column; pad
+        // columns repeat the last real position and are zeroed after.
+        let taps: [(usize, usize, usize); NR] = core::array::from_fn(|j| {
+            let kk = (p * NR + j).min(pl - 1);
+            let (c, r) = (kk / (g.k * g.k), kk % (g.k * g.k));
+            (c, r / g.k, r % g.k)
+        });
+        let offsets = taps.map(|(c, ky, kx)| c * ihw + ky * g.in_w + kx);
+        let mut pixel_panels = slab.chunks_exact_mut(NR);
+        for xs in x.chunks_exact(sample) {
+            for oy in 0..oh {
+                let y0 = (oy * g.stride) as isize - g.pad as isize;
+                let row_inside = inside(oy, g.in_h);
+                for ox in 0..ow {
+                    let px = pixel_panels.next().expect("one panel row per pixel");
+                    let x0 = (ox * g.stride) as isize - g.pad as isize;
+                    if row_inside && inside(ox, g.in_w) {
+                        let corner = &xs[y0 as usize * g.in_w + x0 as usize..];
+                        for (d, &off) in px.iter_mut().zip(&offsets) {
+                            *d = corner[off];
+                        }
+                    } else {
+                        for (d, &(c, ky, kx)) in px.iter_mut().zip(&taps) {
+                            let (iy, ix) = (y0 + ky as isize, x0 + kx as isize);
+                            let hit = iy >= 0
+                                && ix >= 0
+                                && (iy as usize) < g.in_h
+                                && (ix as usize) < g.in_w;
+                            *d = if hit {
+                                xs[c * ihw + iy as usize * g.in_w + ix as usize]
+                            } else {
+                                0.0
+                            };
                         }
                     }
+                    px[cols..].fill(0.0);
                 }
             }
         }
     }
 }
+
+/// Packs `dy` (`[batch, out_c, pixels]`) as the `[out_c, batch·pixels]`
+/// B operand of the input-gradient GEMM: output channels are the depth,
+/// the batch's pixels the columns (see [`crate::pack::pack_b_panels`]).
+/// Each sample's `[out_c, pixels]` block is already that matrix's column
+/// slice, so a panel copies runs of pixels from it, row by row.
+fn pack_dy_panels(dy: &[f32], oc: usize, pixels: usize, packed: &mut [f32]) {
+    let np = dy.len() / oc;
+    assert_eq!(
+        packed.len(),
+        np.div_ceil(NR) * oc * NR,
+        "packed buffer size"
+    );
+    for (p, panel) in packed.chunks_exact_mut(oc * NR).enumerate() {
+        let g0 = p * NR;
+        let cols = NR.min(np - g0);
+        let mut j0 = 0;
+        while j0 < cols {
+            let (s, px) = ((g0 + j0) / pixels, (g0 + j0) % pixels);
+            let run = (pixels - px).min(cols - j0);
+            let block = &dy[s * oc * pixels..(s + 1) * oc * pixels];
+            for (o, drow) in panel.chunks_exact_mut(NR).enumerate() {
+                drow[j0..j0 + run].copy_from_slice(&block[o * pixels + px..][..run]);
+            }
+            j0 += run;
+        }
+        if cols < NR {
+            for drow in panel.chunks_exact_mut(NR) {
+                drow[cols..].fill(0.0);
+            }
+        }
+    }
+}
+
+/// Adds patch gradients `dcol` (`[patch_len, batch·pixels]`, one row per
+/// patch position) into the input gradient `dx` (`[batch, in_c, in_h,
+/// in_w]`), one zero-padded input plane at a time.
+///
+/// Per sample and channel it walks the rows `(ky, kx)` in *descending*
+/// order and adds each output row's run of pixels into the plane row it
+/// covers, shifted by the tap. For one input element the tap fixes the
+/// output pixel, and `(ky, kx)` descending is exactly `(oy, ox)`
+/// ascending, so every element receives its contributions in output-pixel
+/// order starting from 0.0: the order a pixel-by-pixel scatter produces.
+/// The padding border of the plane takes the taps that fall outside the
+/// input, so the adds need no bounds tests, and is dropped when the
+/// plane's interior is copied out.
+fn col2im_add(dcol: &[f32], g: &ConvGeometry, batch: usize, plane: &mut [f32], dx: &mut [f32]) {
+    let (ow, pixels) = (g.out_w(), g.out_pixels());
+    let np = batch * pixels;
+    let ihw = g.in_h * g.in_w;
+    let pw = g.in_w + 2 * g.pad;
+    debug_assert_eq!(dcol.len(), g.patch_len() * np);
+    debug_assert_eq!(plane.len(), (g.in_h + 2 * g.pad) * pw);
+    for (s, xs) in dx.chunks_exact_mut(g.in_c * ihw).enumerate() {
+        for (c, chan) in xs.chunks_exact_mut(ihw).enumerate() {
+            plane.fill(0.0);
+            for ky in (0..g.k).rev() {
+                for kx in (0..g.k).rev() {
+                    let kk = (c * g.k + ky) * g.k + kx;
+                    let taps = &dcol[kk * np + s * pixels..kk * np + (s + 1) * pixels];
+                    for (oy, src) in taps.chunks_exact(ow).enumerate() {
+                        let prow = &mut plane[(oy * g.stride + ky) * pw + kx..];
+                        if g.stride == 1 {
+                            for (d, &v) in prow.iter_mut().zip(src) {
+                                *d += v;
+                            }
+                        } else {
+                            for (d, &v) in prow.iter_mut().step_by(g.stride).zip(src) {
+                                *d += v;
+                            }
+                        }
+                    }
+                }
+            }
+            for (dst, src) in chan
+                .chunks_exact_mut(g.in_w)
+                .zip(plane[g.pad * pw..].chunks_exact(pw))
+            {
+                dst.copy_from_slice(&src[g.pad..g.pad + g.in_w]);
+            }
+        }
+    }
+}
+
+/// Samples per chunk of the input-gradient pass: enough for the
+/// `[patch_len, chunk·pixels]` patch-gradient block to stay near
+/// `DX_CHUNK_FLOATS`, and at least one.
+const DX_CHUNK_FLOATS: usize = 1 << 15;
 
 /// Forward 2-D convolution.
 ///
@@ -319,7 +429,14 @@ pub fn conv2d_forward_ws(
     threads: usize,
     ws: &mut Workspace,
 ) -> Result<Tensor, ShapeError> {
-    validate(input, weights, bias, geom)?;
+    check_input(input, geom)?;
+    check_weights(weights, geom)?;
+    if bias.shape() != Shape::of(&[geom.out_c]) {
+        return Err(ShapeError::new(
+            "conv2d",
+            format!("bias {} != [{}]", bias.shape(), geom.out_c),
+        ));
+    }
     let n = input.shape().dim(0);
     let (oh, ow, oc, pl) = (geom.out_h(), geom.out_w(), geom.out_c, geom.patch_len());
     let pixels = oh * ow;
@@ -342,7 +459,7 @@ pub fn conv2d_forward_ws(
         // sample.
         let mut packed = ws.take_scratch(pixels.div_ceil(NR) * pl * NR);
         for s in 0..n {
-            im2col_packed(&xin[s * sample..(s + 1) * sample], geom, 1, &mut packed);
+            im2col_pixel_panels(&xin[s * sample..(s + 1) * sample], geom, 1, &mut packed);
             let plan = red.plan_dots(oc * pixels, pl);
             let oblock = &mut ov[s * oc * pixels..(s + 1) * oc * pixels];
             gemm_packed_planned(wv, &packed, oc, pixels, pl, &plan, threads, oblock);
@@ -363,7 +480,7 @@ pub fn conv2d_forward_ws(
         // outputs are merely computed in a different order.
         let np = n * pixels;
         let mut packed = ws.take_scratch(np.div_ceil(NR) * pl * NR);
-        im2col_packed(xin, geom, n, &mut packed);
+        im2col_pixel_panels(xin, geom, n, &mut packed);
         let plan = red.plan_dots(oc * np, pl);
         let mut out_r = ws.take_scratch(oc * np);
         gemm_packed_planned(wv, &packed, oc, np, pl, &plan, threads, &mut out_r);
@@ -408,20 +525,15 @@ pub fn conv2d_backward(
     conv2d_backward_ws(input, weights, dy, geom, red, 1, &mut Workspace::new())
 }
 
-/// Backward 2-D convolution on the blocked engine. See
-/// [`conv2d_backward`] for the math and [`conv2d_forward_ws`] for the
-/// engine/workspace contract.
-///
-/// The reducer call order of the reference path is preserved exactly:
-/// first the dW matmul's `out_c × patch_len` planned dots over the
-/// all-batch inner dimension, then `out_c` bias-gradient sums. The input
-/// gradient never touched the reducer in the reference path (it uses a
-/// fixed `channel % lanes` assignment combined left-to-right), so it runs
-/// under a stateless [`DotPlan::fixed_lanes`] plan.
+/// Backward 2-D convolution on the blocked engine: the input gradient of
+/// [`conv2d_input_grad_ws`] plus the parameter gradients of
+/// [`conv2d_param_grads_ws`]. See [`conv2d_backward`] for the math and
+/// [`conv2d_forward_ws`] for the engine/workspace contract.
 ///
 /// # Errors
 ///
-/// Returns [`ShapeError`] if any operand disagrees with `geom`.
+/// Returns [`ShapeError`] if any operand disagrees with `geom`; the
+/// reducer is then left untouched.
 pub fn conv2d_backward_ws(
     input: &Tensor,
     weights: &Tensor,
@@ -431,36 +543,43 @@ pub fn conv2d_backward_ws(
     threads: usize,
     ws: &mut Workspace,
 ) -> Result<Conv2dGrads, ShapeError> {
-    let bias = Tensor::zeros(Shape::of(&[geom.out_c]));
-    validate(input, weights, &bias, geom)?;
+    // The input gradient draws nothing from the reducer, so computing it
+    // first changes no bit and rejects bad weights before the reducer
+    // advances.
+    check_input(input, geom)?;
+    let dx = conv2d_input_grad_ws(weights, dy, geom, red, threads, ws)?;
+    let (dw, db) = conv2d_param_grads_ws(input, dy, geom, red, threads, ws)?;
+    Ok(Conv2dGrads { dx, dw, db })
+}
+
+/// The parameter gradients of a 2-D convolution: `(dW, db)`, shaped
+/// `[out_c, patch_len]` and `[out_c]`.
+///
+/// dW is one GEMM, `dy` re-laid to `[out_c, N·pixels]` times the batch's
+/// im2col, which is written straight into the engine's packed panels. Its
+/// `out_c × patch_len` planned dots over the all-batch inner dimension
+/// come first, then `out_c` bias-gradient sums: the reducer call order of
+/// the per-element reference path.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if `input` or `dy` disagrees with `geom`.
+pub fn conv2d_param_grads_ws(
+    input: &Tensor,
+    dy: &Tensor,
+    geom: &ConvGeometry,
+    red: &mut Reducer,
+    threads: usize,
+    ws: &mut Workspace,
+) -> Result<(Tensor, Tensor), ShapeError> {
+    check_input(input, geom)?;
     let n = input.shape().dim(0);
-    let (oh, ow, oc, pl) = (geom.out_h(), geom.out_w(), geom.out_c, geom.patch_len());
-    let pixels = oh * ow;
-    if dy.shape() != Shape::of(&[n, oc, oh, ow]) {
-        return Err(ShapeError::new(
-            "conv2d_backward",
-            format!("dy shape {} != [{n}, {oc}, {oh}, {ow}]", dy.shape()),
-        ));
-    }
-
-    let xin = input.as_slice();
-    let dyv = dy.as_slice();
-    let wv = weights.as_slice();
-    let sample = geom.in_c * geom.in_h * geom.in_w;
+    check_dy(dy, Some(n), geom)?;
+    let (oc, pl, pixels) = (geom.out_c, geom.patch_len(), geom.out_pixels());
     let np = n * pixels;
+    let dyv = dy.as_slice();
 
-    // --- all-batch im2col: [N*pixels, patch_len] ---
-    let mut col_all = ws.take_scratch(np * pl);
-    for s in 0..n {
-        im2col(
-            &xin[s * sample..(s + 1) * sample],
-            geom,
-            &mut col_all[s * pixels * pl..(s + 1) * pixels * pl],
-        );
-    }
-
-    // --- dW = dYr [oc, N*pixels] × col_all [N*pixels, pl] ---
-    // Rearrange dy from [N, oc, pixels] to [oc, N*pixels].
+    // --- dW = dYr [oc, N·pixels] × col [N·pixels, pl] ---
     let mut dy_r = ws.take_scratch(oc * np);
     for s in 0..n {
         for o in 0..oc {
@@ -469,7 +588,7 @@ pub fn conv2d_backward_ws(
         }
     }
     let mut col_packed = ws.take_scratch(pl.div_ceil(NR) * np * NR);
-    pack_b_panels(&col_all, np, pl, &mut col_packed);
+    im2col_patch_panels(input.as_slice(), geom, n, &mut col_packed);
     let mut dw = Tensor::zeros(Shape::of(&[oc, pl]));
     let plan = red.plan_dots(oc * pl, np);
     gemm_packed_planned(
@@ -482,72 +601,75 @@ pub fn conv2d_backward_ws(
         threads,
         dw.as_mut_slice(),
     );
-    ws.recycle(col_all);
     ws.recycle(col_packed);
 
     // --- db[o] = Σ_{s,p} dy[s,o,p] (cross-batch reduction) ---
     let mut db = Tensor::zeros(Shape::of(&[oc]));
-    {
-        let dbv = db.as_mut_slice();
-        for o in 0..oc {
-            dbv[o] = red.sum(&dy_r[o * np..(o + 1) * np]);
-        }
+    for (o, d) in db.as_mut_slice().iter_mut().enumerate() {
+        *d = red.sum(&dy_r[o * np..(o + 1) * np]);
     }
     ws.recycle(dy_r);
-
-    // --- dX: per-sample dcolT = dY_sᵀ [pixels, oc] × W [oc, pl], then col2im ---
-    // The reference combines channels with a fixed `o % lc` lane assignment
-    // and a left-to-right lane sum, never consulting the reducer's RNG; a
-    // stateless fixed-lane plan reproduces that bit-for-bit.
-    let lc = red.lanes().min(oc.max(1));
-    let dx_plan = DotPlan::fixed_lanes(lc);
-    let mut dx = Tensor::zeros(input.shape());
-    let dxv = dx.as_mut_slice();
-    // The plan is stateless (fixed lane assignment, no per-output draws),
-    // so all samples fuse into one [n·pixels, patch_len] GEMM; `W` is
-    // already in the engine's `[k, n]` layout and packs transpose-free.
-    let mut dyt_all = ws.take_scratch(np * oc);
-    for s in 0..n {
-        for o in 0..oc {
-            let src = &dyv[(s * oc + o) * pixels..(s * oc + o + 1) * pixels];
-            for (p, &v) in src.iter().enumerate() {
-                dyt_all[(s * pixels + p) * oc + o] = v;
-            }
-        }
-    }
-    let mut w_packed = ws.take_scratch(pl.div_ceil(NR) * oc * NR);
-    pack_b_panels(wv, oc, pl, &mut w_packed);
-    let mut dcol_all = ws.take_scratch(np * pl);
-    gemm_packed_planned(
-        &dyt_all,
-        &w_packed,
-        np,
-        pl,
-        oc,
-        &dx_plan,
-        threads,
-        &mut dcol_all,
-    );
-    for s in 0..n {
-        col2im(
-            &dcol_all[s * pixels * pl..(s + 1) * pixels * pl],
-            geom,
-            &mut dxv[s * sample..(s + 1) * sample],
-        );
-    }
-    ws.recycle(dyt_all);
-    ws.recycle(w_packed);
-    ws.recycle(dcol_all);
-
-    Ok(Conv2dGrads { dx, dw, db })
+    Ok((dw, db))
 }
 
-fn validate(
-    input: &Tensor,
+/// The input gradient of a 2-D convolution, `[N, in_c, in_h, in_w]`.
+///
+/// It reads only the reducer's lane count and draws nothing from it: each
+/// patch gradient combines the channels with a fixed `channel % lanes`
+/// lane assignment in index order, under a stateless
+/// [`DotPlan::fixed_lanes`] plan. So skipping this call, as the trainer
+/// does for a network's first layer, leaves every later bit unchanged.
+///
+/// The batch runs in chunks of samples sized so that the chunk's
+/// `[patch_len, chunk·pixels]` patch gradients stay cache-resident: one
+/// GEMM `Wᵀ [patch_len, out_c] × dy [out_c, chunk·pixels]`, whose B
+/// operand is packed from each sample's own `[out_c, pixels]` block of
+/// `dy`, then an in-order `col2im` into the chunk's slice of the result.
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if `weights` or `dy` disagrees with `geom`.
+pub fn conv2d_input_grad_ws(
     weights: &Tensor,
-    bias: &Tensor,
-    g: &ConvGeometry,
-) -> Result<(), ShapeError> {
+    dy: &Tensor,
+    geom: &ConvGeometry,
+    red: &Reducer,
+    threads: usize,
+    ws: &mut Workspace,
+) -> Result<Tensor, ShapeError> {
+    check_weights(weights, geom)?;
+    check_dy(dy, None, geom)?;
+    let n = dy.shape().dim(0);
+    let (oc, pl, pixels) = (geom.out_c, geom.patch_len(), geom.out_pixels());
+    let sample = geom.in_c * geom.in_h * geom.in_w;
+    let plan = DotPlan::fixed_lanes(red.lanes().min(oc));
+    let mut dx = Tensor::zeros(Shape::of(&[n, geom.in_c, geom.in_h, geom.in_w]));
+    let mut wt = ws.take_scratch(pl * oc);
+    transpose_into(weights.as_slice(), oc, pl, &mut wt);
+    let chunk = (DX_CHUNK_FLOATS / (pl * pixels)).clamp(1, n.max(1));
+    let mut dcol = ws.take_scratch(pl * chunk * pixels);
+    let mut dy_packed = ws.take_scratch((chunk * pixels).div_ceil(NR) * oc * NR);
+    let mut plane = ws.take_scratch((geom.in_h + 2 * geom.pad) * (geom.in_w + 2 * geom.pad));
+    for (dys, dxs) in dy
+        .as_slice()
+        .chunks(chunk * oc * pixels)
+        .zip(dx.as_mut_slice().chunks_mut(chunk * sample))
+    {
+        let cnp = dys.len() / oc;
+        let packed = &mut dy_packed[..cnp.div_ceil(NR) * oc * NR];
+        pack_dy_panels(dys, oc, pixels, packed);
+        let dcol = &mut dcol[..pl * cnp];
+        gemm_packed_planned(&wt, packed, pl, cnp, oc, &plan, threads, dcol);
+        col2im_add(dcol, geom, cnp / pixels, &mut plane, dxs);
+    }
+    ws.recycle(plane);
+    ws.recycle(wt);
+    ws.recycle(dcol);
+    ws.recycle(dy_packed);
+    Ok(dx)
+}
+
+fn check_input(input: &Tensor, g: &ConvGeometry) -> Result<(), ShapeError> {
     if input.shape().rank() != 4
         || input.shape().dim(1) != g.in_c
         || input.shape().dim(2) != g.in_h
@@ -564,6 +686,10 @@ fn validate(
             ),
         ));
     }
+    Ok(())
+}
+
+fn check_weights(weights: &Tensor, g: &ConvGeometry) -> Result<(), ShapeError> {
     if weights.shape() != Shape::of(&[g.out_c, g.patch_len()]) {
         return Err(ShapeError::new(
             "conv2d",
@@ -575,10 +701,24 @@ fn validate(
             ),
         ));
     }
-    if bias.shape() != Shape::of(&[g.out_c]) {
+    Ok(())
+}
+
+/// Checks `dy` against `[n, out_c, out_h, out_w]`; `n` is `dy`'s own
+/// batch size when `None`.
+fn check_dy(dy: &Tensor, n: Option<usize>, g: &ConvGeometry) -> Result<(), ShapeError> {
+    let (oc, oh, ow) = (g.out_c, g.out_h(), g.out_w());
+    let n = n.unwrap_or_else(|| {
+        if dy.shape().rank() == 4 {
+            dy.shape().dim(0)
+        } else {
+            0
+        }
+    });
+    if dy.shape() != Shape::of(&[n, oc, oh, ow]) {
         return Err(ShapeError::new(
-            "conv2d",
-            format!("bias {} != [{}]", bias.shape(), g.out_c),
+            "conv2d_backward",
+            format!("dy shape {} != [{n}, {oc}, {oh}, {ow}]", dy.shape()),
         ));
     }
     Ok(())
@@ -691,6 +831,34 @@ mod tests {
                 assert_eq!(gr.dx.as_slice(), g0.dx.as_slice(), "{order:?} dx");
                 assert_eq!(gr.dw.as_slice(), g0.dw.as_slice(), "{order:?} dw");
                 assert_eq!(gr.db.as_slice(), g0.db.as_slice(), "{order:?} db");
+            }
+        }
+    }
+
+    /// Lowers one sample into row-form (`[out_pixels, patch_len]`) im2col.
+    fn im2col(x: &[f32], g: &ConvGeometry, out: &mut [f32]) {
+        let (oh, ow, pl) = (g.out_h(), g.out_w(), g.patch_len());
+        debug_assert_eq!(out.len(), oh * ow * pl);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let dst = &mut out[(oy * ow + ox) * pl..(oy * ow + ox + 1) * pl];
+                for c in 0..g.in_c {
+                    for ky in 0..g.k {
+                        for kx in 0..g.k {
+                            let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                            let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                            dst[(c * g.k + ky) * g.k + kx] = if iy >= 0
+                                && ix >= 0
+                                && (iy as usize) < g.in_h
+                                && (ix as usize) < g.in_w
+                            {
+                                x[(c * g.in_h + iy as usize) * g.in_w + ix as usize]
+                            } else {
+                                0.0
+                            };
+                        }
+                    }
+                }
             }
         }
     }

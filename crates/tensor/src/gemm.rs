@@ -53,6 +53,26 @@
 //! That makes the engine bit-invariant in the thread count by
 //! construction.
 //!
+//! # Lanes ≥ k
+//!
+//! A [`ReduceOrder::FixedTree`] dot with at least as many lanes as
+//! elements runs on the sequential kernel. Each lane then holds at most
+//! one product, as `+0.0 + a·b`, and the combine adds the lanes in index
+//! order to a sum that starts at 0.0: exactly the sequential chain
+//! `0.0 + a₀b₀ + a₁b₁ + …`, except that each term is `+0.0 + aᵢbᵢ`
+//! instead of `aᵢbᵢ`, and an empty lane adds `+0.0`. Adding `+0.0`
+//! changes a value only when that value is `−0.0`, and then only its sign
+//! of zero. So a term differs only when `aᵢbᵢ = −0.0`, where the combine
+//! adds `+0.0` instead of `−0.0`, and that changes the running sum only
+//! if the sum is `−0.0`. Neither chain can hold `−0.0`: it starts at
+//! `+0.0`, and in round-to-nearest a sum is `−0.0` only when both addends
+//! are. So every output gets the same bits, infinities included, and a
+//! NaN output stays NaN (it propagates through an add of `+0.0`). Which
+//! payload survives where two NaNs meet is not pinned: that follows the
+//! operand order the compiler picks for each add, which Rust leaves open.
+//! The conv input gradient (k = `out_c`) and forward GEMMs with
+//! `patch_len ≤ lanes` take this path.
+//!
 //! [`ReduceOrder`]: crate::reduce::ReduceOrder
 //! [`Reducer::dot`]: crate::reduce::Reducer::dot
 //! [`Reducer::plan_dots`]: crate::reduce::Reducer::plan_dots
@@ -273,8 +293,9 @@ fn run_band(
         // every element in lane 0 in increasing-k order and the combine
         // reads it back, so the fast sequential kernel computes the same
         // bits. Permuted adds only the per-output amplification scale
-        // (its draws are 0 when lanes == 1).
-        ReduceOrder::FixedTree if plan.lanes == 1 => {
+        // (its draws are 0 when lanes == 1). FixedTree with at least as
+        // many lanes as k is one chain too (module docs, "Lanes ≥ k").
+        ReduceOrder::FixedTree if plan.lanes == 1 || plan.lanes >= k => {
             band_sequential(a, packed, n, k, row0, rows, band)
         }
         ReduceOrder::Permuted if plan.lanes == 1 => {
@@ -666,6 +687,70 @@ mod tests {
                     let what = format!("lanes {lanes} seed {seed} amp {amp}");
                     assert_bits_eq(&fast, &reference, &what);
                 }
+            }
+        }
+    }
+
+    /// Bit equality, except that a NaN matches any NaN: which payload
+    /// survives an add of two NaNs is the compiler's operand order.
+    fn assert_same_values(fast: &[f32], reference: &[f32], what: &str) {
+        assert_eq!(fast.len(), reference.len(), "{what}: len");
+        for (idx, (x, y)) in fast.iter().zip(reference).enumerate() {
+            if y.is_nan() {
+                assert!(x.is_nan(), "{what}: element {idx}: {x} vs NaN");
+            } else {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{what}: element {idx}: {x} vs {y}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_tree_with_lanes_at_least_k_matches_reference() {
+        let nan = |bits: u32| f32::from_bits(bits);
+        let (m, n) = (6, 21);
+        for k in [1, 5, 16, 64] {
+            let mut a = filled(m, k, 16);
+            let b = filled(k, n, 17);
+            let av = a.as_mut_slice();
+            // Row 0: every product is -0.0 (a -0.0 times a positive b, or
+            // +0.0 times a negative one), so both chains sum signed zeros.
+            // Row 1: ±Inf, so columns meet Inf - Inf. Row 2: NaN payloads
+            // of both signs. Row 3: a single -0.0 product among finite ones.
+            for (kk, x) in av[..k].iter_mut().enumerate() {
+                *x = if kk % 2 == 0 { -0.0 } else { 0.0 };
+            }
+            av[k] = f32::INFINITY;
+            av[k + k / 2] = if k > 1 {
+                f32::NEG_INFINITY
+            } else {
+                f32::INFINITY
+            };
+            av[2 * k] = nan(0x7fc0_0011);
+            av[2 * k + k - 1] = nan(0xffc0_0012);
+            av[3 * k + k / 3] = -0.0;
+            for lanes in [k, k + 1, MAX_LANES] {
+                let red = Reducer::new(ReduceOrder::FixedTree, lanes, 3);
+                let mut ws = Workspace::new();
+                let reference = matmul_reference(&a, &b, &mut red.clone()).unwrap();
+                for threads in [1, 2] {
+                    let fast = matmul_ws(&a, &b, &mut red.clone(), threads, &mut ws).unwrap();
+                    let what = format!("k {k} lanes {lanes} t {threads}");
+                    assert_same_values(fast.as_slice(), reference.as_slice(), &what);
+                }
+                // A fixed-lane plan keeps lanes past k (they stay empty):
+                // the sequential kernel must match the lane kernel there too.
+                let mut packed = vec![0f32; n.div_ceil(NR) * k * NR];
+                pack_b_panels(b.as_slice(), k, n, &mut packed);
+                let mut lane_kernel = vec![0f32; m * n];
+                band_fixed_tree(a.as_slice(), &packed, lanes, n, k, 0, m, &mut lane_kernel);
+                let mut shortcut = vec![0f32; m * n];
+                let plan = DotPlan::fixed_lanes(lanes);
+                gemm_packed_planned(a.as_slice(), &packed, m, n, k, &plan, 1, &mut shortcut);
+                assert_same_values(&shortcut, &lane_kernel, &format!("k {k} lanes {lanes}"));
             }
         }
     }

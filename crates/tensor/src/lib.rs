@@ -59,8 +59,8 @@ pub mod tensor;
 pub mod workspace;
 
 pub use conv::{
-    conv2d_backward, conv2d_backward_ws, conv2d_forward, conv2d_forward_ws, Conv2dGrads,
-    ConvGeometry,
+    conv2d_backward, conv2d_backward_ws, conv2d_forward, conv2d_forward_ws, conv2d_input_grad_ws,
+    conv2d_param_grads_ws, Conv2dGrads, ConvGeometry,
 };
 pub use error::ShapeError;
 pub use gemm::{matmul_a_bt_ws, matmul_at_b_ws, matmul_ws};
