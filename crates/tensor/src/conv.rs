@@ -229,8 +229,7 @@ pub(crate) fn im2col_pixel_panels(x: &[f32], g: &ConvGeometry, batch: usize, pac
 /// positions* as columns and the batch's output pixels as depth: element
 /// `[p * np * NR + q * NR + j]` is patch position `p * NR + j` of global
 /// output pixel `q` (`np` pixels in `(sample, oy, ox)` order). Patch
-/// columns past `patch_len` are zeroed. The weight gradient's B operand,
-/// written in place of a `[np, patch_len]` im2col plus a packing copy.
+/// columns past `patch_len` are zeroed. The weight gradient's B operand.
 ///
 /// Each pixel's `NR` panel values are one contiguous store. A pixel whose
 /// whole patch lies inside the input reads them at fixed offsets from its
@@ -546,7 +545,6 @@ pub fn conv2d_backward_ws(
     // The input gradient draws nothing from the reducer, so computing it
     // first changes no bit and rejects bad weights before the reducer
     // advances.
-    check_input(input, geom)?;
     let dx = conv2d_input_grad_ws(weights, dy, geom, red, threads, ws)?;
     let (dw, db) = conv2d_param_grads_ws(input, dy, geom, red, threads, ws)?;
     Ok(Conv2dGrads { dx, dw, db })
@@ -574,7 +572,7 @@ pub fn conv2d_param_grads_ws(
 ) -> Result<(Tensor, Tensor), ShapeError> {
     check_input(input, geom)?;
     let n = input.shape().dim(0);
-    check_dy(dy, Some(n), geom)?;
+    check_dy(dy, n, geom)?;
     let (oc, pl, pixels) = (geom.out_c, geom.patch_len(), geom.out_pixels());
     let np = n * pixels;
     let dyv = dy.as_slice();
@@ -638,8 +636,8 @@ pub fn conv2d_input_grad_ws(
     ws: &mut Workspace,
 ) -> Result<Tensor, ShapeError> {
     check_weights(weights, geom)?;
-    check_dy(dy, None, geom)?;
-    let n = dy.shape().dim(0);
+    let n = dy.shape().dims().first().copied().unwrap_or(0);
+    check_dy(dy, n, geom)?;
     let (oc, pl, pixels) = (geom.out_c, geom.patch_len(), geom.out_pixels());
     let sample = geom.in_c * geom.in_h * geom.in_w;
     let plan = DotPlan::fixed_lanes(red.lanes().min(oc));
@@ -704,17 +702,8 @@ fn check_weights(weights: &Tensor, g: &ConvGeometry) -> Result<(), ShapeError> {
     Ok(())
 }
 
-/// Checks `dy` against `[n, out_c, out_h, out_w]`; `n` is `dy`'s own
-/// batch size when `None`.
-fn check_dy(dy: &Tensor, n: Option<usize>, g: &ConvGeometry) -> Result<(), ShapeError> {
+fn check_dy(dy: &Tensor, n: usize, g: &ConvGeometry) -> Result<(), ShapeError> {
     let (oc, oh, ow) = (g.out_c, g.out_h(), g.out_w());
-    let n = n.unwrap_or_else(|| {
-        if dy.shape().rank() == 4 {
-            dy.shape().dim(0)
-        } else {
-            0
-        }
-    });
     if dy.shape() != Shape::of(&[n, oc, oh, ow]) {
         return Err(ShapeError::new(
             "conv2d_backward",
@@ -1183,5 +1172,17 @@ mod tests {
         assert!(conv2d_forward(&bad_x, &w, &b, &g, &mut Reducer::sequential()).is_err());
         let bad_dy = Tensor::zeros(Shape::of(&[1, 3, 9, 9]));
         assert!(conv2d_backward(&x, &w, &bad_dy, &g, &mut Reducer::sequential()).is_err());
+        // A backward call that fails leaves the reducer where it was.
+        let dy = Tensor::zeros(Shape::of(&[1, 3, 4, 4]));
+        let two_samples = Tensor::zeros(Shape::of(&[2, 3, 4, 4]));
+        let mut red = Reducer::new(ReduceOrder::Permuted, 8, 3);
+        let before = red.snapshot();
+        assert!(conv2d_backward(&x, &bad_w, &dy, &g, &mut red).is_err());
+        assert!(conv2d_backward(&bad_x, &w, &dy, &g, &mut red).is_err());
+        assert!(conv2d_backward(&x, &w, &two_samples, &g, &mut red).is_err());
+        let mut ws = Workspace::new();
+        assert!(conv2d_param_grads_ws(&x, &two_samples, &g, &mut red, 1, &mut ws).is_err());
+        assert!(conv2d_input_grad_ws(&bad_w, &dy, &g, &red, 1, &mut ws).is_err());
+        assert_eq!(red.snapshot(), before);
     }
 }
