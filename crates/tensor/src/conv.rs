@@ -380,9 +380,9 @@ fn col2im_add(dcol: &[f32], g: &ConvGeometry, batch: usize, plane: &mut [f32], d
     }
 }
 
-/// Samples per chunk of the input-gradient pass: enough for the
-/// `[patch_len, chunk·pixels]` patch-gradient block to stay near
-/// `DX_CHUNK_FLOATS`, and at least one.
+/// Float budget (128 KiB) of one chunk's `[patch_len, chunk·pixels]`
+/// patch gradients in the input-gradient pass: a chunk takes as many
+/// samples as fit, and at least one.
 const DX_CHUNK_FLOATS: usize = 1 << 15;
 
 /// Forward 2-D convolution.
@@ -615,8 +615,9 @@ pub fn conv2d_param_grads_ws(
 /// It reads only the reducer's lane count and draws nothing from it: each
 /// patch gradient combines the channels with a fixed `channel % lanes`
 /// lane assignment in index order, under a stateless
-/// [`DotPlan::fixed_lanes`] plan. So skipping this call, as the trainer
-/// does for a network's first layer, leaves every later bit unchanged.
+/// [`DotPlan::fixed_lanes`] plan. So skipping this call, as a network's
+/// backward pass does for its first layer, leaves every later bit
+/// unchanged.
 ///
 /// The batch runs in chunks of samples sized so that the chunk's
 /// `[patch_len, chunk·pixels]` patch gradients stay cache-resident: one

@@ -716,10 +716,10 @@ mod tests {
             let mut a = filled(m, k, 16);
             let b = filled(k, n, 17);
             let av = a.as_mut_slice();
-            // Row 0: every product is -0.0 (a -0.0 times a positive b, or
-            // +0.0 times a negative one), so both chains sum signed zeros.
-            // Row 1: ±Inf, so columns meet Inf - Inf. Row 2: NaN payloads
-            // of both signs. Row 3: a single -0.0 product among finite ones.
+            // Row 0: every product is a zero of either sign, so both chains
+            // sum signed zeros. Row 1: ±Inf, so columns meet Inf - Inf.
+            // Row 2: NaN payloads of both signs. Row 3: one signed-zero
+            // product among finite ones.
             for (kk, x) in av[..k].iter_mut().enumerate() {
                 *x = if kk % 2 == 0 { -0.0 } else { 0.0 };
             }
