@@ -230,7 +230,7 @@ impl ExecutionContext {
     /// [`ExecutionContext::take_fault`], a [`FaultKind::NanPoison`]
     /// arms a one-shot NaN on the next direct-reduction class
     /// (`WeightGrad`/`Statistics`/`Misc` — matmul classes run through
-    /// pre-drawn plans that never materialize a poisoned scalar), a
+    /// planned GEMM batches that never materialize a poisoned scalar), a
     /// [`FaultKind::Hang`] stalls the calling thread for the plan's
     /// configured duration, and a [`FaultKind::Abort`] takes the whole
     /// process down.

@@ -8,16 +8,9 @@
 
 use serde::{Deserialize, Serialize};
 
-/// The counter increment: the state after `n` draws is `seed + n·GAMMA`.
-const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The output function: a bijective avalanche mix of one counter value.
-#[inline(always)]
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The counter increment: the state after `n` draws is `seed + n·GAMMA`,
+/// and draw `n` ahead mixes the counter `state + (n + 1)·GAMMA`.
+pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A SplitMix64 generator.
 ///
@@ -53,7 +46,27 @@ impl SplitMix64 {
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GAMMA);
-        mix(self.state)
+        Self::mix(self.state)
+    }
+
+    /// The output function: a bijective avalanche mix of one counter
+    /// value. Every draw is `mix` of a counter, so `peek(n) ==
+    /// SplitMix64::mix(g.counter(n))`.
+    #[inline(always)]
+    pub fn mix(mut z: u64) -> u64 {
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The counter that draw `n` ahead mixes, `state + (n + 1)·GAMMA`
+    /// (wrapping). Draws `d` apart have counters `d·GAMMA` apart, so a
+    /// caller walking a regular pattern of draws can step the counter by
+    /// addition and pay only for [`SplitMix64::mix`].
+    #[inline]
+    pub fn counter(&self, n: u64) -> u64 {
+        self.state
+            .wrapping_add(n.wrapping_add(1).wrapping_mul(GAMMA))
     }
 
     /// The value the `n + 1`-th [`SplitMix64::next_u64`] call from here
@@ -65,9 +78,7 @@ impl SplitMix64 {
     /// reproducing the sequential stream exactly.
     #[inline]
     pub fn peek(&self, n: u64) -> u64 {
-        mix(self
-            .state
-            .wrapping_add(n.wrapping_add(1).wrapping_mul(GAMMA)))
+        Self::mix(self.counter(n))
     }
 
     /// Advances the generator by `n` draws in O(1): the state afterwards
@@ -173,6 +184,13 @@ mod tests {
                 assert_eq!(skipped, after, "skip({n}) from {seed:#x}");
                 // peek does not advance.
                 assert_eq!(g, SplitMix64::new(seed));
+                // Counters step by GAMMA per draw.
+                let stepped = g.counter(0).wrapping_add(n.wrapping_mul(GAMMA));
+                assert_eq!(
+                    SplitMix64::mix(stepped),
+                    next,
+                    "counter({n}) from {seed:#x}"
+                );
             }
         }
     }

@@ -9,16 +9,24 @@
 //! Both passes run on the blocked GEMM engine ([`crate::gemm`]) and are
 //! bit-identical to the original per-element loops: the engine only
 //! reorders *which outputs* are computed when, never the k-dimension
-//! combine order inside one output, and all scheduler RNG is pre-drawn in
-//! reference order via [`Reducer::plan_dots`]. The `_ws` variants reuse
-//! caller-provided [`Workspace`] scratch (packed panels, transposes,
-//! patch-gradient chunks) across calls; the plain variants allocate
-//! privately.
+//! combine order inside one output, and every output's scheduler draws
+//! are fixed by its position in the reference order
+//! ([`Reducer::plan_dots`]). The `_ws` variants reuse caller-provided
+//! [`Workspace`] scratch (packed panels, transposes, patch-gradient
+//! chunks) across calls; the plain variants allocate privately.
 //!
 //! im2col never materializes in row form: the forward pass and the
 //! weight gradient each write it straight into the packed panels their
-//! GEMM reads. Backward splits into [`conv2d_param_grads_ws`] (dW and db,
-//! the reducer's draws) and [`conv2d_input_grad_ws`] (dX, which draws
+//! GEMM reads. The forward pass runs in cache-sized chunks of samples,
+//! one GEMM per chunk over the chunk's `chunk·pixels` output columns, for
+//! every reduction order. The reference draws a Permuted spec per output
+//! in sample-major `(s, o, p)` order, so each chunk plans its outputs
+//! right after the previous chunk's, and reads its columns as sample
+//! blocks (`DotPlan::sample_blocks`) to find each output's place in
+//! that order. The forward's buffers do not grow with the batch.
+//!
+//! Backward splits into [`conv2d_param_grads_ws`] (dW and db, the
+//! reducer's draws) and [`conv2d_input_grad_ws`] (dX, which draws
 //! nothing), so a caller that discards dX, as a network's first layer
 //! does, skips it without changing any later bit. dX runs in cache-sized
 //! chunks of samples, and its `col2im` adds each input element's
@@ -28,7 +36,7 @@
 use crate::error::ShapeError;
 use crate::gemm::gemm_packed_planned;
 use crate::pack::{transpose_into, NR};
-use crate::reduce::{DotPlan, ReduceOrder, Reducer};
+use crate::reduce::{DotPlan, Reducer};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -380,6 +388,11 @@ fn col2im_add(dcol: &[f32], g: &ConvGeometry, batch: usize, plane: &mut [f32], d
     }
 }
 
+/// Float budget (128 KiB) of one forward chunk's packed im2col panels,
+/// `patch_len × chunk·pixels`: a chunk takes as many samples as fit, and
+/// at least one.
+const FWD_CHUNK_FLOATS: usize = 1 << 15;
+
 /// Float budget (128 KiB) of one chunk's `[patch_len, chunk·pixels]`
 /// patch gradients in the input-gradient pass: a chunk takes as many
 /// samples as fit, and at least one.
@@ -411,10 +424,13 @@ pub fn conv2d_forward(
 /// and running output row bands on up to `threads` threads.
 ///
 /// Bit-identical to [`conv2d_forward`] for every reducer configuration
-/// and thread count: per sample, the output `[out_c, pixels]` block is
-/// one GEMM whose row-major output order matches the reference
-/// channel-major `(o, p)` loop, so [`Reducer::plan_dots`] consumes the
-/// scheduler RNG in exactly the reference order.
+/// and thread count. The batch runs in chunks of samples whose packed
+/// im2col panels fit `FWD_CHUNK_FLOATS`: one GEMM per chunk, weights
+/// `[out_c, patch_len]` times the chunk's `[patch_len, chunk·pixels]`
+/// patches. The chunks plan their dots one after another, and within a
+/// chunk output `(o, s·pixels + p)` takes the draws of reference output
+/// `s·out_c·pixels + o·pixels + p`, so the scheduler RNG is consumed
+/// exactly as the reference's sample-major `(s, o, p)` loop consumes it.
 ///
 /// # Errors
 ///
@@ -445,59 +461,36 @@ pub fn conv2d_forward_ws(
     let bv = bias.as_slice();
     let ov = out.as_mut_slice();
     let sample = geom.in_c * geom.in_h * geom.in_w;
-    // Do not batch the Permuted branch. Drawing the specs in reference
-    // order and reordering them into the batched `(o, s, p)` output order
-    // for one GEMM is bit-identical and passes every test, but on a
-    // 2-core x86-64 host a prototype of it raised noisebench's
-    // `impl_noise` peak RSS from 19.3 to 27.3 MB (+41%), because each
-    // layer's `Workspace` then keeps batch-sized plan, im2col and output
-    // buffers. It bought only about 3% more throughput.
-    if red.order() == ReduceOrder::Permuted {
-        // The reference draws each sample's permutation specs before the
-        // next sample's, so Permuted keeps one plan (and one GEMM) per
-        // sample.
-        let mut packed = ws.take_scratch(pixels.div_ceil(NR) * pl * NR);
-        for s in 0..n {
-            im2col_pixel_panels(&xin[s * sample..(s + 1) * sample], geom, 1, &mut packed);
-            let plan = red.plan_dots(oc * pixels, pl);
-            let oblock = &mut ov[s * oc * pixels..(s + 1) * oc * pixels];
-            gemm_packed_planned(wv, &packed, oc, pixels, pl, &plan, threads, oblock);
-            // Bias after the dot: `dot + b` exactly as the reference
-            // computes.
-            for o in 0..oc {
+    let chunk = (FWD_CHUNK_FLOATS / (pl * pixels)).clamp(1, n.max(1));
+    let mut packed = ws.take_scratch((chunk * pixels).div_ceil(NR) * pl * NR);
+    let mut out_r = ws.take_scratch(oc * chunk * pixels);
+    for (xs, ys) in xin
+        .chunks(chunk * sample)
+        .zip(ov.chunks_mut(chunk * oc * pixels))
+    {
+        let cnp = xs.len() / sample * pixels;
+        let packed = &mut packed[..cnp.div_ceil(NR) * pl * NR];
+        im2col_pixel_panels(xs, geom, cnp / pixels, packed);
+        // The chunk's outputs come after the previous chunk's in the
+        // reference draw order, and within the chunk one sample's
+        // `[out_c, pixels]` block follows another.
+        let plan = red.plan_dots(oc * cnp, pl).sample_blocks(pixels);
+        let out_r = &mut out_r[..oc * cnp];
+        gemm_packed_planned(wv, packed, oc, cnp, pl, &plan, threads, out_r);
+        // Scatter [oc, chunk·pixels] back to [chunk, oc, pixels], adding
+        // the bias after the dot exactly as the reference computes.
+        for (s, yblock) in ys.chunks_exact_mut(oc * pixels).enumerate() {
+            for (o, dst) in yblock.chunks_exact_mut(pixels).enumerate() {
                 let b = bv[o];
-                for v in &mut oblock[o * pixels..(o + 1) * pixels] {
-                    *v += b;
-                }
-            }
-        }
-        ws.recycle(packed);
-    } else {
-        // Sequential and FixedTree dots never consult the scheduler RNG,
-        // so every per-sample GEMM can fuse into one batch-wide GEMM over
-        // n·pixels output columns — each output's chain is unchanged, the
-        // outputs are merely computed in a different order.
-        let np = n * pixels;
-        let mut packed = ws.take_scratch(np.div_ceil(NR) * pl * NR);
-        im2col_pixel_panels(xin, geom, n, &mut packed);
-        let plan = red.plan_dots(oc * np, pl);
-        let mut out_r = ws.take_scratch(oc * np);
-        gemm_packed_planned(wv, &packed, oc, np, pl, &plan, threads, &mut out_r);
-        // Scatter [oc, n·pixels] back to [n, oc, pixels], adding the bias
-        // after the dot exactly as the reference computes.
-        for s in 0..n {
-            for o in 0..oc {
-                let b = bv[o];
-                let src = &out_r[o * np + s * pixels..o * np + (s + 1) * pixels];
-                let dst = &mut ov[(s * oc + o) * pixels..(s * oc + o + 1) * pixels];
+                let src = &out_r[o * cnp + s * pixels..o * cnp + (s + 1) * pixels];
                 for (d, &v) in dst.iter_mut().zip(src) {
                     *d = v + b;
                 }
             }
         }
-        ws.recycle(out_r);
-        ws.recycle(packed);
     }
+    ws.recycle(out_r);
+    ws.recycle(packed);
     Ok(out)
 }
 
@@ -910,14 +903,34 @@ mod tests {
     fn ws_variants_bit_identical_to_reducer_reference() {
         // Patch lengths 9 (below every lane count past 2, so lanes clamp to
         // k), 27 and 72; output pixel counts 49, 25 and 12, none a
-        // multiple of NR; strides 1 and 2.
+        // multiple of NR; strides 1 and 2. All three fit one forward
+        // chunk at batch 3.
         let geoms = [
             ConvGeometry::new(1, 5, 3, 1, 1, 7, 7),
             ConvGeometry::new(3, 6, 3, 2, 1, 9, 9),
             ConvGeometry::new(8, 4, 3, 1, 0, 6, 5),
         ];
-        for g in &geoms {
-            let (x, w, b) = setup(g, 3);
+        let mut cases: Vec<(ConvGeometry, usize, &[usize])> = geoms
+            .iter()
+            .map(|&g| (g, 3, &[1, 2, 27, 40, 64][..]))
+            .collect();
+        // ResNet's deep shapes: output pixel counts 4 (a 2×2 layer) and 1
+        // (a stride-2 1×1 layer on 2×2), so one NR panel spans several
+        // samples, at a batch of three full forward chunks plus a
+        // remainder.
+        for g in [
+            ConvGeometry::new(64, 3, 3, 1, 1, 2, 2),
+            ConvGeometry::new(480, 2, 1, 2, 0, 2, 2),
+        ] {
+            let chunk = FWD_CHUNK_FLOATS / (g.patch_len() * g.out_pixels());
+            assert!(
+                chunk > 1 && !(chunk * g.out_pixels()).is_multiple_of(NR),
+                "{g:?}"
+            );
+            cases.push((g, 3 * chunk + chunk / 2 + 1, &[1, 2, 27, 64]));
+        }
+        for (g, n, lane_counts) in &cases {
+            let (x, w, b) = setup(g, *n);
             let mut dy = conv2d_forward(&x, &w, &b, g, &mut Reducer::sequential()).unwrap();
             dy.scale(0.5);
             for order in [
@@ -925,7 +938,7 @@ mod tests {
                 ReduceOrder::FixedTree,
                 ReduceOrder::Permuted,
             ] {
-                for lanes in [1, 2, 27, 40, 64] {
+                for &lanes in *lane_counts {
                     for amp in [0.0, 512.0] {
                         let base = Reducer::new(order, lanes, 31).with_amplification(amp);
                         let mut ref_red = base.clone();

@@ -35,23 +35,31 @@
 //! first, column `j` takes row `t` when `t ≥ rot_j`, in the second when
 //! `t < rot_j`. Every column's sum starts at 0.0 and adds its `l` lanes in
 //! exactly the reference order; what changes is only that the `NR`
-//! columns' chains advance together, so the combine is bound by add
-//! throughput rather than by one chain's add latency. "Takes" is a
-//! bitwise select between `s + x` and `s`, not a branch: the add a column
-//! skips is computed and dropped, so no value from it, NaN payloads
-//! included, reaches the sum.
+//! columns' chains advance together, and the `MR` rows of a tile
+//! interleave theirs, so the combine is bound by add throughput rather
+//! than by one chain's add latency. "Takes" is a bitwise select between
+//! `s + x` and `s`, not a branch: the add a column skips is computed and
+//! dropped, so no value from it, NaN payloads included, reaches the sum.
 //!
 //! The remaining subtlety is the scheduler RNG: the reference path draws
 //! permutations interleaved with compute, one output at a time in
-//! row-major order. [`Reducer::plan_dots`] pre-draws all of them into a
-//! [`DotPlan`] *before* the engine runs, so tiles and threads are free to
-//! race over outputs while the reducer ends the GEMM in precisely the
-//! state `m·n` sequential `dot` calls would have left it. The scheduler is
-//! a SplitMix64 counter, so output `o`'s `d`-th draw is a closed-form
-//! function of `o` and the plan fills all outputs' specs in one loop that
-//! vectorizes across outputs, then skips the scheduler past them in O(1).
-//! That makes the engine bit-invariant in the thread count by
-//! construction.
+//! reference order. [`Reducer::plan_dots`] records the scheduler state
+//! before the batch in a [`DotPlan`] and skips the scheduler past the
+//! batch in O(1), so the reducer ends the GEMM in precisely the state
+//! `m·n` sequential `dot` calls would have left it. The plan holds no
+//! per-output buffer. The scheduler is a SplitMix64 counter, so output
+//! `o`'s draw `d` mixes the counter `state + (o·per + d + 1)·γ`, where
+//! `per` is the number of draws per output. The Permuted kernel derives
+//! each `MR × NR` tile's specs where it combines them: column counters
+//! once per panel, one counter per row, then one add and one mix per
+//! draw, vectorized across the tile. Output `(row, col)` sits at
+//! reference position `row·n + col` in a plain GEMM. A conv forward that
+//! batches samples into the columns reads them as sample blocks of
+//! `pixels` columns: column `s·pixels + p` of row `o` is reference output
+//! `s·m·pixels + o·pixels + p`, because the reference draws one sample's
+//! whole `[out_c, pixels]` block before the next. Nothing a tile derives
+//! depends on which tile, band or thread ran before it, so the engine is
+//! bit-invariant in the thread count by construction.
 //!
 //! # Lanes ≥ k
 //!
@@ -79,7 +87,7 @@
 
 use crate::error::ShapeError;
 use crate::pack::{pack_b_panels, pack_bt_panels, transpose_into, MR, NR};
-use crate::reduce::{DotPlan, PermuteSpec, ReduceOrder, Reducer, MAX_LANES};
+use crate::reduce::{DotPlan, ReduceOrder, Reducer, TileSpecs, MAX_LANES};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -252,23 +260,21 @@ pub(crate) fn gemm_packed_planned(
     assert_eq!(a.len(), m * k, "gemm A size");
     assert_eq!(packed.len(), n.div_ceil(NR) * k * NR, "gemm packed size");
     assert_eq!(out.len(), m * n, "gemm out size");
-    if plan.order == ReduceOrder::Permuted {
-        assert_eq!(plan.specs.len(), m * n, "plan drawn for a different GEMM");
-    }
+    plan.check_outputs(m, n);
     if m == 0 || n == 0 {
         return;
     }
 
     let threads_eff = threads.max(1).min(m);
     if threads_eff == 1 {
-        run_band(a, packed, plan, n, k, 0, out);
+        run_band(a, packed, plan, m, n, k, 0, out);
     } else {
         let band_rows = m.div_ceil(threads_eff);
         std::thread::scope(|scope| {
             for (band_idx, band) in out.chunks_mut(band_rows * n).enumerate() {
                 let row0 = band_idx * band_rows;
                 scope.spawn(move || {
-                    run_band(a, packed, plan, n, k, row0, band);
+                    run_band(a, packed, plan, m, n, k, row0, band);
                 });
             }
         });
@@ -276,11 +282,13 @@ pub(crate) fn gemm_packed_planned(
 }
 
 /// Computes one contiguous row band `[row0 .. row0 + band.len() / n)` of
-/// the output.
+/// the `m × n` output.
+#[allow(clippy::too_many_arguments)]
 fn run_band(
     a: &[f32],
     packed: &[f32],
     plan: &DotPlan,
+    m: usize,
     n: usize,
     k: usize,
     row0: usize,
@@ -301,13 +309,34 @@ fn run_band(
         ReduceOrder::Permuted if plan.lanes == 1 => {
             band_sequential(a, packed, n, k, row0, rows, band);
             if plan.amplified {
-                for (i, o) in band.iter_mut().enumerate() {
-                    *o *= plan.specs[row0 * n + i].scale;
-                }
+                scale_band(plan, m, n, row0, band);
             }
         }
         ReduceOrder::FixedTree => band_fixed_tree(a, packed, plan.lanes, n, k, row0, rows, band),
-        ReduceOrder::Permuted => band_permuted(a, packed, plan, n, k, row0, rows, band),
+        ReduceOrder::Permuted if plan.amplified => {
+            band_permuted::<true>(a, packed, plan, m, n, k, row0, band)
+        }
+        ReduceOrder::Permuted => band_permuted::<false>(a, packed, plan, m, n, k, row0, band),
+    }
+}
+
+/// Applies the amplification multipliers of a single-lane Permuted band,
+/// derived a tile at a time as [`band_permuted`] derives its specs.
+fn scale_band(plan: &DotPlan, m: usize, n: usize, row0: usize, band: &mut [f32]) {
+    let rows = band.len() / n;
+    for col0 in (0..n).step_by(NR) {
+        let cols = plan.column_counters(m, n, col0);
+        let width = NR.min(n - col0);
+        for i in (0..rows).step_by(MR) {
+            let counters = core::array::from_fn(|r| plan.row_counter(m, n, row0 + i + r));
+            let specs = plan.tile_specs::<false, true>(&counters, &cols);
+            for (r, scale) in specs.scale.iter().enumerate().take(rows - i) {
+                let orow = &mut band[(i + r) * n + col0..(i + r) * n + col0 + width];
+                for (o, &s) in orow.iter_mut().zip(scale) {
+                    *o *= s;
+                }
+            }
+        }
     }
 }
 
@@ -461,20 +490,23 @@ fn band_fixed_tree(
 
 /// [`ReduceOrder::Permuted`] micro-kernel: lane partials are computed in
 /// registers (one store per lane, never load-modify-store) into a
-/// per-tile-row buffer, then [`combine_permuted_row`] folds all `NR`
-/// output columns of the row together.
+/// per-tile-row buffer, the tile's combine specs are derived from the
+/// scheduler counter ([`DotPlan::tile_specs`]), and
+/// [`combine_permuted_tile`] folds all `MR × NR` outputs of the tile
+/// together.
 #[allow(clippy::too_many_arguments)]
-fn band_permuted(
+fn band_permuted<const AMP: bool>(
     a: &[f32],
     packed: &[f32],
     plan: &DotPlan,
+    m: usize,
     n: usize,
     k: usize,
     row0: usize,
-    rows: usize,
     band: &mut [f32],
 ) {
     let l = plan.lanes;
+    let rows = band.len() / n;
     let panels = n.div_ceil(NR);
     // One combine buffer per tile row. Rows `0..l` are rewritten every
     // tile, so nothing needs zeroing between tiles.
@@ -483,66 +515,79 @@ fn band_permuted(
         let panel = &packed[p * k * NR..(p + 1) * k * NR];
         let col0 = p * NR;
         let cols = NR.min(n - col0);
+        let col_counters = plan.column_counters(m, n, col0);
         let mut i = 0;
         while i < rows {
             let rm = MR.min(rows - i);
             let arows = tile_rows(a, k, row0 + i, rm);
+            let row_counters = core::array::from_fn(|r| plan.row_counter(m, n, row0 + i + r));
+            let specs = plan.tile_specs::<true, AMP>(&row_counters, &col_counters);
             for_each_lane_partial(&arows, panel, l, k, rm, |r, dl, partial| {
                 bufs[r][dl] = *partial;
             });
-            for (r, buf) in bufs.iter_mut().enumerate().take(rm) {
-                let first = (row0 + i + r) * n + col0;
-                combine_permuted_row(
-                    &mut buf[..l],
-                    &plan.specs[first..first + cols],
-                    plan.amplified,
-                    &mut band[(i + r) * n + col0..(i + r) * n + col0 + cols],
-                );
+            let sums = combine_permuted_tile(&mut bufs, l, &specs);
+            for (r, (sums, scales)) in sums.iter().zip(&specs.scale).enumerate().take(rm) {
+                let orow = &mut band[(i + r) * n + col0..(i + r) * n + col0 + cols];
+                for ((o, &v), &scale) in orow.iter_mut().zip(sums).zip(scales) {
+                    *o = if AMP { v * scale } else { v };
+                }
             }
             i += rm;
         }
     }
 }
 
-/// Combines one tile row: `lanes[dl][j]` is lane `dl`'s partial for
-/// column `j`, and `specs[j]` is column `j`'s pre-drawn combine. Swaps in
-/// place within each column, then advances all `NR` sums together in two
-/// masked passes over the lane rows; the [module docs](self) give the
-/// argument that each column's add order is the reference's.
+/// Combines one tile: `bufs[r][dl][j]` is lane `dl`'s partial for
+/// output `(r, j)`, whose combine swaps lanes `j1` and `j2` in and starts
+/// at lane `rot`. Swaps in place within each column, then advances all
+/// `MR × NR` sums together in two masked passes over the `l` lane rows;
+/// the [module docs](self) give the argument that each output's add
+/// order is the reference's. Rows of a remainder tile past the real ones
+/// hold stale lanes; their sums are discarded.
 #[inline(always)]
-fn combine_permuted_row(
-    lanes: &mut [[f32; NR]],
-    specs: &[PermuteSpec],
-    amplified: bool,
-    out: &mut [f32],
-) {
-    let second = 1.min(lanes.len() - 1);
-    // Padding columns (past `specs.len()`) keep rotation 0; their sums
-    // are discarded.
-    let mut rot = [0u32; NR];
-    for (j, spec) in specs.iter().enumerate() {
-        let (j1, j2) = (spec.j1 as usize, spec.j2 as usize);
-        (lanes[0][j], lanes[j1][j]) = (lanes[j1][j], lanes[0][j]);
-        (lanes[second][j], lanes[j2][j]) = (lanes[j2][j], lanes[second][j]);
-        rot[j] = u32::from(spec.rot);
-    }
-    // Column `j` adds lanes `rot_j..l` in the first pass and `0..rot_j`
-    // in the second. The select is a bitwise mask over the sum, not a
-    // branch: the add a column skips is computed and dropped, so its
-    // value (NaN included) never reaches the column's sum.
-    let mut s = [0f32; NR];
-    for first_pass in [true, false] {
-        for (t, row) in (0u32..).zip(lanes.iter()) {
-            for j in 0..NR {
-                let take = (t >= rot[j]) == first_pass;
-                let mask = u32::from(take).wrapping_neg();
-                let (kept, added) = (s[j].to_bits(), (s[j] + row[j]).to_bits());
-                s[j] = f32::from_bits((added & mask) | (kept & !mask));
-            }
+fn combine_permuted_tile(
+    bufs: &mut [[[f32; NR]; MAX_LANES]; MR],
+    l: usize,
+    specs: &TileSpecs,
+) -> [[f32; NR]; MR] {
+    let second = 1.min(l - 1);
+    for (lanes, (j1, j2)) in bufs.iter_mut().zip(specs.j1.iter().zip(&specs.j2)) {
+        for j in 0..NR {
+            let (j1, j2) = (j1[j] as usize, j2[j] as usize);
+            (lanes[0][j], lanes[j1][j]) = (lanes[j1][j], lanes[0][j]);
+            (lanes[second][j], lanes[j2][j]) = (lanes[j2][j], lanes[second][j]);
         }
     }
-    for ((o, &v), spec) in out.iter_mut().zip(&s).zip(specs) {
-        *o = if amplified { v * spec.scale } else { v };
+    // One named accumulator per tile row, so that the optimizer keeps the
+    // four rows' chains in registers and interleaves them (an indexed
+    // `[[f32; NR]; MR]` was vectorized across rows, through memory).
+    let rot = &specs.rot;
+    let [mut s0, mut s1, mut s2, mut s3] = [[0f32; NR]; MR];
+    for first_pass in [true, false] {
+        #[allow(clippy::needless_range_loop)] // t indexes all MR rows' buffers
+        for t in 0..l {
+            let t32 = t as u32;
+            masked_add(&mut s0, &bufs[0][t], &rot[0], t32, first_pass);
+            masked_add(&mut s1, &bufs[1][t], &rot[1], t32, first_pass);
+            masked_add(&mut s2, &bufs[2][t], &rot[2], t32, first_pass);
+            masked_add(&mut s3, &bufs[3][t], &rot[3], t32, first_pass);
+        }
+    }
+    [s0, s1, s2, s3]
+}
+
+/// One step of a row's masked combine: column `j` adds lane row `t` when
+/// `t ≥ rot_j` in the first pass, and when `t < rot_j` in the second. The
+/// select is a bitwise mask over the sum, not a branch: the add a column
+/// skips is computed and dropped, so its value (NaN included) never
+/// reaches the column's sum.
+#[inline(always)]
+fn masked_add(s: &mut [f32; NR], row: &[f32; NR], rot: &[u32; NR], t: u32, first_pass: bool) {
+    for j in 0..NR {
+        let take = (t >= rot[j]) == first_pass;
+        let mask = u32::from(take).wrapping_neg();
+        let (kept, added) = (s[j].to_bits(), (s[j] + row[j]).to_bits());
+        s[j] = f32::from_bits((added & mask) | (kept & !mask));
     }
 }
 
@@ -753,6 +798,21 @@ mod tests {
                 assert_same_values(&shortcut, &lane_kernel, &format!("k {k} lanes {lanes}"));
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "plan drawn for a different GEMM")]
+    fn plan_drawn_for_another_gemm_is_rejected() {
+        // A FixedTree plan draws nothing from the scheduler, but it still
+        // advanced the reducer's invocation count by its output count.
+        let (m, k, n) = (3, 5, 4);
+        let a = filled(m, k, 18);
+        let b = filled(k, n, 19);
+        let mut packed = vec![0f32; n.div_ceil(NR) * k * NR];
+        pack_b_panels(b.as_slice(), k, n, &mut packed);
+        let plan = Reducer::new(ReduceOrder::FixedTree, 8, 1).plan_dots(m * n + 1, k);
+        let mut out = vec![0f32; m * n];
+        gemm_packed_planned(a.as_slice(), &packed, m, n, k, &plan, 1, &mut out);
     }
 
     #[test]

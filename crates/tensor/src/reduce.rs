@@ -19,6 +19,8 @@
 //!   perturbation is proportional to the result's magnitude and vanishes
 //!   identically under deterministic orders.
 
+use crate::pack::{MR, NR};
+use detrand::splitmix::GAMMA;
 use detrand::SplitMix64;
 use serde::{Deserialize, Serialize};
 
@@ -319,11 +321,10 @@ impl Reducer {
     }
 }
 
-/// How one output's lane partials must be combined — captured *ahead of
-/// computation* so the blocked GEMM engine ([`crate::gemm`]) can evaluate
-/// outputs in any order (tiles, threads) while the scheduler RNG is
-/// consumed in exactly the order the per-element reference path would
-/// have consumed it.
+/// How one output's lane partials must be combined: what the reference
+/// [`Reducer::dot`] draws for it, as read back from a plan by
+/// [`DotPlan::spec`].
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PermuteSpec {
     /// First transposition target (`p.swap(0, j1)`).
@@ -332,15 +333,37 @@ pub(crate) struct PermuteSpec {
     pub j2: u16,
     /// Rotation offset of the combine loop.
     pub rot: u16,
-    /// Amplified-noise multiplier; only applied when `amplified` is set on
-    /// the plan (a `*= 1.0` is *not* a guaranteed bitwise no-op for NaN
-    /// payloads, so the reference path's "skip when amp == 0" is
-    /// reproduced exactly).
+    /// Amplified-noise multiplier (1.0 when the plan is not amplified).
     pub scale: f32,
 }
 
-/// A pre-drawn accumulation plan for a batch of equal-length dot products
-/// (one GEMM). See [`Reducer::plan_dots`].
+/// The combine specs of one `MR × NR` output tile, derived in registers
+/// by [`DotPlan::tile_specs`]: `[r][j]` belongs to tile row `r`, column
+/// `j`.
+pub(crate) struct TileSpecs {
+    /// First transposition targets (`p.swap(0, j1)`).
+    pub j1: [[u32; NR]; MR],
+    /// Second transposition targets (`p.swap(1.min(l - 1), j2)`).
+    pub j2: [[u32; NR]; MR],
+    /// Rotation offsets of the combine loop.
+    pub rot: [[u32; NR]; MR],
+    /// Amplified-noise multipliers; only applied when the plan is
+    /// amplified (a `*= 1.0` is *not* a guaranteed bitwise no-op for NaN
+    /// payloads, so the reference path's "skip when amp == 0" is
+    /// reproduced exactly).
+    pub scale: [[f32; NR]; MR],
+}
+
+/// An accumulation plan for a batch of equal-length dot products (one
+/// GEMM). See [`Reducer::plan_dots`].
+///
+/// The plan holds no per-output state. A Permuted output's combine spec
+/// is a closed-form function of the scheduler state before the batch and
+/// of the output's position in the reference draw order, so the engine
+/// derives each tile's specs where it combines them
+/// ([`DotPlan::tile_specs`]). The reference position of GEMM output
+/// `(row, col)` is `row·n + col`, unless the columns run in sample blocks
+/// ([`DotPlan::sample_blocks`]).
 #[derive(Debug, Clone)]
 pub(crate) struct DotPlan {
     /// The accumulation order the batch runs under.
@@ -350,10 +373,17 @@ pub(crate) struct DotPlan {
     pub lanes: usize,
     /// Whether the amplified-noise multiplier is applied.
     pub amplified: bool,
-    /// Per-output combine specs in row-major output order; empty unless
-    /// `order == Permuted` (deterministic orders need no per-output
-    /// state).
-    pub specs: Vec<PermuteSpec>,
+    /// The scheduler before the batch's first draw.
+    sched: SplitMix64,
+    /// Draws per output: `3·[lanes > 1] + [amplified]`.
+    per: u64,
+    /// The amplification in ulps.
+    amp_ulps: f32,
+    /// The number of outputs the plan was drawn for; `None` for a
+    /// stateless [`DotPlan::fixed_lanes`] plan.
+    count: Option<usize>,
+    /// Output columns per sample block, if the columns run in blocks.
+    block: Option<usize>,
 }
 
 impl DotPlan {
@@ -366,101 +396,184 @@ impl DotPlan {
             order: ReduceOrder::FixedTree,
             lanes: lanes.clamp(1, MAX_LANES),
             amplified: false,
-            specs: Vec::new(),
+            sched: SplitMix64::new(0),
+            per: 0,
+            amp_ulps: 0.0,
+            count: None,
+            block: None,
         }
+    }
+
+    /// Reads the GEMM's columns as blocks of `pixels` columns, one block
+    /// per sample, for a conv forward whose reference draws one sample's
+    /// whole `[m, pixels]` output block before the next sample's: output
+    /// `(o, s·pixels + p)` then sits at reference position
+    /// `s·m·pixels + o·pixels + p`.
+    pub fn sample_blocks(mut self, pixels: usize) -> Self {
+        self.block = Some(pixels.max(1));
+        self
+    }
+
+    /// Asserts that a reducer-drawn plan was drawn for exactly the `m·n`
+    /// outputs of the GEMM about to consume it; a fixed-lane plan draws
+    /// nothing and fits any GEMM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counts differ.
+    pub fn check_outputs(&self, m: usize, n: usize) {
+        if let Some(count) = self.count {
+            assert_eq!(count, m * n, "plan drawn for a different GEMM");
+        }
+    }
+
+    /// The reference position of output `(row, col)` of an `m × n` GEMM
+    /// on this plan: `row·n + col`, or `s·m·pixels + row·pixels + p` for
+    /// column `s·pixels + p` when the columns run in sample blocks.
+    #[inline]
+    pub fn output_index(&self, m: usize, n: usize, row: usize, col: usize) -> usize {
+        let b = self.block.unwrap_or(n).max(1);
+        col / b * m * b + row * b + col % b
+    }
+
+    /// The combine spec of the output at reference position `index`: the
+    /// draws `index·per ..` ahead of the plan's scheduler, converted as
+    /// [`Reducer::dot`] converts them.
+    #[cfg(test)]
+    pub fn spec(&self, index: usize) -> PermuteSpec {
+        let first = index as u64 * self.per;
+        let below = |d: u64| below(self.sched.peek(first + d), self.lanes) as u16;
+        let swaps = self.lanes > 1;
+        PermuteSpec {
+            j1: if swaps { below(0) } else { 0 },
+            j2: if swaps { below(1) } else { 0 },
+            rot: if swaps { below(2) } else { 0 },
+            scale: if self.amplified {
+                amp_scale(self.sched.peek(first + self.per - 1), self.amp_ulps)
+            } else {
+                1.0
+            },
+        }
+    }
+
+    /// The counter offsets of the `NR` columns of the panel starting at
+    /// column `col0` of an `m × n` GEMM. The reference position of output
+    /// `(row, col)` is the sum of `output_index(m, n, 0, col)` and
+    /// `output_index(m, n, row, 0)`, so its draw `d` mixes
+    /// `row_counter(row) + column_counters[j] + d·γ`. Computed once per
+    /// panel; padding columns past `n` get offsets too, and their specs
+    /// are discarded.
+    #[inline]
+    pub fn column_counters(&self, m: usize, n: usize, col0: usize) -> [u64; NR] {
+        let step = self.per.wrapping_mul(GAMMA);
+        core::array::from_fn(|j| (self.output_index(m, n, 0, col0 + j) as u64).wrapping_mul(step))
+    }
+
+    /// The counter of the first draw of column 0 in row `row` of an
+    /// `m × n` GEMM (see [`DotPlan::column_counters`]).
+    #[inline]
+    pub fn row_counter(&self, m: usize, n: usize, row: usize) -> u64 {
+        let step = self.per.wrapping_mul(GAMMA);
+        let index = self.output_index(m, n, row, 0) as u64;
+        self.sched.counter(0).wrapping_add(index.wrapping_mul(step))
+    }
+
+    /// Derives the combine specs of the `MR × NR` tile whose rows start
+    /// at the counters `rows` and whose columns sit at the offsets `cols`:
+    /// output `(r, j)`'s draw `d` mixes `rows[r] + cols[j] + d·γ`, the
+    /// counter [`SplitMix64::peek`] mixes for it. Only the mixer
+    /// multiplies; the lane and amplification branches are the const
+    /// parameters, so the loops vectorize across the tile.
+    #[inline(always)]
+    pub fn tile_specs<const SWAPS: bool, const AMP: bool>(
+        &self,
+        rows: &[u64; MR],
+        cols: &[u64; NR],
+    ) -> TileSpecs {
+        let mut t = TileSpecs {
+            j1: [[0; NR]; MR],
+            j2: [[0; NR]; MR],
+            rot: [[0; NR]; MR],
+            scale: [[1.0; NR]; MR],
+        };
+        let l = self.lanes;
+        let last = (self.per.wrapping_sub(1)).wrapping_mul(GAMMA);
+        // r and j index the inputs and all four outputs in lockstep.
+        #[allow(clippy::needless_range_loop)]
+        for r in 0..MR {
+            for j in 0..NR {
+                let c = rows[r].wrapping_add(cols[j]);
+                if SWAPS {
+                    t.j1[r][j] = below(SplitMix64::mix(c), l);
+                    t.j2[r][j] = below(SplitMix64::mix(c.wrapping_add(GAMMA)), l);
+                    t.rot[r][j] = below(SplitMix64::mix(c.wrapping_add(GAMMA.wrapping_mul(2))), l);
+                }
+                if AMP {
+                    t.scale[r][j] = amp_scale(SplitMix64::mix(c.wrapping_add(last)), self.amp_ulps);
+                }
+            }
+        }
+        t
     }
 }
 
+/// [`SplitMix64::next_below`]`(lanes)` applied to the drawn bits `x`.
+#[inline(always)]
+fn below(x: u64, lanes: usize) -> u32 {
+    // Both factors fit in 32 bits (lanes ≤ MAX_LANES), which lets the
+    // vectorized form use a 32×32→64-bit multiply.
+    ((x >> 32).wrapping_mul(u64::from(lanes as u32)) >> 32) as u32
+}
+
+/// The amplification multiplier the reference computes from the drawn
+/// bits `x`: [`SplitMix64::next_f64`], then `1 + u·amp·ε` with `u` in
+/// `[-1, 1)`.
+#[inline(always)]
+fn amp_scale(x: u64, amp_ulps: f32) -> f32 {
+    let unit = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    let u = (unit as f32) * 2.0 - 1.0;
+    1.0 + u * amp_ulps * f32::EPSILON
+}
+
 impl Reducer {
-    /// Pre-draws the accumulation plan for `count` dot products of length
-    /// `k_len`, advancing this reducer's state (invocation counter and —
-    /// for [`ReduceOrder::Permuted`] — the scheduler RNG) exactly as
-    /// `count` sequential [`Reducer::dot`] calls would.
+    /// Plans `count` dot products of length `k_len`, advancing this
+    /// reducer's state (invocation counter and — for
+    /// [`ReduceOrder::Permuted`] — the scheduler RNG) exactly as `count`
+    /// sequential [`Reducer::dot`] calls would.
     ///
     /// This is the bridge that keeps the blocked GEMM engine bit-identical
-    /// to the per-element reference path: the *plan* fixes every output's
-    /// combine order up front, so the engine is free to reorder which
-    /// outputs are computed when. The Permuted specs are computed in closed
-    /// form, not drawn one after another (see `draw_specs`).
+    /// to the per-element reference path: the plan records the scheduler
+    /// state before the batch, which fixes every output's combine order
+    /// up front, so the engine is free to reorder which outputs are
+    /// computed when. Each reference call draws `per = 3·[l > 1] +
+    /// [amplified]` values in a fixed order — `j1`, `j2`, `rot` when the
+    /// combine has more than one lane, then the amplification draw — so
+    /// output `o`'s draw `d` is the scheduler's `(o·per + d)`-th draw
+    /// ahead, which the engine computes where it needs it
+    /// ([`DotPlan::tile_specs`]). The scheduler skips past the batch in
+    /// O(1).
     pub(crate) fn plan_dots(&mut self, count: usize, k_len: usize) -> DotPlan {
         self.invocations += count as u64;
         let lanes = self.lanes.min(k_len.max(1));
         let amplified = self.amp_ulps > 0.0;
-        let specs = if self.order == ReduceOrder::Permuted {
-            let (sched, amp) = (&mut self.sched, self.amp_ulps);
-            match (lanes > 1, amplified) {
-                (true, true) => draw_specs::<true, true>(sched, count, lanes, amp),
-                (true, false) => draw_specs::<true, false>(sched, count, lanes, amp),
-                (false, true) => draw_specs::<false, true>(sched, count, lanes, amp),
-                (false, false) => draw_specs::<false, false>(sched, count, lanes, amp),
-            }
+        let per = if self.order == ReduceOrder::Permuted {
+            3 * u64::from(lanes > 1) + u64::from(amplified)
         } else {
-            Vec::new()
+            0
         };
-        DotPlan {
+        let plan = DotPlan {
             order: self.order,
             lanes,
             amplified,
-            specs,
-        }
+            sched: self.sched,
+            per,
+            amp_ulps: self.amp_ulps,
+            count: Some(count),
+            block: None,
+        };
+        self.sched.skip(count as u64 * per);
+        plan
     }
-}
-
-/// Draws `count` Permuted combine specs in closed form and advances
-/// `sched` past them: the specs and the final scheduler state are exactly
-/// those of `count` sequential [`Reducer::dot`] calls.
-///
-/// Each such call draws `PER = 3·SWAPS + AMP` values in a fixed order —
-/// `j1`, `j2`, `rot` when the combine has more than one lane, then the
-/// amplification draw — so output `o`'s draw `d` is the scheduler's
-/// `(o·PER + d)`-th draw ahead, which [`SplitMix64::peek`] computes
-/// without touching any other output's draws. With the lane and
-/// amplification branches hoisted into the const parameters, the loop
-/// carries no dependence from one output to the next and vectorizes
-/// across outputs. The conversions are [`SplitMix64::next_below`] and
-/// [`SplitMix64::next_f64`] applied to the peeked bits.
-fn draw_specs<const SWAPS: bool, const AMP: bool>(
-    sched: &mut SplitMix64,
-    count: usize,
-    lanes: usize,
-    amp_ulps: f32,
-) -> Vec<PermuteSpec> {
-    // Outputs are drawn a block at a time, each kind of draw into its own
-    // array, then interleaved into the specs. The draws of the last
-    // block's outputs past `count` are computed and dropped.
-    const BLOCK: usize = 64;
-    let start = *sched;
-    let per = 3 * u64::from(SWAPS) + u64::from(AMP);
-    let mut js = [[0u16; BLOCK]; 3];
-    let mut scale = [1f32; BLOCK];
-    let mut specs = Vec::with_capacity(count);
-    for o0 in (0..count).step_by(BLOCK) {
-        let first = o0 as u64 * per;
-        if SWAPS {
-            for (d, row) in (0u64..).zip(js.iter_mut()) {
-                for (i, j) in (0u64..).zip(row.iter_mut()) {
-                    let x = start.peek(first + i * per + d);
-                    *j = ((x >> 32).wrapping_mul(lanes as u64) >> 32) as u16;
-                }
-            }
-        }
-        if AMP {
-            for (i, s) in (0u64..).zip(scale.iter_mut()) {
-                let x = start.peek(first + i * per + per - 1);
-                let unit = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                let u = (unit as f32) * 2.0 - 1.0;
-                *s = 1.0 + u * amp_ulps * f32::EPSILON;
-            }
-        }
-        specs.extend((0..BLOCK.min(count - o0)).map(|i| PermuteSpec {
-            j1: js[0][i],
-            j2: js[1][i],
-            rot: js[2][i],
-            scale: scale[i],
-        }));
-    }
-    sched.skip(count as u64 * per);
-    specs
 }
 
 /// Fixed-order (left-to-right) `f64` summation for aggregation and
@@ -541,6 +654,17 @@ mod tests {
             .collect()
     }
 
+    /// [`DotPlan::tile_specs`] with the const parameters the engine
+    /// picks for `plan`.
+    fn derive_tile(plan: &DotPlan, rows: &[u64; MR], cols: &[u64; NR]) -> TileSpecs {
+        match (plan.lanes > 1, plan.amplified) {
+            (true, true) => plan.tile_specs::<true, true>(rows, cols),
+            (true, false) => plan.tile_specs::<true, false>(rows, cols),
+            (false, true) => plan.tile_specs::<false, true>(rows, cols),
+            (false, false) => plan.tile_specs::<false, false>(rows, cols),
+        }
+    }
+
     #[test]
     fn closed_form_plan_matches_sequential_draws() {
         const COUNT: usize = 4096;
@@ -557,8 +681,9 @@ mod tests {
                     let mut oracle = base.clone();
                     let plan = fast.plan_dots(COUNT, k_len);
                     let want = plan_specs_sequential(&mut oracle, COUNT, k_len);
-                    assert_eq!(plan.specs.len(), want.len(), "{what}");
-                    for (o, (got, want)) in plan.specs.iter().zip(&want).enumerate() {
+                    let specs: Vec<PermuteSpec> = (0..COUNT).map(|o| plan.spec(o)).collect();
+                    assert_eq!(specs.len(), want.len(), "{what}");
+                    for (o, (got, want)) in specs.iter().zip(&want).enumerate() {
                         assert_eq!(
                             (got.j1, got.j2, got.rot, got.scale.to_bits()),
                             (want.j1, want.j2, want.rot, want.scale.to_bits()),
@@ -566,9 +691,51 @@ mod tests {
                         );
                     }
                     assert_eq!(fast.snapshot(), oracle.snapshot(), "{what}");
+                    // The engine derives the same specs tile by tile: under
+                    // the row-major map, and under a conv map of 128
+                    // samples × 4 pixels, where output (o, s·4 + p) is
+                    // reference output s·32 + o·4 + p, not o·512 + s·4 + p.
+                    for (m, n, pixels) in [(64, 64, None), (8, 512, Some(4))] {
+                        let mut tiled = base.clone().plan_dots(COUNT, k_len);
+                        if let Some(p) = pixels {
+                            tiled = tiled.sample_blocks(p);
+                        }
+                        tiled.check_outputs(m, n);
+                        for col0 in (0..n).step_by(NR) {
+                            let cols = tiled.column_counters(m, n, col0);
+                            for row0 in (0..m).step_by(MR) {
+                                let rows =
+                                    core::array::from_fn(|r| tiled.row_counter(m, n, row0 + r));
+                                let tile = derive_tile(&tiled, &rows, &cols);
+                                for (r, j) in (0..MR).flat_map(|r| (0..NR).map(move |j| (r, j))) {
+                                    let (row, col) = (row0 + r, col0 + j);
+                                    let o = match pixels {
+                                        None => row * n + col,
+                                        Some(p) => col / p * m * p + row * p + col % p,
+                                    };
+                                    assert_eq!(tiled.output_index(m, n, row, col), o, "{what}");
+                                    let spec = tiled.spec(o);
+                                    let derived = (
+                                        tile.j1[r][j] as u16,
+                                        tile.j2[r][j] as u16,
+                                        tile.rot[r][j] as u16,
+                                        tile.scale[r][j].to_bits(),
+                                    );
+                                    let want = &want[o];
+                                    let want = (want.j1, want.j2, want.rot, want.scale.to_bits());
+                                    let read = (spec.j1, spec.j2, spec.rot, spec.scale.to_bits());
+                                    assert_eq!(read, want, "{what}: {m}x{n} ({row}, {col})");
+                                    assert_eq!(
+                                        derived, want,
+                                        "{what}: {m}x{n} tile ({row}, {col})"
+                                    );
+                                }
+                            }
+                        }
+                    }
                     if plan.lanes > 1 {
                         let mut seen = vec![false; plan.lanes];
-                        for spec in &plan.specs {
+                        for spec in &specs {
                             seen[spec.rot as usize] = true;
                         }
                         assert!(seen.iter().all(|&s| s), "{what}: a rotation never drawn");

@@ -14,6 +14,8 @@ run() {
 
 run cargo build --workspace --release
 run cargo test -q --workspace
+# The tensor crate's bit-identity tests at opt-level 3, as shipped.
+run cargo test -q --release -p nstensor
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --check
 
