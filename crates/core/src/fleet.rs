@@ -339,6 +339,10 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
     let start = clock::now();
     let mut last_event = start;
     let mut fault: Option<String> = None;
+    // Pause between exit checks once stdout is at EOF: 1 ms, doubling up
+    // to POLL, so a worker is reaped about a millisecond after it exits,
+    // while one that lingers after closing stdout costs a check per POLL.
+    let mut eof_pause = Duration::from_millis(1);
 
     let exited = loop {
         match rx.recv_timeout(POLL) {
@@ -351,7 +355,10 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             // Reader hit EOF: the child closed stdout and is exiting (or
             // dead). recv returns instantly now, so pace the loop.
-            Err(mpsc::RecvTimeoutError::Disconnected) => std::thread::sleep(POLL),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::thread::sleep(eof_pause);
+                eof_pause = (eof_pause * 2).min(POLL);
+            }
         }
         if let Some(status) = child.0.try_wait()? {
             break Some(status);
@@ -888,6 +895,42 @@ mod tests {
             other => panic!("expected Crashed(exit code 7), got {other:?}"),
         }
         assert!(start.elapsed() >= Duration::from_millis(900));
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn an_exited_worker_is_reaped_without_a_poll_interval() {
+        let scratch = Scratch::new("prompt");
+        std::fs::create_dir_all(scratch.0.root()).expect("mkdir");
+        let spec = ReplicaSpec {
+            task: tiny_task(),
+            device: Device::v100(),
+            variant: NoiseVariant::Impl,
+            settings: fast_settings(),
+            replica: 0,
+            attempt: 0,
+            cell_dir: scratch.0.root().to_str().expect("UTF-8 path").to_owned(),
+        };
+        let (exe, args) = (
+            Path::new("/bin/sh"),
+            [OsString::from("-c"), OsString::from("exit 7")],
+        );
+        let start = clock::now();
+        for _ in 0..10 {
+            match run_attempt(exe, &args, &spec).expect("spawn /bin/sh") {
+                AttemptOutcome::Crashed(reason) => {
+                    assert!(reason.contains("exit code 7"), "{reason}")
+                }
+                _ => panic!("expected Crashed(exit code 7)"),
+            }
+        }
+        // An attempt that sleeps a whole POLL after stdout's EOF makes
+        // ten of them take 10 × POLL by themselves.
+        assert!(
+            start.elapsed() < 10 * POLL,
+            "ten attempts took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

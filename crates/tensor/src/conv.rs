@@ -23,18 +23,25 @@
 //! in sample-major `(s, o, p)` order, so each chunk plans its outputs
 //! right after the previous chunk's, and reads its columns as sample
 //! blocks (`DotPlan::sample_blocks`) to find each output's place in
-//! that order. The forward's buffers do not grow with the batch.
+//! that order. The forward's buffers do not grow with the batch. Its
+//! lowering copies each sample into zero-padded planes, split by column
+//! phase at stride > 1, so that every panel row of a tap is a few fixed
+//! `NR`-float copies of consecutive plane values, one per output row the
+//! panel touches (see `im2col_pixel_panels`).
 //!
 //! Backward splits into [`conv2d_param_grads_ws`] (dW and db, the
 //! reducer's draws) and [`conv2d_input_grad_ws`] (dX, which draws
 //! nothing), so a caller that discards dX, as a network's first layer
 //! does, skips it without changing any later bit. dX runs in cache-sized
-//! chunks of samples, and its `col2im` adds each input element's
-//! contributions in output-pixel order, as a pixel-by-pixel scatter does
-//! (see `col2im_add`).
+//! chunks of samples, and its `col2im` is a gather over vectors of input
+//! elements that share a stride phase: each element starts from 0.0 and
+//! takes its contributions in `(ky, kx)`-descending, that is
+//! output-pixel, order, as a pixel-by-pixel scatter adds them, with a
+//! bitwise mask for the taps that fall outside the output (see
+//! `GatherPlan` and `col2im_gather`).
 
 use crate::error::ShapeError;
-use crate::gemm::gemm_packed_planned;
+use crate::gemm::{add_where, gemm_packed_planned};
 use crate::pack::{transpose_into, NR};
 use crate::reduce::{DotPlan, Reducer};
 use crate::shape::Shape;
@@ -141,94 +148,151 @@ pub struct Conv2dGrads {
     pub db: Tensor,
 }
 
+/// Row width and length of one phase plane (see [`pad_sample`]).
+fn phase_plane_dims(g: &ConvGeometry) -> (usize, usize) {
+    let qw = (g.in_w + 2 * g.pad).div_ceil(g.stride);
+    (qw, (g.in_h + 2 * g.pad) * qw)
+}
+
+/// Length of one sample's padded, phase-split input planes plus the `NR`
+/// floats of slack that [`im2col_pixel_panels`] reads past the last one.
+fn padded_planes_len(g: &ConvGeometry) -> usize {
+    g.in_c * g.stride * phase_plane_dims(g).1 + NR
+}
+
+/// The copies that fill one channel's planes from its input: `(input
+/// offset, plane offset, count)` for every input row and column residue
+/// `r` whose values some tap reads (all of them unless `k < stride`).
+/// Input columns `r, r + stride, …` share one phase: padded column `px`
+/// lands in phase plane `px % stride`, column `px / stride`.
+fn pad_copies(g: &ConvGeometry) -> Vec<(usize, usize, usize)> {
+    let (qw, plane) = phase_plane_dims(g);
+    let st = g.stride;
+    let mut copies = Vec::new();
+    for py in (g.pad..g.pad + g.in_h).filter(|py| py % st < g.k) {
+        for px in (g.pad..g.pad + st.min(g.in_w)).filter(|px| px % st < g.k) {
+            let from = (py - g.pad) * g.in_w + px - g.pad;
+            let to = px % st * plane + py * qw + px / st;
+            copies.push((from, to, (g.in_w + g.pad - px).div_ceil(st)));
+        }
+    }
+    copies
+}
+
+/// Copies one sample into its zero-padded, phase-split input planes:
+/// channel `c` fills planes `c * stride ..`, one per column phase, through
+/// [`pad_copies`]. Output column `ox` under column tap `kx` reads padded
+/// column `ox * stride + kx`, so a run of consecutive output columns
+/// reads consecutive columns of one phase plane, at any stride. Only the
+/// interior is written: `planes` must have been zeroed once, and the
+/// rest stays zero from sample to sample.
+fn pad_sample(xs: &[f32], g: &ConvGeometry, copies: &[(usize, usize, usize)], planes: &mut [f32]) {
+    let group = g.stride * phase_plane_dims(g).1;
+    for (chan, dst) in xs
+        .chunks_exact(g.in_h * g.in_w)
+        .zip(planes.chunks_mut(group))
+    {
+        for &(from, to, count) in copies {
+            let dst = &mut dst[to..to + count];
+            if g.stride == 1 {
+                dst.copy_from_slice(&chan[from..from + count]);
+            } else {
+                for (d, &v) in dst.iter_mut().zip(chan[from..].iter().step_by(g.stride)) {
+                    *d = v;
+                }
+            }
+        }
+    }
+}
+
 /// Lowers a batch of samples *directly into the GEMM engine's packed
 /// panel layout* (see [`crate::pack::pack_b_panels`]) with the output
 /// pixels as columns: element `[p * pl * NR + kk * NR + j]` is patch
 /// position `kk` of global output pixel `p * NR + j`, where global pixels
 /// run `(sample, oy, ox)` row-major across the batch. Panel columns past
-/// the last pixel are zeroed. Fusing the lowering with packing skips the
-/// intermediate `[pixels, patch_len]` buffer and turns the inner loop into
-/// contiguous row copies (one per run of output pixels sharing an image
-/// row). The forward pass's B operand.
+/// the last pixel are zeroed. The forward pass's B operand.
+///
+/// Each sample is first copied into zero-padded, phase-split planes
+/// ([`pad_sample`]), so every panel row of a tap is a few runs of
+/// consecutive plane values, one per output row the panel touches, with
+/// no border tests. Each run is written as one fixed `NR`-float copy; the
+/// floats past its end are overwritten by the next run or the next panel
+/// row, because a sample's runs are written in ascending address order.
+/// Two places need more. A sample that starts mid-panel would spill over
+/// the earlier samples' columns of the next row, so that row is saved
+/// before and restored after each row's runs. The pad columns of the
+/// last panel are zeroed after each row. `packed` holds the panels plus
+/// `NR` floats of slack, and `planes` is [`padded_planes_len`] long.
 ///
 /// Packing only copies values, so this cannot perturb any accumulation
 /// order.
-pub(crate) fn im2col_pixel_panels(x: &[f32], g: &ConvGeometry, batch: usize, packed: &mut [f32]) {
-    let (oh, ow, pl) = (g.out_h(), g.out_w(), g.patch_len());
-    let pixels = oh * ow;
+pub(crate) fn im2col_pixel_panels(
+    x: &[f32],
+    g: &ConvGeometry,
+    batch: usize,
+    planes: &mut [f32],
+    packed: &mut [f32],
+) {
+    let (ow, pl) = (g.out_w(), g.patch_len());
+    let pixels = g.out_pixels();
     let np = batch * pixels;
-    let panels = np.div_ceil(NR);
-    let kk2 = g.k * g.k;
-    let ihw = g.in_h * g.in_w;
-    let sample = g.in_c * ihw;
-    debug_assert_eq!(x.len(), batch * sample);
-    assert_eq!(packed.len(), panels * pl * NR, "packed buffer size");
-    for p in 0..panels {
-        let dst_panel = &mut packed[p * pl * NR..(p + 1) * pl * NR];
-        let g0 = p * NR;
-        let cols = NR.min(np - g0);
-        // Zero the pad columns of the last panel (buffers may be dirty).
-        if cols < NR {
-            for kkp in 0..pl {
-                dst_panel[kkp * NR + cols..(kkp + 1) * NR].fill(0.0);
+    let (qw, plane) = phase_plane_dims(g);
+    debug_assert_eq!(x.len(), batch * g.in_c * g.in_h * g.in_w);
+    assert_eq!(
+        packed.len(),
+        np.div_ceil(NR) * pl * NR + NR,
+        "packed buffer size"
+    );
+    assert_eq!(planes.len(), padded_planes_len(g), "planes buffer size");
+    // Plane offset of each patch position's tap, in patch order.
+    let taps: Vec<usize> = (0..pl)
+        .map(|kk| {
+            let (c, ky, kx) = (kk / (g.k * g.k), kk / g.k % g.k, kk % g.k);
+            (c * g.stride + kx % g.stride) * plane + ky * qw + kx / g.stride
+        })
+        .collect();
+    let copies = pad_copies(g);
+    planes.fill(0.0);
+    for (s, xs) in x.chunks_exact(g.in_c * g.in_h * g.in_w).enumerate() {
+        pad_sample(xs, g, &copies, planes);
+        let (first, end) = (s * pixels, (s + 1) * pixels);
+        for p in first / NR..end.div_ceil(NR) {
+            let g0 = p * NR;
+            let (lo, hi) = (first.max(g0), end.min(g0 + NR));
+            // This sample's runs in the panel: (plane offset of the run's
+            // first pixel, panel column).
+            let mut runs = [(0, 0); NR];
+            let mut count = 0;
+            let (mut oy, mut ox0) = ((lo - first) / ow, (lo - first) % ow);
+            let mut gidx = lo;
+            while gidx < hi {
+                runs[count] = (oy * g.stride * qw + ox0, gidx - g0);
+                count += 1;
+                gidx += (ow - ox0).min(hi - gidx);
+                (oy, ox0) = (oy + 1, 0);
             }
-        }
-        // Walk runs of pixels sharing one output row: one div/mod per run
-        // instead of per element, and contiguous source rows inside.
-        let mut j0 = 0;
-        while j0 < cols {
-            let gidx = g0 + j0;
-            let s = gidx / pixels;
-            let local = gidx - s * pixels;
-            let oy = local / ow;
-            let ox0 = local - oy * ow;
-            let run = (ow - ox0).min(cols - j0);
-            let xs = &x[s * sample..(s + 1) * sample];
-            for c in 0..g.in_c {
-                let chan = &xs[c * ihw..(c + 1) * ihw];
-                for ky in 0..g.k {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                    let kbase = c * kk2 + ky * g.k;
-                    if iy < 0 || iy as usize >= g.in_h {
-                        for kx in 0..g.k {
-                            dst_panel[(kbase + kx) * NR + j0..(kbase + kx) * NR + j0 + run]
-                                .fill(0.0);
-                        }
-                        continue;
-                    }
-                    let row = &chan[iy as usize * g.in_w..(iy as usize + 1) * g.in_w];
-                    for kx in 0..g.k {
-                        let dst =
-                            &mut dst_panel[(kbase + kx) * NR + j0..(kbase + kx) * NR + j0 + run];
-                        if g.stride == 1 {
-                            // dst[dj] reads input column ix0 + dj; clip the
-                            // padding edges, copy the interior in one go.
-                            let ix0 = (ox0 + kx) as isize - g.pad as isize;
-                            let lo = ((-ix0).max(0) as usize).min(run);
-                            let hi = ((g.in_w as isize - ix0).max(0) as usize).min(run);
-                            dst[..lo].fill(0.0);
-                            if hi > lo {
-                                dst[lo..hi].copy_from_slice(
-                                    &row[(ix0 + lo as isize) as usize
-                                        ..(ix0 + hi as isize) as usize],
-                                );
-                            }
-                            let tail = hi.max(lo);
-                            dst[tail..].fill(0.0);
-                        } else {
-                            for (dj, d) in dst.iter_mut().enumerate() {
-                                let ix = ((ox0 + dj) * g.stride + kx) as isize - g.pad as isize;
-                                *d = if ix >= 0 && (ix as usize) < g.in_w {
-                                    row[ix as usize]
-                                } else {
-                                    0.0
-                                };
-                            }
-                        }
-                    }
+            let runs = &runs[..count];
+            let shared = lo > g0;
+            let pad_from = if hi == np { hi - g0 } else { NR };
+            let panel = &mut packed[p * pl * NR..];
+            for (row, &tap) in taps.iter().enumerate() {
+                let next = (row + 1) * NR;
+                let saved: [f32; NR] = if shared {
+                    panel[next..next + NR].try_into().expect("NR floats")
+                } else {
+                    [0.0; NR]
+                };
+                for &(off, j) in runs {
+                    let at = row * NR + j;
+                    panel[at..at + NR].copy_from_slice(&planes[tap + off..][..NR]);
+                }
+                if shared {
+                    panel[next..next + NR].copy_from_slice(&saved);
+                }
+                if pad_from < NR {
+                    panel[row * NR + pad_from..next].fill(0.0);
                 }
             }
-            j0 += run;
         }
     }
 }
@@ -337,52 +401,156 @@ fn pack_dy_panels(dy: &[f32], oc: usize, pixels: usize, packed: &mut [f32]) {
     }
 }
 
-/// Adds patch gradients `dcol` (`[patch_len, batch·pixels]`, one row per
-/// patch position) into the input gradient `dx` (`[batch, in_c, in_h,
-/// in_w]`), one zero-padded input plane at a time.
+/// One vector of a [`GatherPlan`]: `lanes` consecutive elements of one
+/// phase sub-grid of an input plane, and the taps that reach them.
+struct GatherVector {
+    /// The vector's taps in [`GatherPlan::taps`], in the order it takes
+    /// them.
+    taps: core::ops::Range<usize>,
+    /// Lane 0's element in the input plane.
+    dst: usize,
+    lanes: usize,
+    /// Lane 0's column in the phase sub-grid, and the sub-grid's width:
+    /// lanes run along a row of the phase, then on to its next row.
+    col: usize,
+    width: usize,
+}
+
+/// The vectors [`col2im_gather`] splits an input plane into, and their
+/// taps. It depends on the geometry alone, so the input-gradient pass
+/// builds it once for all its chunks.
 ///
-/// Per sample and channel it walks the rows `(ky, kx)` in *descending*
-/// order and adds each output row's run of pixels into the plane row it
-/// covers, shifted by the tap. For one input element the tap fixes the
-/// output pixel, and `(ky, kx)` descending is exactly `(oy, ox)`
-/// ascending, so every element receives its contributions in output-pixel
-/// order starting from 0.0: the order a pixel-by-pixel scatter produces.
-/// The padding border of the plane takes the taps that fall outside the
-/// input, so the adds need no bounds tests, and is dropped when the
-/// plane's interior is copied out.
-fn col2im_add(dcol: &[f32], g: &ConvGeometry, batch: usize, plane: &mut [f32], dx: &mut [f32]) {
-    let (ow, pixels) = (g.out_w(), g.out_pixels());
-    let np = batch * pixels;
-    let ihw = g.in_h * g.in_w;
-    let pw = g.in_w + 2 * g.pad;
-    debug_assert_eq!(dcol.len(), g.patch_len() * np);
-    debug_assert_eq!(plane.len(), (g.in_h + 2 * g.pad) * pw);
-    for (s, xs) in dx.chunks_exact_mut(g.in_c * ihw).enumerate() {
-        for (c, chan) in xs.chunks_exact_mut(ihw).enumerate() {
-            plane.fill(0.0);
-            for ky in (0..g.k).rev() {
-                for kx in (0..g.k).rev() {
-                    let kk = (c * g.k + ky) * g.k + kx;
-                    let taps = &dcol[kk * np + s * pixels..kk * np + (s + 1) * pixels];
-                    for (oy, src) in taps.chunks_exact(ow).enumerate() {
-                        let prow = &mut plane[(oy * g.stride + ky) * pw + kx..];
-                        if g.stride == 1 {
-                            for (d, &v) in prow.iter_mut().zip(src) {
-                                *d += v;
-                            }
+/// The plane is split by row and column phase (every `stride`-th row and
+/// column), so that one set of taps reaches all of a phase's elements,
+/// and a phase into vectors of up to `NR` elements. A vector's lanes read
+/// consecutive output pixels under every tap, so it runs on into the
+/// phase's next row only when that row is as long as an output row, as
+/// in a conv that keeps the input size; otherwise it stops at the row's
+/// end. Phases no tap reaches (when `k < stride`) get no vector.
+struct GatherPlan {
+    vectors: Vec<GatherVector>,
+    /// Per tap: its patch position `ky·k + kx` within the channel; where
+    /// lane 0's load starts in that position's `dcol` row, relative to
+    /// its sample's block and offset by `slack`; and which lanes take it,
+    /// as an all-ones or all-zeros mask per lane.
+    taps: Vec<(usize, usize, [u32; NR])>,
+    /// Floats the patch gradients need before and after them, so that
+    /// every load stays inside the buffer: a multiple of `NR`, so that
+    /// the GEMM writes them at the alignment the buffer has.
+    slack: usize,
+}
+
+impl GatherPlan {
+    fn new(g: &ConvGeometry) -> Self {
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let (k, st, pad) = (g.k, g.stride, g.pad);
+        let mut vectors = Vec::new();
+        let mut taps = Vec::new();
+        let phases = (0..st.min(g.in_h)).flat_map(|ry| (0..st.min(g.in_w)).map(move |rx| (ry, rx)));
+        for (ry, rx) in phases {
+            // Element (ry + st·qy, rx + st·qx) takes the taps
+            // ky = (ry + pad) % st + st·my and kx = (rx + pad) % st + st·mx,
+            // at output pixel (y0 + qy − my, x0 + qx − mx).
+            let (py, px) = (ry + pad, rx + pad);
+            if py % st >= k || px % st >= k {
+                continue;
+            }
+            let (y0, x0) = (py / st, px / st);
+            let (height, width) = ((g.in_h - ry).div_ceil(st), (g.in_w - rx).div_ceil(st));
+            let span = if width == ow { height * width } else { width };
+            for first in (0..height * width).step_by(span) {
+                for e0 in (first..first + span).step_by(NR) {
+                    let (qy, qx) = (e0 / width, e0 % width);
+                    let mut lane = (qy, qx);
+                    let lanes: [(usize, usize); NR] = core::array::from_fn(|_| {
+                        let at = lane;
+                        lane = if lane.1 + 1 == width {
+                            (lane.0 + 1, 0)
                         } else {
-                            for (d, &v) in prow.iter_mut().step_by(g.stride).zip(src) {
-                                *d += v;
-                            }
+                            (lane.0, lane.1 + 1)
+                        };
+                        at
+                    });
+                    let start = taps.len();
+                    for ky in (py % st..k).step_by(st).rev() {
+                        for kx in (px % st..k).step_by(st).rev() {
+                            let (my, mx) = (ky / st, kx / st);
+                            let at = ((y0 + qy) * ow + x0 + qx) as isize - (my * ow + mx) as isize;
+                            let mask = lanes.map(|(qy, qx)| {
+                                let (oy, ox) =
+                                    ((y0 + qy).wrapping_sub(my), (x0 + qx).wrapping_sub(mx));
+                                u32::from(oy < oh && ox < ow).wrapping_neg()
+                            });
+                            taps.push((ky * k + kx, at, mask));
+                        }
+                    }
+                    vectors.push(GatherVector {
+                        taps: start..taps.len(),
+                        dst: (ry + st * qy) * g.in_w + rx + st * qx,
+                        lanes: (first + span - e0).min(NR),
+                        col: qx,
+                        width,
+                    });
+                }
+            }
+        }
+        // A load may start before its sample's block and end past it.
+        let pixels = g.out_pixels() as isize;
+        let over = taps.iter().map(|t| (-t.1).max(t.1 + NR as isize - pixels));
+        let slack = (over.max().unwrap_or(0).max(0) as usize).next_multiple_of(NR);
+        let taps = taps
+            .into_iter()
+            .map(|(kk, at, mask)| (kk, (at + slack as isize) as usize, mask))
+            .collect();
+        Self {
+            vectors,
+            taps,
+            slack,
+        }
+    }
+}
+
+/// Writes the input gradient `dx` (`[batch, in_c, in_h, in_w]`) of the
+/// patch gradients in `dcol`: `[patch_len, batch·pixels]`, one row per
+/// patch position, stored after `plan.slack` floats and followed by as
+/// many.
+///
+/// It gathers, along `plan`'s vectors. Each vector is a register
+/// accumulator that starts at 0.0 and takes its taps in `(ky, kx)`-
+/// descending order, one `NR`-float load of a `dcol` row per tap. For one
+/// input element the tap fixes the output pixel, and `(ky, kx)`
+/// descending is exactly `(oy, ox)` ascending, so every element receives
+/// its contributions in output-pixel order from 0.0: the order a
+/// pixel-by-pixel scatter produces. A lane whose output pixel falls
+/// outside the output skips the tap through [`add_where`]'s bitwise mask,
+/// so what the load read there, NaN included, never reaches the sum.
+/// Elements no tap reaches are not written: `dx` must arrive zeroed.
+fn col2im_gather(dcol: &[f32], g: &ConvGeometry, plan: &GatherPlan, batch: usize, dx: &mut [f32]) {
+    let (st, pixels) = (g.stride, g.out_pixels());
+    let np = batch * pixels;
+    debug_assert_eq!(dcol.len(), g.patch_len() * np + 2 * plan.slack);
+    for (s, xs) in dx.chunks_exact_mut(g.in_c * g.in_h * g.in_w).enumerate() {
+        for (c, plane) in xs.chunks_exact_mut(g.in_h * g.in_w).enumerate() {
+            let block = &dcol[c * g.k * g.k * np + s * pixels..];
+            for v in &plan.vectors {
+                let mut acc = [0f32; NR];
+                for &(kk, at, ref mask) in &plan.taps[v.taps.clone()] {
+                    let at = kk * np + at;
+                    let row: &[f32; NR] = block[at..at + NR].try_into().expect("NR floats");
+                    add_where(&mut acc, row, |j| mask[j] != 0);
+                }
+                if st == 1 {
+                    plane[v.dst..v.dst + v.lanes].copy_from_slice(&acc[..v.lanes]);
+                } else {
+                    let (mut d, mut col) = (v.dst, v.col);
+                    for &a in &acc[..v.lanes] {
+                        plane[d] = a;
+                        (d, col) = (d + st, col + 1);
+                        if col == v.width {
+                            (d, col) = (d + st * (g.in_w - v.width), 0);
                         }
                     }
                 }
-            }
-            for (dst, src) in chan
-                .chunks_exact_mut(g.in_w)
-                .zip(plane[g.pad * pw..].chunks_exact(pw))
-            {
-                dst.copy_from_slice(&src[g.pad..g.pad + g.in_w]);
             }
         }
     }
@@ -462,20 +630,23 @@ pub fn conv2d_forward_ws(
     let ov = out.as_mut_slice();
     let sample = geom.in_c * geom.in_h * geom.in_w;
     let chunk = (FWD_CHUNK_FLOATS / (pl * pixels)).clamp(1, n.max(1));
-    let mut packed = ws.take_scratch((chunk * pixels).div_ceil(NR) * pl * NR);
+    let mut packed = ws.take_scratch((chunk * pixels).div_ceil(NR) * pl * NR + NR);
+    let mut planes = ws.take_scratch(padded_planes_len(geom));
     let mut out_r = ws.take_scratch(oc * chunk * pixels);
     for (xs, ys) in xin
         .chunks(chunk * sample)
         .zip(ov.chunks_mut(chunk * oc * pixels))
     {
         let cnp = xs.len() / sample * pixels;
-        let packed = &mut packed[..cnp.div_ceil(NR) * pl * NR];
-        im2col_pixel_panels(xs, geom, cnp / pixels, packed);
+        let panels_len = cnp.div_ceil(NR) * pl * NR;
+        let packed = &mut packed[..panels_len + NR];
+        im2col_pixel_panels(xs, geom, cnp / pixels, &mut planes, packed);
         // The chunk's outputs come after the previous chunk's in the
         // reference draw order, and within the chunk one sample's
         // `[out_c, pixels]` block follows another.
         let plan = red.plan_dots(oc * cnp, pl).sample_blocks(pixels);
         let out_r = &mut out_r[..oc * cnp];
+        let packed = &packed[..panels_len];
         gemm_packed_planned(wv, packed, oc, cnp, pl, &plan, threads, out_r);
         // Scatter [oc, chunk·pixels] back to [chunk, oc, pixels], adding
         // the bias after the dot exactly as the reference computes.
@@ -490,6 +661,7 @@ pub fn conv2d_forward_ws(
         }
     }
     ws.recycle(out_r);
+    ws.recycle(planes);
     ws.recycle(packed);
     Ok(out)
 }
@@ -639,9 +811,10 @@ pub fn conv2d_input_grad_ws(
     let mut wt = ws.take_scratch(pl * oc);
     transpose_into(weights.as_slice(), oc, pl, &mut wt);
     let chunk = (DX_CHUNK_FLOATS / (pl * pixels)).clamp(1, n.max(1));
-    let mut dcol = ws.take_scratch(pl * chunk * pixels);
+    let gather = GatherPlan::new(geom);
+    let slack = gather.slack;
+    let mut dcol = ws.take_scratch(pl * chunk * pixels + 2 * slack);
     let mut dy_packed = ws.take_scratch((chunk * pixels).div_ceil(NR) * oc * NR);
-    let mut plane = ws.take_scratch((geom.in_h + 2 * geom.pad) * (geom.in_w + 2 * geom.pad));
     for (dys, dxs) in dy
         .as_slice()
         .chunks(chunk * oc * pixels)
@@ -650,11 +823,11 @@ pub fn conv2d_input_grad_ws(
         let cnp = dys.len() / oc;
         let packed = &mut dy_packed[..cnp.div_ceil(NR) * oc * NR];
         pack_dy_panels(dys, oc, pixels, packed);
-        let dcol = &mut dcol[..pl * cnp];
-        gemm_packed_planned(&wt, packed, pl, cnp, oc, &plan, threads, dcol);
-        col2im_add(dcol, geom, cnp / pixels, &mut plane, dxs);
+        let dcol = &mut dcol[..pl * cnp + 2 * slack];
+        let rows = &mut dcol[slack..slack + pl * cnp];
+        gemm_packed_planned(&wt, packed, pl, cnp, oc, &plan, threads, rows);
+        col2im_gather(dcol, geom, &gather, cnp / pixels, dxs);
     }
-    ws.recycle(plane);
     ws.recycle(wt);
     ws.recycle(dcol);
     ws.recycle(dy_packed);
@@ -974,6 +1147,99 @@ mod tests {
         }
     }
 
+    /// `f`'s bits equal `r`'s, except that any NaN matches any NaN: which
+    /// payload survives where two NaNs meet is not pinned.
+    fn same_bits_nan_by_position(what: &str, fast: &[f32], reference: &[f32]) {
+        assert_eq!(fast.len(), reference.len(), "{what} len");
+        for (idx, (f, r)) in fast.iter().zip(reference).enumerate() {
+            if r.is_nan() {
+                assert!(f.is_nan(), "{what}[{idx}]: {f} vs NaN");
+            } else {
+                assert_eq!(f.to_bits(), r.to_bits(), "{what}[{idx}]: {f} vs {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn ws_variants_match_reducer_reference_on_wide_strided_and_special_inputs() {
+        // Filters 5 (pad 2) and 7 (pad 3, as MediumCnn uses), stride 3,
+        // stride 2 without padding, and an input wider than NR, so one
+        // output row takes more than one run, in two panels. The wide one
+        // runs at a batch of two forward chunks.
+        let cases = [
+            (ConvGeometry::new(2, 3, 5, 1, 2, 9, 9), 3),
+            (ConvGeometry::new(2, 3, 7, 1, 3, 10, 10), 3),
+            (ConvGeometry::new(3, 4, 3, 3, 1, 11, 10), 3),
+            (ConvGeometry::new(3, 4, 3, 2, 0, 9, 8), 3),
+            (ConvGeometry::new(2, 3, 3, 1, 1, 18, 20), 7),
+        ];
+        let (g, n) = cases[4];
+        assert!(g.out_w() > NR && n > FWD_CHUNK_FLOATS / (g.patch_len() * g.out_pixels()));
+        for (g, n) in &cases {
+            let (mut x, mut w, b) = setup(g, *n);
+            let mut dy = conv2d_forward(&x, &w, &b, g, &mut Reducer::sequential()).unwrap();
+            dy.scale(0.5);
+            for special in [false, true] {
+                if special {
+                    // An infinite weight times a padding tap's +0.0 is
+                    // NaN, so the padding must be +0.0 where the
+                    // reference reads it, and only there; -0.0 products
+                    // check that no sum starts anywhere but 0.0.
+                    let (xv, wv) = (x.as_mut_slice(), w.as_mut_slice());
+                    let specials = [f32::INFINITY, -0.0, f32::NAN, f32::NEG_INFINITY, 0.0];
+                    for (i, &v) in specials.iter().enumerate() {
+                        let at = (i * 53 + 7) % xv.len();
+                        xv[at] = v;
+                        let at = (i * 13 + 2) % wv.len();
+                        wv[at] = v;
+                    }
+                    for v in xv.iter_mut().skip(3).step_by(11) {
+                        *v = -0.0;
+                    }
+                }
+                for order in [
+                    ReduceOrder::Sequential,
+                    ReduceOrder::FixedTree,
+                    ReduceOrder::Permuted,
+                ] {
+                    for lanes in [1, 2, 27, 64] {
+                        for amp in [0.0, 512.0] {
+                            let base = Reducer::new(order, lanes, 17).with_amplification(amp);
+                            let mut ref_red = base.clone();
+                            let (y0, dw0, db0) =
+                                reducer_reference(&x, &w, &b, &dy, g, &mut ref_red);
+                            for threads in [1, 2] {
+                                let what = format!(
+                                    "{g:?} special={special} {order:?} lanes={lanes} amp={amp} t={threads}"
+                                );
+                                let mut red = base.clone();
+                                let mut ws = Workspace::new();
+                                let y =
+                                    conv2d_forward_ws(&x, &w, &b, g, &mut red, threads, &mut ws)
+                                        .unwrap();
+                                let gr =
+                                    conv2d_backward_ws(&x, &w, &dy, g, &mut red, threads, &mut ws)
+                                        .unwrap();
+                                same_bits_nan_by_position(&format!("{what} y"), y.as_slice(), &y0);
+                                same_bits_nan_by_position(
+                                    &format!("{what} dw"),
+                                    gr.dw.as_slice(),
+                                    &dw0,
+                                );
+                                same_bits_nan_by_position(
+                                    &format!("{what} db"),
+                                    gr.db.as_slice(),
+                                    &db0,
+                                );
+                                assert_eq!(red.snapshot(), ref_red.snapshot(), "{what} snapshot");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The input gradient as the engine first computed it, kept as the
     /// oracle for the fast path: `dy` re-laid to `[pixels, out_c]` per
     /// sample, every `dcol[p, kk]` a fixed-lane dot over the channels
@@ -1042,14 +1308,18 @@ mod tests {
     #[test]
     fn dx_bit_identical_to_row_form_oracle() {
         // The three geometries of the reducer-reference test, a strided
-        // 1×1 and a 5×5 with padding 2; the last one also has out_c 32,
-        // so lanes 16 leaves two channels per lane.
+        // 1×1 and a 5×5 with padding 2; the 5×5 also has out_c 32, so
+        // lanes 16 leaves two channels per lane. Then an input wider than
+        // NR, whose rows the gather covers in two vectors, and stride 3,
+        // where a row's columns fall into three phases.
         let geoms = [
             ConvGeometry::new(1, 5, 3, 1, 1, 7, 7),
             ConvGeometry::new(3, 6, 3, 2, 1, 9, 9),
             ConvGeometry::new(8, 4, 3, 1, 0, 6, 5),
             ConvGeometry::new(4, 7, 1, 2, 0, 7, 8),
             ConvGeometry::new(2, 32, 5, 1, 2, 6, 7),
+            ConvGeometry::new(2, 5, 3, 1, 1, 18, 20),
+            ConvGeometry::new(3, 4, 3, 3, 1, 11, 10),
         ];
         for g in &geoms {
             let (x, mut w, b) = setup(g, 3);
@@ -1083,20 +1353,54 @@ mod tests {
                             let mut ws = Workspace::new();
                             let gr = conv2d_backward_ws(&x, &w, &dy, g, &mut red, threads, &mut ws)
                                 .unwrap();
-                            let fast = gr.dx.as_slice();
-                            assert_eq!(fast.len(), oracle.len(), "{what} len");
-                            for (idx, (f, r)) in fast.iter().zip(&oracle).enumerate() {
-                                if r.is_nan() {
-                                    assert!(f.is_nan(), "{what} dx[{idx}]: {f} vs NaN");
-                                } else {
-                                    assert_eq!(
-                                        f.to_bits(),
-                                        r.to_bits(),
-                                        "{what} dx[{idx}]: {f} vs {r}"
-                                    );
-                                }
-                            }
+                            same_bits_nan_by_position(
+                                &format!("{what} dx"),
+                                gr.dx.as_slice(),
+                                &oracle,
+                            );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pixel_panels_are_row_form_im2col_in_panel_layout() {
+        // Dirty buffers: every value the panels hold must be written, the
+        // padding taps as +0.0 and the last panel's pad columns as +0.0.
+        // Output pixel counts 49, 4 (samples share panels), 400 (rows
+        // wider than NR) and 20 (stride 3), at batches that leave a
+        // partial last panel.
+        let cases = [
+            (ConvGeometry::new(2, 1, 3, 1, 1, 7, 7), 3),
+            (ConvGeometry::new(3, 1, 3, 1, 1, 2, 2), 7),
+            (ConvGeometry::new(1, 1, 5, 1, 2, 20, 20), 2),
+            (ConvGeometry::new(2, 1, 3, 3, 1, 11, 13), 3),
+            (ConvGeometry::new(2, 1, 1, 2, 0, 5, 6), 5),
+        ];
+        for (g, n) in cases {
+            let (x, _, _) = setup(&g, n);
+            let (pl, pixels) = (g.patch_len(), g.out_pixels());
+            let np = n * pixels;
+            let mut row_form = vec![0f32; np * pl];
+            for (xs, rows) in x
+                .as_slice()
+                .chunks_exact(g.in_c * g.in_h * g.in_w)
+                .zip(row_form.chunks_exact_mut(pixels * pl))
+            {
+                im2col(xs, &g, rows);
+            }
+            let mut packed = vec![f32::NAN; np.div_ceil(NR) * pl * NR + NR];
+            let mut planes = vec![f32::NAN; padded_planes_len(&g)];
+            im2col_pixel_panels(x.as_slice(), &g, n, &mut planes, &mut packed);
+            for (p, panel) in packed.chunks_exact(pl * NR).enumerate() {
+                for kk in 0..pl {
+                    for j in 0..NR {
+                        let q = p * NR + j;
+                        let want = if q < np { row_form[q * pl + kk] } else { 0.0 };
+                        let got = panel[kk * NR + j];
+                        assert_eq!(got.to_bits(), want.to_bits(), "{g:?} pixel {q} tap {kk}");
                     }
                 }
             }

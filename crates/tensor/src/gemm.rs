@@ -577,15 +577,20 @@ fn combine_permuted_tile(
 }
 
 /// One step of a row's masked combine: column `j` adds lane row `t` when
-/// `t ≥ rot_j` in the first pass, and when `t < rot_j` in the second. The
-/// select is a bitwise mask over the sum, not a branch: the add a column
-/// skips is computed and dropped, so its value (NaN included) never
-/// reaches the column's sum.
+/// `t ≥ rot_j` in the first pass, and when `t < rot_j` in the second.
 #[inline(always)]
 fn masked_add(s: &mut [f32; NR], row: &[f32; NR], rot: &[u32; NR], t: u32, first_pass: bool) {
+    add_where(s, row, |j| (t >= rot[j]) == first_pass);
+}
+
+/// Adds `row[j]` into `s[j]` for every column `j` where `take(j)` holds.
+/// The select is a bitwise mask over the sum, not a branch: the add a
+/// column skips is computed and dropped, so its value (NaN included)
+/// never reaches the column's sum.
+#[inline(always)]
+pub(crate) fn add_where(s: &mut [f32; NR], row: &[f32; NR], take: impl Fn(usize) -> bool) {
     for j in 0..NR {
-        let take = (t >= rot[j]) == first_pass;
-        let mask = u32::from(take).wrapping_neg();
+        let mask = u32::from(take(j)).wrapping_neg();
         let (kept, added) = (s[j].to_bits(), (s[j] + row[j]).to_bits());
         s[j] = f32::from_bits((added & mask) | (kept & !mask));
     }

@@ -36,8 +36,9 @@ for workload in impl_noise det_control fleet_resume; do
 done
 # Traced runs: the replay wraps every layer, so it computes the first
 # layer's input gradient that training skips, and a run exits 1 unless
-# the replay's digest equals the untraced one.
-for workload in det_control impl_noise; do
+# the replay's digest equals the untraced one. fleet_resume is the one
+# workload with BatchNorm and worker processes.
+for workload in det_control impl_noise fleet_resume; do
     run cargo run -q --release --manifest-path crates/bench/noisebench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 1
 done
