@@ -14,16 +14,15 @@
 //!   grows, isolating the parallelism → noise mechanism from all other
 //!   architectural differences.
 
-use super::{require_complete, ExperimentError};
+use super::{complete_reports, ExperimentError};
 use crate::fleet::FleetOptions;
 use crate::report::render_table;
 use crate::resume::CheckpointStore;
-use crate::runner::{run_cell, PreparedTask};
+use crate::runner::PreparedTask;
 use crate::settings::ExperimentSettings;
 use crate::task::{ModelKind, TaskSpec};
 use crate::variant::{AlgoSource, NoiseVariant};
 use hwsim::{Architecture, Device};
-use nsmetrics::{pairwise_mean_churn, pairwise_mean_l2};
 use serde::{Deserialize, Serialize};
 
 /// One point of the data-parallel extension sweep.
@@ -39,33 +38,39 @@ pub struct DataParallelPoint {
     pub mean_accuracy: f64,
 }
 
-/// Sweeps simulated data-parallel worker counts under IMPL-only noise,
-/// one [`run_cell`] per count with `store` and `fleet`.
+/// Sweeps simulated data-parallel worker counts under IMPL-only noise:
+/// one grid with a task per count, run with `store` and `fleet`.
 ///
 /// # Errors
 ///
-/// [`ExperimentError`] when a cell cannot run.
+/// [`ExperimentError`] when the grid cannot run or any replica fails.
 pub fn data_parallel_sweep(
     settings: &ExperimentSettings,
     store: Option<&CheckpointStore>,
     fleet: Option<&FleetOptions>,
 ) -> Result<Vec<DataParallelPoint>, ExperimentError> {
-    let (device, variant) = (Device::v100(), NoiseVariant::Impl);
-    [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|workers| {
-            let mut task = TaskSpec::resnet18_cifar10();
-            task.train.data_parallel_workers = workers;
-            let prepared = PreparedTask::prepare(&task);
-            let runs = run_cell(&prepared, &device, variant, settings, store, fleet)?;
-            Ok(DataParallelPoint {
-                workers,
-                churn: pairwise_mean_churn(&runs.class_pred_sets()?),
-                l2: pairwise_mean_l2(&runs.weight_sets()),
-                mean_accuracy: nsmetrics::mean(&runs.accuracies()),
-            })
+    let prepared = PreparedTask::prepare(&TaskSpec::resnet18_cifar10());
+    let worker_counts = [1usize, 2, 4, 8];
+    let tasks: Vec<_> = worker_counts
+        .iter()
+        .map(|&workers| {
+            let mut cell = prepared.clone();
+            cell.spec.train.data_parallel_workers = workers;
+            cell
         })
-        .collect()
+        .collect();
+    let (device, variant) = (Device::v100(), NoiseVariant::Impl);
+    let reports = complete_reports(&tasks, &[device], &[variant], settings, store, fleet)?;
+    Ok(worker_counts
+        .into_iter()
+        .zip(reports)
+        .map(|(workers, r)| DataParallelPoint {
+            workers,
+            churn: r.churn,
+            l2: r.l2,
+            mean_accuracy: r.mean_accuracy,
+        })
+        .collect())
 }
 
 /// One point of the accumulation-lane (parallelism) sweep.
@@ -82,35 +87,35 @@ pub struct LanesPoint {
 }
 
 /// Sweeps a synthetic GPU's core count under IMPL-only noise (everything
-/// else — throughput model, architecture family — held fixed), one
-/// [`run_cell`] per core count with `store` and `fleet`. The
+/// else — throughput model, architecture family — held fixed): one grid
+/// with a device per core count, run with `store` and `fleet`. The
 /// [`Device::custom`] devices cross the fleet wire like the presets.
 ///
 /// # Errors
 ///
-/// [`ExperimentError`] when a cell cannot run.
+/// [`ExperimentError`] when the grid cannot run or any replica fails.
 pub fn lanes_sweep(
     settings: &ExperimentSettings,
     store: Option<&CheckpointStore>,
     fleet: Option<&FleetOptions>,
 ) -> Result<Vec<LanesPoint>, ExperimentError> {
-    let task = TaskSpec::small_cnn_cifar10();
-    let prepared = PreparedTask::prepare(&task);
-    let variant = NoiseVariant::Impl;
-    [640u32, 1280, 2560, 5120]
+    let prepared = PreparedTask::prepare(&TaskSpec::small_cnn_cifar10());
+    let devices: Vec<_> = [640u32, 1280, 2560, 5120]
         .into_iter()
-        .map(|cores| {
-            let device =
-                Device::custom("SWEEP-GPU", Architecture::Volta, cores, false, false, 14.9);
-            let runs = run_cell(&prepared, &device, variant, settings, store, fleet)?;
-            Ok(LanesPoint {
-                cuda_cores: cores,
-                lanes: device.lanes(),
-                churn: pairwise_mean_churn(&runs.class_pred_sets()?),
-                l2: pairwise_mean_l2(&runs.weight_sets()),
-            })
+        .map(|cores| Device::custom("SWEEP-GPU", Architecture::Volta, cores, false, false, 14.9))
+        .collect();
+    let variant = NoiseVariant::Impl;
+    let reports = complete_reports(&[prepared], &devices, &[variant], settings, store, fleet)?;
+    Ok(devices
+        .iter()
+        .zip(reports)
+        .map(|(device, r)| LanesPoint {
+            cuda_cores: device.cuda_cores(),
+            lanes: device.lanes(),
+            churn: r.churn,
+            l2: r.l2,
         })
-        .collect()
+        .collect())
 }
 
 /// Renders the data-parallel sweep.
@@ -164,8 +169,8 @@ pub struct AlgoSourcePoint {
     pub l2: f64,
 }
 
-/// Decomposes ALGO noise into its four sources (paper Table 1): one
-/// `ALGO:<source>` cell per source — initialization, data shuffling,
+/// Decomposes ALGO noise into its four sources (paper Table 1) in one
+/// grid: an `ALGO:<source>` cell per source — initialization, data shuffling,
 /// augmentation, dropout — with every other stream pinned, plus the
 /// plain `ALGO` cell as "all". The replicas run on the deterministic TPU
 /// so no scheduler noise mixes in. (Shuffle-order arms still pick up the
@@ -175,8 +180,8 @@ pub struct AlgoSourcePoint {
 ///
 /// # Errors
 ///
-/// [`ExperimentError`] when a cell cannot run or any of its replicas
-/// fails; no partial decomposition is returned.
+/// [`ExperimentError`] when the grid cannot run or any replica fails; no
+/// partial decomposition is returned.
 pub fn algo_source_decomposition(
     settings: &ExperimentSettings,
     store: Option<&CheckpointStore>,
@@ -185,7 +190,6 @@ pub fn algo_source_decomposition(
     let mut task = TaskSpec::small_cnn_cifar10();
     task.model = ModelKind::SmallCnnDropout { rate: 0.2 };
     let prepared = PreparedTask::prepare(&task);
-    let device = Device::tpu_v2();
     let arms = [
         ("init", NoiseVariant::AlgoOnly(AlgoSource::Init)),
         ("shuffle", NoiseVariant::AlgoOnly(AlgoSource::Shuffle)),
@@ -193,17 +197,18 @@ pub fn algo_source_decomposition(
         ("dropout", NoiseVariant::AlgoOnly(AlgoSource::Dropout)),
         ("all", NoiseVariant::Algo),
     ];
-    arms.into_iter()
-        .map(|(source, variant)| {
-            let runs = run_cell(&prepared, &device, variant, settings, store, fleet)?;
-            let runs = require_complete(runs)?;
-            Ok(AlgoSourcePoint {
-                source: source.to_string(),
-                churn: pairwise_mean_churn(&runs.class_pred_sets()?),
-                l2: pairwise_mean_l2(&runs.weight_sets()),
-            })
+    let variants = arms.map(|(_, variant)| variant);
+    let device = Device::tpu_v2();
+    let reports = complete_reports(&[prepared], &[device], &variants, settings, store, fleet)?;
+    Ok(arms
+        .into_iter()
+        .zip(reports)
+        .map(|((source, _), r)| AlgoSourcePoint {
+            source: source.to_string(),
+            churn: r.churn,
+            l2: r.l2,
         })
-        .collect()
+        .collect())
 }
 
 /// Renders the ALGO-source decomposition.
@@ -241,41 +246,43 @@ pub struct ArchInstabilityPoint {
 /// Compares architecture families' instability under full (ALGO+IMPL)
 /// noise on the same dataset — extends the paper's Fig. 1/2 observation
 /// (model design moderates noise) to LeNet-5, which Pham et al. (ASE'20)
-/// found to be the most variance-prone architecture across DL libraries,
-/// and to the bottleneck-ResNet topology. One [`run_cell`] per model with
-/// `store` and `fleet`.
+/// found to be the most variance-prone architecture across DL libraries.
+/// One grid with a task per model, run with `store` and `fleet`.
 ///
 /// # Errors
 ///
-/// [`ExperimentError`] when a cell cannot run.
+/// [`ExperimentError`] when the grid cannot run or any replica fails.
 pub fn architecture_instability(
     settings: &ExperimentSettings,
     store: Option<&CheckpointStore>,
     fleet: Option<&FleetOptions>,
 ) -> Result<Vec<ArchInstabilityPoint>, ExperimentError> {
-    let (device, variant) = (Device::v100(), NoiseVariant::AlgoImpl);
-    let models: [(&str, ModelKind); 4] = [
+    let prepared = PreparedTask::prepare(&TaskSpec::small_cnn_cifar10());
+    let tasks: Vec<_> = [
         ("LeNet5", ModelKind::LeNet5),
         ("SmallCNN", ModelKind::SmallCnn { with_bn: false }),
         ("SmallCNN+BN", ModelKind::SmallCnn { with_bn: true }),
         ("MicroResNet18", ModelKind::MicroResNet18),
-    ];
-    models
+    ]
+    .into_iter()
+    .map(|(name, model)| {
+        let mut cell = prepared.clone();
+        cell.spec.name = name.to_string();
+        cell.spec.model = model;
+        cell
+    })
+    .collect();
+    let (device, variant) = (Device::v100(), NoiseVariant::AlgoImpl);
+    let reports = complete_reports(&tasks, &[device], &[variant], settings, store, fleet)?;
+    Ok(reports
         .into_iter()
-        .map(|(name, model)| {
-            let mut task = TaskSpec::small_cnn_cifar10();
-            task.name = name.to_string();
-            task.model = model;
-            let prepared = PreparedTask::prepare(&task);
-            let runs = run_cell(&prepared, &device, variant, settings, store, fleet)?;
-            Ok(ArchInstabilityPoint {
-                model: name.to_string(),
-                churn: pairwise_mean_churn(&runs.class_pred_sets()?),
-                std_accuracy: nsmetrics::stddev(&runs.accuracies()),
-                mean_accuracy: nsmetrics::mean(&runs.accuracies()),
-            })
+        .map(|r| ArchInstabilityPoint {
+            model: r.task,
+            churn: r.churn,
+            std_accuracy: r.std_accuracy,
+            mean_accuracy: r.mean_accuracy,
         })
-        .collect()
+        .collect())
 }
 
 /// Renders the architecture-instability comparison.

@@ -1,11 +1,11 @@
 //! The fairness experiments: Table 3, Figure 3 and Table 5 (CelebA
 //! subgroup variance).
 
-use super::ExperimentError;
+use super::{require_complete, ExperimentError};
 use crate::fleet::FleetOptions;
 use crate::report::render_table;
 use crate::resume::CheckpointStore;
-use crate::runner::{run_cell, PreparedData, PreparedTask};
+use crate::runner::{run_grid, PreparedData, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
@@ -85,16 +85,17 @@ fn mask_for(meta: &[CelebaMeta], group: &str) -> Result<Vec<bool>, UnknownSubgro
     Ok(meta.iter().map(select).collect())
 }
 
-/// Runs the CelebA experiment for the three measured variants on V100,
-/// one [`run_cell`] per variant with `store` and `fleet`, returning one
-/// Table 5 per variant (Fig. 3 plots the same data).
+/// Runs the CelebA experiment for the three measured variants on V100 as
+/// one [`run_grid`] with `store` and `fleet`, returning one Table 5 per
+/// variant (Fig. 3 plots the same data).
 ///
 /// # Errors
 ///
 /// [`UnknownSubgroupError`] if a subgroup name cannot be mapped to a
 /// metadata mask (impossible for the built-in [`SUBGROUPS`], but the mask
 /// path is fallible so custom subgroup lists degrade gracefully), and any
-/// other [`ExperimentError`] when a cell cannot run.
+/// other [`ExperimentError`] when the grid cannot run or any replica
+/// fails.
 pub fn fig3_table5(
     settings: &ExperimentSettings,
     store: Option<&CheckpointStore>,
@@ -116,13 +117,13 @@ pub fn fig3_table5(
         .iter()
         .map(|group| mask_for(&meta, group))
         .collect::<Result<_, _>>()?;
-    let device = Device::v100();
-
-    NoiseVariant::MEASURED
-        .iter()
-        .map(|&variant| {
-            let runs = run_cell(&prepared, &device, variant, settings, store, fleet)?;
-            let preds = runs.binary_pred_sets()?;
+    let (device, variants) = (Device::v100(), NoiseVariant::MEASURED);
+    let grid = run_grid(&[prepared], &[device], &variants, settings, store, fleet)?;
+    variants
+        .into_iter()
+        .zip(grid)
+        .map(|(variant, runs)| {
+            let preds = require_complete(runs)?.binary_pred_sets()?;
             // Per subgroup, per replica: accuracy/FPR/FNR; then stddev.
             let mut per_group: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> =
                 vec![(Vec::new(), Vec::new(), Vec::new()); SUBGROUPS.len()];

@@ -9,16 +9,15 @@
 //! floating-point accumulation order of the gradient reductions. This is
 //! the paper's "latent implementation noise" result.
 
-use super::{require_complete, ExperimentError};
+use super::{complete_reports, ExperimentError};
 use crate::fleet::FleetOptions;
 use crate::report::render_table;
 use crate::resume::CheckpointStore;
-use crate::runner::{run_cell, PreparedTask};
+use crate::runner::PreparedTask;
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::{AlgoSource, NoiseVariant};
 use hwsim::Device;
-use nsmetrics::{pairwise_mean_churn, pairwise_mean_l2};
 use serde::{Deserialize, Serialize};
 
 /// One Figure-6 data point.
@@ -34,9 +33,9 @@ pub struct OrderingPoint {
     pub mean_accuracy: f64,
 }
 
-/// Runs the ordering experiment: one `ALGO:shuffle` cell on the TPU per
-/// batch size, each a task with its batch size and epoch budget set in
-/// `task.train`, run through [`crate::runner::run_cell`] with `store`
+/// Runs the ordering experiment: one grid of `ALGO:shuffle` cells on the
+/// TPU, one task per batch size with its batch size and epoch budget set
+/// in `task.train`, run through [`crate::runner::run_grid`] with `store`
 /// and `fleet`.
 ///
 /// Uses the small CNN on the CIFAR-10 stand-in with a longer epoch budget
@@ -46,8 +45,8 @@ pub struct OrderingPoint {
 ///
 /// # Errors
 ///
-/// [`ExperimentError`] when a cell cannot run or any of its replicas
-/// fails; no partial series is returned.
+/// [`ExperimentError`] when the grid cannot run or any replica fails; no
+/// partial series is returned.
 pub fn fig6(
     settings: &ExperimentSettings,
     store: Option<&CheckpointStore>,
@@ -58,14 +57,10 @@ pub fn fig6(
     task.train.schedule = nnet::schedule::LrSchedule::Constant { lr: 0.05 };
     let prepared = PreparedTask::prepare(&task);
     let train_len = prepared.train_set().len();
-    // The one varying factor: the shuffle stream's seed.
-    let (device, variant) = (
-        Device::tpu_v2(),
-        NoiseVariant::AlgoOnly(AlgoSource::Shuffle),
-    );
-    [16usize, 64, train_len]
-        .into_iter()
-        .map(|batch_size| {
+    let batch_sizes = [16usize, 64, train_len];
+    let tasks: Vec<_> = batch_sizes
+        .iter()
+        .map(|&batch_size| {
             let mut cell = prepared.clone();
             cell.spec.train.batch_size = batch_size;
             // Optimizer *steps*, not epochs, drive both learning and the
@@ -77,16 +72,25 @@ pub fn fig6(
                 b if b >= 64 => 60,
                 _ => 30,
             };
-            let runs = run_cell(&cell, &device, variant, settings, store, fleet)?;
-            let runs = require_complete(runs)?;
-            Ok(OrderingPoint {
-                batch_size,
-                churn: pairwise_mean_churn(&runs.class_pred_sets()?),
-                l2: pairwise_mean_l2(&runs.weight_sets()),
-                mean_accuracy: nsmetrics::mean(&runs.accuracies()),
-            })
+            cell
         })
-        .collect()
+        .collect();
+    // The one varying factor: the shuffle stream's seed.
+    let (device, variant) = (
+        Device::tpu_v2(),
+        NoiseVariant::AlgoOnly(AlgoSource::Shuffle),
+    );
+    let reports = complete_reports(&tasks, &[device], &[variant], settings, store, fleet)?;
+    Ok(batch_sizes
+        .into_iter()
+        .zip(reports)
+        .map(|(batch_size, r)| OrderingPoint {
+            batch_size,
+            churn: r.churn,
+            l2: r.l2,
+            mean_accuracy: r.mean_accuracy,
+        })
+        .collect())
 }
 
 /// Renders the Figure-6 series.

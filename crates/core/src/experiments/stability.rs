@@ -3,7 +3,7 @@
 use crate::fleet::FleetOptions;
 use crate::report::{render_table, stability_report, StabilityReport};
 use crate::resume::CheckpointStore;
-use crate::runner::{run_cell, PreparedTask};
+use crate::runner::{grid_cells, run_grid, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
@@ -37,12 +37,12 @@ impl StabilityGrid {
     }
 }
 
-/// Runs every (task × device × variant) combination through
-/// [`run_cell`] with durable per-cell progress: completed replicas are
+/// Runs every (task × device × variant) combination as one
+/// [`run_grid`] with durable per-cell progress: completed replicas are
 /// loaded from `store`, in-flight replicas checkpoint every epoch, and an
-/// interrupted grid resumes from wherever it stopped — mid-fleet and
-/// mid-training — bit-identically. With `fleet`, every cell's replicas
-/// run in supervised worker processes.
+/// interrupted grid resumes from wherever it stopped — mid-grid and
+/// mid-training — bit-identically. With `fleet`, every replica runs in a
+/// supervised worker process.
 ///
 /// # Errors
 ///
@@ -56,16 +56,12 @@ pub fn run_stability_grid(
     store: &CheckpointStore,
     fleet: Option<&FleetOptions>,
 ) -> std::io::Result<StabilityGrid> {
-    let mut reports = Vec::new();
-    for task in tasks {
-        let prepared = PreparedTask::prepare(task);
-        for device in devices {
-            for &variant in variants {
-                let runs = run_cell(&prepared, device, variant, settings, Some(store), fleet)?;
-                reports.push(stability_report(&prepared, device, variant, &runs));
-            }
-        }
-    }
+    let tasks: Vec<_> = tasks.iter().map(PreparedTask::prepare).collect();
+    let runs = run_grid(&tasks, devices, variants, settings, Some(store), fleet)?;
+    let reports = grid_cells(&tasks, devices, variants)
+        .zip(&runs)
+        .map(|((task, device, variant), runs)| stability_report(task, device, variant, runs))
+        .collect();
     Ok(StabilityGrid { reports })
 }
 

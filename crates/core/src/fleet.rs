@@ -1,6 +1,6 @@
 //! Process-isolated fleet execution: a supervised worker pool that runs
 //! each replica in its own OS process, bit-for-bit identical to the
-//! in-process [`crate::runner::run_cell`].
+//! in-process [`crate::runner::run_grid`].
 //!
 //! The in-process supervisor recovers from everything `catch_unwind` can
 //! catch — but a wedged kernel ([`hwsim::FaultKind::Hang`]) stalls the
@@ -15,15 +15,16 @@
 //!   its [`ReplicaSpec`] from stdin, checkpoints into and writes its
 //!   result to the store cell, and reports liveness and graceful faults
 //!   as text lines on stdout.
-//! - **The supervisor** ([`crate::runner::run_cell`] with
-//!   [`FleetOptions`]) is the one cell driver of [`crate::runner`] with a
-//!   process-spawning attempt body: it
-//!   dispatches pending replicas to a bounded pool of worker processes,
-//!   watches each with a heartbeat watchdog plus an absolute wall-clock
-//!   deadline, kills stalled or crashed workers, classifies how they died
-//!   (clean exit / panic exit code / signal / timeout), and re-dispatches
-//!   under the same attempt loop and retry budget as in-process runs,
-//!   with a deterministic capped-exponential backoff between attempts.
+//! - **The supervisor** ([`crate::runner::run_grid`] with
+//!   [`FleetOptions`]) is the one grid driver of [`crate::runner`] with a
+//!   process-spawning attempt body: it dispatches the pending replicas of
+//!   every cell of a grid, from one queue, to a bounded pool of worker
+//!   processes, watches each with a heartbeat watchdog plus an absolute
+//!   wall-clock deadline, kills stalled or crashed workers, classifies how
+//!   they died (clean exit / panic exit code / signal / timeout), and
+//!   re-dispatches under the same attempt loop and retry budget as
+//!   in-process runs, with a deterministic capped-exponential backoff
+//!   between attempts.
 //! - **Durability** reuses [`crate::resume::CheckpointStore`] cells
 //!   verbatim, under the store's one rule: the attempt writes `rK.ckpt`
 //!   and `rK.result`, the supervisor writes `rK.status` and the manifest.
@@ -429,7 +430,7 @@ fn classify_signal(_status: &std::process::ExitStatus) -> AttemptOutcome {
     AttemptOutcome::Crashed("killed by unknown cause".into())
 }
 
-/// The attempt body of [`crate::runner::run_cell`] with a fleet: each
+/// The attempt body of [`crate::runner::run_grid`] with a fleet: each
 /// attempt runs in its own worker process (after a deterministic backoff
 /// on retries) and resumes from the store cell `dir`'s checkpoint.
 ///

@@ -22,7 +22,7 @@
 //! - [`task::TaskSpec`] — model × dataset × training-recipe presets
 //!   mirroring the paper's benchmarks;
 //! - [`runner`] — trains replica fleets and collects weights/predictions,
-//!   through the one entry point [`runner::run_cell`];
+//!   through the one grid driver [`runner::run_grid`];
 //! - [`report`] — stability reports (accuracy stddev, churn, normalized
 //!   L2) and text-table rendering;
 //! - [`experiments`] — one entry point per table/figure of the paper
@@ -62,8 +62,8 @@ pub mod prelude {
     pub use crate::report::{render_table, save_json, stability_report, StabilityReport};
     pub use crate::resume::CheckpointStore;
     pub use crate::runner::{
-        run_cell, run_replica, run_replica_with, run_variant, Preds, PredsKindError, PreparedData,
-        PreparedTask, ReplicaResult, ReplicaStatus, VariantRuns,
+        run_cell, run_grid, run_replica, run_replica_with, run_variant, Preds, PredsKindError,
+        PreparedData, PreparedTask, ReplicaResult, ReplicaStatus, VariantRuns,
     };
     pub use crate::settings::ExperimentSettings;
     pub use crate::settings::SettingsError;

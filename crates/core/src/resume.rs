@@ -3,7 +3,7 @@
 //!
 //! The reproduction driver runs large (task × device × variant) grids that
 //! can be interrupted at any point — a wall-clock limit, a host failure, a
-//! ctrl-C. Handing [`crate::runner::run_cell`] a [`CheckpointStore`] makes
+//! ctrl-C. Handing [`crate::runner::run_grid`] a [`CheckpointStore`] makes
 //! those interruptions cheap instead of fatal:
 //!
 //! - every *completed* replica's [`ReplicaResult`] is persisted to its
@@ -11,7 +11,8 @@
 //! - every *in-flight* replica sinks an epoch-boundary [`Checkpoint`] to
 //!   disk, so a resumed run re-enters mid-training instead of re-training
 //!   from scratch;
-//! - a human-readable `manifest.txt` per cell records fleet progress.
+//! - a human-readable `manifest.txt` per cell records every replica's
+//!   status once the grid's queue drains.
 //!
 //! Because replicas are pure functions of `(task, device, variant,
 //! settings, replica)` and checkpoints capture the *complete* training
@@ -280,7 +281,7 @@ pub(crate) fn write_manifest(
 #[allow(clippy::float_cmp)]
 pub(crate) mod tests {
     use super::*;
-    use crate::runner::{run_cell, run_replica_with, run_variant, PreparedTask};
+    use crate::runner::{run_cell, run_grid, run_replica_with, run_variant, PreparedTask};
     use crate::task::{DataSource, TaskSpec};
     use nnet::trainer::FitOptions;
     use nsdata::GaussianSpec;
@@ -465,6 +466,43 @@ pub(crate) mod tests {
         for (a, b) in reference.results.iter().zip(&resumed.results) {
             assert_eq!(a.weights, b.weights, "replica {}", a.replica);
             assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
+        }
+    }
+
+    #[test]
+    fn mid_grid_resume_equals_per_cell_runs() {
+        // One store holds a complete cell, a cell with only r0 done and no
+        // trace of a third: the grid over all three must equal three
+        // uninterrupted per-cell fleets.
+        let scratch = Scratch::new("midgrid");
+        let prepared = PreparedTask::prepare(&tiny_task());
+        let settings = tiny_settings();
+        let device = Device::v100();
+        let variants = [
+            NoiseVariant::Impl,
+            NoiseVariant::AlgoImpl,
+            NoiseVariant::Algo,
+        ];
+        let one = ExperimentSettings {
+            replicas: 1,
+            ..settings
+        };
+        let store = Some(&scratch.0);
+        run_cell(&prepared, &device, variants[0], &settings, store, None).expect("complete cell");
+        run_cell(&prepared, &device, variants[1], &one, store, None).expect("r0 of a cell");
+
+        let tasks = std::slice::from_ref(&prepared);
+        let grid = run_grid(tasks, &[device], &variants, &settings, store, None).expect("grid");
+        assert_eq!(grid.len(), variants.len());
+        for (runs, variant) in grid.iter().zip(variants) {
+            let reference = run_variant(&prepared, &device, variant, &settings);
+            assert_eq!(runs.variant, variant);
+            assert_eq!(runs.statuses, reference.statuses, "{variant}");
+            assert_eq!(runs.results.len(), reference.results.len(), "{variant}");
+            for (a, b) in reference.results.iter().zip(&runs.results) {
+                assert_eq!(a.weights, b.weights, "{variant} replica {}", a.replica);
+                assert_eq!(a.preds, b.preds, "{variant} replica {}", a.replica);
+            }
         }
     }
 

@@ -1,14 +1,16 @@
 //! Replica fleets: train N independent models under a noise variant and
 //! collect everything the stability metrics need.
 //!
-//! Every experiment reaches its replicas through one entry point,
-//! [`run_cell`]: one store harvest, one thread pool, and one supervised
-//! attempt loop per replica. A [`CheckpointStore`] makes the cell durable
-//! and resumable; [`FleetOptions`] on top of it runs each attempt in a
-//! worker process instead of in process. Both run the same attempt body,
-//! which writes the replica's checkpoints and result into the store cell;
-//! the supervisor writes only statuses and the manifest. [`run_variant`]
-//! and [`crate::fleet::run_variant_fleet`] are one-line wrappers over it.
+//! Every experiment reaches its replicas through one grid driver,
+//! [`run_grid`]: one store harvest per cell, one queue of every pending
+//! replica of every cell, one thread pool that drains it, and one
+//! supervised attempt loop per replica. A [`CheckpointStore`] makes the
+//! grid durable and resumable; [`FleetOptions`] on top of it runs each
+//! attempt in a worker process instead of in process. Both run the same
+//! attempt body, which writes the replica's checkpoints and result into
+//! the store cell; the supervisor writes only statuses and manifests.
+//! [`run_cell`] is a one-cell grid, and [`run_variant`] and
+//! [`crate::fleet::run_variant_fleet`] are one-line wrappers over it.
 
 use crate::fleet::{process_attempt, FleetOptions};
 use crate::resume::{self, CheckpointStore};
@@ -24,7 +26,7 @@ use nnet::trainer::{
 use nsdata::{CelebaData, ShiftFlip, SplitDataset};
 use serde::{Deserialize, Serialize};
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A task with its dataset materialized (generation happens once; the
@@ -292,7 +294,7 @@ impl VariantRuns {
 ///
 /// Returns the [`TrainError`] of a diverged, faulted or empty training
 /// run. Injected kernel panics are *not* caught here; the supervisor in
-/// [`run_cell`] isolates those.
+/// [`run_grid`] isolates those.
 pub fn run_replica(
     prepared: &PreparedTask,
     device: &Device,
@@ -476,28 +478,28 @@ pub(crate) fn train_attempt(
     Ok(outcome)
 }
 
-/// The in-process attempt: `catch_unwind` around [`train_attempt`], so a
-/// kernel panic costs the replica a retry, not the process.
-fn in_process_attempt(
-    prepared: &PreparedTask,
-    device: &Device,
+/// The in-process attempt body: `catch_unwind` around [`train_attempt`],
+/// so a kernel panic costs the replica a retry, not the process.
+fn in_process_attempt<'a>(
+    prepared: &'a PreparedTask,
+    device: &'a Device,
     variant: NoiseVariant,
-    settings: &ExperimentSettings,
-    dir: Option<&Path>,
-    replica: u32,
-    attempt: u32,
-) -> io::Result<AttemptOutcome> {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        train_attempt(
-            prepared, device, variant, settings, dir, replica, attempt, None,
-        )
-    }));
-    Ok(match outcome {
-        Ok(Ok(Ok(result))) => AttemptOutcome::Clean(Box::new(result)),
-        Ok(Ok(Err(err))) => AttemptOutcome::Faulted(err.to_string()),
-        Ok(Err(io_err)) => return Err(io_err),
-        Err(payload) => AttemptOutcome::Faulted(panic_reason(payload)),
-    })
+    settings: &'a ExperimentSettings,
+    dir: Option<&'a Path>,
+) -> impl Fn(u32, u32) -> io::Result<AttemptOutcome> + Sync + 'a {
+    move |replica, attempt| {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            train_attempt(
+                prepared, device, variant, settings, dir, replica, attempt, None,
+            )
+        }));
+        Ok(match outcome {
+            Ok(Ok(Ok(result))) => AttemptOutcome::Clean(Box::new(result)),
+            Ok(Ok(Err(err))) => AttemptOutcome::Faulted(err.to_string()),
+            Ok(Err(io_err)) => return Err(io_err),
+            Err(payload) => AttemptOutcome::Faulted(panic_reason(payload)),
+        })
+    }
 }
 
 /// Runs one replica under supervision: attempts run until one is clean
@@ -510,7 +512,7 @@ fn supervise(
     dir: Option<&Path>,
     replica: u32,
     attempt: &(dyn Fn(u32, u32) -> io::Result<AttemptOutcome> + Sync),
-) -> io::Result<(Option<ReplicaResult>, ReplicaStatus)> {
+) -> io::Result<Outcome> {
     let mut a = 0;
     let (result, status) = loop {
         let attempts = a + 1;
@@ -536,62 +538,31 @@ fn supervise(
     Ok((result, status))
 }
 
-/// Trains every replica of one (task, device, variant) cell under
-/// supervision: the one entry point every experiment uses.
-///
-/// A panic or structured training failure costs a replica a retry (up to
-/// `settings.retry_budget`), never the cell; a replica whose budget is
-/// exhausted is recorded as failed in [`VariantRuns::statuses`] and is
-/// absent from `results`. With a `store`, completed replicas are loaded
-/// from the cell's directory instead of re-trained, in-flight replicas
-/// checkpoint every epoch and resume from their newest checkpoint, and
-/// every completion is persisted before the cell moves on. With a
-/// `fleet`, each attempt runs in a supervised worker process that
-/// checkpoints into the store cell (see [`crate::fleet`]). Pending
-/// replicas run on a thread pool (host parallelism, or `procs` threads
-/// each blocking on a worker process). Every combination produces the
-/// same bits: each replica derives its seeds and entropy from its index.
-///
-/// # Errors
-///
-/// [`io::ErrorKind::InvalidInput`] for settings that fail
-/// [`ExperimentSettings::validate_for`], a fleet without a store, or a
-/// fleet on a non-UTF-8 store path; otherwise store and spawn IO
-/// failures. Training faults and worker deaths degrade into
-/// [`ReplicaStatus`] entries.
-pub fn run_cell(
-    prepared: &PreparedTask,
-    device: &Device,
-    variant: NoiseVariant,
-    settings: &ExperimentSettings,
-    store: Option<&CheckpointStore>,
-    fleet: Option<&FleetOptions>,
-) -> io::Result<VariantRuns> {
-    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
-    settings
-        .validate_for(&prepared.spec)
-        .map_err(|e| invalid(e.to_string()))?;
-    let cell = store.map(|s| s.cell_dir(&prepared.spec, device, variant));
-    let dir = cell.as_deref();
-    type Attempt<'a> = Box<dyn Fn(u32, u32) -> io::Result<AttemptOutcome> + Sync + 'a>;
-    let (workers, attempt): (usize, Attempt) = match (fleet, dir) {
-        (None, _) => (
-            0,
-            Box::new(|r, a| in_process_attempt(prepared, device, variant, settings, dir, r, a)),
-        ),
-        (Some(opts), Some(cell)) => (
-            opts.procs,
-            Box::new(process_attempt(
-                prepared, device, variant, settings, cell, opts,
-            )?),
-        ),
-        (Some(_), None) => {
-            let msg = "a fleet needs a checkpoint store: workers checkpoint into its cells";
-            return Err(invalid(msg.into()));
-        }
-    };
-    let n = settings.replicas as usize;
-    let mut slots: Vec<Option<(Option<ReplicaResult>, ReplicaStatus)>> = vec![None; n];
+/// A replica's outcome as the supervisor records it: the result, if any,
+/// and the status.
+type Outcome = (Option<ReplicaResult>, ReplicaStatus);
+
+/// One attempt body, called as `attempt(replica, attempt)`.
+type Attempt<'a> = Box<dyn Fn(u32, u32) -> io::Result<AttemptOutcome> + Sync + 'a>;
+
+/// The cells of a `tasks × devices × variants` grid in [`run_grid`]'s
+/// order: task-major, then device, then variant.
+pub(crate) fn grid_cells<'a>(
+    tasks: &'a [PreparedTask],
+    devices: &'a [Device],
+    variants: &'a [NoiseVariant],
+) -> impl Iterator<Item = (&'a PreparedTask, &'a Device, NoiseVariant)> + 'a {
+    tasks.iter().flat_map(move |task| {
+        devices
+            .iter()
+            .flat_map(move |device| variants.iter().map(move |&v| (task, device, v)))
+    })
+}
+
+/// Loads the completed replicas of the store cell `dir`, creating the
+/// cell; a `None` slot is a replica still to run.
+fn harvest(dir: Option<&Path>, replicas: u32) -> io::Result<Vec<Option<Outcome>>> {
+    let mut slots = vec![None; replicas as usize];
     if let Some(dir) = dir {
         std::fs::create_dir_all(dir)?;
         for (r, slot) in (0..).zip(&mut slots) {
@@ -609,12 +580,72 @@ pub fn run_cell(
             }
         }
     }
-    let pending: Vec<u32> = (0..)
-        .zip(&slots)
-        .filter(|(_, s)| s.is_none())
-        .map(|(r, _)| r)
+    Ok(slots)
+}
+
+/// Trains every replica of every (task, device, variant) cell of a grid
+/// under supervision: the one replica queue every experiment runs on.
+///
+/// Every task is validated before any IO. With a `store`, each cell's
+/// completed replicas are loaded from its directory instead of re-trained,
+/// in-flight replicas checkpoint every epoch and resume from their newest
+/// checkpoint, and every completion is persisted as it lands. All pending
+/// `(cell, replica)` pairs go on one queue in cell order, drained by one
+/// pool: host-parallelism threads in process, or `procs` threads each
+/// blocking on a worker process with a `fleet` (see [`crate::fleet`]). A
+/// panic or training failure costs a replica a retry (up to
+/// `settings.retry_budget`), never the grid; a replica whose budget is
+/// exhausted is recorded as failed in [`VariantRuns::statuses`] and is
+/// absent from `results`. Once the queue drains, each cell's manifest is
+/// written. Every combination produces the same bits: each replica
+/// derives its seeds and entropy from its index. Cells come back
+/// task-major, then device, then variant.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidInput`] for settings that fail
+/// [`ExperimentSettings::validate_for`] on any task, a fleet without a
+/// store, or a fleet on a non-UTF-8 store path; otherwise store and spawn
+/// IO failures. Training faults and worker deaths degrade into
+/// [`ReplicaStatus`] entries.
+pub fn run_grid(
+    tasks: &[PreparedTask],
+    devices: &[Device],
+    variants: &[NoiseVariant],
+    settings: &ExperimentSettings,
+    store: Option<&CheckpointStore>,
+    fleet: Option<&FleetOptions>,
+) -> io::Result<Vec<VariantRuns>> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+    tasks
+        .iter()
+        .try_for_each(|task| settings.validate_for(&task.spec))
+        .map_err(|e| invalid(e.to_string()))?;
+    if fleet.is_some() && store.is_none() {
+        let msg = "a fleet needs a checkpoint store: workers checkpoint into its cells";
+        return Err(invalid(msg.into()));
+    }
+    let cells: Vec<_> = grid_cells(tasks, devices, variants).collect();
+    let dirs: Vec<Option<PathBuf>> = cells
+        .iter()
+        .map(|&(task, device, variant)| store.map(|s| s.cell_dir(&task.spec, device, variant)))
         .collect();
-    let workers = match workers {
+    let (mut attempts, mut slots) = (Vec::<Attempt>::new(), Vec::new());
+    for (&(prepared, device, variant), dir) in cells.iter().zip(&dirs) {
+        let dir = dir.as_deref();
+        attempts.push(match (fleet, dir) {
+            (Some(opts), Some(dir)) => Box::new(process_attempt(
+                prepared, device, variant, settings, dir, opts,
+            )?),
+            _ => Box::new(in_process_attempt(prepared, device, variant, settings, dir)),
+        });
+        slots.push(harvest(dir, settings.replicas)?);
+    }
+    let pending: Vec<(usize, u32)> = (0..cells.len())
+        .flat_map(|c| (0..settings.replicas).map(move |r| (c, r)))
+        .filter(|&(c, r)| slots[c][r as usize].is_none())
+        .collect();
+    let workers = match fleet.map_or(0, |opts| opts.procs) {
         0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
         w => w,
     }
@@ -626,8 +657,9 @@ pub fn run_cell(
             .map(|_| {
                 scope.spawn(|| {
                     let mut local = Vec::new();
-                    while let Some(&r) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        local.push((r, supervise(settings, dir, r, &*attempt)));
+                    while let Some(&(c, r)) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let out = supervise(settings, dirs[c].as_deref(), r, &*attempts[c]);
+                        local.push((c, r, out));
                     }
                     local
                 })
@@ -638,23 +670,46 @@ pub fn run_cell(
             .flat_map(|h| h.join().expect("supervisor thread panicked"))
             .collect::<Vec<_>>()
     });
-    for (r, out) in supervised {
-        slots[r as usize] = Some(out?);
+    for (c, r, out) in supervised {
+        slots[c][r as usize] = Some(out?);
     }
-    let (mut results, mut statuses) = (Vec::with_capacity(n), Vec::with_capacity(n));
-    for slot in slots {
-        let (result, status) = slot.expect("every replica is harvested or supervised");
-        results.extend(result);
-        statuses.push(status);
-    }
-    if let Some(dir) = dir {
-        resume::write_manifest(dir, &prepared.spec.name, device.name(), variant, &statuses)?;
-    }
-    Ok(VariantRuns {
-        variant,
-        results,
-        statuses,
-    })
+    let finished = cells.iter().zip(&dirs).zip(slots);
+    finished
+        .map(|((&(task, device, variant), dir), slots)| {
+            let (mut results, mut statuses) = (Vec::new(), Vec::new());
+            for slot in slots {
+                let (result, status) = slot.expect("every replica is harvested or supervised");
+                results.extend(result);
+                statuses.push(status);
+            }
+            if let Some(dir) = dir {
+                resume::write_manifest(dir, &task.spec.name, device.name(), variant, &statuses)?;
+            }
+            Ok(VariantRuns {
+                variant,
+                results,
+                statuses,
+            })
+        })
+        .collect()
+}
+
+/// [`run_grid`] over the one cell `(prepared, device, variant)`.
+///
+/// # Errors
+///
+/// As [`run_grid`].
+pub fn run_cell(
+    prepared: &PreparedTask,
+    device: &Device,
+    variant: NoiseVariant,
+    settings: &ExperimentSettings,
+    store: Option<&CheckpointStore>,
+    fleet: Option<&FleetOptions>,
+) -> io::Result<VariantRuns> {
+    let (tasks, devices) = (std::slice::from_ref(prepared), std::slice::from_ref(device));
+    let mut cells = run_grid(tasks, devices, &[variant], settings, store, fleet)?;
+    Ok(cells.pop().expect("a one-cell grid yields one cell"))
 }
 
 /// [`run_cell`] in process with no store.

@@ -28,8 +28,8 @@ pub struct ExperimentSettings {
     /// Host threads the blocked GEMM engine may use *within* one replica's
     /// tensor ops. Purely a wall-clock knob — the engine is bitwise
     /// invariant in the thread count — and orthogonal to the replica-level
-    /// parallelism of `run_variant`, so the default stays 1 to leave the
-    /// cores to the embarrassingly parallel replica fleet.
+    /// parallelism of `runner::run_grid`, so the default stays 1 to leave
+    /// the cores to the grid's replica queue.
     pub exec_threads: usize,
     /// How many times the supervisor re-runs a failed replica before
     /// recording it as [`crate::runner::ReplicaStatus::Failed`]. Retries
@@ -229,7 +229,7 @@ impl ExperimentSettings {
     /// a retry budget with no room for the initial attempt, and fleet
     /// heartbeat/timeout knobs that can never prove worker liveness.
     ///
-    /// Called by `runner::run_cell` (and so by every experiment), by
+    /// Called by `runner::run_grid` (and so by every experiment), by
     /// fleet workers, and by `repro` argument parsing; task-dependent
     /// checks live in
     /// [`ExperimentSettings::validate_for`].

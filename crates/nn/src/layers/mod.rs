@@ -19,7 +19,7 @@ pub use conv::Conv2d;
 pub use dense::Dense;
 pub use norm::BatchNorm2d;
 pub use pool::{Flatten, GlobalAvgPool, MaxPool2d};
-pub use residual::{BottleneckBlock, ResidualBlock};
+pub use residual::ResidualBlock;
 
 use detrand::Philox;
 use hwsim::ExecutionContext;

@@ -158,167 +158,6 @@ impl Layer for ResidualBlock {
     }
 }
 
-/// A ResNet bottleneck block:
-/// `relu(bn3(conv1x1_expand(relu(bn2(conv3x3(relu(bn1(conv1x1_reduce(x)))))))) + shortcut(x))`.
-///
-/// `mid` channels in the 3×3 stage, `4·mid`-style expansion controlled by
-/// `out_c`. The projection shortcut kicks in whenever shape changes.
-#[derive(Debug)]
-pub struct BottleneckBlock {
-    reduce: Conv2d,
-    bn1: BatchNorm2d,
-    relu1: Relu,
-    mid: Conv2d,
-    bn2: BatchNorm2d,
-    relu2: Relu,
-    expand: Conv2d,
-    bn3: BatchNorm2d,
-    projection: Option<(Conv2d, BatchNorm2d)>,
-    out_mask: Vec<f32>,
-}
-
-impl BottleneckBlock {
-    /// Creates a bottleneck block `in_c → mid → out_c` with the 3×3 stage
-    /// strided by `stride`.
-    pub fn new(
-        in_c: usize,
-        mid_c: usize,
-        out_c: usize,
-        stride: usize,
-        in_h: usize,
-        in_w: usize,
-        rng: &mut StreamRng,
-    ) -> Self {
-        let g1 = ConvGeometry::new(in_c, mid_c, 1, 1, 0, in_h, in_w);
-        let g2 = ConvGeometry::new(mid_c, mid_c, 3, stride, 1, in_h, in_w);
-        let (oh, ow) = (g2.out_h(), g2.out_w());
-        let g3 = ConvGeometry::new(mid_c, out_c, 1, 1, 0, oh, ow);
-        let projection = if stride != 1 || in_c != out_c {
-            let gp = ConvGeometry::new(in_c, out_c, 1, stride, 0, in_h, in_w);
-            Some((Conv2d::new(gp, rng), BatchNorm2d::new(out_c, rng)))
-        } else {
-            None
-        };
-        Self {
-            reduce: Conv2d::new(g1, rng),
-            bn1: BatchNorm2d::new(mid_c, rng),
-            relu1: Relu::new(),
-            mid: Conv2d::new(g2, rng),
-            bn2: BatchNorm2d::new(mid_c, rng),
-            relu2: Relu::new(),
-            expand: Conv2d::new(g3, rng),
-            bn3: BatchNorm2d::new(out_c, rng),
-            projection,
-            out_mask: Vec::new(),
-        }
-    }
-
-    /// Output channels.
-    pub fn out_c(&self) -> usize {
-        self.expand.geometry().out_c
-    }
-
-    /// Output spatial height.
-    pub fn out_h(&self) -> usize {
-        self.expand.geometry().out_h()
-    }
-}
-
-impl Layer for BottleneckBlock {
-    fn forward(
-        &mut self,
-        x: Tensor,
-        exec: &mut ExecutionContext,
-        algo: &Philox,
-        step: u64,
-        training: bool,
-    ) -> Tensor {
-        let m = self.reduce.forward(x.clone(), exec, algo, step, training);
-        let m = self.bn1.forward(m, exec, algo, step, training);
-        let m = self.relu1.forward(m, exec, algo, step, training);
-        let m = self.mid.forward(m, exec, algo, step, training);
-        let m = self.bn2.forward(m, exec, algo, step, training);
-        let m = self.relu2.forward(m, exec, algo, step, training);
-        let m = self.expand.forward(m, exec, algo, step, training);
-        let mut main = self.bn3.forward(m, exec, algo, step, training);
-
-        let shortcut = match &mut self.projection {
-            Some((conv, bn)) => {
-                let s = conv.forward(x, exec, algo, step, training);
-                bn.forward(s, exec, algo, step, training)
-            }
-            None => x,
-        };
-        main.add_assign(&shortcut).expect("bottleneck shape");
-        let mut mask = vec![0f32; main.len()];
-        for (v, mk) in main.as_mut_slice().iter_mut().zip(&mut mask) {
-            if *v > 0.0 {
-                *mk = 1.0;
-            } else {
-                *v = 0.0;
-            }
-        }
-        if training {
-            self.out_mask = mask;
-        }
-        main
-    }
-
-    fn backward(&mut self, mut dy: Tensor, exec: &mut ExecutionContext) -> Tensor {
-        assert!(!self.out_mask.is_empty(), "backward before forward");
-        for (g, m) in dy.as_mut_slice().iter_mut().zip(&self.out_mask) {
-            *g *= m;
-        }
-        let d = self.bn3.backward(dy.clone(), exec);
-        let d = self.expand.backward(d, exec);
-        let d = self.relu2.backward(d, exec);
-        let d = self.bn2.backward(d, exec);
-        let d = self.mid.backward(d, exec);
-        let d = self.relu1.backward(d, exec);
-        let d = self.bn1.backward(d, exec);
-        let mut dx = self.reduce.backward(d, exec);
-        let ds = match &mut self.projection {
-            Some((conv, bn)) => {
-                let d = bn.backward(dy, exec);
-                conv.backward(d, exec)
-            }
-            None => dy,
-        };
-        dx.add_assign(&ds).expect("bottleneck grad shape");
-        dx
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        self.reduce.visit_params(f);
-        self.bn1.visit_params(f);
-        self.mid.visit_params(f);
-        self.bn2.visit_params(f);
-        self.expand.visit_params(f);
-        self.bn3.visit_params(f);
-        if let Some((conv, bn)) = &mut self.projection {
-            conv.visit_params(f);
-            bn.visit_params(f);
-        }
-    }
-
-    fn param_count(&self) -> usize {
-        let mut n = self.reduce.param_count()
-            + self.bn1.param_count()
-            + self.mid.param_count()
-            + self.bn2.param_count()
-            + self.expand.param_count()
-            + self.bn3.param_count();
-        if let Some((conv, bn)) = &self.projection {
-            n += conv.param_count() + bn.param_count();
-        }
-        n
-    }
-
-    fn kind(&self) -> &'static str {
-        "bottleneck_block"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,36 +212,6 @@ mod tests {
         let mut count = 0;
         b2.visit_params(&mut |_, _| count += 1);
         assert_eq!(count, 12); // 6 sublayers × (param, grad) pairs of 2 each
-    }
-
-    #[test]
-    fn bottleneck_shapes_and_gradients() {
-        let root = Philox::from_seed(31);
-        let mut rng = root.stream(StreamId::INIT.child(0));
-        let mut b = BottleneckBlock::new(8, 4, 16, 2, 8, 8, &mut rng);
-        assert_eq!(b.out_c(), 16);
-        assert_eq!(b.out_h(), 4);
-        let mut exec = ExecutionContext::new(Device::cpu(), ExecutionMode::Default, 0);
-        let x = Tensor::full(Shape::of(&[2, 8, 8, 8]), 0.2);
-        let y = b.forward(x, &mut exec, &root, 0, true);
-        assert_eq!(y.shape().dims(), &[2, 16, 4, 4]);
-        let dx = b.backward(Tensor::full(y.shape(), 1.0), &mut exec);
-        assert_eq!(dx.shape().dims(), &[2, 8, 8, 8]);
-        let mut pairs = 0;
-        b.visit_params(&mut |_, _| pairs += 1);
-        assert_eq!(pairs, 16); // 8 sublayers × 2 tensors
-        assert_eq!(b.kind(), "bottleneck_block");
-    }
-
-    #[test]
-    fn bottleneck_identity_variant_has_no_projection() {
-        let root = Philox::from_seed(32);
-        let mut rng = root.stream(StreamId::INIT.child(0));
-        let with_proj = BottleneckBlock::new(8, 4, 16, 1, 8, 8, &mut rng).param_count();
-        let mut rng = root.stream(StreamId::INIT.child(0));
-        let identity = BottleneckBlock::new(16, 4, 16, 1, 8, 8, &mut rng).param_count();
-        // The identity block lacks the projection conv's parameters.
-        assert!(identity < with_proj + 16 * 16 + 16);
     }
 
     #[test]

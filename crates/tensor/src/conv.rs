@@ -1162,10 +1162,11 @@ mod tests {
 
     #[test]
     fn ws_variants_match_reducer_reference_on_wide_strided_and_special_inputs() {
-        // Filters 5 (pad 2) and 7 (pad 3, as MediumCnn uses), stride 3,
-        // stride 2 without padding, and an input wider than NR, so one
-        // output row takes more than one run, in two panels. The wide one
-        // runs at a batch of two forward chunks.
+        // Filters 5 (pad 2) and 7 (pad 3, as fig8b's cost-model medium CNN
+        // `nnet::arch::medium_cnn` uses), stride 3, stride 2 without
+        // padding, and an input wider than NR, so one output row takes
+        // more than one run, in two panels. The wide one runs at a batch of
+        // two forward chunks.
         let cases = [
             (ConvGeometry::new(2, 3, 5, 1, 2, 9, 9), 3),
             (ConvGeometry::new(2, 3, 7, 1, 3, 10, 10), 3),
