@@ -12,6 +12,9 @@ use serde::{Deserialize, Serialize};
 /// and draw `n` ahead mixes the counter `state + (n + 1)·GAMMA`.
 pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// The multipliers of [`SplitMix64::mix`]'s two xor-shift-multiply steps.
+pub const MIX_MULTIPLIERS: [u64; 2] = [0xBF58_476D_1CE4_E5B9, 0x94D0_49BB_1331_11EB];
+
 /// A SplitMix64 generator.
 ///
 /// # Example
@@ -54,8 +57,8 @@ impl SplitMix64 {
     /// SplitMix64::mix(g.counter(n))`.
     #[inline(always)]
     pub fn mix(mut z: u64) -> u64 {
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z = (z ^ (z >> 30)).wrapping_mul(MIX_MULTIPLIERS[0]);
+        z = (z ^ (z >> 27)).wrapping_mul(MIX_MULTIPLIERS[1]);
         z ^ (z >> 31)
     }
 

@@ -36,10 +36,19 @@
 //! `t < rot_j`. Every column's sum starts at 0.0 and adds its `l` lanes in
 //! exactly the reference order; what changes is only that the `NR`
 //! columns' chains advance together, and the `MR` rows of a tile
-//! interleave theirs, so the combine is bound by add throughput rather
-//! than by one chain's add latency. "Takes" is a bitwise select between
-//! `s + x` and `s`, not a branch: the add a column skips is computed and
-//! dropped, so no value from it, NaN payloads included, reaches the sum.
+//! interleave theirs, so no chain's add latency bounds the combine.
+//! "Takes" is a masked add, not a branch: a column the mask skips keeps
+//! its sum, so no value from the skipped add, NaN payloads included,
+//! reaches it.
+//!
+//! Two of the tile's steps, the spec derivation and the masked passes,
+//! live in `crate::tile`, which picks at build time between an explicit
+//! 512-bit form (targets with AVX-512 F and DQ) and a portable one; both
+//! compute the same bits. The portable masked passes take each column's
+//! mask from a compare the auto-vectorizer widens to 64 bits, eight per
+//! step of a tile row, and those compares, not the adds, bound them; the
+//! 512-bit form needs one 32-bit compare per step of a row. The lane fill
+//! and the swaps are portable on every build (see `crate::tile` for why).
 //!
 //! The remaining subtlety is the scheduler RNG: the reference path draws
 //! permutations interleaved with compute, one output at a time in
@@ -87,9 +96,10 @@
 
 use crate::error::ShapeError;
 use crate::pack::{pack_b_panels, pack_bt_panels, transpose_into, MR, NR};
-use crate::reduce::{DotPlan, ReduceOrder, Reducer, TileSpecs, MAX_LANES};
+use crate::reduce::{DotPlan, ReduceOrder, Reducer, MAX_LANES};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
+use crate::tile::{self, TileSpecs};
 use crate::workspace::Workspace;
 
 /// Computes `C = A × B` through the blocked engine.
@@ -558,29 +568,7 @@ fn combine_permuted_tile(
             (lanes[second][j], lanes[j2][j]) = (lanes[j2][j], lanes[second][j]);
         }
     }
-    // One named accumulator per tile row, so that the optimizer keeps the
-    // four rows' chains in registers and interleaves them (an indexed
-    // `[[f32; NR]; MR]` was vectorized across rows, through memory).
-    let rot = &specs.rot;
-    let [mut s0, mut s1, mut s2, mut s3] = [[0f32; NR]; MR];
-    for first_pass in [true, false] {
-        #[allow(clippy::needless_range_loop)] // t indexes all MR rows' buffers
-        for t in 0..l {
-            let t32 = t as u32;
-            masked_add(&mut s0, &bufs[0][t], &rot[0], t32, first_pass);
-            masked_add(&mut s1, &bufs[1][t], &rot[1], t32, first_pass);
-            masked_add(&mut s2, &bufs[2][t], &rot[2], t32, first_pass);
-            masked_add(&mut s3, &bufs[3][t], &rot[3], t32, first_pass);
-        }
-    }
-    [s0, s1, s2, s3]
-}
-
-/// One step of a row's masked combine: column `j` adds lane row `t` when
-/// `t ≥ rot_j` in the first pass, and when `t < rot_j` in the second.
-#[inline(always)]
-fn masked_add(s: &mut [f32; NR], row: &[f32; NR], rot: &[u32; NR], t: u32, first_pass: bool) {
-    add_where(s, row, |j| (t >= rot[j]) == first_pass);
+    tile::masked_passes(bufs, l, &specs.rot)
 }
 
 /// Adds `row[j]` into `s[j]` for every column `j` where `take(j)` holds.

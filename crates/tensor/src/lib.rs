@@ -56,6 +56,7 @@ pub mod pool;
 pub mod reduce;
 pub mod shape;
 pub mod tensor;
+mod tile;
 pub mod workspace;
 
 pub use conv::{
@@ -74,4 +75,4 @@ pub use pool::{
 pub use reduce::{ReduceOrder, Reducer, ReducerSnapshot, MAX_LANES};
 pub use shape::Shape;
 pub use tensor::Tensor;
-pub use workspace::Workspace;
+pub use workspace::{Scratch, Workspace};

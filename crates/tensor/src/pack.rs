@@ -8,9 +8,11 @@
 //! so it cannot perturb any accumulation order.
 
 /// Column-tile width of the packed layout: how many output columns one
-/// micro-kernel pass produces. Sixteen `f32`s fill a 512-bit vector lane
-/// (and two 256-bit lanes on AVX2-only hosts), which is what the
-/// auto-vectorizer targets under `-C target-cpu=native`.
+/// micro-kernel pass produces. Sixteen `f32`s are one 512-bit vector or
+/// two 256-bit ones. Under `-C target-cpu=native` on an AVX-512 Xeon the
+/// auto-vectorizer still emits 256-bit code (LLVM prefers 256-bit vectors
+/// on those cores); only the explicit Permuted tile kernels in
+/// `crate::tile` use 512-bit vectors.
 pub const NR: usize = 16;
 
 /// Row-tile height of the sequential micro-kernel (independent

@@ -20,6 +20,7 @@
 //!   identically under deterministic orders.
 
 use crate::pack::{MR, NR};
+use crate::tile::{self, TileSpecs};
 use detrand::splitmix::GAMMA;
 use detrand::SplitMix64;
 use serde::{Deserialize, Serialize};
@@ -337,23 +338,6 @@ pub(crate) struct PermuteSpec {
     pub scale: f32,
 }
 
-/// The combine specs of one `MR × NR` output tile, derived in registers
-/// by [`DotPlan::tile_specs`]: `[r][j]` belongs to tile row `r`, column
-/// `j`.
-pub(crate) struct TileSpecs {
-    /// First transposition targets (`p.swap(0, j1)`).
-    pub j1: [[u32; NR]; MR],
-    /// Second transposition targets (`p.swap(1.min(l - 1), j2)`).
-    pub j2: [[u32; NR]; MR],
-    /// Rotation offsets of the combine loop.
-    pub rot: [[u32; NR]; MR],
-    /// Amplified-noise multipliers; only applied when the plan is
-    /// amplified (a `*= 1.0` is *not* a guaranteed bitwise no-op for NaN
-    /// payloads, so the reference path's "skip when amp == 0" is
-    /// reproduced exactly).
-    pub scale: [[f32; NR]; MR],
-}
-
 /// An accumulation plan for a batch of equal-length dot products (one
 /// GEMM). See [`Reducer::plan_dots`].
 ///
@@ -441,6 +425,7 @@ impl DotPlan {
     /// [`Reducer::dot`] converts them.
     #[cfg(test)]
     pub fn spec(&self, index: usize) -> PermuteSpec {
+        use crate::tile::portable::{amp_scale, below};
         let first = index as u64 * self.per;
         let below = |d: u64| below(self.sched.peek(first + d), self.lanes) as u16;
         let swaps = self.lanes > 1;
@@ -481,58 +466,18 @@ impl DotPlan {
     /// Derives the combine specs of the `MR × NR` tile whose rows start
     /// at the counters `rows` and whose columns sit at the offsets `cols`:
     /// output `(r, j)`'s draw `d` mixes `rows[r] + cols[j] + d·γ`, the
-    /// counter [`SplitMix64::peek`] mixes for it. Only the mixer
-    /// multiplies; the lane and amplification branches are the const
-    /// parameters, so the loops vectorize across the tile.
+    /// counter [`SplitMix64::peek`] mixes for it. The lane and
+    /// amplification branches are the const parameters; the derivation
+    /// itself is [`crate::tile`]'s.
     #[inline(always)]
     pub fn tile_specs<const SWAPS: bool, const AMP: bool>(
         &self,
         rows: &[u64; MR],
         cols: &[u64; NR],
     ) -> TileSpecs {
-        let mut t = TileSpecs {
-            j1: [[0; NR]; MR],
-            j2: [[0; NR]; MR],
-            rot: [[0; NR]; MR],
-            scale: [[1.0; NR]; MR],
-        };
-        let l = self.lanes;
         let last = (self.per.wrapping_sub(1)).wrapping_mul(GAMMA);
-        // r and j index the inputs and all four outputs in lockstep.
-        #[allow(clippy::needless_range_loop)]
-        for r in 0..MR {
-            for j in 0..NR {
-                let c = rows[r].wrapping_add(cols[j]);
-                if SWAPS {
-                    t.j1[r][j] = below(SplitMix64::mix(c), l);
-                    t.j2[r][j] = below(SplitMix64::mix(c.wrapping_add(GAMMA)), l);
-                    t.rot[r][j] = below(SplitMix64::mix(c.wrapping_add(GAMMA.wrapping_mul(2))), l);
-                }
-                if AMP {
-                    t.scale[r][j] = amp_scale(SplitMix64::mix(c.wrapping_add(last)), self.amp_ulps);
-                }
-            }
-        }
-        t
+        tile::derive_specs::<SWAPS, AMP>(self.lanes, last, self.amp_ulps, rows, cols)
     }
-}
-
-/// [`SplitMix64::next_below`]`(lanes)` applied to the drawn bits `x`.
-#[inline(always)]
-fn below(x: u64, lanes: usize) -> u32 {
-    // Both factors fit in 32 bits (lanes ≤ MAX_LANES), which lets the
-    // vectorized form use a 32×32→64-bit multiply.
-    ((x >> 32).wrapping_mul(u64::from(lanes as u32)) >> 32) as u32
-}
-
-/// The amplification multiplier the reference computes from the drawn
-/// bits `x`: [`SplitMix64::next_f64`], then `1 + u·amp·ε` with `u` in
-/// `[-1, 1)`.
-#[inline(always)]
-fn amp_scale(x: u64, amp_ulps: f32) -> f32 {
-    let unit = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    let u = (unit as f32) * 2.0 - 1.0;
-    1.0 + u * amp_ulps * f32::EPSILON
 }
 
 impl Reducer {

@@ -17,6 +17,9 @@ run cargo test -q --workspace
 # The tensor crate's bit-identity tests at opt-level 3, as shipped.
 run cargo test -q --release -p nstensor
 run cargo clippy --workspace --all-targets -- -D warnings
+# The explicit AVX-512 tile kernels are compiled only for targets with
+# AVX-512 F and DQ; this lints them on any x86-64 host, without running them.
+run env RUSTFLAGS="-C target-cpu=x86-64-v4" cargo clippy -p nstensor --all-targets -- -D warnings
 run cargo fmt --check
 
 # Determinism lint with --audit: a stale allow is a hard failure. The
