@@ -20,7 +20,8 @@
 //! [`ReduceOrder::Permuted`]. The speed comes from vectorizing *across*
 //! outputs: the micro-kernel advances [`NR`] independent accumulation
 //! chains (one per output column) with each pass over k, which the
-//! auto-vectorizer turns into wide FMAs without touching any single
+//! auto-vectorizer turns into wide multiplies and adds (never fused: rustc
+//! does not contract `a * b + c`) without touching any single
 //! chain's order.
 //!
 //! The [`ReduceOrder::Permuted`] combine keeps each output's order the
@@ -364,7 +365,7 @@ fn panel_row(panel: &[f32], kk: usize) -> &[f32; NR] {
 /// single-chain accumulators. Each output's chain is
 /// `acc += a[i, kk] · b[kk, j]` for `kk = 0..k` — the identical
 /// left-to-right chain [`Reducer::dot`] runs — while the `NR`-wide inner
-/// loop and `MR` parallel rows give the CPU wide FMAs and ILP.
+/// loop and `MR` parallel rows give the CPU wide multiplies, adds and ILP.
 fn band_sequential(
     a: &[f32],
     packed: &[f32],

@@ -9,7 +9,7 @@ use detrand::splitmix::{GAMMA, MIX_MULTIPLIERS};
 
 const _: () = assert!(NR == 16, "a tile row is one 512-bit vector of f32");
 
-/// 512-bit [`super::portable::derive_specs`].
+/// 512-bit `portable::derive_specs`.
 #[inline(always)]
 pub(crate) fn derive_specs<const SWAPS: bool, const AMP: bool>(
     lanes: usize,
@@ -24,7 +24,7 @@ pub(crate) fn derive_specs<const SWAPS: bool, const AMP: bool>(
     unsafe { derive_specs_512::<SWAPS, AMP>(lanes, last, amp_ulps, rows, cols) }
 }
 
-/// 512-bit [`super::portable::masked_passes`].
+/// 512-bit `portable::masked_passes`.
 #[inline(always)]
 pub(crate) fn masked_passes(
     bufs: &[[[f32; NR]; MAX_LANES]; MR],
