@@ -19,10 +19,9 @@
 //! fill plus the scheduler-drawn permutation for
 //! [`ReduceOrder::Permuted`]. The speed comes from vectorizing *across*
 //! outputs: the micro-kernel advances [`NR`] independent accumulation
-//! chains (one per output column) with each pass over k, which the
-//! auto-vectorizer turns into wide multiplies and adds (never fused: rustc
-//! does not contract `a * b + c`) without touching any single
-//! chain's order.
+//! chains (one per output column) with each pass over k, as wide
+//! multiplies and adds (never fused into one multiply-add) without
+//! touching any single chain's order.
 //!
 //! The [`ReduceOrder::Permuted`] combine keeps each output's order the
 //! same way. Per tile row, the `l` lane partials of all `NR` columns sit
@@ -42,14 +41,21 @@
 //! its sum, so no value from the skipped add, NaN payloads included,
 //! reaches it.
 //!
-//! Two of the tile's steps, the spec derivation and the masked passes,
-//! live in `crate::tile`, which picks at build time between an explicit
-//! 512-bit form (targets with AVX-512 F and DQ) and a portable one; both
-//! compute the same bits. The portable masked passes take each column's
-//! mask from a compare the auto-vectorizer widens to 64 bits, eight per
-//! step of a tile row, and those compares, not the adds, bound them; the
-//! 512-bit form needs one 32-bit compare per step of a row. The lane fill
-//! and the swaps are portable on every build (see `crate::tile` for why).
+//! Three of the tile's steps live in `crate::tile`, which picks at build
+//! time between an explicit 512-bit form (targets with AVX-512 F and DQ)
+//! and a portable one; both compute the same bits. They are the
+//! multiply-add chain every order runs (`tile::chain`: the sequential
+//! kernel's whole k walk, or one lane of the lane fill), and the Permuted
+//! combine's spec derivation and masked passes. The portable chain is a
+//! plain loop the auto-vectorizer compiles to separate multiplies and adds
+//! (rustc does not contract `a * b + c`), but on AVX-512 hosts whose LLVM
+//! tuning prefers 256-bit vectors it gets half-width ones; the 512-bit
+//! chain holds one 512-bit register per tile row. The portable masked
+//! passes take each column's mask from a compare the auto-vectorizer
+//! widens to 64 bits, eight per step of a tile row, and those compares,
+//! not the adds, bound them; the 512-bit form needs one 32-bit compare
+//! and one masked add per step of a row. The swaps stay portable on every
+//! build (see `crate::tile` for why).
 //!
 //! The remaining subtlety is the scheduler RNG: the reference path draws
 //! permutations interleaved with compute, one output at a time in
@@ -351,21 +357,12 @@ fn scale_band(plan: &DotPlan, m: usize, n: usize, row0: usize, band: &mut [f32])
     }
 }
 
-/// Reads the `NR`-wide panel row at depth `kk` as a fixed-size array so
-/// the optimizer sees compile-time trip counts (no bounds checks, clean
-/// vector code).
-#[inline(always)]
-fn panel_row(panel: &[f32], kk: usize) -> &[f32; NR] {
-    panel[kk * NR..kk * NR + NR]
-        .try_into()
-        .expect("panel row is NR wide")
-}
-
 /// Sequential micro-kernel: an `MR × NR` register tile of *independent*
 /// single-chain accumulators. Each output's chain is
 /// `acc += a[i, kk] · b[kk, j]` for `kk = 0..k` — the identical
-/// left-to-right chain [`Reducer::dot`] runs — while the `NR`-wide inner
-/// loop and `MR` parallel rows give the CPU wide multiplies, adds and ILP.
+/// left-to-right chain [`Reducer::dot`] runs — while the `NR`-wide steps
+/// and `MR` parallel rows of `tile::chain` give the CPU wide multiplies,
+/// adds and ILP.
 fn band_sequential(
     a: &[f32],
     packed: &[f32],
@@ -383,22 +380,11 @@ fn band_sequential(
         let mut i = 0;
         while i < rows {
             let rm = MR.min(rows - i);
+            // The chain always runs all MR rows (remainder tiles repeat
+            // the last real row and discard the duplicates below), so its
+            // loops have fixed trip counts.
             let arows = tile_rows(a, k, row0 + i, rm);
-            let mut acc = [[0f32; NR]; MR];
-            // The r loop always runs all MR rows (remainder tiles repeat
-            // the last real row and discard the duplicates below) so the
-            // inner loops have fixed trip counts — no bounds checks, clean
-            // vector code.
-            #[allow(clippy::needless_range_loop)] // kk walks panel and arows in lockstep
-            for kk in 0..k {
-                let pr = panel_row(panel, kk);
-                for r in 0..MR {
-                    let av = arows[r][kk];
-                    for j in 0..NR {
-                        acc[r][j] += av * pr[j];
-                    }
-                }
-            }
+            let acc = tile::chain(&arows, panel, 0, 1, k);
             for r in 0..rm {
                 let orow = &mut band[(i + r) * n + col0..(i + r) * n + col0 + cols];
                 orow.copy_from_slice(&acc[r][..cols]);
@@ -426,7 +412,8 @@ fn tile_rows(a: &[f32], k: usize, first: usize, rm: usize) -> [&[f32]; MR] {
 ///
 /// Lane `dl` owns the k indices `dl, dl + l, dl + 2l, …` — the same
 /// assignment as the reference `p[e % l] += a[e] · b[e]` fill — and its
-/// chain is accumulated in increasing-k order, so each invocation hands
+/// chain (`tile::chain` from `dl` in steps of `l`) is accumulated in
+/// increasing-k order, so each invocation hands
 /// the sink the exact reference lane partial. Looping lanes outermost
 /// (instead of materializing an `l × NR` buffer) keeps every accumulator
 /// in registers: the k-strided walks stay inside one row of `a` (≤ a few
@@ -441,18 +428,7 @@ fn for_each_lane_partial(
     mut sink: impl FnMut(usize, usize, &[f32; NR]),
 ) {
     for dl in 0..l {
-        let mut lane = [[0f32; NR]; MR];
-        let mut kk = dl;
-        while kk < k {
-            let pr = panel_row(panel, kk);
-            for r in 0..MR {
-                let av = arows[r][kk];
-                for j in 0..NR {
-                    lane[r][j] += av * pr[j];
-                }
-            }
-            kk += l;
-        }
+        let lane = tile::chain(arows, panel, dl, l, k);
         for (r, partial) in lane.iter().enumerate().take(rm) {
             sink(r, dl, partial);
         }
@@ -725,6 +701,53 @@ mod tests {
                     let reference = matmul_reference(&a, &b, &mut red.clone()).unwrap();
                     let what = format!("lanes {lanes} seed {seed} amp {amp}");
                     assert_bits_eq(&fast, &reference, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn permuted_non_finite_lanes_at_least_k() {
+        // The shapes whose lanes hold at most one product each: the stem
+        // convs (patch_len 27) and the 1×1 stride-2 shortcuts (8 and 16),
+        // at lanes = k and at the most lanes. NaN payloads of both signs
+        // sit in A and in B at different k, so they land in different
+        // lanes and meet in the combine, where the payload that survives
+        // shows which lane was added first.
+        let nan = |bits: u32| f32::from_bits(bits);
+        let (m, n) = (6, 37);
+        for k in [8, 16, 27] {
+            let mut a = filled(m, k, 20);
+            let mut b = filled(k, n, 21);
+            let av = a.as_mut_slice();
+            // Row 0: three payloads.
+            av[1] = nan(0x7fc0_0001);
+            av[k / 2] = nan(0xffc0_0002);
+            av[k - 1] = nan(0x7fc0_0003);
+            // Row 1: +Inf and -Inf meet in the combine.
+            av[k + 2] = f32::INFINITY;
+            av[2 * k - 2] = f32::NEG_INFINITY;
+            // Row 2: all ±0.0.
+            for (kk, x) in av[2 * k..3 * k].iter_mut().enumerate() {
+                *x = if kk % 3 == 0 { 0.0 } else { -0.0 };
+            }
+            // Column 5 of B carries payloads into every row, at k where
+            // row 0 holds none; column 20 an infinity.
+            let bv = b.as_mut_slice();
+            bv[5] = nan(0x7fc0_0005);
+            bv[(k / 2 + 1) * n + 5] = nan(0xffc0_0006);
+            bv[3 * n + 20] = f32::NEG_INFINITY;
+            for lanes in [k, MAX_LANES] {
+                for seed in [1, 2, 3, 77] {
+                    for amp in [0.0, 1e4] {
+                        let red = Reducer::new(ReduceOrder::Permuted, lanes, seed)
+                            .with_amplification(amp);
+                        let mut ws = Workspace::new();
+                        let fast = matmul_ws(&a, &b, &mut red.clone(), 1, &mut ws).unwrap();
+                        let reference = matmul_reference(&a, &b, &mut red.clone()).unwrap();
+                        let what = format!("k {k} lanes {lanes} seed {seed} amp {amp}");
+                        assert_bits_eq(&fast, &reference, &what);
+                    }
                 }
             }
         }

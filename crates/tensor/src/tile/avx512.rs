@@ -1,13 +1,27 @@
-//! The 512-bit forms of the Permuted tile steps (see [the parent
-//! module](super)). One `__m512` holds the `NR` columns of a tile row.
+//! The 512-bit forms of the tile steps (see [the parent module](super)).
+//! One `__m512` holds the `NR` columns of a tile row.
 
 use super::TileSpecs;
 use crate::pack::{MR, NR};
 use crate::reduce::MAX_LANES;
+use core::arch::asm;
 use core::arch::x86_64::*;
 use detrand::splitmix::{GAMMA, MIX_MULTIPLIERS};
 
 const _: () = assert!(NR == 16, "a tile row is one 512-bit vector of f32");
+
+/// 512-bit `portable::chain`.
+#[inline(always)]
+pub(crate) fn chain(
+    arows: &[&[f32]; MR],
+    panel: &[f32],
+    start: usize,
+    step: usize,
+    k: usize,
+) -> [[f32; NR]; MR] {
+    // SAFETY: as in `derive_specs`, the target has avx512f.
+    unsafe { chain_512(arows, panel, start, step, k) }
+}
 
 /// 512-bit `portable::derive_specs`.
 #[inline(always)]
@@ -33,6 +47,74 @@ pub(crate) fn masked_passes(
 ) -> [[f32; NR]; MR] {
     // SAFETY: as in `derive_specs`, the target has avx512f.
     unsafe { masked_passes_512(bufs, l, rot) }
+}
+
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn chain_512(
+    arows: &[&[f32]; MR],
+    panel: &[f32],
+    start: usize,
+    step: usize,
+    k: usize,
+) -> [[f32; NR]; MR] {
+    // Slicing to k rows and k elements up front leaves the loop, whose
+    // kk stays below k, with no bounds check.
+    let (panel, _) = panel.as_chunks::<NR>();
+    let (panel, [a0, a1, a2, a3]) = (&panel[..k], arows.map(|a| &a[..k]));
+    // One named accumulator per tile row, as in the masked passes.
+    let [mut s0, mut s1, mut s2, mut s3] = [_mm512_setzero_ps(); MR];
+    let mut kk = start;
+    while kk < k {
+        let row = load_f32x16(&panel[kk]);
+        s0 = add(mul(_mm512_set1_ps(a0[kk]), row), s0);
+        s1 = add(mul(_mm512_set1_ps(a1[kk]), row), s1);
+        s2 = add(mul(_mm512_set1_ps(a2[kk]), row), s2);
+        s3 = add(mul(_mm512_set1_ps(a3[kk]), row), s3);
+        kk += step;
+    }
+    let mut acc = [[0f32; NR]; MR];
+    for (out, s) in acc.iter_mut().zip([s0, s1, s2, s3]) {
+        store_f32x16(out, s);
+    }
+    acc
+}
+
+/// `a · b` as one `vmulps` whose first source is `a`: where both are NaN,
+/// `a`'s payload survives.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn mul(a: __m512, b: __m512) -> __m512 {
+    let p: __m512;
+    // SAFETY: one register-only AVX-512 F instruction, which the target
+    // has; it touches no memory, stack or flags.
+    unsafe {
+        asm!(
+            "vmulps {p}, {a}, {b}",
+            p = lateout(zmm_reg) p,
+            a = in(zmm_reg) a,
+            b = in(zmm_reg) b,
+            options(pure, nomem, nostack, preserves_flags),
+        );
+    }
+    p
+}
+
+/// `p + s` as one `vaddps` whose first source is `p`: where both are NaN,
+/// `p`'s payload survives.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn add(p: __m512, mut s: __m512) -> __m512 {
+    // SAFETY: as in `mul`.
+    unsafe {
+        asm!(
+            "vaddps {s}, {p}, {s}",
+            s = inout(zmm_reg) s,
+            p = in(zmm_reg) p,
+            options(pure, nomem, nostack, preserves_flags),
+        );
+    }
+    s
 }
 
 #[target_feature(enable = "avx512f,avx512dq")]
@@ -162,11 +244,24 @@ fn masked_passes_512(
     sums
 }
 
-/// `s + row` in the columns `take` selects, `s` in the others.
+/// `s + row` in the columns `take` selects, `s` in the others: one
+/// merge-masked `vaddps` whose first source is `s`. (The intrinsic
+/// `_mm512_mask_add_ps` compiles to an unmasked add plus a masked move.)
 #[target_feature(enable = "avx512f")]
 #[inline]
-fn add_masked(s: __m512, take: __mmask16, row: &[f32; NR]) -> __m512 {
-    _mm512_mask_add_ps(s, take, s, load_f32x16(row))
+fn add_masked(mut s: __m512, take: __mmask16, row: &[f32; NR]) -> __m512 {
+    let row = load_f32x16(row);
+    // SAFETY: as in `mul`.
+    unsafe {
+        asm!(
+            "vaddps {s} {{{take}}}, {s}, {row}",
+            s = inout(zmm_reg) s,
+            take = in(kreg) take,
+            row = in(zmm_reg) row,
+            options(pure, nomem, nostack, preserves_flags),
+        );
+    }
+    s
 }
 
 #[target_feature(enable = "avx512f")]
@@ -253,6 +348,54 @@ mod tests {
                     specs_both::<true, false>(lanes, four, amp, &rows, &cols);
                     specs_both::<false, true>(lanes, one, amp, &rows, &cols);
                     specs_both::<false, false>(lanes, one, amp, &rows, &cols);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chain_matches_portable_bit_for_bit() {
+        // Finite values, zeros of both signs, both infinities, subnormals
+        // and quiet NaNs with distinct payloads of both signs. A NaN
+        // product stays in its chain, so later NaN products meet it in
+        // adds, and NaN A values meet NaN panel values in multiplies: the
+        // payload that survives shows which operand each kept.
+        let special = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffc0_0002),
+            f32::from_bits(0x7fc0_0003),
+            f32::from_bits(0xffc0_0004),
+            1.0e-40,
+            -3.0e-39,
+            1.5,
+            -2.25,
+        ];
+        let mut g = SplitMix64::new(21);
+        for k in [27, 150] {
+            let mut a = vec![0f32; MR * k];
+            let mut panel = vec![0f32; k * NR];
+            for step in [1, 2, 16, 27, 64] {
+                for round in 0..8 {
+                    for x in a.iter_mut().chain(panel.iter_mut()) {
+                        let pick = g.next_below(3 * special.len() as u32) as usize;
+                        *x = special
+                            .get(pick)
+                            .copied()
+                            .unwrap_or_else(|| g.next_f64() as f32 - 0.5);
+                    }
+                    let arows = core::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+                    // Every lane of the stride, as the lane fill runs them.
+                    for start in 0..step {
+                        let fast = chain(&arows, &panel, start, step, k);
+                        let oracle = portable::chain(&arows, &panel, start, step, k);
+                        let bits = |s: [[f32; NR]; MR]| s.map(|row| row.map(f32::to_bits));
+                        let what = format!("k {k} step {step} round {round} start {start}");
+                        assert_eq!(bits(fast), bits(oracle), "{what}");
+                    }
                 }
             }
         }

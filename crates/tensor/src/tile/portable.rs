@@ -1,5 +1,5 @@
-//! The portable forms of the Permuted tile steps: plain loops the
-//! auto-vectorizer compiles for whatever target the build names.
+//! The portable forms of the tile steps: plain loops the auto-vectorizer
+//! compiles for whatever target the build names.
 
 use super::TileSpecs;
 use crate::gemm::add_where;
@@ -7,6 +7,44 @@ use crate::pack::{MR, NR};
 use crate::reduce::MAX_LANES;
 use detrand::splitmix::GAMMA;
 use detrand::SplitMix64;
+
+/// Advances an `MR × NR` register tile of independent accumulators, each
+/// starting at 0.0, over `kk = start, start + step, … < k`: output
+/// `(r, j)` runs `acc += arows[r][kk] · panel[kk][j]` in increasing `kk`.
+/// The r loop always runs all `MR` rows and the j loop all `NR` columns,
+/// so the inner loops have fixed trip counts — no bounds checks, clean
+/// vector code.
+#[inline(always)]
+pub(crate) fn chain(
+    arows: &[&[f32]; MR],
+    panel: &[f32],
+    start: usize,
+    step: usize,
+    k: usize,
+) -> [[f32; NR]; MR] {
+    let mut acc = [[0f32; NR]; MR];
+    let mut kk = start;
+    while kk < k {
+        let pr = panel_row(panel, kk);
+        for r in 0..MR {
+            let av = arows[r][kk];
+            for j in 0..NR {
+                acc[r][j] += av * pr[j];
+            }
+        }
+        kk += step;
+    }
+    acc
+}
+
+/// Reads the `NR`-wide panel row at depth `kk` as a fixed-size array so
+/// the optimizer sees compile-time trip counts.
+#[inline(always)]
+fn panel_row(panel: &[f32], kk: usize) -> &[f32; NR] {
+    panel[kk * NR..kk * NR + NR]
+        .try_into()
+        .expect("panel row is NR wide")
+}
 
 /// Derives the combine specs of the `MR × NR` tile whose rows start at the
 /// counters `rows` and whose columns sit at the offsets `cols` (see

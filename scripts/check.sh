@@ -16,6 +16,10 @@ run cargo build --workspace --release
 run cargo test -q --workspace
 # The tensor crate's bit-identity tests at opt-level 3, as shipped.
 run cargo test -q --release -p nstensor
+# The same tests on a build without AVX-512, where the portable tile
+# kernels (crates/tensor/src/tile/portable.rs) are the shipped path rather
+# than only the oracle of the 512-bit ones.
+run env RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test -q --release -p nstensor
 run cargo clippy --workspace --all-targets -- -D warnings
 # The explicit AVX-512 tile kernels are compiled only for targets with
 # AVX-512 F and DQ; this lints them on any x86-64 host, without running them.
