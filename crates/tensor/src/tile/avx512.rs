@@ -67,10 +67,10 @@ fn chain_512(
     let mut kk = start;
     while kk < k {
         let row = load_f32x16(&panel[kk]);
-        s0 = add(mul(_mm512_set1_ps(a0[kk]), row), s0);
-        s1 = add(mul(_mm512_set1_ps(a1[kk]), row), s1);
-        s2 = add(mul(_mm512_set1_ps(a2[kk]), row), s2);
-        s3 = add(mul(_mm512_set1_ps(a3[kk]), row), s3);
+        s0 = mul_add(_mm512_set1_ps(a0[kk]), row, s0);
+        s1 = mul_add(_mm512_set1_ps(a1[kk]), row, s1);
+        s2 = mul_add(_mm512_set1_ps(a2[kk]), row, s2);
+        s3 = mul_add(_mm512_set1_ps(a3[kk]), row, s3);
         kk += step;
     }
     let mut acc = [[0f32; NR]; MR];
@@ -80,37 +80,22 @@ fn chain_512(
     acc
 }
 
-/// `a · b` as one `vmulps` whose first source is `a`: where both are NaN,
-/// `a`'s payload survives.
+/// `s + a · b` as a `vmulps` and a separate `vaddps`, never one fused
+/// multiply-add. The multiply's first source is `a` and the add's is the
+/// product: where two NaNs meet, that operand's payload survives.
 #[target_feature(enable = "avx512f")]
 #[inline]
-fn mul(a: __m512, b: __m512) -> __m512 {
-    let p: __m512;
-    // SAFETY: one register-only AVX-512 F instruction, which the target
-    // has; it touches no memory, stack or flags.
+fn mul_add(a: __m512, b: __m512, mut s: __m512) -> __m512 {
+    // SAFETY: two register-only AVX-512 F instructions, which the target
+    // has; they touch no memory, stack or flags.
     unsafe {
         asm!(
             "vmulps {p}, {a}, {b}",
-            p = lateout(zmm_reg) p,
+            "vaddps {s}, {p}, {s}",
             a = in(zmm_reg) a,
             b = in(zmm_reg) b,
-            options(pure, nomem, nostack, preserves_flags),
-        );
-    }
-    p
-}
-
-/// `p + s` as one `vaddps` whose first source is `p`: where both are NaN,
-/// `p`'s payload survives.
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn add(p: __m512, mut s: __m512) -> __m512 {
-    // SAFETY: as in `mul`.
-    unsafe {
-        asm!(
-            "vaddps {s}, {p}, {s}",
             s = inout(zmm_reg) s,
-            p = in(zmm_reg) p,
+            p = out(zmm_reg) _,
             options(pure, nomem, nostack, preserves_flags),
         );
     }
@@ -251,7 +236,7 @@ fn masked_passes_512(
 #[inline]
 fn add_masked(mut s: __m512, take: __mmask16, row: &[f32; NR]) -> __m512 {
     let row = load_f32x16(row);
-    // SAFETY: as in `mul`.
+    // SAFETY: as in `mul_add`.
     unsafe {
         asm!(
             "vaddps {s} {{{take}}}, {s}, {row}",
