@@ -413,8 +413,8 @@ fn tile_rows(a: &[f32], k: usize, first: usize, rm: usize) -> [&[f32]; MR] {
 /// Lane `dl` owns the k indices `dl, dl + l, dl + 2l, …` — the same
 /// assignment as the reference `p[e % l] += a[e] · b[e]` fill — and its
 /// chain (`tile::chain` from `dl` in steps of `l`) is accumulated in
-/// increasing-k order, so each invocation hands
-/// the sink the exact reference lane partial. Looping lanes outermost
+/// increasing-k order, so each invocation hands the sink the exact
+/// reference lane partial. Looping lanes outermost
 /// (instead of materializing an `l × NR` buffer) keeps every accumulator
 /// in registers: the k-strided walks stay inside one row of `a` (≤ a few
 /// KiB) and one packed panel, both L1-resident.

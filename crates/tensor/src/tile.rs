@@ -46,10 +46,9 @@
 //! loops instead, but rustc warns that the feature is unknown to it and
 //! may be unsound, and it leaves every operand order to LLVM: on an
 //! AVX-512 host it changed a NaN payload of a Permuted GEMM against the
-//! reference. The lane fill's combine and the two in-place swaps stay
-//! portable on every build for the same reason: a 512-bit lane fill
-//! changed one NaN payload against the reference, because the compiler
-//! ordered its adds' operands differently from the reference fill's.
+//! reference. A 512-bit lane fill written with intrinsics failed the
+//! same way, which is why the chain pins its operands. The two in-place
+//! swaps stay portable on every build.
 //!
 //! On an AVX-512 build the portable form is compiled for tests only, as
 //! the oracle the 512-bit form must match bit for bit (`avx512`'s tests);
