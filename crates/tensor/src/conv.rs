@@ -17,9 +17,11 @@
 //!
 //! im2col never materializes in row form: the forward pass and the
 //! weight gradient each write it straight into the packed panels their
-//! GEMM reads. The forward pass runs in cache-sized chunks of samples,
-//! one GEMM per chunk over the chunk's `chunk·pixels` output columns, for
-//! every reduction order. The reference draws a Permuted spec per output
+//! GEMM reads, and both read each sample from the same zero-padded,
+//! phase-split copy of it, so neither tests a tap against the border.
+//! The forward pass runs in cache-sized chunks of samples, one GEMM per
+//! chunk over the chunk's `chunk·pixels` output columns, for every
+//! reduction order. The reference draws a Permuted spec per output
 //! in sample-major `(s, o, p)` order, so each chunk plans its outputs
 //! right after the previous chunk's, and reads its columns as sample
 //! blocks (`DotPlan::sample_blocks`) to find each output's place in
@@ -27,7 +29,10 @@
 //! lowering copies each sample into zero-padded planes, split by column
 //! phase at stride > 1, so that every panel row of a tap is a few fixed
 //! `NR`-float copies of consecutive plane values, one per output row the
-//! panel touches (see `im2col_pixel_panels`).
+//! panel touches (see `im2col_pixel_panels`). The weight gradient's
+//! panels hold patch positions as columns, so each output pixel's `NR`
+//! values are loads at one panel's fixed offsets from the pixel's corner
+//! in those planes, stored as one row (see `im2col_patch_panels`).
 //!
 //! Backward splits into [`conv2d_param_grads_ws`] (dW and db, the
 //! reducer's draws) and [`conv2d_input_grad_ws`] (dX, which draws
@@ -37,15 +42,16 @@
 //! elements that share a stride phase: each element starts from 0.0 and
 //! takes its contributions in `(ky, kx)`-descending, that is
 //! output-pixel, order, as a pixel-by-pixel scatter adds them, with a
-//! bitwise mask for the taps that fall outside the output (see
-//! `GatherPlan` and `col2im_gather`).
+//! bitwise mask for the taps that fall outside the output, one masked
+//! add per tap (see `GatherPlan`, `col2im_gather` and `tile::add_where`).
 
 use crate::error::ShapeError;
-use crate::gemm::{add_where, gemm_packed_planned};
+use crate::gemm::gemm_packed_planned;
 use crate::pack::{transpose_into, NR};
 use crate::reduce::{DotPlan, Reducer};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
+use crate::tile;
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 
@@ -179,6 +185,19 @@ fn pad_copies(g: &ConvGeometry) -> Vec<(usize, usize, usize)> {
     copies
 }
 
+/// The plane offset of each patch position's tap, in patch order: patch
+/// position `(c, ky, kx)` of the output pixel whose top-left tap is at
+/// plane offset `o` reads the planes at `o` plus this.
+fn tap_offsets(g: &ConvGeometry) -> Vec<usize> {
+    let (qw, plane) = phase_plane_dims(g);
+    (0..g.patch_len())
+        .map(|kk| {
+            let (c, ky, kx) = (kk / (g.k * g.k), kk / g.k % g.k, kk % g.k);
+            (c * g.stride + kx % g.stride) * plane + ky * qw + kx / g.stride
+        })
+        .collect()
+}
+
 /// Copies one sample into its zero-padded, phase-split input planes:
 /// channel `c` fills planes `c * stride ..`, one per column phase, through
 /// [`pad_copies`]. Output column `ox` under column tap `kx` reads padded
@@ -236,7 +255,7 @@ pub(crate) fn im2col_pixel_panels(
     let (ow, pl) = (g.out_w(), g.patch_len());
     let pixels = g.out_pixels();
     let np = batch * pixels;
-    let (qw, plane) = phase_plane_dims(g);
+    let qw = phase_plane_dims(g).0;
     debug_assert_eq!(x.len(), batch * g.in_c * g.in_h * g.in_w);
     assert_eq!(
         packed.len(),
@@ -244,13 +263,7 @@ pub(crate) fn im2col_pixel_panels(
         "packed buffer size"
     );
     assert_eq!(planes.len(), padded_planes_len(g), "planes buffer size");
-    // Plane offset of each patch position's tap, in patch order.
-    let taps: Vec<usize> = (0..pl)
-        .map(|kk| {
-            let (c, ky, kx) = (kk / (g.k * g.k), kk / g.k % g.k, kk % g.k);
-            (c * g.stride + kx % g.stride) * plane + ky * qw + kx / g.stride
-        })
-        .collect();
+    let taps = tap_offsets(g);
     let copies = pad_copies(g);
     planes.fill(0.0);
     for (s, xs) in x.chunks_exact(g.in_c * g.in_h * g.in_w).enumerate() {
@@ -303,65 +316,59 @@ pub(crate) fn im2col_pixel_panels(
 /// output pixel `q` (`np` pixels in `(sample, oy, ox)` order). Patch
 /// columns past `patch_len` are zeroed. The weight gradient's B operand.
 ///
-/// Each pixel's `NR` panel values are one contiguous store. A pixel whose
-/// whole patch lies inside the input reads them at fixed offsets from its
-/// top-left input element; a pixel on the padding border checks each tap.
-fn im2col_patch_panels(x: &[f32], g: &ConvGeometry, batch: usize, packed: &mut [f32]) {
+/// Each sample is first copied into the zero-padded, phase-split planes
+/// the forward lowering reads ([`pad_sample`]). Output pixel `(oy, ox)`'s
+/// top-left tap sits at plane offset `oy·stride·qw + ox`, and its patch
+/// position `kk` at a fixed offset from there ([`tap_offsets`]), so each
+/// pixel's `NR` panel values are `NR` loads at one panel's fixed offsets
+/// and one contiguous store, with no border test: a tap on the padding
+/// reads a zero of the planes. `planes` is [`padded_planes_len`] long.
+///
+/// Packing only copies values, so this cannot perturb any accumulation
+/// order.
+fn im2col_patch_panels(
+    x: &[f32],
+    g: &ConvGeometry,
+    batch: usize,
+    planes: &mut [f32],
+    packed: &mut [f32],
+) {
     let (oh, ow, pl) = (g.out_h(), g.out_w(), g.patch_len());
     let pixels = oh * ow;
     let np = batch * pixels;
-    let ihw = g.in_h * g.in_w;
-    let sample = g.in_c * ihw;
-    debug_assert_eq!(x.len(), batch * sample);
+    let row_step = g.stride * phase_plane_dims(g).0;
+    debug_assert_eq!(x.len(), batch * g.in_c * g.in_h * g.in_w);
     assert_eq!(
         packed.len(),
         pl.div_ceil(NR) * np * NR,
         "packed buffer size"
     );
-    // Whether output row `oy` (column `ox`) has its whole patch inside
-    // the input rows (columns).
-    let inside = |o: usize, extent: usize| {
-        let lo = (o * g.stride) as isize - g.pad as isize;
-        lo >= 0 && lo as usize + g.k <= extent
-    };
-    for (p, slab) in packed.chunks_exact_mut(np * NR).enumerate() {
-        let cols = NR.min(pl - p * NR);
-        // Channel, row tap and column tap of each panel column; pad
-        // columns repeat the last real position and are zeroed after.
-        let taps: [(usize, usize, usize); NR] = core::array::from_fn(|j| {
-            let kk = (p * NR + j).min(pl - 1);
-            let (c, r) = (kk / (g.k * g.k), kk % (g.k * g.k));
-            (c, r / g.k, r % g.k)
-        });
-        let offsets = taps.map(|(c, ky, kx)| c * ihw + ky * g.in_w + kx);
-        let mut pixel_panels = slab.chunks_exact_mut(NR);
-        for xs in x.chunks_exact(sample) {
-            for oy in 0..oh {
-                let y0 = (oy * g.stride) as isize - g.pad as isize;
-                let row_inside = inside(oy, g.in_h);
-                for ox in 0..ow {
-                    let px = pixel_panels.next().expect("one panel row per pixel");
-                    let x0 = (ox * g.stride) as isize - g.pad as isize;
-                    if row_inside && inside(ox, g.in_w) {
-                        let corner = &xs[y0 as usize * g.in_w + x0 as usize..];
-                        for (d, &off) in px.iter_mut().zip(&offsets) {
-                            *d = corner[off];
-                        }
-                    } else {
-                        for (d, &(c, ky, kx)) in px.iter_mut().zip(&taps) {
-                            let (iy, ix) = (y0 + ky as isize, x0 + kx as isize);
-                            let hit = iy >= 0
-                                && ix >= 0
-                                && (iy as usize) < g.in_h
-                                && (ix as usize) < g.in_w;
-                            *d = if hit {
-                                xs[c * ihw + iy as usize * g.in_w + ix as usize]
-                            } else {
-                                0.0
-                            };
-                        }
+    assert_eq!(planes.len(), padded_planes_len(g), "planes buffer size");
+    let taps = tap_offsets(g);
+    // Per panel: its columns' tap offsets, pad columns repeating the last
+    // real position (and zeroed after), and the number of real columns.
+    let panels: Vec<([usize; NR], usize)> = (0..pl.div_ceil(NR))
+        .map(|p| {
+            let offsets = core::array::from_fn(|j| taps[(p * NR + j).min(pl - 1)]);
+            (offsets, NR.min(pl - p * NR))
+        })
+        .collect();
+    let copies = pad_copies(g);
+    planes.fill(0.0);
+    for (s, xs) in x.chunks_exact(g.in_c * g.in_h * g.in_w).enumerate() {
+        pad_sample(xs, g, &copies, planes);
+        for ((offsets, cols), slab) in panels.iter().zip(packed.chunks_exact_mut(np * NR)) {
+            let (dst, _) = slab[s * pixels * NR..(s + 1) * pixels * NR].as_chunks_mut::<NR>();
+            for (oy, dst) in dst.chunks_exact_mut(ow).enumerate() {
+                // Column j of the row's pixels reads `ow` consecutive plane
+                // values from the row's first pixel plus its tap offset.
+                let row = &planes[oy * row_step..];
+                let columns: [&[f32]; NR] = core::array::from_fn(|j| &row[offsets[j]..][..ow]);
+                for (ox, px) in dst.iter_mut().enumerate() {
+                    for (d, column) in px.iter_mut().zip(&columns) {
+                        *d = column[ox];
                     }
-                    px[cols..].fill(0.0);
+                    px[*cols..].fill(0.0);
                 }
             }
         }
@@ -432,8 +439,8 @@ struct GatherPlan {
     /// Per tap: its patch position `ky·k + kx` within the channel; where
     /// lane 0's load starts in that position's `dcol` row, relative to
     /// its sample's block and offset by `slack`; and which lanes take it,
-    /// as an all-ones or all-zeros mask per lane.
-    taps: Vec<(usize, usize, [u32; NR])>,
+    /// as a bit per lane.
+    taps: Vec<(usize, usize, u16)>,
     /// Floats the patch gradients need before and after them, so that
     /// every load stays inside the buffer: a multiple of `NR`, so that
     /// the GEMM writes them at the alignment the buffer has.
@@ -476,10 +483,10 @@ impl GatherPlan {
                         for kx in (px % st..k).step_by(st).rev() {
                             let (my, mx) = (ky / st, kx / st);
                             let at = ((y0 + qy) * ow + x0 + qx) as isize - (my * ow + mx) as isize;
-                            let mask = lanes.map(|(qy, qx)| {
+                            let mask = lanes.iter().enumerate().fold(0, |mask, (j, &(qy, qx))| {
                                 let (oy, ox) =
                                     ((y0 + qy).wrapping_sub(my), (x0 + qx).wrapping_sub(mx));
-                                u32::from(oy < oh && ox < ow).wrapping_neg()
+                                mask | u16::from(oy < oh && ox < ow) << j
                             });
                             taps.push((ky * k + kx, at, mask));
                         }
@@ -522,8 +529,8 @@ impl GatherPlan {
 /// descending is exactly `(oy, ox)` ascending, so every element receives
 /// its contributions in output-pixel order from 0.0: the order a
 /// pixel-by-pixel scatter produces. A lane whose output pixel falls
-/// outside the output skips the tap through [`add_where`]'s bitwise mask,
-/// so what the load read there, NaN included, never reaches the sum.
+/// outside the output skips the tap through `tile::add_where`'s bitwise
+/// mask, so what the load read there, NaN included, never reaches the sum.
 /// Elements no tap reaches are not written: `dx` must arrive zeroed.
 fn col2im_gather(dcol: &[f32], g: &ConvGeometry, plan: &GatherPlan, batch: usize, dx: &mut [f32]) {
     let (st, pixels) = (g.stride, g.out_pixels());
@@ -534,10 +541,10 @@ fn col2im_gather(dcol: &[f32], g: &ConvGeometry, plan: &GatherPlan, batch: usize
             let block = &dcol[c * g.k * g.k * np + s * pixels..];
             for v in &plan.vectors {
                 let mut acc = [0f32; NR];
-                for &(kk, at, ref mask) in &plan.taps[v.taps.clone()] {
+                for &(kk, at, mask) in &plan.taps[v.taps.clone()] {
                     let at = kk * np + at;
                     let row: &[f32; NR] = block[at..at + NR].try_into().expect("NR floats");
-                    add_where(&mut acc, row, |j| mask[j] != 0);
+                    tile::add_where(&mut acc, row, mask);
                 }
                 if st == 1 {
                     plane[v.dst..v.dst + v.lanes].copy_from_slice(&acc[..v.lanes]);
@@ -751,7 +758,9 @@ pub fn conv2d_param_grads_ws(
         }
     }
     let mut col_packed = ws.take_scratch(pl.div_ceil(NR) * np * NR);
-    im2col_patch_panels(input.as_slice(), geom, n, &mut col_packed);
+    let mut planes = ws.take_scratch(padded_planes_len(geom));
+    im2col_patch_panels(input.as_slice(), geom, n, &mut planes, &mut col_packed);
+    ws.recycle(planes);
     let mut dw = Tensor::zeros(Shape::of(&[oc, pl]));
     let plan = red.plan_dots(oc * pl, np);
     gemm_packed_planned(
@@ -1241,6 +1250,71 @@ mod tests {
         }
     }
 
+    #[test]
+    fn ws_variants_match_reducer_reference_across_lane_fill_blocks() {
+        // dW's reduction runs over the batch's 91·49 = 4459 output pixels:
+        // past the lane fill's blocking threshold, 17 blocks and a part,
+        // and a multiple of no lane count, so lanes start mid-block and
+        // carry their partials across every block boundary. The second
+        // geometry is strided, with two panels of patch positions.
+        let cases = [
+            (ConvGeometry::new(2, 3, 3, 1, 1, 7, 7), 91),
+            (ConvGeometry::new(3, 2, 3, 2, 1, 13, 13), 91),
+        ];
+        for (g, n) in &cases {
+            let np = n * g.out_pixels();
+            assert!(np > crate::gemm::BLOCK_ABOVE && np % crate::gemm::K_BLOCK != 0);
+            let (mut x, mut w, b) = setup(g, *n);
+            let mut dy = conv2d_forward(&x, &w, &b, g, &mut Reducer::sequential()).unwrap();
+            dy.scale(0.5);
+            // The special values of the wide-and-strided test: infinite
+            // weights times padding zeros, NaNs, and -0.0 inputs.
+            let (xv, wv) = (x.as_mut_slice(), w.as_mut_slice());
+            let specials = [f32::INFINITY, -0.0, f32::NAN, f32::NEG_INFINITY, 0.0];
+            for (i, &v) in specials.iter().enumerate() {
+                let at = (i * 53 + 7) % xv.len();
+                xv[at] = v;
+                let at = (i * 13 + 2) % wv.len();
+                wv[at] = v;
+            }
+            for v in xv.iter_mut().skip(3).step_by(11) {
+                *v = -0.0;
+            }
+            for order in [ReduceOrder::FixedTree, ReduceOrder::Permuted] {
+                for lanes in [2, 16, 27, 64] {
+                    assert!(np % lanes != 0);
+                    for amp in [0.0, 512.0] {
+                        let base = Reducer::new(order, lanes, 19).with_amplification(amp);
+                        let mut ref_red = base.clone();
+                        let (y0, dw0, db0) = reducer_reference(&x, &w, &b, &dy, g, &mut ref_red);
+                        for threads in [1, 2] {
+                            let what =
+                                format!("{g:?} {order:?} lanes={lanes} amp={amp} t={threads}");
+                            let mut red = base.clone();
+                            let mut ws = Workspace::new();
+                            let y = conv2d_forward_ws(&x, &w, &b, g, &mut red, threads, &mut ws)
+                                .unwrap();
+                            let gr = conv2d_backward_ws(&x, &w, &dy, g, &mut red, threads, &mut ws)
+                                .unwrap();
+                            same_bits_nan_by_position(&format!("{what} y"), y.as_slice(), &y0);
+                            same_bits_nan_by_position(
+                                &format!("{what} dw"),
+                                gr.dw.as_slice(),
+                                &dw0,
+                            );
+                            same_bits_nan_by_position(
+                                &format!("{what} db"),
+                                gr.db.as_slice(),
+                                &db0,
+                            );
+                            assert_eq!(red.snapshot(), ref_red.snapshot(), "{what} snapshot");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The input gradient as the engine first computed it, kept as the
     /// oracle for the fast path: `dy` re-laid to `[pixels, out_c]` per
     /// sample, every `dcol[p, kk]` a fixed-lane dot over the channels
@@ -1401,6 +1475,49 @@ mod tests {
                         let q = p * NR + j;
                         let want = if q < np { row_form[q * pl + kk] } else { 0.0 };
                         let got = panel[kk * NR + j];
+                        assert_eq!(got.to_bits(), want.to_bits(), "{g:?} pixel {q} tap {kk}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn patch_panels_are_row_form_im2col_in_panel_layout() {
+        // The pixel-panel test's geometries: pad 0 and k < stride (a 1×1
+        // stride-2 conv), rows wider than NR, stride 3, samples of 4
+        // pixels; and patch lengths 18, 27 and 25 leave the last panel
+        // with pad columns. Dirty buffers: every value the panels hold
+        // must be written, the padding taps and pad columns as +0.0.
+        let cases = [
+            (ConvGeometry::new(2, 1, 3, 1, 1, 7, 7), 3),
+            (ConvGeometry::new(3, 1, 3, 1, 1, 2, 2), 7),
+            (ConvGeometry::new(1, 1, 5, 1, 2, 20, 20), 2),
+            (ConvGeometry::new(2, 1, 3, 3, 1, 11, 13), 3),
+            (ConvGeometry::new(2, 1, 1, 2, 0, 5, 6), 5),
+            (ConvGeometry::new(20, 1, 1, 2, 0, 5, 6), 2),
+        ];
+        for (g, n) in cases {
+            let (x, _, _) = setup(&g, n);
+            let (pl, pixels) = (g.patch_len(), g.out_pixels());
+            let np = n * pixels;
+            let mut row_form = vec![0f32; np * pl];
+            for (xs, rows) in x
+                .as_slice()
+                .chunks_exact(g.in_c * g.in_h * g.in_w)
+                .zip(row_form.chunks_exact_mut(pixels * pl))
+            {
+                im2col(xs, &g, rows);
+            }
+            let mut packed = vec![f32::NAN; pl.div_ceil(NR) * np * NR];
+            let mut planes = vec![f32::NAN; padded_planes_len(&g)];
+            im2col_patch_panels(x.as_slice(), &g, n, &mut planes, &mut packed);
+            for (p, slab) in packed.chunks_exact(np * NR).enumerate() {
+                for q in 0..np {
+                    for j in 0..NR {
+                        let kk = p * NR + j;
+                        let want = if kk < pl { row_form[q * pl + kk] } else { 0.0 };
+                        let got = slab[q * NR + j];
                         assert_eq!(got.to_bits(), want.to_bits(), "{g:?} pixel {q} tap {kk}");
                     }
                 }

@@ -41,12 +41,14 @@
 //! its sum, so no value from the skipped add, NaN payloads included,
 //! reaches it.
 //!
-//! Three of the tile's steps live in `crate::tile`, which picks at build
+//! Four of the tile's steps live in `crate::tile`, which picks at build
 //! time between an explicit 512-bit form (targets with AVX-512 F and DQ)
 //! and a portable one; both compute the same bits. They are the
 //! multiply-add chain every order runs (`tile::chain`: the sequential
-//! kernel's whole k walk, or one lane of the lane fill), and the Permuted
-//! combine's spec derivation and masked passes. The portable chain is a
+//! kernel's whole k walk; `tile::chain_from`: one lane of the lane fill,
+//! or the part of it in one k block), the FixedTree fold of the lane
+//! partials (`tile::fold`, one `sum + partial` add per tile row), and the
+//! Permuted combine's spec derivation and masked passes. The portable chain is a
 //! plain loop the auto-vectorizer compiles to separate multiplies and adds
 //! (rustc does not contract `a * b + c`), but on AVX-512 hosts whose LLVM
 //! tuning prefers 256-bit vectors it gets half-width ones; the 512-bit
@@ -76,6 +78,35 @@
 //! whole `[out_c, pixels]` block before the next. Nothing a tile derives
 //! depends on which tile, band or thread ran before it, so the engine is
 //! bit-invariant in the thread count by construction.
+//!
+//! # Blocking k
+//!
+//! The lane fill walks each lane's k indices `dl, dl + l, …` with a
+//! stride of `l` panel rows, and a FixedTree or Permuted tile runs all `l`
+//! lanes over the same panel, so a tile reads its panel `l` times. Up to
+//! [`BLOCK_ABOVE`] rows (a 256 KiB panel, which stays in L2) that is one
+//! block: tile by tile, lane by lane, each lane's whole walk in registers,
+//! as ever. A
+//! longer reduction, such as a conv weight gradient over a whole batch's
+//! pixels (23,040 rows for the full-batch `c3→16 12×12` layer, a 1.4 MiB
+//! panel), would stream its panel from memory `l` times per tile. So it
+//! walks k in blocks of [`K_BLOCK`] rows, with every tile and lane of the
+//! band inside each block; the 16 KiB block stays in L1 while they all
+//! read it. Each lane's `MR × NR` partial is kept between blocks and the
+//! next block's walk resumes from it (`tile::chain_from`): the same
+//! multiplies and adds, on the same values, in the same increasing-k
+//! order, so each lane partial, and every output after the unchanged
+//! combine, has the reference's bits. Only the loop nesting changed, as
+//! with the m/n tiling. All blocks but the last run ahead of the tile
+//! loop (`lane_fill_head`); the last runs in it, each tile's lanes
+//! resuming where the head left them and going straight to the combine,
+//! so the kernels' tile loop, and a short reduction's whole walk, keep
+//! the shape they had without blocking. A prototype that blocked from
+//! 512 rows on also blocked the batch-16 weight gradients (`n·pixels` =
+//! 2,304 rows, whose panels fit in cache anyway), and they got slower;
+//! and a first version here, which ran every block's tile loop inside
+//! the lane fill and handed each lane to the combine through a callback,
+//! slowed the short Permuted GEMMs by 7–27% in a kernel timing.
 //!
 //! # Lanes ≥ k
 //!
@@ -406,40 +437,108 @@ fn tile_rows(a: &[f32], k: usize, first: usize, rm: usize) -> [&[f32]; MR] {
     })
 }
 
-/// Computes the lane-partial vectors of one `rm × NR` tile, one lane at a
-/// time, entirely in registers, invoking `sink(r, lane_partials)` for each
-/// lane in **increasing lane order**.
+/// Reductions longer than this run the lane fill in blocks of
+/// [`K_BLOCK`] rows; shorter ones run it as one block.
+pub(crate) const BLOCK_ABOVE: usize = 4096;
+
+/// Panel rows per block of a long lane fill: 16 KiB of panel and 4 KiB of
+/// a tile's A rows, which stay in L1 while every tile and lane of the band
+/// walks them.
+pub(crate) const K_BLOCK: usize = 256;
+
+/// Lane `dl`'s first k index at or after `k0`: the lane owns the indices
+/// `dl, dl + l, dl + 2l, …`.
+#[inline(always)]
+fn lane_start(k0: usize, dl: usize, l: usize) -> usize {
+    let skew = k0 % l;
+    if dl >= skew {
+        k0 + dl - skew
+    } else {
+        k0 + dl + l - skew
+    }
+}
+
+/// The part of a long lane fill that runs before its last block, for
+/// every tile of one panel over the band's `rows` rows: k walks in blocks
+/// of [`K_BLOCK`] rows, with every tile and lane of the band inside each
+/// block, so the block's panel rows stay in L1 while all of them read it.
+/// Returns where the last block starts and each lane's partial there,
+/// tile `t`'s lane `dl` at `[t * l + dl]`; [`for_each_lane_partial`]
+/// resumes each tile's lanes from them. A reduction of at most
+/// [`BLOCK_ABOVE`] rows is one block: it returns `(0, [])` at once.
+fn lane_fill_head(
+    a: &[f32],
+    panel: &[f32],
+    l: usize,
+    k: usize,
+    row0: usize,
+    rows: usize,
+) -> (usize, Vec<[[f32; NR]; MR]>) {
+    if k <= BLOCK_ABOVE {
+        return (0, Vec::new());
+    }
+    let tiles = rows.div_ceil(MR);
+    let last = (k - 1) / K_BLOCK * K_BLOCK;
+    let mut carry = vec![[[0f32; NR]; MR]; tiles * l];
+    for k0 in (0..last).step_by(K_BLOCK) {
+        for (t, lanes) in carry.chunks_exact_mut(l).enumerate() {
+            let i = t * MR;
+            let arows = tile_rows(a, k, row0 + i, MR.min(rows - i));
+            for (dl, lane) in lanes.iter_mut().enumerate() {
+                let start = lane_start(k0, dl, l);
+                *lane = tile::chain_from(*lane, &arows, panel, start, l, k0 + K_BLOCK);
+            }
+        }
+    }
+    (last, carry)
+}
+
+/// Computes the lane partials of one `MR × NR` tile, one lane at a time,
+/// entirely in registers, invoking `sink(dl, lane)` for each lane in
+/// **increasing lane order** (all `MR` rows; a remainder tile's rows past
+/// the real ones repeat its last row).
 ///
 /// Lane `dl` owns the k indices `dl, dl + l, dl + 2l, …` — the same
 /// assignment as the reference `p[e % l] += a[e] · b[e]` fill — and its
-/// chain (`tile::chain` from `dl` in steps of `l`) is accumulated in
+/// chain (`tile::chain_from` in steps of `l`) is accumulated in
 /// increasing-k order, so each invocation hands the sink the exact
-/// reference lane partial. Looping lanes outermost
+/// reference lane partial. The chain runs from `k0`, resuming from the
+/// tile's lane partials `head` that [`lane_fill_head`] left there, or from
+/// 0 with a tile of 0.0 when `head` is empty. Looping lanes outermost
 /// (instead of materializing an `l × NR` buffer) keeps every accumulator
-/// in registers: the k-strided walks stay inside one row of `a` (≤ a few
-/// KiB) and one packed panel, both L1-resident.
+/// in registers: the k-strided walks stay inside `MR` rows of `a` and one
+/// packed panel, which stay in cache up to [`BLOCK_ABOVE`] rows (a 256 KiB
+/// panel), and past it inside the last block's rows.
 #[inline(always)]
 fn for_each_lane_partial(
     arows: &[&[f32]; MR],
     panel: &[f32],
     l: usize,
     k: usize,
-    rm: usize,
-    mut sink: impl FnMut(usize, usize, &[f32; NR]),
+    k0: usize,
+    head: &[[[f32; NR]; MR]],
+    mut sink: impl FnMut(usize, &[[f32; NR]; MR]),
 ) {
     for dl in 0..l {
-        let lane = tile::chain(arows, panel, dl, l, k);
-        for (r, partial) in lane.iter().enumerate().take(rm) {
-            sink(r, dl, partial);
-        }
+        let lane = match head.get(dl) {
+            Some(&from) => tile::chain_from(from, arows, panel, lane_start(k0, dl, l), l, k),
+            None => tile::chain(arows, panel, dl, l, k),
+        };
+        sink(dl, &lane);
     }
+}
+
+/// Tile `t`'s lanes in a [`lane_fill_head`] result (none when it is empty).
+#[inline(always)]
+fn tile_lanes(head: &[[[f32; NR]; MR]], t: usize, l: usize) -> &[[[f32; NR]; MR]] {
+    head.get(t * l..(t + 1) * l).unwrap_or(&[])
 }
 
 /// [`ReduceOrder::FixedTree`] micro-kernel: no lane buffer at all. The
 /// running sum starts at 0.0 and folds each lane partial in increasing
 /// lane order — bit-identical to the reference
 /// `p[..l].iter().sum::<f32>()` — with all `NR` output columns advancing
-/// together so the combine vectorizes across columns.
+/// together so the combine vectorizes across columns (`tile::fold`).
 #[allow(clippy::too_many_arguments)]
 fn band_fixed_tree(
     a: &[f32],
@@ -456,15 +555,15 @@ fn band_fixed_tree(
         let panel = &packed[p * k * NR..(p + 1) * k * NR];
         let col0 = p * NR;
         let cols = NR.min(n - col0);
+        let (k0, head) = lane_fill_head(a, panel, l, k, row0, rows);
         let mut i = 0;
         while i < rows {
             let rm = MR.min(rows - i);
             let arows = tile_rows(a, k, row0 + i, rm);
             let mut s = [[0f32; NR]; MR];
-            for_each_lane_partial(&arows, panel, l, k, rm, |r, _dl, partial| {
-                for j in 0..NR {
-                    s[r][j] += partial[j];
-                }
+            let head = tile_lanes(&head, i / MR, l);
+            for_each_lane_partial(&arows, panel, l, k, k0, head, |_dl, lane| {
+                tile::fold(&mut s, lane);
             });
             for r in 0..rm {
                 let orow = &mut band[(i + r) * n + col0..(i + r) * n + col0 + cols];
@@ -503,14 +602,18 @@ fn band_permuted<const AMP: bool>(
         let col0 = p * NR;
         let cols = NR.min(n - col0);
         let col_counters = plan.column_counters(m, n, col0);
+        let (k0, head) = lane_fill_head(a, panel, l, k, row0, rows);
         let mut i = 0;
         while i < rows {
             let rm = MR.min(rows - i);
             let arows = tile_rows(a, k, row0 + i, rm);
             let row_counters = core::array::from_fn(|r| plan.row_counter(m, n, row0 + i + r));
             let specs = plan.tile_specs::<true, AMP>(&row_counters, &col_counters);
-            for_each_lane_partial(&arows, panel, l, k, rm, |r, dl, partial| {
-                bufs[r][dl] = *partial;
+            let head = tile_lanes(&head, i / MR, l);
+            for_each_lane_partial(&arows, panel, l, k, k0, head, |dl, lane| {
+                for (buf, partial) in bufs.iter_mut().zip(lane) {
+                    buf[dl] = *partial;
+                }
             });
             let sums = combine_permuted_tile(&mut bufs, l, &specs);
             for (r, (sums, scales)) in sums.iter().zip(&specs.scale).enumerate().take(rm) {
@@ -546,19 +649,6 @@ fn combine_permuted_tile(
         }
     }
     tile::masked_passes(bufs, l, &specs.rot)
-}
-
-/// Adds `row[j]` into `s[j]` for every column `j` where `take(j)` holds.
-/// The select is a bitwise mask over the sum, not a branch: the add a
-/// column skips is computed and dropped, so its value (NaN included)
-/// never reaches the column's sum.
-#[inline(always)]
-pub(crate) fn add_where(s: &mut [f32; NR], row: &[f32; NR], take: impl Fn(usize) -> bool) {
-    for j in 0..NR {
-        let mask = u32::from(take(j)).wrapping_neg();
-        let (kept, added) = (s[j].to_bits(), (s[j] + row[j]).to_bits());
-        s[j] = f32::from_bits((added & mask) | (kept & !mask));
-    }
 }
 
 fn check_rank2(op: &'static str, a: &Tensor, b: &Tensor) -> Result<(), ShapeError> {
@@ -747,6 +837,74 @@ mod tests {
                         let reference = matmul_reference(&a, &b, &mut red.clone()).unwrap();
                         let what = format!("k {k} lanes {lanes} seed {seed} amp {amp}");
                         assert_bits_eq(&fast, &reference, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether the build runs the 512-bit tile steps, whose FixedTree
+    /// fold pins the NaN payload that survives.
+    const PINNED_FOLD: bool = cfg!(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512dq"
+    ));
+
+    #[test]
+    fn blocked_lane_fill_non_finite_bit_identical_to_reference() {
+        // k spans 17 blocks of the lane fill and is a multiple of neither
+        // the block nor any lane count, so lanes start mid-block and carry
+        // their partials across every block boundary. NaN payloads of both
+        // signs sit in A and B at k in different blocks and lanes, so they
+        // meet in a lane's chain across blocks and in the combine.
+        let nan = |bits: u32| f32::from_bits(bits);
+        let (m, k, n) = (6, 4459, 37);
+        assert!(k > BLOCK_ABOVE && k / K_BLOCK >= 3 && k % K_BLOCK != 0);
+        let mut a = filled(m, k, 22);
+        let mut b = filled(k, n, 23);
+        let av = a.as_mut_slice();
+        // Row 0: four payloads, two in one lane at l = 2 and 16.
+        for (kk, bits) in [
+            (3, 0x7fc0_0001),
+            (259, 0x7fc0_0002),
+            (2051, 0xffc0_0003),
+            (4458, 0x7fc0_0004),
+        ] {
+            av[kk] = nan(bits);
+        }
+        // Row 1: +Inf and -Inf in different blocks.
+        av[k + 100] = f32::INFINITY;
+        av[k + 3000] = f32::NEG_INFINITY;
+        // Row 2: all ±0.0.
+        for (kk, x) in av[2 * k..3 * k].iter_mut().enumerate() {
+            *x = if kk % 3 == 0 { 0.0 } else { -0.0 };
+        }
+        // Column 5 of B carries payloads into every row; column 20 an
+        // infinity.
+        let bv = b.as_mut_slice();
+        bv[513 * n + 5] = nan(0x7fc0_0005);
+        bv[3333 * n + 5] = nan(0xffc0_0006);
+        bv[1000 * n + 20] = f32::NEG_INFINITY;
+        for order in [ReduceOrder::FixedTree, ReduceOrder::Permuted] {
+            for lanes in [2, 16, 27, MAX_LANES] {
+                assert!(k % lanes != 0);
+                for amp in [0.0, 1e4] {
+                    let red = Reducer::new(order, lanes, 5).with_amplification(amp);
+                    let reference = matmul_reference(&a, &b, &mut red.clone()).unwrap();
+                    for threads in [1, 2] {
+                        let mut ws = Workspace::new();
+                        let fast = matmul_ws(&a, &b, &mut red.clone(), threads, &mut ws).unwrap();
+                        let what = format!("{order:?} lanes {lanes} amp {amp} t {threads}");
+                        // The portable FixedTree fold leaves its add's
+                        // operand order, and so NaN payloads, to LLVM; the
+                        // 512-bit one pins the sum first, as the reference
+                        // adds.
+                        if order == ReduceOrder::Permuted || PINNED_FOLD {
+                            assert_bits_eq(&fast, &reference, &what);
+                        } else {
+                            assert_same_values(fast.as_slice(), reference.as_slice(), &what);
+                        }
                     }
                 }
             }

@@ -1,20 +1,26 @@
-//! The three steps of the GEMM tile kernel ([`crate::gemm`]) that have an
-//! explicit 512-bit form: the multiply-add chain that every order runs,
-//! and the Permuted combine's spec derivation from the scheduler counter
-//! and its two masked passes.
+//! The steps of the tile kernels ([`crate::gemm`], and the col2im gather
+//! in [`crate::conv`]) that have an explicit 512-bit form: the
+//! multiply-add chain that every order runs, the FixedTree fold of its
+//! lane partials, the Permuted combine's spec derivation from the
+//! scheduler counter and its two masked passes, and the masked add of
+//! the col2im gather.
 //!
 //! The form is chosen here, at build time, and nowhere else: a build whose
 //! target has AVX-512 F and DQ (the repository builds with
 //! `-C target-cpu=native`, so on such hosts it does) runs `avx512`,
 //! every other build runs `portable`. Both compute the same bits:
 //!
-//! - **The chain** advances the `MR × NR` register tile with one 512-bit
-//!   register per tile row: per step, a broadcast of the row's A value,
-//!   then a multiply and a separate add, never one fused multiply-add.
+//! - **The chain** (`chain_from`) advances the `MR × NR` register tile
+//!   from a given tile, with one 512-bit register per tile row: per step,
+//!   a broadcast of the row's A value, then a multiply and a separate add,
+//!   never one fused multiply-add. `chain` is `chain_from` a tile of 0.0.
 //!   The portable loop is the same arithmetic, but on hosts whose LLVM
 //!   tuning prefers 256-bit vectors (Sapphire and Emerald Rapids among
 //!   them) `target-cpu=native` compiles it to half-width multiplies and
 //!   adds.
+//! - **The fold** adds a lane's partial tile into the FixedTree sums, one
+//!   512-bit add per tile row; the portable loop compiled to two 256-bit
+//!   adds and an extract per row.
 //! - **Spec derivation** mixes eight counters per 512-bit vector with two
 //!   `vpmullq` per mix, and turns the mixed bits into a lane index with a
 //!   32×32→64-bit multiply whose high halves are packed into one vector
@@ -26,6 +32,9 @@
 //!   row into the sums under that mask, one merge-masked `vaddps`. A
 //!   column the mask skips keeps its sum; nothing from the skipped add
 //!   reaches it.
+//! - **`add_where`** is that merge-masked add under a mask the caller
+//!   holds as sixteen bits, one `kmovw` and one `vaddps`; the portable
+//!   select compiled to a 256-bit add and a masked move per half.
 //!
 //! The portable code the auto-vectorizer compiles takes each mask from a
 //! compare widened to 64 bits, eight per step of a row, all on one port;
@@ -35,12 +44,15 @@
 //! is the first source operand's. Rust leaves that order to the compiler
 //! for the reference and the portable forms, and LLVM treats the
 //! intrinsics' multiplies and adds as commutative too: it may swap their
-//! operands. So the chain's multiply and add and the masked add are
-//! written as inline assembly, in the operand order the portable loops
-//! compile to (`a · b` with the broadcast A value first; `product + sum`
-//! in the chain, `sum + row` in the masked passes), and `avx512`'s tests
-//! pin the payloads the 512-bit forms produce against the portable
-//! forms'.
+//! operands. So every add and multiply of the 512-bit forms is written as
+//! inline assembly, in the operand order the reference compiles to
+//! (`a · b` with the broadcast A value first; `product + sum` in the
+//! chain, `sum + lane` in the fold, `sum + row` in the masked adds), and
+//! `avx512`'s tests pin the payloads the 512-bit forms produce against
+//! the portable forms' (the chain and the masked passes) or, where LLVM
+//! compiled the portable add in both orders within one test, against the
+//! sum-first rule itself (the fold and `add_where`; `gemm`'s tests also
+//! pin the FixedTree GEMM's payloads against the reference).
 //!
 //! A global `-C target-feature=-prefer-256-bit` would widen the portable
 //! loops instead, but rustc warns that the feature is unknown to it and
@@ -52,8 +64,10 @@
 //!
 //! On an AVX-512 build the portable form is compiled for tests only, as
 //! the oracle the 512-bit form must match bit for bit (`avx512`'s tests);
-//! CI also runs the tensor tests on an `x86-64-v3` build, where the
-//! portable form is the one shipped.
+//! there its chain is compiled once, out of line, because inlined into
+//! each test LLVM gave its add different operand orders in different
+//! tests. CI also runs the tensor tests on an `x86-64-v3` build, where
+//! the portable form is the one shipped.
 
 use crate::pack::{MR, NR};
 
@@ -91,12 +105,12 @@ impl TileSpecs {
 cfg_select! {
     all(target_arch = "x86_64", target_feature = "avx512f", target_feature = "avx512dq") => {
         mod avx512;
-        pub(crate) use avx512::{chain, derive_specs, masked_passes};
+        pub(crate) use avx512::{add_where, chain, chain_from, derive_specs, fold, masked_passes};
         #[cfg(test)]
         pub(crate) mod portable;
     }
     _ => {
         pub(crate) mod portable;
-        pub(crate) use portable::{chain, derive_specs, masked_passes};
+        pub(crate) use portable::{add_where, chain, chain_from, derive_specs, fold, masked_passes};
     }
 }

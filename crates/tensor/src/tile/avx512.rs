@@ -10,6 +10,20 @@ use detrand::splitmix::{GAMMA, MIX_MULTIPLIERS};
 
 const _: () = assert!(NR == 16, "a tile row is one 512-bit vector of f32");
 
+/// 512-bit `portable::chain_from`.
+#[inline(always)]
+pub(crate) fn chain_from(
+    acc: [[f32; NR]; MR],
+    arows: &[&[f32]; MR],
+    panel: &[f32],
+    start: usize,
+    step: usize,
+    k: usize,
+) -> [[f32; NR]; MR] {
+    // SAFETY: as in `derive_specs`, the target has avx512f.
+    unsafe { chain_512(&acc, arows, panel, start, step, k) }
+}
+
 /// 512-bit `portable::chain`.
 #[inline(always)]
 pub(crate) fn chain(
@@ -19,8 +33,21 @@ pub(crate) fn chain(
     step: usize,
     k: usize,
 ) -> [[f32; NR]; MR] {
+    chain_from([[0f32; NR]; MR], arows, panel, start, step, k)
+}
+
+/// 512-bit `portable::fold`.
+#[inline(always)]
+pub(crate) fn fold(s: &mut [[f32; NR]; MR], lane: &[[f32; NR]; MR]) {
     // SAFETY: as in `derive_specs`, the target has avx512f.
-    unsafe { chain_512(arows, panel, start, step, k) }
+    unsafe { fold_512(s, lane) }
+}
+
+/// 512-bit `portable::add_where`.
+#[inline(always)]
+pub(crate) fn add_where(s: &mut [f32; NR], row: &[f32; NR], take: u16) {
+    // SAFETY: as in `derive_specs`, the target has avx512f.
+    unsafe { add_where_512(s, row, take) }
 }
 
 /// 512-bit `portable::derive_specs`.
@@ -52,6 +79,7 @@ pub(crate) fn masked_passes(
 #[target_feature(enable = "avx512f")]
 #[inline]
 fn chain_512(
+    acc: &[[f32; NR]; MR],
     arows: &[&[f32]; MR],
     panel: &[f32],
     start: usize,
@@ -63,7 +91,12 @@ fn chain_512(
     let (panel, _) = panel.as_chunks::<NR>();
     let (panel, [a0, a1, a2, a3]) = (&panel[..k], arows.map(|a| &a[..k]));
     // One named accumulator per tile row, as in the masked passes.
-    let [mut s0, mut s1, mut s2, mut s3] = [_mm512_setzero_ps(); MR];
+    let [mut s0, mut s1, mut s2, mut s3] = [
+        load_f32x16(&acc[0]),
+        load_f32x16(&acc[1]),
+        load_f32x16(&acc[2]),
+        load_f32x16(&acc[3]),
+    ];
     let mut kk = start;
     while kk < k {
         let row = load_f32x16(&panel[kk]);
@@ -78,6 +111,22 @@ fn chain_512(
         store_f32x16(out, s);
     }
     acc
+}
+
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn fold_512(s: &mut [[f32; NR]; MR], lane: &[[f32; NR]; MR]) {
+    for (s, lane) in s.iter_mut().zip(lane) {
+        let sum = add(load_f32x16(s), load_f32x16(lane));
+        store_f32x16(s, sum);
+    }
+}
+
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn add_where_512(s: &mut [f32; NR], row: &[f32; NR], take: u16) {
+    let sum = add_masked(load_f32x16(s), take, row);
+    store_f32x16(s, sum);
 }
 
 /// `s + a · b` as a `vmulps` and a separate `vaddps`, never one fused
@@ -227,6 +276,23 @@ fn masked_passes_512(
         store_f32x16(out, s);
     }
     sums
+}
+
+/// `s + x` as one `vaddps` whose first source is `s`: where two NaNs
+/// meet, the sum's payload survives.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn add(mut s: __m512, x: __m512) -> __m512 {
+    // SAFETY: as in `mul_add`.
+    unsafe {
+        asm!(
+            "vaddps {s}, {s}, {x}",
+            s = inout(zmm_reg) s,
+            x = in(zmm_reg) x,
+            options(pure, nomem, nostack, preserves_flags),
+        );
+    }
+    s
 }
 
 /// `s + row` in the columns `take` selects, `s` in the others: one
@@ -384,6 +450,135 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Finite values, zeros of both signs, both infinities, subnormals and
+    /// quiet NaNs with distinct payloads of both signs, or a uniform value
+    /// in [-0.5, 0.5) two times in three.
+    fn special_or_uniform(g: &mut SplitMix64) -> f32 {
+        let special = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_0011),
+            f32::from_bits(0xffc0_0012),
+            f32::from_bits(0x7fc0_0013),
+            f32::from_bits(0xffc0_0014),
+            1.0e-40,
+            -3.0e-39,
+            1.5,
+            -2.25,
+        ];
+        let pick = g.next_below(3 * special.len() as u32) as usize;
+        special
+            .get(pick)
+            .copied()
+            .unwrap_or_else(|| g.next_f64() as f32 - 0.5)
+    }
+
+    fn tile_bits(s: [[f32; NR]; MR]) -> [[u32; NR]; MR] {
+        s.map(|row| row.map(f32::to_bits))
+    }
+
+    #[test]
+    fn chain_from_matches_portable_bit_for_bit() {
+        // Initial tiles that carry NaN payloads of both signs, infinities
+        // and zeros of both signs, as a lane partial carried from one
+        // block of the lane fill to the next does; where a NaN product
+        // meets a NaN carried in, the payload that survives shows which
+        // operand the add kept. Each chain also resumes mid-walk: a walk
+        // split at kk and resumed from the tile it returned must equal
+        // the unsplit walk.
+        let mut g = SplitMix64::new(22);
+        let k = 150;
+        let mut a = vec![0f32; MR * k];
+        let mut panel = vec![0f32; k * NR];
+        for step in [1, 2, 16, 27, 64] {
+            for round in 0..8 {
+                for x in a.iter_mut().chain(panel.iter_mut()) {
+                    *x = special_or_uniform(&mut g);
+                }
+                let init: [[f32; NR]; MR] =
+                    core::array::from_fn(|_| core::array::from_fn(|_| special_or_uniform(&mut g)));
+                let arows = core::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+                for start in 0..step {
+                    let fast = chain_from(init, &arows, &panel, start, step, k);
+                    let oracle = portable::chain_from(init, &arows, &panel, start, step, k);
+                    let what = format!("step {step} round {round} start {start}");
+                    assert_eq!(tile_bits(fast), tile_bits(oracle), "{what}");
+                    let split = 37 + start;
+                    let head = chain_from(init, &arows, &panel, start, step, split);
+                    // The first index of the walk at or past the split.
+                    let next = start + (split - start).div_ceil(step) * step;
+                    let resumed = chain_from(head, &arows, &panel, next, step, k);
+                    assert_eq!(tile_bits(resumed), tile_bits(fast), "{what} split {split}");
+                }
+            }
+        }
+    }
+
+    /// Bit equality, except that a NaN matches any NaN.
+    fn assert_same_values(fast: &[f32], oracle: &[f32], what: &str) {
+        for (idx, (x, y)) in fast.iter().zip(oracle).enumerate() {
+            if y.is_nan() {
+                assert!(x.is_nan(), "{what}[{idx}]: {x} vs NaN");
+            } else {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}[{idx}]: {x} vs {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn fold_and_add_where_match_portable() {
+        // A running sum takes a run of rows, as the FixedTree combine folds
+        // lane partials and the col2im gather takes taps, over zeros of
+        // both signs, infinities, subnormals and NaN payloads of both
+        // signs. The portable adds leave the operand order to LLVM, which
+        // picked the sum first in some elements and the row first in
+        // others, so NaN payloads are compared by position here; the
+        // 512-bit forms pin theirs below.
+        let mut g = SplitMix64::new(23);
+        let mut lanes = vec![[[0f32; NR]; MR]; 16];
+        for round in 0..64 {
+            for x in lanes.iter_mut().flatten().flatten() {
+                *x = special_or_uniform(&mut g);
+            }
+            let init: [[f32; NR]; MR] =
+                core::array::from_fn(|_| core::array::from_fn(|_| special_or_uniform(&mut g)));
+            let (mut fast, mut oracle) = (init, init);
+            for lane in &lanes {
+                fold(&mut fast, lane);
+                portable::fold(&mut oracle, lane);
+            }
+            let what = format!("fold round {round}");
+            assert_same_values(fast.as_flattened(), oracle.as_flattened(), &what);
+            // No column, every column, single columns, random columns.
+            let masks = [0, u16::MAX, 1, 1 << 15].into_iter().chain(
+                (0..lanes.len() - 4).map(|_| g.next_u64() as u16),
+            );
+            let (mut fast, mut oracle) = (init[0], init[0]);
+            for (lane, take) in lanes.iter().zip(masks) {
+                add_where(&mut fast, &lane[round % MR], take);
+                portable::add_where(&mut oracle, &lane[round % MR], take);
+            }
+            assert_same_values(&fast, &oracle, &format!("add_where round {round}"));
+        }
+        // Where a NaN sum meets a NaN row, the sum's payload and sign
+        // survive, as in the reference's `sum + lane`; a column the mask
+        // skips keeps its sum.
+        let (sum, row) = (f32::from_bits(0xffc0_0021), f32::from_bits(0x7fc0_0022));
+        let mut s = [[sum; NR]; MR];
+        fold(&mut s, &[[row; NR]; MR]);
+        assert!(s.as_flattened().iter().all(|x| x.to_bits() == sum.to_bits()));
+        let mut s = [sum; NR];
+        add_where(&mut s, &[row; NR], 0x00ff);
+        assert!(s.iter().all(|x| x.to_bits() == sum.to_bits()));
+        let mut s = [1.0; NR];
+        add_where(&mut s, &[row; NR], 0x00ff);
+        let bits = s.map(f32::to_bits);
+        assert_eq!(bits[..8], [row.to_bits(); 8]);
+        assert_eq!(bits[8..], [1f32.to_bits(); 8]);
     }
 
     #[test]

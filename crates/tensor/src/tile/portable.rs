@@ -2,27 +2,40 @@
 //! compiles for whatever target the build names.
 
 use super::TileSpecs;
-use crate::gemm::add_where;
 use crate::pack::{MR, NR};
 use crate::reduce::MAX_LANES;
 use detrand::splitmix::GAMMA;
 use detrand::SplitMix64;
 
-/// Advances an `MR × NR` register tile of independent accumulators, each
-/// starting at 0.0, over `kk = start, start + step, … < k`: output
-/// `(r, j)` runs `acc += arows[r][kk] · panel[kk][j]` in increasing `kk`.
-/// The r loop always runs all `MR` rows and the j loop all `NR` columns,
-/// so the inner loops have fixed trip counts — no bounds checks, clean
-/// vector code.
-#[inline(always)]
-pub(crate) fn chain(
+/// Advances an `MR × NR` register tile of independent accumulators from
+/// `acc` over `kk = start, start + step, … < k`: output `(r, j)` runs
+/// `acc += arows[r][kk] · panel[kk][j]` in increasing `kk`. A chain split
+/// at any `kk` and resumed from the tile it returned computes the same
+/// bits. The r loop always runs all `MR` rows and the j loop all `NR`
+/// columns, so the inner loops have fixed trip counts — no bounds checks,
+/// clean vector code.
+///
+/// Where this form is only the oracle of the 512-bit one (tests of an
+/// AVX-512 build), it is compiled once, out of line. Inlined into each
+/// test, it was compiled with the add's operands in one order in some
+/// tests and in the other in others (LLVM treats the add as commutative),
+/// so which NaN payload survived depended on the test, not on the form.
+#[cfg_attr(
+    all(test, target_feature = "avx512f", target_feature = "avx512dq"),
+    inline(never)
+)]
+#[cfg_attr(
+    not(all(test, target_feature = "avx512f", target_feature = "avx512dq")),
+    inline(always)
+)]
+pub(crate) fn chain_from(
+    mut acc: [[f32; NR]; MR],
     arows: &[&[f32]; MR],
     panel: &[f32],
     start: usize,
     step: usize,
     k: usize,
 ) -> [[f32; NR]; MR] {
-    let mut acc = [[0f32; NR]; MR];
     let mut kk = start;
     while kk < k {
         let pr = panel_row(panel, kk);
@@ -35,6 +48,48 @@ pub(crate) fn chain(
         kk += step;
     }
     acc
+}
+
+/// [`chain_from`] a tile of 0.0.
+#[inline(always)]
+pub(crate) fn chain(
+    arows: &[&[f32]; MR],
+    panel: &[f32],
+    start: usize,
+    step: usize,
+    k: usize,
+) -> [[f32; NR]; MR] {
+    chain_from([[0f32; NR]; MR], arows, panel, start, step, k)
+}
+
+/// Adds `lane` into the sums `s`, row by row: `s[r][j] + lane[r][j]`.
+#[inline(always)]
+pub(crate) fn fold(s: &mut [[f32; NR]; MR], lane: &[[f32; NR]; MR]) {
+    for (s, lane) in s.iter_mut().zip(lane) {
+        for (s, &x) in s.iter_mut().zip(lane) {
+            *s += x;
+        }
+    }
+}
+
+/// Adds `row[j]` into `s[j]` for every column `j` whose bit is set in
+/// `take` (see [`select_add`]).
+#[inline(always)]
+pub(crate) fn add_where(s: &mut [f32; NR], row: &[f32; NR], take: u16) {
+    select_add(s, row, |j| take >> j & 1 != 0);
+}
+
+/// Adds `row[j]` into `s[j]` for every column `j` where `take(j)` holds.
+/// The select is a bitwise mask over the sum, not a branch: the add a
+/// column skips is computed and dropped, so its value (NaN included)
+/// never reaches the column's sum.
+#[inline(always)]
+fn select_add(s: &mut [f32; NR], row: &[f32; NR], take: impl Fn(usize) -> bool) {
+    for j in 0..NR {
+        let mask = u32::from(take(j)).wrapping_neg();
+        let (kept, added) = (s[j].to_bits(), (s[j] + row[j]).to_bits());
+        s[j] = f32::from_bits((added & mask) | (kept & !mask));
+    }
 }
 
 /// Reads the `NR`-wide panel row at depth `kk` as a fixed-size array so
@@ -130,5 +185,5 @@ pub(crate) fn masked_passes(
 /// `t ≥ rot_j` in the first pass, and when `t < rot_j` in the second.
 #[inline(always)]
 fn masked_add(s: &mut [f32; NR], row: &[f32; NR], rot: &[u32; NR], t: u32, first_pass: bool) {
-    add_where(s, row, |j| (t >= rot[j]) == first_pass);
+    select_add(s, row, |j| (t >= rot[j]) == first_pass);
 }
