@@ -1253,17 +1253,19 @@ mod tests {
     #[test]
     fn ws_variants_match_reducer_reference_across_lane_fill_blocks() {
         // dW's reduction runs over the batch's 91·49 = 4459 output pixels:
-        // past the lane fill's blocking threshold, 17 blocks and a part,
-        // and a multiple of no lane count, so lanes start mid-block and
-        // carry their partials across every block boundary. The second
-        // geometry is strided, with two panels of patch positions.
+        // past the lane fill's blocking threshold, at least eight blocks
+        // and a part at every lane count here, and a multiple of no lane
+        // count, so every lane carries its partial across each block
+        // boundary and the lanes end the last block at different steps.
+        // The second geometry is strided, with two panels of patch
+        // positions.
         let cases = [
             (ConvGeometry::new(2, 3, 3, 1, 1, 7, 7), 91),
             (ConvGeometry::new(3, 2, 3, 2, 1, 13, 13), 91),
         ];
         for (g, n) in &cases {
             let np = n * g.out_pixels();
-            assert!(np > crate::gemm::BLOCK_ABOVE && np % crate::gemm::K_BLOCK != 0);
+            assert!(np > crate::gemm::BLOCK_ABOVE && np / (crate::gemm::BLOCK_STEPS * 64) >= 8);
             let (mut x, mut w, b) = setup(g, *n);
             let mut dy = conv2d_forward(&x, &w, &b, g, &mut Reducer::sequential()).unwrap();
             dy.scale(0.5);

@@ -83,30 +83,42 @@
 //!
 //! The lane fill walks each lane's k indices `dl, dl + l, …` with a
 //! stride of `l` panel rows, and a FixedTree or Permuted tile runs all `l`
-//! lanes over the same panel, so a tile reads its panel `l` times. Up to
-//! [`BLOCK_ABOVE`] rows (a 256 KiB panel, which stays in L2) that is one
-//! block: tile by tile, lane by lane, each lane's whole walk in registers,
-//! as ever. A
-//! longer reduction, such as a conv weight gradient over a whole batch's
-//! pixels (23,040 rows for the full-batch `c3→16 12×12` layer, a 1.4 MiB
-//! panel), would stream its panel from memory `l` times per tile. So it
-//! walks k in blocks of [`K_BLOCK`] rows, with every tile and lane of the
-//! band inside each block; the 16 KiB block stays in L1 while they all
-//! read it. Each lane's `MR × NR` partial is kept between blocks and the
-//! next block's walk resumes from it (`tile::chain_from`): the same
+//! lanes over the same panel, so every tile of a band walks the whole
+//! panel. Up to [`BLOCK_ABOVE`] rows that is one block: tile by tile,
+//! lane by lane, each lane's whole walk in registers, as ever. A longer
+//! reduction, such as a conv weight gradient over a batch's pixels
+//! (4,608 rows for SmallCNN's `c3→16 12×12` stem at batch 32, 23,040 at
+//! the full batch of 160), walks k in blocks of [`BLOCK_STEPS`]` · l`
+//! rows, with every tile and lane of the band inside each block, so the
+//! block's panel rows (at most 32 KiB, at 64 lanes) stay in L1 while they
+//! all read it. Each lane's `MR × NR` partial is kept between blocks and
+//! the next block's walk resumes from it (`tile::chain_from`): the same
 //! multiplies and adds, on the same values, in the same increasing-k
 //! order, so each lane partial, and every output after the unchanged
 //! combine, has the reference's bits. Only the loop nesting changed, as
-//! with the m/n tiling. All blocks but the last run ahead of the tile
-//! loop (`lane_fill_head`); the last runs in it, each tile's lanes
-//! resuming where the head left them and going straight to the combine,
-//! so the kernels' tile loop, and a short reduction's whole walk, keep
-//! the shape they had without blocking. A prototype that blocked from
-//! 512 rows on also blocked the batch-16 weight gradients (`n·pixels` =
-//! 2,304 rows, whose panels fit in cache anyway), and they got slower;
-//! and a first version here, which ran every block's tile loop inside
-//! the lane fill and handed each lane to the combine through a callback,
-//! slowed the short Permuted GEMMs by 7–27% in a kernel timing.
+//! with the m/n tiling. A block is a whole number of lane steps, so each
+//! lane starts every block at its own offset `dl`. All blocks but the
+//! last run ahead of the tile loop (`lane_fill_head`); the last runs in
+//! it, each tile's lanes resuming where the head left them and going
+//! straight to the combine, so the kernels' tile loop, and a short
+//! reduction's whole walk, keep the shape they had without blocking.
+//!
+//! Both constants come from a timing sweep of the weight-gradient GEMM
+//! shapes (8 or 16 rows; 27 or 144 columns; k from 2,048 to 23,040;
+//! FixedTree and Permuted at 16, 32, 38, 44 and 64 lanes; one thread on
+//! a 2-vCPU AVX-512 host, 48 KiB L1d and 2 MiB L2 per core). Blocked, the
+//! GEMM took 20–58% less time (geometric mean over the lane counts) at
+//! every k from 3,456 up, and the same within noise (−5% to +2%) at
+//! 2,048 to 3,072. At 44 lanes it took up to 15% longer at k = 3,456 to
+//! 4,608, and 19–55% less from 5,760 up. Blocks of 8, 16 or 32 steps per
+//! lane, or of a fixed 128, 256 or 512 rows, all gained; 8 steps was the
+//! best or within a few points of it at each k, and keeps the block in
+//! L1 at every lane count. At 64 lanes and 16 rows the carried partials
+//! take 64 KiB, more than L1, so each lane reloads its partial from L2
+//! every 8 steps; those shapes still took 22–59% less time. A first
+//! version here, which ran every block's tile loop inside the lane fill
+//! and handed each lane to the combine through a callback, slowed the
+//! short Permuted GEMMs by 7–27% in a kernel timing.
 //!
 //! # Lanes ≥ k
 //!
@@ -437,35 +449,25 @@ fn tile_rows(a: &[f32], k: usize, first: usize, rm: usize) -> [&[f32]; MR] {
     })
 }
 
-/// Reductions longer than this run the lane fill in blocks of
-/// [`K_BLOCK`] rows; shorter ones run it as one block.
-pub(crate) const BLOCK_ABOVE: usize = 4096;
+/// Reductions longer than this run the lane fill in blocks; shorter ones
+/// run it as one block (see [Blocking k](self#blocking-k)).
+pub(crate) const BLOCK_ABOVE: usize = 3072;
 
-/// Panel rows per block of a long lane fill: 16 KiB of panel and 4 KiB of
-/// a tile's A rows, which stay in L1 while every tile and lane of the band
-/// walks them.
-pub(crate) const K_BLOCK: usize = 256;
-
-/// Lane `dl`'s first k index at or after `k0`: the lane owns the indices
-/// `dl, dl + l, dl + 2l, …`.
-#[inline(always)]
-fn lane_start(k0: usize, dl: usize, l: usize) -> usize {
-    let skew = k0 % l;
-    if dl >= skew {
-        k0 + dl - skew
-    } else {
-        k0 + dl + l - skew
-    }
-}
+/// Chain steps each lane runs per block of a long lane fill: a block is
+/// `BLOCK_STEPS · l` panel rows, so every lane starts each block at its
+/// own offset `dl` and runs the same number of steps between loading and
+/// storing its partial, whatever the lane count.
+pub(crate) const BLOCK_STEPS: usize = 8;
 
 /// The part of a long lane fill that runs before its last block, for
 /// every tile of one panel over the band's `rows` rows: k walks in blocks
-/// of [`K_BLOCK`] rows, with every tile and lane of the band inside each
-/// block, so the block's panel rows stay in L1 while all of them read it.
-/// Returns where the last block starts and each lane's partial there,
-/// tile `t`'s lane `dl` at `[t * l + dl]`; [`for_each_lane_partial`]
-/// resumes each tile's lanes from them. A reduction of at most
-/// [`BLOCK_ABOVE`] rows is one block: it returns `(0, [])` at once.
+/// of `BLOCK_STEPS · l` rows, with every tile and lane of the band inside
+/// each block, so the block's panel rows stay in L1 while all of them
+/// read it. Leaves each lane's partial at the last block's start in
+/// `carry`, tile `t`'s lane `dl` at `[t * l + dl]`, and returns that
+/// start; [`for_each_lane_partial`] resumes each tile's lanes from them.
+/// A reduction of at most [`BLOCK_ABOVE`] rows is one block: `carry` is
+/// left empty and the start is 0.
 fn lane_fill_head(
     a: &[f32],
     panel: &[f32],
@@ -473,24 +475,25 @@ fn lane_fill_head(
     k: usize,
     row0: usize,
     rows: usize,
-) -> (usize, Vec<[[f32; NR]; MR]>) {
+    carry: &mut Vec<[[f32; NR]; MR]>,
+) -> usize {
+    carry.clear();
     if k <= BLOCK_ABOVE {
-        return (0, Vec::new());
+        return 0;
     }
-    let tiles = rows.div_ceil(MR);
-    let last = (k - 1) / K_BLOCK * K_BLOCK;
-    let mut carry = vec![[[0f32; NR]; MR]; tiles * l];
-    for k0 in (0..last).step_by(K_BLOCK) {
+    let block = BLOCK_STEPS * l;
+    let last = (k - 1) / block * block;
+    carry.resize(rows.div_ceil(MR) * l, [[0f32; NR]; MR]);
+    for k0 in (0..last).step_by(block) {
         for (t, lanes) in carry.chunks_exact_mut(l).enumerate() {
             let i = t * MR;
             let arows = tile_rows(a, k, row0 + i, MR.min(rows - i));
             for (dl, lane) in lanes.iter_mut().enumerate() {
-                let start = lane_start(k0, dl, l);
-                *lane = tile::chain_from(*lane, &arows, panel, start, l, k0 + K_BLOCK);
+                *lane = tile::chain_from(*lane, &arows, panel, k0 + dl, l, k0 + block);
             }
         }
     }
-    (last, carry)
+    last
 }
 
 /// Computes the lane partials of one `MR × NR` tile, one lane at a time,
@@ -502,13 +505,14 @@ fn lane_fill_head(
 /// assignment as the reference `p[e % l] += a[e] · b[e]` fill — and its
 /// chain (`tile::chain_from` in steps of `l`) is accumulated in
 /// increasing-k order, so each invocation hands the sink the exact
-/// reference lane partial. The chain runs from `k0`, resuming from the
-/// tile's lane partials `head` that [`lane_fill_head`] left there, or from
-/// 0 with a tile of 0.0 when `head` is empty. Looping lanes outermost
+/// reference lane partial. The chain runs from `k0` (a multiple of `l`),
+/// resuming from the tile's `l` lane partials `head` that
+/// [`lane_fill_head`] left there, or, when `head` is empty (then `k0` is
+/// 0), from a tile of 0.0 (`tile::chain`). Looping lanes outermost
 /// (instead of materializing an `l × NR` buffer) keeps every accumulator
 /// in registers: the k-strided walks stay inside `MR` rows of `a` and one
-/// packed panel, which stay in cache up to [`BLOCK_ABOVE`] rows (a 256 KiB
-/// panel), and past it inside the last block's rows.
+/// packed panel, which stay in cache up to [`BLOCK_ABOVE`] rows, and past
+/// it inside the last block's rows.
 #[inline(always)]
 fn for_each_lane_partial(
     arows: &[&[f32]; MR],
@@ -519,19 +523,19 @@ fn for_each_lane_partial(
     head: &[[[f32; NR]; MR]],
     mut sink: impl FnMut(usize, &[[f32; NR]; MR]),
 ) {
+    // `head` holds `l` lanes or none, so whether it is empty is the same
+    // for every lane and the match leaves a short reduction's loop as it
+    // was. One `chain_from` call from a selected tile took 8–11% longer
+    // on the short Permuted GEMMs at 44 and 64 lanes (a k = 27 forward,
+    // most lanes empty), and with `head` sliced open-ended the 16-lane
+    // FixedTree one took 25% longer.
     for dl in 0..l {
         let lane = match head.get(dl) {
-            Some(&from) => tile::chain_from(from, arows, panel, lane_start(k0, dl, l), l, k),
+            Some(&from) => tile::chain_from(from, arows, panel, k0 + dl, l, k),
             None => tile::chain(arows, panel, dl, l, k),
         };
         sink(dl, &lane);
     }
-}
-
-/// Tile `t`'s lanes in a [`lane_fill_head`] result (none when it is empty).
-#[inline(always)]
-fn tile_lanes(head: &[[[f32; NR]; MR]], t: usize, l: usize) -> &[[[f32; NR]; MR]] {
-    head.get(t * l..(t + 1) * l).unwrap_or(&[])
 }
 
 /// [`ReduceOrder::FixedTree`] micro-kernel: no lane buffer at all. The
@@ -551,17 +555,20 @@ fn band_fixed_tree(
     band: &mut [f32],
 ) {
     let panels = n.div_ceil(NR);
+    // Lane partials carried between the blocks of a long lane fill,
+    // reused by every panel.
+    let mut carry = Vec::new();
     for p in 0..panels {
         let panel = &packed[p * k * NR..(p + 1) * k * NR];
         let col0 = p * NR;
         let cols = NR.min(n - col0);
-        let (k0, head) = lane_fill_head(a, panel, l, k, row0, rows);
+        let k0 = lane_fill_head(a, panel, l, k, row0, rows, &mut carry);
         let mut i = 0;
         while i < rows {
             let rm = MR.min(rows - i);
             let arows = tile_rows(a, k, row0 + i, rm);
             let mut s = [[0f32; NR]; MR];
-            let head = tile_lanes(&head, i / MR, l);
+            let head = carry.get(i / MR * l..(i / MR + 1) * l).unwrap_or(&[]);
             for_each_lane_partial(&arows, panel, l, k, k0, head, |_dl, lane| {
                 tile::fold(&mut s, lane);
             });
@@ -597,19 +604,21 @@ fn band_permuted<const AMP: bool>(
     // One combine buffer per tile row. Rows `0..l` are rewritten every
     // tile, so nothing needs zeroing between tiles.
     let mut bufs = [[[0f32; NR]; MAX_LANES]; MR];
+    // As in `band_fixed_tree`.
+    let mut carry = Vec::new();
     for p in 0..panels {
         let panel = &packed[p * k * NR..(p + 1) * k * NR];
         let col0 = p * NR;
         let cols = NR.min(n - col0);
         let col_counters = plan.column_counters(m, n, col0);
-        let (k0, head) = lane_fill_head(a, panel, l, k, row0, rows);
+        let k0 = lane_fill_head(a, panel, l, k, row0, rows, &mut carry);
         let mut i = 0;
         while i < rows {
             let rm = MR.min(rows - i);
             let arows = tile_rows(a, k, row0 + i, rm);
             let row_counters = core::array::from_fn(|r| plan.row_counter(m, n, row0 + i + r));
             let specs = plan.tile_specs::<true, AMP>(&row_counters, &col_counters);
-            let head = tile_lanes(&head, i / MR, l);
+            let head = carry.get(i / MR * l..(i / MR + 1) * l).unwrap_or(&[]);
             for_each_lane_partial(&arows, panel, l, k, k0, head, |dl, lane| {
                 for (buf, partial) in bufs.iter_mut().zip(lane) {
                     buf[dl] = *partial;
@@ -853,14 +862,15 @@ mod tests {
 
     #[test]
     fn blocked_lane_fill_non_finite_bit_identical_to_reference() {
-        // k spans 17 blocks of the lane fill and is a multiple of neither
-        // the block nor any lane count, so lanes start mid-block and carry
-        // their partials across every block boundary. NaN payloads of both
-        // signs sit in A and B at k in different blocks and lanes, so they
-        // meet in a lane's chain across blocks and in the combine.
+        // k spans at least eight blocks of the lane fill (8·l rows each)
+        // and is a multiple of no lane count, so every lane carries its
+        // partial across each block boundary and the lanes end the short
+        // last block at different steps. NaN payloads of both signs sit
+        // in A and B at k in different blocks and lanes, so they meet in
+        // a lane's chain across blocks and in the combine.
         let nan = |bits: u32| f32::from_bits(bits);
         let (m, k, n) = (6, 4459, 37);
-        assert!(k > BLOCK_ABOVE && k / K_BLOCK >= 3 && k % K_BLOCK != 0);
+        assert!(k > BLOCK_ABOVE && k / (BLOCK_STEPS * MAX_LANES) >= 8);
         let mut a = filled(m, k, 22);
         let mut b = filled(k, n, 23);
         let av = a.as_mut_slice();
