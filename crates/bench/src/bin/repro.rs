@@ -3,16 +3,23 @@
 //! ```text
 //! repro [--exp <id>]... [--out <dir>] [--fleet <procs>]
 //!
-//!   ids: table2 table3 table5 fig1 fig2 fig4 fig5 fig6 fig7 fig8a fig8b
-//!        fig9 fig10 ext cost stability all (default: all)
+//!   ids: fig7 cost fig8a fig8b table3 fig6 fig2 table5 fig5 ext table2
+//!        stability fig1 fig9 fig10 fig4 all (default: all)
 //! ```
 //!
-//! Figure 3 is produced by `table5`. An unknown id, a flag with no
-//! value, or a malformed or invalid environment knob exits 2 before
-//! anything is written under `--out`; so does an `--out` that cannot be
-//! created. A training experiment that fails (`<id> skipped: <error>`)
-//! or a result file that cannot be written is reported and the remaining
-//! experiments still run; the exit status is then 1.
+//! `cost` and `stability` name groups of experiments, and Figure 3 is
+//! produced by `table5`. An unknown id, a flag with no value, or a
+//! malformed or invalid environment knob exits 2 before anything is
+//! written under `--out`; so does an `--out` that cannot be created.
+//!
+//! One run, one queue: `repro` collects the cells every selected
+//! experiment trains (its [`Plan`]), trains each distinct cell once in a
+//! single `run_grid` call, then reads, prints and saves the experiments
+//! in the order of [`EXPERIMENTS`]. A cell with failed replicas skips the
+//! experiments that refuse a partial cell (`<name> skipped: <error>`),
+//! and an IO error from the run skips every selected training experiment;
+//! the rest still print. A skipped experiment or a result file that
+//! cannot be written makes the exit status 1.
 //!
 //! Environment knobs (see `noisescope::settings`): `NS_REPLICAS`,
 //! `NS_SEED`, `NS_AMP_ULPS`, `NS_EPOCHS_SCALE`, `NS_EXEC_THREADS`,
@@ -21,33 +28,179 @@
 //!
 //! Rendered tables go to stdout; machine-readable JSON goes to `--out`
 //! (default `results/`), published atomically (write-temp-then-rename) so
-//! an interrupt can never leave a truncated report. Every training
-//! experiment is **resumable**: every completed replica and every
-//! in-flight epoch checkpoint is persisted under `<out>/.ckpt/` (scoped
-//! by a settings fingerprint, one cell per task recipe, device and
-//! variant), so an interrupted run picks up mid-fleet and mid-training —
-//! bit-identically — on the next invocation. Delete `<out>/.ckpt/` to
-//! force recomputation.
+//! an interrupt can never leave a truncated report. The run is
+//! **resumable**: every completed replica and every in-flight epoch
+//! checkpoint is persisted under `<out>/.ckpt/` (scoped by a settings
+//! fingerprint, one cell per task recipe, device and variant), so an
+//! interrupted run picks up mid-queue and mid-training — bit-identically —
+//! on the next invocation. Delete `<out>/.ckpt/` to force recomputation.
 //!
-//! `--fleet <procs>` runs the replicas of every training experiment
-//! **process-isolated** (`procs` concurrent workers; 0 = host
-//! parallelism): this binary re-executes itself in a hidden `--worker`
-//! mode, one process per replica attempt, under a heartbeat watchdog that
-//! kills and re-dispatches hung or crashed workers. Either way every cell
-//! goes through the same replica supervisor and checkpoint store; only
-//! the attempt body differs, so results are bit-identical to in-process
-//! runs.
+//! `--fleet <procs>` runs every replica **process-isolated** (`procs`
+//! concurrent workers; 0 = host parallelism): this binary re-executes
+//! itself in a hidden `--worker` mode, one process per replica attempt,
+//! under a heartbeat watchdog that kills and re-dispatches hung or crashed
+//! workers. Either way every cell goes through the same replica supervisor
+//! and checkpoint store; only the attempt body differs, so results are
+//! bit-identical to in-process runs.
 
-use noisescope::experiments::{cost, extensions, fairness, ordering, stability};
+use noisescope::experiments::stability::{self, fig4_from_reports, StabilityGrid};
+use noisescope::experiments::{cost, extensions, fairness, ordering, Plan};
 use noisescope::paper;
 use noisescope::prelude::*;
+use serde::Serialize;
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Every id `--exp` accepts; `cost`, `stability` and `all` name groups.
-const EXP_IDS: &str =
-    "table2 table3 table5 fig1 fig2 fig4 fig5 fig6 fig7 fig8a fig8b fig9 fig10 ext cost stability all";
+/// What an experiment prints and, if it has a result file, saves.
+struct Rendered {
+    text: String,
+    json: Option<serde_json::Value>,
+}
+
+/// `text` to print and `result` to save.
+fn saved(text: String, result: &impl Serialize) -> Rendered {
+    let json = serde_json::to_value(result).expect("results serialize");
+    Rendered {
+        text,
+        json: Some(json),
+    }
+}
+
+/// Prints a result as `render` renders it, and saves it.
+fn saving<T: Serialize + Borrow<R>, R: ?Sized>(
+    render: fn(&R) -> String,
+) -> impl FnOnce(T) -> Rendered {
+    move |result| saved(render(result.borrow()), &result)
+}
+
+/// Prints one device's panel of the Table-2 grid, with no result file.
+fn panel(device: &'static str, figure: &'static str) -> impl FnOnce(StabilityGrid) -> Rendered {
+    move |grid| {
+        let text = stability::render_fig_panel(&grid, device, figure);
+        Rendered { text, json: None }
+    }
+}
+
+/// An experiment that trains nothing.
+fn untrained(render: fn() -> Rendered) -> Plan<Rendered> {
+    Plan::new(Vec::new(), move |_, _| Ok(render()))
+}
+
+/// One experiment `repro` runs: its name, which names its skip line and,
+/// if it saves a result, `<name>.json`; the `--exp` ids that select it;
+/// and its plan, the cells it trains and how it renders their runs.
+type Experiment = (
+    &'static str,
+    &'static [&'static str],
+    fn(&ExperimentSettings) -> Plan<Rendered>,
+);
+
+/// Every experiment, in the order `repro` queues their cells and prints
+/// them: Figure 6 first, so its full-batch replicas start early. The four
+/// Table-2 readers plan the same cells, which train once.
+const EXPERIMENTS: [Experiment; 17] = [
+    ("fig7", &["fig7", "cost"], |_| {
+        untrained(|| {
+            let fig = cost::fig7(100);
+            saved(cost::render_fig7(&fig), &fig)
+        })
+    }),
+    ("fig8a", &["fig8a", "cost"], |_| {
+        untrained(|| {
+            let pts = cost::fig8a(64);
+            let title = "Figure 8 (left): deterministic overhead across ten networks (batch 64)";
+            saved(cost::render_overheads(title, &pts), &pts)
+        })
+    }),
+    ("fig8b", &["fig8b", "cost"], |_| {
+        untrained(|| {
+            let pts = cost::fig8b(64);
+            let title = "Figure 8 (right): deterministic overhead vs convolution filter size";
+            let compare = paper::compare::render(
+                "Figure 8 (right) paper-vs-measured: filter-sweep extremes",
+                &paper::compare::fig8b(&pts),
+            );
+            saved(
+                format!("{}\n{compare}", cost::render_overheads(title, &pts)),
+                &pts,
+            )
+        })
+    }),
+    ("table3", &["table3"], |_| {
+        untrained(|| {
+            let counts = fairness::table3();
+            saved(fairness::render_table3(&counts), &counts)
+        })
+    }),
+    ("fig6", &["fig6"], |s| {
+        ordering::fig6(s).map(saving(ordering::render_fig6))
+    }),
+    ("fig2", &["fig2"], |s| {
+        stability::fig2(s).map(|grid| {
+            let title = "Figure 2 (batch-norm ablation)";
+            saved(stability::render_fig_panel(&grid, "V100", title), &grid)
+        })
+    }),
+    ("table5", &["table5"], |s| {
+        fairness::fig3_table5(s).map(saving(fairness::render_table5))
+    }),
+    ("fig5", &["fig5"], |s| {
+        stability::fig5(s).map(saving(stability::render_fig5))
+    }),
+    ("ext_data_parallel", &["ext"], |s| {
+        extensions::data_parallel_sweep(s).map(saving(extensions::render_data_parallel))
+    }),
+    ("ext_lanes", &["ext"], |s| {
+        extensions::lanes_sweep(s).map(saving(extensions::render_lanes))
+    }),
+    ("ext_architectures", &["ext"], |s| {
+        let render = extensions::render_architecture_instability;
+        extensions::architecture_instability(s).map(saving(render))
+    }),
+    ("ext_algo_sources", &["ext"], |s| {
+        extensions::algo_source_decomposition(s).map(saving(extensions::render_algo_sources))
+    }),
+    ("table2", &["table2", "stability"], |s| {
+        stability::table2(s).map(|grid| {
+            let compare = paper::compare::render(
+                "Table 2 paper-vs-measured (mean accuracy %, task difficulty anchor)",
+                &paper::compare::table2(&grid),
+            );
+            saved(
+                format!("{}\n{compare}", stability::render_table2(&grid)),
+                &grid,
+            )
+        })
+    }),
+    ("fig1", &["fig1", "stability"], |s| {
+        stability::table2(s).map(panel("V100", "Figure 1"))
+    }),
+    ("fig9", &["fig9", "stability"], |s| {
+        stability::table2(s).map(panel("P100", "Figure 9"))
+    }),
+    ("fig10", &["fig10", "stability"], |s| {
+        stability::table2(s).map(panel("RTX5000", "Figure 10"))
+    }),
+    ("fig4", &["fig4", "stability"], |s| {
+        stability::table2(s).map(|grid| {
+            let series = fig4_from_reports(&grid);
+            saved(stability::render_fig4(&series), &series)
+        })
+    }),
+];
+
+/// Every id `--exp` accepts, in [`EXPERIMENTS`] order, then `all`.
+fn exp_ids() -> Vec<&'static str> {
+    let mut ids = Vec::new();
+    for &id in EXPERIMENTS.iter().flat_map(|e| e.1).chain(&["all"]) {
+        if !ids.contains(&id) {
+            ids.push(id);
+        }
+    }
+    ids
+}
 
 /// Reports a command-line error and exits with the usage status.
 fn usage_error(msg: &str) -> ! {
@@ -72,9 +225,10 @@ fn main() {
                 let v = args
                     .next()
                     .unwrap_or_else(|| usage_error("--exp needs an experiment id"));
-                if !EXP_IDS.split(' ').any(|id| id == v) {
+                if !exp_ids().contains(&v.as_str()) {
                     usage_error(&format!(
-                        "unknown experiment id {v:?}; valid ids: {EXP_IDS}"
+                        "unknown experiment id {v:?}; valid ids: {}",
+                        exp_ids().join(" ")
                     ));
                 }
                 exps.insert(v);
@@ -101,33 +255,21 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "repro [--exp <id>]... [--out <dir>] [--fleet <procs>]\n  ids: {EXP_IDS}\n  \
+                    "repro [--exp <id>]... [--out <dir>] [--fleet <procs>]\n  ids: {}\n  \
                      --fleet <procs>: process-isolated replicas for every training experiment \
-                     (0 = host parallelism)"
+                     (0 = host parallelism)",
+                    exp_ids().join(" ")
                 );
                 return;
             }
             other => usage_error(&format!("unknown argument {other}")),
         }
     }
-    if exps.is_empty() || exps.contains("all") {
-        for id in [
-            "table2", "table3", "table5", "fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8a",
-            "fig8b", "fig9", "fig10", "ext",
-        ] {
-            exps.insert(id.to_string());
-        }
-    }
-    if exps.remove("cost") {
-        for id in ["fig7", "fig8a", "fig8b"] {
-            exps.insert(id.to_string());
-        }
-    }
-    if exps.remove("stability") {
-        for id in ["table2", "fig1", "fig4", "fig9", "fig10"] {
-            exps.insert(id.to_string());
-        }
-    }
+    let all = exps.is_empty() || exps.contains("all");
+    let selected: Vec<&Experiment> = EXPERIMENTS
+        .iter()
+        .filter(|(_, ids, _)| all || ids.iter().any(|&id| exps.contains(id)))
+        .collect();
 
     let settings = ExperimentSettings::from_env()
         .and_then(|s| s.validate().map(|()| s))
@@ -139,7 +281,7 @@ fn main() {
         eprintln!("cannot create output directory {}: {e}", out_dir.display());
         std::process::exit(2);
     }
-    // Durable fleet progress: interrupted experiments resume from here.
+    // Durable progress: an interrupted run resumes from here.
     let store = CheckpointStore::for_settings(out_dir.join(".ckpt"), &settings);
     println!(
         "# NoiseScope reproduction — replicas={} amp_ulps={} epochs_scale={} seed={}\n",
@@ -149,262 +291,46 @@ fn main() {
     if fleet.is_some() {
         eprintln!("fleet mode: replicas run in worker processes");
     }
-    // A result that cannot be written costs that file, and a failed
-    // experiment costs that experiment, not the experiments still to run;
-    // the exit status reports either at the end.
-    let mut unsaved = false;
-    let mut skipped = false;
-    let mut skip = |id: &str, e: &dyn std::fmt::Display| {
-        eprintln!("{id} skipped: {e}");
-        skipped = true;
-    };
-    let mut save = |name: &str, json: &serde_json::Value| {
-        let path = out_dir.join(format!("{name}.json"));
-        match noisescope::report::save_json(&path, json) {
-            Ok(()) => eprintln!("  wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("{name}.json not written: {e}");
-                unsaved = true;
-            }
-        }
-    };
     let t0 = Instant::now();
+    let plans: Vec<Plan<Rendered>> = selected.iter().map(|e| (e.2)(&settings)).collect();
+    let cells: Vec<Cell> = plans.iter().flat_map(|p| p.cells.iter().cloned()).collect();
+    let runs = run_grid(&cells, &settings, Some(&store), fleet.as_ref());
+    eprintln!("training done in {:.1}s", t0.elapsed().as_secs_f32());
 
-    // ---- fast cost-model experiments first ----
-    if exps.contains("fig7") {
-        let started = Instant::now();
-        let fig = cost::fig7(100);
-        println!("{}", cost::render_fig7(&fig));
-        save("fig7", &serde_json::to_value(&fig).unwrap());
-        eprintln!("fig7 done in {:.1}s", started.elapsed().as_secs_f32());
-    }
-    if exps.contains("fig8a") {
-        let started = Instant::now();
-        let pts = cost::fig8a(64);
-        println!(
-            "{}",
-            cost::render_overheads(
-                "Figure 8 (left): deterministic overhead across ten networks (batch 64)",
-                &pts
-            )
-        );
-        save("fig8a", &serde_json::to_value(&pts).unwrap());
-        eprintln!("fig8a done in {:.1}s", started.elapsed().as_secs_f32());
-    }
-    if exps.contains("fig8b") {
-        let started = Instant::now();
-        let pts = cost::fig8b(64);
-        println!(
-            "{}",
-            cost::render_overheads(
-                "Figure 8 (right): deterministic overhead vs convolution filter size",
-                &pts
-            )
-        );
-        println!(
-            "{}",
-            paper::compare::render(
-                "Figure 8 (right) paper-vs-measured: filter-sweep extremes",
-                &paper::compare::fig8b(&pts)
-            )
-        );
-        save("fig8b", &serde_json::to_value(&pts).unwrap());
-        eprintln!("fig8b done in {:.1}s", started.elapsed().as_secs_f32());
-    }
-    if exps.contains("table3") {
-        let counts = fairness::table3();
-        println!("{}", fairness::render_table3(&counts));
-        save("table3", &serde_json::to_value(counts).unwrap());
-    }
-
-    // ---- training experiments ----
-    if exps.contains("fig6") {
-        let started = Instant::now();
-        // A failed training run degrades this experiment, not the whole
-        // reproduction run.
-        match ordering::fig6(&settings, Some(&store), fleet.as_ref()) {
-            Ok(pts) => {
-                println!("{}", ordering::render_fig6(&pts));
-                save("fig6", &serde_json::to_value(&pts).unwrap());
-                eprintln!("fig6 done in {:.1}s", started.elapsed().as_secs_f32());
+    // A result that cannot be written costs that file, and a failed
+    // experiment costs that experiment, not the others; the exit status
+    // reports either at the end.
+    let (mut failed, mut at) = (false, 0);
+    for (&&(name, _, _), plan) in selected.iter().zip(plans) {
+        let n = plan.cells.len();
+        let rendered = match &runs {
+            Err(err) if n > 0 => Err(err.to_string().into()),
+            Ok(runs) => plan.read(&runs[at..at + n]),
+            Err(_) => plan.read(&[]),
+        };
+        at += n;
+        let Rendered { text, json } = match rendered {
+            Ok(rendered) => rendered,
+            Err(err) => {
+                eprintln!("{name} skipped: {err}");
+                failed = true;
+                continue;
             }
-            Err(e) => skip("fig6", &e),
-        }
-    }
-    if exps.contains("fig2") {
-        let started = Instant::now();
-        match stability::fig2(&settings, &store, fleet.as_ref()) {
-            Ok(grid) => {
-                println!(
-                    "{}",
-                    stability::render_fig_panel(&grid, "V100", "Figure 2 (batch-norm ablation)")
-                );
-                save("fig2", &serde_json::to_value(&grid).unwrap());
-                eprintln!("fig2 done in {:.1}s", started.elapsed().as_secs_f32());
-            }
-            Err(e) => skip("fig2", &e),
-        }
-    }
-    if exps.contains("table5") {
-        let started = Instant::now();
-        // A failed cell or a bad subgroup configuration degrades this
-        // experiment, not the whole reproduction run.
-        match fairness::fig3_table5(&settings, Some(&store), fleet.as_ref()) {
-            Ok(tables) => {
-                println!("{}", fairness::render_table5(&tables));
-                save("table5", &serde_json::to_value(&tables).unwrap());
-                eprintln!(
-                    "table5/fig3 done in {:.1}s",
-                    started.elapsed().as_secs_f32()
-                );
-            }
-            Err(e) => skip("table5/fig3", &e),
-        }
-    }
-    if exps.contains("fig5") {
-        let started = Instant::now();
-        match stability::fig5(&settings, &store, fleet.as_ref()) {
-            Ok(grid) => {
-                let mut rows = Vec::new();
-                for r in &grid.reports {
-                    rows.push(vec![
-                        r.device.clone(),
-                        r.variant.label().to_string(),
-                        format!("{:.3}", 100.0 * r.std_accuracy),
-                        format!("{:.4}", r.churn),
-                        format!("{:.4}", r.l2),
-                    ]);
+        };
+        println!("{text}");
+        if let Some(json) = json {
+            let path = out_dir.join(format!("{name}.json"));
+            match save_json(&path, &json) {
+                Ok(()) => eprintln!("  wrote {}", path.display()),
+                Err(err) => {
+                    eprintln!("{name}.json not written: {err}");
+                    failed = true;
                 }
-                println!(
-                    "{}",
-                    noisescope::report::render_table(
-                        "Figure 5: ResNet18/CIFAR-100-sim across accelerators",
-                        &["Accelerator", "Variant", "stddev(acc) %", "churn", "l2"],
-                        &rows
-                    )
-                );
-                save("fig5", &serde_json::to_value(&grid).unwrap());
-                eprintln!("fig5 done in {:.1}s", started.elapsed().as_secs_f32());
             }
-            Err(e) => skip("fig5", &e),
         }
     }
-
-    if exps.contains("ext") {
-        let started = Instant::now();
-        let (store, fleet) = (Some(&store), fleet.as_ref());
-        match extensions::data_parallel_sweep(&settings, store, fleet) {
-            Ok(dp) => {
-                println!("{}", extensions::render_data_parallel(&dp));
-                save("ext_data_parallel", &serde_json::to_value(&dp).unwrap());
-            }
-            Err(e) => skip("ext_data_parallel", &e),
-        }
-        match extensions::lanes_sweep(&settings, store, fleet) {
-            Ok(lanes) => {
-                println!("{}", extensions::render_lanes(&lanes));
-                save("ext_lanes", &serde_json::to_value(&lanes).unwrap());
-            }
-            Err(e) => skip("ext_lanes", &e),
-        }
-        match extensions::architecture_instability(&settings, store, fleet) {
-            Ok(arch) => {
-                println!("{}", extensions::render_architecture_instability(&arch));
-                save("ext_architectures", &serde_json::to_value(&arch).unwrap());
-            }
-            Err(e) => skip("ext_architectures", &e),
-        }
-        match extensions::algo_source_decomposition(&settings, store, fleet) {
-            Ok(sources) => {
-                println!("{}", extensions::render_algo_sources(&sources));
-                save("ext_algo_sources", &serde_json::to_value(&sources).unwrap());
-            }
-            Err(e) => skip("ext_algo_sources", &e),
-        }
-        eprintln!("extensions done in {:.1}s", started.elapsed().as_secs_f32());
-    }
-
-    // The Table-2 grid also powers Figures 1, 4, 9 and 10.
-    let grid_ids: Vec<&str> = ["table2", "fig1", "fig4", "fig9", "fig10"]
-        .into_iter()
-        .filter(|e| exps.contains(*e))
-        .collect();
-    let grid = if grid_ids.is_empty() {
-        None
-    } else {
-        let started = Instant::now();
-        match stability::run_table2_grid(&settings, &store, fleet.as_ref()) {
-            Ok(grid) => {
-                eprintln!(
-                    "stability grid done in {:.1}s",
-                    started.elapsed().as_secs_f32()
-                );
-                Some(grid)
-            }
-            Err(e) => {
-                skip(&grid_ids.join("/"), &e);
-                None
-            }
-        }
-    };
-    if let Some(grid) = grid {
-        if exps.contains("table2") {
-            println!("{}", stability::render_table2(&grid));
-            println!(
-                "{}",
-                paper::compare::render(
-                    "Table 2 paper-vs-measured (mean accuracy %, task difficulty anchor)",
-                    &paper::compare::table2(&grid)
-                )
-            );
-            save("table2", &serde_json::to_value(&grid).unwrap());
-        }
-        if exps.contains("fig1") {
-            println!("{}", stability::render_fig_panel(&grid, "V100", "Figure 1"));
-        }
-        if exps.contains("fig9") {
-            println!("{}", stability::render_fig_panel(&grid, "P100", "Figure 9"));
-        }
-        if exps.contains("fig10") {
-            println!(
-                "{}",
-                stability::render_fig_panel(&grid, "RTX5000", "Figure 10")
-            );
-        }
-        if exps.contains("fig4") {
-            let series = stability::fig4_from_reports(&grid);
-            let rows: Vec<Vec<String>> = series
-                .iter()
-                .map(|s| {
-                    vec![
-                        s.task.clone(),
-                        s.variant.label().to_string(),
-                        format!("{:.4}", s.overall_std),
-                        format!("{:.4}", s.max_class_std),
-                        format!("{:.1}X", s.ratio),
-                    ]
-                })
-                .collect();
-            println!(
-                "{}",
-                noisescope::report::render_table(
-                    "Figure 4: per-class vs overall accuracy variance (V100)",
-                    &[
-                        "Task",
-                        "Variant",
-                        "stddev(acc)",
-                        "max class stddev",
-                        "ratio"
-                    ],
-                    &rows
-                )
-            );
-            save("fig4", &serde_json::to_value(&series).unwrap());
-        }
-    }
-
     eprintln!("total {:.1}s", t0.elapsed().as_secs_f32());
-    if unsaved || skipped {
+    if failed {
         std::process::exit(1);
     }
 }

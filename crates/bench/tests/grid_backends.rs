@@ -3,7 +3,7 @@
 //! byte-identical reports, and every cell must equal an in-memory
 //! [`run_variant`] fleet bit for bit.
 
-use noisescope::experiments::stability::{run_stability_grid, StabilityGrid};
+use noisescope::experiments::stability::{self, StabilityGrid};
 use noisescope::prelude::*;
 use std::path::PathBuf;
 
@@ -77,7 +77,9 @@ fn in_process_and_fleet_grids_are_byte_identical_and_match_run_variant() {
     let in_process = Scratch::new("in-process");
     let processes = Scratch::new("processes");
     let grid = |store: &CheckpointStore, fleet: Option<&FleetOptions>| -> StabilityGrid {
-        run_stability_grid(&tasks, &devices, &variants, &settings, store, fleet).expect("grid runs")
+        let plan = stability::grid(&tasks, &devices, &variants, settings.replicas);
+        let runs = run_grid(&plan.cells, &settings, Some(store), fleet).expect("grid runs");
+        plan.read(&runs).expect("grid reads")
     };
     let a = grid(&in_process.0, None);
     let b = grid(&processes.0, Some(&fleet));

@@ -14,11 +14,9 @@
 //!   grows, isolating the parallelism → noise mechanism from all other
 //!   architectural differences.
 
-use super::{complete_reports, ExperimentError};
-use crate::fleet::FleetOptions;
+use super::Plan;
 use crate::report::render_table;
-use crate::resume::CheckpointStore;
-use crate::runner::PreparedTask;
+use crate::runner::{Cell, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::{ModelKind, TaskSpec};
 use crate::variant::{AlgoSource, NoiseVariant};
@@ -39,38 +37,30 @@ pub struct DataParallelPoint {
 }
 
 /// Sweeps simulated data-parallel worker counts under IMPL-only noise:
-/// one grid with a task per count, run with `store` and `fleet`.
-///
-/// # Errors
-///
-/// [`ExperimentError`] when the grid cannot run or any replica fails.
-pub fn data_parallel_sweep(
-    settings: &ExperimentSettings,
-    store: Option<&CheckpointStore>,
-    fleet: Option<&FleetOptions>,
-) -> Result<Vec<DataParallelPoint>, ExperimentError> {
+/// one grid with a task per count. A cell with a failed replica is an
+/// error.
+pub fn data_parallel_sweep(settings: &ExperimentSettings) -> Plan<Vec<DataParallelPoint>> {
     let prepared = PreparedTask::prepare(&TaskSpec::resnet18_cifar10());
     let worker_counts = [1usize, 2, 4, 8];
-    let tasks: Vec<_> = worker_counts
-        .iter()
-        .map(|&workers| {
-            let mut cell = prepared.clone();
-            cell.spec.train.data_parallel_workers = workers;
-            cell
-        })
-        .collect();
+    let tasks = worker_counts.map(|workers| {
+        let mut cell = prepared.clone();
+        cell.spec.train.data_parallel_workers = workers;
+        cell
+    });
     let (device, variant) = (Device::v100(), NoiseVariant::Impl);
-    let reports = complete_reports(&tasks, &[device], &[variant], settings, store, fleet)?;
-    Ok(worker_counts
-        .into_iter()
-        .zip(reports)
-        .map(|(workers, r)| DataParallelPoint {
-            workers,
-            churn: r.churn,
-            l2: r.l2,
-            mean_accuracy: r.mean_accuracy,
-        })
-        .collect())
+    let cells = Cell::grid(tasks, &[device], &[variant], settings.replicas);
+    Plan::strict_reports(cells).map(move |reports| {
+        worker_counts
+            .into_iter()
+            .zip(reports)
+            .map(|(workers, r)| DataParallelPoint {
+                workers,
+                churn: r.churn,
+                l2: r.l2,
+                mean_accuracy: r.mean_accuracy,
+            })
+            .collect()
+    })
 }
 
 /// One point of the accumulation-lane (parallelism) sweep.
@@ -88,34 +78,28 @@ pub struct LanesPoint {
 
 /// Sweeps a synthetic GPU's core count under IMPL-only noise (everything
 /// else — throughput model, architecture family — held fixed): one grid
-/// with a device per core count, run with `store` and `fleet`. The
-/// [`Device::custom`] devices cross the fleet wire like the presets.
-///
-/// # Errors
-///
-/// [`ExperimentError`] when the grid cannot run or any replica fails.
-pub fn lanes_sweep(
-    settings: &ExperimentSettings,
-    store: Option<&CheckpointStore>,
-    fleet: Option<&FleetOptions>,
-) -> Result<Vec<LanesPoint>, ExperimentError> {
+/// with a device per core count. The [`Device::custom`] devices cross the
+/// fleet wire like the presets. A cell with a failed replica is an error.
+pub fn lanes_sweep(settings: &ExperimentSettings) -> Plan<Vec<LanesPoint>> {
     let prepared = PreparedTask::prepare(&TaskSpec::small_cnn_cifar10());
     let devices: Vec<_> = [640u32, 1280, 2560, 5120]
         .into_iter()
         .map(|cores| Device::custom("SWEEP-GPU", Architecture::Volta, cores, false, false, 14.9))
         .collect();
     let variant = NoiseVariant::Impl;
-    let reports = complete_reports(&[prepared], &devices, &[variant], settings, store, fleet)?;
-    Ok(devices
-        .iter()
-        .zip(reports)
-        .map(|(device, r)| LanesPoint {
-            cuda_cores: device.cuda_cores(),
-            lanes: device.lanes(),
-            churn: r.churn,
-            l2: r.l2,
-        })
-        .collect())
+    let cells = Cell::grid([prepared], &devices, &[variant], settings.replicas);
+    Plan::strict_reports(cells).map(move |reports| {
+        devices
+            .iter()
+            .zip(reports)
+            .map(|(device, r)| LanesPoint {
+                cuda_cores: device.cuda_cores(),
+                lanes: device.lanes(),
+                churn: r.churn,
+                l2: r.l2,
+            })
+            .collect()
+    })
 }
 
 /// Renders the data-parallel sweep.
@@ -176,17 +160,9 @@ pub struct AlgoSourcePoint {
 /// so no scheduler noise mixes in. (Shuffle-order arms still pick up the
 /// data-order accumulation effect of Fig. 6; that is intrinsic to varying
 /// the order.) Extends the framework in the direction of Summers &
-/// Dinneen (2021), which the paper cites as the per-source study.
-///
-/// # Errors
-///
-/// [`ExperimentError`] when the grid cannot run or any replica fails; no
-/// partial decomposition is returned.
-pub fn algo_source_decomposition(
-    settings: &ExperimentSettings,
-    store: Option<&CheckpointStore>,
-    fleet: Option<&FleetOptions>,
-) -> Result<Vec<AlgoSourcePoint>, ExperimentError> {
+/// Dinneen (2021), which the paper cites as the per-source study. A cell
+/// with a failed replica is an error; no partial decomposition is read.
+pub fn algo_source_decomposition(settings: &ExperimentSettings) -> Plan<Vec<AlgoSourcePoint>> {
     let mut task = TaskSpec::small_cnn_cifar10();
     task.model = ModelKind::SmallCnnDropout { rate: 0.2 };
     let prepared = PreparedTask::prepare(&task);
@@ -199,16 +175,17 @@ pub fn algo_source_decomposition(
     ];
     let variants = arms.map(|(_, variant)| variant);
     let device = Device::tpu_v2();
-    let reports = complete_reports(&[prepared], &[device], &variants, settings, store, fleet)?;
-    Ok(arms
-        .into_iter()
-        .zip(reports)
-        .map(|((source, _), r)| AlgoSourcePoint {
-            source: source.to_string(),
-            churn: r.churn,
-            l2: r.l2,
-        })
-        .collect())
+    let cells = Cell::grid([prepared], &[device], &variants, settings.replicas);
+    Plan::strict_reports(cells).map(move |reports| {
+        arms.into_iter()
+            .zip(reports)
+            .map(|((source, _), r)| AlgoSourcePoint {
+                source: source.to_string(),
+                churn: r.churn,
+                l2: r.l2,
+            })
+            .collect()
+    })
 }
 
 /// Renders the ALGO-source decomposition.
@@ -247,42 +224,35 @@ pub struct ArchInstabilityPoint {
 /// noise on the same dataset — extends the paper's Fig. 1/2 observation
 /// (model design moderates noise) to LeNet-5, which Pham et al. (ASE'20)
 /// found to be the most variance-prone architecture across DL libraries.
-/// One grid with a task per model, run with `store` and `fleet`.
-///
-/// # Errors
-///
-/// [`ExperimentError`] when the grid cannot run or any replica fails.
-pub fn architecture_instability(
-    settings: &ExperimentSettings,
-    store: Option<&CheckpointStore>,
-    fleet: Option<&FleetOptions>,
-) -> Result<Vec<ArchInstabilityPoint>, ExperimentError> {
+/// One grid with a task per model. A cell with a failed replica is an
+/// error.
+pub fn architecture_instability(settings: &ExperimentSettings) -> Plan<Vec<ArchInstabilityPoint>> {
     let prepared = PreparedTask::prepare(&TaskSpec::small_cnn_cifar10());
-    let tasks: Vec<_> = [
+    let tasks = [
         ("LeNet5", ModelKind::LeNet5),
         ("SmallCNN", ModelKind::SmallCnn { with_bn: false }),
         ("SmallCNN+BN", ModelKind::SmallCnn { with_bn: true }),
         ("MicroResNet18", ModelKind::MicroResNet18),
     ]
-    .into_iter()
     .map(|(name, model)| {
         let mut cell = prepared.clone();
         cell.spec.name = name.to_string();
         cell.spec.model = model;
         cell
-    })
-    .collect();
+    });
     let (device, variant) = (Device::v100(), NoiseVariant::AlgoImpl);
-    let reports = complete_reports(&tasks, &[device], &[variant], settings, store, fleet)?;
-    Ok(reports
-        .into_iter()
-        .map(|r| ArchInstabilityPoint {
-            model: r.task,
-            churn: r.churn,
-            std_accuracy: r.std_accuracy,
-            mean_accuracy: r.mean_accuracy,
-        })
-        .collect())
+    let cells = Cell::grid(tasks, &[device], &[variant], settings.replicas);
+    Plan::strict_reports(cells).map(|reports| {
+        reports
+            .into_iter()
+            .map(|r| ArchInstabilityPoint {
+                model: r.task,
+                churn: r.churn,
+                std_accuracy: r.std_accuracy,
+                mean_accuracy: r.mean_accuracy,
+            })
+            .collect()
+    })
 }
 
 /// Renders the architecture-instability comparison.

@@ -1,18 +1,16 @@
 //! The fairness experiments: Table 3, Figure 3 and Table 5 (CelebA
 //! subgroup variance).
 
-use super::{require_complete, ExperimentError};
-use crate::fleet::FleetOptions;
+use super::{require_complete, Plan};
 use crate::report::render_table;
-use crate::resume::CheckpointStore;
-use crate::runner::{run_grid, PreparedData, PreparedTask};
+use crate::runner::{Cell, PreparedData, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
 use hwsim::Device;
 use nnet::trainer::Targets;
 use nsdata::{CelebaMeta, SubgroupCounts};
-use nsmetrics::{binary_rates, relative_scale, stddev};
+use nsmetrics::{binary_rates, relative_scale, stddev, BinaryRates};
 use serde::{Deserialize, Serialize};
 
 /// The protected subgroups of the paper's Figure 3 / Table 5.
@@ -85,24 +83,16 @@ fn mask_for(meta: &[CelebaMeta], group: &str) -> Result<Vec<bool>, UnknownSubgro
     Ok(meta.iter().map(select).collect())
 }
 
-/// Runs the CelebA experiment for the three measured variants on V100 as
-/// one [`run_grid`] with `store` and `fleet`, returning one Table 5 per
-/// variant (Fig. 3 plots the same data).
+/// The CelebA experiment for the three measured variants on V100, read as
+/// one Table 5 per variant (Fig. 3 plots the same data).
 ///
-/// # Errors
-///
-/// [`UnknownSubgroupError`] if a subgroup name cannot be mapped to a
-/// metadata mask (impossible for the built-in [`SUBGROUPS`], but the mask
-/// path is fallible so custom subgroup lists degrade gracefully), and any
-/// other [`ExperimentError`] when the grid cannot run or any replica
-/// fails.
-pub fn fig3_table5(
-    settings: &ExperimentSettings,
-    store: Option<&CheckpointStore>,
-    fleet: Option<&FleetOptions>,
-) -> Result<Vec<Table5>, ExperimentError> {
-    let task = TaskSpec::celeba();
-    let prepared = PreparedTask::prepare(&task);
+/// Its read step fails with [`UnknownSubgroupError`] if a subgroup name
+/// cannot be mapped to a metadata mask (impossible for the built-in
+/// [`SUBGROUPS`], but the mask path is fallible so custom subgroup lists
+/// degrade gracefully), and with an error naming the failed replicas of
+/// a cell with any.
+pub fn fig3_table5(settings: &ExperimentSettings) -> Plan<Vec<Table5>> {
+    let prepared = PreparedTask::prepare(&TaskSpec::celeba());
     let meta = match &prepared.data {
         PreparedData::Celeba(c) => c.test_meta.clone(),
         PreparedData::Gaussian(_) => unreachable!("celeba task prepares celeba data"),
@@ -111,54 +101,50 @@ pub fn fig3_table5(
         Targets::Binary(t) => t.as_slice().iter().map(|&v| (v > 0.5) as u8).collect(),
         Targets::Classes(_) => unreachable!(),
     };
-    // Masks depend only on the metadata, not the variant or replica:
-    // compute them once, surfacing any unknown subgroup before training.
-    let masks: Vec<Vec<bool>> = SUBGROUPS
-        .iter()
-        .map(|group| mask_for(&meta, group))
-        .collect::<Result<_, _>>()?;
-    let (device, variants) = (Device::v100(), NoiseVariant::MEASURED);
-    let grid = run_grid(&[prepared], &[device], &variants, settings, store, fleet)?;
-    variants
-        .into_iter()
-        .zip(grid)
-        .map(|(variant, runs)| {
-            let preds = require_complete(runs)?.binary_pred_sets()?;
-            // Per subgroup, per replica: accuracy/FPR/FNR; then stddev.
-            let mut per_group: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> =
-                vec![(Vec::new(), Vec::new(), Vec::new()); SUBGROUPS.len()];
-            for p in &preds {
-                for (gi, mask) in masks.iter().enumerate() {
-                    let r = binary_rates(p, &labels, mask);
-                    per_group[gi].0.push(r.accuracy);
-                    per_group[gi].1.push(r.fpr);
-                    per_group[gi].2.push(r.fnr);
-                }
-            }
-            let base_acc = stddev(&per_group[0].0);
-            let base_fpr = stddev(&per_group[0].1);
-            let base_fnr = stddev(&per_group[0].2);
-            let rows = SUBGROUPS
-                .iter()
-                .enumerate()
-                .map(|(gi, group)| {
-                    let sa = stddev(&per_group[gi].0);
-                    let sp = stddev(&per_group[gi].1);
-                    let sn = stddev(&per_group[gi].2);
-                    SubgroupRow {
-                        group: group.to_string(),
-                        std_accuracy: sa,
-                        rel_accuracy: relative_scale(sa, base_acc),
-                        std_fpr: sp,
-                        rel_fpr: relative_scale(sp, base_fpr),
-                        std_fnr: sn,
-                        rel_fnr: relative_scale(sn, base_fnr),
-                    }
-                })
-                .collect();
-            Ok(Table5 { variant, rows })
-        })
-        .collect()
+    let variants = NoiseVariant::MEASURED;
+    let cells = Cell::grid([prepared], &[Device::v100()], &variants, settings.replicas);
+    Plan::new(cells, move |_, runs| {
+        // Masks depend only on the metadata, not the variant or replica:
+        // compute them once.
+        let masks: Vec<Vec<bool>> = SUBGROUPS
+            .iter()
+            .map(|group| mask_for(&meta, group))
+            .collect::<Result<_, _>>()?;
+        variants
+            .into_iter()
+            .zip(runs)
+            .map(|(variant, runs)| {
+                let preds = require_complete(runs)?.binary_pred_sets()?;
+                // Per subgroup: the stddev of accuracy, FPR and FNR across
+                // replicas.
+                let stds: Vec<[f64; 3]> = masks
+                    .iter()
+                    .map(|mask| {
+                        let rates: Vec<_> = preds
+                            .iter()
+                            .map(|p| binary_rates(p, &labels, mask))
+                            .collect();
+                        let std = |f: fn(&BinaryRates) -> f64| {
+                            stddev(&rates.iter().map(f).collect::<Vec<_>>())
+                        };
+                        [std(|r| r.accuracy), std(|r| r.fpr), std(|r| r.fnr)]
+                    })
+                    .collect();
+                let [base_acc, base_fpr, base_fnr] = stds[0];
+                let row = |(group, &[sa, sp, sn]): (&&str, &[f64; 3])| SubgroupRow {
+                    group: group.to_string(),
+                    std_accuracy: sa,
+                    rel_accuracy: relative_scale(sa, base_acc),
+                    std_fpr: sp,
+                    rel_fpr: relative_scale(sp, base_fpr),
+                    std_fnr: sn,
+                    rel_fnr: relative_scale(sn, base_fnr),
+                };
+                let rows = SUBGROUPS.iter().zip(&stds).map(row).collect();
+                Ok(Table5 { variant, rows })
+            })
+            .collect()
+    })
 }
 
 /// Table 3: the subgroup positive/negative counts of the generated CelebA

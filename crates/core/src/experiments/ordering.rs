@@ -9,11 +9,9 @@
 //! floating-point accumulation order of the gradient reductions. This is
 //! the paper's "latent implementation noise" result.
 
-use super::{complete_reports, ExperimentError};
-use crate::fleet::FleetOptions;
+use super::Plan;
 use crate::report::render_table;
-use crate::resume::CheckpointStore;
-use crate::runner::PreparedTask;
+use crate::runner::{Cell, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::{AlgoSource, NoiseVariant};
@@ -33,64 +31,54 @@ pub struct OrderingPoint {
     pub mean_accuracy: f64,
 }
 
-/// Runs the ordering experiment: one grid of `ALGO:shuffle` cells on the
-/// TPU, one task per batch size with its batch size and epoch budget set
-/// in `task.train`, run through [`crate::runner::run_grid`] with `store`
-/// and `fleet`.
+/// The ordering experiment: one grid of `ALGO:shuffle` cells on the TPU,
+/// one task per batch size with its batch size and epoch budget set in
+/// `task.train`.
 ///
 /// Uses the small CNN on the CIFAR-10 stand-in with a longer epoch budget
 /// than the stability experiments: order-only noise starts at 1-ulp scale
 /// (no amplification applies on the deterministic TPU datapath) and needs
-/// time to grow through the training dynamics.
-///
-/// # Errors
-///
-/// [`ExperimentError`] when the grid cannot run or any replica fails; no
-/// partial series is returned.
-pub fn fig6(
-    settings: &ExperimentSettings,
-    store: Option<&CheckpointStore>,
-    fleet: Option<&FleetOptions>,
-) -> Result<Vec<OrderingPoint>, ExperimentError> {
+/// time to grow through the training dynamics. A cell with a failed
+/// replica is an error; no partial series is read.
+pub fn fig6(settings: &ExperimentSettings) -> Plan<Vec<OrderingPoint>> {
     let mut task = TaskSpec::small_cnn_cifar10();
     task.augment = false; // per-sample augmentation would covary with order
     task.train.schedule = nnet::schedule::LrSchedule::Constant { lr: 0.05 };
     let prepared = PreparedTask::prepare(&task);
     let train_len = prepared.train_set().len();
     let batch_sizes = [16usize, 64, train_len];
-    let tasks: Vec<_> = batch_sizes
-        .iter()
-        .map(|&batch_size| {
-            let mut cell = prepared.clone();
-            cell.spec.train.batch_size = batch_size;
-            // Optimizer *steps*, not epochs, drive both learning and the
-            // amplification of order noise; give larger batches more
-            // epochs so every arm sees a comparable step budget (the paper
-            // trains 200 epochs on the full dataset for every batch size).
-            cell.spec.train.epochs = match batch_size {
-                b if b >= train_len => 300,
-                b if b >= 64 => 60,
-                _ => 30,
-            };
-            cell
-        })
-        .collect();
+    let tasks = batch_sizes.map(|batch_size| {
+        let mut cell = prepared.clone();
+        cell.spec.train.batch_size = batch_size;
+        // Optimizer *steps*, not epochs, drive both learning and the
+        // amplification of order noise; give larger batches more
+        // epochs so every arm sees a comparable step budget (the paper
+        // trains 200 epochs on the full dataset for every batch size).
+        cell.spec.train.epochs = match batch_size {
+            b if b >= train_len => 300,
+            b if b >= 64 => 60,
+            _ => 30,
+        };
+        cell
+    });
     // The one varying factor: the shuffle stream's seed.
     let (device, variant) = (
         Device::tpu_v2(),
         NoiseVariant::AlgoOnly(AlgoSource::Shuffle),
     );
-    let reports = complete_reports(&tasks, &[device], &[variant], settings, store, fleet)?;
-    Ok(batch_sizes
-        .into_iter()
-        .zip(reports)
-        .map(|(batch_size, r)| OrderingPoint {
-            batch_size,
-            churn: r.churn,
-            l2: r.l2,
-            mean_accuracy: r.mean_accuracy,
-        })
-        .collect())
+    let cells = Cell::grid(tasks, &[device], &[variant], settings.replicas);
+    Plan::strict_reports(cells).map(move |reports| {
+        batch_sizes
+            .into_iter()
+            .zip(reports)
+            .map(|(batch_size, r)| OrderingPoint {
+                batch_size,
+                churn: r.churn,
+                l2: r.l2,
+                mean_accuracy: r.mean_accuracy,
+            })
+            .collect()
+    })
 }
 
 /// Renders the Figure-6 series.
@@ -126,7 +114,9 @@ mod tests {
             epochs_scale: 0.01, // 1-3 epochs per arm
             ..ExperimentSettings::default()
         };
-        let points = fig6(&settings, None, None).expect("smoke-scale fig6 trains");
+        let points = fig6(&settings)
+            .run(&settings)
+            .expect("smoke-scale fig6 trains");
         assert_eq!(points.len(), 3);
         let full = points.last().unwrap();
         // Full batch = one step per epoch; batch size equals train length.

@@ -1,9 +1,8 @@
 //! The stability experiments: Table 2 and Figures 1, 2, 4, 5, 9, 10.
 
-use crate::fleet::FleetOptions;
-use crate::report::{render_table, stability_report, StabilityReport};
-use crate::resume::CheckpointStore;
-use crate::runner::{grid_cells, run_grid, PreparedTask};
+use super::Plan;
+use crate::report::{render_table, StabilityReport};
+use crate::runner::{Cell, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
@@ -37,69 +36,39 @@ impl StabilityGrid {
     }
 }
 
-/// Runs every (task × device × variant) combination as one
-/// [`run_grid`] with durable per-cell progress: completed replicas are
-/// loaded from `store`, in-flight replicas checkpoint every epoch, and an
-/// interrupted grid resumes from wherever it stopped — mid-grid and
-/// mid-training — bit-identically. With `fleet`, every replica runs in a
-/// supervised worker process.
-///
-/// # Errors
-///
-/// Store/spawn IO failures or an invalid configuration; training faults
-/// and worker deaths degrade into flagged reports.
-pub fn run_stability_grid(
+/// A stability grid plan: every `tasks × devices × variants` cell of
+/// `replicas` replicas, each reported (a cell with failed replicas is
+/// flagged, not an error).
+pub fn grid(
     tasks: &[TaskSpec],
     devices: &[Device],
     variants: &[NoiseVariant],
-    settings: &ExperimentSettings,
-    store: &CheckpointStore,
-    fleet: Option<&FleetOptions>,
-) -> std::io::Result<StabilityGrid> {
-    let tasks: Vec<_> = tasks.iter().map(PreparedTask::prepare).collect();
-    let runs = run_grid(&tasks, devices, variants, settings, Some(store), fleet)?;
-    let reports = grid_cells(&tasks, devices, variants)
-        .zip(&runs)
-        .map(|((task, device, variant), runs)| stability_report(task, device, variant, runs))
-        .collect();
-    Ok(StabilityGrid { reports })
+    replicas: u32,
+) -> Plan<StabilityGrid> {
+    let tasks = tasks.iter().map(PreparedTask::prepare);
+    let cells = Cell::grid(tasks, devices, variants, replicas);
+    Plan::reports(cells).map(|reports| StabilityGrid { reports })
 }
 
 /// The paper's Table-2 grid: the three CIFAR tasks on P100/RTX5000/V100
 /// plus ResNet-50/ImageNet-sim on V100, under the three measured variants
-/// (see [`run_stability_grid`] for `store` and `fleet`).
-///
-/// # Errors
-///
-/// As [`run_stability_grid`].
-pub fn run_table2_grid(
-    settings: &ExperimentSettings,
-    store: &CheckpointStore,
-    fleet: Option<&FleetOptions>,
-) -> std::io::Result<StabilityGrid> {
-    let mut grid = run_stability_grid(
-        &TaskSpec::table2_tasks(),
+/// (as [`grid`]). It also feeds Figures 1, 4, 9 and 10.
+pub fn table2(settings: &ExperimentSettings) -> Plan<StabilityGrid> {
+    let tasks = TaskSpec::table2_tasks();
+    let mut cells = Cell::grid(
+        tasks.iter().map(PreparedTask::prepare),
         &Device::stability_gpus(),
         &NoiseVariant::MEASURED,
-        settings,
-        store,
-        fleet,
-    )?;
+        settings.replicas,
+    );
     // ImageNet-sim row (V100 only; the paper trains 5 replicas).
-    let imagenet = ExperimentSettings {
-        replicas: settings.replicas.min(5),
-        ..*settings
-    };
-    let extra = run_stability_grid(
-        &[TaskSpec::resnet50_imagenet()],
+    cells.extend(Cell::grid(
+        [PreparedTask::prepare(&TaskSpec::resnet50_imagenet())],
         &[Device::v100()],
         &NoiseVariant::MEASURED,
-        &imagenet,
-        store,
-        fleet,
-    )?;
-    grid.reports.extend(extra.reports);
-    Ok(grid)
+        settings.replicas.min(5),
+    ));
+    Plan::reports(cells).map(|reports| StabilityGrid { reports })
 }
 
 /// Renders the Table-2 text table from a grid.
@@ -144,29 +113,18 @@ pub fn render_fig_panel(grid: &StabilityGrid, device: &str, figure: &str) -> Str
     )
 }
 
-/// Figure 2: the batch-norm ablation of the small CNN on V100 (see
-/// [`run_stability_grid`] for `store` and `fleet`). The CI fleet job runs
-/// this under pinned hang+abort chaos and asserts bit-identity with the
-/// in-process golden run.
-///
-/// # Errors
-///
-/// As [`run_stability_grid`].
-pub fn fig2(
-    settings: &ExperimentSettings,
-    store: &CheckpointStore,
-    fleet: Option<&FleetOptions>,
-) -> std::io::Result<StabilityGrid> {
-    run_stability_grid(
+/// Figure 2: the batch-norm ablation of the small CNN on V100 (as
+/// [`grid`]). The CI chaos and fleet jobs run it under pinned faults and
+/// compare it with the in-process golden run.
+pub fn fig2(settings: &ExperimentSettings) -> Plan<StabilityGrid> {
+    grid(
         &[
             TaskSpec::small_cnn_cifar10(),
             TaskSpec::small_cnn_bn_cifar10(),
         ],
         &[Device::v100()],
         &NoiseVariant::MEASURED,
-        settings,
-        store,
-        fleet,
+        settings.replicas,
     )
 }
 
@@ -204,19 +162,37 @@ pub fn fig4_from_reports(grid: &StabilityGrid) -> Vec<Fig4Series> {
         .collect()
 }
 
+/// Renders the Figure-4 table from its series.
+pub fn render_fig4(series: &[Fig4Series]) -> String {
+    let rows: Vec<Vec<String>> = series
+        .iter()
+        .map(|s| {
+            vec![
+                s.task.clone(),
+                s.variant.label().to_string(),
+                format!("{:.4}", s.overall_std),
+                format!("{:.4}", s.max_class_std),
+                format!("{:.1}X", s.ratio),
+            ]
+        })
+        .collect();
+    render_table(
+        "Figure 4: per-class vs overall accuracy variance (V100)",
+        &[
+            "Task",
+            "Variant",
+            "stddev(acc)",
+            "max class stddev",
+            "ratio",
+        ],
+        &rows,
+    )
+}
+
 /// Figure 5: ResNet-18/CIFAR-100-sim across accelerator types, including
-/// Tensor Cores and the TPU (see [`run_stability_grid`] for `store` and
-/// `fleet`).
-///
-/// # Errors
-///
-/// As [`run_stability_grid`].
-pub fn fig5(
-    settings: &ExperimentSettings,
-    store: &CheckpointStore,
-    fleet: Option<&FleetOptions>,
-) -> std::io::Result<StabilityGrid> {
-    run_stability_grid(
+/// Tensor Cores and the TPU (as [`grid`]).
+pub fn fig5(settings: &ExperimentSettings) -> Plan<StabilityGrid> {
+    grid(
         &[TaskSpec::resnet18_cifar100()],
         &[
             Device::p100(),
@@ -226,9 +202,29 @@ pub fn fig5(
             Device::tpu_v2(),
         ],
         &NoiseVariant::MEASURED,
-        settings,
-        store,
-        fleet,
+        settings.replicas,
+    )
+}
+
+/// Renders the Figure-5 table from its grid.
+pub fn render_fig5(grid: &StabilityGrid) -> String {
+    let rows: Vec<Vec<String>> = grid
+        .reports
+        .iter()
+        .map(|r| {
+            vec![
+                r.device.clone(),
+                r.variant.label().to_string(),
+                format!("{:.3}", 100.0 * r.std_accuracy),
+                format!("{:.4}", r.churn),
+                format!("{:.4}", r.l2),
+            ]
+        })
+        .collect();
+    render_table(
+        "Figure 5: ResNet18/CIFAR-100-sim across accelerators",
+        &["Accelerator", "Variant", "stddev(acc) %", "churn", "l2"],
+        &rows,
     )
 }
 
@@ -237,7 +233,6 @@ pub fn fig5(
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use crate::resume::tests::Scratch;
     use crate::task::DataSource;
     use nsdata::GaussianSpec;
 
@@ -264,15 +259,13 @@ mod tests {
 
     #[test]
     fn grid_covers_all_cells() {
-        let scratch = Scratch::new("grid-cells");
-        let grid = run_stability_grid(
+        let grid = grid(
             &[tiny_task("A"), tiny_task("B")],
             &[Device::cpu()],
             &[NoiseVariant::Algo, NoiseVariant::Control],
-            &tiny_settings(),
-            &scratch.0,
-            None,
+            2,
         )
+        .run(&tiny_settings())
         .expect("grid runs");
         assert_eq!(grid.reports.len(), 4);
         assert!(grid.cell("A", "CPU", NoiseVariant::Algo).is_some());
@@ -282,15 +275,13 @@ mod tests {
 
     #[test]
     fn control_cells_have_zero_variance() {
-        let scratch = Scratch::new("grid-control");
-        let grid = run_stability_grid(
+        let grid = grid(
             &[tiny_task("A")],
             &[Device::v100()],
             &[NoiseVariant::Control],
-            &tiny_settings(),
-            &scratch.0,
-            None,
+            2,
         )
+        .run(&tiny_settings())
         .expect("grid runs");
         let r = &grid.reports[0];
         assert_eq!(r.std_accuracy, 0.0);
@@ -300,23 +291,23 @@ mod tests {
 
     #[test]
     fn renderers_produce_tables() {
-        let scratch = Scratch::new("grid-render");
-        let grid = run_stability_grid(
+        let grid = grid(
             &[tiny_task("A")],
             &[Device::v100()],
             &[NoiseVariant::Algo],
-            &tiny_settings(),
-            &scratch.0,
-            None,
+            2,
         )
+        .run(&tiny_settings())
         .expect("grid runs");
         let t2 = render_table2(&grid);
         assert!(t2.contains("Table 2"));
         assert!(t2.contains("V100"));
         let panel = render_fig_panel(&grid, "V100", "Figure 1");
         assert!(panel.contains("stddev(acc)"));
+        assert!(render_fig5(&grid).contains("Figure 5"));
         let fig4 = fig4_from_reports(&grid);
         assert_eq!(fig4.len(), 1);
         assert!(fig4[0].max_class_std >= 0.0);
+        assert!(render_fig4(&fig4).contains("ratio"));
     }
 }

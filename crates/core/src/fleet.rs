@@ -57,7 +57,7 @@
 //! line resets the watchdog, so garbage on the pipe is not liveness.
 
 use crate::resume::{self, bad, CheckpointStore};
-use crate::runner::{run_cell, train_attempt, AttemptOutcome, PreparedTask, VariantRuns};
+use crate::runner::{run_cell, train_attempt, AttemptOutcome, Cell, PreparedTask, VariantRuns};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
@@ -431,17 +431,16 @@ fn classify_signal(_status: &std::process::ExitStatus) -> AttemptOutcome {
 }
 
 /// The attempt body of [`crate::runner::run_grid`] with a fleet: each
-/// attempt runs in its own worker process (after a deterministic backoff
-/// on retries) and resumes from the store cell `dir`'s checkpoint.
+/// attempt of a replica of `cell` runs in its own worker process (after a
+/// deterministic backoff on retries) and resumes from the store cell
+/// `dir`'s checkpoint.
 ///
 /// # Errors
 ///
 /// [`io::ErrorKind::InvalidInput`] for a non-UTF-8 store path; the IO
 /// error of resolving the current executable.
 pub(crate) fn process_attempt<'a>(
-    prepared: &'a PreparedTask,
-    device: &'a Device,
-    variant: NoiseVariant,
+    cell: &'a Cell,
     settings: &'a ExperimentSettings,
     dir: &'a Path,
     opts: &'a FleetOptions,
@@ -461,9 +460,9 @@ pub(crate) fn process_attempt<'a>(
             std::thread::sleep(Duration::from_millis(backoff_ms(attempt)));
         }
         let spec = ReplicaSpec {
-            task: prepared.spec.clone(),
-            device: *device,
-            variant,
+            task: cell.task.spec.clone(),
+            device: cell.device,
+            variant: cell.variant,
             settings: *settings,
             replica,
             attempt,

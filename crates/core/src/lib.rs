@@ -26,8 +26,9 @@
 //! - [`report`] — stability reports (accuracy stddev, churn, normalized
 //!   L2) and text-table rendering;
 //! - [`experiments`] — one entry point per table/figure of the paper
-//!   (Table 2, Table 3/5, Figures 1-10), each returning a serializable
-//!   result structure.
+//!   (Table 2, Table 3/5, Figures 1-10); a training experiment is a plan
+//!   of the cells it trains and a read step that turns their runs into a
+//!   serializable result structure.
 //!
 //! # Example
 //!
@@ -62,8 +63,8 @@ pub mod prelude {
     pub use crate::report::{render_table, save_json, stability_report, StabilityReport};
     pub use crate::resume::CheckpointStore;
     pub use crate::runner::{
-        run_cell, run_grid, run_replica, run_replica_with, run_variant, Preds, PredsKindError,
-        PreparedData, PreparedTask, ReplicaResult, ReplicaStatus, VariantRuns,
+        run_cell, run_grid, run_replica, run_replica_with, run_variant, Cell, Preds,
+        PredsKindError, PreparedData, PreparedTask, ReplicaResult, ReplicaStatus, VariantRuns,
     };
     pub use crate::settings::ExperimentSettings;
     pub use crate::settings::SettingsError;

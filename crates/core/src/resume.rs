@@ -114,18 +114,23 @@ impl CheckpointStore {
     /// The directory holding one cell's progress (see the module docs for
     /// the layout and the key).
     pub fn cell_dir(&self, task: &TaskSpec, device: &Device, variant: NoiseVariant) -> PathBuf {
-        // 64-bit FNV-1a: stable across builds and platforms.
-        let key = serde_json::to_string(&(task, device, variant))
-            .expect("plain data always serializes")
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            });
-        self.root
-            .join(path_component(&task.name))
-            .join(path_component(device.name()))
-            .join(format!("{}-{key:016x}", path_component(variant.label())))
+        self.root.join(cell_path(task, device, variant))
     }
+}
+
+/// A cell's directory relative to the store root: the identity of a cell,
+/// which [`crate::runner::run_grid`] also queues each distinct cell by.
+pub(crate) fn cell_path(task: &TaskSpec, device: &Device, variant: NoiseVariant) -> PathBuf {
+    // 64-bit FNV-1a: stable across builds and platforms.
+    let key = serde_json::to_string(&(task, device, variant))
+        .expect("plain data always serializes")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+    Path::new(&path_component(&task.name))
+        .join(path_component(device.name()))
+        .join(format!("{}-{key:016x}", path_component(variant.label())))
 }
 
 /// Encodes a [`ReplicaResult`] with byte-exact floats (`f32::to_bits` /
@@ -281,7 +286,7 @@ pub(crate) fn write_manifest(
 #[allow(clippy::float_cmp)]
 pub(crate) mod tests {
     use super::*;
-    use crate::runner::{run_cell, run_grid, run_replica_with, run_variant, PreparedTask};
+    use crate::runner::{run_cell, run_grid, run_replica_with, run_variant, Cell, PreparedTask};
     use crate::task::{DataSource, TaskSpec};
     use nnet::trainer::FitOptions;
     use nsdata::GaussianSpec;
@@ -491,8 +496,8 @@ pub(crate) mod tests {
         run_cell(&prepared, &device, variants[0], &settings, store, None).expect("complete cell");
         run_cell(&prepared, &device, variants[1], &one, store, None).expect("r0 of a cell");
 
-        let tasks = std::slice::from_ref(&prepared);
-        let grid = run_grid(tasks, &[device], &variants, &settings, store, None).expect("grid");
+        let cells = Cell::grid([prepared.clone()], &[device], &variants, settings.replicas);
+        let grid = run_grid(&cells, &settings, store, None).expect("grid");
         assert_eq!(grid.len(), variants.len());
         for (runs, variant) in grid.iter().zip(variants) {
             let reference = run_variant(&prepared, &device, variant, &settings);

@@ -2,13 +2,14 @@
 //! collect everything the stability metrics need.
 //!
 //! Every experiment reaches its replicas through one grid driver,
-//! [`run_grid`]: one store harvest per cell, one queue of every pending
-//! replica of every cell, one thread pool that drains it, and one
-//! supervised attempt loop per replica. A [`CheckpointStore`] makes the
-//! grid durable and resumable; [`FleetOptions`] on top of it runs each
-//! attempt in a worker process instead of in process. Both run the same
-//! attempt body, which writes the replica's checkpoints and result into
-//! the store cell; the supervisor writes only statuses and manifests.
+//! [`run_grid`], over a list of [`Cell`]s: one store harvest per distinct
+//! cell, one queue of every pending replica of every cell, one thread pool
+//! that drains it, and one supervised attempt loop per replica; `repro`
+//! calls it once. A [`CheckpointStore`] makes the grid durable and
+//! resumable; [`FleetOptions`] on top of it runs each attempt in a worker
+//! process instead of in process. Both run the same attempt body, which
+//! writes the replica's checkpoints and result into the store cell; the
+//! supervisor writes only statuses and manifests.
 //! [`run_cell`] is a one-cell grid, and [`run_variant`] and
 //! [`crate::fleet::run_variant_fleet`] are one-line wrappers over it.
 
@@ -28,10 +29,11 @@ use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A task with its dataset materialized (generation happens once; the
-/// dataset is a fixed artifact shared by every replica, like CIFAR on
-/// disk).
+/// dataset is a fixed artifact shared by every replica and every clone of
+/// the task, like CIFAR on disk).
 #[derive(Debug, Clone)]
 pub struct PreparedTask {
     /// The task specification.
@@ -44,17 +46,17 @@ pub struct PreparedTask {
 #[derive(Debug, Clone)]
 pub enum PreparedData {
     /// Gaussian-cluster classification splits.
-    Gaussian(Box<SplitDataset>),
+    Gaussian(Arc<SplitDataset>),
     /// The CelebA stand-in (with subgroup metadata).
-    Celeba(Box<CelebaData>),
+    Celeba(Arc<CelebaData>),
 }
 
 impl PreparedTask {
     /// Generates the task's dataset.
     pub fn prepare(spec: &TaskSpec) -> Self {
         let data = match spec.data {
-            DataSource::Gaussian(g) => PreparedData::Gaussian(Box::new(g.generate())),
-            DataSource::Celeba(c) => PreparedData::Celeba(Box::new(c.generate())),
+            DataSource::Gaussian(g) => PreparedData::Gaussian(Arc::new(g.generate())),
+            DataSource::Celeba(c) => PreparedData::Celeba(Arc::new(c.generate())),
         };
         Self {
             spec: spec.clone(),
@@ -84,6 +86,47 @@ impl PreparedTask {
             PreparedData::Gaussian(s) => s.classes,
             PreparedData::Celeba(_) => 1,
         }
+    }
+}
+
+/// One cell of a grid: replicas `0..replicas` of a prepared task trained
+/// on a device under a variant.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The task.
+    pub(crate) task: PreparedTask,
+    /// The device.
+    pub(crate) device: Device,
+    /// The noise variant.
+    pub(crate) variant: NoiseVariant,
+    /// How many replicas to train.
+    pub(crate) replicas: u32,
+}
+
+impl Cell {
+    /// The cells of a `tasks × devices × variants` grid, task-major, then
+    /// device, then variant, each of `replicas` replicas.
+    pub fn grid(
+        tasks: impl IntoIterator<Item = PreparedTask>,
+        devices: &[Device],
+        variants: &[NoiseVariant],
+        replicas: u32,
+    ) -> Vec<Cell> {
+        let mut cells = Vec::new();
+        for task in tasks {
+            for &device in devices {
+                for &variant in variants {
+                    let task = task.clone();
+                    cells.push(Cell {
+                        task,
+                        device,
+                        variant,
+                        replicas,
+                    });
+                }
+            }
+        }
+        cells
     }
 }
 
@@ -481,17 +524,14 @@ pub(crate) fn train_attempt(
 /// The in-process attempt body: `catch_unwind` around [`train_attempt`],
 /// so a kernel panic costs the replica a retry, not the process.
 fn in_process_attempt<'a>(
-    prepared: &'a PreparedTask,
-    device: &'a Device,
-    variant: NoiseVariant,
+    cell: &'a Cell,
     settings: &'a ExperimentSettings,
     dir: Option<&'a Path>,
 ) -> impl Fn(u32, u32) -> io::Result<AttemptOutcome> + Sync + 'a {
     move |replica, attempt| {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            train_attempt(
-                prepared, device, variant, settings, dir, replica, attempt, None,
-            )
+            let (task, device, variant) = (&cell.task, &cell.device, cell.variant);
+            train_attempt(task, device, variant, settings, dir, replica, attempt, None)
         }));
         Ok(match outcome {
             Ok(Ok(Ok(result))) => AttemptOutcome::Clean(Box::new(result)),
@@ -545,20 +585,6 @@ type Outcome = (Option<ReplicaResult>, ReplicaStatus);
 /// One attempt body, called as `attempt(replica, attempt)`.
 type Attempt<'a> = Box<dyn Fn(u32, u32) -> io::Result<AttemptOutcome> + Sync + 'a>;
 
-/// The cells of a `tasks × devices × variants` grid in [`run_grid`]'s
-/// order: task-major, then device, then variant.
-pub(crate) fn grid_cells<'a>(
-    tasks: &'a [PreparedTask],
-    devices: &'a [Device],
-    variants: &'a [NoiseVariant],
-) -> impl Iterator<Item = (&'a PreparedTask, &'a Device, NoiseVariant)> + 'a {
-    tasks.iter().flat_map(move |task| {
-        devices
-            .iter()
-            .flat_map(move |device| variants.iter().map(move |&v| (task, device, v)))
-    })
-}
-
 /// Loads the completed replicas of the store cell `dir`, creating the
 /// cell; a `None` slot is a replica still to run.
 fn harvest(dir: Option<&Path>, replicas: u32) -> io::Result<Vec<Option<Outcome>>> {
@@ -583,23 +609,27 @@ fn harvest(dir: Option<&Path>, replicas: u32) -> io::Result<Vec<Option<Outcome>>
     Ok(slots)
 }
 
-/// Trains every replica of every (task, device, variant) cell of a grid
-/// under supervision: the one replica queue every experiment runs on.
+/// Trains every replica of every cell of a grid under supervision: the
+/// one replica queue every experiment runs on.
 ///
-/// Every task is validated before any IO. With a `store`, each cell's
-/// completed replicas are loaded from its directory instead of re-trained,
-/// in-flight replicas checkpoint every epoch and resume from their newest
-/// checkpoint, and every completion is persisted as it lands. All pending
-/// `(cell, replica)` pairs go on one queue in cell order, drained by one
-/// pool: host-parallelism threads in process, or `procs` threads each
-/// blocking on a worker process with a `fleet` (see [`crate::fleet`]). A
-/// panic or training failure costs a replica a retry (up to
+/// Every task is validated before any IO. A cell asked for more than once
+/// is queued once, keyed by its store directory
+/// ([`CheckpointStore::cell_dir`]) whether or not there is a store, with
+/// the largest replica count asked for; each asker gets its own replicas'
+/// runs. With a `store`, each cell's completed replicas are loaded from
+/// its directory instead of re-trained, in-flight replicas checkpoint
+/// every epoch and resume from their newest checkpoint, and every
+/// completion is persisted as it lands. All pending `(cell, replica)`
+/// pairs go on one queue in cell order, drained by one pool:
+/// host-parallelism threads in process, or `procs` threads each blocking
+/// on a worker process with a `fleet` (see [`crate::fleet`]). A panic or
+/// training failure costs a replica a retry (up to
 /// `settings.retry_budget`), never the grid; a replica whose budget is
 /// exhausted is recorded as failed in [`VariantRuns::statuses`] and is
 /// absent from `results`. Once the queue drains, each cell's manifest is
 /// written. Every combination produces the same bits: each replica
-/// derives its seeds and entropy from its index. Cells come back
-/// task-major, then device, then variant.
+/// derives its seeds and entropy from its index. The runs come back in
+/// `cells` order.
 ///
 /// # Errors
 ///
@@ -609,40 +639,53 @@ fn harvest(dir: Option<&Path>, replicas: u32) -> io::Result<Vec<Option<Outcome>>
 /// IO failures. Training faults and worker deaths degrade into
 /// [`ReplicaStatus`] entries.
 pub fn run_grid(
-    tasks: &[PreparedTask],
-    devices: &[Device],
-    variants: &[NoiseVariant],
+    cells: &[Cell],
     settings: &ExperimentSettings,
     store: Option<&CheckpointStore>,
     fleet: Option<&FleetOptions>,
 ) -> io::Result<Vec<VariantRuns>> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
-    tasks
+    cells
         .iter()
-        .try_for_each(|task| settings.validate_for(&task.spec))
+        .try_for_each(|cell| settings.validate_for(&cell.task.spec))
         .map_err(|e| invalid(e.to_string()))?;
     if fleet.is_some() && store.is_none() {
         let msg = "a fleet needs a checkpoint store: workers checkpoint into its cells";
         return Err(invalid(msg.into()));
     }
-    let cells: Vec<_> = grid_cells(tasks, devices, variants).collect();
-    let dirs: Vec<Option<PathBuf>> = cells
+    // The distinct cells in first-asked order, each with its key and the
+    // most replicas asked of it, and the distinct cell of each asker.
+    let mut distinct: Vec<(&Cell, PathBuf, u32)> = Vec::new();
+    let asked: Vec<usize> = cells
         .iter()
-        .map(|&(task, device, variant)| store.map(|s| s.cell_dir(&task.spec, device, variant)))
+        .map(|cell| {
+            let key = resume::cell_path(&cell.task.spec, &cell.device, cell.variant);
+            let d = match distinct.iter().position(|(_, k, _)| *k == key) {
+                Some(d) => d,
+                None => {
+                    distinct.push((cell, key, 0));
+                    distinct.len() - 1
+                }
+            };
+            distinct[d].2 = distinct[d].2.max(cell.replicas);
+            d
+        })
+        .collect();
+    let dirs: Vec<_> = distinct
+        .iter()
+        .map(|(_, key, _)| store.map(|s| s.root().join(key)))
         .collect();
     let (mut attempts, mut slots) = (Vec::<Attempt>::new(), Vec::new());
-    for (&(prepared, device, variant), dir) in cells.iter().zip(&dirs) {
+    for (&(cell, _, replicas), dir) in distinct.iter().zip(&dirs) {
         let dir = dir.as_deref();
         attempts.push(match (fleet, dir) {
-            (Some(opts), Some(dir)) => Box::new(process_attempt(
-                prepared, device, variant, settings, dir, opts,
-            )?),
-            _ => Box::new(in_process_attempt(prepared, device, variant, settings, dir)),
+            (Some(opts), Some(dir)) => Box::new(process_attempt(cell, settings, dir, opts)?),
+            _ => Box::new(in_process_attempt(cell, settings, dir)),
         });
-        slots.push(harvest(dir, settings.replicas)?);
+        slots.push(harvest(dir, replicas)?);
     }
-    let pending: Vec<(usize, u32)> = (0..cells.len())
-        .flat_map(|c| (0..settings.replicas).map(move |r| (c, r)))
+    let pending: Vec<(usize, u32)> = (0..distinct.len())
+        .flat_map(|c| (0..distinct[c].2).map(move |r| (c, r)))
         .filter(|&(c, r)| slots[c][r as usize].is_none())
         .collect();
     let workers = match fleet.map_or(0, |opts| opts.procs) {
@@ -673,9 +716,9 @@ pub fn run_grid(
     for (c, r, out) in supervised {
         slots[c][r as usize] = Some(out?);
     }
-    let finished = cells.iter().zip(&dirs).zip(slots);
-    finished
-        .map(|((&(task, device, variant), dir), slots)| {
+    let finished = distinct.iter().zip(&dirs).zip(slots);
+    let runs = finished
+        .map(|((&(cell, _, _), dir), slots)| {
             let (mut results, mut statuses) = (Vec::new(), Vec::new());
             for slot in slots {
                 let (result, status) = slot.expect("every replica is harvested or supervised");
@@ -683,18 +726,28 @@ pub fn run_grid(
                 statuses.push(status);
             }
             if let Some(dir) = dir {
-                resume::write_manifest(dir, &task.spec.name, device.name(), variant, &statuses)?;
+                let (task, device) = (&cell.task.spec.name, cell.device.name());
+                resume::write_manifest(dir, task, device, cell.variant, &statuses)?;
             }
             Ok(VariantRuns {
-                variant,
+                variant: cell.variant,
                 results,
                 statuses,
             })
         })
-        .collect()
+        .collect::<io::Result<Vec<_>>>()?;
+    // Each asker gets the runs of its own replicas.
+    let own = |(cell, d): (&Cell, usize)| {
+        let mut runs = runs[d].clone();
+        runs.statuses.truncate(cell.replicas as usize);
+        runs.results.retain(|r| r.replica < cell.replicas);
+        runs
+    };
+    Ok(cells.iter().zip(asked).map(own).collect())
 }
 
-/// [`run_grid`] over the one cell `(prepared, device, variant)`.
+/// [`run_grid`] over the one cell `(prepared, device, variant)` of
+/// `settings.replicas` replicas.
 ///
 /// # Errors
 ///
@@ -707,9 +760,10 @@ pub fn run_cell(
     store: Option<&CheckpointStore>,
     fleet: Option<&FleetOptions>,
 ) -> io::Result<VariantRuns> {
-    let (tasks, devices) = (std::slice::from_ref(prepared), std::slice::from_ref(device));
-    let mut cells = run_grid(tasks, devices, &[variant], settings, store, fleet)?;
-    Ok(cells.pop().expect("a one-cell grid yields one cell"))
+    let tasks = [prepared.clone()];
+    let cells = Cell::grid(tasks, &[*device], &[variant], settings.replicas);
+    let mut runs = run_grid(&cells, settings, store, fleet)?;
+    Ok(runs.pop().expect("a one-cell grid yields one cell"))
 }
 
 /// [`run_cell`] in process with no store.

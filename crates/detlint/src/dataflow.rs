@@ -10,9 +10,9 @@
 //! * **`Unordered`** — the value's element order is arbitrary. Sources:
 //!   `HashMap`/`HashSet` iteration, rayon-style `par_iter` combinators,
 //!   channel `try_iter`/`try_recv`, `select!`. Cleared by the sanctioned
-//!   ordered sinks (`sum_ordered_f64/f32`, `sum_compensated_f64`,
-//!   `Reducer::plan_dots`), by collection into an ordered container
-//!   (`BTreeMap`/`BTreeSet`), or by an explicit sort.
+//!   ordered sinks (`sum_ordered_f64/f32`, `Reducer::plan_dots`), by
+//!   collection into an ordered container (`BTreeMap`/`BTreeSet`), or by
+//!   an explicit sort.
 //! * **`Entropy`** — the value came from a *sequential* RNG draw, so it
 //!   depends on the RNG cursor position. Sources: `next_u32`-family
 //!   draws, `draw`, `sample`, ambient `thread_rng`/`from_entropy`.
@@ -68,7 +68,6 @@ const AMBIENT_ENTROPY: &[&str] = &["thread_rng", "from_entropy", "OsRng", "getra
 const UNORDERED_SANITIZERS: &[&str] = &[
     "sum_ordered_f64",
     "sum_ordered_f32",
-    "sum_compensated_f64",
     "plan_dots",
     "BTreeMap",
     "BTreeSet",

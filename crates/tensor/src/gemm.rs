@@ -360,43 +360,18 @@ fn run_band(
         // A single lane *is* one left-to-right chain: the lane fill puts
         // every element in lane 0 in increasing-k order and the combine
         // reads it back, so the fast sequential kernel computes the same
-        // bits. Permuted adds only the per-output amplification scale
-        // (its draws are 0 when lanes == 1). FixedTree with at least as
-        // many lanes as k is one chain too (module docs, "Lanes ≥ k").
+        // bits. FixedTree with at least as many lanes as k is one chain
+        // too (module docs, "Lanes ≥ k"). A Permuted plan has one lane
+        // only when k = 1 (every Permuted device has at least 8); it takes
+        // the general path, whose swap and rotation draws are then all 0.
         ReduceOrder::FixedTree if plan.lanes == 1 || plan.lanes >= k => {
             band_sequential(a, packed, n, k, row0, rows, band)
-        }
-        ReduceOrder::Permuted if plan.lanes == 1 => {
-            band_sequential(a, packed, n, k, row0, rows, band);
-            if plan.amplified {
-                scale_band(plan, m, n, row0, band);
-            }
         }
         ReduceOrder::FixedTree => band_fixed_tree(a, packed, plan.lanes, n, k, row0, rows, band),
         ReduceOrder::Permuted if plan.amplified => {
             band_permuted::<true>(a, packed, plan, m, n, k, row0, band)
         }
         ReduceOrder::Permuted => band_permuted::<false>(a, packed, plan, m, n, k, row0, band),
-    }
-}
-
-/// Applies the amplification multipliers of a single-lane Permuted band,
-/// derived a tile at a time as [`band_permuted`] derives its specs.
-fn scale_band(plan: &DotPlan, m: usize, n: usize, row0: usize, band: &mut [f32]) {
-    let rows = band.len() / n;
-    for col0 in (0..n).step_by(NR) {
-        let cols = plan.column_counters(m, n, col0);
-        let width = NR.min(n - col0);
-        for i in (0..rows).step_by(MR) {
-            let counters = core::array::from_fn(|r| plan.row_counter(m, n, row0 + i + r));
-            let specs = plan.tile_specs::<false, true>(&counters, &cols);
-            for (r, scale) in specs.scale.iter().enumerate().take(rows - i) {
-                let orow = &mut band[(i + r) * n + col0..(i + r) * n + col0 + width];
-                for (o, &s) in orow.iter_mut().zip(scale) {
-                    *o *= s;
-                }
-            }
-        }
     }
 }
 
@@ -617,7 +592,7 @@ fn band_permuted<const AMP: bool>(
             let rm = MR.min(rows - i);
             let arows = tile_rows(a, k, row0 + i, rm);
             let row_counters = core::array::from_fn(|r| plan.row_counter(m, n, row0 + i + r));
-            let specs = plan.tile_specs::<true, AMP>(&row_counters, &col_counters);
+            let specs = plan.tile_specs::<AMP>(&row_counters, &col_counters);
             let head = carry.get(i / MR * l..(i / MR + 1) * l).unwrap_or(&[]);
             for_each_lane_partial(&arows, panel, l, k, k0, head, |dl, lane| {
                 for (buf, partial) in bufs.iter_mut().zip(lane) {

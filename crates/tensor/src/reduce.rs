@@ -466,17 +466,13 @@ impl DotPlan {
     /// Derives the combine specs of the `MR × NR` tile whose rows start
     /// at the counters `rows` and whose columns sit at the offsets `cols`:
     /// output `(r, j)`'s draw `d` mixes `rows[r] + cols[j] + d·γ`, the
-    /// counter [`SplitMix64::peek`] mixes for it. The lane and
-    /// amplification branches are the const parameters; the derivation
+    /// counter [`SplitMix64::peek`] mixes for it. The amplification
+    /// branch is the const parameter; the derivation
     /// itself is [`crate::tile`]'s.
     #[inline(always)]
-    pub fn tile_specs<const SWAPS: bool, const AMP: bool>(
-        &self,
-        rows: &[u64; MR],
-        cols: &[u64; NR],
-    ) -> TileSpecs {
+    pub fn tile_specs<const AMP: bool>(&self, rows: &[u64; MR], cols: &[u64; NR]) -> TileSpecs {
         let last = (self.per.wrapping_sub(1)).wrapping_mul(GAMMA);
-        tile::derive_specs::<SWAPS, AMP>(self.lanes, last, self.amp_ulps, rows, cols)
+        tile::derive_specs::<AMP>(self.lanes, last, self.amp_ulps, rows, cols)
     }
 }
 
@@ -539,26 +535,6 @@ pub fn sum_ordered_f32(xs: impl IntoIterator<Item = f32>) -> f32 {
     xs.into_iter().fold(0.0, |acc, x| acc + x)
 }
 
-/// Neumaier-compensated fixed-order `f64` summation.
-///
-/// Still order-fixed and deterministic, but with an error bound independent
-/// of length — use it when aggregating across many replicas where naive
-/// accumulation error would rival the run-to-run deviations being measured.
-pub fn sum_compensated_f64(xs: impl IntoIterator<Item = f64>) -> f64 {
-    let mut sum = 0.0f64;
-    let mut comp = 0.0f64;
-    for x in xs {
-        let t = sum + x;
-        comp += if sum.abs() >= x.abs() {
-            (sum - t) + x
-        } else {
-            (x - t) + sum
-        };
-        sum = t;
-    }
-    sum + comp
-}
-
 #[cfg(test)]
 // Tests assert exact float values: bit-identical replay is the property under test.
 #[allow(clippy::float_cmp)]
@@ -602,11 +578,10 @@ mod tests {
     /// [`DotPlan::tile_specs`] with the const parameters the engine
     /// picks for `plan`.
     fn derive_tile(plan: &DotPlan, rows: &[u64; MR], cols: &[u64; NR]) -> TileSpecs {
-        match (plan.lanes > 1, plan.amplified) {
-            (true, true) => plan.tile_specs::<true, true>(rows, cols),
-            (true, false) => plan.tile_specs::<true, false>(rows, cols),
-            (false, true) => plan.tile_specs::<false, true>(rows, cols),
-            (false, false) => plan.tile_specs::<false, false>(rows, cols),
+        if plan.amplified {
+            plan.tile_specs::<true>(rows, cols)
+        } else {
+            plan.tile_specs::<false>(rows, cols)
         }
     }
 
@@ -895,13 +870,5 @@ mod tests {
             sum_ordered_f32(ys.iter().copied()).to_bits(),
             ys.iter().sum::<f32>().to_bits()
         );
-    }
-
-    #[test]
-    fn compensated_sum_survives_cancellation() {
-        let xs = [1e16, 1.0, -1e16];
-        assert_eq!(sum_compensated_f64(xs.iter().copied()), 1.0);
-        // Naive order loses the 1.0 entirely.
-        assert_eq!(sum_ordered_f64(xs.iter().copied()), 0.0);
     }
 }

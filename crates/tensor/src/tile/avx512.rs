@@ -52,7 +52,7 @@ pub(crate) fn add_where(s: &mut [f32; NR], row: &[f32; NR], take: u16) {
 
 /// 512-bit `portable::derive_specs`.
 #[inline(always)]
-pub(crate) fn derive_specs<const SWAPS: bool, const AMP: bool>(
+pub(crate) fn derive_specs<const AMP: bool>(
     lanes: usize,
     last: u64,
     amp_ulps: f32,
@@ -62,7 +62,7 @@ pub(crate) fn derive_specs<const SWAPS: bool, const AMP: bool>(
     // SAFETY: this module is compiled only when the build's target has
     // avx512f and avx512dq (the `cfg_select!` in `tile.rs`), so the CPU
     // running it has both.
-    unsafe { derive_specs_512::<SWAPS, AMP>(lanes, last, amp_ulps, rows, cols) }
+    unsafe { derive_specs_512::<AMP>(lanes, last, amp_ulps, rows, cols) }
 }
 
 /// 512-bit `portable::masked_passes`.
@@ -153,7 +153,7 @@ fn mul_add(a: __m512, b: __m512, mut s: __m512) -> __m512 {
 
 #[target_feature(enable = "avx512f,avx512dq")]
 #[inline]
-fn derive_specs_512<const SWAPS: bool, const AMP: bool>(
+fn derive_specs_512<const AMP: bool>(
     lanes: usize,
     last: u64,
     amp_ulps: f32,
@@ -167,11 +167,9 @@ fn derive_specs_512<const SWAPS: bool, const AMP: bool>(
     for (r, &row) in rows.iter().enumerate() {
         let row = _mm512_set1_epi64(row as i64);
         let c = [_mm512_add_epi64(row, cols[0]), _mm512_add_epi64(row, cols[1])];
-        if SWAPS {
-            store_u32x16(&mut t.j1[r], below(draw(c, 0), lanes));
-            store_u32x16(&mut t.j2[r], below(draw(c, GAMMA), lanes));
-            store_u32x16(&mut t.rot[r], below(draw(c, GAMMA.wrapping_mul(2)), lanes));
-        }
+        store_u32x16(&mut t.j1[r], below(draw(c, 0), lanes));
+        store_u32x16(&mut t.j2[r], below(draw(c, GAMMA), lanes));
+        store_u32x16(&mut t.rot[r], below(draw(c, GAMMA.wrapping_mul(2)), lanes));
         if AMP {
             store_f32x16(&mut t.scale[r], amp_scale(draw(c, last), amp_ulps));
         }
@@ -371,16 +369,16 @@ mod tests {
         assert_eq!(bits(fast), bits(oracle), "{what}: scale");
     }
 
-    fn specs_both<const SWAPS: bool, const AMP: bool>(
+    fn specs_both<const AMP: bool>(
         lanes: usize,
         last: u64,
         amp: f32,
         rows: &[u64; MR],
         cols: &[u64; NR],
     ) {
-        let fast = derive_specs::<SWAPS, AMP>(lanes, last, amp, rows, cols);
-        let oracle = portable::derive_specs::<SWAPS, AMP>(lanes, last, amp, rows, cols);
-        let what = format!("<{SWAPS}, {AMP}> lanes {lanes} amp {amp} rows {rows:x?}");
+        let fast = derive_specs::<AMP>(lanes, last, amp, rows, cols);
+        let oracle = portable::derive_specs::<AMP>(lanes, last, amp, rows, cols);
+        let what = format!("<{AMP}> lanes {lanes} amp {amp} rows {rows:x?}");
         assert_specs_eq(&fast, &oracle, &what);
     }
 
@@ -392,13 +390,10 @@ mod tests {
                 for _ in 0..64 {
                     let rows = core::array::from_fn(|_| g.next_u64());
                     let cols = core::array::from_fn(|_| g.next_u64());
-                    // The amplification draw is the fourth with swaps and
-                    // the only one without.
-                    let (four, one) = (GAMMA.wrapping_mul(3), 0);
-                    specs_both::<true, true>(lanes, four, amp, &rows, &cols);
-                    specs_both::<true, false>(lanes, four, amp, &rows, &cols);
-                    specs_both::<false, true>(lanes, one, amp, &rows, &cols);
-                    specs_both::<false, false>(lanes, one, amp, &rows, &cols);
+                    // The amplification draw is the fourth.
+                    let four = GAMMA.wrapping_mul(3);
+                    specs_both::<true>(lanes, four, amp, &rows, &cols);
+                    specs_both::<false>(lanes, four, amp, &rows, &cols);
                 }
             }
         }

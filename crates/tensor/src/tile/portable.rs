@@ -105,11 +105,11 @@ fn panel_row(panel: &[f32], kk: usize) -> &[f32; NR] {
 /// counters `rows` and whose columns sit at the offsets `cols` (see
 /// [`crate::reduce::DotPlan::tile_specs`]): output `(r, j)`'s draw `d`
 /// mixes `rows[r] + cols[j] + d·γ`, and its amplification draw mixes
-/// `rows[r] + cols[j] + last`. Only the mixer multiplies; the lane and
-/// amplification branches are the const parameters, so the loops
-/// vectorize across the tile.
+/// `rows[r] + cols[j] + last`. Only the mixer multiplies; the
+/// amplification branch is the const parameter, so the loops vectorize
+/// across the tile.
 #[inline(always)]
-pub(crate) fn derive_specs<const SWAPS: bool, const AMP: bool>(
+pub(crate) fn derive_specs<const AMP: bool>(
     lanes: usize,
     last: u64,
     amp_ulps: f32,
@@ -122,11 +122,9 @@ pub(crate) fn derive_specs<const SWAPS: bool, const AMP: bool>(
     for r in 0..MR {
         for j in 0..NR {
             let c = rows[r].wrapping_add(cols[j]);
-            if SWAPS {
-                t.j1[r][j] = below(SplitMix64::mix(c), lanes);
-                t.j2[r][j] = below(SplitMix64::mix(c.wrapping_add(GAMMA)), lanes);
-                t.rot[r][j] = below(SplitMix64::mix(c.wrapping_add(GAMMA.wrapping_mul(2))), lanes);
-            }
+            t.j1[r][j] = below(SplitMix64::mix(c), lanes);
+            t.j2[r][j] = below(SplitMix64::mix(c.wrapping_add(GAMMA)), lanes);
+            t.rot[r][j] = below(SplitMix64::mix(c.wrapping_add(GAMMA.wrapping_mul(2))), lanes);
             if AMP {
                 t.scale[r][j] = amp_scale(SplitMix64::mix(c.wrapping_add(last)), amp_ulps);
             }

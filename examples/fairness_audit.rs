@@ -33,7 +33,9 @@ fn main() {
         "Training {} replicas per noise variant on V100...\n",
         settings.replicas
     );
-    let tables = fairness::fig3_table5(&settings, None, None).expect("the CelebA cells train");
+    let tables = fairness::fig3_table5(&settings)
+        .run(&settings)
+        .expect("the CelebA cells train");
     println!("{}", fairness::render_table5(&tables));
 
     for t in &tables {

@@ -57,7 +57,9 @@ fn main() {
         epochs_scale: 0.5,
         ..settings
     };
-    let points = ordering::fig6(&quick, None, None).expect("the demo's fig6 replicas train");
+    let points = ordering::fig6(&quick)
+        .run(&quick)
+        .expect("the demo's fig6 replicas train");
     println!("{}", ordering::render_fig6(&points));
     println!(
         "A different shuffle changes the floating-point accumulation order of the\n\

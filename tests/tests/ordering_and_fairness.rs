@@ -67,7 +67,9 @@ fn celeba_pipeline_produces_complete_table5() {
         epochs_scale: 0.34, // 2 epochs
         ..ExperimentSettings::default()
     };
-    let tables = fairness::fig3_table5(&settings, None, None).expect("the CelebA cells train");
+    let tables = fairness::fig3_table5(&settings)
+        .run(&settings)
+        .expect("the CelebA cells train");
     assert_eq!(tables.len(), 3, "one table per measured variant");
     for t in &tables {
         assert_eq!(t.rows.len(), 5);
