@@ -215,37 +215,28 @@ mod tests {
         }
 
         // One directory per distinct cell, and the shared one holds one
-        // result per replica.
+        // result per replica and nothing else.
         let mut stored = Vec::new();
         files(scratch.0.root(), &mut stored);
-        let manifests = stored.iter().filter(|(p, _)| p.ends_with("manifest.txt"));
-        assert_eq!(manifests.count(), 3, "{stored:?}");
+        let mut cells: Vec<_> = stored.iter().filter_map(|(p, _)| p.parent()).collect();
+        cells.sort();
+        cells.dedup();
+        assert_eq!(cells.len(), 3, "{stored:?}");
         let shared = scratch.0.cell_dir(&tiny_task("A"), &v100, imp);
         let mut names: Vec<_> = std::fs::read_dir(&shared)
             .expect("shared cell")
             .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
             .collect();
         names.sort();
-        let expected = [
-            "manifest.txt",
-            "r0.result",
-            "r0.status",
-            "r1.result",
-            "r1.status",
-        ];
-        assert_eq!(names, expected);
+        assert_eq!(names, ["r0.result", "r1.result"]);
 
-        // A rerun harvests the complete store: the same reports, and no
-        // result, status or checkpoint file written.
+        // A rerun harvests the complete store: the same reports, and every
+        // path and inode of the store unchanged.
         let (_, first_again, second_again) = run();
         assert_eq!((first_again, second_again), (first, second));
         let mut restored = Vec::new();
         files(scratch.0.root(), &mut restored);
-        let kept = |files: Vec<(PathBuf, u64)>| -> Vec<_> {
-            let manifest = |p: &Path| p.ends_with("manifest.txt");
-            files.into_iter().filter(|(p, _)| !manifest(p)).collect()
-        };
-        assert_eq!(kept(restored), kept(stored));
+        assert_eq!(restored, stored);
 
         // The shared cell is dispatched once per replica: workers that only
         // log their spec line, on a fresh store, are started 3 cells × 2

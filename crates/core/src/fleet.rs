@@ -27,9 +27,9 @@
 //!   between attempts.
 //! - **Durability** reuses [`crate::resume::CheckpointStore`] cells
 //!   verbatim, under the store's one rule: the attempt writes `rK.ckpt`
-//!   and `rK.result`, the supervisor writes `rK.status` and the manifest.
-//!   A killed worker's retry resumes from the last durable checkpoint
-//!   instead of retraining from scratch.
+//!   and `rK.result` (which records the attempt's index), and the
+//!   supervisor writes nothing. A killed worker's retry resumes from the
+//!   last durable checkpoint instead of retraining from scratch.
 //!
 //! **Bit-identity.** A replica is a pure function of `(task, device,
 //! variant, settings, replica)`; the result crosses from worker to
@@ -397,7 +397,7 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
             } else if status.success() {
                 // The harvest's decoder: the file is what a later run loads.
                 match std::fs::read(&result).map(|b| resume::decode_result(&b)) {
-                    Ok(Ok(r)) => AttemptOutcome::Clean(Box::new(r)),
+                    Ok(Ok((r, _))) => AttemptOutcome::Clean(Box::new(r)),
                     _ => AttemptOutcome::Crashed("exited cleanly without a result file".into()),
                 }
             } else if let Some(code) = status.code() {
@@ -410,7 +410,7 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
     drop(child);
     if !matches!(outcome, AttemptOutcome::Clean(_)) {
         // Only a clean exit completes a replica: a result written just
-        // before a kill must not be harvested next to a failed status.
+        // before a kill must not be harvested as a finished replica.
         std::fs::remove_file(&result).ok();
     }
     Ok(outcome)
@@ -678,12 +678,14 @@ mod tests {
                 other => panic!("expected Crashed, got {other:?}"),
             }
         }
-        // The cell stays resumable: statuses on disk, flagged incomplete.
+        // The cell stays resumable: no result on disk, so both replicas
+        // train again on the next run.
         let dir = scratch
             .0
             .cell_dir(&prepared.spec, &Device::v100(), NoiseVariant::Impl);
-        let manifest = std::fs::read_to_string(dir.join("manifest.txt")).expect("manifest");
-        assert!(manifest.contains("crashed"), "{manifest}");
+        for r in 0..2 {
+            assert!(!resume::result_path(&dir, r).exists(), "replica {r}");
+        }
     }
 
     #[test]
@@ -833,7 +835,7 @@ mod tests {
             weights: vec![1.0],
             final_train_loss: 0.1,
         };
-        std::fs::write(&staged, resume::encode_result(&result)).expect("stage a result");
+        std::fs::write(&staged, resume::encode_result(&result, 0)).expect("stage a result");
         // A worker that leaves a decodable result file, then dies.
         let script = format!(
             "cp '{}' '{}'; exit 7",
@@ -859,7 +861,7 @@ mod tests {
         assert!(runs.results.is_empty());
         assert!(
             !resume::result_path(&dir, 0).exists(),
-            "a later run would harvest it next to a crashed status"
+            "a later run would harvest it as a finished replica"
         );
     }
 

@@ -7,34 +7,35 @@
 //! those interruptions cheap instead of fatal:
 //!
 //! - every *completed* replica's [`ReplicaResult`] is persisted to its
-//!   cell directory the moment it finishes (resume skips it entirely);
+//!   cell directory the moment it finishes (resume skips it entirely),
+//!   with the index of the attempt that produced it, from which the
+//!   harvest derives the replica's `Ok` or `Retried` status;
 //! - every *in-flight* replica sinks an epoch-boundary [`Checkpoint`] to
 //!   disk, so a resumed run re-enters mid-training instead of re-training
-//!   from scratch;
-//! - a human-readable `manifest.txt` per cell records every replica's
-//!   status once the grid's queue drains.
+//!   from scratch.
 //!
 //! Because replicas are pure functions of `(task, device, variant,
 //! settings, replica)` and checkpoints capture the *complete* training
 //! state (weights, optimizer velocity, RNG streams, scheduler state, data
-//! order), a resumed fleet is bit-identical to an uninterrupted one. That
-//! property is asserted by this module's tests and by the golden resume
+//! order), a resumed fleet is bit-identical to an uninterrupted one, and a
+//! harvested replica reports the status it finished with. That property
+//! is asserted by this module's tests and by the golden resume
 //! integration test.
 //!
 //! Layout under the store root (one directory per cell):
 //!
 //! ```text
 //! <root>/<task>/<device>/<variant>-<key>/
-//!     r0.result      completed replica 0 (binary, byte-exact floats)
-//!     r0.status      "ok" | "retried N" | "failed <reason>"
+//!     r0.result      completed replica 0 and its attempt (binary, byte-exact floats)
 //!     r1.ckpt        epoch-boundary checkpoint of in-flight replica 1
-//!     manifest.txt   human-readable fleet progress
 //! ```
 //!
-//! One rule says who writes what, in process and in a fleet worker alike:
-//! the replica attempt ([`crate::runner`]'s one attempt body) writes
-//! `rK.ckpt` and `rK.result`, and removes the checkpoint once the result
-//! is durable; the supervisor writes `rK.status` and `manifest.txt`.
+//! The replica attempt ([`crate::runner`]'s one attempt body, in process
+//! and in a fleet worker alike) writes both files, and removes the
+//! checkpoint once the result is durable. The supervisor writes nothing;
+//! a fleet supervisor only deletes a result left by a worker it saw fail.
+//! A replica that exhausts its retry budget leaves no result, so it
+//! trains again on the next run.
 //!
 //! `<key>` is a 64-bit FNV-1a hash of the compact JSON of `(task, device,
 //! variant)`, the same serde encoding the fleet ships to a worker. Every
@@ -44,7 +45,7 @@
 //! The settings are covered one level up, by
 //! [`CheckpointStore::for_settings`].
 
-use crate::runner::{Preds, ReplicaResult, ReplicaStatus};
+use crate::runner::{Preds, ReplicaResult};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
@@ -56,8 +57,9 @@ use std::path::{Path, PathBuf};
 
 /// Magic prefix of a persisted replica result ("NSRR").
 const RESULT_MAGIC: u32 = 0x4E53_5252;
-/// Result codec version.
-const RESULT_VERSION: u32 = 1;
+/// Result codec version (2: the producing attempt follows the replica
+/// index; a version-1 file does not decode, so its replica trains again).
+const RESULT_VERSION: u32 = 2;
 
 /// A directory of durable fleet progress, rooted (by convention) at
 /// `results/.ckpt/`.
@@ -90,16 +92,15 @@ impl CheckpointStore {
     /// A store scoped under `root` by a fingerprint of every settings knob
     /// that shapes replica results. Cells are keyed by (task, device,
     /// variant), so without the scope a run with a different seed, entropy
-    /// salt or epoch scale would silently reuse stale cached replicas.
+    /// salt or epoch scale would silently reuse stale cached replicas. The
+    /// replica count and `exec_threads` shape no replica's bits (replica
+    /// `r` derives its seeds and entropy from `r`, and the engine is
+    /// bitwise invariant in its thread count), so they stay out: a run
+    /// with more replicas adds them to the same cells.
     pub fn for_settings(root: impl Into<PathBuf>, settings: &ExperimentSettings) -> Self {
         let fp = format!(
-            "s{}-r{}-u{}-e{}-t{}-x{:x}",
-            settings.base_seed,
-            settings.replicas,
-            settings.amp_ulps,
-            settings.epochs_scale,
-            settings.exec_threads,
-            settings.entropy_salt
+            "s{}-u{}-e{}-x{:x}",
+            settings.base_seed, settings.amp_ulps, settings.epochs_scale, settings.entropy_salt
         );
         Self {
             root: root.into().join(path_component(&fp)),
@@ -133,14 +134,16 @@ pub(crate) fn cell_path(task: &TaskSpec, device: &Device, variant: NoiseVariant)
         .join(format!("{}-{key:016x}", path_component(variant.label())))
 }
 
-/// Encodes a [`ReplicaResult`] with byte-exact floats (`f32::to_bits` /
+/// Encodes a [`ReplicaResult`] and the index of the `attempt` that
+/// produced it (0 = first) with byte-exact floats (`f32::to_bits` /
 /// `f64::to_bits`): a resumed fleet must reproduce an uninterrupted one
 /// bit-for-bit, and a text codec cannot promise that.
-pub(crate) fn encode_result(r: &ReplicaResult) -> Vec<u8> {
+pub(crate) fn encode_result(r: &ReplicaResult, attempt: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + 4 * r.weights.len());
     out.extend_from_slice(&RESULT_MAGIC.to_le_bytes());
     out.extend_from_slice(&RESULT_VERSION.to_le_bytes());
     out.extend_from_slice(&r.replica.to_le_bytes());
+    out.extend_from_slice(&attempt.to_le_bytes());
     out.extend_from_slice(&r.accuracy.to_bits().to_le_bytes());
     match &r.preds {
         Preds::Classes(p) => {
@@ -169,9 +172,10 @@ pub(crate) fn bad(detail: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail.to_string())
 }
 
-/// Decodes [`encode_result`]'s bytes; truncated or foreign bytes are
-/// [`io::ErrorKind::InvalidData`], never a panic.
-pub(crate) fn decode_result(bytes: &[u8]) -> io::Result<ReplicaResult> {
+/// Decodes [`encode_result`]'s bytes into the result and its attempt;
+/// truncated or foreign bytes are [`io::ErrorKind::InvalidData`], never a
+/// panic.
+pub(crate) fn decode_result(bytes: &[u8]) -> io::Result<(ReplicaResult, u32)> {
     let mut r = Reader::new(bytes);
     if r.u32()? != RESULT_MAGIC {
         return Err(bad("bad magic"));
@@ -181,6 +185,7 @@ pub(crate) fn decode_result(bytes: &[u8]) -> io::Result<ReplicaResult> {
         return Err(bad(&format!("unsupported version {version}")));
     }
     let replica = r.u32()?;
+    let attempt = r.u32()?;
     let accuracy = f64::from_bits(r.u64()?);
     let preds = match r.u8()? {
         0 => {
@@ -200,49 +205,18 @@ pub(crate) fn decode_result(bytes: &[u8]) -> io::Result<ReplicaResult> {
     let weights = r.f32s()?;
     let final_train_loss = r.f32()?;
     r.finish()?;
-    Ok(ReplicaResult {
+    let result = ReplicaResult {
         replica,
         accuracy,
         preds,
         weights,
         final_train_loss,
-    })
-}
-
-pub(crate) fn status_line(status: &ReplicaStatus) -> String {
-    match status {
-        ReplicaStatus::Ok => "ok".into(),
-        ReplicaStatus::Retried { attempts } => format!("retried {attempts}"),
-        ReplicaStatus::Failed { reason } => format!("failed {}", reason.replace('\n', " ")),
-        ReplicaStatus::TimedOut { attempts } => format!("timedout {attempts}"),
-        ReplicaStatus::Crashed { reason } => format!("crashed {}", reason.replace('\n', " ")),
-    }
-}
-
-pub(crate) fn parse_status(line: &str) -> Option<ReplicaStatus> {
-    let line = line.trim();
-    let (kind, rest) = line.split_once(' ').unwrap_or((line, ""));
-    let reason = rest.to_string();
-    Some(match kind {
-        "ok" if rest.is_empty() => ReplicaStatus::Ok,
-        "retried" => ReplicaStatus::Retried {
-            attempts: rest.parse().ok()?,
-        },
-        "timedout" => ReplicaStatus::TimedOut {
-            attempts: rest.parse().ok()?,
-        },
-        "crashed" => ReplicaStatus::Crashed { reason },
-        "failed" => ReplicaStatus::Failed { reason },
-        _ => return None,
-    })
+    };
+    Ok((result, attempt))
 }
 
 pub(crate) fn result_path(dir: &Path, replica: u32) -> PathBuf {
     dir.join(format!("r{replica}.result"))
-}
-
-pub(crate) fn status_path(dir: &Path, replica: u32) -> PathBuf {
-    dir.join(format!("r{replica}.status"))
 }
 
 pub(crate) fn ckpt_path(dir: &Path, replica: u32) -> PathBuf {
@@ -264,29 +238,14 @@ pub(crate) fn load_checkpoint(path: &Path) -> Option<Checkpoint> {
     }
 }
 
-/// Rewrites the cell's human-readable progress manifest.
-pub(crate) fn write_manifest(
-    dir: &Path,
-    task: &str,
-    device: &str,
-    variant: NoiseVariant,
-    statuses: &[ReplicaStatus],
-) -> io::Result<()> {
-    let n = statuses.len();
-    let mut out =
-        format!("cell: {task} / {device} / {variant}\nreplicas: {n} of {n} accounted for\n");
-    for (r, s) in statuses.iter().enumerate() {
-        out.push_str(&format!("r{r}: {}\n", status_line(s)));
-    }
-    write_atomic(&dir.join("manifest.txt"), out.as_bytes())
-}
-
 #[cfg(test)]
 // Bit-identical resume is the property under test.
 #[allow(clippy::float_cmp)]
 pub(crate) mod tests {
     use super::*;
-    use crate::runner::{run_cell, run_grid, run_replica_with, run_variant, Cell, PreparedTask};
+    use crate::runner::{
+        run_cell, run_grid, run_replica_with, run_variant, Cell, PreparedTask, ReplicaStatus,
+    };
     use crate::task::{DataSource, TaskSpec};
     use nnet::trainer::FitOptions;
     use nsdata::GaussianSpec;
@@ -338,8 +297,9 @@ pub(crate) mod tests {
             weights: vec![1.5, -0.25, f32::MIN_POSITIVE, 1e-30],
             final_train_loss: 0.042,
         };
-        let bytes = encode_result(&r);
-        let back = decode_result(&bytes).expect("decode");
+        let bytes = encode_result(&r, 3);
+        let (back, attempt) = decode_result(&bytes).expect("decode");
+        assert_eq!(attempt, 3);
         assert_eq!(back.replica, r.replica);
         assert_eq!(back.accuracy.to_bits(), r.accuracy.to_bits());
         assert_eq!(back.preds, r.preds);
@@ -354,10 +314,8 @@ pub(crate) mod tests {
             preds: Preds::Binary(vec![0, 1, 1, 0]),
             ..r
         };
-        assert_eq!(
-            decode_result(&encode_result(&b)).expect("decode").preds,
-            b.preds
-        );
+        let (back, _) = decode_result(&encode_result(&b, 0)).expect("decode");
+        assert_eq!(back.preds, b.preds);
     }
 
     #[test]
@@ -371,30 +329,16 @@ pub(crate) mod tests {
             weights: vec![1.0],
             final_train_loss: 0.1,
         };
-        let mut bytes = encode_result(&r);
+        let mut bytes = encode_result(&r, 0);
         bytes.truncate(bytes.len() - 2);
         assert!(decode_result(&bytes).is_err());
-        let mut bytes = encode_result(&r);
+        let mut bytes = encode_result(&r, 0);
         bytes.push(0);
         assert!(decode_result(&bytes).is_err());
-    }
-
-    #[test]
-    fn status_lines_round_trip() {
-        for s in [
-            ReplicaStatus::Ok,
-            ReplicaStatus::Retried { attempts: 3 },
-            ReplicaStatus::Failed {
-                reason: "2 attempts exhausted; last: injected".into(),
-            },
-            ReplicaStatus::TimedOut { attempts: 3 },
-            ReplicaStatus::Crashed {
-                reason: "signal 6".into(),
-            },
-        ] {
-            assert_eq!(parse_status(&status_line(&s)), Some(s));
-        }
-        assert_eq!(parse_status("gibberish"), None);
+        // A file of the previous codec version trains its replica again.
+        let mut bytes = encode_result(&r, 0);
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(decode_result(&bytes).is_err());
     }
 
     #[test]
@@ -427,8 +371,79 @@ pub(crate) mod tests {
             !ckpt_path(&dir, 0).exists(),
             "completed replicas clean up their checkpoints"
         );
-        let manifest = std::fs::read_to_string(dir.join("manifest.txt")).expect("manifest");
-        assert!(manifest.contains("2 of 2 accounted for"), "{manifest}");
+    }
+
+    #[test]
+    fn a_resumed_cell_keeps_the_statuses_of_its_retried_replicas() {
+        // Transient chaos faults every replica's first attempt, so every
+        // replica finishes on a retry. A cell cut down to its result files,
+        // as a run killed right after the last result write leaves it, must
+        // still report those retries.
+        let scratch = Scratch::new("retried");
+        let prepared = PreparedTask::prepare(&tiny_task());
+        let settings = ExperimentSettings {
+            retry_budget: 1,
+            chaos: Some(hwsim::ChaosConfig::standard(17)),
+            ..tiny_settings()
+        };
+        let (device, imp) = (Device::v100(), NoiseVariant::Impl);
+        let run = || run_cell(&prepared, &device, imp, &settings, Some(&scratch.0), None);
+        let first = run().expect("first run");
+        let retried = ReplicaStatus::Retried { attempts: 2 };
+        assert_eq!(first.statuses, [retried.clone(), retried]);
+        let dir = scratch.0.cell_dir(&prepared.spec, &device, imp);
+        for entry in std::fs::read_dir(&dir).expect("cell") {
+            let path = entry.expect("cell entry").path();
+            if path.extension().is_none_or(|e| e != "result") {
+                std::fs::remove_file(&path).expect("remove");
+            }
+        }
+        let resumed = run().expect("resumed run");
+        assert_eq!(resumed.statuses, first.statuses);
+        for (a, b) in first.results.iter().zip(&resumed.results) {
+            assert_eq!(a.weights, b.weights, "replica {}", a.replica);
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn more_replicas_extend_the_cells_of_a_settings_store() {
+        // Raising the replica count keeps the store: a rerun at 3 replicas
+        // harvests r0 and r1 untouched and trains only r2.
+        use std::os::unix::fs::MetadataExt;
+        let root = Scratch::new("morereps");
+        let prepared = PreparedTask::prepare(&tiny_task());
+        let (device, imp) = (Device::v100(), NoiseVariant::Impl);
+        let mut stores = Vec::new();
+        for replicas in [2, 3] {
+            let settings = ExperimentSettings {
+                replicas,
+                ..tiny_settings()
+            };
+            let store = CheckpointStore::for_settings(root.0.root(), &settings);
+            let cells = Cell::grid([prepared.clone()], &[device], &[imp], replicas);
+            let runs = run_grid(&cells, &settings, Some(&store), None).expect("grid");
+            let fresh = run_variant(&prepared, &device, imp, &settings);
+            assert_eq!(runs[0].statuses, fresh.statuses);
+            for (a, b) in fresh.results.iter().zip(&runs[0].results) {
+                assert_eq!(a.weights, b.weights, "replica {}", a.replica);
+            }
+            let dir = store.cell_dir(&prepared.spec, &device, imp);
+            let ino = |r| {
+                std::fs::metadata(result_path(&dir, r))
+                    .expect("result")
+                    .ino()
+            };
+            let inodes: Vec<u64> = (0..replicas).map(ino).collect();
+            stores.push((store.root().to_owned(), inodes));
+        }
+        let ((first, two), (second, three)) = (&stores[0], &stores[1]);
+        assert_eq!(first, second, "one store for both replica counts");
+        assert_eq!(
+            two[..],
+            three[..2],
+            "r0 and r1 are harvested, not retrained"
+        );
     }
 
     #[test]

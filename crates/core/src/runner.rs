@@ -9,7 +9,7 @@
 //! resumable; [`FleetOptions`] on top of it runs each attempt in a worker
 //! process instead of in process. Both run the same attempt body, which
 //! writes the replica's checkpoints and result into the store cell; the
-//! supervisor writes only statuses and manifests.
+//! supervisor writes nothing there.
 //! [`run_cell`] is a one-cell grid, and [`run_variant`] and
 //! [`crate::fleet::run_variant_fleet`] are one-line wrappers over it.
 
@@ -514,7 +514,7 @@ pub(crate) fn train_attempt(
     if let (Some(dir), Ok(result)) = (dir, &outcome) {
         resume::write_atomic(
             &resume::result_path(dir, replica),
-            &resume::encode_result(result),
+            &resume::encode_result(result, attempt),
         )?;
         std::fs::remove_file(resume::ckpt_path(dir, replica)).ok();
     }
@@ -542,40 +542,46 @@ fn in_process_attempt<'a>(
     }
 }
 
-/// Runs one replica under supervision: attempts run until one is clean
-/// or `settings.retry_budget` retries are spent. Deterministic
+/// The status of a replica whose attempt `attempt` (0 = first) was clean:
+/// the supervisor's and the store harvest's one mapping.
+fn clean_status(attempt: u32) -> ReplicaStatus {
+    match attempt {
+        0 => ReplicaStatus::Ok,
+        a => ReplicaStatus::Retried { attempts: a + 1 },
+    }
+}
+
+/// Runs one replica of `cell` under supervision: attempts run until one
+/// is clean or `settings.retry_budget` retries are spent. Deterministic
 /// re-derivation of all seeds makes a successful retry bit-identical to a
-/// never-faulted run. With a store cell `dir`, the status is persisted:
-/// the supervisor writes status files, the attempt its result.
+/// never-faulted run. A replica whose budget is spent has its final reason
+/// printed on stderr, the one place it is kept.
 fn supervise(
+    cell: &Cell,
     settings: &ExperimentSettings,
-    dir: Option<&Path>,
     replica: u32,
     attempt: &(dyn Fn(u32, u32) -> io::Result<AttemptOutcome> + Sync),
 ) -> io::Result<Outcome> {
     let mut a = 0;
-    let (result, status) = loop {
+    let status = loop {
         let attempts = a + 1;
         match attempt(replica, a)? {
-            AttemptOutcome::Clean(r) if a == 0 => break (Some(*r), ReplicaStatus::Ok),
-            AttemptOutcome::Clean(r) => break (Some(*r), ReplicaStatus::Retried { attempts }),
+            AttemptOutcome::Clean(r) => return Ok((Some(*r), clean_status(a))),
             _ if a < settings.retry_budget => a += 1,
-            AttemptOutcome::TimedOut => break (None, ReplicaStatus::TimedOut { attempts }),
+            AttemptOutcome::TimedOut => break ReplicaStatus::TimedOut { attempts },
             AttemptOutcome::Crashed(reason) => {
                 let reason = format!("{attempts} attempts; last: {reason}");
-                break (None, ReplicaStatus::Crashed { reason });
+                break ReplicaStatus::Crashed { reason };
             }
             AttemptOutcome::Faulted(reason) => {
                 let reason = format!("{attempts} attempts exhausted; last: {reason}");
-                break (None, ReplicaStatus::Failed { reason });
+                break ReplicaStatus::Failed { reason };
             }
         }
     };
-    if let Some(dir) = dir {
-        let line = resume::status_line(&status);
-        resume::write_atomic(&resume::status_path(dir, replica), line.as_bytes())?;
-    }
-    Ok((result, status))
+    let (task, device, variant) = (&cell.task.spec.name, cell.device.name(), cell.variant);
+    eprintln!("{task} / {device} / {variant} replica {replica}: {status:?}");
+    Ok((None, status))
 }
 
 /// A replica's outcome as the supervisor records it: the result, if any,
@@ -592,17 +598,14 @@ fn harvest(dir: Option<&Path>, replicas: u32) -> io::Result<Vec<Option<Outcome>>
     if let Some(dir) = dir {
         std::fs::create_dir_all(dir)?;
         for (r, slot) in (0..).zip(&mut slots) {
-            // A readable result file is a completed replica; anything else
-            // (absent, torn write predating atomic saves, foreign bytes)
+            // A readable result file is a completed replica, its status
+            // derived from the attempt that wrote it; anything else
+            // (absent, torn write, another codec version, foreign bytes)
             // means the replica runs again.
-            if let Ok(Ok(result)) =
+            if let Ok(Ok((result, attempt))) =
                 std::fs::read(resume::result_path(dir, r)).map(|b| resume::decode_result(&b))
             {
-                let status = std::fs::read_to_string(resume::status_path(dir, r))
-                    .ok()
-                    .and_then(|s| resume::parse_status(&s))
-                    .unwrap_or(ReplicaStatus::Ok);
-                *slot = Some((Some(result), status));
+                *slot = Some((Some(result), clean_status(attempt)));
             }
         }
     }
@@ -626,10 +629,10 @@ fn harvest(dir: Option<&Path>, replicas: u32) -> io::Result<Vec<Option<Outcome>>
 /// training failure costs a replica a retry (up to
 /// `settings.retry_budget`), never the grid; a replica whose budget is
 /// exhausted is recorded as failed in [`VariantRuns::statuses`] and is
-/// absent from `results`. Once the queue drains, each cell's manifest is
-/// written. Every combination produces the same bits: each replica
-/// derives its seeds and entropy from its index. The runs come back in
-/// `cells` order.
+/// absent from `results`; it leaves no result in the store, so it trains
+/// again on the next run. Every combination produces the same bits: each
+/// replica derives its seeds and entropy from its index. The runs come
+/// back in `cells` order.
 ///
 /// # Errors
 ///
@@ -701,7 +704,7 @@ pub fn run_grid(
                 scope.spawn(|| {
                     let mut local = Vec::new();
                     while let Some(&(c, r)) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        let out = supervise(settings, dirs[c].as_deref(), r, &*attempts[c]);
+                        let out = supervise(distinct[c].0, settings, r, &*attempts[c]);
                         local.push((c, r, out));
                     }
                     local
@@ -716,26 +719,23 @@ pub fn run_grid(
     for (c, r, out) in supervised {
         slots[c][r as usize] = Some(out?);
     }
-    let finished = distinct.iter().zip(&dirs).zip(slots);
-    let runs = finished
-        .map(|((&(cell, _, _), dir), slots)| {
+    let runs: Vec<_> = distinct
+        .iter()
+        .zip(slots)
+        .map(|(&(cell, _, _), slots)| {
             let (mut results, mut statuses) = (Vec::new(), Vec::new());
             for slot in slots {
                 let (result, status) = slot.expect("every replica is harvested or supervised");
                 results.extend(result);
                 statuses.push(status);
             }
-            if let Some(dir) = dir {
-                let (task, device) = (&cell.task.spec.name, cell.device.name());
-                resume::write_manifest(dir, task, device, cell.variant, &statuses)?;
-            }
-            Ok(VariantRuns {
+            VariantRuns {
                 variant: cell.variant,
                 results,
                 statuses,
-            })
+            }
         })
-        .collect::<io::Result<Vec<_>>>()?;
+        .collect();
     // Each asker gets the runs of its own replicas.
     let own = |(cell, d): (&Cell, usize)| {
         let mut runs = runs[d].clone();

@@ -112,8 +112,8 @@ pub enum SettingsError {
         /// Configured watchdog window in milliseconds.
         worker_timeout_ms: u64,
     },
-    /// A numeric environment variable is set to a value that does not
-    /// parse as its type.
+    /// An environment variable is set to a value that does not parse: a
+    /// number, or for `NS_CHAOS` a fault schedule.
     MalformedEnv {
         /// The variable, e.g. `NS_REPLICAS`.
         name: &'static str,
@@ -164,7 +164,7 @@ impl std::fmt::Display for SettingsError {
                  lower NS_HEARTBEAT_EVERY"
             ),
             SettingsError::MalformedEnv { name, value } => {
-                write!(f, "{name}={value:?} is not a valid number")
+                write!(f, "{name}={value:?} is not a valid value")
             }
         }
     }
@@ -183,9 +183,9 @@ impl ExperimentSettings {
     ///
     /// # Errors
     ///
-    /// [`SettingsError::MalformedEnv`] when a numeric variable is set but
-    /// does not parse: a typo must not silently run the default budget.
-    /// `NS_CHAOS` keeps its own ignore-with-warning behaviour.
+    /// [`SettingsError::MalformedEnv`] when a variable is set but does not
+    /// parse: a typo must not silently run the default budget, nor a chaos
+    /// run without faults.
     pub fn from_env() -> Result<Self, SettingsError> {
         let mut s = Self::default();
         if let Ok(v) = std::env::var("NS_REPLICAS") {
@@ -207,8 +207,8 @@ impl ExperimentSettings {
         if let Ok(v) = std::env::var("NS_RETRIES") {
             s.retry_budget = v.parse().map_err(|_| malformed("NS_RETRIES", v))?;
         }
-        if let Some(cfg) = ChaosConfig::from_env() {
-            s.chaos = Some(cfg);
+        if let Ok(v) = std::env::var("NS_CHAOS") {
+            s.chaos = Some(ChaosConfig::parse(&v).ok_or_else(|| malformed("NS_CHAOS", v))?);
         }
         if let Ok(v) = std::env::var("NS_WORKER_TIMEOUT") {
             let secs: u64 = v.parse().map_err(|_| malformed("NS_WORKER_TIMEOUT", v))?;

@@ -42,8 +42,8 @@ use detrand::SplitMix64;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the chaos-injection layer. Off unless explicitly
-/// attached to an execution context; see [`ChaosConfig::from_env`] for the
-/// `NS_CHAOS` environment knob.
+/// attached to an execution context; see [`ChaosConfig::parse`] for the
+/// syntax of the `NS_CHAOS` environment knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChaosConfig {
     /// Seed of the fault schedule.
@@ -136,19 +136,6 @@ impl ChaosConfig {
             }
         }
         Some(cfg)
-    }
-
-    /// Reads `NS_CHAOS` from the environment; `None` when unset or
-    /// malformed (malformed values are reported on stderr rather than
-    /// silently arming no faults... and then also disarmed, because a
-    /// typo'd chaos schedule must not abort an experiment).
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("NS_CHAOS").ok()?;
-        let parsed = Self::parse(&raw);
-        if parsed.is_none() {
-            eprintln!("hwsim: ignoring malformed NS_CHAOS value {raw:?}");
-        }
-        parsed
     }
 
     /// Total faults planned per faulted attempt.
