@@ -11,6 +11,8 @@
 //! - aborting workers (chaos [`FaultKind::Abort`], a real
 //!   `std::process::abort`) are classified as signal deaths and
 //!   re-dispatched;
+//! - a worker whose training fails (a chaos launch failure, a real
+//!   `TrainError`) exits 1 and leaves no result file;
 //! - an exhausted retry budget degrades into failed [`ReplicaStatus`]
 //!   entries and an `[INCOMPLETE ...]` report — never a supervisor error.
 
@@ -238,8 +240,9 @@ fn exhausted_retry_budget_degrades_into_incomplete_report() {
     assert_eq!(fleet.statuses.len(), 2);
     for s in &fleet.statuses {
         assert!(
-            matches!(s, ReplicaStatus::Crashed { reason } if reason.contains("2 attempts")),
-            "persistent aborts must exhaust into Crashed, got {s:?}"
+            matches!(s, ReplicaStatus::Failed { reason }
+                if reason.contains("2 attempts exhausted") && reason.contains("signal 6")),
+            "persistent aborts must exhaust into Failed(signal 6), got {s:?}"
         );
     }
 
@@ -248,6 +251,60 @@ fn exhausted_retry_budget_degrades_into_incomplete_report() {
     assert!(
         line.contains("[INCOMPLETE"),
         "summary must flag the incomplete fleet: {line}"
+    );
+}
+
+#[test]
+fn a_worker_whose_training_fails_exits_1_and_leaves_no_result() {
+    let scratch = Scratch::new("trainerror");
+    let prepared = PreparedTask::prepare(&tiny_task());
+    // Persistent launch failures: every attempt's training returns a
+    // TrainError, which the worker reports through its exit status.
+    let settings = ExperimentSettings {
+        replicas: 2,
+        retry_budget: 1,
+        worker_timeout_ms: 60_000,
+        chaos: Some(ChaosConfig {
+            launch_failures: 1,
+            ..chaos(0, 0, 0, true)
+        }),
+        ..ExperimentSettings::default()
+    };
+    let fleet = run_variant_fleet(
+        &prepared,
+        &Device::cpu(),
+        NoiseVariant::AlgoImpl,
+        &settings,
+        &scratch.0,
+        1,
+        &repro_fleet(),
+    )
+    .expect("failed training is a degraded result, not an error");
+    assert!(fleet.results.is_empty(), "no replica can finish");
+    assert_eq!(fleet.statuses.len(), 2);
+    for s in &fleet.statuses {
+        assert!(
+            matches!(s, ReplicaStatus::Failed { reason }
+                if reason.contains("2 attempts exhausted") && reason.contains("exit code 1")),
+            "failed training must exhaust into Failed(exit code 1), got {s:?}"
+        );
+    }
+    let cell = scratch
+        .0
+        .cell_dir(&prepared.spec, &Device::cpu(), NoiseVariant::AlgoImpl);
+    let results: Vec<_> = std::fs::read_dir(&cell)
+        .expect("the cell exists")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.ends_with(".result"))
+        .collect();
+    assert!(
+        results.is_empty(),
+        "a failed replica leaves no result: {results:?}"
     );
 }
 

@@ -13,18 +13,17 @@
 //!   `--worker` mode ([`worker_main`]). Each worker runs exactly one
 //!   `(replica, attempt)` through the runner's one attempt body: it reads
 //!   its [`ReplicaSpec`] from stdin, checkpoints into and writes its
-//!   result to the store cell, and reports liveness and graceful faults
-//!   as text lines on stdout.
+//!   result to the store cell, reports liveness as heartbeat lines on
+//!   stdout, and reports how it ended through its exit status.
 //! - **The supervisor** ([`crate::runner::run_grid`] with
 //!   [`FleetOptions`]) is the one grid driver of [`crate::runner`] with a
 //!   process-spawning attempt body: it dispatches the pending replicas of
 //!   every cell of a grid, from one queue, to a bounded pool of worker
 //!   processes, watches each with a heartbeat watchdog plus an absolute
-//!   wall-clock deadline, kills stalled or crashed workers, classifies how
-//!   they died (clean exit / panic exit code / signal / timeout), and
-//!   re-dispatches under the same attempt loop and retry budget as
-//!   in-process runs, with a deterministic capped-exponential backoff
-//!   between attempts.
+//!   wall-clock deadline, kills stalled workers, turns every attempt into
+//!   a result or a reason (exit code, signal, missing result file, which
+//!   watchdog clock fired), and re-dispatches under the same attempt loop
+//!   and retry budget as in-process runs.
 //! - **Durability** reuses [`crate::resume::CheckpointStore`] cells
 //!   verbatim, under the store's one rule: the attempt writes `rK.ckpt`
 //!   and `rK.result` (which records the attempt's index), and the
@@ -45,23 +44,24 @@
 //! stdin as one line of compact JSON, made by the types' own serde
 //! derives: every finite float round-trips exactly, and
 //! [`ExperimentSettings::validate`] rejects non-finite ones. The worker
-//! writes two kinds of line to stdout:
-//!
-//! ```text
-//! hb <step>        every heartbeat_every_steps optimizer steps
-//! fault <reason>   a structured training failure (newlines → spaces)
-//! ```
-//!
-//! The supervisor never runs the JSON parser on bytes a worker wrote: it
-//! reads lines of bounded length, and only a well-formed `hb` or `fault`
-//! line resets the watchdog, so garbage on the pipe is not liveness.
+//! writes one kind of line to stdout, `hb <step>`, every
+//! `heartbeat_every_steps` optimizer steps, and nothing else. It reports
+//! how it ended through its exit status (see [`worker_main`]) and, on
+//! success, the result file; a failure's reason goes to stderr, which the
+//! supervisor inherits. The supervisor never runs the JSON parser on
+//! bytes a worker wrote: it reads lines of bounded length, and only a
+//! well-formed `hb` line resets the watchdog, so garbage on the pipe is
+//! not liveness.
 
 use crate::resume::{self, bad, CheckpointStore};
-use crate::runner::{run_cell, train_attempt, AttemptOutcome, Cell, PreparedTask, VariantRuns};
+use crate::runner::{
+    run_cell, train_attempt, AttemptOutcome, Cell, PreparedTask, ReplicaResult, VariantRuns,
+};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
 use crate::variant::NoiseVariant;
 use hwsim::Device;
+use nnet::trainer::TrainError;
 use serde::{Deserialize, Serialize};
 use std::ffi::OsString;
 use std::io::{self, BufRead, Read, Write};
@@ -77,18 +77,10 @@ const MAX_LINE_LEN: u64 = 4096;
 
 /// Supervisor event-loop poll interval.
 const POLL: Duration = Duration::from_millis(25);
-/// After a worker exits, how long the supervisor waits for an in-flight
-/// `fault` line when the pipe has not reached EOF (an orphaned grandchild
-/// can hold it open indefinitely).
-const DRAIN_GRACE: Duration = Duration::from_millis(500);
 /// The absolute per-attempt deadline is the watchdog window times this
 /// factor — a backstop against a worker that heartbeats forever without
 /// ever finishing.
 const HARD_DEADLINE_FACTOR: u32 = 60;
-/// First retry backoff; doubles per retry up to [`BACKOFF_CAP_MS`].
-const BACKOFF_BASE_MS: u64 = 50;
-/// Retry backoff ceiling.
-const BACKOFF_CAP_MS: u64 = 2000;
 
 /// Monotonic-clock shim for supervision deadlines.
 ///
@@ -148,27 +140,14 @@ fn write_spec(w: &mut impl Write, spec: &ReplicaSpec) -> io::Result<()> {
     w.flush()
 }
 
-/// Writes one `<kind> <body>` line to the supervisor, newlines in `body`
-/// turned into spaces so it stays one line.
-fn write_event(w: &mut impl Write, kind: &str, body: &str) -> io::Result<()> {
-    writeln!(w, "{kind} {}", body.replace('\n', " "))?;
-    w.flush()
-}
-
-/// A well-formed line from a worker.
-enum Event {
-    Heartbeat,
-    Fault(String),
-}
-
-/// Parses one newline-terminated worker line; anything else is `None`.
-fn parse_event(line: &[u8]) -> Option<Event> {
-    let line = std::str::from_utf8(line).ok()?.strip_suffix('\n')?;
-    match line.split_once(' ')? {
-        ("hb", step) => step.parse::<u64>().ok().map(|_| Event::Heartbeat),
-        ("fault", reason) => Some(Event::Fault(reason.to_owned())),
-        _ => None,
-    }
+/// Whether one worker line is a well-formed, newline-terminated
+/// `hb <step>`.
+fn is_heartbeat(line: &[u8]) -> bool {
+    let step = line
+        .strip_prefix(b"hb ")
+        .and_then(|l| l.strip_suffix(b"\n"));
+    let step = step.and_then(|step| std::str::from_utf8(step).ok());
+    step.is_some_and(|step| step.parse::<u64>().is_ok())
 }
 
 // ---------------------------------------------------------------------------
@@ -179,15 +158,19 @@ fn parse_event(line: &[u8]) -> Option<Event> {
 /// exactly one `(replica, attempt)` from a [`ReplicaSpec`] line on
 /// stdin. Returns the process exit code.
 ///
-/// Exit codes: `0` — the result file is written, or a `fault` line was
-/// delivered; `2` — no spec, an undecodable or invalid spec, or the
-/// result could not be written. Training panics are *not* caught: the
-/// process dies with the standard panic exit code (101) or a signal, and
-/// the supervisor classifies that from the outside — that asymmetry is
-/// the entire point of process isolation.
+/// Exit codes: `0` — the result file is written; `1` — training failed,
+/// and its [`TrainError`] is printed on stderr; `2` — no spec, an
+/// undecodable or invalid spec, or the result could not be written.
+/// Training panics are *not* caught: the process dies with the standard
+/// panic exit code (101) or a signal, and the supervisor reads that from
+/// the outside — that asymmetry is the entire point of process isolation.
 pub fn worker_main() -> i32 {
     match worker_run() {
-        Ok(()) => 0,
+        Ok(Ok(_)) => 0,
+        Ok(Err(e)) => {
+            eprintln!("fleet worker: {e}");
+            1
+        }
         Err(e) => {
             eprintln!("fleet worker: {e}");
             2
@@ -195,7 +178,7 @@ pub fn worker_main() -> i32 {
     }
 }
 
-fn worker_run() -> io::Result<()> {
+fn worker_run() -> io::Result<Result<ReplicaResult, TrainError>> {
     let mut line = String::new();
     io::stdin().lock().take(MAX_SPEC_LEN).read_line(&mut line)?;
     let spec: ReplicaSpec =
@@ -211,10 +194,13 @@ fn worker_run() -> io::Result<()> {
     let mut pipe_dead = false;
     let mut heartbeat = |step: u64| {
         if !pipe_dead {
-            pipe_dead = write_event(&mut stdout.lock(), "hb", &step.to_string()).is_err();
+            let mut out = stdout.lock();
+            pipe_dead = writeln!(out, "hb {step}")
+                .and_then(|()| out.flush())
+                .is_err();
         }
     };
-    let outcome = train_attempt(
+    train_attempt(
         &prepared,
         &spec.device,
         spec.variant,
@@ -223,11 +209,7 @@ fn worker_run() -> io::Result<()> {
         spec.replica,
         spec.attempt,
         Some(&mut heartbeat),
-    )?;
-    match outcome {
-        Ok(_) => Ok(()),
-        Err(err) => write_event(&mut stdout.lock(), "fault", &err.to_string()),
-    }
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -269,18 +251,11 @@ impl Drop for Reaper {
     }
 }
 
-/// Deterministic capped exponential backoff before retry `attempt` (≥ 1):
-/// 50 ms, 100 ms, 200 ms, ... capped at 2 s. Deterministic because
-/// retries must be as replayable as everything else here.
-fn backoff_ms(attempt: u32) -> u64 {
-    (BACKOFF_BASE_MS << (attempt - 1).min(16)).min(BACKOFF_CAP_MS)
-}
-
 /// Spawns one worker process for `spec`, feeds it the spec line, and
-/// supervises it to an [`AttemptOutcome`]: well-formed lines reset the
+/// supervises it to an [`AttemptOutcome`]: heartbeat lines reset the
 /// watchdog, a silent worker or one past the absolute deadline is killed,
-/// and an exited worker is classified from its `fault` line, its result
-/// file and its exit status.
+/// and an exited worker's outcome is its result file after a clean exit,
+/// else its exit status.
 fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<AttemptOutcome> {
     use std::process::{Command, Stdio};
     use std::sync::mpsc;
@@ -305,7 +280,7 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
     // lifetime. The thread exits on its own at pipe EOF or on the first
     // send after `rx` is dropped.
     let mut child_out = io::BufReader::new(child.0.stdout.take().expect("stdout piped"));
-    let (tx, rx) = mpsc::channel::<Event>();
+    let (tx, rx) = mpsc::channel::<()>();
     let _reader = std::thread::spawn(move || {
         let mut line = Vec::new();
         // Whether the line being read has already overrun MAX_LINE_LEN.
@@ -327,10 +302,8 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
             if std::mem::take(&mut overlong) {
                 continue;
             }
-            if let Some(event) = parse_event(&line) {
-                if tx.send(event).is_err() {
-                    return;
-                }
+            if is_heartbeat(&line) && tx.send(()).is_err() {
+                return;
             }
         }
     });
@@ -338,8 +311,7 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
     let timeout = Duration::from_millis(spec.settings.worker_timeout_ms);
     let deadline = timeout.saturating_mul(HARD_DEADLINE_FACTOR);
     let start = clock::now();
-    let mut last_event = start;
-    let mut fault: Option<String> = None;
+    let mut last_heartbeat = start;
     // Pause between exit checks once stdout is at EOF: 1 ms, doubling up
     // to POLL, so a worker is reaped about a millisecond after it exits,
     // while one that lingers after closing stdout costs a check per POLL.
@@ -347,12 +319,7 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
 
     let exited = loop {
         match rx.recv_timeout(POLL) {
-            Ok(event) => {
-                last_event = clock::now();
-                if let Event::Fault(reason) = event {
-                    fault = Some(reason);
-                }
-            }
+            Ok(()) => last_heartbeat = clock::now(),
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             // Reader hit EOF: the child closed stdout and is exiting (or
             // dead). recv returns instantly now, so pace the loop.
@@ -362,53 +329,31 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
             }
         }
         if let Some(status) = child.0.try_wait()? {
-            break Some(status);
+            break Ok(status);
         }
+        // A watchdog kill: the worker is killed and reaped below. The
+        // reason names the clock and its window, never a reading of it.
         let now = clock::now();
-        if now.duration_since(last_event) >= timeout || now.duration_since(start) >= deadline {
-            break None;
+        if now.duration_since(last_heartbeat) >= timeout {
+            break Err(format!("no heartbeat within {} ms", timeout.as_millis()));
+        }
+        if now.duration_since(start) >= deadline {
+            break Err(format!("no exit within {} ms", deadline.as_millis()));
         }
     };
 
     let result = resume::result_path(Path::new(&spec.cell_dir), spec.replica);
-    let outcome = match exited {
-        // Watchdog fired: the worker is killed and reaped below.
-        None => AttemptOutcome::TimedOut,
-        Some(status) => {
-            // The pipe may still hold a `fault` line the event loop never
-            // saw. The worker flushed before exiting, so it arrives
-            // promptly; the grace window only matters when an orphaned
-            // grandchild keeps the pipe from EOF.
-            let grace = clock::now();
-            loop {
-                match rx.recv_timeout(POLL) {
-                    Ok(Event::Fault(reason)) => fault = Some(reason),
-                    Ok(Event::Heartbeat) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if clock::now().duration_since(grace) >= DRAIN_GRACE {
-                            break;
-                        }
-                    }
-                }
-            }
-            if let Some(reason) = fault {
-                AttemptOutcome::Faulted(reason)
-            } else if status.success() {
-                // The harvest's decoder: the file is what a later run loads.
-                match std::fs::read(&result).map(|b| resume::decode_result(&b)) {
-                    Ok(Ok((r, _))) => AttemptOutcome::Clean(Box::new(r)),
-                    _ => AttemptOutcome::Crashed("exited cleanly without a result file".into()),
-                }
-            } else if let Some(code) = status.code() {
-                AttemptOutcome::Crashed(format!("exit code {code}"))
-            } else {
-                classify_signal(&status)
-            }
-        }
-    };
+    let outcome = exited.and_then(|status| match status.code() {
+        // The harvest's decoder: the file is what a later run loads.
+        Some(0) => match std::fs::read(&result).map(|b| resume::decode_result(&b)) {
+            Ok(Ok((r, _))) => Ok(r),
+            _ => Err("exited cleanly without a result file".into()),
+        },
+        Some(code) => Err(format!("exit code {code}")),
+        None => Err(signal_reason(&status)),
+    });
     drop(child);
-    if !matches!(outcome, AttemptOutcome::Clean(_)) {
+    if outcome.is_err() {
         // Only a clean exit completes a replica: a result written just
         // before a kill must not be harvested as a finished replica.
         std::fs::remove_file(&result).ok();
@@ -417,23 +362,22 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
 }
 
 #[cfg(unix)]
-fn classify_signal(status: &std::process::ExitStatus) -> AttemptOutcome {
+fn signal_reason(status: &std::process::ExitStatus) -> String {
     use std::os::unix::process::ExitStatusExt;
     match status.signal() {
-        Some(sig) => AttemptOutcome::Crashed(format!("signal {sig}")),
-        None => AttemptOutcome::Crashed("killed by unknown cause".into()),
+        Some(sig) => format!("signal {sig}"),
+        None => "killed by unknown cause".into(),
     }
 }
 
 #[cfg(not(unix))]
-fn classify_signal(_status: &std::process::ExitStatus) -> AttemptOutcome {
-    AttemptOutcome::Crashed("killed by unknown cause".into())
+fn signal_reason(_status: &std::process::ExitStatus) -> String {
+    "killed by unknown cause".into()
 }
 
 /// The attempt body of [`crate::runner::run_grid`] with a fleet: each
-/// attempt of a replica of `cell` runs in its own worker process (after a
-/// deterministic backoff on retries) and resumes from the store cell
-/// `dir`'s checkpoint.
+/// attempt of a replica of `cell` runs in its own worker process and
+/// resumes from the store cell `dir`'s checkpoint.
 ///
 /// # Errors
 ///
@@ -456,9 +400,6 @@ pub(crate) fn process_attempt<'a>(
         None => std::env::current_exe()?,
     };
     Ok(move |replica, attempt| {
-        if attempt > 0 {
-            std::thread::sleep(Duration::from_millis(backoff_ms(attempt)));
-        }
         let spec = ReplicaSpec {
             task: cell.task.spec.clone(),
             device: cell.device,
@@ -494,7 +435,7 @@ pub fn run_variant_fleet(
 mod tests {
     use super::*;
     use crate::resume::tests::Scratch;
-    use crate::runner::{Preds, ReplicaResult, ReplicaStatus};
+    use crate::runner::{Preds, ReplicaStatus};
     use crate::task::{DataSource, ModelKind};
     use crate::variant::AlgoSource;
     use hwsim::{Architecture, ChaosConfig};
@@ -569,15 +510,6 @@ mod tests {
                 assert_spec_round_trips(&spec);
             }
         }
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_capped() {
-        assert_eq!(backoff_ms(1), 50);
-        assert_eq!(backoff_ms(2), 100);
-        assert_eq!(backoff_ms(3), 200);
-        assert_eq!(backoff_ms(10), BACKOFF_CAP_MS);
-        assert_eq!(backoff_ms(u32::MAX), BACKOFF_CAP_MS);
     }
 
     // -- supervision paths that need no real worker binary: fake workers
@@ -671,11 +603,11 @@ mod tests {
         assert_eq!(runs.failed_replicas(), vec![0, 1]);
         for s in &runs.statuses {
             match s {
-                ReplicaStatus::Crashed { reason } => {
+                ReplicaStatus::Failed { reason } => {
                     assert!(reason.contains("exit code 7"), "{reason}");
-                    assert!(reason.contains("2 attempts"), "{reason}");
+                    assert!(reason.contains("2 attempts exhausted"), "{reason}");
                 }
-                other => panic!("expected Crashed, got {other:?}"),
+                other => panic!("expected Failed, got {other:?}"),
             }
         }
         // The cell stays resumable: no result on disk, so both replicas
@@ -709,10 +641,10 @@ mod tests {
         )
         .expect("an aborting fleet degrades, never errors");
         match &runs.statuses[0] {
-            ReplicaStatus::Crashed { reason } => {
-                assert!(reason.contains("signal 6"), "{reason}");
+            ReplicaStatus::Failed { reason } => {
+                assert_eq!(reason, "1 attempts exhausted; last: signal 6");
             }
-            other => panic!("expected Crashed(signal 6), got {other:?}"),
+            other => panic!("expected Failed(signal 6), got {other:?}"),
         }
     }
 
@@ -739,50 +671,20 @@ mod tests {
             &sh_fleet("sleep 30"),
         )
         .expect("a hung fleet degrades, never errors");
+        let reason = "2 attempts exhausted; last: no heartbeat within 300 ms";
         assert_eq!(
             runs.statuses[0],
-            ReplicaStatus::TimedOut { attempts: 2 },
+            ReplicaStatus::Failed {
+                reason: reason.into()
+            },
             "both attempts must be killed by the watchdog"
         );
-        // Two 300 ms windows plus backoff — if this took anywhere near a
-        // sleep(30), the watchdog never fired.
+        // Two 300 ms windows — if this took anywhere near a sleep(30),
+        // the watchdog never fired.
         assert!(
             start.elapsed() < Duration::from_secs(20),
             "watchdog must kill silent workers promptly"
         );
-    }
-
-    #[test]
-    #[cfg(unix)]
-    fn graceful_fault_frames_classify_as_failed_not_crashed() {
-        let scratch = Scratch::new("fault");
-        let prepared = PreparedTask::prepare(&tiny_task());
-        let settings = ExperimentSettings {
-            replicas: 1,
-            retry_budget: 0,
-            ..fast_settings()
-        };
-        // A fake worker that delivers a well-formed fault line and exits
-        // cleanly, like a real worker reporting a TrainError.
-        let runs = run_variant_fleet(
-            &prepared,
-            &Device::v100(),
-            NoiseVariant::Impl,
-            &settings,
-            &scratch.0,
-            0,
-            &sh_fleet("printf 'hb 4\\nfault injected kernel launch failure\\n'"),
-        )
-        .expect("a faulting fleet degrades, never errors");
-        match &runs.statuses[0] {
-            ReplicaStatus::Failed { reason } => {
-                assert!(
-                    reason.contains("injected kernel launch failure"),
-                    "{reason}"
-                );
-            }
-            other => panic!("expected Failed, got {other:?}"),
-        }
     }
 
     #[test]
@@ -806,10 +708,11 @@ mod tests {
         )
         .expect("a resultless fleet degrades, never errors");
         match &runs.statuses[0] {
-            ReplicaStatus::Crashed { reason } => {
+            ReplicaStatus::Failed { reason } => {
                 assert!(reason.contains("without a result file"), "{reason}");
+                assert!(reason.starts_with("1 attempts exhausted"), "{reason}");
             }
-            other => panic!("expected Crashed, got {other:?}"),
+            other => panic!("expected Failed, got {other:?}"),
         }
     }
 
@@ -853,10 +756,10 @@ mod tests {
         )
         .expect("a crashing fleet degrades, never errors");
         match &runs.statuses[0] {
-            ReplicaStatus::Crashed { reason } => {
-                assert!(reason.contains("exit code 7"), "{reason}");
+            ReplicaStatus::Failed { reason } => {
+                assert_eq!(reason, "1 attempts exhausted; last: exit code 7");
             }
-            other => panic!("expected Crashed(exit code 7), got {other:?}"),
+            other => panic!("expected Failed(exit code 7), got {other:?}"),
         }
         assert!(runs.results.is_empty());
         assert!(
@@ -891,10 +794,10 @@ mod tests {
         )
         .expect("a crashing fleet degrades, never errors");
         match &runs.statuses[0] {
-            ReplicaStatus::Crashed { reason } => {
-                assert!(reason.contains("exit code 7"), "{reason}");
+            ReplicaStatus::Failed { reason } => {
+                assert_eq!(reason, "1 attempts exhausted; last: exit code 7");
             }
-            other => panic!("expected Crashed(exit code 7), got {other:?}"),
+            other => panic!("expected Failed(exit code 7), got {other:?}"),
         }
         assert!(start.elapsed() >= Duration::from_millis(900));
     }
@@ -920,10 +823,8 @@ mod tests {
         let start = clock::now();
         for _ in 0..10 {
             match run_attempt(exe, &args, &spec).expect("spawn /bin/sh") {
-                AttemptOutcome::Crashed(reason) => {
-                    assert!(reason.contains("exit code 7"), "{reason}")
-                }
-                _ => panic!("expected Crashed(exit code 7)"),
+                Err(reason) => assert_eq!(reason, "exit code 7"),
+                Ok(_) => panic!("expected Err(exit code 7)"),
             }
         }
         // An attempt that sleeps a whole POLL after stdout's EOF makes
@@ -961,7 +862,13 @@ mod tests {
             &sh_fleet(script),
         )
         .expect("a garbage-spewing fleet degrades, never errors");
-        assert_eq!(runs.statuses[0], ReplicaStatus::TimedOut { attempts: 1 });
+        let reason = "1 attempts exhausted; last: no heartbeat within 300 ms";
+        assert_eq!(
+            runs.statuses[0],
+            ReplicaStatus::Failed {
+                reason: reason.into()
+            }
+        );
         assert!(
             start.elapsed() < Duration::from_secs(10),
             "the watchdog must fire despite the garbage"

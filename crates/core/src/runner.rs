@@ -167,26 +167,13 @@ pub enum ReplicaStatus {
         /// Total executions including the successful one (≥ 2).
         attempts: u32,
     },
-    /// Every attempt within the retry budget failed; the replica has no
-    /// result and downstream reports flag the cell as incomplete.
+    /// Every attempt within the retry budget failed — a training error or
+    /// panic in process; a worker's nonzero exit, signal, missing result
+    /// file or watchdog kill in a fleet. The replica has no result and
+    /// downstream reports flag the cell as incomplete.
     Failed {
-        /// Human-readable reason from the last attempt.
-        reason: String,
-    },
-    /// Fleet mode only: every attempt was killed by the supervisor's
-    /// heartbeat watchdog or wall-clock deadline. Like `Failed`, the
-    /// replica has no result. (A worker that times out and then succeeds
-    /// on a retry is recorded as [`ReplicaStatus::Retried`].)
-    TimedOut {
-        /// Total attempts, all killed (= retry budget + 1).
-        attempts: u32,
-    },
-    /// Fleet mode only: the worker process died abnormally (panic exit
-    /// code, signal such as an abort) on every attempt. Like `Failed`,
-    /// the replica has no result.
-    Crashed {
-        /// Exit classification of the last attempt (e.g. `"signal 6"`,
-        /// `"exit code 101"`).
+        /// `"<n> attempts exhausted; last: <reason>"`, the last attempt's
+        /// reason (e.g. `"signal 6"`, `"no heartbeat within 300 ms"`).
         reason: String,
     },
 }
@@ -194,12 +181,7 @@ pub enum ReplicaStatus {
 impl ReplicaStatus {
     /// Whether this replica produced no result.
     pub fn is_failed(&self) -> bool {
-        matches!(
-            self,
-            ReplicaStatus::Failed { .. }
-                | ReplicaStatus::TimedOut { .. }
-                | ReplicaStatus::Crashed { .. }
-        )
+        matches!(self, ReplicaStatus::Failed { .. })
     }
 }
 
@@ -446,21 +428,9 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     format!("panic: {}", text.unwrap_or("<non-string payload>"))
 }
 
-/// How one attempt of one replica ended, from the supervisor's seat.
-#[derive(Debug)]
-pub(crate) enum AttemptOutcome {
-    /// A result was delivered.
-    Clean(Box<ReplicaResult>),
-    /// A structured training error or a caught panic (in process), or a
-    /// `fault` line (worker process).
-    Faulted(String),
-    /// Worker processes only: abnormal death — panic exit code, signal,
-    /// or a clean exit that left no decodable result file.
-    Crashed(String),
-    /// Worker processes only: killed by the heartbeat watchdog or the
-    /// absolute deadline.
-    TimedOut,
-}
+/// How one attempt of one replica ended: its result, or the reason it has
+/// none.
+pub(crate) type AttemptOutcome = Result<ReplicaResult, String>;
 
 /// The one attempt body, run in process and in a fleet worker alike:
 /// [`run_replica_with`] as retry `attempt`, with `progress` as the
@@ -533,12 +503,10 @@ fn in_process_attempt<'a>(
             let (task, device, variant) = (&cell.task, &cell.device, cell.variant);
             train_attempt(task, device, variant, settings, dir, replica, attempt, None)
         }));
-        Ok(match outcome {
-            Ok(Ok(Ok(result))) => AttemptOutcome::Clean(Box::new(result)),
-            Ok(Ok(Err(err))) => AttemptOutcome::Faulted(err.to_string()),
-            Ok(Err(io_err)) => return Err(io_err),
-            Err(payload) => AttemptOutcome::Faulted(panic_reason(payload)),
-        })
+        match outcome {
+            Ok(trained) => Ok(trained?.map_err(|err| err.to_string())),
+            Err(payload) => Ok(Err(panic_reason(payload))),
+        }
     }
 }
 
@@ -554,32 +522,31 @@ fn clean_status(attempt: u32) -> ReplicaStatus {
 /// Runs one replica of `cell` under supervision: attempts run until one
 /// is clean or `settings.retry_budget` retries are spent. Deterministic
 /// re-derivation of all seeds makes a successful retry bit-identical to a
-/// never-faulted run. A replica whose budget is spent has its final reason
-/// printed on stderr, the one place it is kept.
+/// never-faulted run. Each failed attempt that is retried prints one
+/// stderr line with its reason (attempts count from 1, as in
+/// [`ReplicaStatus::Retried`]); a replica whose budget is spent has its
+/// final status printed there too, the one place its reason is kept.
 fn supervise(
     cell: &Cell,
     settings: &ExperimentSettings,
     replica: u32,
     attempt: &(dyn Fn(u32, u32) -> io::Result<AttemptOutcome> + Sync),
 ) -> io::Result<Outcome> {
+    let (task, device, variant) = (&cell.task.spec.name, cell.device.name(), cell.variant);
     let mut a = 0;
-    let status = loop {
-        let attempts = a + 1;
+    let reason = loop {
         match attempt(replica, a)? {
-            AttemptOutcome::Clean(r) => return Ok((Some(*r), clean_status(a))),
-            _ if a < settings.retry_budget => a += 1,
-            AttemptOutcome::TimedOut => break ReplicaStatus::TimedOut { attempts },
-            AttemptOutcome::Crashed(reason) => {
-                let reason = format!("{attempts} attempts; last: {reason}");
-                break ReplicaStatus::Crashed { reason };
+            Ok(r) => return Ok((Some(r), clean_status(a))),
+            Err(reason) if a < settings.retry_budget => {
+                a += 1;
+                eprintln!(
+                    "{task} / {device} / {variant} replica {replica} attempt {a} failed: {reason}; retrying"
+                );
             }
-            AttemptOutcome::Faulted(reason) => {
-                let reason = format!("{attempts} attempts exhausted; last: {reason}");
-                break ReplicaStatus::Failed { reason };
-            }
+            Err(reason) => break format!("{} attempts exhausted; last: {reason}", a + 1),
         }
     };
-    let (task, device, variant) = (&cell.task.spec.name, cell.device.name(), cell.variant);
+    let status = ReplicaStatus::Failed { reason };
     eprintln!("{task} / {device} / {variant} replica {replica}: {status:?}");
     Ok((None, status))
 }
@@ -625,12 +592,13 @@ fn harvest(dir: Option<&Path>, replicas: u32) -> io::Result<Vec<Option<Outcome>>
 /// completion is persisted as it lands. All pending `(cell, replica)`
 /// pairs go on one queue in cell order, drained by one pool:
 /// host-parallelism threads in process, or `procs` threads each blocking
-/// on a worker process with a `fleet` (see [`crate::fleet`]). A panic or
-/// training failure costs a replica a retry (up to
-/// `settings.retry_budget`), never the grid; a replica whose budget is
-/// exhausted is recorded as failed in [`VariantRuns::statuses`] and is
-/// absent from `results`; it leaves no result in the store, so it trains
-/// again on the next run. Every combination produces the same bits: each
+/// on a worker process with a `fleet` (see [`crate::fleet`]). A failed
+/// attempt — a panic or training failure, or a worker's death or watchdog
+/// kill — costs a replica a retry (up to `settings.retry_budget`), never
+/// the grid; a replica whose budget is exhausted is recorded as
+/// [`ReplicaStatus::Failed`] in [`VariantRuns::statuses`] and is absent
+/// from `results`; it leaves no result in the store, so it trains again
+/// on the next run. Every combination produces the same bits: each
 /// replica derives its seeds and entropy from its index. The runs come
 /// back in `cells` order.
 ///
@@ -640,7 +608,7 @@ fn harvest(dir: Option<&Path>, replicas: u32) -> io::Result<Vec<Option<Outcome>>
 /// [`ExperimentSettings::validate_for`] on any task, a fleet without a
 /// store, or a fleet on a non-UTF-8 store path; otherwise store and spawn
 /// IO failures. Training faults and worker deaths degrade into
-/// [`ReplicaStatus`] entries.
+/// [`ReplicaStatus::Failed`] entries.
 pub fn run_grid(
     cells: &[Cell],
     settings: &ExperimentSettings,
@@ -900,16 +868,6 @@ mod tests {
             ..tiny_settings()
         };
         run_variant(&prepared, &Device::cpu(), NoiseVariant::Control, &settings);
-    }
-
-    #[test]
-    fn fleet_only_statuses_count_as_failed() {
-        assert!(ReplicaStatus::TimedOut { attempts: 3 }.is_failed());
-        assert!(ReplicaStatus::Crashed {
-            reason: "signal 6".into()
-        }
-        .is_failed());
-        assert!(!ReplicaStatus::Retried { attempts: 2 }.is_failed());
     }
 
     #[test]

@@ -102,31 +102,6 @@ pub fn binary_rates(preds: &[u8], labels: &[u8], mask: &[bool]) -> BinaryRates {
     }
 }
 
-/// Accuracy over the samples where `mask` is true.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn subgroup_accuracy<T: PartialEq>(preds: &[T], labels: &[T], mask: &[bool]) -> f64 {
-    assert_eq!(preds.len(), labels.len(), "length mismatch");
-    assert_eq!(preds.len(), mask.len(), "mask length mismatch");
-    let mut correct = 0usize;
-    let mut total = 0usize;
-    for i in 0..preds.len() {
-        if mask[i] {
-            total += 1;
-            if preds[i] == labels[i] {
-                correct += 1;
-            }
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        correct as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 // Tests assert exact float values: bit-identical replay is the property under test.
 #[allow(clippy::float_cmp)]
@@ -189,16 +164,5 @@ mod tests {
         let empty = binary_rates(&[1u8], &[1u8], &[false]);
         assert_eq!(empty.count, 0);
         assert_eq!(empty.accuracy, 0.0);
-    }
-
-    #[test]
-    fn subgroup_accuracy_reference() {
-        let preds = [1u32, 2, 3, 4];
-        let labels = [1u32, 0, 3, 0];
-        assert_eq!(
-            subgroup_accuracy(&preds, &labels, &[true, true, false, false]),
-            0.5
-        );
-        assert_eq!(subgroup_accuracy(&preds, &labels, &[false; 4]), 0.0);
     }
 }

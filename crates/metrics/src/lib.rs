@@ -9,8 +9,6 @@ pub mod classification;
 pub mod stability;
 pub mod stats;
 
-pub use classification::{
-    accuracy, binary_rates, per_class_accuracy, subgroup_accuracy, BinaryRates,
-};
+pub use classification::{accuracy, binary_rates, per_class_accuracy, BinaryRates};
 pub use stability::{churn, l2_normalized, pairwise_mean_churn, pairwise_mean_l2};
 pub use stats::{mean, relative_scale, stddev};

@@ -45,7 +45,7 @@ pub mod stream;
 pub use distributions::{Bernoulli, Normal, Uniform};
 pub use entropy::EntropySource;
 pub use philox::{Philox, PhiloxSnapshot, PhiloxState};
-pub use seed::{SeedPolicy, SeedSequence};
+pub use seed::SeedPolicy;
 pub use shuffle::{permutation, shuffle_in_place};
 pub use splitmix::SplitMix64;
 pub use stream::{StreamId, StreamRng, StreamSnapshot};

@@ -49,39 +49,6 @@ impl SeedPolicy {
     }
 }
 
-/// Expands one user-facing seed into any number of well-mixed 64-bit seeds.
-///
-/// Used wherever a component needs several unrelated seeds (e.g. dataset
-/// generation vs. model training) from a single CLI-provided value.
-///
-/// # Example
-///
-/// ```
-/// use detrand::SeedSequence;
-/// let mut seq = SeedSequence::new(42);
-/// let a = seq.next_seed();
-/// let b = seq.next_seed();
-/// assert_ne!(a, b);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SeedSequence {
-    mix: SplitMix64,
-}
-
-impl SeedSequence {
-    /// Creates a sequence from an entropy value.
-    pub fn new(entropy: u64) -> Self {
-        Self {
-            mix: SplitMix64::new(entropy),
-        }
-    }
-
-    /// Returns the next derived seed.
-    pub fn next_seed(&mut self) -> u64 {
-        self.mix.next_u64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,15 +77,5 @@ mod tests {
             SeedPolicy::PerReplica.seed_for(1, 3),
             SeedPolicy::PerReplica.seed_for(1, 3)
         );
-    }
-
-    #[test]
-    fn seed_sequence_yields_distinct_values() {
-        let mut s = SeedSequence::new(7);
-        let a: Vec<u64> = (0..32).map(|_| s.next_seed()).collect();
-        let mut dedup = a.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), a.len());
     }
 }
