@@ -24,7 +24,12 @@
 //! Environment knobs (see `noisescope::settings`): `NS_REPLICAS`,
 //! `NS_SEED`, `NS_AMP_ULPS`, `NS_EPOCHS_SCALE`, `NS_EXEC_THREADS`,
 //! `NS_QUICK=1`, `NS_RETRIES`, `NS_CHAOS`, `NS_WORKER_TIMEOUT`,
-//! `NS_HEARTBEAT_EVERY`.
+//! `NS_HEARTBEAT_EVERY`. `NS_CHAOS` takes
+//! `<seed>[:<launch>,<panic>,<hang>,<abort>][@<hang_ms>][!]`: the fault
+//! schedule's seed, then exactly four fault counts (`<seed>` alone is one
+//! launch failure and one kernel panic), the hang length in milliseconds,
+//! and `!` to give every attempt the first fault. Without `!`, attempt
+//! `a` takes fault `a` in step order and later attempts run clean.
 //!
 //! Rendered tables go to stdout; machine-readable JSON goes to `--out`
 //! (default `results/`), published atomically (write-temp-then-rename) so

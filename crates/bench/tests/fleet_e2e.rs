@@ -44,14 +44,13 @@ fn repro_fleet() -> FleetOptions {
 }
 
 /// A chaos schedule with `hangs`/`aborts` faults per replica and nothing
-/// else. Transient (non-persistent) unless stated otherwise: faults fire
-/// on attempt 0 only, so retries run clean.
+/// else. Transient (non-persistent) unless stated otherwise: attempt `a`
+/// takes fault `a`, so with one fault only attempt 0 is faulted.
 fn chaos(hangs: u32, aborts: u32, hang_ms: u32, persistent: bool) -> ChaosConfig {
     ChaosConfig {
         seed: 1234,
         launch_failures: 0,
         kernel_panics: 0,
-        nan_poisons: 0,
         hangs,
         aborts,
         hang_ms,

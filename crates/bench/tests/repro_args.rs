@@ -93,6 +93,10 @@ fn a_malformed_numeric_env_knob_exits_2_before_creating_out() {
         ("NS_WORKER_TIMEOUT", "5s"),
         ("NS_HEARTBEAT_EVERY", "4.0"),
         ("NS_CHAOS", "20:1,x"),
+        // Three and five counts: schedules written for an older set of
+        // fault kinds, which must not be reread as the current four.
+        ("NS_CHAOS", "20:1,0,1"),
+        ("NS_CHAOS", "20:0,1,0,1,0"),
     ];
     for (name, value) in malformed {
         let scratch = empty_dir(&format!("repro_malformed_{name}"));
@@ -119,7 +123,7 @@ fn well_formed_numeric_env_knobs_run() {
             ("NS_RETRIES", "1"),
             ("NS_WORKER_TIMEOUT", "30"),
             ("NS_HEARTBEAT_EVERY", "4"),
-            ("NS_CHAOS", "20:1,0,1"),
+            ("NS_CHAOS", "20:1,0,0,0"),
         ],
     );
     let stderr = String::from_utf8_lossy(&run.stderr);

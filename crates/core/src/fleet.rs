@@ -467,7 +467,7 @@ mod tests {
             // A subnormal clock.
             Device::custom("TINY", Architecture::Cpu, 1, true, true, f32::from_bits(1)),
         ];
-        let chaos = Some(ChaosConfig::parse("7:1,0,2,1,1@250!").expect("chaos parses"));
+        let chaos = Some(ChaosConfig::parse("7:1,0,1,1@250!").expect("chaos parses"));
         // A task whose floats are a subnormal, -0.0 and f32::MAX.
         let mut edge = TaskSpec::small_cnn_cifar10();
         edge.model = ModelKind::SmallCnnDropout {

@@ -383,7 +383,7 @@ pub(crate) mod tests {
         let prepared = PreparedTask::prepare(&tiny_task());
         let settings = ExperimentSettings {
             retry_budget: 1,
-            chaos: Some(hwsim::ChaosConfig::standard(17)),
+            chaos: hwsim::ChaosConfig::parse("17:1,0,0,0"),
             ..tiny_settings()
         };
         let (device, imp) = (Device::v100(), NoiseVariant::Impl);

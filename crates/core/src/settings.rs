@@ -37,13 +37,14 @@ pub struct ExperimentSettings {
     /// is bit-identical to one that never failed.
     pub retry_budget: u32,
     /// Chaos-injection configuration for `hwsim` (fault schedules are
-    /// derived per replica and attempt). `None` — the default — is the
-    /// zero-cost path: no fault bookkeeping anywhere in the hot loop.
+    /// derived per replica; each attempt takes at most one fault, at a
+    /// step boundary). `None` — the default — plans no fault.
     pub chaos: Option<ChaosConfig>,
     /// Fleet-runner watchdog window in milliseconds: a worker process
-    /// that writes no well-formed `hb` or `fault` line for this long is
-    /// killed and its attempt classified as timed out. Also the base of
-    /// the per-replica wall-clock deadline. Supervision-only: it shapes
+    /// that writes no well-formed `hb` line for this long is killed, and
+    /// its attempt fails with the reason `no heartbeat within <ms> ms`.
+    /// A fixed multiple of it is each attempt's wall-clock deadline
+    /// (`no exit within <ms> ms`). Supervision-only: it shapes
     /// *when* a worker is killed, never *what* a replica computes, so it
     /// stays out of the [`crate::resume::CheckpointStore`] fingerprint.
     pub worker_timeout_ms: u64,
@@ -177,7 +178,9 @@ impl ExperimentSettings {
     /// `NS_REPLICAS`, `NS_SEED`, `NS_AMP_ULPS`, `NS_EPOCHS_SCALE`,
     /// `NS_EXEC_THREADS`, `NS_QUICK` (=1 → 3 replicas, half epochs),
     /// `NS_RETRIES` (supervisor retry budget), `NS_CHAOS`
-    /// (chaos-injection schedule, see [`hwsim::ChaosConfig::parse`]),
+    /// (chaos-injection schedule
+    /// `<seed>[:<launch>,<panic>,<hang>,<abort>][@<hang_ms>][!]`, see
+    /// [`hwsim::ChaosConfig::parse`]),
     /// `NS_WORKER_TIMEOUT` (fleet watchdog window, in seconds), and
     /// `NS_HEARTBEAT_EVERY` (fleet heartbeat interval, in steps).
     ///

@@ -1,7 +1,7 @@
 //! Execution contexts: the bridge from a (device, mode) pair to the
 //! accumulation order of every reduction class in a training run.
 
-use crate::chaos::{ChaosState, FaultKind, FaultPlan};
+use crate::chaos::{FaultKind, FaultPlan, PlannedFault};
 use crate::device::{Architecture, Device};
 use detrand::SplitMix64;
 use nstensor::{ReduceOrder, Reducer, ReducerSnapshot};
@@ -72,9 +72,11 @@ pub struct ExecutionContext {
     mode: ExecutionMode,
     threads: usize,
     reducers: [Reducer; 5],
-    /// Armed chaos-injection state; `None` (the default) is the zero-cost
-    /// path — a single pointer-null check per reducer borrow.
-    chaos: Option<Box<ChaosState>>,
+    /// The armed fault, until [`ExecutionContext::begin_step`] fires it.
+    /// Reductions never read it.
+    chaos: FaultPlan,
+    /// A fired launch failure awaiting [`ExecutionContext::take_fault`].
+    fault: Option<PlannedFault>,
 }
 
 /// The replayable state of an [`ExecutionContext`]: one
@@ -147,9 +149,9 @@ impl ExecutionContextBuilder {
     }
 
     /// Arms chaos injection with a pre-built fault schedule (default: no
-    /// faults). An empty plan leaves the context on the zero-cost path —
-    /// chaos never consumes scheduler entropy or perturbs any measured
-    /// number unless a planned fault actually fires.
+    /// faults). A fault fires at a step boundary and touches no reducer,
+    /// so chaos never consumes scheduler entropy or perturbs any measured
+    /// number.
     pub fn chaos(mut self, plan: FaultPlan) -> Self {
         self.chaos = plan;
         self
@@ -165,17 +167,13 @@ impl ExecutionContextBuilder {
             let seed = seeder.next_u64();
             Reducer::new(order, lanes, seed).with_amplification(self.amp_ulps)
         });
-        let chaos = if self.chaos.is_empty() {
-            None
-        } else {
-            Some(Box::new(ChaosState::new(self.chaos)))
-        };
         ExecutionContext {
             device: self.device,
             mode: self.mode,
             threads: self.threads,
             reducers,
-            chaos,
+            chaos: self.chaos,
+            fault: None,
         }
     }
 }
@@ -221,96 +219,62 @@ impl ExecutionContext {
     }
 
     /// The reducer for an op class.
-    ///
-    /// When chaos injection is armed ([`ExecutionContextBuilder::chaos`]),
-    /// each borrow is an "op" of the current training step; a planned
-    /// fault at this `(step, op)` index fires here: a
-    /// [`FaultKind::KernelPanic`] panics the calling thread, a
-    /// [`FaultKind::LaunchFailure`] is recorded for
-    /// [`ExecutionContext::take_fault`], a [`FaultKind::NanPoison`]
-    /// arms a one-shot NaN on the next direct-reduction class
-    /// (`WeightGrad`/`Statistics`/`Misc` — matmul classes run through
-    /// planned GEMM batches that never materialize a poisoned scalar), a
-    /// [`FaultKind::Hang`] stalls the calling thread for the plan's
-    /// configured duration, and a [`FaultKind::Abort`] takes the whole
-    /// process down.
     pub fn reducer(&mut self, class: OpClass) -> &mut Reducer {
-        if let Some(chaos) = self.chaos.as_deref_mut() {
-            let op = chaos.op_in_step;
-            chaos.op_in_step = chaos.op_in_step.saturating_add(1);
-            match chaos.plan.at(chaos.step, op) {
-                Some(FaultKind::KernelPanic) => {
-                    panic!(
-                        "hwsim chaos: injected kernel panic at step {} op {op}",
-                        chaos.step
-                    );
-                }
-                Some(FaultKind::LaunchFailure) if chaos.fault.is_none() => {
-                    chaos.fault = Some(crate::chaos::ChaosEvent {
-                        step: chaos.step,
-                        op,
-                        kind: FaultKind::LaunchFailure,
-                    });
-                }
-                Some(FaultKind::LaunchFailure) => {}
-                Some(FaultKind::NanPoison) => chaos.nan_pending = true,
-                Some(FaultKind::Hang) => {
-                    // A real stall, not a simulated one: the thread sleeps
-                    // through the planned hang. Arithmetic is untouched, so
-                    // in-process results are bit-identical; under the fleet
-                    // runner the silence starves the heartbeat watchdog.
-                    std::thread::sleep(std::time::Duration::from_millis(
-                        chaos.plan.hang_ms() as u64
-                    ));
-                }
-                Some(FaultKind::Abort) => {
-                    eprintln!("hwsim chaos: injected abort at step {} op {op}", chaos.step);
-                    std::process::abort();
-                }
-                None => {}
-            }
-            if chaos.nan_pending
-                && matches!(
-                    class,
-                    OpClass::WeightGrad | OpClass::Statistics | OpClass::Misc
-                )
-            {
-                chaos.nan_pending = false;
-                self.reducers[class.index()].inject_nan();
-            }
-        }
         &mut self.reducers[class.index()]
     }
 
-    /// Announces the start of a training step to the chaos layer; a no-op
-    /// (one null check) when chaos is not armed. Training loops call this
-    /// once per optimizer step so planned `(step, op)` fault indices line
-    /// up with reducer borrows.
+    /// Announces the start of training step `step`; training loops call
+    /// it once per optimizer step, before the step's first reduction.
+    ///
+    /// When chaos injection is armed ([`ExecutionContextBuilder::chaos`])
+    /// and the planned fault's step has come, the fault fires here, once:
+    /// a [`FaultKind::LaunchFailure`] is recorded for
+    /// [`ExecutionContext::take_fault`], a [`FaultKind::KernelPanic`]
+    /// panics the calling thread, a [`FaultKind::Hang`] stalls it for the
+    /// plan's configured duration, and a [`FaultKind::Abort`] takes the
+    /// whole process down.
     #[inline]
     pub fn begin_step(&mut self, step: u64) {
-        if let Some(chaos) = self.chaos.as_deref_mut() {
-            chaos.step = step;
-            chaos.op_in_step = 0;
+        let Some(fault) = self.chaos.take_due(step) else {
+            return;
+        };
+        match fault.kind {
+            FaultKind::LaunchFailure => self.fault = Some(fault),
+            FaultKind::KernelPanic => panic!("hwsim chaos: {fault}"),
+            FaultKind::Hang => {
+                // A real stall, not a simulated one. Arithmetic is
+                // untouched, so in-process results are bit-identical;
+                // under the fleet runner the silence starves the
+                // heartbeat watchdog.
+                let ms = self.chaos.hang_ms();
+                std::thread::sleep(std::time::Duration::from_millis(ms.into()));
+            }
+            FaultKind::Abort => {
+                eprintln!("hwsim chaos: {fault}");
+                std::process::abort();
+            }
         }
     }
 
-    /// Takes the pending injected fault, if one fired since the last poll.
-    /// Training loops poll this once per step and convert the event into a
-    /// structured error.
-    pub fn take_fault(&mut self) -> Option<crate::chaos::ChaosEvent> {
-        self.chaos.as_deref_mut().and_then(|c| c.fault.take())
+    /// Takes the injected launch failure, if one fired since the last
+    /// poll. Training loops poll this once per step and convert the fault
+    /// into a structured error.
+    pub fn take_fault(&mut self) -> Option<PlannedFault> {
+        self.fault.take()
     }
 
     /// Disarms chaos injection for the rest of this context's life (the
     /// training loop calls this after the final optimizer step so that
     /// evaluation and prediction run clean).
     pub fn disarm_chaos(&mut self) {
-        self.chaos = None;
+        self.chaos = FaultPlan::none();
+        self.fault = None;
     }
 
-    /// Whether chaos injection is currently armed.
+    /// Whether chaos injection is currently armed: a fault is planned and
+    /// has not fired yet.
     pub fn chaos_armed(&self) -> bool {
-        self.chaos.is_some()
+        !self.chaos.is_empty()
     }
 
     /// Captures the replayable execution state (per-op-class reducer
@@ -523,20 +487,25 @@ mod tests {
         assert!(!ctx2.chaos_armed());
     }
 
+    /// A context armed with `schedule` (an `NS_CHAOS` string) for replica
+    /// 0's first attempt over `horizon` steps.
+    fn armed(schedule: &str, horizon: u64) -> ExecutionContext {
+        use crate::chaos::{ChaosConfig, FaultPlan};
+        let cfg = ChaosConfig::parse(schedule).unwrap();
+        ExecutionContext::builder(Device::v100())
+            .entropy(4)
+            .chaos(FaultPlan::build(&cfg, 0, 0, horizon))
+            .build()
+    }
+
     #[test]
     fn chaos_does_not_perturb_results_before_fault_steps() {
-        use crate::chaos::{ChaosConfig, FaultPlan};
+        // Nor at or after them: a fault fires at a step boundary and
+        // touches no reducer.
         let xs: Vec<f32> = (0..400).map(|i| (i as f32 * 0.8).cos()).collect();
-        // Plan faults far in the future; every reduction before them must
-        // be bit-identical to an unarmed context.
-        let plan = FaultPlan::build(&ChaosConfig::standard(5), 0, 0, 1_000_000);
-        let earliest = plan.faults().iter().map(|f| f.step).min().unwrap();
-        let mut armed = ExecutionContext::builder(Device::v100())
-            .entropy(4)
-            .chaos(plan)
-            .build();
+        let mut armed = armed("5:1,0,0,0", 32);
         let mut clean = ExecutionContext::builder(Device::v100()).entropy(4).build();
-        for step in 0..earliest.min(32) {
+        for step in 0..32 {
             armed.begin_step(step);
             clean.begin_step(step);
             for class in OpClass::ALL {
@@ -546,117 +515,76 @@ mod tests {
                 );
             }
         }
-        assert!(armed.take_fault().is_none());
     }
 
     #[test]
     fn launch_failure_is_recorded_and_polled() {
-        use crate::chaos::{ChaosConfig, FaultPlan};
-        // A schedule with only launch failures over a 1-step horizon: the
-        // fault must fire within the first OPS_PER_STEP borrows of step 0.
-        let cfg = ChaosConfig::parse("9:1,0,0").unwrap();
-        let plan = FaultPlan::build(&cfg, 0, 0, 1);
-        assert_eq!(plan.len(), 1);
-        let mut ctx = ExecutionContext::builder(Device::v100())
-            .chaos(plan)
-            .build();
-        ctx.begin_step(0);
-        for _ in 0..8 {
-            ctx.reducer(OpClass::Misc).sum(&[1.0]);
+        let mut ctx = armed("9:1,0,0,0", 64);
+        let mut fired = Vec::new();
+        for step in 0..64 {
+            ctx.begin_step(step);
+            if let Some(fault) = ctx.take_fault() {
+                assert_eq!(fault.kind, FaultKind::LaunchFailure);
+                fired.push((step, fault.step));
+            }
         }
-        let ev = ctx.take_fault().expect("launch failure recorded");
-        assert_eq!(ev.step, 0);
-        assert!(ctx.take_fault().is_none(), "event is taken once");
+        assert_eq!(fired.len(), 1, "one fault per attempt: {fired:?}");
+        assert_eq!(fired[0].0, fired[0].1, "fired at its planned step");
+        assert!(!ctx.chaos_armed());
     }
 
     #[test]
-    fn nan_poison_materializes_on_direct_reduction() {
-        use crate::chaos::{ChaosConfig, FaultPlan};
-        let cfg = ChaosConfig::parse("3:0,0,1").unwrap();
-        let plan = FaultPlan::build(&cfg, 0, 0, 1);
-        let mut ctx = ExecutionContext::builder(Device::v100())
-            .chaos(plan)
-            .build();
-        ctx.begin_step(0);
-        let mut saw_nan = false;
-        for _ in 0..8 {
-            saw_nan |= ctx.reducer(OpClass::WeightGrad).sum(&[1.0, 2.0]).is_nan();
-        }
-        assert!(saw_nan, "poison never materialized");
+    fn a_resumed_attempt_past_its_fault_step_takes_the_fault_first() {
+        let mut ctx = armed("9:1,0,0,0", 64);
+        ctx.begin_step(u64::MAX);
+        assert!(ctx.take_fault().is_some());
     }
 
     #[test]
-    #[should_panic(expected = "injected kernel panic")]
+    #[should_panic(expected = "hwsim chaos: injected KernelPanic at step 0")]
     fn kernel_panic_panics() {
-        use crate::chaos::{ChaosConfig, FaultPlan};
-        let cfg = ChaosConfig::parse("2:0,1,0").unwrap();
-        let plan = FaultPlan::build(&cfg, 0, 0, 1);
-        let mut ctx = ExecutionContext::builder(Device::v100())
-            .chaos(plan)
-            .build();
-        ctx.begin_step(0);
-        for _ in 0..8 {
-            ctx.reducer(OpClass::Misc).sum(&[1.0]);
-        }
+        armed("2:0,1,0,0", 1).begin_step(0);
     }
 
     #[test]
     fn hang_stalls_but_does_not_perturb_results() {
-        use crate::chaos::{ChaosConfig, FaultPlan};
-        // One hang of 60ms over a 1-step horizon: it must fire within the
-        // first OPS_PER_STEP borrows of step 0 and change nothing else.
-        let cfg = ChaosConfig::parse("4:0,0,0,1@60").unwrap();
-        let plan = FaultPlan::build(&cfg, 0, 0, 1);
-        assert_eq!(plan.len(), 1);
-        let mut armed = ExecutionContext::builder(Device::v100())
-            .entropy(4)
-            .chaos(plan)
-            .build();
+        let mut armed = armed("4:0,0,1,0@60", 1);
         let mut clean = ExecutionContext::builder(Device::v100()).entropy(4).build();
-        armed.begin_step(0);
-        clean.begin_step(0);
-        let xs = [1.0f32, 2.0, 3.0];
         let start = std::time::Instant::now();
-        for _ in 0..8 {
-            assert_eq!(
-                armed.reducer(OpClass::Misc).sum(&xs).to_bits(),
-                clean.reducer(OpClass::Misc).sum(&xs).to_bits(),
-            );
-        }
+        armed.begin_step(0);
         assert!(
             start.elapsed() >= std::time::Duration::from_millis(60),
             "hang never stalled"
         );
+        let xs = [1.0f32, 2.0, 3.0];
+        for class in OpClass::ALL {
+            assert_eq!(
+                armed.reducer(class).sum(&xs).to_bits(),
+                clean.reducer(class).sum(&xs).to_bits()
+            );
+        }
         assert!(armed.take_fault().is_none(), "a hang is not an error");
+        assert!(!armed.chaos_armed());
     }
 
     #[test]
     fn abort_is_planned_but_never_fired_here() {
-        use crate::chaos::{ChaosConfig, FaultPlan};
         // Firing an abort would take the test harness down, which is
-        // exactly the property that motivates process isolation; here we
-        // only prove the schedule carries it to the firing point.
-        let cfg = ChaosConfig::parse("4:0,0,0,0,1").unwrap();
-        let plan = FaultPlan::build(&cfg, 0, 0, 1);
-        assert_eq!(plan.len(), 1);
-        assert_eq!(plan.faults()[0].kind, crate::chaos::FaultKind::Abort);
-        assert!(plan.faults()[0].op < 4);
+        // exactly the property that motivates process isolation; here the
+        // context only carries it, and disarming keeps it from firing.
+        let mut ctx = armed("4:0,0,0,1", 1);
+        assert!(ctx.chaos_armed());
+        ctx.disarm_chaos();
+        ctx.begin_step(0);
     }
 
     #[test]
     fn disarm_stops_injection() {
-        use crate::chaos::{ChaosConfig, FaultPlan};
-        let cfg = ChaosConfig::parse("2:0,1,0").unwrap();
-        let plan = FaultPlan::build(&cfg, 0, 0, 1);
-        let mut ctx = ExecutionContext::builder(Device::v100())
-            .chaos(plan)
-            .build();
+        let mut ctx = armed("2:0,1,0,0", 1);
         assert!(ctx.chaos_armed());
         ctx.disarm_chaos();
-        ctx.begin_step(0);
-        for _ in 0..8 {
-            ctx.reducer(OpClass::Misc).sum(&[1.0]);
-        }
         assert!(!ctx.chaos_armed());
+        ctx.begin_step(0);
+        assert!(ctx.take_fault().is_none());
     }
 }

@@ -52,7 +52,7 @@ pub mod profiler;
 pub mod workload;
 
 pub use autotune::{select_conv_kernels, ConvKernelPlan};
-pub use chaos::{ChaosConfig, ChaosEvent, FaultKind, FaultPlan, PlannedFault};
+pub use chaos::{ChaosConfig, FaultKind, FaultPlan, PlannedFault};
 pub use cost::CostModel;
 pub use device::{Architecture, Device};
 pub use exec::{ExecSnapshot, ExecutionContext, ExecutionContextBuilder, ExecutionMode, OpClass};

@@ -2,11 +2,11 @@
 //!
 //! A [`Checkpoint`] captures everything `Trainer::fit_with` needs to resume
 //! a run so that the continuation is *bitwise identical* to the
-//! uninterrupted run: model weights, optimizer momentum, the shuffle and
-//! augmentation RNG cursors, the execution context's reducer-scheduler
-//! states, and the (shuffled) sample order. Replicas are pure functions of
-//! their seeds, so byte-exact state capture is both necessary and
-//! sufficient for byte-exact resume.
+//! uninterrupted run: model weights and batch-norm running statistics,
+//! optimizer momentum, the shuffle and augmentation RNG cursors, the
+//! execution context's reducer-scheduler states, and the (shuffled)
+//! sample order. Replicas are pure functions of their seeds, so byte-exact
+//! state capture is both necessary and sufficient for byte-exact resume.
 //!
 //! # Why not JSON
 //!
@@ -25,8 +25,10 @@ use std::path::Path;
 
 /// Magic prefix of the checkpoint container ("NSCK").
 const MAGIC: u32 = 0x4E53_434B;
-/// Codec version; bump on any layout change.
-const VERSION: u32 = 1;
+/// Codec version; bump on any layout change. Version 2 appends the
+/// batch-norm running statistics to `weights`, so a version-1 checkpoint
+/// of a batch-norm model is rejected rather than resumed without them.
+const VERSION: u32 = 2;
 
 /// A resumable snapshot of training state at an epoch boundary.
 ///
@@ -41,7 +43,8 @@ pub struct Checkpoint {
     pub steps: u64,
     /// Mean training loss of each completed epoch.
     pub epoch_losses: Vec<f32>,
-    /// Flattened model parameters (`Network::flat_weights` order).
+    /// Flattened model state: parameters, then batch-norm running
+    /// statistics (`Network::flat_state` order).
     pub weights: Vec<f32>,
     /// SGD momentum buffers, one per parameter tensor.
     pub velocity: Vec<Vec<f32>>,

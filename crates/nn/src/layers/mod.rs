@@ -75,6 +75,10 @@ pub trait Layer: std::fmt::Debug {
     /// Visits `(parameter, gradient)` pairs for the optimizer.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
 
+    /// Visits the layer's state that training updates but the optimizer
+    /// does not (batch-norm running statistics), for checkpoints.
+    fn visit_buffers(&mut self, _f: &mut dyn FnMut(&mut [f32])) {}
+
     /// Total number of trainable scalars.
     fn param_count(&self) -> usize {
         0

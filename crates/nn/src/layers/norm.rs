@@ -168,6 +168,11 @@ impl Layer for BatchNorm2d {
         f(&mut self.beta, &mut self.dbeta);
     }
 
+    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        f(&mut self.running_mean);
+        f(&mut self.running_var);
+    }
+
     fn param_count(&self) -> usize {
         self.gamma.len() + self.beta.len()
     }

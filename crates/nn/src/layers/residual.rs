@@ -142,6 +142,14 @@ impl Layer for ResidualBlock {
         }
     }
 
+    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        self.bn1.visit_buffers(f);
+        self.bn2.visit_buffers(f);
+        if let Some((_, bn)) = &mut self.projection {
+            bn.visit_buffers(f);
+        }
+    }
+
     fn param_count(&self) -> usize {
         let mut n = self.conv1.param_count()
             + self.bn1.param_count()

@@ -103,25 +103,44 @@ impl Network {
         out
     }
 
-    /// Overwrites every parameter from a flat vector produced by
-    /// [`Network::flat_weights`] (checkpoint restore).
+    /// Flattens the network's whole training state: every parameter, in
+    /// [`Network::flat_weights`] order, followed by every buffer (batch-norm
+    /// running statistics). A checkpoint carries this, so a resumed run
+    /// evaluates like an uninterrupted one.
+    pub fn flat_state(&mut self) -> Vec<f32> {
+        let mut out = self.flat_weights();
+        self.visit_buffers(&mut |b| out.extend_from_slice(b));
+        out
+    }
+
+    /// Overwrites the state captured by [`Network::flat_state`]
+    /// (checkpoint restore).
     ///
     /// # Errors
     ///
     /// Returns the expected length when `flat` does not match the
-    /// network's parameter count; the network is left untouched.
-    pub fn set_flat_weights(&mut self, flat: &[f32]) -> Result<(), usize> {
-        let expected = self.param_count();
+    /// network's state size; the network is left untouched.
+    pub fn set_flat_state(&mut self, flat: &[f32]) -> Result<(), usize> {
+        let mut expected = self.param_count();
+        self.visit_buffers(&mut |b| expected += b.len());
         if flat.len() != expected {
             return Err(expected);
         }
-        let mut offset = 0usize;
-        self.visit_params(&mut |p, _| {
-            let n = p.len();
-            p.as_mut_slice().copy_from_slice(&flat[offset..offset + n]);
-            offset += n;
-        });
+        let mut rest = flat;
+        let mut take = |dst: &mut [f32]| {
+            let (head, tail) = rest.split_at(dst.len());
+            dst.copy_from_slice(head);
+            rest = tail;
+        };
+        self.visit_params(&mut |p, _| take(p.as_mut_slice()));
+        self.visit_buffers(&mut take);
         Ok(())
+    }
+
+    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        for layer in &mut self.layers {
+            layer.visit_buffers(f);
+        }
     }
 
     /// Euclidean norm of all weights.

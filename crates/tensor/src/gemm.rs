@@ -196,7 +196,7 @@ pub fn matmul_ws(
 
 /// Computes `C = Aᵀ × B` through the blocked engine.
 ///
-/// Bit-identical to [`crate::linalg::matmul_at_b`].
+/// Bit-identical to [`crate::linalg::matmul_at_b_reference`].
 ///
 /// # Errors
 ///
@@ -231,7 +231,7 @@ pub fn matmul_at_b_ws(
 
 /// Computes `C = A × Bᵀ` through the blocked engine.
 ///
-/// Bit-identical to [`crate::linalg::matmul_a_bt`]. This is the engine's
+/// Bit-identical to [`crate::linalg::matmul_a_bt_reference`]. This is the engine's
 /// native operand layout (`B`'s rows are already the output columns), so
 /// no transpose scratch is needed.
 ///

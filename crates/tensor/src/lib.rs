@@ -65,10 +65,7 @@ pub use conv::{
 };
 pub use error::ShapeError;
 pub use gemm::{matmul_a_bt_ws, matmul_at_b_ws, matmul_ws};
-pub use linalg::{
-    matmul, matmul_a_bt, matmul_a_bt_reference, matmul_at_b, matmul_at_b_reference,
-    matmul_reference,
-};
+pub use linalg::{matmul, matmul_a_bt_reference, matmul_at_b_reference, matmul_reference};
 pub use pool::{
     global_avg_pool_backward, global_avg_pool_forward, maxpool2d_backward, maxpool2d_forward,
 };

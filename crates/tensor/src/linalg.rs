@@ -5,8 +5,8 @@
 //! floating-point accumulation order of the matmul — the dominant source of
 //! implementation noise on GPUs (split-K and atomic-accumulation kernels).
 //!
-//! Since the blocked engine landed, the public entry points here are thin
-//! wrappers over [`crate::gemm`]: same signatures, same bits, much faster.
+//! Since the blocked engine landed, [`matmul`] is a thin wrapper over
+//! [`crate::gemm`]: same signature, same bits, much faster.
 //! The original per-element `*_reference` implementations are kept as the
 //! oracle the engine is property-tested against (see `crate::gemm` tests
 //! and `tests/proptests.rs`).
@@ -41,26 +41,6 @@ use crate::workspace::Workspace;
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor, red: &mut Reducer) -> Result<Tensor, ShapeError> {
     gemm::matmul_ws(a, b, red, 1, &mut Workspace::new())
-}
-
-/// Computes `C = Aᵀ × B`. See [`matmul`] for the engine/workspace notes.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the operands are not rank 2 or `A`'s rows do
-/// not match `B`'s rows.
-pub fn matmul_at_b(a: &Tensor, b: &Tensor, red: &mut Reducer) -> Result<Tensor, ShapeError> {
-    gemm::matmul_at_b_ws(a, b, red, 1, &mut Workspace::new())
-}
-
-/// Computes `C = A × Bᵀ`. See [`matmul`] for the engine/workspace notes.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the operands are not rank 2 or the column
-/// counts disagree.
-pub fn matmul_a_bt(a: &Tensor, b: &Tensor, red: &mut Reducer) -> Result<Tensor, ShapeError> {
-    gemm::matmul_a_bt_ws(a, b, red, 1, &mut Workspace::new())
 }
 
 /// Per-element reference `C = A × B`: one [`Reducer::dot`] per output, in
@@ -227,7 +207,8 @@ mod tests {
     fn at_b_matches_explicit_transpose() {
         let a = t(3, 2, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]); // Aᵀ is 2x3 [1,2,3;4,5,6]
         let b = t(3, 2, vec![7.0, 10.0, 8.0, 11.0, 9.0, 12.0]);
-        let c = matmul_at_b(&a, &b, &mut Reducer::sequential()).unwrap();
+        let c = gemm::matmul_at_b_ws(&a, &b, &mut Reducer::sequential(), 1, &mut Workspace::new())
+            .unwrap();
         // Aᵀ·B = [[1,2,3],[4,5,6]] × [[7,10],[8,11],[9,12]]
         assert_eq!(c.as_slice(), &[50.0, 68.0, 122.0, 167.0]);
     }
@@ -236,7 +217,8 @@ mod tests {
     fn a_bt_matches_explicit_transpose() {
         let a = t(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = t(2, 3, vec![7.0, 9.0, 11.0, 8.0, 10.0, 12.0]); // Bᵀ = [[7,8],[9,10],[11,12]]
-        let c = matmul_a_bt(&a, &b, &mut Reducer::sequential()).unwrap();
+        let c = gemm::matmul_a_bt_ws(&a, &b, &mut Reducer::sequential(), 1, &mut Workspace::new())
+            .unwrap();
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
     }
 

@@ -67,9 +67,6 @@ pub struct Reducer {
     amp_ulps: f32,
     /// Count of reductions performed (for profiling/attribution).
     invocations: u64,
-    /// One-shot fault-injection flag: when set, the next direct reduction
-    /// returns NaN (see [`Reducer::inject_nan`]).
-    poisoned: bool,
 }
 
 /// The replayable state of a [`Reducer`]: the scheduler RNG position and
@@ -97,7 +94,6 @@ impl Reducer {
             sched: SplitMix64::new(sched_seed),
             amp_ulps: 0.0,
             invocations: 0,
-            poisoned: false,
         }
     }
 
@@ -109,21 +105,10 @@ impl Reducer {
         }
     }
 
-    /// Restores the state captured by [`Reducer::snapshot`]. The poison
-    /// flag is transient fault-injection state and is always cleared.
+    /// Restores the state captured by [`Reducer::snapshot`].
     pub fn restore(&mut self, s: ReducerSnapshot) {
         self.sched = SplitMix64::new(s.sched_state);
         self.invocations = s.invocations;
-        self.poisoned = false;
-    }
-
-    /// Arms a one-shot fault: the next direct reduction ([`Reducer::sum`],
-    /// [`Reducer::dot`] or [`Reducer::sum_strided`]) returns NaN instead of
-    /// its result, modelling a kernel that silently produced garbage.
-    /// Pre-planned GEMM batches ([`Reducer::plan_dots`]) are unaffected —
-    /// the poison stays armed until a direct reduction materializes it.
-    pub fn inject_nan(&mut self) {
-        self.poisoned = true;
     }
 
     /// Sequential reference reducer.
@@ -163,10 +148,6 @@ impl Reducer {
     /// Sums a slice under the configured accumulation order.
     pub fn sum(&mut self, xs: &[f32]) -> f32 {
         self.invocations += 1;
-        if self.poisoned {
-            self.poisoned = false;
-            return f32::NAN;
-        }
         match self.order {
             ReduceOrder::Sequential => xs.iter().sum(),
             ReduceOrder::FixedTree => {
@@ -190,10 +171,6 @@ impl Reducer {
     pub fn dot(&mut self, a: &[f32], b: &[f32]) -> f32 {
         assert_eq!(a.len(), b.len(), "dot length mismatch");
         self.invocations += 1;
-        if self.poisoned {
-            self.poisoned = false;
-            return f32::NAN;
-        }
         match self.order {
             ReduceOrder::Sequential => {
                 let mut s = 0f32;
@@ -220,10 +197,6 @@ impl Reducer {
     /// without materializing a copy.
     pub fn sum_strided(&mut self, xs: &[f32], start: usize, stride: usize, count: usize) -> f32 {
         self.invocations += 1;
-        if self.poisoned {
-            self.poisoned = false;
-            return f32::NAN;
-        }
         let lane_count = self.lanes.min(count.max(1));
         let mut p = [0f32; MAX_LANES];
         match self.order {
@@ -812,34 +785,6 @@ mod tests {
         let replayed: Vec<u32> = (0..8).map(|_| fresh.sum(&xs).to_bits()).collect();
         assert_eq!(ahead, replayed);
         assert_eq!(fresh.invocations(), r.invocations());
-    }
-
-    #[test]
-    fn inject_nan_poisons_exactly_one_reduction() {
-        let xs = data(64);
-        let mut r = Reducer::new(ReduceOrder::Permuted, 16, 3);
-        let mut clean = r.clone();
-        r.inject_nan();
-        assert!(r.sum(&xs).is_nan());
-        // One-shot: the next call is clean again (though the scheduler
-        // stream has not advanced for the poisoned call).
-        assert!(!r.sum(&xs).is_nan());
-        // The poisoned call consumed no scheduler state.
-        assert_eq!(clean.sum(&xs).to_bits(), {
-            let mut r2 = Reducer::new(ReduceOrder::Permuted, 16, 3);
-            r2.inject_nan();
-            r2.sum(&[]);
-            r2.sum(&xs).to_bits()
-        });
-    }
-
-    #[test]
-    fn restore_clears_poison() {
-        let mut r = Reducer::new(ReduceOrder::FixedTree, 8, 0);
-        let snap = r.snapshot();
-        r.inject_nan();
-        r.restore(snap);
-        assert!(!r.sum(&[1.0, 2.0]).is_nan());
     }
 
     #[test]

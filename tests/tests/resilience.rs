@@ -9,81 +9,98 @@
 use detrand::{Philox, StreamId};
 use hwsim::ChaosConfig;
 use nnet::checkpoint::Checkpoint;
+use nnet::trainer::Trainer;
 use noisescope::prelude::*;
 use ns_integration::{tiny_settings, tiny_task};
 use proptest::prelude::*;
 
+/// Runs `train` three times: uninterrupted, with a sink that keeps the
+/// epoch-2 checkpoint a durable sink would have persisted before the
+/// process died, and resumed from that checkpoint. Returns the
+/// uninterrupted and the resumed outcome.
+fn interrupted_at_epoch_2<T>(train: impl Fn(FitOptions<'_>) -> T) -> (T, T) {
+    let reference = train(FitOptions::default());
+    let mut at_k: Option<Checkpoint> = None;
+    let mut sink = |c: &Checkpoint| {
+        if c.epochs_done == 2 {
+            at_k = Some(c.clone());
+        }
+    };
+    train(FitOptions {
+        sink: Some(&mut sink),
+        ..FitOptions::default()
+    });
+    let ck = at_k.expect("epoch-2 checkpoint was emitted");
+    let resumed = train(FitOptions {
+        resume: Some(&ck),
+        ..FitOptions::default()
+    });
+    (reference, resumed)
+}
+
+/// The bits of the eval-mode test-set logits of a model of `prepared`
+/// trained on `device` with `opts`. Eval mode normalizes with batch-norm
+/// running statistics, which the replica weights do not hold.
+fn eval_logits(prepared: &PreparedTask, device: &Device, opts: FitOptions<'_>) -> Vec<u32> {
+    let algo = Philox::from_seed(5);
+    let mut exec = ExecutionContext::builder(*device).entropy(9).build();
+    let mut net = prepared.spec.build_model(&algo);
+    Trainer::new(prepared.spec.train_config(&tiny_settings()))
+        .fit_with(&mut net, prepared.train_set(), &mut exec, &algo, None, opts)
+        .expect("model trains");
+    let x = prepared.test_set().x.clone();
+    let logits = net.forward(x, &mut exec, &algo, 0, false);
+    logits.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 /// The golden interrupt/resume property on a deterministic device and a
-/// noisy GPU: training interrupted at an epoch boundary and resumed from
-/// the persisted checkpoint must reproduce the uninterrupted run
-/// bit-for-bit — weights, predictions and accuracy.
+/// noisy GPU, without and with batch norm: training interrupted at an
+/// epoch boundary and resumed from the persisted checkpoint must
+/// reproduce the uninterrupted run bit-for-bit — weights, predictions,
+/// accuracy and eval-mode logits.
 #[test]
 fn golden_interrupt_resume_is_bitwise_identical_on_cpu_and_gpu() {
-    let mut task = tiny_task();
-    task.train.epochs = 4;
-    let prepared = PreparedTask::prepare(&task);
+    let mut bn_task = tiny_task();
+    bn_task.model = ModelKind::SmallCnn { with_bn: true };
     let settings = tiny_settings();
-    for device in [Device::cpu(), Device::v100()] {
-        let reference = run_replica(&prepared, &device, NoiseVariant::Impl, &settings, 0)
-            .expect("uninterrupted replica trains");
-
-        // "Interrupt" at epoch 2: capture the epoch-boundary checkpoint a
-        // durable sink would have persisted before the process died.
-        let mut at_k: Option<Checkpoint> = None;
-        let mut sink = |c: &Checkpoint| {
-            if c.epochs_done == 2 {
-                at_k = Some(c.clone());
-            }
-        };
-        run_replica_with(
-            &prepared,
-            &device,
-            NoiseVariant::Impl,
-            &settings,
-            0,
-            0,
-            FitOptions {
-                sink: Some(&mut sink),
-                ..FitOptions::default()
-            },
-        )
-        .expect("checkpointing replica trains");
-        let ck = at_k.expect("epoch-2 checkpoint was emitted");
-        assert_eq!(ck.epochs_done, 2);
-
-        let resumed = run_replica_with(
-            &prepared,
-            &device,
-            NoiseVariant::Impl,
-            &settings,
-            0,
-            0,
-            FitOptions {
-                resume: Some(&ck),
-                ..FitOptions::default()
-            },
-        )
-        .expect("resumed replica trains");
-
-        let bits = |ws: &[f32]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&reference.weights),
-            bits(&resumed.weights),
-            "resume-at-epoch-2 weights diverged on {}",
-            device.name()
-        );
-        assert_eq!(reference.preds, resumed.preds, "on {}", device.name());
-        assert_eq!(
-            reference.accuracy.to_bits(),
-            resumed.accuracy.to_bits(),
-            "on {}",
-            device.name()
-        );
+    for mut task in [tiny_task(), bn_task] {
+        task.train.epochs = 4;
+        let prepared = PreparedTask::prepare(&task);
+        for device in [Device::cpu(), Device::v100()] {
+            let on = format!("{:?} on {}", task.model, device.name());
+            let (reference, resumed) = interrupted_at_epoch_2(|opts| {
+                run_replica_with(
+                    &prepared,
+                    &device,
+                    NoiseVariant::Impl,
+                    &settings,
+                    0,
+                    0,
+                    opts,
+                )
+                .expect("replica trains")
+            });
+            let bits = |ws: &[f32]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&reference.weights),
+                bits(&resumed.weights),
+                "resume-at-epoch-2 weights diverged, {on}"
+            );
+            assert_eq!(reference.preds, resumed.preds, "{on}");
+            assert_eq!(
+                reference.accuracy.to_bits(),
+                resumed.accuracy.to_bits(),
+                "{on}"
+            );
+            let (reference, resumed) =
+                interrupted_at_epoch_2(|opts| eval_logits(&prepared, &device, opts));
+            assert_eq!(reference, resumed, "eval logits diverged, {on}");
+        }
     }
 }
 
-/// Chaos-injected transient faults (launch failures, kernel panics, NaN
-/// poison) are recovered by the supervisor into a fleet bit-identical to a
+/// Chaos-injected transient faults (a launch failure and a kernel panic)
+/// are recovered by the supervisor into a fleet bit-identical to a
 /// fault-free one, with the retries visible in the statuses.
 #[test]
 fn chaos_fleet_recovers_bit_identically_with_retried_statuses() {
