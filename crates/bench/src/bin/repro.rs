@@ -105,7 +105,7 @@ type Experiment = (
 /// Every experiment, in the order `repro` queues their cells and prints
 /// them: Figure 6 first, so its full-batch replicas start early. The four
 /// Table-2 readers plan the same cells, which train once.
-const EXPERIMENTS: [Experiment; 17] = [
+const EXPERIMENTS: [Experiment; 15] = [
     ("fig7", &["fig7", "cost"], |_| {
         untrained(|| {
             let fig = cost::fig7(100);
@@ -154,15 +154,8 @@ const EXPERIMENTS: [Experiment; 17] = [
     ("fig5", &["fig5"], |s| {
         stability::fig5(s).map(saving(stability::render_fig5))
     }),
-    ("ext_data_parallel", &["ext"], |s| {
-        extensions::data_parallel_sweep(s).map(saving(extensions::render_data_parallel))
-    }),
     ("ext_lanes", &["ext"], |s| {
         extensions::lanes_sweep(s).map(saving(extensions::render_lanes))
-    }),
-    ("ext_architectures", &["ext"], |s| {
-        let render = extensions::render_architecture_instability;
-        extensions::architecture_instability(s).map(saving(render))
     }),
     ("ext_algo_sources", &["ext"], |s| {
         extensions::algo_source_decomposition(s).map(saving(extensions::render_algo_sources))

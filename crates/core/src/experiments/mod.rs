@@ -22,8 +22,8 @@
 //! | Figure 8 left (overhead across 10 networks) | [`cost::fig8a`] |
 //! | Figure 8 right (overhead vs filter size) | [`cost::fig8b`] |
 //! | Figures 9/10 (Fig. 1 on P100 / RTX5000) | [`stability::render_fig_panel`] |
-//! | Extension: distributed data parallelism (§6) | [`extensions::data_parallel_sweep`] |
 //! | Extension: parallelism → noise ablation (§3.3) | [`extensions::lanes_sweep`] |
+//! | Extension: per-source ALGO decomposition (Table 1) | [`extensions::algo_source_decomposition`] |
 
 use crate::report::{stability_report, StabilityReport};
 use crate::runner::{run_grid, Cell, VariantRuns};
@@ -276,18 +276,12 @@ mod tests {
         };
         let outcomes = [
             (
-                "data_parallel_sweep",
-                extensions::data_parallel_sweep(&settings)
-                    .run(&settings)
-                    .map(drop),
-            ),
-            (
                 "lanes_sweep",
                 extensions::lanes_sweep(&settings).run(&settings).map(drop),
             ),
             (
-                "architecture_instability",
-                extensions::architecture_instability(&settings)
+                "algo_source_decomposition",
+                extensions::algo_source_decomposition(&settings)
                     .run(&settings)
                     .map(drop),
             ),

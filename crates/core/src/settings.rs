@@ -85,6 +85,14 @@ pub enum SettingsError {
         /// Name of the offending task.
         task: String,
     },
+    /// A task's `TrainConfig::data_parallel_workers` is not 1, the only
+    /// value the trainer runs.
+    DataParallelWorkers {
+        /// Name of the offending task.
+        task: String,
+        /// The offending worker count.
+        workers: usize,
+    },
     /// `epochs_scale` is non-finite or not strictly positive, so every
     /// epoch budget would collapse or go NaN.
     BadEpochsScale {
@@ -129,6 +137,12 @@ impl std::fmt::Display for SettingsError {
             SettingsError::ZeroReplicas => write!(f, "replicas must be >= 1 (NS_REPLICAS)"),
             SettingsError::ZeroBatchSize { task } => {
                 write!(f, "task {task:?} has batch_size 0")
+            }
+            SettingsError::DataParallelWorkers { task, workers } => {
+                write!(
+                    f,
+                    "task {task:?} has data_parallel_workers {workers}; only 1 is supported"
+                )
             }
             SettingsError::BadEpochsScale { value } => {
                 write!(
@@ -270,13 +284,20 @@ impl ExperimentSettings {
     }
 
     /// [`ExperimentSettings::validate`] plus the task-dependent checks
-    /// for one task spec (currently: a zero batch size, which the trainer
-    /// would otherwise reject with a deep panic).
+    /// for one task spec: a zero batch size, or a data-parallel worker
+    /// count other than 1, each of which the trainer would otherwise
+    /// reject with a deep panic.
     pub fn validate_for(&self, task: &crate::task::TaskSpec) -> Result<(), SettingsError> {
         self.validate()?;
         if task.train.batch_size == 0 {
             return Err(SettingsError::ZeroBatchSize {
                 task: task.name.clone(),
+            });
+        }
+        if task.train.data_parallel_workers != 1 {
+            return Err(SettingsError::DataParallelWorkers {
+                task: task.name.clone(),
+                workers: task.train.data_parallel_workers,
             });
         }
         Ok(())
@@ -399,5 +420,24 @@ mod tests {
             .validate_for(&task)
             .unwrap_err();
         assert!(matches!(err, SettingsError::ZeroBatchSize { .. }));
+    }
+
+    #[test]
+    fn validate_for_rejects_data_parallel_workers_other_than_one() {
+        let mut task = crate::task::TaskSpec::small_cnn_cifar10();
+        for workers in [0, 4] {
+            task.train.data_parallel_workers = workers;
+            let err = ExperimentSettings::default()
+                .validate_for(&task)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SettingsError::DataParallelWorkers {
+                    task: task.name.clone(),
+                    workers,
+                }
+            );
+            assert!(err.to_string().contains("data_parallel_workers"));
+        }
     }
 }

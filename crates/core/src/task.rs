@@ -26,8 +26,6 @@ pub enum ModelKind {
     MicroResNet18,
     /// Scaled ResNet-50.
     MicroResNet50,
-    /// LeNet-5-style network (related-work comparisons).
-    LeNet5,
 }
 
 /// Which dataset a task trains on.
@@ -242,7 +240,6 @@ impl TaskSpec {
             ModelKind::SmallCnnDropout { rate } => zoo::small_cnn_dropout(hw, c, out, rate, root),
             ModelKind::MicroResNet18 => zoo::micro_resnet18(hw, c, out, root),
             ModelKind::MicroResNet50 => zoo::micro_resnet50(hw, c, out, root),
-            ModelKind::LeNet5 => zoo::lenet5(hw, c, out, root),
         }
     }
 

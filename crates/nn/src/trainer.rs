@@ -212,11 +212,10 @@ pub struct TrainConfig {
     /// order while every other algorithmic factor stays fixed (the paper's
     /// Fig. 6 design).
     pub shuffle_seed_override: Option<u64>,
-    /// Simulated data-parallel workers (1 = single device). Each batch is
-    /// sharded across workers; shard gradients are combined through the
-    /// device's `Misc` reducer, so a nondeterministic interconnect
-    /// (arrival-order all-reduce) injects additional implementation noise —
-    /// the distributed-training extension of the paper's §6.
+    /// Must be 1: every step runs one forward/backward pass on one
+    /// simulated device. The field is kept only so that serialized task
+    /// specs, checkpoint-store cell keys and fleet specs stay unchanged;
+    /// ROADMAP item 4 (the benchmark change) deletes it.
     pub data_parallel_workers: usize,
     /// When set, the augmentation stream derives from this seed instead of
     /// the run's algorithmic root (vary *only* augmentation).
@@ -295,12 +294,12 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics if `batch_size == 0`.
+    /// Panics if `batch_size == 0` or `data_parallel_workers != 1`.
     pub fn new(config: TrainConfig) -> Self {
         assert!(config.batch_size > 0, "batch size must be positive");
-        assert!(
-            config.data_parallel_workers > 0,
-            "worker count must be positive"
+        assert_eq!(
+            config.data_parallel_workers, 1,
+            "data-parallel training is not supported"
         );
         Self { config }
     }
@@ -412,25 +411,12 @@ impl Trainer {
                         );
                     }
                 }
-                let loss = if cfg.data_parallel_workers > 1 {
-                    train_step_data_parallel(
-                        net,
-                        &batch,
-                        chunk.len(),
-                        cfg.data_parallel_workers,
-                        exec,
-                        &forward_root,
-                        step,
-                    )
-                } else {
-                    let logits = net.forward(batch.x, exec, &forward_root, step, true);
-                    let (loss, dlogits) = match &batch.targets {
-                        Targets::Classes(labels) => softmax_cross_entropy(&logits, labels),
-                        Targets::Binary(t) => sigmoid_bce(&logits, t),
-                    };
-                    net.backward(dlogits, exec);
-                    loss
+                let logits = net.forward(batch.x, exec, &forward_root, step, true);
+                let (loss, dlogits) = match &batch.targets {
+                    Targets::Classes(labels) => softmax_cross_entropy(&logits, labels),
+                    Targets::Binary(t) => sigmoid_bce(&logits, t),
                 };
+                net.backward(dlogits, exec);
                 if let Some(ev) = exec.take_fault() {
                     exec.disarm_chaos();
                     return Err(TrainError::Fault {
@@ -566,80 +552,6 @@ fn apply_checkpoint(
     *order = ck.order.iter().map(|&i| i as usize).collect();
     exec.restore(&ck.exec);
     Ok(())
-}
-
-/// One simulated data-parallel training step: shard the batch, compute
-/// per-worker gradients, and all-reduce them through the device's `Misc`
-/// reducer (arrival-order combination on nondeterministic interconnects).
-///
-/// Returns the mean loss across shards; parameter gradients are left in
-/// the network for the optimizer, exactly like the single-device path.
-fn train_step_data_parallel(
-    net: &mut Network,
-    batch: &Batch,
-    batch_len: usize,
-    workers: usize,
-    exec: &mut ExecutionContext,
-    algo: &Philox,
-    step: u64,
-) -> f32 {
-    let shard_size = batch_len.div_ceil(workers);
-    let idx: Vec<usize> = (0..batch_len).collect();
-    let sl = batch.x.len() / batch_len.max(1);
-    let mut shard_grads: Vec<Vec<f32>> = Vec::new();
-    let mut shard_weights: Vec<f32> = Vec::new();
-    let mut loss_sum = 0f64;
-    let mut shards = 0u32;
-
-    for shard_idx in idx.chunks(shard_size) {
-        // Materialize the shard.
-        let mut data = Vec::with_capacity(shard_idx.len() * sl);
-        for &i in shard_idx {
-            data.extend_from_slice(&batch.x.as_slice()[i * sl..(i + 1) * sl]);
-        }
-        let mut dims = vec![shard_idx.len()];
-        dims.extend_from_slice(&batch.x.shape().dims()[1..]);
-        let x = Tensor::from_vec(Shape::of(&dims), data).expect("shard gather");
-        let targets = batch.targets.gather(shard_idx);
-
-        let logits = net.forward(x, exec, algo, step, true);
-        let (loss, dlogits) = match &targets {
-            Targets::Classes(labels) => softmax_cross_entropy(&logits, labels),
-            Targets::Binary(t) => sigmoid_bce(&logits, t),
-        };
-        net.backward(dlogits, exec);
-        loss_sum += loss as f64;
-        shards += 1;
-
-        // Snapshot this worker's gradients.
-        let mut flat = Vec::new();
-        net.visit_params(&mut |_, g| flat.extend_from_slice(g.as_slice()));
-        shard_grads.push(flat);
-        shard_weights.push(shard_idx.len() as f32 / batch_len as f32);
-    }
-
-    // All-reduce: combine per-worker gradients element-wise through the
-    // device's reducer — the combination order is where interconnect
-    // nondeterminism enters.
-    let red = exec.reducer(hwsim::OpClass::Misc);
-    let n_params = shard_grads[0].len();
-    let mut combined = vec![0f32; n_params];
-    let mut scratch = vec![0f32; shard_grads.len()];
-    for i in 0..n_params {
-        for (s, g) in shard_grads.iter().enumerate() {
-            scratch[s] = g[i] * shard_weights[s];
-        }
-        combined[i] = red.sum(&scratch);
-    }
-    // Write the reduced gradients back for the optimizer.
-    let mut offset = 0usize;
-    net.visit_params(&mut |_, g| {
-        let len = g.len();
-        g.as_mut_slice()
-            .copy_from_slice(&combined[offset..offset + len]);
-        offset += len;
-    });
-    (loss_sum / shards.max(1) as f64) as f32
 }
 
 /// Runs inference over a dataset in batches; returns class predictions.

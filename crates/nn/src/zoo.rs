@@ -147,34 +147,6 @@ pub fn micro_resnet50(input_hw: usize, in_c: usize, classes: usize, root: &Philo
     net
 }
 
-/// LeNet-5-style network (conv 5×5 ×2 + dense ×2): the architecture
-/// Pham et al. (ASE'20) found most variance-prone across DL libraries —
-/// included so that related-work comparisons can be replayed here.
-///
-/// # Panics
-///
-/// Panics if `input_hw` is not divisible by 4.
-pub fn lenet5(input_hw: usize, in_c: usize, classes: usize, root: &Philox) -> Network {
-    assert_eq!(input_hw % 4, 0, "input size must be divisible by 4");
-    let mut rng = root.stream(StreamId::INIT.child(0));
-    let mut net = Network::new();
-    let g1 = ConvGeometry::new(in_c, 6, 5, 1, 2, input_hw, input_hw);
-    net.push(Conv2d::new(g1, &mut rng));
-    net.push(Relu::new());
-    net.push(MaxPool2d::new(2));
-    let hw2 = input_hw / 2;
-    let g2 = ConvGeometry::new(6, 16, 5, 1, 2, hw2, hw2);
-    net.push(Conv2d::new(g2, &mut rng));
-    net.push(Relu::new());
-    net.push(MaxPool2d::new(2));
-    let hw4 = input_hw / 4;
-    net.push(Flatten::new());
-    net.push(Dense::new(16 * hw4 * hw4, 32, &mut rng));
-    net.push(Relu::new());
-    net.push(Dense::new(32, classes, &mut rng));
-    net
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,20 +214,6 @@ mod tests {
         let mut a = micro_resnet18(8, 3, 10, &root);
         let mut b = micro_resnet18(8, 3, 10, &root);
         assert_eq!(a.flat_weights(), b.flat_weights());
-    }
-
-    #[test]
-    fn lenet_shape_and_structure() {
-        let root = Philox::from_seed(8);
-        let mut net = lenet5(8, 1, 10, &root);
-        let mut exec = ExecutionContext::new(Device::cpu(), ExecutionMode::Default, 0);
-        let x = Tensor::zeros(Shape::of(&[2, 1, 8, 8]));
-        let y = net.forward(x, &mut exec, &root, 0, false);
-        assert_eq!(y.shape().dims(), &[2, 10]);
-        assert_eq!(
-            net.layer_kinds().iter().filter(|k| **k == "conv2d").count(),
-            2
-        );
     }
 
     #[test]

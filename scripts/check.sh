@@ -20,6 +20,12 @@ run cargo test -q --release -p nstensor
 # kernels (crates/tensor/src/tile/portable.rs) are the shipped path rather
 # than only the oracle of the 512-bit ones.
 run env RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test -q --release -p nstensor
+# The extension group end to end at the quick budget: it must write
+# exactly its two reports.
+ext_out=$(mktemp -d)
+run env NS_QUICK=1 cargo run -q --release -p ns-bench --bin repro -- --exp ext --out "$ext_out" > "$ext_out/stdout.txt"
+test "$(cd "$ext_out" && ls *.json | tr '\n' ' ')" = "ext_algo_sources.json ext_lanes.json "
+rm -rf "$ext_out"
 run cargo clippy --workspace --all-targets -- -D warnings
 # The explicit AVX-512 tile kernels are compiled only for targets with
 # AVX-512 F and DQ; this lints them on any x86-64 host, without running them.

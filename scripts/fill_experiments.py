@@ -70,13 +70,9 @@ sections.append("## Figures 9/10 — Figure 1 on P100 / RTX5000\n\n"
   "Paper: same qualitative picture as V100 across hardware.\n\n```\n" +
   grab("Figure 9:") + "\n\n" + grab("Figure 10:") + "\n```\n")
 sections.append("## Extensions (beyond the paper)\n\n"
-  "Distributed data parallelism (the paper's §6 future work), the "
-  "parallelism→noise ablation (§3.3's CUDA-core hypothesis), the per-source "
-  "ALGO decomposition, and an architecture-instability comparison including "
-  "LeNet-5 (Pham et al.'s most variance-prone model).\n\n```\n" +
-  grab("Extension: IMPL noise vs simulated data-parallel workers") + "\n\n" +
+  "The parallelism→noise ablation (§3.3's CUDA-core hypothesis) and the "
+  "per-source ALGO decomposition.\n\n```\n" +
   grab("Extension: IMPL noise vs accumulation-lane count") + "\n\n" +
-  grab("Extension: architecture instability") + "\n\n" +
   grab("Extension: per-source decomposition") + "\n```\n")
 
 body = "\n".join(sections)
