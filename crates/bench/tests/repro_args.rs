@@ -92,6 +92,9 @@ fn a_malformed_numeric_env_knob_exits_2_before_creating_out() {
         ("NS_RETRIES", "-1"),
         ("NS_WORKER_TIMEOUT", "5s"),
         ("NS_HEARTBEAT_EVERY", "4.0"),
+        // A boolean spelling of the quick switch must not run the full
+        // budget: only 0 and 1 are accepted.
+        ("NS_QUICK", "true"),
         ("NS_CHAOS", "20:1,x"),
         // Three and five counts: schedules written for an older set of
         // fault kinds, which must not be reread as the current four.
@@ -124,6 +127,7 @@ fn well_formed_numeric_env_knobs_run() {
             ("NS_WORKER_TIMEOUT", "30"),
             ("NS_HEARTBEAT_EVERY", "4"),
             ("NS_CHAOS", "20:1,0,0,0"),
+            ("NS_QUICK", "0"),
         ],
     );
     let stderr = String::from_utf8_lossy(&run.stderr);

@@ -190,8 +190,8 @@ impl std::error::Error for SettingsError {}
 impl ExperimentSettings {
     /// Reads overrides from the environment:
     /// `NS_REPLICAS`, `NS_SEED`, `NS_AMP_ULPS`, `NS_EPOCHS_SCALE`,
-    /// `NS_EXEC_THREADS`, `NS_QUICK` (=1 → 3 replicas, half epochs),
-    /// `NS_RETRIES` (supervisor retry budget), `NS_CHAOS`
+    /// `NS_EXEC_THREADS`, `NS_QUICK` (`1` → at most 3 replicas, half
+    /// epochs; `0` → off), `NS_RETRIES` (supervisor retry budget), `NS_CHAOS`
     /// (chaos-injection schedule
     /// `<seed>[:<launch>,<panic>,<hang>,<abort>][@<hang_ms>][!]`, see
     /// [`hwsim::ChaosConfig::parse`]),
@@ -234,9 +234,15 @@ impl ExperimentSettings {
         if let Ok(v) = std::env::var("NS_HEARTBEAT_EVERY") {
             s.heartbeat_every_steps = v.parse().map_err(|_| malformed("NS_HEARTBEAT_EVERY", v))?;
         }
-        if std::env::var("NS_QUICK").map(|v| v == "1").unwrap_or(false) {
-            s.replicas = s.replicas.min(3);
-            s.epochs_scale *= 0.5;
+        if let Ok(v) = std::env::var("NS_QUICK") {
+            match v.as_str() {
+                "0" => {}
+                "1" => {
+                    s.replicas = s.replicas.min(3);
+                    s.epochs_scale *= 0.5;
+                }
+                _ => return Err(malformed("NS_QUICK", v)),
+            }
         }
         Ok(s)
     }

@@ -1,9 +1,9 @@
 //! Configuration for a detlint run, loaded from `detlint.toml`.
 //!
 //! Only the TOML subset detlint needs is supported: top-level
-//! `key = value` pairs, `[rules.DLxxx]` sections, string arrays
-//! (single- or multi-line), and booleans. Unknown keys are errors so
-//! config typos cannot silently disable a rule.
+//! `key = value` pairs, `[rules.DLxxx]` sections and string arrays
+//! (single- or multi-line). Unknown keys are errors so config typos
+//! cannot silently disable a rule.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -16,9 +16,6 @@ pub struct Config {
     /// Path prefixes (relative to the workspace root, `/`-separated)
     /// that are skipped entirely.
     pub exclude: Vec<String>,
-    /// When `false` (default), findings inside `#[cfg(test)]` / `#[test]`
-    /// regions and under `tests/` or `benches/` directories are dropped.
-    pub scan_test_code: bool,
     /// Per-rule path-prefix exemptions, e.g. the entropy module is the one
     /// place allowed to touch OS randomness.
     pub exempt: BTreeMap<RuleId, Vec<String>>,
@@ -26,19 +23,14 @@ pub struct Config {
     /// registry; `[rules.DL008] registered = [...]`). Anything Settings
     /// reads and folds into the experiment fingerprint belongs here.
     pub registered_env: Vec<String>,
-    /// Audit mode (`--audit`): stale allows become DL009 findings
-    /// instead of warnings. Set by the CLI, not by `detlint.toml`.
-    pub audit: bool,
 }
 
 impl Default for Config {
     fn default() -> Self {
         Config {
             exclude: vec!["target".into(), ".git".into()],
-            scan_test_code: false,
             exempt: BTreeMap::new(),
             registered_env: Vec::new(),
-            audit: false,
         }
     }
 }
@@ -88,9 +80,6 @@ impl Config {
             }
             match (section, key.as_str()) {
                 (None, "exclude") => cfg.exclude = parse_string_array(&value, idx)?,
-                (None, "scan_test_code") => {
-                    cfg.scan_test_code = parse_bool(&value, idx)?;
-                }
                 (Some(rule), "exempt") => {
                     cfg.exempt.insert(rule, parse_string_array(&value, idx)?);
                 }
@@ -166,17 +155,6 @@ fn balanced_array(value: &str) -> bool {
     depth == 0
 }
 
-fn parse_bool(value: &str, idx: usize) -> Result<bool, String> {
-    match value {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(format!(
-            "line {}: expected true/false, got `{other}`",
-            idx + 1
-        )),
-    }
-}
-
 fn parse_string_array(value: &str, idx: usize) -> Result<Vec<String>, String> {
     let inner = value
         .strip_prefix('[')
@@ -207,7 +185,6 @@ mod tests {
             r#"
 # comment
 exclude = ["target", "crates/detlint/tests/fixtures"]
-scan_test_code = false
 
 [rules.DL002]
 exempt = [
@@ -218,7 +195,6 @@ exempt = [
         )
         .unwrap();
         assert_eq!(cfg.exclude.len(), 2);
-        assert!(!cfg.scan_test_code);
         assert!(cfg.rule_exempt(RuleId::Dl002, "crates/rng/src/entropy.rs"));
         assert!(cfg.rule_exempt(RuleId::Dl002, "third_party/rand/src/lib.rs"));
         assert!(!cfg.rule_exempt(RuleId::Dl002, "crates/rng/src/philox.rs"));
@@ -238,6 +214,8 @@ exempt = [
     #[test]
     fn unknown_keys_are_errors() {
         assert!(Config::parse("scan_tets_code = true").is_err());
+        // Test code is always skipped; the old switch is a typo like any other.
+        assert!(Config::parse("scan_test_code = false").is_err());
         assert!(Config::parse("[rules.DL999]\nexempt = []").is_err());
     }
 

@@ -20,7 +20,7 @@
 //! | DL006 | IMPL      | Unordered-tainted value reaching a float accumulation sink (cross-statement dataflow) |
 //! | DL007 | ALGO      | Sequential RNG value crossing a thread/process boundary without index re-derivation |
 //! | DL008 | REPORTING | `std::env::var` feeding a numeric path without registration in `Settings` |
-//! | DL009 | REPORTING | Stale `detlint::allow` whose rule no longer fires on the covered line (`--audit`) |
+//! | DL009 | REPORTING | Stale `detlint::allow` whose rule no longer fires on the covered line |
 //!
 //! DL001–DL005 are single-statement token-pattern rules; DL006–DL008 run
 //! on an intra-procedural taint engine (see [`dataflow`]) over the
@@ -41,25 +41,23 @@
 //! ```
 //!
 //! Reasons are mandatory and audited: an allow without a reason, or naming
-//! an unknown rule, is itself a gate-failing problem. Unused allows are
-//! reported as warnings so stale annotations get cleaned up; under
-//! `--audit` they are DL009 findings.
+//! an unknown rule, is itself a gate-failing problem. An unused allow in
+//! shipping code is a DL009 finding, so stale annotations get cleaned up;
+//! in test code, where the rules do not run, it is only a warning.
 //!
 //! # One scan path
 //!
 //! [`scan_workspace`] is the only whole-workspace entry point: the
 //! `detlint` binary and the tier-1 test `tests/tests/detlint_clean.rs`
-//! both call it. It re-analyzes every file on every run; a full workspace
-//! scan takes tens of milliseconds.
+//! both call it, and both print [`report::human`]. It re-analyzes every
+//! file on every run; a full workspace scan takes tens of milliseconds.
 
 pub mod config;
 pub mod dataflow;
-pub mod explain;
 pub mod lexer;
 pub mod parser;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 pub mod suppress;
 
 use std::path::{Path, PathBuf};
@@ -164,21 +162,6 @@ impl RuleId {
             RuleId::Dl001 | RuleId::Dl003 | RuleId::Dl008 | RuleId::Dl009 => Taxonomy::Reporting,
             RuleId::Dl002 | RuleId::Dl007 => Taxonomy::Algo,
             RuleId::Dl004 | RuleId::Dl005 | RuleId::Dl006 => Taxonomy::Impl,
-        }
-    }
-
-    /// One-line rule description.
-    pub fn summary(self) -> &'static str {
-        match self {
-            RuleId::Dl001 => "HashMap/HashSet iteration feeding accumulation or output",
-            RuleId::Dl002 => "RNG seeded from OS entropy or wall time",
-            RuleId::Dl003 => "wall-clock read in a result-producing path",
-            RuleId::Dl004 => "order-sensitive float reduction",
-            RuleId::Dl005 => "unordered parallel float reduction",
-            RuleId::Dl006 => "unordered-tainted value reaching a float accumulation",
-            RuleId::Dl007 => "sequential RNG value crossing a thread/process boundary",
-            RuleId::Dl008 => "unregistered env var influencing a numeric path",
-            RuleId::Dl009 => "stale detlint::allow matching no finding",
         }
     }
 }
@@ -307,14 +290,12 @@ pub fn scan_file(rel_path: &str, source: &str, config: &Config) -> ScanReport {
             None => report.findings.push(f),
         }
     }
-    // In `--audit` mode a stale allow in shipping code is a finding
-    // (DL009); in normal mode it stays a warning. Test code keeps the
-    // warning either way — its rules don't run, so every allow there
+    // A stale allow in shipping code is a finding (DL009). Test code
+    // keeps it a warning — its rules don't run, so every allow there
     // would look stale.
-    let audit_here = config.audit
-        && !config.rule_exempt(RuleId::Dl009, rel_path)
-        && (config.scan_test_code || !Config::is_test_path(rel_path));
-    let test_regions = if audit_here && !config.scan_test_code {
+    let audit_here =
+        !config.rule_exempt(RuleId::Dl009, rel_path) && !Config::is_test_path(rel_path);
+    let test_regions = if audit_here {
         lexer::test_regions(&lexed.tokens)
     } else {
         Vec::new()
@@ -434,12 +415,17 @@ mod tests {
         assert!(report.clean());
     }
 
+    /// An allow inside a `#[cfg(test)]` region covers code the rules skip,
+    /// so it would always look stale: it stays a warning, not DL009.
     #[test]
     fn unused_allow_is_warned_not_failed() {
-        let src = "// detlint::allow(DL001, reason = \"nothing here\")\nfn f() {}\n";
+        let src = "#[cfg(test)]\nmod tests {\n    // detlint::allow(DL001, reason = \"nothing here\")\n    fn f() {}\n}\n";
         let report = scan_file("src/x.rs", src, &Config::default());
-        assert!(report.clean());
-        assert_eq!(report.unused_allows.len(), 1);
+        assert!(report.clean(), "{:?}", report.findings);
+        assert_eq!(
+            report.unused_allows,
+            [("src/x.rs".to_string(), 3, RuleId::Dl001)]
+        );
     }
 
     #[test]

@@ -1,6 +1,4 @@
-//! Human-readable and JSON rendering of a scan report.
-
-use serde_json::Value;
+//! The human-readable scan report: the one output of `detlint`.
 
 use crate::{Finding, ScanReport};
 
@@ -41,59 +39,4 @@ pub fn human(report: &ScanReport) -> String {
         report.files_scanned,
     ));
     out
-}
-
-fn finding_value(f: &Finding) -> Value {
-    serde_json::json!({
-        "rule": f.rule.as_str(),
-        "taxonomy": f.rule.taxonomy().as_str(),
-        "file": f.file,
-        "line": f.line,
-        "message": f.message,
-    })
-}
-
-/// Formats the report as a JSON document (stable key order).
-pub fn json(report: &ScanReport) -> Value {
-    serde_json::json!({
-        "clean": report.clean(),
-        "files_scanned": report.files_scanned,
-        "findings": report.findings.iter().map(finding_value).collect::<Vec<_>>(),
-        "suppressed": report
-            .suppressed
-            .iter()
-            .map(|(f, reason)| {
-                let mut v = finding_value(f);
-                if let Value::Obj(m) = &mut v {
-                    m.insert(
-                        "reason".to_string(),
-                        Value::Str(reason.clone()),
-                    );
-                }
-                v
-            })
-            .collect::<Vec<_>>(),
-        "problems": report
-            .problems
-            .iter()
-            .map(|p| {
-                serde_json::json!({
-                    "file": p.file,
-                    "line": p.line,
-                    "message": p.message,
-                })
-            })
-            .collect::<Vec<_>>(),
-        "unused_allows": report
-            .unused_allows
-            .iter()
-            .map(|(file, line, rule)| {
-                serde_json::json!({
-                    "file": file,
-                    "line": line,
-                    "rule": rule.as_str(),
-                })
-            })
-            .collect::<Vec<_>>(),
-    })
 }

@@ -77,19 +77,16 @@ pub fn run_rules(
     config: &Config,
 ) -> Vec<Finding> {
     let tokens = &lexed.tokens;
-    let skip_tests = !config.scan_test_code;
-    if skip_tests && Config::is_test_path(rel_path) {
+    // Test code is never scanned: it may time things and draw throwaway
+    // randomness, and it produces no reported numbers.
+    if Config::is_test_path(rel_path) {
         return Vec::new();
     }
     let ctx = Ctx {
         rel_path,
         tokens,
         fn_sigs: fn_signatures(tokens),
-        test_regions: if skip_tests {
-            test_regions(tokens)
-        } else {
-            Vec::new()
-        },
+        test_regions: test_regions(tokens),
         float_vars: tracked_float_vars(tokens),
     };
     let mut findings = Vec::new();

@@ -1,15 +1,13 @@
 //! End-to-end tests of the `detlint` binary: exit codes, the human
-//! report, SARIF output and argument rejection, on scratch crates written
-//! under the test's temporary directory.
+//! report and argument rejection, on scratch crates written under the
+//! test's temporary directory.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use serde_json::Value;
-
 /// One DL004 finding (line 4), one valid suppression (line 8), one allow
 /// with no reason (line 11) and one allow that covers no hazard (line 15,
-/// DL009 under `--audit`).
+/// DL009).
 const HAZARDS: &str = "//! Scratch crate for the detlint binary tests.
 
 pub fn unordered_total(xs: &[f32]) -> f32 {
@@ -60,7 +58,7 @@ fn stdout(out: &Output) -> String {
 #[test]
 fn audit_fails_on_a_finding_a_bad_allow_and_a_stale_allow() {
     let root = scratch_crate("cli_hazards_human", HAZARDS);
-    let out = detlint(&root, &["--audit"]);
+    let out = detlint(&root, &[]);
     assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
     let text = stdout(&out);
     let lines: Vec<&str> = text.lines().collect();
@@ -93,37 +91,9 @@ fn audit_fails_on_a_finding_a_bad_allow_and_a_stale_allow() {
 }
 
 #[test]
-fn sarif_has_one_result_per_finding_and_problem() {
-    let root = scratch_crate("cli_hazards_sarif", HAZARDS);
-    let out = detlint(&root, &["--audit", "--sarif"]);
-    assert_eq!(out.status.code(), Some(1));
-    let doc: Value = serde_json::from_str(&stdout(&out)).expect("SARIF parses as JSON");
-    let results = doc.get("runs").and_then(Value::as_array).expect("runs")[0]
-        .get("results")
-        .and_then(Value::as_array)
-        .expect("results");
-    let located: Vec<(&str, u64)> = results
-        .iter()
-        .map(|r| {
-            let line = r.get("locations").and_then(Value::as_array).unwrap()[0]
-                .get("physicalLocation")
-                .and_then(|p| p.get("region"))
-                .and_then(|g| g.get("startLine"))
-                .and_then(Value::as_u64)
-                .unwrap();
-            (r.get("ruleId").and_then(Value::as_str).unwrap(), line)
-        })
-        .collect();
-    assert_eq!(
-        located,
-        [("DL004", 4), ("DL009", 15), ("suppression-problem", 11)]
-    );
-}
-
-#[test]
 fn a_clean_crate_passes() {
     let root = scratch_crate("cli_clean", CLEAN);
-    let out = detlint(&root, &["--audit"]);
+    let out = detlint(&root, &[]);
     assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
     assert_eq!(
         stdout(&out),
@@ -134,7 +104,18 @@ fn a_clean_crate_passes() {
 #[test]
 fn removed_flags_are_unknown_arguments() {
     let root = scratch_crate("cli_removed_flags", CLEAN);
-    for flag in ["--cache", "--no-cache", "--baseline", "--write-baseline"] {
+    for flag in [
+        "--cache",
+        "--no-cache",
+        "--baseline",
+        "--write-baseline",
+        "--json",
+        "--sarif",
+        "--explain",
+        "--list-rules",
+        "--config",
+        "--audit",
+    ] {
         let out = detlint(&root, &[flag, "detlint.baseline.json"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");

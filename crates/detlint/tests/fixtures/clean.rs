@@ -3,11 +3,9 @@
 
 use std::collections::BTreeMap;
 
-// <explain:DL001:good>
 pub fn ordered_collect(agg: BTreeMap<String, f64>) -> Vec<f64> {
     agg.into_values().collect() // BTreeMap iterates in key order
 }
-// </explain:DL001:good>
 
 pub fn sized_lookup(index: &HashMap<String, u32>, key: &str) -> Option<u32> {
     let n = index.len(); // size queries don't observe order
@@ -22,22 +20,16 @@ pub fn float_max(xs: &[f64]) -> f64 {
     xs.iter().fold(f64::MIN, |a, b| a.max(*b)) // max is order-insensitive
 }
 
-// <explain:DL002:good>
 pub fn seeded_rng(seed: u64) -> SplitMix64 {
     SplitMix64::new(seed) // explicit seed, no ambient entropy
 }
-// </explain:DL002:good>
 
-// <explain:DL004:good>
 pub fn ordered_total(xs: &[f64]) -> f64 {
     sum_ordered_f64(xs) // fixed left-to-right order, run-stable bit pattern
 }
-// </explain:DL004:good>
 
-// <explain:DL005:good>
 pub fn sharded_total(parts: &[Vec<f64>]) -> f64 {
     // reduce each shard in index order, then combine in index order
     let per_shard: Vec<f64> = parts.iter().map(|p| sum_ordered_f64(p)).collect();
     sum_ordered_f64(&per_shard)
 }
-// </explain:DL005:good>

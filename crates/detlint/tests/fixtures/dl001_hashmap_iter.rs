@@ -3,11 +3,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-// <explain:DL001:bad>
 pub fn collect_values(agg: HashMap<String, f64>) -> Vec<f64> {
     agg.into_values().collect() // fires: collect from HashMap
 }
-// </explain:DL001:bad>
 
 pub fn serialize_keys(index: &HashMap<String, u32>) -> String {
     index.keys().cloned().collect::<Vec<_>>().join(",") // fires: join

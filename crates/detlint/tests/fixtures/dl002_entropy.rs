@@ -2,12 +2,10 @@
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
-// <explain:DL002:bad>
 pub fn ambient_thread_rng() -> f64 {
     let mut rng = rand::thread_rng(); // fires: thread_rng
     rng.gen()
 }
-// </explain:DL002:bad>
 
 pub fn entropy_seeded() -> StdRng {
     StdRng::from_entropy() // fires: from_entropy

@@ -1,10 +1,8 @@
 //! DL004 fixture: order-sensitive float reductions.
 
-// <explain:DL004:bad>
 pub fn plain_sum(xs: &[f32]) -> f32 {
     xs.iter().sum() // fires: f32 sum (signature evidence)
 }
-// </explain:DL004:bad>
 
 pub fn turbofish_sum(xs: &[i64]) -> f64 {
     xs.iter().map(|&x| x as f64).sum::<f64>() // fires: f64 turbofish sum

@@ -1,10 +1,8 @@
 //! DL005 fixture: unordered parallel combinators with float reductions.
 
-// <explain:DL005:bad>
 pub fn parallel_sum(xs: &[f32]) -> f32 {
     xs.par_iter().sum() // fires: parallel float sum
 }
-// </explain:DL005:bad>
 
 pub fn parallel_reduce(xs: &[f64]) -> f64 {
     xs.into_par_iter().reduce(|| 0.0, |a, b| a + b) // fires: parallel reduce

@@ -5,14 +5,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-// <explain:DL006:bad>
 pub fn tainted_sum(m: &HashMap<String, f64>) -> f64 {
     let vals: Vec<f64> = m.values().cloned().collect();
     let scale = 2.0;
     let s: f64 = vals.iter().sum(); // fires: taint from line 10 reaches the sum
     s * scale
 }
-// </explain:DL006:bad>
 
 pub fn tainted_compound(m: &HashMap<u32, f64>) -> f64 {
     let vals: Vec<f64> = m.values().cloned().collect();
@@ -46,12 +44,10 @@ pub fn sorted_then_summed(m: &HashMap<String, f64>) -> f64 {
 
 // --- negative: sanctioned ordered reduction ---------------------------
 
-// <explain:DL006:good>
 pub fn sanctioned_sum(m: &HashMap<String, f64>) -> f64 {
     let vals: Vec<f64> = m.values().cloned().collect();
     sum_ordered_f64(&vals)
 }
-// </explain:DL006:good>
 
 // --- negative: ordered collection clears the taint --------------------
 

@@ -4,12 +4,10 @@
 //! history into the computation. The sanctioned pattern re-derives
 //! randomness from a replica index on the far side of the boundary.
 
-// <explain:DL007:bad>
 pub fn captured_draw(rng: &mut StreamRng, scope: &Scope<'_>) {
     let jitter = rng.next_f64();
     scope.spawn(move || simulate(jitter)); // fires: cursor-dependent draw crosses the spawn
 }
-// </explain:DL007:bad>
 
 pub fn encoded_draw(rng: &mut StreamRng) -> Vec<u8> {
     let tag = rng.next_u32();
@@ -33,12 +31,10 @@ pub fn sampled_then_spawned(dist: &Normal, rng: &mut StreamRng, scope: &Scope<'_
 
 // --- negative: index-derived entropy is position-independent ----------
 
-// <explain:DL007:good>
 pub fn derived_per_replica(settings: &Settings, scope: &Scope<'_>, idx: u64) {
     let entropy = settings.entropy_for(idx);
     scope.spawn(move || simulate(entropy));
 }
-// </explain:DL007:good>
 
 // --- negative: pre-planned draws in reference order -------------------
 

@@ -3,12 +3,10 @@
 //! test's config) are the sanctioned pattern: every knob that can change
 //! results must appear in the experiment fingerprint.
 
-// <explain:DL008:bad>
 pub fn sneaky_scale() -> f64 {
     let raw = std::env::var("NS_SNEAKY_SCALE").unwrap_or_default();
     raw.parse::<f64>().unwrap_or(1.0) // fires: unregistered knob parsed into a float
 }
-// </explain:DL008:bad>
 
 pub fn inline_knob(s: &mut Settings) {
     if let Ok(v) = std::env::var("NS_HIDDEN_GAIN") {
@@ -18,12 +16,10 @@ pub fn inline_knob(s: &mut Settings) {
 
 // --- negative: registered knobs are fingerprinted ---------------------
 
-// <explain:DL008:good>
 pub fn registered_knob() -> usize {
     let raw = std::env::var("NS_REPLICAS").unwrap_or_default();
     raw.parse::<usize>().unwrap_or(4)
 }
-// </explain:DL008:good>
 
 // --- negative: non-numeric reads cannot move results ------------------
 

@@ -1,18 +1,14 @@
-//! DL009 fixture: stale suppressions. Under `--audit`, an allow whose
-//! rule no longer fires on the covered line is itself a finding — stale
-//! allows rot into false documentation of hazards that do not exist.
+//! DL009 fixture: stale suppressions. An allow whose rule no longer
+//! fires on the covered line is itself a finding — stale allows rot into
+//! false documentation of hazards that do not exist.
 
 use std::time::Instant;
 
-// <explain:DL009:bad>
 pub fn no_hazard_here(x: u64) -> u64 {
-    x + 1 // detlint::allow(DL003, reason = "timing was removed in a refactor") // fires: stale under --audit
+    x + 1 // detlint::allow(DL003, reason = "timing was removed in a refactor") // fires: stale
 }
-// </explain:DL009:bad>
 
-// <explain:DL009:good>
 pub fn real_hazard() -> f64 {
     let t0 = Instant::now(); // detlint::allow(DL003, reason = "diagnostic only, never serialized")
     t0.elapsed().as_secs_f64()
 }
-// </explain:DL009:good>

@@ -14,12 +14,10 @@ pub fn jitter() -> u64 {
     rand::random() // detlint::allow(DL002, reason = "backoff jitter, not experiment randomness")
 }
 
-// <explain:DL003:good>
 pub fn diagnostics() -> f64 {
     let t0 = Instant::now(); // detlint::allow(DL003, reason = "log line only, never serialized into results")
     t0.elapsed().as_secs_f64()
 }
-// </explain:DL003:good>
 
 pub fn tiny_total(xs: [f32; 4]) -> f32 {
     xs.iter().sum() // detlint::allow(DL004, reason = "fixed 4-element array, order is static")

@@ -94,21 +94,11 @@ fn dl008_fires_on_every_marked_line() {
 #[test]
 fn dl009_fires_on_stale_allows_under_audit() {
     let src = include_str!("fixtures/dl009_stale_allow.rs");
-    let audit = Config {
-        audit: true,
-        ..Config::default()
-    };
-    let report = detlint::scan_file("fixtures/dl009_stale_allow.rs", src, &audit);
+    let report = scan_fixture("fixtures/dl009_stale_allow.rs", src);
     assert_eq!(lines_for(&report, RuleId::Dl009), marked_lines(src));
     // The load-bearing allow stays a suppression, not a finding.
     assert_eq!(report.suppressed.len(), 1);
     assert!(!report.clean());
-
-    // Without --audit the same allow is only a warning.
-    let report = scan_fixture("fixtures/dl009_stale_allow.rs", src);
-    assert!(lines_for(&report, RuleId::Dl009).is_empty());
-    assert_eq!(report.unused_allows.len(), 1);
-    assert!(report.clean());
 }
 
 /// Regression: a suppression on a statement's first line covers findings
@@ -143,23 +133,13 @@ fn every_rule_has_fixture_coverage() {
         include_str!("fixtures/dl006_taint_flow.rs"),
         include_str!("fixtures/dl007_entropy_boundary.rs"),
         include_str!("fixtures/dl008_env_knob.rs"),
+        include_str!("fixtures/dl009_stale_allow.rs"),
     ];
     let mut fired: Vec<RuleId> = Vec::new();
     for (i, src) in all.iter().enumerate() {
         let report = scan_fixture(&format!("fixtures/f{i}.rs"), src);
         fired.extend(report.findings.iter().map(|f| f.rule));
     }
-    // DL009 only exists under --audit.
-    let audit = Config {
-        audit: true,
-        ..Config::default()
-    };
-    let report = detlint::scan_file(
-        "fixtures/dl009_stale_allow.rs",
-        include_str!("fixtures/dl009_stale_allow.rs"),
-        &audit,
-    );
-    fired.extend(report.findings.iter().map(|f| f.rule));
     for rule in RuleId::ALL {
         assert!(
             fired.contains(&rule),
@@ -301,12 +281,6 @@ fn fleet_clock_shim_is_the_only_sanctioned_wallclock_read() {
 #[test]
 fn test_code_is_skipped_unless_configured() {
     let src = "#[cfg(test)]\nmod tests {\n #[test]\n fn t() { let x: f64 = v.iter().sum(); }\n}\n";
-    let default_scan = detlint::scan_file("crates/x/src/lib.rs", src, &Config::default());
-    assert!(default_scan.findings.is_empty());
-    let config = Config {
-        scan_test_code: true,
-        ..Config::default()
-    };
-    let full_scan = detlint::scan_file("crates/x/src/lib.rs", src, &config);
-    assert_eq!(lines_for(&full_scan, RuleId::Dl004).len(), 1);
+    let report = scan_fixture("crates/x/src/lib.rs", src);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
 }

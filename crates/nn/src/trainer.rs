@@ -46,13 +46,6 @@ pub enum TrainError {
     /// The run took no optimizer steps (zero epochs or an empty dataset),
     /// so there is no report to return.
     NoSteps,
-    /// An accuracy/metric helper was handed the wrong target kind.
-    WrongTargets {
-        /// Target kind the helper requires.
-        expected: &'static str,
-        /// Target kind it was given.
-        found: &'static str,
-    },
     /// A resume checkpoint does not match the run it was applied to.
     BadCheckpoint {
         /// What disagreed.
@@ -74,9 +67,6 @@ impl fmt::Display for TrainError {
                 write!(f, "hardware fault at epoch {epoch} step {step}: {detail}")
             }
             TrainError::NoSteps => write!(f, "no optimizer steps taken"),
-            TrainError::WrongTargets { expected, found } => {
-                write!(f, "expected {expected} targets, found {found}")
-            }
             TrainError::BadCheckpoint { detail } => {
                 write!(f, "checkpoint mismatch: {detail}")
             }
@@ -590,35 +580,6 @@ pub fn predict_binary(
     preds
 }
 
-/// Classification accuracy of predictions against a dataset's labels.
-///
-/// # Errors
-///
-/// Returns [`TrainError::WrongTargets`] when the dataset is not
-/// class-labelled.
-///
-/// # Panics
-///
-/// Panics if prediction and label counts mismatch.
-pub fn accuracy(preds: &[u32], data: &Dataset) -> Result<f64, TrainError> {
-    match &data.targets {
-        Targets::Classes(labels) => {
-            assert_eq!(preds.len(), labels.len());
-            if labels.is_empty() {
-                return Ok(0.0);
-            }
-            Ok(
-                preds.iter().zip(labels).filter(|(p, l)| p == l).count() as f64
-                    / labels.len() as f64,
-            )
-        }
-        Targets::Binary(_) => Err(TrainError::WrongTargets {
-            expected: "class",
-            found: "binary",
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -678,7 +639,11 @@ mod tests {
             report.epoch_losses
         );
         let preds = predict_classes(&mut net, &data, &mut exec, &root, 32);
-        assert!(accuracy(&preds, &data).expect("class targets") > 0.95);
+        let Targets::Classes(labels) = &data.targets else {
+            unreachable!("toy_dataset is class-labelled")
+        };
+        let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
+        assert!(correct as f64 / labels.len() as f64 > 0.95);
     }
 
     #[test]
@@ -730,21 +695,6 @@ mod tests {
         assert_eq!(
             trainer.fit(&mut net, &data, &mut exec, &root, None),
             Err(TrainError::NoSteps)
-        );
-    }
-
-    #[test]
-    fn accuracy_rejects_binary_targets() {
-        let data = Dataset::new(
-            Tensor::zeros(Shape::of(&[2, 4])),
-            Targets::Binary(Tensor::zeros(Shape::of(&[2, 3]))),
-        );
-        assert_eq!(
-            accuracy(&[0, 1], &data),
-            Err(TrainError::WrongTargets {
-                expected: "class",
-                found: "binary",
-            })
         );
     }
 

@@ -32,10 +32,10 @@ run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTFLAGS="-C target-cpu=x86-64-v4" cargo clippy -p nstensor --all-targets -- -D warnings
 run cargo fmt --check
 
-# Determinism lint with --audit: a stale allow is a hard failure. The
-# fleet clock shim's DL003 allow is the one sanctioned suppression and
-# survives the audit because it is load-bearing.
-run cargo run --release -p detlint -- --audit
+# Determinism lint: a stale allow is a hard failure (DL009). The fleet
+# clock shim's DL003 allow is the one sanctioned suppression and survives
+# the audit because it is load-bearing.
+run cargo run --release -p detlint
 
 # The benchmark (crates/bench/noisebench) is a cargo workspace of its own,
 # so none of the steps above builds it. Its self-tests, then one short run
