@@ -404,6 +404,23 @@ mod tests {
         assert_eq!(back.weights[1].to_bits(), (-0.0f32).to_bits());
     }
 
+    /// Known answer: the encoding of [`sample`], pinned by length and
+    /// FNV-1a 64 digest. Its shuffle stream sits mid-block and its
+    /// augmentation stream mid-block with a Box-Muller spare cached, so
+    /// every stream field is covered. A checkpoint store written before a
+    /// change resumes after it only while this holds.
+    #[test]
+    fn encoding_is_pinned() {
+        let ck = sample();
+        assert!(ck.shuffle_rng.gauss_spare.is_none());
+        assert!(ck.augment_rng.gauss_spare.is_some());
+        let bytes = ck.to_bytes();
+        let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv1a), (308, 0x119b_5fda_e8f9_c4bd));
+    }
+
     #[test]
     fn rejects_malformed_input() {
         let bytes = sample().to_bytes();

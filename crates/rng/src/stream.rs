@@ -267,6 +267,47 @@ mod tests {
         assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 
+    /// Known answers: the first draws of every method of one named stream,
+    /// and the draws after a snapshot taken mid-block with a Box-Muller
+    /// spare cached. Any change to these literals changes every training
+    /// run and every checkpoint.
+    #[test]
+    fn known_answer_stream_draws() {
+        let mut s = Philox::from_seed(42).stream(StreamId::SHUFFLE);
+        assert_eq!(s.next_u32(), 0xf9a5_d026);
+        assert_eq!(s.next_u64(), 0x07d8_22ec_9326_bd72);
+        assert_eq!(s.next_f32().to_bits(), 0x3e6b_367c);
+        assert_eq!(s.next_f64().to_bits(), 0x3fe1_20f8_16c5_c6cd);
+        assert_eq!(s.next_below(1000), 757);
+        // Both halves of one Box-Muller pair.
+        assert_eq!(s.normal().to_bits(), 0xbf65_8115);
+        assert_eq!(s.normal().to_bits(), 0xbf23_543d);
+        assert_eq!(
+            [s.bernoulli(0.5), s.bernoulli(0.5), s.bernoulli(0.5)],
+            [false, true, false]
+        );
+        // Caches a spare; the buffer sits at cursor 2 of the block.
+        assert_eq!(s.normal().to_bits(), 0x3f80_a7af);
+        let mut back = StreamRng::from_snapshot(s.snapshot());
+        for r in [&mut s, &mut back] {
+            assert_eq!(r.normal().to_bits(), 0xc050_303a);
+            assert_eq!(r.next_u32(), 0xc8ec_6104);
+        }
+    }
+
+    /// Known answers for a stream opened at an explicit counter, as
+    /// dropout opens one per step.
+    #[test]
+    fn known_answer_rng_at_draws() {
+        let mut r = Philox::from_seed(42).rng_at(7 << 64);
+        assert_eq!(r.next_u32(), 0x67ee_6f2c);
+        assert_eq!(r.next_u64(), 0x6c7e_ca35_e554_10cc);
+        assert_eq!(r.next_f32().to_bits(), 0x3eaa_e730);
+        assert_eq!(r.next_f64().to_bits(), 0x3fd8_03d8_65b9_777a);
+        assert_eq!(r.next_below(1000), 561);
+        assert_eq!(r.next_u32(), 0x2c8e_d839);
+    }
+
     #[test]
     fn bernoulli_rate() {
         let root = Philox::from_seed(23);
