@@ -49,14 +49,9 @@ pub fn fig8a(batch: usize) -> Vec<OverheadPoint> {
 pub fn fig8b(batch: usize) -> Vec<OverheadPoint> {
     let mut out = Vec::new();
     for k in [1usize, 3, 5, 7] {
-        let mut desc = arch::medium_cnn(k, batch);
-        desc.name = "MediumCNN";
-        let named = ArchDescriptor {
-            name: desc.name,
-            ops: desc.ops,
-        };
+        let desc = arch::medium_cnn(k, batch);
         for device in Device::overhead_gpus() {
-            let mut p = measure(&named, &device, 1);
+            let mut p = measure(&desc, &device, 1);
             p.workload = format!("MediumCNN k={k}");
             out.push(p);
         }

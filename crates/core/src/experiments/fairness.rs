@@ -13,8 +13,18 @@ use nsdata::{CelebaMeta, SubgroupCounts};
 use nsmetrics::{binary_rates, relative_scale, stddev, BinaryRates};
 use serde::{Deserialize, Serialize};
 
-/// The protected subgroups of the paper's Figure 3 / Table 5.
-pub const SUBGROUPS: [&str; 5] = ["All", "Male", "Female", "Young", "Old"];
+/// Whether a test example belongs to a subgroup.
+type Select = fn(&CelebaMeta) -> bool;
+
+/// The protected subgroups of the paper's Figure 3 / Table 5: each name
+/// with the metadata predicate that selects its members.
+pub const SUBGROUPS: [(&str, Select); 5] = [
+    ("All", |_| true),
+    ("Male", |m| m.male),
+    ("Female", |m| !m.male),
+    ("Young", |m| m.young),
+    ("Old", |m| !m.young),
+];
 
 /// One row of Table 5: the stddev (and scale relative to "All") of a
 /// subgroup's accuracy, FPR and FNR across replicas.
@@ -45,52 +55,11 @@ pub struct Table5 {
     pub rows: Vec<SubgroupRow>,
 }
 
-/// A subgroup name outside [`SUBGROUPS`] reached the fairness masks.
-///
-/// Propagated like [`crate::runner::PredsKindError`]: a typo'd subgroup in
-/// an experiment configuration degrades that experiment, not the process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownSubgroupError {
-    /// The unrecognized subgroup name.
-    pub group: String,
-}
-
-impl std::fmt::Display for UnknownSubgroupError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown subgroup {:?} (expected one of {SUBGROUPS:?})",
-            self.group
-        )
-    }
-}
-
-impl std::error::Error for UnknownSubgroupError {}
-
-fn mask_for(meta: &[CelebaMeta], group: &str) -> Result<Vec<bool>, UnknownSubgroupError> {
-    let select: fn(&CelebaMeta) -> bool = match group {
-        "All" => |_| true,
-        "Male" => |m| m.male,
-        "Female" => |m| !m.male,
-        "Young" => |m| m.young,
-        "Old" => |m| !m.young,
-        other => {
-            return Err(UnknownSubgroupError {
-                group: other.to_string(),
-            })
-        }
-    };
-    Ok(meta.iter().map(select).collect())
-}
-
 /// The CelebA experiment for the three measured variants on V100, read as
 /// one Table 5 per variant (Fig. 3 plots the same data).
 ///
-/// Its read step fails with [`UnknownSubgroupError`] if a subgroup name
-/// cannot be mapped to a metadata mask (impossible for the built-in
-/// [`SUBGROUPS`], but the mask path is fallible so custom subgroup lists
-/// degrade gracefully), and with an error naming the failed replicas of
-/// a cell with any.
+/// Its read step fails with an error naming the failed replicas of a
+/// cell with any.
 pub fn fig3_table5(settings: &ExperimentSettings) -> Plan<Vec<Table5>> {
     let prepared = PreparedTask::prepare(&TaskSpec::celeba());
     let meta = match &prepared.data {
@@ -108,8 +77,8 @@ pub fn fig3_table5(settings: &ExperimentSettings) -> Plan<Vec<Table5>> {
         // compute them once.
         let masks: Vec<Vec<bool>> = SUBGROUPS
             .iter()
-            .map(|group| mask_for(&meta, group))
-            .collect::<Result<_, _>>()?;
+            .map(|&(_, select)| meta.iter().map(select).collect())
+            .collect();
         variants
             .into_iter()
             .zip(runs)
@@ -131,15 +100,16 @@ pub fn fig3_table5(settings: &ExperimentSettings) -> Plan<Vec<Table5>> {
                     })
                     .collect();
                 let [base_acc, base_fpr, base_fnr] = stds[0];
-                let row = |(group, &[sa, sp, sn]): (&&str, &[f64; 3])| SubgroupRow {
-                    group: group.to_string(),
-                    std_accuracy: sa,
-                    rel_accuracy: relative_scale(sa, base_acc),
-                    std_fpr: sp,
-                    rel_fpr: relative_scale(sp, base_fpr),
-                    std_fnr: sn,
-                    rel_fnr: relative_scale(sn, base_fnr),
-                };
+                let row =
+                    |(&(group, _), &[sa, sp, sn]): (&(&str, Select), &[f64; 3])| SubgroupRow {
+                        group: group.to_string(),
+                        std_accuracy: sa,
+                        rel_accuracy: relative_scale(sa, base_acc),
+                        std_fpr: sp,
+                        rel_fpr: relative_scale(sp, base_fpr),
+                        std_fnr: sn,
+                        rel_fnr: relative_scale(sn, base_fnr),
+                    };
                 let rows = SUBGROUPS.iter().zip(&stds).map(row).collect();
                 Ok(Table5 { variant, rows })
             })
@@ -219,7 +189,7 @@ mod tests {
 
     #[test]
     fn masks_partition_the_population() {
-        let meta = vec![
+        let meta = [
             CelebaMeta {
                 male: true,
                 young: true,
@@ -231,27 +201,16 @@ mod tests {
                 positive: true,
             },
         ];
-        let male = mask_for(&meta, "Male").expect("known subgroup");
-        let female = mask_for(&meta, "Female").expect("known subgroup");
+        let mask_for = |group: &str| -> Vec<bool> {
+            let (_, select) = SUBGROUPS.iter().find(|(g, _)| *g == group).unwrap();
+            meta.iter().map(select).collect()
+        };
+        let male = mask_for("Male");
+        let female = mask_for("Female");
         for i in 0..meta.len() {
             assert_ne!(male[i], female[i]);
         }
-        assert!(mask_for(&meta, "All")
-            .expect("known subgroup")
-            .iter()
-            .all(|&b| b));
-    }
-
-    #[test]
-    fn unknown_group_is_an_error_not_a_panic() {
-        let meta = [CelebaMeta {
-            male: true,
-            young: true,
-            positive: false,
-        }];
-        let err = mask_for(&meta, "Adult").expect_err("unknown subgroup");
-        assert_eq!(err.group, "Adult");
-        assert!(err.to_string().contains("unknown subgroup"), "{err}");
+        assert!(mask_for("All").iter().all(|&b| b));
     }
 
     #[test]

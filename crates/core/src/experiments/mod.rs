@@ -36,8 +36,8 @@ pub mod ordering;
 pub mod stability;
 
 /// Why a training experiment produced no result: an error from
-/// [`crate::runner::run_grid`], a [`crate::runner::PredsKindError`], a
-/// [`fairness::UnknownSubgroupError`], or a cell whose replicas failed.
+/// [`crate::runner::run_grid`], a [`crate::runner::PredsKindError`], or a
+/// cell whose replicas failed.
 pub type ExperimentError = Box<dyn std::error::Error + Send + Sync>;
 
 /// How a [`Plan`] reads its result from its cells and their runs.

@@ -16,7 +16,7 @@
 //! codec: every `f32` travels as its `to_bits()` pattern, so NaN payloads,
 //! signed zeros and subnormals all survive unchanged.
 
-use detrand::{PhiloxSnapshot, StreamSnapshot};
+use detrand::StreamSnapshot;
 use hwsim::ExecSnapshot;
 use nstensor::ReducerSnapshot;
 use std::fmt;
@@ -116,14 +116,14 @@ fn put_f32s(out: &mut Vec<u8>, xs: &[f32]) {
 }
 
 fn put_stream(out: &mut Vec<u8>, s: &StreamSnapshot) {
-    put_u32(out, s.state.key[0]);
-    put_u32(out, s.state.key[1]);
-    put_u64(out, s.state.counter_lo);
-    put_u64(out, s.state.counter_hi);
-    for b in s.state.buf {
+    put_u32(out, s.key[0]);
+    put_u32(out, s.key[1]);
+    put_u64(out, s.counter_lo);
+    put_u64(out, s.counter_hi);
+    for b in s.buf {
         put_u32(out, b);
     }
-    out.push(s.state.buf_pos);
+    out.push(s.buf_pos);
     match s.gauss_spare {
         Some(v) => {
             out.push(1);
@@ -228,13 +228,11 @@ impl<'a> Reader<'a> {
             _ => Some(self.f32()?),
         };
         Ok(StreamSnapshot {
-            state: PhiloxSnapshot {
-                key,
-                counter_lo,
-                counter_hi,
-                buf,
-                buf_pos,
-            },
+            key,
+            counter_lo,
+            counter_hi,
+            buf,
+            buf_pos,
             gauss_spare,
         })
     }

@@ -13,7 +13,10 @@
 //!
 //! The implementation is Philox 4x32-10 (Salmon et al., SC'11), the same
 //! generator used by JAX, TensorFlow, and cuRAND, so the semantics mirror the
-//! tooling the paper studies.
+//! tooling the paper studies. A [`Philox`] is a frozen key; every draw
+//! comes from one stream type, [`StreamRng`], opened by [`Philox::stream`]
+//! (a named substream) or [`Philox::rng_at`] (any counter), and captured
+//! for checkpoints as a [`StreamSnapshot`].
 //!
 //! # Example
 //!
@@ -34,7 +37,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod distributions;
 pub mod entropy;
 pub mod philox;
 pub mod seed;
@@ -42,9 +44,8 @@ pub mod shuffle;
 pub mod splitmix;
 pub mod stream;
 
-pub use distributions::{Bernoulli, Normal, Uniform};
 pub use entropy::EntropySource;
-pub use philox::{Philox, PhiloxSnapshot, PhiloxState};
+pub use philox::Philox;
 pub use seed::SeedPolicy;
 pub use shuffle::{permutation, shuffle_in_place};
 pub use splitmix::SplitMix64;

@@ -19,9 +19,9 @@ const ROUNDS: usize = 10;
 
 /// A frozen Philox generator: a key from which independent streams are derived.
 ///
-/// `Philox` itself is immutable; call [`Philox::stream`] (via the re-export in
-/// [`crate::stream`]) or [`Philox::rng_at`] to obtain a mutable
-/// [`PhiloxState`] that walks a counter sequence.
+/// `Philox` itself is immutable; [`Philox::stream`] and [`Philox::rng_at`]
+/// open a [`crate::StreamRng`], the one mutable stream type, which walks a
+/// counter sequence under this key.
 ///
 /// # Example
 ///
@@ -35,7 +35,7 @@ const ROUNDS: usize = 10;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Philox {
-    key: [u32; 2],
+    pub(crate) key: [u32; 2],
 }
 
 impl Philox {
@@ -69,16 +69,6 @@ impl Philox {
             key: [block[0], block[1]],
         }
     }
-
-    /// Returns a mutable counter-walking state starting at `counter`.
-    pub fn rng_at(&self, counter: u128) -> PhiloxState {
-        PhiloxState {
-            key: self.key,
-            counter,
-            buf: [0; 4],
-            buf_pos: 4,
-        }
-    }
 }
 
 /// One Philox 4x32-10 block: mixes a 128-bit counter under a 64-bit key.
@@ -95,129 +85,6 @@ pub fn philox4x32(key: [u32; 2], mut ctr: [u32; 4]) -> [u32; 4] {
         k[1] = k[1].wrapping_add(PHILOX_W1);
     }
     ctr
-}
-
-/// A mutable Philox state: walks the counter sequence, buffering one block.
-///
-/// Cloning a `PhiloxState` forks the exact position; both clones will produce
-/// identical continuations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhiloxState {
-    key: [u32; 2],
-    counter: u128,
-    buf: [u32; 4],
-    buf_pos: usize,
-}
-
-/// A plain-data snapshot of a [`PhiloxState`], exposing the full generator
-/// position (key, counter, buffered block and intra-block cursor) so a
-/// checkpoint can restore the stream *mid-block*, byte-exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhiloxSnapshot {
-    /// The stream's frozen key.
-    pub key: [u32; 2],
-    /// Low 64 bits of the counter of the next block to generate.
-    pub counter_lo: u64,
-    /// High 64 bits of the counter.
-    pub counter_hi: u64,
-    /// The currently buffered output block.
-    pub buf: [u32; 4],
-    /// Read cursor into `buf` (4 = buffer exhausted).
-    pub buf_pos: u8,
-}
-
-impl PhiloxState {
-    /// Captures the complete generator position.
-    pub fn snapshot(&self) -> PhiloxSnapshot {
-        PhiloxSnapshot {
-            key: self.key,
-            counter_lo: self.counter as u64,
-            counter_hi: (self.counter >> 64) as u64,
-            buf: self.buf,
-            buf_pos: self.buf_pos as u8,
-        }
-    }
-
-    /// Rebuilds a generator at the exact position captured by
-    /// [`PhiloxState::snapshot`].
-    pub fn from_snapshot(s: PhiloxSnapshot) -> Self {
-        Self {
-            key: s.key,
-            counter: (s.counter_lo as u128) | ((s.counter_hi as u128) << 64),
-            buf: s.buf,
-            buf_pos: (s.buf_pos as usize).min(4),
-        }
-    }
-}
-
-impl PhiloxState {
-    /// Returns the next 32 uniformly distributed random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        if self.buf_pos >= 4 {
-            self.refill();
-        }
-        let v = self.buf[self.buf_pos];
-        self.buf_pos += 1;
-        v
-    }
-
-    /// Returns the next 64 uniformly distributed random bits.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        let lo = self.next_u32() as u64;
-        let hi = self.next_u32() as u64;
-        lo | (hi << 32)
-    }
-
-    /// Returns a uniform `f32` in `[0, 1)` using the top 24 bits.
-    #[inline]
-    pub fn next_f32(&mut self) -> f32 {
-        (self.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
-    }
-
-    /// Returns a uniform `f64` in `[0, 1)` using the top 53 bits.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Returns a uniform integer in `[0, bound)` without modulo bias
-    /// (Lemire's method).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0`.
-    #[inline]
-    pub fn next_below(&mut self, bound: u32) -> u32 {
-        assert!(bound > 0, "next_below bound must be positive");
-        loop {
-            let x = self.next_u32();
-            let m = (x as u64) * (bound as u64);
-            let lo = m as u32;
-            if lo >= bound || lo >= bound.wrapping_neg() % bound {
-                return (m >> 32) as u32;
-            }
-        }
-    }
-
-    /// The current 128-bit counter position (of the *next* block to generate).
-    pub fn position(&self) -> u128 {
-        self.counter
-    }
-
-    fn refill(&mut self) {
-        let c = self.counter;
-        let ctr = [
-            (c & 0xFFFF_FFFF) as u32,
-            ((c >> 32) & 0xFFFF_FFFF) as u32,
-            ((c >> 64) & 0xFFFF_FFFF) as u32,
-            ((c >> 96) & 0xFFFF_FFFF) as u32,
-        ];
-        self.buf = philox4x32(self.key, ctr);
-        self.counter = self.counter.wrapping_add(1);
-        self.buf_pos = 0;
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +134,7 @@ mod tests {
         for _ in 0..7 {
             a.next_u32();
         }
-        let mut b = PhiloxState::from_snapshot(a.snapshot());
+        let mut b = crate::StreamRng::from_snapshot(a.snapshot());
         assert_eq!(a, b);
         for _ in 0..64 {
             assert_eq!(a.next_u32(), b.next_u32());

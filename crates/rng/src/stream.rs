@@ -6,7 +6,7 @@
 //! amount from one stream never shifts another, which is the property that
 //! makes the ALGO / IMPL noise decomposition of the paper well-defined.
 
-use crate::philox::{Philox, PhiloxSnapshot, PhiloxState};
+use crate::philox::{philox4x32, Philox};
 use serde::{Deserialize, Serialize};
 
 /// A hierarchical identifier for a random stream.
@@ -74,12 +74,21 @@ impl StreamId {
     }
 }
 
-/// A mutable random stream with convenience distributions.
+/// A mutable random stream: the one stream type of the crate.
 ///
-/// Obtained from [`Philox::stream`].
-#[derive(Debug, Clone)]
+/// Walks a Philox counter sequence under a frozen key, buffering one
+/// 128-bit block, and caches the second Box-Muller variate. Obtained from
+/// [`Philox::stream`] (a named stream at counter zero) or
+/// [`Philox::rng_at`] (any counter). Cloning forks the exact position:
+/// both clones produce identical continuations.
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamRng {
-    state: PhiloxState,
+    key: [u32; 2],
+    /// Counter of the next block to generate.
+    counter: u128,
+    buf: [u32; 4],
+    /// Read cursor into `buf` (4 = buffer exhausted).
+    buf_pos: usize,
     /// Cached second Box-Muller variate.
     gauss_spare: Option<f32>,
 }
@@ -87,20 +96,37 @@ pub struct StreamRng {
 impl Philox {
     /// Opens the named stream at counter zero.
     pub fn stream(&self, id: StreamId) -> StreamRng {
+        self.derive(id.salt()).rng_at(0)
+    }
+
+    /// Opens a stream under this key starting at block `counter`.
+    pub fn rng_at(&self, counter: u128) -> StreamRng {
         StreamRng {
-            state: self.derive(id.salt()).rng_at(0),
+            key: self.key,
+            counter,
+            buf: [0; 4],
+            buf_pos: 4,
             gauss_spare: None,
         }
     }
 }
 
-/// A plain-data snapshot of a [`StreamRng`]: the underlying Philox
-/// position plus the cached Box-Muller spare, so normal-variate streams
-/// resume byte-exactly even between the two halves of a Box-Muller draw.
+/// A plain-data snapshot of a [`StreamRng`]: the full generator position
+/// (key, counter, buffered block and intra-block cursor) plus the cached
+/// Box-Muller spare, so a checkpoint restores the stream byte-exactly,
+/// mid-block and between the two halves of a Box-Muller draw.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StreamSnapshot {
-    /// The Philox generator position.
-    pub state: PhiloxSnapshot,
+    /// The stream's frozen key.
+    pub key: [u32; 2],
+    /// Low 64 bits of the counter of the next block to generate.
+    pub counter_lo: u64,
+    /// High 64 bits of the counter.
+    pub counter_hi: u64,
+    /// The currently buffered output block.
+    pub buf: [u32; 4],
+    /// Read cursor into `buf` (4 = buffer exhausted).
+    pub buf_pos: u8,
     /// The cached second Box-Muller variate, if any.
     pub gauss_spare: Option<f32>,
 }
@@ -109,7 +135,11 @@ impl StreamRng {
     /// Captures the complete stream position (see [`StreamSnapshot`]).
     pub fn snapshot(&self) -> StreamSnapshot {
         StreamSnapshot {
-            state: self.state.snapshot(),
+            key: self.key,
+            counter_lo: self.counter as u64,
+            counter_hi: (self.counter >> 64) as u64,
+            buf: self.buf,
+            buf_pos: self.buf_pos as u8,
             gauss_spare: self.gauss_spare,
         }
     }
@@ -118,43 +148,75 @@ impl StreamRng {
     /// [`StreamRng::snapshot`].
     pub fn from_snapshot(s: StreamSnapshot) -> Self {
         Self {
-            state: PhiloxState::from_snapshot(s.state),
+            key: s.key,
+            counter: (s.counter_lo as u128) | ((s.counter_hi as u128) << 64),
+            buf: s.buf,
+            buf_pos: (s.buf_pos as usize).min(4),
             gauss_spare: s.gauss_spare,
         }
     }
 
-    /// Returns 32 random bits.
+    /// Returns the next 32 uniformly distributed random bits.
     #[inline]
     pub fn next_u32(&mut self) -> u32 {
-        self.state.next_u32()
+        if self.buf_pos >= 4 {
+            self.refill();
+        }
+        let v = self.buf[self.buf_pos];
+        self.buf_pos += 1;
+        v
     }
 
-    /// Returns 64 random bits.
+    /// Returns the next 64 uniformly distributed random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state.next_u64()
+        let lo = self.next_u32() as u64;
+        let hi = self.next_u32() as u64;
+        lo | (hi << 32)
     }
 
-    /// Returns a uniform `f32` in `[0, 1)`.
+    /// Returns a uniform `f32` in `[0, 1)` using the top 24 bits.
     #[inline]
     pub fn next_f32(&mut self) -> f32 {
-        self.state.next_f32()
+        (self.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 
-    /// Returns a uniform `f64` in `[0, 1)`.
+    /// Returns a uniform `f64` in `[0, 1)` using the top 53 bits.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        self.state.next_f64()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Returns a uniform integer in `[0, bound)`.
+    /// Returns a uniform integer in `[0, bound)` without modulo bias
+    /// (Lemire's method).
     ///
     /// # Panics
     ///
     /// Panics if `bound == 0`.
     #[inline]
     pub fn next_below(&mut self, bound: u32) -> u32 {
-        self.state.next_below(bound)
+        assert!(bound > 0, "next_below bound must be positive");
+        loop {
+            let x = self.next_u32();
+            let m = (x as u64) * (bound as u64);
+            let lo = m as u32;
+            if lo >= bound || lo >= bound.wrapping_neg() % bound {
+                return (m >> 32) as u32;
+            }
+        }
+    }
+
+    fn refill(&mut self) {
+        let c = self.counter;
+        let ctr = [
+            c as u32,
+            (c >> 32) as u32,
+            (c >> 64) as u32,
+            (c >> 96) as u32,
+        ];
+        self.buf = philox4x32(self.key, ctr);
+        self.counter = c.wrapping_add(1);
+        self.buf_pos = 0;
     }
 
     /// Returns a uniform `f32` in `[lo, hi)`.
@@ -306,6 +368,28 @@ mod tests {
         assert_eq!(r.next_f64().to_bits(), 0x3fd8_03d8_65b9_777a);
         assert_eq!(r.next_below(1000), 561);
         assert_eq!(r.next_u32(), 0x2c8e_d839);
+    }
+
+    /// Known answers for the remaining methods of a stream opened at an
+    /// explicit counter, and for a snapshot of it taken mid-block.
+    #[test]
+    fn known_answer_rng_at_normal_bernoulli_and_snapshot() {
+        let root = Philox::from_seed(42);
+        let mut r = root.rng_at(7 << 64);
+        assert_eq!(r.normal().to_bits(), 0x3f88_56de);
+        assert_eq!(r.normal().to_bits(), 0xbf51_494d);
+        assert_eq!(
+            [r.bernoulli(0.5), r.bernoulli(0.5), r.bernoulli(0.5)],
+            [true, true, false]
+        );
+        let mut r = root.rng_at(7 << 64);
+        for _ in 0..7 {
+            r.next_u32();
+        }
+        assert_eq!(
+            StreamRng::from_snapshot(r.snapshot()).next_u32(),
+            0x2c8e_d839
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! reorders *which outputs* are computed when, never the k-dimension
 //! combine order inside one output, and every output's scheduler draws
 //! are fixed by its position in the reference order
-//! ([`Reducer::plan_dots`]). The `_ws` variants reuse caller-provided
+//! (`Reducer::plan_dots`). The `_ws` variants reuse caller-provided
 //! [`Workspace`] scratch (packed panels, transposes, patch-gradient
 //! chunks) across calls; the plain variants allocate privately.
 //!
@@ -789,7 +789,7 @@ pub fn conv2d_param_grads_ws(
 /// It reads only the reducer's lane count and draws nothing from it: each
 /// patch gradient combines the channels with a fixed `channel % lanes`
 /// lane assignment in index order, under a stateless
-/// [`DotPlan::fixed_lanes`] plan. So skipping this call, as a network's
+/// `DotPlan::fixed_lanes` plan. So skipping this call, as a network's
 /// backward pass does for its first layer, leaves every later bit
 /// unchanged.
 ///

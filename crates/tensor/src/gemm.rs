@@ -61,8 +61,8 @@
 //!
 //! The remaining subtlety is the scheduler RNG: the reference path draws
 //! permutations interleaved with compute, one output at a time in
-//! reference order. [`Reducer::plan_dots`] records the scheduler state
-//! before the batch in a [`DotPlan`] and skips the scheduler past the
+//! reference order. `Reducer::plan_dots` records the scheduler state
+//! before the batch in a `DotPlan` and skips the scheduler past the
 //! batch in O(1), so the reducer ends the GEMM in precisely the state
 //! `m·n` sequential `dot` calls would have left it. The plan holds no
 //! per-output buffer. The scheduler is a SplitMix64 counter, so output
@@ -84,11 +84,11 @@
 //! The lane fill walks each lane's k indices `dl, dl + l, …` with a
 //! stride of `l` panel rows, and a FixedTree or Permuted tile runs all `l`
 //! lanes over the same panel, so every tile of a band walks the whole
-//! panel. Up to [`BLOCK_ABOVE`] rows that is one block: tile by tile,
+//! panel. Up to `BLOCK_ABOVE` rows that is one block: tile by tile,
 //! lane by lane, each lane's whole walk in registers, as ever. A longer
 //! reduction, such as a conv weight gradient over a batch's pixels
 //! (4,608 rows for SmallCNN's `c3→16 12×12` stem at batch 32, 23,040 at
-//! the full batch of 160), walks k in blocks of [`BLOCK_STEPS`]` · l`
+//! the full batch of 160), walks k in blocks of `BLOCK_STEPS · l`
 //! rows, with every tile and lane of the band inside each block, so the
 //! block's panel rows (at most 32 KiB, at 64 lanes) stay in L1 while they
 //! all read it. Each lane's `MR × NR` partial is kept between blocks and
@@ -142,7 +142,6 @@
 //!
 //! [`ReduceOrder`]: crate::reduce::ReduceOrder
 //! [`Reducer::dot`]: crate::reduce::Reducer::dot
-//! [`Reducer::plan_dots`]: crate::reduce::Reducer::plan_dots
 
 use crate::error::ShapeError;
 use crate::pack::{pack_b_panels, pack_bt_panels, transpose_into, MR, NR};

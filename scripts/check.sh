@@ -31,6 +31,9 @@ run cargo clippy --workspace --all-targets -- -D warnings
 # AVX-512 F and DQ; this lints them on any x86-64 host, without running them.
 run env RUSTFLAGS="-C target-cpu=x86-64-v4" cargo clippy -p nstensor --all-targets -- -D warnings
 run cargo fmt --check
+# Docs build warning-free: an intra-doc link to a deleted or private item
+# is an error.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Determinism lint: a stale allow is a hard failure (DL009). The fleet
 # clock shim's DL003 allow is the one sanctioned suppression and survives
