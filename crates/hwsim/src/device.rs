@@ -120,7 +120,8 @@ impl Device {
         }
     }
 
-    /// Sequential host CPU (reference semantics).
+    /// Host CPU: one lane, deterministic by design, so every reduction is
+    /// a plain left-to-right sum (reference semantics).
     pub fn cpu() -> Self {
         Self {
             name: "CPU",

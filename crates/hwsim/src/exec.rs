@@ -2,7 +2,7 @@
 //! accumulation order of every reduction class in a training run.
 
 use crate::chaos::{FaultKind, FaultPlan, PlannedFault};
-use crate::device::{Architecture, Device};
+use crate::device::Device;
 use detrand::SplitMix64;
 use nstensor::{ReduceOrder, Reducer, ReducerSnapshot};
 use serde::{Deserialize, Serialize};
@@ -203,9 +203,6 @@ impl ExecutionContext {
 
     /// The accumulation order a given op class uses on this device/mode.
     pub fn order_for(device: &Device, mode: ExecutionMode, class: OpClass) -> ReduceOrder {
-        if device.arch() == Architecture::Cpu {
-            return ReduceOrder::Sequential;
-        }
         if device.deterministic_by_design() || mode == ExecutionMode::Deterministic {
             return ReduceOrder::FixedTree;
         }
@@ -331,12 +328,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cpu_is_sequential_everywhere() {
+    fn cpu_is_one_lane_fixed_tree_everywhere() {
+        let mut ctx = ExecutionContext::new(Device::cpu(), ExecutionMode::Default, 5);
         for class in OpClass::ALL {
-            assert_eq!(
-                ExecutionContext::order_for(&Device::cpu(), ExecutionMode::Default, class),
-                ReduceOrder::Sequential
-            );
+            let r = ctx.reducer(class);
+            assert_eq!((r.order(), r.lanes()), (ReduceOrder::FixedTree, 1));
         }
     }
 

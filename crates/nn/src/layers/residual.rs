@@ -15,8 +15,7 @@ pub struct ResidualBlock {
     conv2: Conv2d,
     bn2: BatchNorm2d,
     projection: Option<(Conv2d, BatchNorm2d)>,
-    out_mask: Vec<f32>,
-    cached_x: Option<Tensor>,
+    relu2: Relu,
 }
 
 impl ResidualBlock {
@@ -46,8 +45,7 @@ impl ResidualBlock {
             conv2: Conv2d::new(g2, rng),
             bn2: BatchNorm2d::new(out_c, rng),
             projection,
-            out_mask: Vec::new(),
-            cached_x: None,
+            relu2: Relu::new(),
         }
     }
 
@@ -84,35 +82,17 @@ impl Layer for ResidualBlock {
 
         let shortcut = match &mut self.projection {
             Some((conv, bn)) => {
-                let s = conv.forward(x.clone(), exec, algo, step, training);
+                let s = conv.forward(x, exec, algo, step, training);
                 bn.forward(s, exec, algo, step, training)
             }
-            None => x.clone(),
+            None => x,
         };
         main.add_assign(&shortcut).expect("residual shape");
-
-        // Final ReLU (mask cached for backward).
-        let mut mask = vec![0f32; main.len()];
-        for (v, m) in main.as_mut_slice().iter_mut().zip(&mut mask) {
-            if *v > 0.0 {
-                *m = 1.0;
-            } else {
-                *v = 0.0;
-            }
-        }
-        if training {
-            self.out_mask = mask;
-            self.cached_x = Some(x);
-        }
-        main
+        self.relu2.forward(main, exec, algo, step, training)
     }
 
-    fn backward(&mut self, mut dy: Tensor, exec: &mut ExecutionContext) -> Tensor {
-        assert!(!self.out_mask.is_empty(), "backward before forward");
-        let _ = self.cached_x.take();
-        for (g, m) in dy.as_mut_slice().iter_mut().zip(&self.out_mask) {
-            *g *= m;
-        }
+    fn backward(&mut self, dy: Tensor, exec: &mut ExecutionContext) -> Tensor {
+        let dy = self.relu2.backward(dy, exec);
         // Main branch.
         let d = self.bn2.backward(dy.clone(), exec);
         let d = self.conv2.backward(d, exec);

@@ -15,8 +15,8 @@
 //!   (the *algorithmic* randomness the paper controls with a seed);
 //! - [`model`] — the [`model::Network`] container;
 //! - [`zoo`] — scaled-down trainable models mirroring the paper's training
-//!   experiments (3-layer small CNN ± batch-norm, 6-layer medium CNN,
-//!   Micro-ResNet-18/50);
+//!   experiments (3-layer small CNN with batch-norm or dropout or
+//!   neither, Micro-ResNet-18/50);
 //! - [`arch`] — full-fidelity layer-geometry descriptors of the ten
 //!   networks the paper *profiles* (VGG-16/19, ResNet-50/152,
 //!   DenseNet-121/201, MobileNetV2, EfficientNet-B0, Inception-v3, medium

@@ -107,13 +107,28 @@ mod tests {
 
     #[test]
     fn reference_vector_counter_zero() {
-        // Self-consistency vector pinned at crate creation; guards against
-        // accidental changes to round structure or constants.
-        let out = philox4x32([0, 0], [0, 0, 0, 0]);
-        let again = philox4x32([0, 0], [0, 0, 0, 0]);
-        assert_eq!(out, again);
-        // A zero key / zero counter must not yield a zero block (avalanche).
-        assert_ne!(out, [0, 0, 0, 0]);
+        // The philox4x32-10 known-answer vectors of Random123 (`kat_vectors`):
+        // a changed round count, multiplier or key schedule fails them.
+        let kat = [
+            (
+                [0, 0],
+                [0; 4],
+                [0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8],
+            ),
+            (
+                [u32::MAX; 2],
+                [u32::MAX; 4],
+                [0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd],
+            ),
+            (
+                [0xa4093822, 0x299f31d0],
+                [0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344],
+                [0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1],
+            ),
+        ];
+        for (key, ctr, want) in kat {
+            assert_eq!(philox4x32(key, ctr), want, "key {key:x?}, counter {ctr:x?}");
+        }
     }
 
     #[test]

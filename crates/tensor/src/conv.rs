@@ -974,12 +974,12 @@ mod tests {
     fn ws_variants_bit_identical_across_threads_and_reuse() {
         let g = ConvGeometry::new(2, 5, 3, 1, 1, 6, 6);
         let (x, w, b) = setup(&g, 3);
-        for order in [
-            ReduceOrder::Sequential,
-            ReduceOrder::FixedTree,
-            ReduceOrder::Permuted,
+        for (order, lanes) in [
+            (ReduceOrder::FixedTree, 1),
+            (ReduceOrder::FixedTree, 40),
+            (ReduceOrder::Permuted, 40),
         ] {
-            let base = Reducer::new(order, 40, 9).with_amplification(1e3);
+            let base = Reducer::new(order, lanes, 9).with_amplification(1e3);
             let y0 = conv2d_forward(&x, &w, &b, &g, &mut base.clone()).unwrap();
             let mut dy = y0.clone();
             dy.scale(0.5);
@@ -1115,11 +1115,7 @@ mod tests {
             let (x, w, b) = setup(g, *n);
             let mut dy = conv2d_forward(&x, &w, &b, g, &mut Reducer::sequential()).unwrap();
             dy.scale(0.5);
-            for order in [
-                ReduceOrder::Sequential,
-                ReduceOrder::FixedTree,
-                ReduceOrder::Permuted,
-            ] {
+            for order in [ReduceOrder::FixedTree, ReduceOrder::Permuted] {
                 for &lanes in *lane_counts {
                     for amp in [0.0, 512.0] {
                         let base = Reducer::new(order, lanes, 31).with_amplification(amp);
@@ -1207,11 +1203,7 @@ mod tests {
                         *v = -0.0;
                     }
                 }
-                for order in [
-                    ReduceOrder::Sequential,
-                    ReduceOrder::FixedTree,
-                    ReduceOrder::Permuted,
-                ] {
+                for order in [ReduceOrder::FixedTree, ReduceOrder::Permuted] {
                     for lanes in [1, 2, 27, 64] {
                         for amp in [0.0, 512.0] {
                             let base = Reducer::new(order, lanes, 17).with_amplification(amp);

@@ -13,15 +13,14 @@
 //! > never reorder the k-dimension combine chain *inside* one output.**
 //!
 //! Each output element's reduction is executed exactly as
-//! [`Reducer::dot`] would execute it — a single left-to-right chain for
-//! [`ReduceOrder::Sequential`], the `e % lanes` lane fill plus fixed
-//! index-order combine for [`ReduceOrder::FixedTree`], and the same lane
-//! fill plus the scheduler-drawn permutation for
-//! [`ReduceOrder::Permuted`]. The speed comes from vectorizing *across*
-//! outputs: the micro-kernel advances [`NR`] independent accumulation
-//! chains (one per output column) with each pass over k, as wide
-//! multiplies and adds (never fused into one multiply-add) without
-//! touching any single chain's order.
+//! [`Reducer::dot`] would execute it — the `e % lanes` lane fill plus
+//! fixed index-order combine for [`ReduceOrder::FixedTree`] (with one
+//! lane, a single left-to-right chain), and the same lane fill plus the
+//! scheduler-drawn permutation for [`ReduceOrder::Permuted`]. The speed
+//! comes from vectorizing *across* outputs: the micro-kernel advances
+//! [`NR`] independent accumulation chains (one per output column) with
+//! each pass over k, as wide multiplies and adds (never fused into one
+//! multiply-add) without touching any single chain's order.
 //!
 //! The [`ReduceOrder::Permuted`] combine keeps each output's order the
 //! same way. Per tile row, the `l` lane partials of all `NR` columns sit
@@ -144,6 +143,7 @@
 //! [`Reducer::dot`]: crate::reduce::Reducer::dot
 
 use crate::error::ShapeError;
+use crate::linalg::check_rank2;
 use crate::pack::{pack_b_panels, pack_bt_panels, transpose_into, MR, NR};
 use crate::reduce::{DotPlan, ReduceOrder, Reducer, MAX_LANES};
 use crate::shape::Shape;
@@ -355,7 +355,6 @@ fn run_band(
 ) {
     let rows = band.len() / n;
     match plan.order {
-        ReduceOrder::Sequential => band_sequential(a, packed, n, k, row0, rows, band),
         // A single lane *is* one left-to-right chain: the lane fill puts
         // every element in lane 0 in increasing-k order and the combine
         // reads it back, so the fast sequential kernel computes the same
@@ -374,7 +373,7 @@ fn run_band(
     }
 }
 
-/// Sequential micro-kernel: an `MR × NR` register tile of *independent*
+/// One-lane micro-kernel: an `MR × NR` register tile of *independent*
 /// single-chain accumulators. Each output's chain is
 /// `acc += a[i, kk] · b[kk, j]` for `kk = 0..k` — the identical
 /// left-to-right chain [`Reducer::dot`] runs — while the `NR`-wide steps
@@ -634,20 +633,6 @@ fn combine_permuted_tile(
     tile::masked_passes(bufs, l, &specs.rot)
 }
 
-fn check_rank2(op: &'static str, a: &Tensor, b: &Tensor) -> Result<(), ShapeError> {
-    if a.shape().rank() != 2 || b.shape().rank() != 2 {
-        return Err(ShapeError::new(
-            op,
-            format!(
-                "expected rank-2 operands, got {} and {}",
-                a.shape(),
-                b.shape()
-            ),
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 // Bit-identity to the reference path is the property under test.
 #[allow(clippy::float_cmp)]
@@ -670,11 +655,7 @@ mod tests {
 
     fn reducers() -> Vec<Reducer> {
         let mut v = Vec::new();
-        for order in [
-            ReduceOrder::Sequential,
-            ReduceOrder::FixedTree,
-            ReduceOrder::Permuted,
-        ] {
+        for order in [ReduceOrder::FixedTree, ReduceOrder::Permuted] {
             // lanes = 2: the second swap targets slot 1, which the first
             // swap may already have moved.
             for lanes in [1, 2, 3, 40, MAX_LANES] {

@@ -15,10 +15,9 @@
 //! gradient sums over the batch, batch-norm statistics) flows through a
 //! [`Reducer`], whose [`ReduceOrder`] selects:
 //!
-//! - [`ReduceOrder::Sequential`] — plain left-to-right accumulation (CPU
-//!   reference semantics),
 //! - [`ReduceOrder::FixedTree`] — strided multi-lane partial sums combined
-//!   in fixed index order (deterministic GPU kernels, TPU systolic arrays),
+//!   in fixed index order (deterministic GPU kernels, TPU systolic arrays;
+//!   with one lane, the plain left-to-right sum of the CPU reference),
 //! - [`ReduceOrder::Permuted`] — the same lane partials combined in an
 //!   order perturbed by a scheduler RNG (nondeterministic GPU kernels).
 //!

@@ -135,7 +135,7 @@ pub fn matmul_a_bt_reference(
     Ok(out)
 }
 
-fn check_rank2(op: &'static str, a: &Tensor, b: &Tensor) -> Result<(), ShapeError> {
+pub(crate) fn check_rank2(op: &'static str, a: &Tensor, b: &Tensor) -> Result<(), ShapeError> {
     if a.shape().rank() != 2 || b.shape().rank() != 2 {
         return Err(ShapeError::new(
             op,

@@ -35,11 +35,10 @@ pub const MAX_LANES: usize = 64;
 /// The accumulation-order policy of a [`Reducer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ReduceOrder {
-    /// Left-to-right single-lane accumulation. Reference CPU semantics.
-    Sequential,
     /// Strided multi-lane partials combined in fixed (index) order.
     /// Deterministic: bitwise-stable across calls and runs. Models
-    /// deterministic GPU kernels and TPU systolic arrays.
+    /// deterministic GPU kernels and TPU systolic arrays; with one lane it
+    /// is a plain left-to-right sum, the host CPU's semantics.
     FixedTree,
     /// Strided multi-lane partials combined in an order perturbed by the
     /// scheduler RNG on every call. Models nondeterministic GPU kernels
@@ -50,7 +49,7 @@ pub enum ReduceOrder {
 impl ReduceOrder {
     /// Whether this order is bitwise reproducible across runs.
     pub fn is_deterministic(self) -> bool {
-        !matches!(self, ReduceOrder::Permuted)
+        self == ReduceOrder::FixedTree
     }
 }
 
@@ -111,9 +110,10 @@ impl Reducer {
         self.invocations = s.invocations;
     }
 
-    /// Sequential reference reducer.
+    /// The reference reducer: one-lane [`ReduceOrder::FixedTree`], a plain
+    /// left-to-right sum.
     pub fn sequential() -> Self {
-        Self::new(ReduceOrder::Sequential, 1, 0)
+        Self::new(ReduceOrder::FixedTree, 1, 0)
     }
 
     /// Sets the amplified-noise tier (relative perturbation in ulps).
@@ -148,19 +148,9 @@ impl Reducer {
     /// Sums a slice under the configured accumulation order.
     pub fn sum(&mut self, xs: &[f32]) -> f32 {
         self.invocations += 1;
-        match self.order {
-            ReduceOrder::Sequential => xs.iter().sum(),
-            ReduceOrder::FixedTree => {
-                let mut p = [0f32; MAX_LANES];
-                let l = self.fill_lanes_sum(xs, &mut p);
-                p[..l].iter().sum()
-            }
-            ReduceOrder::Permuted => {
-                let mut p = [0f32; MAX_LANES];
-                let l = self.fill_lanes_sum(xs, &mut p);
-                self.combine_permuted(&mut p[..l])
-            }
-        }
+        let mut p = [0f32; MAX_LANES];
+        let l = self.fill_lanes_sum(xs, &mut p);
+        self.combine(&mut p[..l])
     }
 
     /// Dot product of two equal-length slices under the configured order.
@@ -171,25 +161,9 @@ impl Reducer {
     pub fn dot(&mut self, a: &[f32], b: &[f32]) -> f32 {
         assert_eq!(a.len(), b.len(), "dot length mismatch");
         self.invocations += 1;
-        match self.order {
-            ReduceOrder::Sequential => {
-                let mut s = 0f32;
-                for i in 0..a.len() {
-                    s += a[i] * b[i];
-                }
-                s
-            }
-            ReduceOrder::FixedTree => {
-                let mut p = [0f32; MAX_LANES];
-                let l = self.fill_lanes_dot(a, b, &mut p);
-                p[..l].iter().sum()
-            }
-            ReduceOrder::Permuted => {
-                let mut p = [0f32; MAX_LANES];
-                let l = self.fill_lanes_dot(a, b, &mut p);
-                self.combine_permuted(&mut p[..l])
-            }
-        }
+        let mut p = [0f32; MAX_LANES];
+        let l = self.fill_lanes_dot(a, b, &mut p);
+        self.combine(&mut p[..l])
     }
 
     /// Sums `xs[start], xs[start+stride], ...` (`count` elements) under the
@@ -197,31 +171,14 @@ impl Reducer {
     /// without materializing a copy.
     pub fn sum_strided(&mut self, xs: &[f32], start: usize, stride: usize, count: usize) -> f32 {
         self.invocations += 1;
-        let lane_count = self.lanes.min(count.max(1));
+        let l = self.lanes.min(count.max(1));
         let mut p = [0f32; MAX_LANES];
-        match self.order {
-            ReduceOrder::Sequential => {
-                let mut s = 0f32;
-                let mut idx = start;
-                for _ in 0..count {
-                    s += xs[idx];
-                    idx += stride;
-                }
-                s
-            }
-            ReduceOrder::FixedTree | ReduceOrder::Permuted => {
-                let mut idx = start;
-                for i in 0..count {
-                    p[i % lane_count] += xs[idx];
-                    idx += stride;
-                }
-                if self.order == ReduceOrder::FixedTree {
-                    p[..lane_count].iter().sum()
-                } else {
-                    self.combine_permuted(&mut p[..lane_count])
-                }
-            }
+        let mut idx = start;
+        for i in 0..count {
+            p[i % l] += xs[idx];
+            idx += stride;
         }
+        self.combine(&mut p[..l])
     }
 
     /// Fills lane partials for a plain sum; returns the lane count used.
@@ -262,12 +219,23 @@ impl Reducer {
         l
     }
 
+    /// Combines lane partials under the configured order: in index order
+    /// from `+0.0` for [`ReduceOrder::FixedTree`], or in a
+    /// scheduler-perturbed order for [`ReduceOrder::Permuted`].
+    #[inline]
+    fn combine(&mut self, p: &mut [f32]) -> f32 {
+        match self.order {
+            ReduceOrder::FixedTree => sum_ordered_f32(p.iter().copied()),
+            ReduceOrder::Permuted => self.combine_permuted(p),
+        }
+    }
+
     /// Combines lane partials in a scheduler-perturbed order, optionally
     /// applying the amplified-noise tier.
     #[inline]
     fn combine_permuted(&mut self, p: &mut [f32]) -> f32 {
         let l = p.len();
-        if l > 1 {
+        let mut s = if l > 1 {
             // Two random transpositions followed by a random rotation: cheap
             // (three RNG draws) yet changes the combine order of most calls.
             let j1 = self.sched.next_below(l as u32) as usize;
@@ -279,19 +247,15 @@ impl Reducer {
             for k in 0..l {
                 s += p[(k + rot) % l];
             }
-            if self.amp_ulps > 0.0 {
-                let u = (self.sched.next_f64() as f32) * 2.0 - 1.0;
-                s *= 1.0 + u * self.amp_ulps * f32::EPSILON;
-            }
             s
         } else {
-            let mut s = p[0];
-            if self.amp_ulps > 0.0 {
-                let u = (self.sched.next_f64() as f32) * 2.0 - 1.0;
-                s *= 1.0 + u * self.amp_ulps * f32::EPSILON;
-            }
-            s
+            p[0]
+        };
+        if self.amp_ulps > 0.0 {
+            let u = (self.sched.next_f64() as f32) * 2.0 - 1.0;
+            s *= 1.0 + u * self.amp_ulps * f32::EPSILON;
         }
+        s
     }
 }
 
@@ -493,9 +457,11 @@ impl Reducer {
 /// Fixed-order (left-to-right) `f64` summation for aggregation and
 /// reporting paths.
 ///
-/// Bit-identical to `Iterator::sum::<f64>()` over the same sequence; the
-/// point of routing through this function is that the evaluation order is
-/// explicit and lives in the one module audited for it. detlint rule DL004
+/// Folds from `+0.0`, so it equals `Iterator::sum::<f64>()` over the same
+/// sequence except on an empty or all-`-0.0` input, where std's float
+/// `Sum` (which starts from `-0.0`) returns `-0.0` and this returns
+/// `+0.0`. The point of routing through this function is that the
+/// evaluation order is explicit and lives in the one module audited for it. detlint rule DL004
 /// flags ad-hoc float reductions and exempts this module, so every float
 /// sum in the workspace is either a simulated-device [`Reducer`] call or
 /// one of these ordered helpers.
@@ -688,14 +654,18 @@ mod tests {
     fn all_orders_agree_to_f32_tolerance() {
         let xs = data(2000);
         let exact: f64 = xs.iter().map(|&x| x as f64).sum();
-        for order in [
-            ReduceOrder::Sequential,
-            ReduceOrder::FixedTree,
-            ReduceOrder::Permuted,
+        for (order, lanes) in [
+            (ReduceOrder::FixedTree, 1),
+            (ReduceOrder::FixedTree, 32),
+            (ReduceOrder::Permuted, 32),
         ] {
-            let mut r = Reducer::new(order, 32, 3);
+            let mut r = Reducer::new(order, lanes, 3);
             let s = r.sum(&xs) as f64;
-            assert!((s - exact).abs() < 1e-3, "{order:?} error {}", s - exact);
+            assert!(
+                (s - exact).abs() < 1e-3,
+                "{order:?}/{lanes} error {}",
+                s - exact
+            );
         }
     }
 
@@ -704,14 +674,18 @@ mod tests {
         let a = data(512);
         let b: Vec<f32> = data(512).iter().map(|x| x * 0.5 + 0.1).collect();
         let exact: f64 = a.iter().zip(&b).map(|(&x, &y)| x as f64 * y as f64).sum();
-        for order in [
-            ReduceOrder::Sequential,
-            ReduceOrder::FixedTree,
-            ReduceOrder::Permuted,
+        for (order, lanes) in [
+            (ReduceOrder::FixedTree, 1),
+            (ReduceOrder::FixedTree, 32),
+            (ReduceOrder::Permuted, 32),
         ] {
-            let mut r = Reducer::new(order, 32, 3);
+            let mut r = Reducer::new(order, lanes, 3);
             let d = r.dot(&a, &b) as f64;
-            assert!((d - exact).abs() < 1e-3, "{order:?} error {}", d - exact);
+            assert!(
+                (d - exact).abs() < 1e-3,
+                "{order:?}/{lanes} error {}",
+                d - exact
+            );
         }
     }
 
@@ -734,16 +708,37 @@ mod tests {
 
     #[test]
     fn empty_inputs_sum_to_zero() {
-        for order in [
-            ReduceOrder::Sequential,
-            ReduceOrder::FixedTree,
-            ReduceOrder::Permuted,
+        for (order, lanes) in [
+            (ReduceOrder::FixedTree, 1),
+            (ReduceOrder::FixedTree, 32),
+            (ReduceOrder::Permuted, 32),
         ] {
-            let mut r = Reducer::new(order, 32, 1);
+            let mut r = Reducer::new(order, lanes, 1);
             assert_eq!(r.sum(&[]), 0.0);
             assert_eq!(r.dot(&[], &[]), 0.0);
             assert_eq!(r.sum_strided(&[], 0, 1, 0), 0.0);
         }
+    }
+
+    #[test]
+    fn one_lane_zero_sums_are_positive_zero() {
+        // std's float `Sum` starts from -0.0; every one-lane reduction
+        // starts from +0.0, as the GEMM kernel's chains do.
+        let mut r = Reducer::sequential();
+        let nz = [-0.0f32, -0.0];
+        for got in [
+            r.sum(&[]),
+            r.sum(&nz),
+            r.sum_strided(&nz, 0, 1, 2),
+            r.dot(&[], &[]),
+            r.dot(&nz, &[1.0, 1.0]),
+        ] {
+            assert_eq!(got.to_bits(), 0.0f32.to_bits());
+        }
+        let a = crate::Tensor::from_vec(crate::Shape::of(&[1, 2]), nz.to_vec()).unwrap();
+        let b = crate::Tensor::from_vec(crate::Shape::of(&[2, 1]), vec![1.0; 2]).unwrap();
+        let c = crate::linalg::matmul(&a, &b, &mut r).unwrap();
+        assert_eq!(c.as_slice()[0].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]
@@ -798,7 +793,6 @@ mod tests {
 
     #[test]
     fn deterministic_flag() {
-        assert!(ReduceOrder::Sequential.is_deterministic());
         assert!(ReduceOrder::FixedTree.is_deterministic());
         assert!(!ReduceOrder::Permuted.is_deterministic());
     }
@@ -815,5 +809,21 @@ mod tests {
             sum_ordered_f32(ys.iter().copied()).to_bits(),
             ys.iter().sum::<f32>().to_bits()
         );
+    }
+
+    #[test]
+    fn ordered_sums_of_zero_inputs_are_positive_zero() {
+        // Where they part from std: its float `Sum` starts from -0.0.
+        assert_eq!(
+            std::iter::empty::<f32>().sum::<f32>().to_bits(),
+            0x8000_0000
+        );
+        for xs in [&[][..], &[-0.0, -0.0]] {
+            assert_eq!(sum_ordered_f32(xs.iter().copied()).to_bits(), 0);
+            assert_eq!(
+                sum_ordered_f64(xs.iter().map(|&x| f64::from(x))).to_bits(),
+                0
+            );
+        }
     }
 }

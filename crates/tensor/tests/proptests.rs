@@ -20,7 +20,11 @@ proptest! {
         let exact: f64 = xs.iter().map(|&x| x as f64).sum();
         let abs_sum: f64 = xs.iter().map(|&x| (x as f64).abs()).sum();
         let bound = (xs.len().max(1) as f64) * (f32::EPSILON as f64) * abs_sum + 1e-9;
-        for order in [ReduceOrder::Sequential, ReduceOrder::FixedTree, ReduceOrder::Permuted] {
+        for (order, lanes) in [
+            (ReduceOrder::FixedTree, 1),
+            (ReduceOrder::FixedTree, lanes),
+            (ReduceOrder::Permuted, lanes),
+        ] {
             let mut r = Reducer::new(order, lanes, seed);
             let s = r.sum(&xs) as f64;
             prop_assert!((s - exact).abs() <= bound, "{order:?}: err {} > bound {bound}", (s - exact).abs());
@@ -54,7 +58,11 @@ proptest! {
         let exact: f64 = pairs.iter().map(|p| p.0 as f64 * p.1 as f64).sum();
         let abs: f64 = pairs.iter().map(|p| (p.0 as f64 * p.1 as f64).abs()).sum();
         let bound = (pairs.len().max(1) as f64 + 1.0) * (f32::EPSILON as f64) * abs + 1e-9;
-        for order in [ReduceOrder::Sequential, ReduceOrder::FixedTree, ReduceOrder::Permuted] {
+        for (order, lanes) in [
+            (ReduceOrder::FixedTree, 1),
+            (ReduceOrder::FixedTree, lanes),
+            (ReduceOrder::Permuted, lanes),
+        ] {
             let mut r = Reducer::new(order, lanes, seed);
             let d = r.dot(&a, &b) as f64;
             prop_assert!((d - exact).abs() <= bound);

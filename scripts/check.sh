@@ -20,6 +20,9 @@ run cargo test -q --release -p nstensor
 # kernels (crates/tensor/src/tile/portable.rs) are the shipped path rather
 # than only the oracle of the 512-bit ones.
 run env RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test -q --release -p nstensor
+# The golden weights, the one pin on the CPU device's reductions, at the
+# opt-level `repro` ships.
+run cargo test -q --release -p ns-integration --test golden_control
 # The extension group end to end at the quick budget: it must write
 # exactly its two reports.
 ext_out=$(mktemp -d)

@@ -8,16 +8,19 @@ use detrand::Philox;
 use hwsim::{Device, ExecutionContext, ExecutionMode, OpClass};
 use nstensor::{ReduceOrder, Reducer, Shape, Tensor, Workspace};
 use proptest::prelude::*;
+use std::ops::Range;
 
 fn bounded_f32() -> impl Strategy<Value = f32> {
     (-1000i32..1000).prop_map(|v| v as f32 * 1e-3)
 }
 
-fn reduce_order() -> impl Strategy<Value = ReduceOrder> {
-    (0usize..3).prop_map(|i| match i {
-        0 => ReduceOrder::Sequential,
-        1 => ReduceOrder::FixedTree,
-        _ => ReduceOrder::Permuted,
+/// An accumulation order and a lane count drawn from `lanes`; one case in
+/// three is the one-lane FixedTree of the CPU device.
+fn order_and_lanes(lanes: Range<usize>) -> impl Strategy<Value = (ReduceOrder, usize)> {
+    (0usize..3, lanes).prop_map(|(i, lanes)| match i {
+        0 => (ReduceOrder::FixedTree, 1),
+        1 => (ReduceOrder::FixedTree, lanes),
+        _ => (ReduceOrder::Permuted, lanes),
     })
 }
 
@@ -145,8 +148,7 @@ proptest! {
         m in 1usize..24,
         k in 0usize..80,
         n in 1usize..24,
-        order in reduce_order(),
-        lanes in 1usize..nstensor::MAX_LANES + 1,
+        (order, lanes) in order_and_lanes(1..nstensor::MAX_LANES + 1),
         amp in (0usize..2).prop_map(|i| if i == 0 { 0.0f32 } else { 1e4 }),
         threads in 1usize..5,
         salt in any::<u64>(),
@@ -176,11 +178,11 @@ proptest! {
         m in 1usize..16,
         k in 1usize..48,
         n in 1usize..16,
-        order in reduce_order(),
+        (order, lanes) in order_and_lanes(40..41),
         threads in 1usize..4,
         salt in any::<u64>(),
     ) {
-        let base = Reducer::new(order, 40, salt ^ 0x5eed).with_amplification(2e3);
+        let base = Reducer::new(order, lanes, salt ^ 0x5eed).with_amplification(2e3);
         let mut ws = Workspace::new();
         let a = tensor_of(k, m, salt);
         let b = tensor_of(k, n, salt.wrapping_add(3));
@@ -198,7 +200,7 @@ proptest! {
     /// count and workspace reuse for every order.
     #[test]
     fn conv_engine_bit_invariant_in_threads(
-        order in reduce_order(),
+        (order, lanes) in order_and_lanes(40..41),
         threads in 2usize..5,
         salt in any::<u64>(),
     ) {
@@ -206,7 +208,7 @@ proptest! {
         let x = tensor_of(3, 2 * 6 * 6, salt).reshape(Shape::of(&[3, 2, 6, 6])).unwrap();
         let w = tensor_of(5, g.patch_len(), salt.wrapping_add(6));
         let bias = tensor_of(1, 5, salt.wrapping_add(7)).reshape(Shape::of(&[5])).unwrap();
-        let base = Reducer::new(order, 40, salt ^ 0xc0de).with_amplification(1e3);
+        let base = Reducer::new(order, lanes, salt ^ 0xc0de).with_amplification(1e3);
         let mut ws = Workspace::new();
         let y1 = nstensor::conv2d_forward(&x, &w, &bias, &g, &mut base.clone()).unwrap();
         let yt = nstensor::conv2d_forward_ws(&x, &w, &bias, &g, &mut base.clone(), threads, &mut ws).unwrap();
