@@ -99,3 +99,20 @@ fn fig7_profile_has_paper_properties() {
         .sum();
     assert!(top20 / fig.default_profile.total_time_s() > 0.5);
 }
+
+/// Known answer: the JSON of Figures 7 and 8, pinned by length and FNV-1a
+/// 64 digest. The range checks above let a pricing change through as long
+/// as it stays inside the paper's bands; these three pairs do not.
+#[test]
+fn figures_are_pinned() {
+    fn pin(value: &impl serde::Serialize) -> (usize, u64) {
+        let json = serde_json::to_string(value).expect("serialize");
+        let fnv1a = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        (json.len(), fnv1a)
+    }
+    assert_eq!(pin(&fig7(100)), (6794, 0x89e9_ff45_c54f_3c9f));
+    assert_eq!(pin(&fig8a(64)), (4631, 0x4afd_2d50_79fe_c627));
+    assert_eq!(pin(&fig8b(64)), (1910, 0xa4cc_ae36_6e5b_adb4));
+}
