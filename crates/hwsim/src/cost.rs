@@ -62,7 +62,6 @@ pub struct ArchCosts {
 pub struct CostModel {
     costs: ArchCosts,
     eff_tflops: f32,
-    arch: Architecture,
 }
 
 impl CostModel {
@@ -71,7 +70,6 @@ impl CostModel {
         Self {
             costs: Self::arch_costs(device.arch()),
             eff_tflops: device.eff_tflops(),
-            arch: device.arch(),
         }
     }
 
@@ -122,11 +120,6 @@ impl CostModel {
         }
     }
 
-    /// The constants in use.
-    pub fn costs(&self) -> ArchCosts {
-        self.costs
-    }
-
     /// Spatial-skew factor of a geometry: how much larger the output pixel
     /// count is than the channel parallelism available to a deterministic
     /// wgrad kernel. Early layers (huge spatial, few channels) score high;
@@ -156,7 +149,8 @@ impl CostModel {
     /// # Panics
     ///
     /// Panics if the algorithm does not support the pass/geometry — callers
-    /// must check [`ConvAlgorithm::supports`] first (the autotuner does).
+    /// must check [`ConvAlgorithm::supports`] first (the profiler's kernel
+    /// selection does).
     pub fn conv_pass_time(
         &self,
         alg: ConvAlgorithm,

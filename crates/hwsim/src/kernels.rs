@@ -101,20 +101,6 @@ impl ConvAlgorithm {
     }
 }
 
-/// A selected kernel: algorithm, pass, simulated execution time, and a
-/// cuDNN-style display name.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KernelChoice {
-    /// The algorithm selected.
-    pub algorithm: ConvAlgorithm,
-    /// The pass it implements.
-    pub pass: ConvPass,
-    /// Simulated execution time per invocation, in seconds.
-    pub time_s: f64,
-    /// cuDNN-style kernel name, stable per (arch, algorithm, pass, tile).
-    pub name: String,
-}
-
 /// Builds a cuDNN-style kernel name.
 pub fn kernel_name(
     arch_tag: &str,

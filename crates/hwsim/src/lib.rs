@@ -14,9 +14,9 @@
 //!    nondeterministic; forcing determinism restricts the autotuner to
 //!    slower kernels, with a penalty that depends on GPU generation and
 //!    layer geometry. The [`cost`] module provides a calibrated analytic
-//!    time model, [`autotune`] performs the restricted selection, and
-//!    [`profiler`] accumulates simulated per-kernel GPU time — regenerating
-//!    the paper's determinism-overhead results (Figs. 7 and 8).
+//!    time model, and [`profiler`] makes the restricted selection and
+//!    accumulates simulated per-kernel GPU time — regenerating the paper's
+//!    determinism-overhead results (Figs. 7 and 8).
 //!
 //! # Example
 //!
@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod autotune;
 pub mod chaos;
 pub mod cost;
 pub mod device;
@@ -51,11 +50,10 @@ pub mod kernels;
 pub mod profiler;
 pub mod workload;
 
-pub use autotune::{select_conv_kernels, ConvKernelPlan};
 pub use chaos::{ChaosConfig, FaultKind, FaultPlan, PlannedFault};
 pub use cost::CostModel;
 pub use device::{Architecture, Device};
 pub use exec::{ExecSnapshot, ExecutionContext, ExecutionContextBuilder, ExecutionMode, OpClass};
-pub use kernels::{ConvAlgorithm, ConvPass, KernelChoice};
+pub use kernels::{ConvAlgorithm, ConvPass};
 pub use profiler::{profile_workload, KernelProfile, KernelRecord};
 pub use workload::WorkloadOp;

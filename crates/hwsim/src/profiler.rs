@@ -1,17 +1,22 @@
 //! The simulated kernel profiler (the reproduction's `nvprof`).
 //!
 //! Executes a workload's *cost model* — no tensors move — accumulating
-//! simulated GPU time per kernel name across training steps. Regenerates
-//! the paper's Figure 7 (top-20 kernel cumulative runtime, deterministic
-//! vs. default) and Figure 8 (determinism overhead across models, GPUs and
-//! filter sizes).
+//! simulated GPU time per kernel name across training steps. Each pass of
+//! each convolution runs the fastest *admissible* kernel, as cuDNN's
+//! `cudnnFindConvolutionForwardAlgorithm` picks it; in
+//! [`ExecutionMode::Deterministic`] admissibility excludes nondeterministic
+//! algorithms — the restriction whose cost the paper quantifies.
+//! Regenerates the paper's Figure 7 (top-20 kernel cumulative runtime,
+//! deterministic vs. default) and Figure 8 (determinism overhead across
+//! models, GPUs and filter sizes).
 
-use crate::autotune::select_conv_kernels;
 use crate::cost::CostModel;
-use crate::device::Device;
+use crate::device::{Architecture, Device};
 use crate::exec::ExecutionMode;
+use crate::kernels::{kernel_name, ConvAlgorithm, ConvPass};
 use crate::workload::WorkloadOp;
 use nstensor::reduce::sum_ordered_f64;
+use nstensor::ConvGeometry;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -36,16 +41,6 @@ pub struct KernelProfile {
 }
 
 impl KernelProfile {
-    /// The device name this profile was captured on.
-    pub fn device(&self) -> &str {
-        &self.device
-    }
-
-    /// The execution mode.
-    pub fn mode(&self) -> ExecutionMode {
-        self.mode
-    }
-
     /// Number of training steps profiled.
     pub fn steps(&self) -> u64 {
         self.steps
@@ -70,39 +65,41 @@ impl KernelProfile {
     pub fn distinct_kernels(&self) -> usize {
         self.records.len()
     }
+}
 
-    /// Fraction of total time spent in the single hottest kernel — a
-    /// measure of how skewed the time allocation is (the paper observes
-    /// deterministic mode concentrating time in fewer kernels).
-    pub fn top1_share(&self) -> f64 {
-        let total = self.total_time_s();
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.records.first().map_or(0.0, |r| r.total_time_s / total)
+/// Short architecture tag used in kernel names.
+fn arch_tag(arch: Architecture) -> &'static str {
+    match arch {
+        Architecture::Pascal => "pascal",
+        Architecture::Volta => "volta",
+        Architecture::Turing => "turing",
+        Architecture::TpuV2 => "tpu",
+        Architecture::Cpu => "cpu",
     }
+}
 
-    /// Number of distinct convolution algorithm families scheduled
-    /// (winograd, fft, atomic GEMM, ...). Deterministic mode is restricted
-    /// to a narrower set — the mechanism behind the paper's Figure 7.
-    pub fn conv_algorithm_families(&self) -> usize {
-        let mut fams: Vec<&str> = self
-            .records
-            .iter()
-            .filter_map(|r| {
-                let rest = r.name.split("_scudnn_").nth(1)?;
-                // Family = algorithm tag up to the pass tag.
-                let end = ["_fprop", "_dgrad", "_wgrad"]
-                    .iter()
-                    .filter_map(|t| rest.find(t))
-                    .min()?;
-                Some(&rest[..end])
-            })
-            .collect();
-        fams.sort_unstable();
-        fams.dedup();
-        fams.len()
-    }
+/// The fastest admissible algorithm for one pass of a convolution, and its
+/// simulated time per invocation. A tie keeps the earlier algorithm in
+/// [`ConvAlgorithm::ALL`].
+///
+/// # Panics
+///
+/// Never panics for valid geometries: a deterministic fallback exists for
+/// every pass (guaranteed by the kernel registry tests).
+fn fastest(
+    model: &CostModel,
+    pass: ConvPass,
+    geom: &ConvGeometry,
+    batch: usize,
+    mode: ExecutionMode,
+) -> (ConvAlgorithm, f64) {
+    ConvAlgorithm::ALL
+        .into_iter()
+        .filter(|alg| alg.supports(pass, geom))
+        .filter(|alg| mode != ExecutionMode::Deterministic || alg.is_deterministic())
+        .map(|alg| (alg, model.conv_pass_time(alg, pass, geom, batch)))
+        .reduce(|best, next| if next.1 < best.1 { next } else { best })
+        .expect("registry guarantees at least one admissible kernel per pass")
 }
 
 /// Profiles `steps` training steps of a workload on a device in a mode.
@@ -132,6 +129,7 @@ pub fn profile_workload(
     steps: u64,
 ) -> KernelProfile {
     let model = CostModel::for_device(device);
+    let arch = arch_tag(device.arch());
     let deterministic = mode == ExecutionMode::Deterministic;
     // BTreeMap, not HashMap: the aggregate is iterated into the sorted
     // record list below, and kernels tied on total time must come out in
@@ -150,9 +148,9 @@ pub fn profile_workload(
     for op in ops {
         match *op {
             WorkloadOp::Conv { geom, batch } => {
-                let plan = select_conv_kernels(&geom, batch, device, mode);
-                for choice in plan.choices() {
-                    add(choice.name.clone(), choice.time_s);
+                for pass in ConvPass::ALL {
+                    let (alg, t) = fastest(&model, pass, &geom, batch, mode);
+                    add(kernel_name(arch, alg, pass, &geom), t);
                 }
             }
             WorkloadOp::Dense {
@@ -176,14 +174,11 @@ pub fn profile_workload(
                     t,
                 );
             }
-            WorkloadOp::BatchNorm { elems } => {
+            WorkloadOp::BatchNorm { .. } => {
                 let t = model.misc_op_time(op, deterministic);
                 let det_tag = if deterministic { "det" } else { "atomic" };
                 add(format!("bn_fw_stats_{det_tag}"), t);
-                add(
-                    format!("bn_bw_reduce_{det_tag}"),
-                    t * elems.clamp(1, 2) as f64 / 2.0,
-                );
+                add(format!("bn_bw_reduce_{det_tag}"), t);
             }
             WorkloadOp::Pool { .. } => {
                 let t = model.misc_op_time(op, deterministic);
@@ -217,7 +212,6 @@ pub fn profile_workload(
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use nstensor::ConvGeometry;
 
     fn tiny_workload() -> Vec<WorkloadOp> {
         vec![
@@ -260,6 +254,106 @@ mod tests {
         assert!(det.total_time_s() > nd.total_time_s());
     }
 
+    fn geom(k: usize) -> ConvGeometry {
+        ConvGeometry::new(32, 64, k, 1, k / 2, 28, 28)
+    }
+
+    /// The selected algorithm and time of each pass, in `ConvPass::ALL`
+    /// order, for batch 32.
+    fn select(k: usize, device: &Device, mode: ExecutionMode) -> [(ConvAlgorithm, f64); 3] {
+        let model = CostModel::for_device(device);
+        ConvPass::ALL.map(|pass| fastest(&model, pass, &geom(k), 32, mode))
+    }
+
+    fn total_time_s(plan: &[(ConvAlgorithm, f64); 3]) -> f64 {
+        plan[0].1 + plan[1].1 + plan[2].1
+    }
+
+    fn gpus() -> [Device; 3] {
+        [Device::p100(), Device::v100(), Device::t4()]
+    }
+
+    #[test]
+    fn default_mode_picks_winograd_for_3x3() {
+        let plan = select(3, &Device::v100(), ExecutionMode::Default);
+        assert_eq!(plan[0].0, ConvAlgorithm::WinogradNonfused);
+        assert!(plan.iter().any(|(alg, _)| !alg.is_deterministic()));
+    }
+
+    #[test]
+    fn default_mode_picks_fft_for_large_filters() {
+        let plan = select(7, &Device::v100(), ExecutionMode::Default);
+        assert_eq!(plan[0].0, ConvAlgorithm::FftTiling);
+    }
+
+    #[test]
+    fn deterministic_mode_selects_only_deterministic_kernels() {
+        for k in [1, 3, 5, 7] {
+            for d in gpus() {
+                let plan = select(k, &d, ExecutionMode::Deterministic);
+                assert!(
+                    plan.iter().all(|(alg, _)| alg.is_deterministic()),
+                    "k={k} on {}",
+                    d.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deterministic_mode_is_never_faster() {
+        for k in [1, 3, 5, 7] {
+            for d in gpus() {
+                let nd = select(k, &d, ExecutionMode::Default);
+                let det = select(k, &d, ExecutionMode::Deterministic);
+                assert!(
+                    total_time_s(&det) >= total_time_s(&nd),
+                    "k={k} on {}",
+                    d.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn overhead_grows_with_filter_size() {
+        for d in gpus() {
+            let mut prev = 0.0f64;
+            for k in [1, 3, 5, 7] {
+                let nd = select(k, &d, ExecutionMode::Default);
+                let det = select(k, &d, ExecutionMode::Deterministic);
+                let ratio = total_time_s(&det) / total_time_s(&nd);
+                assert!(
+                    ratio >= prev * 0.999,
+                    "{}: ratio not monotone at k={k}: {ratio} < {prev}",
+                    d.name()
+                );
+                prev = ratio;
+            }
+        }
+    }
+
+    #[test]
+    fn wgrad_never_selects_transform_algorithms() {
+        for k in [3, 5, 7] {
+            let plan = select(k, &Device::v100(), ExecutionMode::Default);
+            assert_eq!(plan[2].0, ConvAlgorithm::ImplicitGemmAtomic);
+        }
+    }
+
+    #[test]
+    fn kernel_names_carry_arch_tag() {
+        let ops = [WorkloadOp::Conv {
+            geom: geom(3),
+            batch: 32,
+        }];
+        let p = profile_workload(&ops, &Device::p100(), ExecutionMode::Default, 1);
+        assert_eq!(p.distinct_kernels(), 3);
+        for r in p.records() {
+            assert!(r.name.starts_with("pascal_scudnn_"), "{}", r.name);
+        }
+    }
+
     #[test]
     fn deterministic_mode_uses_fewer_distinct_conv_kernels() {
         // With both winograd-eligible and fft-eligible convs, default mode
@@ -282,8 +376,17 @@ mod tests {
         let det = profile_workload(&ops, &Device::v100(), ExecutionMode::Deterministic, 1);
         assert!(det.distinct_kernels() <= nd.distinct_kernels());
         // Deterministic mode is confined to a narrower algorithm menu.
-        assert!(det.conv_algorithm_families() < nd.conv_algorithm_families());
-        assert!(nd.conv_algorithm_families() >= 3); // winograd + fft + atomic
+        let schedules = |p: &KernelProfile, alg: ConvAlgorithm| {
+            p.records().iter().any(|r| r.name.contains(alg.tag()))
+        };
+        for alg in [
+            ConvAlgorithm::WinogradNonfused,
+            ConvAlgorithm::FftTiling,
+            ConvAlgorithm::ImplicitGemmAtomic,
+        ] {
+            assert!(schedules(&nd, alg), "default mode lacks {alg:?}");
+            assert!(!schedules(&det, alg), "deterministic mode runs {alg:?}");
+        }
     }
 
     #[test]
@@ -294,7 +397,6 @@ mod tests {
             assert!(w[0] >= w[1]);
         }
         assert!(p.top_k(3).len() <= 3);
-        assert!(p.top1_share() > 0.0 && p.top1_share() <= 1.0);
     }
 
     #[test]
@@ -302,6 +404,5 @@ mod tests {
         let p = profile_workload(&[], &Device::v100(), ExecutionMode::Default, 10);
         assert_eq!(p.total_time_s(), 0.0);
         assert_eq!(p.distinct_kernels(), 0);
-        assert_eq!(p.top1_share(), 0.0);
     }
 }

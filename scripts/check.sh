@@ -13,6 +13,14 @@ run() {
 }
 
 run cargo build --workspace --release
+# The cost group (Figures 7 and 8) end to end: it must write exactly its
+# three reports; then the determinism_cost example, which runs the same
+# profiler per convolution, must exit 0.
+cost_out=$(mktemp -d)
+run cargo run -q --release -p ns-bench --bin repro -- --exp cost --out "$cost_out" > "$cost_out/stdout.txt"
+test "$(cd "$cost_out" && ls *.json | tr '\n' ' ')" = "fig7.json fig8a.json fig8b.json "
+rm -rf "$cost_out"
+run cargo run -q --release -p ns-examples --bin determinism_cost > /dev/null
 run cargo test -q --workspace
 # The tensor crate's bit-identity tests at opt-level 3, as shipped.
 run cargo test -q --release -p nstensor
