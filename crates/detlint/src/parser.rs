@@ -109,14 +109,6 @@ impl ParsedFile {
             .map(|s| s.first_line)
             .max()
     }
-
-    /// The statement covering token index `i` (innermost wins).
-    pub fn stmt_at_token(&self, i: usize) -> Option<&Stmt> {
-        self.stmts
-            .iter()
-            .filter(|s| s.range.0 <= i && i <= s.range.1)
-            .max_by_key(|s| s.range.0)
-    }
 }
 
 struct Parser<'a> {

@@ -1,6 +1,6 @@
 //! Loss functions.
 
-use nstensor::{ops, Shape, Tensor};
+use nstensor::{ops, Tensor};
 
 /// Softmax cross-entropy over class logits.
 ///
@@ -93,25 +93,10 @@ pub fn binary_predictions(logits: &Tensor) -> Vec<u8> {
     logits.as_slice().iter().map(|&z| (z > 0.0) as u8).collect()
 }
 
-/// Builds a `[N, A]` target tensor from per-sample binary attribute rows.
-///
-/// # Panics
-///
-/// Panics if rows have uneven lengths.
-pub fn binary_targets(rows: &[Vec<u8>]) -> Tensor {
-    let n = rows.len();
-    let a = rows.first().map_or(0, Vec::len);
-    let mut data = Vec::with_capacity(n * a);
-    for row in rows {
-        assert_eq!(row.len(), a, "ragged target rows");
-        data.extend(row.iter().map(|&b| b as f32));
-    }
-    Tensor::from_vec(Shape::of(&[n, a]), data).expect("target shape")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nstensor::Shape;
 
     #[test]
     fn ce_loss_of_perfect_prediction_is_small() {
@@ -192,12 +177,5 @@ mod tests {
         assert_eq!(argmax_predictions(&logits), vec![1, 0]);
         let z = Tensor::from_vec(Shape::of(&[1, 3]), vec![0.5, -0.5, 0.0]).unwrap();
         assert_eq!(binary_predictions(&z), vec![1, 0, 0]);
-    }
-
-    #[test]
-    fn binary_targets_layout() {
-        let t = binary_targets(&[vec![1, 0], vec![0, 1]]);
-        assert_eq!(t.shape().dims(), &[2, 2]);
-        assert_eq!(t.as_slice(), &[1.0, 0.0, 0.0, 1.0]);
     }
 }

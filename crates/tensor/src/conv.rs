@@ -914,7 +914,9 @@ mod tests {
                                         && (iy as usize) < g.in_h
                                         && (ix as usize) < g.in_w
                                     {
-                                        let xv = x.get4(s, c, iy as usize, ix as usize) as f64;
+                                        let (iy, ix) = (iy as usize, ix as usize);
+                                        let xi = ((s * g.in_c + c) * g.in_h + iy) * g.in_w + ix;
+                                        let xv = x.as_slice()[xi] as f64;
                                         let wv = w.as_slice()
                                             [o * g.patch_len() + c * g.k * g.k + ky * g.k + kx]
                                             as f64;

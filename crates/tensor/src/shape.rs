@@ -84,13 +84,6 @@ impl Shape {
         debug_assert_eq!(self.rank, 2);
         i * self.dims[1] + j
     }
-
-    /// The flat offset of a 4-D index (row-major `[N, C, H, W]`).
-    #[inline]
-    pub fn offset4(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
-        debug_assert_eq!(self.rank, 4);
-        ((n * self.dims[1] + c) * self.dims[2] + h) * self.dims[3] + w
-    }
 }
 
 impl fmt::Display for Shape {
@@ -147,10 +140,6 @@ mod tests {
         assert_eq!(s2.offset2(0, 0), 0);
         assert_eq!(s2.offset2(1, 0), 4);
         assert_eq!(s2.offset2(2, 3), 11);
-        let s4 = Shape::of(&[2, 3, 4, 5]);
-        assert_eq!(s4.offset4(0, 0, 0, 1), 1);
-        assert_eq!(s4.offset4(1, 0, 0, 0), 60);
-        assert_eq!(s4.offset4(1, 2, 3, 4), 119);
     }
 
     #[test]

@@ -98,26 +98,6 @@ impl Tensor {
         self.data[self.shape.offset2(i, j)]
     }
 
-    /// Mutable element access for rank-2 tensors.
-    #[inline]
-    pub fn set2(&mut self, i: usize, j: usize, v: f32) {
-        let o = self.shape.offset2(i, j);
-        self.data[o] = v;
-    }
-
-    /// Element access for rank-4 tensors (`[N, C, H, W]`).
-    #[inline]
-    pub fn get4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
-        self.data[self.shape.offset4(n, c, h, w)]
-    }
-
-    /// Mutable element access for rank-4 tensors.
-    #[inline]
-    pub fn set4(&mut self, n: usize, c: usize, h: usize, w: usize, v: f32) {
-        let o = self.shape.offset4(n, c, h, w);
-        self.data[o] = v;
-    }
-
     /// Reinterprets the tensor with a new shape of identical volume.
     ///
     /// # Errors
@@ -132,13 +112,6 @@ impl Tensor {
         }
         self.shape = shape;
         Ok(self)
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
     }
 
     /// Adds `other` element-wise in place.
@@ -195,16 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn get_set_round_trip() {
-        let mut t = Tensor::zeros(Shape::of(&[3, 4]));
-        t.set2(2, 1, 7.0);
-        assert_eq!(t.get2(2, 1), 7.0);
-        let mut u = Tensor::zeros(Shape::of(&[2, 2, 3, 3]));
-        u.set4(1, 0, 2, 2, -1.0);
-        assert_eq!(u.get4(1, 0, 2, 2), -1.0);
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let t = Tensor::from_vec(Shape::of(&[2, 3]), (0..6).map(|i| i as f32).collect()).unwrap();
         let r = t.reshape(Shape::of(&[3, 2])).unwrap();
@@ -229,11 +192,9 @@ mod tests {
     }
 
     #[test]
-    fn map_and_scale() {
+    fn scale_multiplies_every_element() {
         let mut t = Tensor::from_vec(Shape::of(&[3]), vec![1.0, -2.0, 3.0]).unwrap();
-        t.map_inplace(|x| x.max(0.0));
-        assert_eq!(t.as_slice(), &[1.0, 0.0, 3.0]);
         t.scale(2.0);
-        assert_eq!(t.as_slice(), &[2.0, 0.0, 6.0]);
+        assert_eq!(t.as_slice(), &[2.0, -4.0, 6.0]);
     }
 }
