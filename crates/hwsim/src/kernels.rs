@@ -6,10 +6,9 @@
 //! nondeterministic reduction stages).
 
 use nstensor::ConvGeometry;
-use serde::{Deserialize, Serialize};
 
 /// A convolution pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConvPass {
     /// Forward convolution.
     Forward,
@@ -35,7 +34,7 @@ impl ConvPass {
 
 /// A convolution algorithm, with cuDNN-like availability and determinism
 /// properties.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConvAlgorithm {
     /// Winograd transform: fastest for 3×3 stride-1 filters; its reduction
     /// stage uses atomics → nondeterministic.
