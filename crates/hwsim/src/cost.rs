@@ -18,7 +18,7 @@
 //! The per-architecture constants are *calibrated* so the medium-CNN
 //! filter-size sweep and 10-model sweep land in the ranges reported by the
 //! paper (Fig. 8); see `DESIGN.md` §5 and the calibration tests in
-//! `noisescope`.
+//! `tests/tests/cost_calibration.rs`.
 
 use crate::device::{Architecture, Device};
 
@@ -30,10 +30,9 @@ const FUSION_DISCOUNT: f64 = 0.15;
 use crate::kernels::{ConvAlgorithm, ConvPass};
 use crate::workload::WorkloadOp;
 use nstensor::ConvGeometry;
-use serde::{Deserialize, Serialize};
 
 /// Per-architecture cost constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArchCosts {
     /// Utilization of deterministic implicit-GEMM relative to the atomic
     /// baseline (< 1: mild constant penalty).
@@ -58,7 +57,7 @@ pub struct ArchCosts {
 }
 
 /// The calibrated cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     costs: ArchCosts,
     eff_tflops: f32,
