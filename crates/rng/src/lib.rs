@@ -38,6 +38,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod entropy;
+pub mod fnv;
 pub mod philox;
 pub mod seed;
 pub mod shuffle;
@@ -45,6 +46,7 @@ pub mod splitmix;
 pub mod stream;
 
 pub use entropy::EntropySource;
+pub use fnv::fnv1a64;
 pub use philox::Philox;
 pub use seed::SeedPolicy;
 pub use shuffle::{permutation, shuffle_in_place};

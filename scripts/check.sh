@@ -31,6 +31,11 @@ run env RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test -q --release -p nstensor
 # The golden weights, the one pin on the CPU device's reductions, at the
 # opt-level `repro` ships.
 run cargo test -q --release -p ns-integration --test golden_control
+# The whole paper's bits (tests/golden/repro_digests.txt): repro's stdout
+# and every JSON report at the tiny and quick budgets, on the native build
+# and on one without AVX-512. A mismatch names each output that changed.
+run cargo test -q --release -p ns-bench --test repro_digests -- --include-ignored
+run env RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test -q --release -p ns-bench --test repro_digests -- --include-ignored
 # The extension group end to end at the quick budget: it must write
 # exactly its two reports.
 ext_out=$(mktemp -d)
