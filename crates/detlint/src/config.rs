@@ -19,10 +19,6 @@ pub struct Config {
     /// Per-rule path-prefix exemptions, e.g. the entropy module is the one
     /// place allowed to touch OS randomness.
     pub exempt: BTreeMap<RuleId, Vec<String>>,
-    /// Env-var names registered as sanctioned experiment knobs (DL008's
-    /// registry; `[rules.DL008] registered = [...]`). Anything Settings
-    /// reads and folds into the experiment fingerprint belongs here.
-    pub registered_env: Vec<String>,
 }
 
 impl Default for Config {
@@ -30,7 +26,6 @@ impl Default for Config {
         Config {
             exclude: vec!["target".into(), ".git".into()],
             exempt: BTreeMap::new(),
-            registered_env: Vec::new(),
         }
     }
 }
@@ -83,9 +78,6 @@ impl Config {
                 (Some(rule), "exempt") => {
                     cfg.exempt.insert(rule, parse_string_array(&value, idx)?);
                 }
-                (Some(RuleId::Dl008), "registered") => {
-                    cfg.registered_env = parse_string_array(&value, idx)?;
-                }
                 (_, k) => {
                     return Err(format!("line {}: unknown key `{k}`", idx + 1));
                 }
@@ -104,11 +96,6 @@ impl Config {
         self.exempt
             .get(&rule)
             .is_some_and(|ps| ps.iter().any(|p| path_has_prefix(rel_path, p)))
-    }
-
-    /// `true` if `name` is a registered experiment knob (DL008).
-    pub fn dl008_registered(&self, name: &str) -> bool {
-        self.registered_env.iter().any(|n| n == name)
     }
 
     /// `true` if the path is test/bench code by convention.
@@ -217,6 +204,8 @@ exempt = [
         // Test code is always skipped; the old switch is a typo like any other.
         assert!(Config::parse("scan_test_code = false").is_err());
         assert!(Config::parse("[rules.DL999]\nexempt = []").is_err());
+        // DL008 exempts the settings module; its old name registry is gone.
+        assert!(Config::parse("[rules.DL008]\nregistered = []").is_err());
     }
 
     #[test]

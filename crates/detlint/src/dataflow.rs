@@ -1,5 +1,5 @@
 //! Intra-procedural dataflow: taint tracking for the flow rules
-//! (DL006–DL008).
+//! (DL006, DL007).
 //!
 //! The v1 rules see one statement at a time, so `let vals: Vec<f64> =
 //! m.values().cloned().collect();` three statements before a `.sum()` is
@@ -19,9 +19,6 @@
 //!   Index-derivation helpers (`entropy_for`, `derive`, `rng_at`, ...)
 //!   are deliberately *not* sources: they are pure functions of an index
 //!   and are the sanctioned way to hand randomness across a boundary.
-//! * **`Env`** — the value came from `std::env::var("NAME")` for a name
-//!   not registered in `Settings` (DL008's registry lives in
-//!   `detlint.toml`).
 //!
 //! Propagation is deliberately simple: a statement's *result taint* is
 //! the union of its in-range sources and the taints of every variable it
@@ -33,16 +30,24 @@
 //! `scope.spawn(move || ...)` is a reference *within the spawn
 //! statement*.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::config::Config;
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::TokKind;
 use crate::parser::ParsedFile;
-use crate::rules::{
-    self, float_compound_assign, fold_is_order_sensitive, is_float_literal, is_nullary_call,
-    tracked_hash_vars, Ctx, ITER_METHODS, PAR_COMBINATORS,
-};
+use crate::rules::{float_compound_assign, float_reduction, tracked_hash_vars, Ctx, ITER_METHODS};
 use crate::{Finding, RuleId};
+
+/// Unordered parallel combinators (rayon-style).
+const PAR_COMBINATORS: &[&str] = &[
+    "par_iter",
+    "par_iter_mut",
+    "into_par_iter",
+    "par_chunks",
+    "par_chunks_mut",
+    "par_bridge",
+    "par_windows",
+];
 
 /// Sequential RNG draw methods — their value depends on the RNG cursor.
 const DRAW_METHODS: &[&str] = &[
@@ -104,12 +109,6 @@ const ENTROPY_SANCTIONED: &[&str] = &[
     "encode_result",
 ];
 
-/// Integer and float primitive type names (DL008's numeric evidence).
-const NUMERIC_TYPES: &[&str] = &[
-    "f32", "f64", "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128",
-    "isize",
-];
-
 /// Why a variable is tainted: the source line and a human description.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Origin {
@@ -122,13 +121,11 @@ struct Origin {
 struct Taint {
     unordered: Option<Origin>,
     entropy: Option<Origin>,
-    /// Unregistered env vars feeding this value: `(NAME, read line)`.
-    env: Vec<(String, u32)>,
 }
 
 impl Taint {
     fn is_clean(&self) -> bool {
-        self.unordered.is_none() && self.entropy.is_none() && self.env.is_empty()
+        self.unordered.is_none() && self.entropy.is_none()
     }
 
     fn union(&mut self, other: &Taint) {
@@ -137,11 +134,6 @@ impl Taint {
         }
         if self.entropy.is_none() {
             self.entropy.clone_from(&other.entropy);
-        }
-        for e in &other.env {
-            if !self.env.contains(e) {
-                self.env.push(e.clone());
-            }
         }
     }
 }
@@ -157,16 +149,12 @@ pub(crate) fn run_dataflow_rules(
     let enabled = |rule: RuleId| !config.rule_exempt(rule, ctx.rel_path);
     let dl006 = enabled(RuleId::Dl006);
     let dl007 = enabled(RuleId::Dl007);
-    let dl008 = enabled(RuleId::Dl008);
-    if !dl006 && !dl007 && !dl008 {
+    if !dl006 && !dl007 {
         return;
     }
     let hash_vars = tracked_hash_vars(ctx.tokens);
     for func in &parsed.functions {
         let mut vars: BTreeMap<String, Taint> = BTreeMap::new();
-        // One DL008 finding per (env name, origin line) per function, so a
-        // tainted value used in five numeric statements reports once.
-        let mut env_reported: BTreeSet<(String, u32)> = BTreeSet::new();
         // The parser pushes a nested block's statements before their
         // header statement (it finishes the header last), so re-sort by
         // token position to process `if let` / `for` headers before
@@ -180,7 +168,6 @@ pub(crate) fn run_dataflow_rules(
             // --- gather this statement's taint evidence ---------------
             let direct_unordered = unordered_source(ctx, &hash_vars, s, e);
             let direct_entropy = entropy_source(ctx, s, e);
-            let env_here = env_reads(ctx, s, e);
             // For `let` statements only the initializer flows — reading
             // the whole range would pick the binding name itself up and
             // make `let vals = clean();` inherit the shadowed taint.
@@ -245,50 +232,6 @@ pub(crate) fn run_dataflow_rules(
                 }
             }
 
-            // --- DL008: unregistered env var on a numeric path --------
-            if dl008 {
-                let numeric = numeric_evidence(ctx, s, e);
-                for (name, at) in &env_here {
-                    if config.dl008_registered(name) {
-                        continue;
-                    }
-                    if numeric {
-                        let line = ctx.tokens[*at].line;
-                        if env_reported.insert((name.clone(), line)) {
-                            ctx.emit(
-                                findings,
-                                RuleId::Dl008,
-                                *at,
-                                format!(
-                                    "env var `{name}` feeds a numeric path but is \
-                                     not registered in Settings; unregistered \
-                                     knobs change results without appearing in \
-                                     the experiment fingerprint"
-                                ),
-                            );
-                        }
-                    }
-                }
-                if numeric && env_here.is_empty() {
-                    for (name, line) in flowed.env.clone() {
-                        if env_reported.insert((name.clone(), line)) {
-                            ctx.emit(
-                                findings,
-                                RuleId::Dl008,
-                                s,
-                                format!(
-                                    "env var `{name}` (read at line {line}) feeds \
-                                     a numeric path but is not registered in \
-                                     Settings; unregistered knobs change results \
-                                     without appearing in the experiment \
-                                     fingerprint"
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-
             // --- propagate into this statement's bindings -------------
             let mut result = flowed;
             if sanitized {
@@ -320,18 +263,9 @@ pub(crate) fn run_dataflow_rules(
                     }
                 }
             }
-            if let Some((at, origin)) = &direct_entropy {
-                let _ = at;
+            if let Some((_, origin)) = &direct_entropy {
                 if result.entropy.is_none() {
                     result.entropy = Some(origin.clone());
-                }
-            }
-            for (name, at) in &env_here {
-                if !config.dl008_registered(name) {
-                    let entry = (name.clone(), ctx.tokens[*at].line);
-                    if !result.env.contains(&entry) {
-                        result.env.push(entry);
-                    }
                 }
             }
 
@@ -443,70 +377,13 @@ fn entropy_source(ctx: &Ctx, s: usize, e: usize) -> Option<(usize, Origin)> {
     None
 }
 
-/// `std::env::var("NAME")` reads in the range: `(NAME, index of `var`)`.
-/// Reads with a non-literal name cannot be checked against the registry
-/// and are skipped.
-fn env_reads(ctx: &Ctx, s: usize, e: usize) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    for i in s..=e {
-        let Some(id @ ("var" | "var_os")) = ctx.tokens[i].ident() else {
-            continue;
-        };
-        let _ = id;
-        let is_env_path = i >= 3
-            && ctx.tokens[i - 1].is_punct(':')
-            && ctx.tokens[i - 2].is_punct(':')
-            && ctx.tokens[i - 3].is_ident("env");
-        if !is_env_path {
-            continue;
-        }
-        if !ctx.tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) {
-            continue;
-        }
-        let close = rules::matching_paren(ctx.tokens, i + 1).min(e);
-        if let Some(name) = ctx.tokens[i + 1..=close].iter().find_map(Tok::str_text) {
-            out.push((name.to_string(), i));
-        }
-    }
-    out
-}
-
-/// A float accumulation sink in the range: nullary `.sum()`/`.product()`,
-/// an additive `.fold(..)`, or a float compound assignment — with float
-/// evidence. Returns the sink's token index.
+/// A float accumulation sink in the range: a float reduction call (the
+/// matcher DL004 uses) or a float compound assignment. Returns the sink's
+/// token index.
 fn float_accumulation_sink(ctx: &Ctx, s: usize, e: usize) -> Option<usize> {
-    for i in s..=e {
-        let Some(method @ ("sum" | "product" | "fold")) = ctx.tokens[i].ident() else {
-            continue;
-        };
-        if !ctx
-            .tokens
-            .get(i.wrapping_sub(1))
-            .is_some_and(|t| t.is_punct('.'))
-        {
-            continue;
-        }
-        let after_ok = ctx
-            .tokens
-            .get(i + 1)
-            .is_some_and(|t| t.is_punct('(') || t.is_punct(':'));
-        if !after_ok {
-            continue;
-        }
-        if method != "fold" && !is_nullary_call(ctx.tokens, i + 1) {
-            continue;
-        }
-        if method == "fold" && !fold_is_order_sensitive(ctx.tokens, i) {
-            continue;
-        }
-        if ctx.float_evidence((s, e), i) {
-            return Some(i);
-        }
-    }
-    if float_compound_assign(ctx, s, e, s) {
-        return Some(s);
-    }
-    None
+    (s..=e)
+        .find(|&i| float_reduction(ctx, i, || (s, e)).is_some())
+        .or_else(|| float_compound_assign(ctx, s, e, s).then_some(s))
 }
 
 /// A thread/process boundary call in the range: `spawn(`,
@@ -524,16 +401,6 @@ fn boundary_call(ctx: &Ctx, s: usize, e: usize) -> Option<(usize, &'static str)>
         }
     }
     None
-}
-
-/// Numeric evidence for DL008: the value is parsed, typed, or combined
-/// numerically in this statement.
-fn numeric_evidence(ctx: &Ctx, s: usize, e: usize) -> bool {
-    ctx.tokens[s..=e].iter().any(|t| match &t.kind {
-        TokKind::Ident(id) => id == "parse" || NUMERIC_TYPES.contains(&id.as_str()),
-        TokKind::Num(n) => is_float_literal(n),
-        _ => false,
-    })
 }
 
 /// `name = ...` / `name += ...` at statement head: the assigned local.
@@ -557,6 +424,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
     use crate::parser::parse;
+    use crate::rules;
 
     fn scan(src: &str) -> Vec<Finding> {
         let lexed = lex(src);
@@ -679,50 +547,6 @@ mod tests {
              out.extend(frame);\n}\n",
         );
         assert!(f.iter().any(|x| x.rule == RuleId::Dl007), "{f:?}");
-    }
-
-    #[test]
-    fn dl008_fires_on_unregistered_numeric_env() {
-        let f = scan(
-            "fn f() -> usize {\n \
-             let raw = std::env::var(\"MY_SECRET_KNOB\").unwrap_or_default();\n \
-             raw.parse::<usize>().unwrap_or(4)\n}\n",
-        );
-        assert!(f.iter().any(|x| x.rule == RuleId::Dl008), "{f:?}");
-    }
-
-    #[test]
-    fn dl008_registered_names_are_quiet() {
-        let cfg = Config::parse("[rules.DL008]\nregistered = [\"NS_REPLICAS\"]\n").unwrap();
-        let src = "fn f() -> usize {\n \
-             let raw = std::env::var(\"NS_REPLICAS\").unwrap_or_default();\n \
-             raw.parse::<usize>().unwrap_or(4)\n}\n";
-        let lexed = lex(src);
-        let parsed = parse(&lexed.tokens);
-        let f = rules::run_rules("src/sample.rs", &lexed, &parsed, &cfg);
-        assert!(f.iter().all(|x| x.rule != RuleId::Dl008), "{f:?}");
-    }
-
-    #[test]
-    fn dl008_non_numeric_env_is_quiet() {
-        let f = scan(
-            "fn f() -> String {\n \
-             std::env::var(\"LOG_LABEL\").unwrap_or_default()\n}\n",
-        );
-        assert!(f.iter().all(|x| x.rule != RuleId::Dl008), "{f:?}");
-    }
-
-    #[test]
-    fn dl008_tracks_env_value_to_later_parse() {
-        // The read and the numeric use are in different statements — the
-        // if-let header binds `v`, the body parses it.
-        let f = scan(
-            "fn f(s: &mut Settings) {\n \
-             if let Ok(v) = std::env::var(\"SNEAKY_SCALE\") {\n \
-             s.scale = v.parse::<f64>().unwrap_or(1.0);\n \
-             }\n}\n",
-        );
-        assert!(f.iter().any(|x| x.rule == RuleId::Dl008), "{f:?}");
     }
 
     #[test]

@@ -25,11 +25,9 @@ pub enum TokKind {
     Punct(char),
     /// Numeric literal (raw text kept for float detection).
     Num(String),
-    /// String or byte-string literal. Contents are kept (escapes
-    /// unresolved) so rules can inspect e.g. `std::env::var("NAME")`
-    /// arguments; rules must never pattern-match hazard identifiers
-    /// against them.
-    Str(String),
+    /// String or byte-string literal. Its contents are dropped: no rule
+    /// reads them, and a hazard name inside a string is not a hazard.
+    Str,
     /// Char or byte literal.
     Char,
     /// Lifetime (`'a`, `'static`).
@@ -53,14 +51,6 @@ impl Tok {
     /// `true` if this token is the given identifier.
     pub fn is_ident(&self, s: &str) -> bool {
         self.ident() == Some(s)
-    }
-
-    /// The string-literal contents, if this token is a string literal.
-    pub fn str_text(&self) -> Option<&str> {
-        match &self.kind {
-            TokKind::Str(s) => Some(s),
-            _ => None,
-        }
     }
 }
 
@@ -174,46 +164,33 @@ impl<'a> Lexer<'a> {
         });
     }
 
-    /// Consumes a quoted string body after the opening `"`, returning the
-    /// raw contents (escape sequences left as written, minus backslashes).
-    fn lex_string_body(&mut self) -> String {
-        let mut text = String::new();
+    /// Consumes a quoted string body after the opening `"`, through the
+    /// closing quote (an escaped quote does not close it).
+    fn lex_string_body(&mut self) {
         while let Some(c) = self.bump() {
             match c {
-                '"' => return text,
+                '"' => return,
                 '\\' => {
-                    if let Some(escaped) = self.bump() {
-                        text.push(escaped);
-                    }
+                    self.bump();
                 }
-                _ => text.push(c),
+                _ => {}
             }
         }
-        text
     }
 
     /// Consumes a raw string after `r`/`br`; `hashes` is the number of `#`s.
-    fn lex_raw_string_body(&mut self, hashes: usize) -> String {
+    fn lex_raw_string_body(&mut self, hashes: usize) {
         // Opening quote already consumed by caller.
-        let mut text = String::new();
-        loop {
-            match self.bump() {
-                None => return text,
-                Some('"') => {
-                    let mut seen = 0;
-                    while seen < hashes && self.peek(0) == Some('#') {
-                        self.bump();
-                        seen += 1;
-                    }
-                    if seen == hashes {
-                        return text;
-                    }
-                    text.push('"');
-                    for _ in 0..seen {
-                        text.push('#');
-                    }
+        while let Some(c) = self.bump() {
+            if c == '"' {
+                let mut seen = 0;
+                while seen < hashes && self.peek(0) == Some('#') {
+                    self.bump();
+                    seen += 1;
                 }
-                Some(c) => text.push(c),
+                if seen == hashes {
+                    return;
+                }
             }
         }
     }
@@ -241,8 +218,8 @@ impl<'a> Lexer<'a> {
         if c0 == Some('b') && self.peek(1) == Some('"') {
             self.bump();
             self.bump();
-            let text = self.lex_string_body();
-            self.push(line, TokKind::Str(text));
+            self.lex_string_body();
+            self.push(line, TokKind::Str);
             return true;
         }
         // r"..." / r#"..."# / br#"..."#
@@ -264,8 +241,8 @@ impl<'a> Lexer<'a> {
         for _ in 0..(skip + hashes + 1) {
             self.bump();
         }
-        let text = self.lex_raw_string_body(hashes);
-        self.push(line, TokKind::Str(text));
+        self.lex_raw_string_body(hashes);
+        self.push(line, TokKind::Str);
         true
     }
 
@@ -316,8 +293,8 @@ impl<'a> Lexer<'a> {
             } else if c == '"' {
                 let line = self.line;
                 self.bump();
-                let text = self.lex_string_body();
-                self.push(line, TokKind::Str(text));
+                self.lex_string_body();
+                self.push(line, TokKind::Str);
             } else if c == '\'' {
                 let line = self.line;
                 // Lifetime vs char literal.
@@ -481,7 +458,7 @@ let y = r#"raw "quoted" SystemTime"#;
             lexed
                 .tokens
                 .iter()
-                .filter(|t| matches!(t.kind, TokKind::Str(_)))
+                .filter(|t| t.kind == TokKind::Str)
                 .count(),
             2
         );

@@ -15,16 +15,19 @@
 //! | DL001 | REPORTING | `HashMap`/`HashSet` iteration feeding accumulation, serialization, or output |
 //! | DL002 | ALGO      | RNG state from OS entropy or wall time (`thread_rng`, `from_entropy`, time-derived seeds) |
 //! | DL003 | REPORTING | Wall-clock reads (`Instant::now`, `SystemTime::now`) in result-producing paths |
-//! | DL004 | IMPL      | Float `sum`/`product`/additive `fold` where evaluation order changes the bit pattern |
-//! | DL005 | IMPL      | Unordered parallel combinators combined with non-associative float ops |
+//! | DL004 | IMPL      | Float `sum`/`product`/additive `fold`/`reduce`, sequential or parallel, where evaluation order changes the bit pattern |
 //! | DL006 | IMPL      | Unordered-tainted value reaching a float accumulation sink (cross-statement dataflow) |
 //! | DL007 | ALGO      | Sequential RNG value crossing a thread/process boundary without index re-derivation |
-//! | DL008 | REPORTING | `std::env::var` feeding a numeric path without registration in `Settings` |
+//! | DL008 | REPORTING | `std::env::var`/`var_os` read outside the settings module |
 //! | DL009 | REPORTING | Stale `detlint::allow` whose rule no longer fires on the covered line |
 //!
-//! DL001–DL005 are single-statement token-pattern rules; DL006–DL008 run
-//! on an intra-procedural taint engine (see [`dataflow`]) over the
-//! structural parse (see [`parser`]); DL009 is a suppression audit.
+//! DL001–DL004 and DL008 are single-statement token-pattern rules;
+//! DL006 and DL007 run on an intra-procedural taint engine (see
+//! [`dataflow`]) over the structural parse (see [`parser`]); DL009 is a
+//! suppression audit. There is no DL005: its parallel reductions are
+//! DL004's, and IDs are never reused. Each rule is kept because a hazard
+//! planted in a real shipping file fires it and no other rule
+//! (`crates/detlint/tests/injection.rs`).
 //!
 //! The taxonomy follows the source paper's decomposition of run-to-run
 //! noise: ALGO (algorithmic randomness — which random numbers are drawn),
@@ -64,7 +67,7 @@ use std::path::{Path, PathBuf};
 
 pub use config::Config;
 
-/// The nine determinism rules.
+/// The eight determinism rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// Hash-container iteration feeding an order-sensitive sink.
@@ -73,15 +76,13 @@ pub enum RuleId {
     Dl002,
     /// Wall-clock reads in result-producing paths.
     Dl003,
-    /// Order-sensitive float reductions.
+    /// Order-sensitive float reductions, sequential or parallel.
     Dl004,
-    /// Unordered parallel combinators with non-associative float ops.
-    Dl005,
     /// Unordered-tainted value reaching a float accumulation sink.
     Dl006,
     /// Sequential RNG value crossing a thread/process boundary.
     Dl007,
-    /// Unregistered env var influencing a numeric path.
+    /// Env var read outside the settings module.
     Dl008,
     /// Stale suppression: an allow whose rule no longer fires.
     Dl009,
@@ -111,12 +112,11 @@ impl Taxonomy {
 
 impl RuleId {
     /// Every rule, in ID order.
-    pub const ALL: [RuleId; 9] = [
+    pub const ALL: [RuleId; 8] = [
         RuleId::Dl001,
         RuleId::Dl002,
         RuleId::Dl003,
         RuleId::Dl004,
-        RuleId::Dl005,
         RuleId::Dl006,
         RuleId::Dl007,
         RuleId::Dl008,
@@ -125,12 +125,11 @@ impl RuleId {
 
     /// The rules a `detlint::allow` may name. DL009 polices suppressions
     /// themselves, so it cannot be suppressed.
-    pub const SUPPRESSIBLE: [RuleId; 8] = [
+    pub const SUPPRESSIBLE: [RuleId; 7] = [
         RuleId::Dl001,
         RuleId::Dl002,
         RuleId::Dl003,
         RuleId::Dl004,
-        RuleId::Dl005,
         RuleId::Dl006,
         RuleId::Dl007,
         RuleId::Dl008,
@@ -143,7 +142,6 @@ impl RuleId {
             RuleId::Dl002 => "DL002",
             RuleId::Dl003 => "DL003",
             RuleId::Dl004 => "DL004",
-            RuleId::Dl005 => "DL005",
             RuleId::Dl006 => "DL006",
             RuleId::Dl007 => "DL007",
             RuleId::Dl008 => "DL008",
@@ -161,7 +159,7 @@ impl RuleId {
         match self {
             RuleId::Dl001 | RuleId::Dl003 | RuleId::Dl008 | RuleId::Dl009 => Taxonomy::Reporting,
             RuleId::Dl002 | RuleId::Dl007 => Taxonomy::Algo,
-            RuleId::Dl004 | RuleId::Dl005 | RuleId::Dl006 => Taxonomy::Impl,
+            RuleId::Dl004 | RuleId::Dl006 => Taxonomy::Impl,
         }
     }
 }
@@ -246,8 +244,8 @@ pub fn scan_file(rel_path: &str, source: &str, config: &Config) -> ScanReport {
                 line: s.line,
                 message: format!(
                     "detlint::allow names unknown rule `{raw}` \
-                     (expected DL001..DL008; DL009 polices allows and \
-                     cannot be suppressed)"
+                     (expected DL001..DL004 or DL006..DL008; DL009 \
+                     polices allows and cannot be suppressed)"
                 ),
             }),
             (Ok(RuleId::Dl009), _) => report.problems.push(Problem {

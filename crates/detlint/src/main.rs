@@ -27,7 +27,7 @@ USAGE: detlint [--root <dir>]
   --root <dir>            workspace root (default: nearest detlint.toml)
 
 Scans every .rs file under the workspace root for determinism hazards
-(DL001..DL009), configured by <root>/detlint.toml, and exits nonzero if
+(DL001–DL004, DL006–DL009), configured by <root>/detlint.toml, and exits nonzero if
 any unsuppressed finding, malformed allow or stale allow remains.";
 
 /// Parses the command line into the optional `--root`.

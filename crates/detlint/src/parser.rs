@@ -2,7 +2,7 @@
 //!
 //! detlint v1 worked on raw token runs delimited by `;`/`{`/`}`. That is
 //! enough for single-statement pattern rules, but the dataflow rules
-//! (DL006–DL008) need to know *which function* a statement belongs to,
+//! (DL006, DL007) need to know *which function* a statement belongs to,
 //! what a `let` binds, and where a multi-line statement *starts* (so a
 //! suppression on the first line covers the whole expression). This
 //! module recovers exactly that shape — items, `fn` signatures, blocks,
@@ -17,7 +17,7 @@
 //!    depth-capped and falls back to brace-skipping beyond the cap.
 //! 2. **Agree with the v1 rules engine.** Statement boundaries are the same
 //!    `;`/`{`/`}` splits `rules::Ctx::stmt_range` uses, so the parser swap
-//!    cannot move any DL001–DL005 finding. The parser *adds* structure
+//!    cannot move any token-rule finding. The parser *adds* structure
 //!    (full statement extents across nested expression braces, bindings,
 //!    enclosing functions); it does not reinterpret the old boundaries.
 //! 3. **Heuristics are explicit.** A `{` after a control keyword (`if`,

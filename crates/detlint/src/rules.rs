@@ -1,6 +1,6 @@
-//! The token-pattern determinism rules (DL001–DL005).
+//! The token-pattern determinism rules (DL001–DL004, DL008).
 //!
-//! The cross-statement dataflow rules (DL006–DL008) live in
+//! The cross-statement dataflow rules (DL006, DL007) live in
 //! `crate::dataflow`; this module is the single-statement layer.
 //!
 //! Each rule is a token-pattern heuristic over one lexed file. The engine
@@ -11,7 +11,7 @@
 //! reproducing run-to-run-identical numbers, and anything they get wrong
 //! can be suppressed with an audited `detlint::allow`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::Config;
 use crate::lexer::{test_regions, LexedFile, Tok, TokKind};
@@ -58,17 +58,6 @@ const SINKS: &[&str] = &[
     "join",
 ];
 
-/// Unordered parallel combinators (rayon-style).
-pub(crate) const PAR_COMBINATORS: &[&str] = &[
-    "par_iter",
-    "par_iter_mut",
-    "into_par_iter",
-    "par_chunks",
-    "par_chunks_mut",
-    "par_bridge",
-    "par_windows",
-];
-
 /// Entry point: runs every enabled rule over one lexed + parsed file.
 pub fn run_rules(
     rel_path: &str,
@@ -103,8 +92,8 @@ pub fn run_rules(
     if enabled(RuleId::Dl004) {
         dl004_float_reduction(&ctx, &mut findings);
     }
-    if enabled(RuleId::Dl005) {
-        dl005_parallel_float(&ctx, &mut findings);
+    if enabled(RuleId::Dl008) {
+        dl008_env_read(&ctx, &mut findings);
     }
     crate::dataflow::run_dataflow_rules(&ctx, parsed, config, &mut findings);
     // One finding per (rule, line): a chain like `.keys().map(..).sum()` can
@@ -122,7 +111,7 @@ pub(crate) struct Ctx<'a> {
     pub(crate) test_regions: Vec<(u32, u32)>,
     /// Local bindings initialized with float evidence; their names carry
     /// that evidence into later statements.
-    pub(crate) float_vars: std::collections::BTreeSet<String>,
+    pub(crate) float_vars: BTreeSet<String>,
 }
 
 impl Ctx<'_> {
@@ -172,29 +161,38 @@ impl Ctx<'_> {
             .any(|t| t.ident().is_some_and(|s| names.contains(&s)))
     }
 
-    /// Float evidence in a statement or its enclosing `fn` signature: an
-    /// `f32`/`f64` mention, a float literal, or a binding already known to
-    /// hold floats.
+    /// Float evidence for the token at `i`: a float token in `range`
+    /// (tracked bindings count), or an `f32`/`f64` in the enclosing `fn`
+    /// signature. Tracked *names* in the signature are deliberately
+    /// ignored — a parameter name reused across functions in the same file
+    /// would otherwise leak one function's float-ness into another's
+    /// integer loop.
     pub(crate) fn float_evidence(&self, range: (usize, usize), i: usize) -> bool {
-        let check = |s: usize, e: usize| {
-            self.tokens[s..=e].iter().any(|t| match &t.kind {
-                TokKind::Ident(id) => id == "f32" || id == "f64" || self.float_vars.contains(id),
-                TokKind::Num(n) => is_float_literal(n),
-                _ => false,
+        self.tokens[range.0..=range.1]
+            .iter()
+            .any(|t| is_float_token(t, &self.float_vars))
+            || self.fn_sigs[i].is_some_and(|(s, e)| {
+                self.tokens[s..=e]
+                    .iter()
+                    .any(|t| is_float_token(t, &BTreeSet::new()))
             })
-        };
-        check(range.0, range.1) || self.fn_sigs[i].is_some_and(|(s, e)| check(s, e))
     }
 }
 
-pub(crate) fn is_float_literal(n: &str) -> bool {
-    if n.starts_with("0x") || n.starts_with("0b") || n.starts_with("0o") {
-        return false;
+/// The one float-evidence predicate: an `f32`/`f64` mention, a float
+/// literal, or a name in `tracked` (bindings known to hold floats).
+fn is_float_token(t: &Tok, tracked: &BTreeSet<String>) -> bool {
+    match &t.kind {
+        TokKind::Ident(id) => id == "f32" || id == "f64" || tracked.contains(id),
+        TokKind::Num(n) => {
+            !(n.starts_with("0x") || n.starts_with("0b") || n.starts_with("0o"))
+                && (n.ends_with("f32")
+                    || n.ends_with("f64")
+                    || n.contains('.')
+                    || (n.contains(['e', 'E']) && !n.contains(['u', 'i'])))
+        }
+        _ => false,
     }
-    n.ends_with("f32")
-        || n.ends_with("f64")
-        || n.contains('.')
-        || (n.contains(['e', 'E']) && !n.contains(['u', 'i']))
 }
 
 /// Collects `let` bindings whose initializer statement shows float evidence
@@ -202,8 +200,8 @@ pub(crate) fn is_float_literal(n: &str) -> bool {
 /// binding). `let mut lane = [0f32; 64];` makes a later bare
 /// `lane.iter().sum()` recognizable as a float reduction even when neither
 /// that statement nor the enclosing signature names a float type.
-pub(crate) fn tracked_float_vars(tokens: &[Tok]) -> std::collections::BTreeSet<String> {
-    let mut tracked = std::collections::BTreeSet::new();
+fn tracked_float_vars(tokens: &[Tok]) -> BTreeSet<String> {
+    let mut tracked = BTreeSet::new();
     let boundary = |t: &Tok| t.is_punct(';') || t.is_punct('{') || t.is_punct('}');
     let mut i = 0;
     while i < tokens.len() {
@@ -221,12 +219,7 @@ pub(crate) fn tracked_float_vars(tokens: &[Tok]) -> std::collections::BTreeSet<S
             e += 1;
         }
         if let Some(name) = name {
-            let evidence = tokens[i..=e].iter().any(|t| match &t.kind {
-                TokKind::Ident(id) => id == "f32" || id == "f64" || tracked.contains(id),
-                TokKind::Num(n) => is_float_literal(n),
-                _ => false,
-            });
-            if evidence {
+            if tokens[i..=e].iter().any(|t| is_float_token(t, &tracked)) {
                 tracked.insert(name.to_string());
             }
         }
@@ -352,29 +345,12 @@ pub(crate) fn tracked_hash_vars(tokens: &[Tok]) -> BTreeMap<String, &'static str
 
 /// A compound assignment (`+=`, `-=`, `*=`, `/=`) over floats in the range —
 /// an order-sensitive accumulation sink. Integer compound assignment is
-/// order-insensitive, so float evidence is required: in the range itself
-/// (tracked bindings count), or a literal `f32`/`f64` in the enclosing
-/// signature. Tracked *names* in the signature are deliberately ignored —
-/// a parameter name reused across functions in the same file would
-/// otherwise leak one function's float-ness into another's counter loop.
+/// order-insensitive, so float evidence is required.
 pub(crate) fn float_compound_assign(ctx: &Ctx, s: usize, e: usize, i: usize) -> bool {
-    let has_op = ctx.tokens[s..=e]
+    ctx.tokens[s..=e]
         .windows(2)
-        .any(|w| matches!(w[0].kind, TokKind::Punct('+' | '-' | '*' | '/')) && w[1].is_punct('='));
-    if !has_op {
-        return false;
-    }
-    let range_ev = ctx.tokens[s..=e].iter().any(|t| match &t.kind {
-        TokKind::Ident(id) => id == "f32" || id == "f64" || ctx.float_vars.contains(id),
-        TokKind::Num(n) => is_float_literal(n),
-        _ => false,
-    });
-    let sig_ev = ctx.fn_sigs[i].is_some_and(|(ss, se)| {
-        ctx.tokens[ss..=se]
-            .iter()
-            .any(|t| t.is_ident("f32") || t.is_ident("f64"))
-    });
-    range_ev || sig_ev
+        .any(|w| matches!(w[0].kind, TokKind::Punct('+' | '-' | '*' | '/')) && w[1].is_punct('='))
+        && ctx.float_evidence((s, e), i)
 }
 
 fn dl001_hash_iteration(ctx: &Ctx, findings: &mut Vec<Finding>) {
@@ -512,58 +488,62 @@ fn dl003_wall_clock(ctx: &Ctx, findings: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 fn dl004_float_reduction(ctx: &Ctx, findings: &mut Vec<Finding>) {
-    for (i, t) in ctx.tokens.iter().enumerate() {
-        let Some(method @ ("sum" | "product" | "fold")) = t.ident() else {
+    for i in 0..ctx.tokens.len() {
+        let Some(method) = float_reduction(ctx, i, || ctx.stmt_range(i)) else {
             continue;
         };
-        // Must be a method call: `.sum(` / `.sum::<f64>(` / `.fold(`.
-        if !ctx
-            .tokens
-            .get(i.wrapping_sub(1))
-            .is_some_and(|t| t.is_punct('.'))
-        {
-            continue;
-        }
-        let after_ok = ctx
-            .tokens
-            .get(i + 1)
-            .is_some_and(|t| t.is_punct('(') || t.is_punct(':'));
-        if !after_ok {
-            continue;
-        }
-        // Iterator `sum`/`product` take no arguments; a call with arguments
-        // (`reducer.sum(&xs)`) is someone's own method, not the std
-        // reduction — the sanctioned `Reducer` API looks exactly like that.
-        if method != "fold" && !is_nullary_call(ctx.tokens, i + 1) {
-            continue;
-        }
-        let stmt = ctx.stmt_range(i);
-        // Parallel reductions are DL005's business.
-        if ctx.stmt_has_ident(stmt, PAR_COMBINATORS) {
-            continue;
-        }
-        if !ctx.float_evidence(stmt, i) {
-            continue;
-        }
-        if method == "fold" && !fold_is_order_sensitive(ctx.tokens, i) {
-            continue;
-        }
         ctx.emit(
             findings,
             RuleId::Dl004,
             i,
             format!(
-                "float `{method}` accumulates in iteration order; float \
-                 addition is non-associative, so order changes the result \
-                 bit pattern"
+                "float `{method}` combines in iteration or scheduling order; \
+                 float addition is non-associative, so order changes the \
+                 result bit pattern"
             ),
         );
     }
 }
 
+/// The one float-reduction matcher, shared by DL004 and DL006: the token
+/// at `i` names a method call `.sum()`/`.product()` (nullary, turbofish
+/// allowed) or `.fold(..)`/`.reduce(..)` whose closure adds or
+/// multiplies, with float evidence in the statement `range` returns or in
+/// the enclosing signature. Returns the method name. Sequential and parallel (`par_iter`)
+/// iterators alike: either way the combination order is not fixed by
+/// the code.
+pub(crate) fn float_reduction(
+    ctx: &Ctx,
+    i: usize,
+    range: impl FnOnce() -> (usize, usize),
+) -> Option<&'static str> {
+    let method = match ctx.tokens[i].ident()? {
+        "sum" => "sum",
+        "product" => "product",
+        "fold" => "fold",
+        "reduce" => "reduce",
+        _ => return None,
+    };
+    // Must be a method call: `.sum(` / `.sum::<f64>(` / `.fold(`.
+    let call = i > 0
+        && ctx.tokens[i - 1].is_punct('.')
+        && ctx
+            .tokens
+            .get(i + 1)
+            .is_some_and(|t| t.is_punct('(') || t.is_punct(':'));
+    // Iterator `sum`/`product` take no arguments; a call with arguments
+    // (`reducer.sum(&xs)`) is someone's own method, not the std
+    // reduction — the sanctioned `Reducer` API looks exactly like that.
+    let shape = match method {
+        "sum" | "product" => is_nullary_call(ctx.tokens, i + 1),
+        _ => combines_arithmetically(ctx.tokens, i),
+    };
+    (call && shape && ctx.float_evidence(range(), i)).then_some(method)
+}
+
 /// `true` if the method call whose name ends at `j - 1` has an empty
 /// argument list, allowing for a turbofish (`sum()` / `sum::<f64>()`).
-pub(crate) fn is_nullary_call(tokens: &[Tok], mut j: usize) -> bool {
+fn is_nullary_call(tokens: &[Tok], mut j: usize) -> bool {
     if tokens.get(j).is_some_and(|t| t.is_punct(':')) {
         // Skip `::< ... >`.
         while j < tokens.len() && !tokens[j].is_punct('<') {
@@ -590,10 +570,10 @@ pub(crate) fn is_nullary_call(tokens: &[Tok], mut j: usize) -> bool {
         && tokens.get(j + 1).is_some_and(|t| t.is_punct(')'))
 }
 
-/// A `fold` is only a hazard when its closure combines with `+`/`*`
-/// (non-associative in floats). Min/max/comparison folds are
+/// A `fold`/`reduce` is only a hazard when its closure combines with
+/// `+`/`*` (non-associative in floats). Min/max/comparison folds are
 /// order-insensitive and deliberately not flagged.
-pub(crate) fn fold_is_order_sensitive(tokens: &[Tok], fold_idx: usize) -> bool {
+fn combines_arithmetically(tokens: &[Tok], fold_idx: usize) -> bool {
     let mut open = fold_idx + 1;
     while open < tokens.len() && !tokens[open].is_punct('(') {
         if tokens[open].is_punct(';') || tokens[open].is_punct('{') {
@@ -619,30 +599,30 @@ pub(crate) fn fold_is_order_sensitive(tokens: &[Tok], fold_idx: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// DL005 — unordered parallel combinators with non-associative float ops
+// DL008 — environment reads outside the settings module
 // ---------------------------------------------------------------------------
 
-fn dl005_parallel_float(ctx: &Ctx, findings: &mut Vec<Finding>) {
+fn dl008_env_read(ctx: &Ctx, findings: &mut Vec<Finding>) {
     for (i, t) in ctx.tokens.iter().enumerate() {
-        let Some(comb) = t.ident().filter(|s| PAR_COMBINATORS.contains(s)) else {
+        let Some(id @ ("var" | "var_os")) = t.ident() else {
             continue;
         };
-        let stmt = ctx.stmt_range(i);
-        if !ctx.stmt_has_ident(stmt, &["sum", "product", "fold", "reduce"]) {
-            continue;
+        let env_path = i >= 3
+            && ctx.tokens[i - 1].is_punct(':')
+            && ctx.tokens[i - 2].is_punct(':')
+            && ctx.tokens[i - 3].is_ident("env");
+        if env_path && ctx.tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) {
+            ctx.emit(
+                findings,
+                RuleId::Dl008,
+                i,
+                format!(
+                    "`env::{id}` read outside the settings module; a knob read \
+                     here changes results without passing through \
+                     ExperimentSettings and its fingerprint"
+                ),
+            );
         }
-        if !ctx.float_evidence(stmt, i) {
-            continue;
-        }
-        ctx.emit(
-            findings,
-            RuleId::Dl005,
-            i,
-            format!(
-                "`{comb}` reduction over floats; scheduling order changes \
-                 the combination tree and thus the result"
-            ),
-        );
     }
 }
 
@@ -789,10 +769,22 @@ mod tests {
     }
 
     #[test]
-    fn dl005_fires_on_parallel_float_sum() {
+    fn dl004_fires_on_parallel_float_sum() {
         let f = scan("fn f(v: &[f64]) -> f64 {\n v.par_iter().sum()\n}\n");
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, RuleId::Dl005);
+        assert_eq!(f[0].rule, RuleId::Dl004);
+    }
+
+    #[test]
+    fn dl008_fires_on_env_reads() {
+        let f = scan(
+            "fn f() -> String {\n \
+             let a = std::env::var(\"LOG_LABEL\").unwrap_or_default();\n \
+             let b = env::var_os(\"HOME\");\n \
+             format!(\"{a}{b:?}\")\n}\n",
+        );
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|x| x.rule == RuleId::Dl008));
     }
 
     #[test]

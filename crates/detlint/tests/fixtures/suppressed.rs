@@ -1,6 +1,6 @@
 //! Suppression fixture: the same hazards as the rule fixtures, each
-//! silenced by a well-formed `detlint::allow`. Must scan clean with one
-//! suppressed finding per suppressible rule and no unused-allow warnings.
+//! silenced by a well-formed `detlint::allow`. Must scan clean with every
+//! suppressible rule suppressed and no unused-allow warnings.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -24,7 +24,7 @@ pub fn tiny_total(xs: [f32; 4]) -> f32 {
 }
 
 pub fn bounded_parallel(xs: &[f64]) -> f64 {
-    xs.par_iter().map(|x| x.round()).sum() // detlint::allow(DL005, reason = "integral values; addition is exact")
+    xs.par_iter().map(|x| x.round()).sum() // detlint::allow(DL004, reason = "integral values; addition is exact")
 }
 
 pub fn parallel_then_accumulated(xs: &[f64]) -> f64 {
@@ -44,7 +44,7 @@ pub fn jittered_worker(rng: &mut StreamRng, scope: &Scope<'_>) {
 }
 
 pub fn debug_verbosity() -> u32 {
-    let raw = std::env::var("NS_DEBUG_VERBOSITY").unwrap_or_default();
     // detlint::allow(DL008, reason = "debug log verbosity; never touches results")
+    let raw = std::env::var("NS_DEBUG_VERBOSITY").unwrap_or_default();
     raw.parse::<u32>().unwrap_or(0)
 }

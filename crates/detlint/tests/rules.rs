@@ -60,13 +60,6 @@ fn dl004_fires_on_every_marked_line() {
 }
 
 #[test]
-fn dl005_fires_on_every_marked_line() {
-    let src = include_str!("fixtures/dl005_parallel.rs");
-    let report = scan_fixture("fixtures/dl005_parallel.rs", src);
-    assert_eq!(lines_for(&report, RuleId::Dl005), marked_lines(src));
-}
-
-#[test]
 fn dl006_fires_on_every_marked_line() {
     let src = include_str!("fixtures/dl006_taint_flow.rs");
     let report = scan_fixture("fixtures/dl006_taint_flow.rs", src);
@@ -83,11 +76,8 @@ fn dl007_fires_on_every_marked_line() {
 
 #[test]
 fn dl008_fires_on_every_marked_line() {
-    // Scanned with the registry the workspace uses: NS_REPLICAS is a
-    // registered Settings knob, the fixture's other names are not.
-    let config = Config::parse("[rules.DL008]\nregistered = [\"NS_REPLICAS\"]\n").unwrap();
     let src = include_str!("fixtures/dl008_env_knob.rs");
-    let report = detlint::scan_file("fixtures/dl008_env_knob.rs", src, &config);
+    let report = scan_fixture("fixtures/dl008_env_knob.rs", src);
     assert_eq!(lines_for(&report, RuleId::Dl008), marked_lines(src));
 }
 
@@ -129,7 +119,6 @@ fn every_rule_has_fixture_coverage() {
         include_str!("fixtures/dl002_entropy.rs"),
         include_str!("fixtures/dl003_wallclock.rs"),
         include_str!("fixtures/dl004_float_sum.rs"),
-        include_str!("fixtures/dl005_parallel.rs"),
         include_str!("fixtures/dl006_taint_flow.rs"),
         include_str!("fixtures/dl007_entropy_boundary.rs"),
         include_str!("fixtures/dl008_env_knob.rs"),
@@ -168,11 +157,16 @@ fn valid_suppressions_silence_every_hazard() {
         "unused: {:?}",
         report.unused_allows
     );
-    assert_eq!(report.suppressed.len(), RuleId::SUPPRESSIBLE.len());
-    // One suppression per suppressible rule (DL009 polices allows and
-    // cannot itself be suppressed), each with its reason preserved.
+    // Every allow silences a finding, and every suppressible rule is
+    // among them (DL009 polices allows and cannot itself be suppressed),
+    // each with its reason preserved.
+    assert_eq!(
+        report.suppressed.len(),
+        src.matches("detlint::allow(").count()
+    );
     let mut rules: Vec<RuleId> = report.suppressed.iter().map(|(f, _)| f.rule).collect();
     rules.sort();
+    rules.dedup();
     assert_eq!(rules, RuleId::SUPPRESSIBLE);
     assert!(report
         .suppressed
