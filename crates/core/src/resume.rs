@@ -123,12 +123,11 @@ impl CheckpointStore {
 /// which [`crate::runner::run_grid`] also queues each distinct cell by.
 pub(crate) fn cell_path(task: &TaskSpec, device: &Device, variant: NoiseVariant) -> PathBuf {
     // 64-bit FNV-1a: stable across builds and platforms.
-    let key = serde_json::to_string(&(task, device, variant))
-        .expect("plain data always serializes")
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        });
+    let key = detrand::fnv1a64(
+        serde_json::to_string(&(task, device, variant))
+            .expect("plain data always serializes")
+            .as_bytes(),
+    );
     Path::new(&path_component(&task.name))
         .join(path_component(device.name()))
         .join(format!("{}-{key:016x}", path_component(variant.label())))
@@ -249,6 +248,22 @@ pub(crate) mod tests {
     use crate::task::{DataSource, TaskSpec};
     use nnet::trainer::FitOptions;
     use nsdata::GaussianSpec;
+
+    /// Known answer: a cell's directory, keyed by the FNV-1a 64 of the
+    /// cell's compact JSON. A store written before a change resumes after
+    /// it only while this holds.
+    #[test]
+    fn cell_path_is_pinned() {
+        let path = cell_path(
+            &TaskSpec::small_cnn_cifar10(),
+            &Device::v100(),
+            NoiseVariant::Impl,
+        );
+        assert_eq!(
+            path,
+            Path::new("SmallCNN_CIFAR-10/V100/IMPL-823fdf53ee8acf97")
+        );
+    }
 
     fn tiny_task() -> TaskSpec {
         let mut t = TaskSpec::small_cnn_cifar10();

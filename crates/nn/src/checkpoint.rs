@@ -413,10 +413,10 @@ mod tests {
         assert!(ck.shuffle_rng.gauss_spare.is_none());
         assert!(ck.augment_rng.gauss_spare.is_some());
         let bytes = ck.to_bytes();
-        let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-        });
-        assert_eq!((bytes.len(), fnv1a), (308, 0x119b_5fda_e8f9_c4bd));
+        assert_eq!(
+            (bytes.len(), detrand::fnv1a64(&bytes)),
+            (308, 0x119b_5fda_e8f9_c4bd)
+        );
     }
 
     #[test]

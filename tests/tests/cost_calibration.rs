@@ -107,10 +107,7 @@ fn fig7_profile_has_paper_properties() {
 fn figures_are_pinned() {
     fn pin(value: &impl serde::Serialize) -> (usize, u64) {
         let json = serde_json::to_string(value).expect("serialize");
-        let fnv1a = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-        });
-        (json.len(), fnv1a)
+        (json.len(), detrand::fnv1a64(json.as_bytes()))
     }
     assert_eq!(pin(&fig7(100)), (6794, 0x89e9_ff45_c54f_3c9f));
     assert_eq!(pin(&fig8a(64)), (4631, 0x4afd_2d50_79fe_c627));

@@ -26,15 +26,6 @@ struct GoldenEntry {
     head_bits: Vec<u32>,
 }
 
-fn fnv1a64(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 fn snapshot() -> Vec<GoldenEntry> {
     let prepared = PreparedTask::prepare(&tiny_task());
     let settings = tiny_settings();
@@ -52,7 +43,7 @@ fn snapshot() -> Vec<GoldenEntry> {
             weights_len: w.len(),
             fnv1a64: format!(
                 "{:016x}",
-                fnv1a64(w.iter().flat_map(|x| x.to_le_bytes().into_iter()))
+                detrand::fnv1a64(&w.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>())
             ),
             head_bits: w.iter().take(8).map(|x| x.to_bits()).collect(),
         }
