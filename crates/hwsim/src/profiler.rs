@@ -41,11 +41,6 @@ pub struct KernelProfile {
 }
 
 impl KernelProfile {
-    /// Number of training steps profiled.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
     /// All kernel records, sorted by descending cumulative time.
     pub fn records(&self) -> &[KernelRecord] {
         &self.records
@@ -243,7 +238,6 @@ mod tests {
         let p1 = profile_workload(&ops, &Device::v100(), ExecutionMode::Default, 1);
         let p100 = profile_workload(&ops, &Device::v100(), ExecutionMode::Default, 100);
         assert!((p100.total_time_s() / p1.total_time_s() - 100.0).abs() < 1e-6);
-        assert_eq!(p100.steps(), 100);
     }
 
     #[test]

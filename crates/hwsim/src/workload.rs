@@ -6,10 +6,9 @@
 //! compiles its architecture descriptors into this form.
 
 use nstensor::ConvGeometry;
-use serde::{Deserialize, Serialize};
 
 /// One operation in a training-step workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorkloadOp {
     /// A 2-D convolution of the given geometry at the given batch size.
     Conv {
