@@ -13,7 +13,7 @@
 //!   time, on the deterministic TPU.
 
 use super::Plan;
-use crate::report::render_table;
+use crate::report::{degenerate_tag, render_table};
 use crate::runner::{Cell, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::{ModelKind, TaskSpec};
@@ -32,6 +32,9 @@ pub struct LanesPoint {
     pub churn: f64,
     /// IMPL-only pairwise normalized weight L2.
     pub l2: f64,
+    /// Replicas that learned nothing (see
+    /// [`StabilityReport::degenerate_replicas`](crate::report::StabilityReport::degenerate_replicas)).
+    pub degenerate_replicas: Vec<u32>,
 }
 
 /// Sweeps a synthetic GPU's core count under IMPL-only noise (everything
@@ -55,6 +58,7 @@ pub fn lanes_sweep(settings: &ExperimentSettings) -> Plan<Vec<LanesPoint>> {
                 lanes: device.lanes(),
                 churn: r.churn,
                 l2: r.l2,
+                degenerate_replicas: r.degenerate_replicas,
             })
             .collect()
     })
@@ -69,7 +73,7 @@ pub fn render_lanes(points: &[LanesPoint]) -> String {
                 p.cuda_cores.to_string(),
                 p.lanes.to_string(),
                 format!("{:.4}", p.churn),
-                format!("{:.4}", p.l2),
+                format!("{:.4}{}", p.l2, degenerate_tag(&p.degenerate_replicas)),
             ]
         })
         .collect();
@@ -89,6 +93,9 @@ pub struct AlgoSourcePoint {
     pub churn: f64,
     /// Pairwise normalized weight L2.
     pub l2: f64,
+    /// Replicas that learned nothing (see
+    /// [`StabilityReport::degenerate_replicas`](crate::report::StabilityReport::degenerate_replicas)).
+    pub degenerate_replicas: Vec<u32>,
 }
 
 /// Decomposes ALGO noise into its four sources (paper Table 1) in one
@@ -121,6 +128,7 @@ pub fn algo_source_decomposition(settings: &ExperimentSettings) -> Plan<Vec<Algo
                 source: source.to_string(),
                 churn: r.churn,
                 l2: r.l2,
+                degenerate_replicas: r.degenerate_replicas,
             })
             .collect()
     })
@@ -134,7 +142,7 @@ pub fn render_algo_sources(points: &[AlgoSourcePoint]) -> String {
             vec![
                 p.source.clone(),
                 format!("{:.4}", p.churn),
-                format!("{:.4}", p.l2),
+                format!("{:.4}{}", p.l2, degenerate_tag(&p.degenerate_replicas)),
             ]
         })
         .collect();

@@ -10,7 +10,7 @@
 //! the paper's "latent implementation noise" result.
 
 use super::Plan;
-use crate::report::render_table;
+use crate::report::{degenerate_tag, render_table};
 use crate::runner::{Cell, PreparedTask};
 use crate::settings::ExperimentSettings;
 use crate::task::TaskSpec;
@@ -29,6 +29,9 @@ pub struct OrderingPoint {
     pub l2: f64,
     /// Mean accuracy (sanity signal).
     pub mean_accuracy: f64,
+    /// Replicas that learned nothing (see
+    /// [`StabilityReport::degenerate_replicas`](crate::report::StabilityReport::degenerate_replicas)).
+    pub degenerate_replicas: Vec<u32>,
 }
 
 /// The ordering experiment: one grid of `ALGO:shuffle` cells on the TPU,
@@ -76,6 +79,7 @@ pub fn fig6(settings: &ExperimentSettings) -> Plan<Vec<OrderingPoint>> {
                 churn: r.churn,
                 l2: r.l2,
                 mean_accuracy: r.mean_accuracy,
+                degenerate_replicas: r.degenerate_replicas,
             })
             .collect()
     })
@@ -90,7 +94,11 @@ pub fn render_fig6(points: &[OrderingPoint]) -> String {
                 p.batch_size.to_string(),
                 format!("{:.4}", p.churn),
                 format!("{:.5}", p.l2),
-                format!("{:.2}%", 100.0 * p.mean_accuracy),
+                format!(
+                    "{:.2}%{}",
+                    100.0 * p.mean_accuracy,
+                    degenerate_tag(&p.degenerate_replicas)
+                ),
             ]
         })
         .collect();

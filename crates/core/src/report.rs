@@ -54,6 +54,10 @@ pub struct StabilityReport {
     /// are still bit-identical to fault-free runs, so this is purely
     /// provenance, not a quality flag).
     pub retried_replicas: usize,
+    /// Replicas that learned nothing ([`is_degenerate`]). Non-empty marks
+    /// the cell as degenerate: its churn and distances compare dead models,
+    /// not training noise.
+    pub degenerate_replicas: Vec<u32>,
 }
 
 impl StabilityReport {
@@ -62,7 +66,8 @@ impl StabilityReport {
         self.failed_replicas.is_empty()
     }
 
-    /// One-line human-readable summary. Incomplete cells are flagged.
+    /// One-line human-readable summary. Incomplete and degenerate cells
+    /// are flagged.
     pub fn summary_line(&self) -> String {
         let mut line = format!(
             "{:<22} {:<10} {:<10} acc {:.2}%±{:.2} churn {:.4} l2 {:.4}",
@@ -81,7 +86,41 @@ impl StabilityReport {
                 self.replicas + self.failed_replicas.len()
             ));
         }
+        line.push_str(&degenerate_tag(&self.degenerate_replicas));
         line
+    }
+}
+
+/// ` [DEGENERATE: replicas 0, 2]` for a cell with degenerate replicas, and
+/// nothing for a cell without: the suffix every rendering of a cell
+/// carries, the way `[INCOMPLETE]` marks a cell with failed replicas.
+pub fn degenerate_tag(replicas: &[u32]) -> String {
+    if replicas.is_empty() {
+        return String::new();
+    }
+    let list: Vec<String> = replicas.iter().map(u32::to_string).collect();
+    format!(" [DEGENERATE: replicas {}]", list.join(", "))
+}
+
+/// The learning-sanity gate: a replica learned nothing when, on a class
+/// task, it predicts fewer than half the classes *and* scores under twice
+/// chance, or, on a binary task, predicts one value everywhere. Either
+/// class test alone misfires: CIFAR-100 replicas that learn predict under
+/// half the classes at the quick budget, and a replica can score near
+/// chance while still spreading its predictions.
+fn is_degenerate(preds: &Preds, accuracy: f64, classes: usize) -> bool {
+    match preds {
+        Preds::Classes(p) => {
+            let mut seen = vec![false; classes];
+            for &c in p {
+                if let Some(s) = seen.get_mut(c as usize) {
+                    *s = true;
+                }
+            }
+            let predicted = seen.iter().filter(|&&s| s).count();
+            2 * predicted < classes && accuracy < 2.0 / classes as f64
+        }
+        Preds::Binary(b) => b.windows(2).all(|w| w[0] == w[1]),
     }
 }
 
@@ -139,6 +178,14 @@ pub fn stability_report(
         0.0
     };
 
+    let classes = prepared.classes();
+    let degenerate_replicas = runs
+        .results
+        .iter()
+        .filter(|r| is_degenerate(&r.preds, r.accuracy, classes))
+        .map(|r| r.replica)
+        .collect();
+
     StabilityReport {
         task: prepared.spec.name.clone(),
         device: device.name().to_string(),
@@ -152,6 +199,7 @@ pub fn stability_report(
         max_per_class_ratio: max_ratio,
         failed_replicas: runs.failed_replicas(),
         retried_replicas: runs.retried_replicas(),
+        degenerate_replicas,
     }
 }
 
@@ -258,6 +306,46 @@ mod tests {
         assert_eq!(rep.replicas, 1, "statistics cover survivors only");
         assert!(
             rep.summary_line().contains("INCOMPLETE: 1 of 2"),
+            "{}",
+            rep.summary_line()
+        );
+    }
+
+    /// The gate flags a constant predictor and a near-dead replica on a
+    /// 10-class task, but not a CIFAR-100 replica that covers under half
+    /// its classes while scoring well above chance.
+    #[test]
+    fn degenerate_replicas_are_flagged() {
+        let constant = Preds::Classes(vec![3; 200]);
+        assert!(is_degenerate(&constant, 0.10, 10));
+        let near_dead = Preds::Classes((0..200).map(|i| i % 4).collect());
+        assert!(is_degenerate(&near_dead, 0.15, 10));
+        let cifar100 = Preds::Classes((0..2000).map(|i| i % 44).collect());
+        assert!(!is_degenerate(&cifar100, 0.095, 100));
+        assert!(is_degenerate(&Preds::Binary(vec![0; 40]), 0.88, 2));
+        assert!(!is_degenerate(&Preds::Binary(vec![0, 1, 0, 0]), 0.75, 2));
+
+        // 10 classes × 2 test samples: labels [0, 0, 1, 1, ..., 9, 9].
+        let prepared = {
+            use crate::task::{DataSource, TaskSpec};
+            let mut t = TaskSpec::small_cnn_cifar10();
+            t.data = DataSource::Gaussian(nsdata::GaussianSpec {
+                classes: 10,
+                train_per_class: 2,
+                test_per_class: 2,
+                ..nsdata::GaussianSpec::cifar10_sim()
+            });
+            PreparedTask::prepare(&t)
+        };
+        let learned: Vec<u32> = (0..20).map(|i| i / 2).collect();
+        let runs = fake_runs(
+            vec![vec![0; 20], learned, (0..20).map(|i| i % 4).collect()],
+            vec![0.10, 1.0, 0.15],
+        );
+        let rep = stability_report(&prepared, &Device::v100(), NoiseVariant::AlgoImpl, &runs);
+        assert_eq!(rep.degenerate_replicas, vec![0, 2]);
+        assert!(
+            rep.summary_line().ends_with(" [DEGENERATE: replicas 0, 2]"),
             "{}",
             rep.summary_line()
         );

@@ -26,6 +26,7 @@ fn stability_report_round_trips() {
         max_per_class_ratio: 4.2,
         failed_replicas: vec![2],
         retried_replicas: 1,
+        degenerate_replicas: vec![0],
     };
     let json = serde_json::to_string(&report).unwrap();
     let back: StabilityReport = serde_json::from_str(&json).unwrap();
@@ -34,6 +35,7 @@ fn stability_report_round_trips() {
     assert_eq!(back.per_class_std, report.per_class_std);
     assert_eq!(back.failed_replicas, report.failed_replicas);
     assert_eq!(back.retried_replicas, report.retried_replicas);
+    assert_eq!(back.degenerate_replicas, report.degenerate_replicas);
 }
 
 #[test]
@@ -71,6 +73,7 @@ fn experiment_points_round_trip() {
         churn: 0.02,
         l2: 1e-4,
         mean_accuracy: 0.5,
+        degenerate_replicas: vec![0, 1, 2],
     };
     let back: OrderingPoint = serde_json::from_str(&serde_json::to_string(&p).unwrap()).unwrap();
     assert_eq!(back.batch_size, 400);
