@@ -54,9 +54,11 @@ pub struct StabilityReport {
     /// are still bit-identical to fault-free runs, so this is purely
     /// provenance, not a quality flag).
     pub retried_replicas: usize,
-    /// Replicas that learned nothing ([`is_degenerate`]). Non-empty marks
-    /// the cell as degenerate: its churn and distances compare dead models,
-    /// not training noise.
+    /// Replicas that learned nothing: on a class task they predict fewer
+    /// than half the classes and score under twice chance; on a binary
+    /// task they predict one value everywhere. Non-empty marks the cell as
+    /// degenerate: its churn and distances compare dead models, not
+    /// training noise.
     pub degenerate_replicas: Vec<u32>,
 }
 
