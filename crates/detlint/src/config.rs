@@ -204,7 +204,7 @@ exempt = [
         // Test code is always skipped; the old switch is a typo like any other.
         assert!(Config::parse("scan_test_code = false").is_err());
         assert!(Config::parse("[rules.DL999]\nexempt = []").is_err());
-        // DL008 exempts the settings module; its old name registry is gone.
+        // DL008 takes path exemptions like every rule, not a name list.
         assert!(Config::parse("[rules.DL008]\nregistered = []").is_err());
     }
 
