@@ -509,20 +509,16 @@ fn dl004_float_reduction(ctx: &Ctx, findings: &mut Vec<Finding>) {
 /// at `i` names a method call `.sum()`/`.product()` (nullary, turbofish
 /// allowed) or `.fold(..)`/`.reduce(..)` whose closure adds or
 /// multiplies, with float evidence in the statement `range` returns or in
-/// the enclosing signature. Returns the method name. Sequential and parallel (`par_iter`)
-/// iterators alike: either way the combination order is not fixed by
-/// the code.
-pub(crate) fn float_reduction(
-    ctx: &Ctx,
+/// the enclosing signature. Returns the method name. Sequential and
+/// parallel (`par_iter`) iterators alike: either way the combination
+/// order is not fixed by the code.
+pub(crate) fn float_reduction<'a>(
+    ctx: &Ctx<'a>,
     i: usize,
     range: impl FnOnce() -> (usize, usize),
-) -> Option<&'static str> {
-    let method = match ctx.tokens[i].ident()? {
-        "sum" => "sum",
-        "product" => "product",
-        "fold" => "fold",
-        "reduce" => "reduce",
-        _ => return None,
+) -> Option<&'a str> {
+    let method @ ("sum" | "product" | "fold" | "reduce") = ctx.tokens[i].ident()? else {
+        return None;
     };
     // Must be a method call: `.sum(` / `.sum::<f64>(` / `.fold(`.
     let call = i > 0
