@@ -82,25 +82,6 @@ const POLL: Duration = Duration::from_millis(25);
 /// ever finishing.
 const HARD_DEADLINE_FACTOR: u32 = 60;
 
-/// Monotonic-clock shim for supervision deadlines.
-///
-/// Reading the wall clock in result-producing code is exactly what
-/// detlint's DL003 exists to catch, but a watchdog cannot exist without
-/// a clock. This module is the one sanctioned source of time in the
-/// fleet layer: deadlines and stall detection only — nothing read here
-/// ever feeds a replica result, a report, or any other experiment
-/// artifact. Raw `Instant::now()` anywhere else in this file still
-/// trips DL003 (asserted by a fixture test).
-pub mod clock {
-    use std::time::Instant;
-
-    /// The current monotonic instant, for supervision deadlines only.
-    pub fn now() -> Instant {
-        // detlint::allow(DL003, reason = "watchdog deadlines only; never feeds replica results or reports")
-        Instant::now()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Wire format
 // ---------------------------------------------------------------------------
@@ -310,7 +291,7 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
 
     let timeout = Duration::from_millis(spec.settings.worker_timeout_ms);
     let deadline = timeout.saturating_mul(HARD_DEADLINE_FACTOR);
-    let start = clock::now();
+    let start = crate::clock::now();
     let mut last_heartbeat = start;
     // Pause between exit checks once stdout is at EOF: 1 ms, doubling up
     // to POLL, so a worker is reaped about a millisecond after it exits,
@@ -319,7 +300,7 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
 
     let exited = loop {
         match rx.recv_timeout(POLL) {
-            Ok(()) => last_heartbeat = clock::now(),
+            Ok(()) => last_heartbeat = crate::clock::now(),
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             // Reader hit EOF: the child closed stdout and is exiting (or
             // dead). recv returns instantly now, so pace the loop.
@@ -333,7 +314,7 @@ fn run_attempt(exe: &Path, args: &[OsString], spec: &ReplicaSpec) -> io::Result<
         }
         // A watchdog kill: the worker is killed and reaped below. The
         // reason names the clock and its window, never a reading of it.
-        let now = clock::now();
+        let now = crate::clock::now();
         if now.duration_since(last_heartbeat) >= timeout {
             break Err(format!("no heartbeat within {} ms", timeout.as_millis()));
         }
@@ -659,7 +640,7 @@ mod tests {
             worker_timeout_ms: 300,
             ..ExperimentSettings::default()
         };
-        let start = clock::now();
+        let start = crate::clock::now();
         let runs = run_variant_fleet(
             &prepared,
             &Device::v100(),
@@ -779,7 +760,7 @@ mod tests {
             worker_timeout_ms: 300,
             ..ExperimentSettings::default()
         };
-        let start = clock::now();
+        let start = crate::clock::now();
         // Ten heartbeats 100 ms apart: a second of life under a 300 ms
         // watchdog, then a crash the supervisor must see as one.
         let script = "for i in 1 2 3 4 5 6 7 8 9 10; do echo \"hb $i\"; sleep 0.1; done; exit 7";
@@ -820,7 +801,7 @@ mod tests {
             Path::new("/bin/sh"),
             [OsString::from("-c"), OsString::from("exit 7")],
         );
-        let start = clock::now();
+        let start = crate::clock::now();
         for _ in 0..10 {
             match run_attempt(exe, &args, &spec).expect("spawn /bin/sh") {
                 Err(reason) => assert_eq!(reason, "exit code 7"),
@@ -847,7 +828,7 @@ mod tests {
             worker_timeout_ms: 300,
             ..ExperimentSettings::default()
         };
-        let start = clock::now();
+        let start = crate::clock::now();
         // 10 MiB without a newline, then a malformed line every 50 ms: if
         // either counted as liveness, only the 18 s deadline would end it.
         let script = "head -c 10485760 /dev/zero | tr '\\0' x; \

@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod clock;
 pub mod experiments;
 pub mod fleet;
 pub mod paper;

@@ -427,9 +427,9 @@ mod tests {
     use crate::rules;
 
     fn scan(src: &str) -> Vec<Finding> {
-        let lexed = lex(src);
-        let parsed = parse(&lexed.tokens);
-        rules::run_rules("src/sample.rs", &lexed, &parsed, &Config::default())
+        let tokens = lex(src);
+        let parsed = parse(&tokens);
+        rules::run_rules("src/sample.rs", &tokens, &parsed, &Config::default())
     }
 
     fn rules_fired(src: &str) -> Vec<RuleId> {

@@ -4,8 +4,9 @@
 //! detlint rule works on token patterns plus coarse structure (statement
 //! boundaries, enclosing `fn` signatures, `#[cfg(test)]` regions). The
 //! lexer handles the parts that break naive text matching — strings (incl.
-//! raw strings), char literals vs. lifetimes, nested block comments — and
-//! records comments separately so suppressions can be parsed from them.
+//! raw strings), char literals vs. lifetimes, nested block comments. Comments
+//! are skipped: no rule reads them, and a hazard named in a comment is not
+//! a hazard.
 
 /// One lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,31 +55,11 @@ impl Tok {
     }
 }
 
-/// A comment with its location.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Comment {
-    /// 1-based line of the comment's start.
-    pub line: u32,
-    /// Comment text without the `//` / `/*` markers.
-    pub text: String,
-    /// `true` if tokens precede the comment on its line.
-    pub trailing: bool,
-}
-
-/// The result of lexing one file.
-#[derive(Debug, Default)]
-pub struct LexedFile {
-    /// Tokens in source order.
-    pub tokens: Vec<Tok>,
-    /// All comments (line, block, and doc comments).
-    pub comments: Vec<Comment>,
-}
-
 struct Lexer<'a> {
     chars: &'a [char],
     pos: usize,
     line: u32,
-    out: LexedFile,
+    out: Vec<Tok>,
 }
 
 impl<'a> Lexer<'a> {
@@ -98,46 +79,19 @@ impl<'a> Lexer<'a> {
     }
 
     fn push(&mut self, line: u32, kind: TokKind) {
-        self.out.tokens.push(Tok { line, kind });
+        self.out.push(Tok { line, kind });
     }
 
-    fn tokens_on_line(&self, line: u32) -> bool {
-        self.out
-            .tokens
-            .iter()
-            .rev()
-            .take_while(|t| t.line == line)
-            .next()
-            .is_some()
-    }
-
-    fn lex_line_comment(&mut self) {
-        let line = self.line;
-        let trailing = self.tokens_on_line(line);
-        self.bump();
-        self.bump(); // the two slashes
-        let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
-            text.push(c);
+    fn skip_line_comment(&mut self) {
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
         }
-        self.out.comments.push(Comment {
-            line,
-            text,
-            trailing,
-        });
     }
 
-    fn lex_block_comment(&mut self) {
-        let line = self.line;
-        let trailing = self.tokens_on_line(line);
+    fn skip_block_comment(&mut self) {
         self.bump();
         self.bump(); // `/*`
         let mut depth = 1u32;
-        let mut text = String::new();
         while depth > 0 {
             match (self.peek(0), self.peek(1)) {
                 (Some('/'), Some('*')) => {
@@ -150,18 +104,12 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     self.bump();
                 }
-                (Some(c), _) => {
-                    text.push(c);
+                (Some(_), _) => {
                     self.bump();
                 }
                 (None, _) => break,
             }
         }
-        self.out.comments.push(Comment {
-            line,
-            text,
-            trailing,
-        });
     }
 
     /// Consumes a quoted string body after the opening `"`, through the
@@ -282,14 +230,14 @@ impl<'a> Lexer<'a> {
         self.push(line, TokKind::Ident(text));
     }
 
-    fn run(mut self) -> LexedFile {
+    fn run(mut self) -> Vec<Tok> {
         while let Some(c) = self.peek(0) {
             if c.is_whitespace() {
                 self.bump();
             } else if c == '/' && self.peek(1) == Some('/') {
-                self.lex_line_comment();
+                self.skip_line_comment();
             } else if c == '/' && self.peek(1) == Some('*') {
-                self.lex_block_comment();
+                self.skip_block_comment();
             } else if c == '"' {
                 let line = self.line;
                 self.bump();
@@ -340,14 +288,14 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Lexes one file's source text.
-pub fn lex(source: &str) -> LexedFile {
+/// Lexes one file's source text into tokens, in source order.
+pub fn lex(source: &str) -> Vec<Tok> {
     let chars: Vec<char> = source.chars().collect();
     Lexer {
         chars: &chars,
         pos: 0,
         line: 1,
-        out: LexedFile::default(),
+        out: Vec::new(),
     }
     .run()
 }
@@ -448,44 +396,28 @@ mod tests {
 let x = "thread_rng in a string"; /* block HashMap */
 let y = r#"raw "quoted" SystemTime"#;
 "##;
-        let lexed = lex(src);
-        assert_eq!(lexed.comments.len(), 2);
-        assert!(!lexed
-            .tokens
+        let tokens = lex(src);
+        assert!(!tokens
             .iter()
             .any(|t| t.is_ident("thread_rng") || t.is_ident("HashMap")));
-        assert_eq!(
-            lexed
-                .tokens
-                .iter()
-                .filter(|t| t.kind == TokKind::Str)
-                .count(),
-            2
-        );
+        assert_eq!(tokens.iter().filter(|t| t.kind == TokKind::Str).count(), 2);
     }
 
     #[test]
     fn lifetimes_are_not_char_literals() {
-        let lexed = lex("fn f<'a>(x: &'a str) -> char { 'x' }");
-        let lifetimes = lexed
-            .tokens
+        let tokens = lex("fn f<'a>(x: &'a str) -> char { 'x' }");
+        let lifetimes = tokens
             .iter()
             .filter(|t| t.kind == TokKind::Lifetime)
             .count();
-        let chars = lexed
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokKind::Char)
-            .count();
+        let chars = tokens.iter().filter(|t| t.kind == TokKind::Char).count();
         assert_eq!(lifetimes, 2);
         assert_eq!(chars, 1);
     }
 
     #[test]
     fn numbers_keep_float_shape() {
-        let lexed = lex("let a = 1e-3; let b = 0.5f32; let r = 0..5;");
-        let nums: Vec<String> = lexed
-            .tokens
+        let nums: Vec<String> = lex("let a = 1e-3; let b = 0.5f32; let r = 0..5;")
             .iter()
             .filter_map(|t| match &t.kind {
                 TokKind::Num(s) => Some(s.clone()),
@@ -498,8 +430,7 @@ let y = r#"raw "quoted" SystemTime"#;
     #[test]
     fn cfg_test_regions_cover_mod() {
         let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n fn t() {}\n}\nfn after() {}\n";
-        let lexed = lex(src);
-        let regions = test_regions(&lexed.tokens);
+        let regions = test_regions(&lex(src));
         assert_eq!(regions.len(), 1);
         assert_eq!(regions[0].0, 2);
         assert!(regions[0].1 >= 5);
@@ -507,8 +438,13 @@ let y = r#"raw "quoted" SystemTime"#;
 
     #[test]
     fn trailing_comments_flagged() {
-        let lexed = lex("let x = 1; // detlint::allow(DL001, reason = \"demo\")\n// standalone\n");
-        assert!(lexed.comments[0].trailing);
-        assert!(!lexed.comments[1].trailing);
+        // A trailing comment ends at its newline and a standalone one
+        // leaves no token: the code after them keeps its line numbers.
+        let tokens = lex("let x = 1; // HashMap::new()\n// standalone\ny\n");
+        let idents: Vec<(&str, u32)> = tokens
+            .iter()
+            .filter_map(|t| t.ident().map(|i| (i, t.line)))
+            .collect();
+        assert_eq!(idents, [("let", 1), ("x", 1), ("y", 3)]);
     }
 }

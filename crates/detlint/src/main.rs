@@ -5,12 +5,9 @@
 //! ```
 //!
 //! Prints the human report ([`detlint::report::human`]): one line per
-//! finding (stale allows in shipping code included, as DL009), one
-//! `error:` line per malformed suppression, one `warning:` line per unused
-//! allow in test code, then a summary line.
+//! finding, then a summary line.
 //!
-//! Exit codes: `0` clean, `1` findings or malformed suppressions,
-//! `2` usage / IO / config error.
+//! Exit codes: `0` clean, `1` findings, `2` usage / IO / config error.
 //!
 //! Every run re-analyzes every file through [`detlint::scan_workspace`],
 //! the same call the tier-1 test makes.
@@ -27,8 +24,9 @@ USAGE: detlint [--root <dir>]
   --root <dir>            workspace root (default: nearest detlint.toml)
 
 Scans every .rs file under the workspace root for determinism hazards
-(DL001–DL004, DL006–DL009), configured by <root>/detlint.toml, and exits nonzero if
-any unsuppressed finding, malformed allow or stale allow remains.";
+(DL001–DL004, DL006–DL008) and exits 1 if any finding remains. The only
+way to sanction a hazard is a per-rule path exemption in
+<root>/detlint.toml.";
 
 /// Parses the command line into the optional `--root`.
 fn parse_args() -> Result<Option<PathBuf>, String> {

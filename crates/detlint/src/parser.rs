@@ -3,11 +3,9 @@
 //! detlint v1 worked on raw token runs delimited by `;`/`{`/`}`. That is
 //! enough for single-statement pattern rules, but the dataflow rules
 //! (DL006, DL007) need to know *which function* a statement belongs to,
-//! what a `let` binds, and where a multi-line statement *starts* (so a
-//! suppression on the first line covers the whole expression). This
-//! module recovers exactly that shape — items, `fn` signatures, blocks,
-//! statements with line spans, and `let`-bindings — without attempting a
-//! full Rust grammar.
+//! and what a `let` binds. This module recovers exactly that shape —
+//! items, `fn` signatures, blocks, statements with their token extents,
+//! and `let`-bindings — without attempting a full Rust grammar.
 //!
 //! Design constraints, in order:
 //!
@@ -62,10 +60,6 @@ pub struct Stmt {
     /// ends before the `{` and the body statements are recorded
     /// separately.
     pub range: (usize, usize),
-    /// 1-based line of the statement's first token.
-    pub first_line: u32,
-    /// 1-based line of the statement's last token.
-    pub last_line: u32,
     /// Index into [`ParsedFile::functions`] of the innermost enclosing
     /// `fn`, if any.
     pub fn_idx: Option<usize>,
@@ -95,20 +89,6 @@ pub struct ParsedFile {
     pub stmts: Vec<Stmt>,
     /// All `fn` items, in source order of their `fn` keyword.
     pub functions: Vec<Function>,
-}
-
-impl ParsedFile {
-    /// The first line of the statement covering `line`, if any statement's
-    /// span contains it. Statements never overlap lines except through
-    /// nesting; the *innermost* (latest-starting) covering statement wins
-    /// so a suppression attaches as tightly as possible.
-    pub fn stmt_first_line(&self, line: u32) -> Option<u32> {
-        self.stmts
-            .iter()
-            .filter(|s| s.first_line <= line && line <= s.last_line)
-            .map(|s| s.first_line)
-            .max()
-    }
 }
 
 struct Parser<'a> {
@@ -355,11 +335,8 @@ impl Parser<'_> {
             None
         };
         let range = (start, stmt_end.min(end.saturating_sub(1)).max(start));
-        let (first_line, last_line) = (self.tokens[range.0].line, self.tokens[range.1].line);
         self.out.stmts.push(Stmt {
             range,
-            first_line,
-            last_line: last_line.max(first_line),
             fn_idx,
             let_binding,
         });
@@ -458,7 +435,13 @@ mod tests {
     use crate::lexer::lex;
 
     fn parse_src(src: &str) -> ParsedFile {
-        parse(&lex(src).tokens)
+        parse(&lex(src))
+    }
+
+    /// The lines of a statement's first and last token.
+    fn lines(src: &str, stmt: &Stmt) -> (u32, u32) {
+        let tokens = lex(src);
+        (tokens[stmt.range.0].line, tokens[stmt.range.1].line)
     }
 
     #[test]
@@ -494,15 +477,12 @@ fn f(vals: &[f64]) -> f64 {
 ";
         let p = parse_src(src);
         // The let statement starts on line 2 and ends on line 5.
-        assert_eq!(p.stmt_first_line(5), Some(2));
-        assert_eq!(p.stmt_first_line(3), Some(2));
         let stmt = p
             .stmts
             .iter()
             .find(|s| s.let_binding.is_some())
             .expect("let stmt");
-        assert_eq!(stmt.first_line, 2);
-        assert_eq!(stmt.last_line, 5);
+        assert_eq!(lines(src, stmt), (2, 5));
         assert_eq!(
             stmt.let_binding.as_ref().unwrap().names,
             vec!["s".to_string()]
@@ -540,9 +520,9 @@ fn f(xs: &[f64]) -> f64 {
         let header = p
             .stmts
             .iter()
-            .find(|s| s.first_line == 3)
+            .find(|s| lines(src, s).0 == 3)
             .expect("for header");
-        assert_eq!(header.last_line, 3);
+        assert_eq!(lines(src, header), (3, 3));
     }
 
     #[test]
@@ -562,8 +542,7 @@ fn f() -> Foo {
             .iter()
             .find(|s| s.let_binding.is_some())
             .expect("let stmt");
-        assert_eq!(stmt.first_line, 2);
-        assert_eq!(stmt.last_line, 5);
+        assert_eq!(lines(src, stmt), (2, 5));
     }
 
     #[test]
@@ -579,10 +558,10 @@ fn f(opt: Option<u32>) {
         let header = p
             .stmts
             .iter()
-            .find(|s| s.first_line == 2)
+            .find(|s| lines(src, s).0 == 2)
             .expect("if header");
-        assert_eq!(header.last_line, 2, "body must not be swallowed");
-        assert!(p.stmts.iter().any(|s| s.first_line == 3));
+        assert_eq!(lines(src, header), (2, 2), "body must not be swallowed");
+        assert!(p.stmts.iter().any(|s| lines(src, s).0 == 3));
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! enclosing `fn` signature as extra evidence (e.g. a `-> f64` return type
 //! marks a bare `.sum()` as a float reduction). This is deliberately not a
 //! type checker: the rules are tuned to the hazards that matter for
-//! reproducing run-to-run-identical numbers, and anything they get wrong
-//! can be suppressed with an audited `detlint::allow`.
+//! reproducing run-to-run-identical numbers. A module whose job is one
+//! of these hazards is exempted from that rule by path in `detlint.toml`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::Config;
-use crate::lexer::{test_regions, LexedFile, Tok, TokKind};
+use crate::lexer::{test_regions, Tok, TokKind};
 use crate::{Finding, RuleId};
 
 /// Iteration methods whose order is arbitrary on hash containers.
@@ -61,11 +61,10 @@ const SINKS: &[&str] = &[
 /// Entry point: runs every enabled rule over one lexed + parsed file.
 pub fn run_rules(
     rel_path: &str,
-    lexed: &LexedFile,
+    tokens: &[Tok],
     parsed: &crate::parser::ParsedFile,
     config: &Config,
 ) -> Vec<Finding> {
-    let tokens = &lexed.tokens;
     // Test code is never scanned: it may time things and draw throwaway
     // randomness, and it produces no reported numbers.
     if Config::is_test_path(rel_path) {
@@ -628,9 +627,9 @@ mod tests {
     use crate::lexer::lex;
 
     fn scan(src: &str) -> Vec<Finding> {
-        let lexed = lex(src);
-        let parsed = crate::parser::parse(&lexed.tokens);
-        run_rules("src/sample.rs", &lexed, &parsed, &Config::default())
+        let tokens = lex(src);
+        let parsed = crate::parser::parse(&tokens);
+        run_rules("src/sample.rs", &tokens, &parsed, &Config::default())
     }
 
     #[test]

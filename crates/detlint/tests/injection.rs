@@ -158,17 +158,6 @@ matrix! {
         let raw = std::env::var(\"NS_ROGUE_SCALE\").unwrap_or_default();
         raw.parse::<f64>().unwrap_or(1.0)
     }"
-
-    stale_allow_on_an_integer_sum: "crates/metrics/src/stats.rs" fires [Dl009]
-    "fn injected_count(xs: &[u64]) -> u64 {
-        // detlint::allow(DL004, reason = \"fixed-size input\")
-        xs.iter().sum()
-    }"
-
-    allow_naming_the_wrong_rule: "crates/hwsim/src/profiler.rs" fires [Dl003, Dl009]
-    "fn injected_deadline() -> std::time::Instant {
-        std::time::Instant::now() // detlint::allow(DL004, reason = \"names the wrong rule\")
-    }"
 }
 
 /// The workspace config, so exemptions match CI exactly.
@@ -187,15 +176,13 @@ fn check(label: &str) {
     let before = detlint::scan_file(row.host, row.source, &config);
     assert!(
         before.clean(),
-        "{} is not quiet before injection: {:?} {:?}",
+        "{} is not quiet before injection: {:?}",
         row.host,
-        before.findings,
-        before.problems
+        before.findings
     );
     let host_lines = row.source.lines().count() as u32;
     let patched = format!("{}\n{}\n", row.source, row.block);
     let after = detlint::scan_file(row.host, &patched, &config);
-    assert!(after.problems.is_empty(), "{label}: {:?}", after.problems);
     assert!(
         after.findings.iter().all(|f| f.line > host_lines),
         "{label}: the block made the host itself fire: {:?}",
@@ -223,18 +210,4 @@ fn every_rule_has_two_rows_and_one_it_alone_catches() {
             rule.as_str()
         );
     }
-}
-
-/// The settings module is DL008's one exemption, and a load-bearing one:
-/// without it, the module's env reads fire.
-#[test]
-fn dl008_exemption_is_load_bearing_for_settings() {
-    let src = include_str!("../../core/src/settings.rs");
-    let mut config = workspace_config();
-    config.exempt.remove(&RuleId::Dl008);
-    let report = detlint::scan_file("crates/core/src/settings.rs", src, &config);
-    assert!(
-        report.findings.iter().any(|f| f.rule == RuleId::Dl008),
-        "settings.rs reads no env var outside its exemption"
-    );
 }

@@ -2,8 +2,8 @@
 //!
 //! Runs the same scan as `cargo run -p detlint` — every `.rs`
 //! file in the repository, under the committed `detlint.toml` — and fails
-//! with the full finding list if any unsuppressed hazard, malformed
-//! suppression or stale allow exists.
+//! with the full finding list if any hazard outside a path exemption
+//! exists, or if an exemption absorbs no finding.
 //! This is what makes the lint a property of the codebase rather than an
 //! optional tool: a PR that introduces a `HashMap` iteration into a report,
 //! an ambient RNG seed, or an ad-hoc float reduction fails `cargo test`.
@@ -42,23 +42,37 @@ fn workspace_is_hazard_free() {
     );
 }
 
+/// A path exemption is the one way to sanction a hazard, so each
+/// `[rules.DLxxx] exempt` entry must absorb a finding: with that one entry
+/// removed, its rule fires under its path. An entry that absorbs nothing
+/// sanctions a hazard that is not there.
 #[test]
-fn every_suppression_carries_its_reason() {
+fn every_exemption_is_load_bearing() {
     let root = workspace_root();
-    let config = Config::load(&root.join("detlint.toml")).expect("config");
-    let scan = detlint::scan_workspace(root, &config).expect("workspace scan");
-    for (finding, reason) in &scan.suppressed {
-        assert!(
-            !reason.trim().is_empty(),
-            "suppression without reason at {}:{}",
-            finding.file,
-            finding.line
-        );
+    let config = Config::load(&root.join("detlint.toml")).expect("detlint.toml parses");
+    let mut idle = Vec::new();
+    for (&rule, paths) in &config.exempt {
+        for path in paths {
+            let mut without = config.clone();
+            without
+                .exempt
+                .get_mut(&rule)
+                .expect("the rule has this entry")
+                .retain(|p| p != path);
+            let scan = detlint::scan_workspace(root, &without).expect("workspace scan");
+            // Every other entry still applies, so a finding the full config
+            // exempts lies under the removed path.
+            let absorbed = scan
+                .findings
+                .iter()
+                .any(|f| f.rule == rule && config.rule_exempt(rule, &f.file));
+            if !absorbed {
+                idle.push(format!("[rules.{}] {path}", rule.as_str()));
+            }
+        }
     }
-    // Stale allows would rot into false documentation; keep zero tolerance.
     assert!(
-        scan.unused_allows.is_empty(),
-        "unused suppressions: {:?}",
-        scan.unused_allows
+        idle.is_empty(),
+        "exemptions that absorb no finding: {idle:?}"
     );
 }
