@@ -22,9 +22,8 @@
 //! cannot be written makes the exit status 1.
 //!
 //! Environment knobs (see `noisescope::settings`): `NS_REPLICAS`,
-//! `NS_SEED`, `NS_AMP_ULPS`, `NS_EPOCHS_SCALE`, `NS_EXEC_THREADS`,
-//! `NS_QUICK=1`, `NS_RETRIES`, `NS_CHAOS`, `NS_WORKER_TIMEOUT`,
-//! `NS_HEARTBEAT_EVERY`. `NS_CHAOS` takes
+//! `NS_SEED`, `NS_AMP_ULPS`, `NS_EPOCHS_SCALE`, `NS_QUICK=1`,
+//! `NS_RETRIES`, `NS_CHAOS`, `NS_WORKER_TIMEOUT`. `NS_CHAOS` takes
 //! `<seed>[:<launch>,<panic>,<hang>,<abort>][@<hang_ms>][!]`: the fault
 //! schedule's seed, then exactly four fault counts (`<seed>` alone is one
 //! launch failure and one kernel panic), the hang length in milliseconds,

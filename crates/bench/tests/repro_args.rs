@@ -88,10 +88,8 @@ fn a_malformed_numeric_env_knob_exits_2_before_creating_out() {
         ("NS_SEED", "4two"),
         ("NS_AMP_ULPS", "0,5"),
         ("NS_EPOCHS_SCALE", "0,5"),
-        ("NS_EXEC_THREADS", "two"),
         ("NS_RETRIES", "-1"),
         ("NS_WORKER_TIMEOUT", "5s"),
-        ("NS_HEARTBEAT_EVERY", "4.0"),
         // A boolean spelling of the quick switch must not run the full
         // budget: only 0 and 1 are accepted.
         ("NS_QUICK", "true"),
@@ -122,10 +120,8 @@ fn well_formed_numeric_env_knobs_run() {
             ("NS_SEED", "7"),
             ("NS_AMP_ULPS", "0.5"),
             ("NS_EPOCHS_SCALE", "0.5"),
-            ("NS_EXEC_THREADS", "1"),
             ("NS_RETRIES", "1"),
             ("NS_WORKER_TIMEOUT", "30"),
-            ("NS_HEARTBEAT_EVERY", "4"),
             ("NS_CHAOS", "20:1,0,0,0"),
             ("NS_QUICK", "0"),
         ],

@@ -164,10 +164,7 @@ impl std::fmt::Display for SettingsError {
                 )
             }
             SettingsError::ZeroHeartbeatInterval => {
-                write!(
-                    f,
-                    "heartbeat interval must be >= 1 step (NS_HEARTBEAT_EVERY)"
-                )
+                write!(f, "heartbeat_every_steps must be >= 1")
             }
             SettingsError::HeartbeatExceedsTimeout {
                 heartbeat_every_steps,
@@ -175,8 +172,7 @@ impl std::fmt::Display for SettingsError {
             } => write!(
                 f,
                 "heartbeat interval ({heartbeat_every_steps} steps) cannot fit in the \
-                 watchdog window ({worker_timeout_ms} ms); raise NS_WORKER_TIMEOUT or \
-                 lower NS_HEARTBEAT_EVERY"
+                 watchdog window ({worker_timeout_ms} ms); raise NS_WORKER_TIMEOUT"
             ),
             SettingsError::MalformedEnv { name, value } => {
                 write!(f, "{name}={value:?} is not a valid value")
@@ -190,13 +186,14 @@ impl std::error::Error for SettingsError {}
 impl ExperimentSettings {
     /// Reads overrides from the environment:
     /// `NS_REPLICAS`, `NS_SEED`, `NS_AMP_ULPS`, `NS_EPOCHS_SCALE`,
-    /// `NS_EXEC_THREADS`, `NS_QUICK` (`1` → at most 3 replicas, half
-    /// epochs; `0` → off), `NS_RETRIES` (supervisor retry budget), `NS_CHAOS`
+    /// `NS_QUICK` (`1` → at most 3 replicas, half epochs; `0` → off),
+    /// `NS_RETRIES` (supervisor retry budget), `NS_CHAOS`
     /// (chaos-injection schedule
     /// `<seed>[:<launch>,<panic>,<hang>,<abort>][@<hang_ms>][!]`, see
-    /// [`hwsim::ChaosConfig::parse`]),
-    /// `NS_WORKER_TIMEOUT` (fleet watchdog window, in seconds), and
-    /// `NS_HEARTBEAT_EVERY` (fleet heartbeat interval, in steps).
+    /// [`hwsim::ChaosConfig::parse`]), and
+    /// `NS_WORKER_TIMEOUT` (fleet watchdog window, in seconds).
+    /// `exec_threads` and `heartbeat_every_steps` keep their defaults: no
+    /// variable sets them.
     ///
     /// # Errors
     ///
@@ -217,10 +214,6 @@ impl ExperimentSettings {
         if let Ok(v) = std::env::var("NS_EPOCHS_SCALE") {
             s.epochs_scale = v.parse().map_err(|_| malformed("NS_EPOCHS_SCALE", v))?;
         }
-        if let Ok(v) = std::env::var("NS_EXEC_THREADS") {
-            let n: usize = v.parse().map_err(|_| malformed("NS_EXEC_THREADS", v))?;
-            s.exec_threads = n.max(1);
-        }
         if let Ok(v) = std::env::var("NS_RETRIES") {
             s.retry_budget = v.parse().map_err(|_| malformed("NS_RETRIES", v))?;
         }
@@ -230,9 +223,6 @@ impl ExperimentSettings {
         if let Ok(v) = std::env::var("NS_WORKER_TIMEOUT") {
             let secs: u64 = v.parse().map_err(|_| malformed("NS_WORKER_TIMEOUT", v))?;
             s.worker_timeout_ms = secs.saturating_mul(1000);
-        }
-        if let Ok(v) = std::env::var("NS_HEARTBEAT_EVERY") {
-            s.heartbeat_every_steps = v.parse().map_err(|_| malformed("NS_HEARTBEAT_EVERY", v))?;
         }
         if let Ok(v) = std::env::var("NS_QUICK") {
             match v.as_str() {
