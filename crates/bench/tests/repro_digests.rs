@@ -4,9 +4,11 @@
 //!
 //! Each section of that file opens with `[<budget>]` and the `NS_*`
 //! settings that make the budget, then lists one `<file> <length>
-//! <digest>` line per output. The tiny budget runs with every `cargo
-//! test`. The quick budget takes most of a minute at `--release` and is
-//! ignored by default; CI and `scripts/check.sh` run both with
+//! <digest>` line per output. The tiny budget runs in process with every
+//! `cargo test`. The quick budget takes most of a minute at `--release`,
+//! and the tiny budget under `--fleet 2` (every replica in a worker
+//! process) checks the fleet against the same section; both are ignored
+//! by default. CI and `scripts/check.sh` run all three with
 //! `--include-ignored`, on the native build and on `-C
 //! target-cpu=x86-64-v3`.
 //!
@@ -39,11 +41,12 @@ fn pinned(budget: &str) -> (Vec<(&'static str, &'static str)>, Vec<&'static str>
     (env, entries)
 }
 
-/// Runs `repro` (every experiment) under `env` alone, with a fresh
-/// `--out`, and returns one `<file> <length> <digest>` line for stdout
-/// and for each JSON report, in file-name order.
-fn computed(budget: &str, env: &[(&str, &str)]) -> Vec<String> {
-    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("repro_digests_{budget}"));
+/// Runs `repro` (every experiment) with `flags` under `env` alone, with a
+/// fresh `--out`, and returns one `<file> <length> <digest>` line for
+/// stdout and for each JSON report, in file-name order.
+fn computed(budget: &str, env: &[(&str, &str)], flags: &[&str]) -> Vec<String> {
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("repro_digests_{budget}{}", flags.concat()));
     let _ = std::fs::remove_dir_all(&out);
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
     for (name, _) in std::env::vars_os() {
@@ -53,13 +56,15 @@ fn computed(budget: &str, env: &[(&str, &str)]) -> Vec<String> {
     }
     let run = cmd
         .envs(env.iter().copied())
+        .args(flags)
         .arg("--out")
         .arg(&out)
         .output()
         .expect("run repro");
     assert!(
         run.status.success(),
-        "repro at the {budget} budget exited with {}:\n{}",
+        "repro {} at the {budget} budget exited with {}:\n{}",
+        flags.join(" "),
         run.status,
         String::from_utf8_lossy(&run.stderr)
     );
@@ -84,10 +89,11 @@ fn computed(budget: &str, env: &[(&str, &str)]) -> Vec<String> {
         .collect()
 }
 
-/// Compares one budget's outputs with its manifest section.
-fn check(budget: &str) {
+/// Compares one budget's outputs, from `repro` with `flags`, with its
+/// manifest section.
+fn check(budget: &str, flags: &[&str]) {
     let (env, pinned) = pinned(budget);
-    let computed = computed(budget, &env);
+    let computed = computed(budget, &env, flags);
     let file = |line: &str| line.split_whitespace().next().unwrap_or("").to_string();
     let mut changed: Vec<String> = pinned
         .iter()
@@ -105,8 +111,10 @@ fn check(budget: &str) {
     let settings: Vec<String> = env.iter().map(|(k, v)| format!("{k}={v}")).collect();
     assert!(
         changed.is_empty(),
-        "at the {budget} budget, these outputs differ from tests/golden/repro_digests.txt: {}\n\
+        "at the {budget} budget, these outputs of repro {} differ from \
+         tests/golden/repro_digests.txt: {}\n\
          this build computes the section:\n[{budget}] {}\n{}",
+        flags.join(" "),
         changed.join(", "),
         settings.join(" "),
         computed.join("\n")
@@ -115,11 +123,20 @@ fn check(budget: &str) {
 
 #[test]
 fn tiny_budget_matches_the_manifest() {
-    check("tiny");
+    check("tiny", &[]);
 }
 
 #[test]
 #[ignore = "most of a minute at --release; CI and scripts/check.sh run it"]
 fn quick_budget_matches_the_manifest() {
-    check("quick");
+    check("quick", &[]);
+}
+
+/// The fleet's whole-paper check: every replica of the tiny budget in its
+/// own worker process must reproduce the in-process manifest, stdout and
+/// all 12 reports.
+#[test]
+#[ignore = "spawns a worker process per replica; CI and scripts/check.sh run it"]
+fn tiny_budget_under_fleet_matches_the_manifest() {
+    check("tiny", &["--fleet", "2"]);
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The local CI gate: the steps of the `test` and `noisebench` jobs in
-# .github/workflows/ci.yml. The `chaos` and `fleet` jobs (quick `repro`
-# runs under injected faults and in worker processes) are left to CI.
-# Run from anywhere inside the repository.
+# .github/workflows/ci.yml. The `test` job's paper-digest steps include
+# the whole paper under `--fleet 2`; the `chaos` and `fleet` jobs (quick
+# `repro` runs under injected faults, in process and in worker processes)
+# are left to CI. Run from anywhere inside the repository.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,8 +33,9 @@ run env RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test -q --release -p nstensor
 # opt-level `repro` ships.
 run cargo test -q --release -p ns-integration --test golden_control
 # The whole paper's bits (tests/golden/repro_digests.txt): repro's stdout
-# and every JSON report at the tiny and quick budgets, on the native build
-# and on one without AVX-512. A mismatch names each output that changed.
+# and every JSON report at the tiny budget (in process and under
+# `--fleet 2`) and at the quick budget, on the native build and on one
+# without AVX-512. A mismatch names each output that changed.
 run cargo test -q --release -p ns-bench --test repro_digests -- --include-ignored
 run env RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test -q --release -p ns-bench --test repro_digests -- --include-ignored
 # The extension group end to end at the quick budget: it must write
@@ -51,9 +53,10 @@ run cargo fmt --check
 # is an error.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-# Determinism lint: a stale allow is a hard failure (DL009). The fleet
-# clock shim's DL003 allow is the one sanctioned suppression and survives
-# the audit because it is load-bearing.
+# Determinism lint: exits 1 on any finding. Path exemptions in
+# detlint.toml are the only way to sanction a hazard, and the tier-1 test
+# every_exemption_is_load_bearing (run by `cargo test` above) fails on an
+# exemption that absorbs no finding.
 run cargo run --release -p detlint
 
 # The benchmark (crates/bench/noisebench) is a cargo workspace of its own,
