@@ -63,8 +63,8 @@ fn computed(budget: &str, env: &[(&str, &str)], flags: &[&str]) -> Vec<String> {
         .expect("run repro");
     assert!(
         run.status.success(),
-        "repro {} at the {budget} budget exited with {}:\n{}",
-        flags.join(" "),
+        "repro{} at the {budget} budget exited with {}:\n{}",
+        with_flags(flags),
         run.status,
         String::from_utf8_lossy(&run.stderr)
     );
@@ -89,6 +89,11 @@ fn computed(budget: &str, env: &[(&str, &str)], flags: &[&str]) -> Vec<String> {
         .collect()
 }
 
+/// `flags` as they follow `repro` in a message.
+fn with_flags(flags: &[&str]) -> String {
+    flags.iter().map(|f| format!(" {f}")).collect()
+}
+
 /// Compares one budget's outputs, from `repro` with `flags`, with its
 /// manifest section.
 fn check(budget: &str, flags: &[&str]) {
@@ -111,10 +116,10 @@ fn check(budget: &str, flags: &[&str]) {
     let settings: Vec<String> = env.iter().map(|(k, v)| format!("{k}={v}")).collect();
     assert!(
         changed.is_empty(),
-        "at the {budget} budget, these outputs of repro {} differ from \
+        "at the {budget} budget, these outputs of repro{} differ from \
          tests/golden/repro_digests.txt: {}\n\
          this build computes the section:\n[{budget}] {}\n{}",
-        flags.join(" "),
+        with_flags(flags),
         changed.join(", "),
         settings.join(" "),
         computed.join("\n")
