@@ -244,9 +244,36 @@ impl TaskSpec {
     }
 
     /// The training config with the settings' epoch scaling applied.
+    ///
+    /// The run's `E` epochs become `E' = scale_epochs(E)`, and each
+    /// epoch-valued schedule field (`StepDecay::every`,
+    /// `WarmupCosine::{warmup_epochs, total_epochs}`) is scaled by `E'/E`,
+    /// rounded down, with a floor of 1 for a field that is at least 1.
+    /// Rounding down keeps a decay boundary that falls inside the run
+    /// inside the scaled run, and a cosine that ends with the run ends with
+    /// the scaled run. At scale 1 the config is returned unchanged.
     pub fn train_config(&self, settings: &ExperimentSettings) -> TrainConfig {
         let mut cfg = self.train;
-        cfg.epochs = settings.scale_epochs(cfg.epochs);
+        let (from, to) = (cfg.epochs.max(1), settings.scale_epochs(cfg.epochs));
+        let scale = |field: &mut u32| {
+            if *field >= 1 {
+                let scaled = u64::from(*field) * u64::from(to) / u64::from(from);
+                *field = u32::try_from(scaled).unwrap_or(u32::MAX).max(1);
+            }
+        };
+        match &mut cfg.schedule {
+            LrSchedule::Constant { .. } => {}
+            LrSchedule::StepDecay { every, .. } => scale(every),
+            LrSchedule::WarmupCosine {
+                warmup_epochs,
+                total_epochs,
+                ..
+            } => {
+                scale(warmup_epochs);
+                scale(total_epochs);
+            }
+        }
+        cfg.epochs = to;
         cfg
     }
 }
@@ -285,6 +312,49 @@ mod tests {
             ..ExperimentSettings::default()
         };
         assert_eq!(task.train_config(&settings).epochs, 10);
+    }
+
+    /// The five presets with their own recipe (SmallCNN+BN shares
+    /// SmallCNN's) keep their schedule's shape at every epoch scale.
+    #[test]
+    #[allow(clippy::float_cmp)]
+    fn schedules_scale_with_the_epoch_budget() {
+        let presets = [
+            TaskSpec::small_cnn_cifar10(),
+            TaskSpec::resnet18_cifar10(),
+            TaskSpec::resnet18_cifar100(),
+            TaskSpec::resnet50_imagenet(),
+            TaskSpec::celeba(),
+        ];
+        let at = |scale: f32| ExperimentSettings {
+            epochs_scale: scale,
+            ..ExperimentSettings::default()
+        };
+        for task in &presets {
+            let full = task.train_config(&at(1.0));
+            assert_eq!(full, task.train, "{}", task.name);
+            for scale in [0.5, 1.0, 2.0] {
+                let cfg = task.train_config(&at(scale));
+                let last = |c: &TrainConfig| c.schedule.lr_at(c.epochs - 1);
+                match cfg.schedule {
+                    // A decay boundary inside the full run stays inside the
+                    // scaled one (CelebA at 0.5: 3 epochs, boundary 5 of 6
+                    // lands on epoch 2, where rounding to nearest gives 3).
+                    LrSchedule::StepDecay { .. } => {
+                        assert_eq!(last(&cfg), last(&full), "{} at {scale}", task.name);
+                    }
+                    LrSchedule::WarmupCosine {
+                        warmup_epochs,
+                        total_epochs,
+                        ..
+                    } => {
+                        assert_eq!(total_epochs, cfg.epochs, "{} at {scale}", task.name);
+                        assert!(warmup_epochs >= 1, "{} at {scale}", task.name);
+                    }
+                    LrSchedule::Constant { .. } => panic!("{} has no schedule", task.name),
+                }
+            }
+        }
     }
 
     #[test]
