@@ -270,4 +270,15 @@ mod tests {
         }
         assert_eq!(RuleId::parse("DL999"), None);
     }
+
+    /// Path exemptions are the only way to sanction a hazard: an inline
+    /// allow comment, with a reason or without, silences nothing.
+    #[test]
+    fn bad_allows_fail_the_gate() {
+        let src = "fn f(xs: &[f32]) -> f32 {\n    // detlint::allow(DL004, reason = \"fixed-size input\")\n    xs.iter().sum()\n}\nfn g(xs: &[f64]) -> f64 {\n    xs.iter().sum() // detlint::allow(DL004)\n}\n";
+        let report = scan_file("src/x.rs", src, &Config::default());
+        let lines: Vec<u32> = report.findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [3, 6], "{:?}", report.findings);
+        assert!(!report.clean());
+    }
 }
