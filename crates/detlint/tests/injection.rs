@@ -211,3 +211,17 @@ fn every_rule_has_two_rows_and_one_it_alone_catches() {
         );
     }
 }
+
+/// The settings module is DL008's one exemption, and a load-bearing one:
+/// without it, the module's env reads fire.
+#[test]
+fn dl008_exemption_is_load_bearing_for_settings() {
+    let src = include_str!("../../core/src/settings.rs");
+    let mut config = workspace_config();
+    config.exempt.remove(&RuleId::Dl008);
+    let report = detlint::scan_file("crates/core/src/settings.rs", src, &config);
+    assert!(
+        report.findings.iter().any(|f| f.rule == RuleId::Dl008),
+        "settings.rs reads no env var outside its exemption"
+    );
+}

@@ -3,7 +3,8 @@
 //! Runs the same scan as `cargo run -p detlint` — every `.rs`
 //! file in the repository, under the committed `detlint.toml` — and fails
 //! with the full finding list if any hazard outside a path exemption
-//! exists, or if an exemption absorbs no finding.
+//! exists, if an exemption has no reason comment, or if an exemption
+//! absorbs no finding.
 //! This is what makes the lint a property of the codebase rather than an
 //! optional tool: a PR that introduces a `HashMap` iteration into a report,
 //! an ambient RNG seed, or an ad-hoc float reduction fails `cargo test`.
@@ -39,6 +40,48 @@ fn workspace_is_hazard_free() {
         scan.clean(),
         "determinism hazards in the workspace:\n{}",
         report::human(&scan)
+    );
+}
+
+/// A path exemption is the one way to sanction a hazard, and its reason is
+/// the `#` comment directly above the entry in `detlint.toml`: an entry
+/// with no comment above it sanctions a hazard without saying why.
+#[test]
+fn every_suppression_carries_its_reason() {
+    let root = workspace_root();
+    let text = std::fs::read_to_string(root.join("detlint.toml")).expect("detlint.toml reads");
+    let config = Config::parse(&text).expect("detlint.toml parses");
+    let mut entries = 0;
+    let mut unexplained = Vec::new();
+    let mut section = "";
+    let mut in_exempt = false;
+    let mut previous = "";
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('[') && line.ends_with(']') {
+            section = line;
+        } else if line.starts_with("exempt") && line.contains('[') {
+            in_exempt = section.starts_with("[rules.");
+        } else if in_exempt && line.starts_with(']') {
+            in_exempt = false;
+        } else if in_exempt && line.starts_with('"') {
+            entries += 1;
+            if !previous.starts_with('#') {
+                unexplained.push(format!("{section} {line}"));
+            }
+        }
+        if !line.is_empty() {
+            previous = line;
+        }
+    }
+    // The line scan must see every entry the parser does, or it could miss one.
+    let parsed: usize = config.exempt.values().map(Vec::len).sum();
+    assert_eq!(
+        entries, parsed,
+        "exempt entries found by line vs. by the parser"
+    );
+    assert!(
+        unexplained.is_empty(),
+        "exemptions without a reason comment above them: {unexplained:?}"
     );
 }
 
