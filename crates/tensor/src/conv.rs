@@ -26,13 +26,14 @@
 //! right after the previous chunk's, and reads its columns as sample
 //! blocks (`DotPlan::sample_blocks`) to find each output's place in
 //! that order. The forward's buffers do not grow with the batch. Its
-//! lowering copies each sample into zero-padded planes, split by column
-//! phase at stride > 1, so that every panel row of a tap is a few fixed
-//! `NR`-float copies of consecutive plane values, one per output row the
-//! panel touches (see `im2col_pixel_panels`). The weight gradient's
+//! lowering copies the chunk's samples into one buffer of zero-padded
+//! planes, split by column phase at stride > 1, so that every panel row
+//! of a tap is one gather of the panel's sixteen pixels at fixed offsets
+//! in that buffer (see `im2col_pixel_panels`). The weight gradient's
 //! panels hold patch positions as columns, so each output pixel's `NR`
-//! values are loads at one panel's fixed offsets from the pixel's corner
-//! in those planes, stored as one row (see `im2col_patch_panels`).
+//! values are one gather at one panel's fixed offsets from the pixel's
+//! corner in those planes, stored as one row (see `im2col_patch_panels`).
+//! Both gathers have a 512-bit form (`tile::Gather`).
 //!
 //! Backward splits into [`conv2d_param_grads_ws`] (dW and db, the
 //! reducer's draws) and [`conv2d_input_grad_ws`] (dX, which draws
@@ -51,7 +52,7 @@ use crate::pack::{transpose_into, NR};
 use crate::reduce::{DotPlan, Reducer};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-use crate::tile;
+use crate::tile::{self, lanes_below, Offsets, RowGather};
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 
@@ -160,10 +161,9 @@ fn phase_plane_dims(g: &ConvGeometry) -> (usize, usize) {
     (qw, (g.in_h + 2 * g.pad) * qw)
 }
 
-/// Length of one sample's padded, phase-split input planes plus the `NR`
-/// floats of slack that [`im2col_pixel_panels`] reads past the last one.
+/// Length of one sample's padded, phase-split input planes.
 fn padded_planes_len(g: &ConvGeometry) -> usize {
-    g.in_c * g.stride * phase_plane_dims(g).1 + NR
+    g.in_c * g.stride * phase_plane_dims(g).1
 }
 
 /// The copies that fill one channel's planes from its input: `(input
@@ -188,12 +188,13 @@ fn pad_copies(g: &ConvGeometry) -> Vec<(usize, usize, usize)> {
 /// The plane offset of each patch position's tap, in patch order: patch
 /// position `(c, ky, kx)` of the output pixel whose top-left tap is at
 /// plane offset `o` reads the planes at `o` plus this.
-fn tap_offsets(g: &ConvGeometry) -> Vec<usize> {
+fn tap_offsets(g: &ConvGeometry) -> Vec<u32> {
     let (qw, plane) = phase_plane_dims(g);
     (0..g.patch_len())
         .map(|kk| {
             let (c, ky, kx) = (kk / (g.k * g.k), kk / g.k % g.k, kk % g.k);
-            (c * g.stride + kx % g.stride) * plane + ky * qw + kx / g.stride
+            let at = (c * g.stride + kx % g.stride) * plane + ky * qw + kx / g.stride;
+            u32::try_from(at).expect("tap offset fits 32 bits")
         })
         .collect()
 }
@@ -231,82 +232,67 @@ fn pad_sample(xs: &[f32], g: &ConvGeometry, copies: &[(usize, usize, usize)], pl
 /// run `(sample, oy, ox)` row-major across the batch. Panel columns past
 /// the last pixel are zeroed. The forward pass's B operand.
 ///
-/// Each sample is first copied into zero-padded, phase-split planes
-/// ([`pad_sample`]), so every panel row of a tap is a few runs of
-/// consecutive plane values, one per output row the panel touches, with
-/// no border tests. Each run is written as one fixed `NR`-float copy; the
-/// floats past its end are overwritten by the next run or the next panel
-/// row, because a sample's runs are written in ascending address order.
-/// Two places need more. A sample that starts mid-panel would spill over
-/// the earlier samples' columns of the next row, so that row is saved
-/// before and restored after each row's runs. The pad columns of the
-/// last panel are zeroed after each row. `packed` holds the panels plus
-/// `NR` floats of slack, and `planes` is [`padded_planes_len`] long.
+/// The batch's samples are first copied into one buffer of zero-padded,
+/// phase-split planes ([`pad_sample`]), one sample's after another, so
+/// that each pixel's top-left tap has one offset in that buffer and each
+/// patch position a fixed offset from there ([`tap_offsets`]), with no
+/// border tests. A panel's sixteen pixel offsets are walked in pixel
+/// order, with no division, and each of its rows is then one gather at
+/// those offsets plus the row's tap offset (`G::rows`, `tile::Gather`
+/// outside tests), which writes +0.0 in the pad columns. `planes` is
+/// `batch` times [`padded_planes_len`] long.
 ///
 /// Packing only copies values, so this cannot perturb any accumulation
 /// order.
-pub(crate) fn im2col_pixel_panels(
+fn im2col_pixel_panels<G: RowGather>(
     x: &[f32],
     g: &ConvGeometry,
     batch: usize,
     planes: &mut [f32],
     packed: &mut [f32],
 ) {
-    let (ow, pl) = (g.out_w(), g.patch_len());
-    let pixels = g.out_pixels();
-    let np = batch * pixels;
-    let qw = phase_plane_dims(g).0;
+    let (oh, ow, pl) = (g.out_h(), g.out_w(), g.patch_len());
+    let np = batch * oh * ow;
+    let sample_planes = padded_planes_len(g);
+    let row_step = g.stride * phase_plane_dims(g).0;
     debug_assert_eq!(x.len(), batch * g.in_c * g.in_h * g.in_w);
     assert_eq!(
         packed.len(),
-        np.div_ceil(NR) * pl * NR + NR,
+        np.div_ceil(NR) * pl * NR,
         "packed buffer size"
     );
-    assert_eq!(planes.len(), padded_planes_len(g), "planes buffer size");
-    let taps = tap_offsets(g);
+    assert_eq!(planes.len(), batch * sample_planes, "planes buffer size");
+    assert!(
+        planes.len() <= u32::MAX as usize,
+        "plane offsets fit 32 bits"
+    );
     let copies = pad_copies(g);
     planes.fill(0.0);
-    for (s, xs) in x.chunks_exact(g.in_c * g.in_h * g.in_w).enumerate() {
-        pad_sample(xs, g, &copies, planes);
-        let (first, end) = (s * pixels, (s + 1) * pixels);
-        for p in first / NR..end.div_ceil(NR) {
-            let g0 = p * NR;
-            let (lo, hi) = (first.max(g0), end.min(g0 + NR));
-            // This sample's runs in the panel: (plane offset of the run's
-            // first pixel, panel column).
-            let mut runs = [(0, 0); NR];
-            let mut count = 0;
-            let (mut oy, mut ox0) = ((lo - first) / ow, (lo - first) % ow);
-            let mut gidx = lo;
-            while gidx < hi {
-                runs[count] = (oy * g.stride * qw + ox0, gidx - g0);
-                count += 1;
-                gidx += (ow - ox0).min(hi - gidx);
-                (oy, ox0) = (oy + 1, 0);
+    for (xs, dst) in x
+        .chunks_exact(g.in_c * g.in_h * g.in_w)
+        .zip(planes.chunks_exact_mut(sample_planes))
+    {
+        pad_sample(xs, g, &copies, dst);
+    }
+    let taps = tap_offsets(g);
+    let taps = Offsets::new(&taps);
+    // The walk: the next pixel's column, row, row start and offset.
+    let (mut ox, mut oy, mut row, mut at) = (0, 0, 0, 0);
+    for (p, panel) in packed.chunks_exact_mut(pl * NR).enumerate() {
+        let lanes = core::array::from_fn(|_| {
+            let lane = at as u32;
+            (ox, at) = (ox + 1, at + 1);
+            if ox == ow {
+                (ox, oy, row) = (0, oy + 1, row + row_step);
+                if oy == oh {
+                    (oy, row) = (0, row - oh * row_step + sample_planes);
+                }
+                at = row;
             }
-            let runs = &runs[..count];
-            let shared = lo > g0;
-            let pad_from = if hi == np { hi - g0 } else { NR };
-            let panel = &mut packed[p * pl * NR..];
-            for (row, &tap) in taps.iter().enumerate() {
-                let next = (row + 1) * NR;
-                let saved: [f32; NR] = if shared {
-                    panel[next..next + NR].try_into().expect("NR floats")
-                } else {
-                    [0.0; NR]
-                };
-                for &(off, j) in runs {
-                    let at = row * NR + j;
-                    panel[at..at + NR].copy_from_slice(&planes[tap + off..][..NR]);
-                }
-                if shared {
-                    panel[next..next + NR].copy_from_slice(&saved);
-                }
-                if pad_from < NR {
-                    panel[row * NR + pad_from..next].fill(0.0);
-                }
-            }
-        }
+            lane
+        });
+        let (rows, _) = panel.as_chunks_mut::<NR>();
+        G::new(&lanes, lanes_below(np - p * NR)).rows(planes, &taps, rows);
     }
 }
 
@@ -320,13 +306,14 @@ pub(crate) fn im2col_pixel_panels(
 /// the forward lowering reads ([`pad_sample`]). Output pixel `(oy, ox)`'s
 /// top-left tap sits at plane offset `oy·stride·qw + ox`, and its patch
 /// position `kk` at a fixed offset from there ([`tap_offsets`]), so each
-/// pixel's `NR` panel values are `NR` loads at one panel's fixed offsets
-/// and one contiguous store, with no border test: a tap on the padding
-/// reads a zero of the planes. `planes` is [`padded_planes_len`] long.
+/// pixel's `NR` panel values are one gather at one panel's fixed offsets
+/// plus the pixel's (`G::rows`, `tile::Gather` outside tests), with no
+/// border test: a tap on the padding reads a zero of the planes.
+/// `planes` is [`padded_planes_len`] long.
 ///
 /// Packing only copies values, so this cannot perturb any accumulation
 /// order.
-fn im2col_patch_panels(
+fn im2col_patch_panels<G: RowGather>(
     x: &[f32],
     g: &ConvGeometry,
     batch: usize,
@@ -344,33 +331,30 @@ fn im2col_patch_panels(
         "packed buffer size"
     );
     assert_eq!(planes.len(), padded_planes_len(g), "planes buffer size");
+    assert!(
+        planes.len() <= u32::MAX as usize,
+        "plane offsets fit 32 bits"
+    );
     let taps = tap_offsets(g);
-    // Per panel: its columns' tap offsets, pad columns repeating the last
-    // real position (and zeroed after), and the number of real columns.
-    let panels: Vec<([usize; NR], usize)> = (0..pl.div_ceil(NR))
+    // Per panel: its columns' tap offsets, and its real columns.
+    let panels: Vec<G> = (0..pl.div_ceil(NR))
         .map(|p| {
-            let offsets = core::array::from_fn(|j| taps[(p * NR + j).min(pl - 1)]);
-            (offsets, NR.min(pl - p * NR))
+            let lanes = core::array::from_fn(|j| taps[(p * NR + j).min(pl - 1)]);
+            G::new(&lanes, lanes_below(pl - p * NR))
         })
         .collect();
+    // Each output pixel's top-left tap, in pixel order.
+    let corners: Vec<u32> = (0..oh)
+        .flat_map(|oy| (0..ow).map(move |ox| (oy * row_step + ox) as u32))
+        .collect();
+    let corners = Offsets::new(&corners);
     let copies = pad_copies(g);
     planes.fill(0.0);
     for (s, xs) in x.chunks_exact(g.in_c * g.in_h * g.in_w).enumerate() {
         pad_sample(xs, g, &copies, planes);
-        for ((offsets, cols), slab) in panels.iter().zip(packed.chunks_exact_mut(np * NR)) {
-            let (dst, _) = slab[s * pixels * NR..(s + 1) * pixels * NR].as_chunks_mut::<NR>();
-            for (oy, dst) in dst.chunks_exact_mut(ow).enumerate() {
-                // Column j of the row's pixels reads `ow` consecutive plane
-                // values from the row's first pixel plus its tap offset.
-                let row = &planes[oy * row_step..];
-                let columns: [&[f32]; NR] = core::array::from_fn(|j| &row[offsets[j]..][..ow]);
-                for (ox, px) in dst.iter_mut().enumerate() {
-                    for (d, column) in px.iter_mut().zip(&columns) {
-                        *d = column[ox];
-                    }
-                    px[*cols..].fill(0.0);
-                }
-            }
+        for (panel, slab) in panels.iter().zip(packed.chunks_exact_mut(np * NR)) {
+            let (rows, _) = slab[s * pixels * NR..(s + 1) * pixels * NR].as_chunks_mut::<NR>();
+            panel.rows(planes, &corners, rows);
         }
     }
 }
@@ -637,23 +621,23 @@ pub fn conv2d_forward_ws(
     let ov = out.as_mut_slice();
     let sample = geom.in_c * geom.in_h * geom.in_w;
     let chunk = (FWD_CHUNK_FLOATS / (pl * pixels)).clamp(1, n.max(1));
-    let mut packed = ws.take_scratch((chunk * pixels).div_ceil(NR) * pl * NR + NR);
-    let mut planes = ws.take_scratch(padded_planes_len(geom));
+    let mut packed = ws.take_scratch((chunk * pixels).div_ceil(NR) * pl * NR);
+    let mut planes = ws.take_scratch(chunk * padded_planes_len(geom));
     let mut out_r = ws.take_scratch(oc * chunk * pixels);
     for (xs, ys) in xin
         .chunks(chunk * sample)
         .zip(ov.chunks_mut(chunk * oc * pixels))
     {
-        let cnp = xs.len() / sample * pixels;
-        let panels_len = cnp.div_ceil(NR) * pl * NR;
-        let packed = &mut packed[..panels_len + NR];
-        im2col_pixel_panels(xs, geom, cnp / pixels, &mut planes, packed);
+        let samples = xs.len() / sample;
+        let cnp = samples * pixels;
+        let packed = &mut packed[..cnp.div_ceil(NR) * pl * NR];
+        let planes = &mut planes[..samples * padded_planes_len(geom)];
+        im2col_pixel_panels::<tile::Gather>(xs, geom, samples, planes, packed);
         // The chunk's outputs come after the previous chunk's in the
         // reference draw order, and within the chunk one sample's
         // `[out_c, pixels]` block follows another.
         let plan = red.plan_dots(oc * cnp, pl).sample_blocks(pixels);
         let out_r = &mut out_r[..oc * cnp];
-        let packed = &packed[..panels_len];
         gemm_packed_planned(wv, packed, oc, cnp, pl, &plan, threads, out_r);
         // Scatter [oc, chunk·pixels] back to [chunk, oc, pixels], adding
         // the bias after the dot exactly as the reference computes.
@@ -759,7 +743,8 @@ pub fn conv2d_param_grads_ws(
     }
     let mut col_packed = ws.take_scratch(pl.div_ceil(NR) * np * NR);
     let mut planes = ws.take_scratch(padded_planes_len(geom));
-    im2col_patch_panels(input.as_slice(), geom, n, &mut planes, &mut col_packed);
+    let x = input.as_slice();
+    im2col_patch_panels::<tile::Gather>(x, geom, n, &mut planes, &mut col_packed);
     ws.recycle(planes);
     let mut dw = Tensor::zeros(Shape::of(&[oc, pl]));
     let plan = red.plan_dots(oc * pl, np);
@@ -1462,9 +1447,9 @@ mod tests {
             {
                 im2col(xs, &g, rows);
             }
-            let mut packed = vec![f32::NAN; np.div_ceil(NR) * pl * NR + NR];
-            let mut planes = vec![f32::NAN; padded_planes_len(&g)];
-            im2col_pixel_panels(x.as_slice(), &g, n, &mut planes, &mut packed);
+            let mut packed = vec![f32::NAN; np.div_ceil(NR) * pl * NR];
+            let mut planes = vec![f32::NAN; n * padded_planes_len(&g)];
+            im2col_pixel_panels::<tile::Gather>(x.as_slice(), &g, n, &mut planes, &mut packed);
             for (p, panel) in packed.chunks_exact(pl * NR).enumerate() {
                 for kk in 0..pl {
                     for j in 0..NR {
@@ -1507,7 +1492,7 @@ mod tests {
             }
             let mut packed = vec![f32::NAN; pl.div_ceil(NR) * np * NR];
             let mut planes = vec![f32::NAN; padded_planes_len(&g)];
-            im2col_patch_panels(x.as_slice(), &g, n, &mut planes, &mut packed);
+            im2col_patch_panels::<tile::Gather>(x.as_slice(), &g, n, &mut planes, &mut packed);
             for (p, slab) in packed.chunks_exact(np * NR).enumerate() {
                 for q in 0..np {
                     for j in 0..NR {
@@ -1518,6 +1503,192 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `setup`'s input with a special value at every fifth float: NaNs of
+    /// both signs with distinct payloads (one signalling), zeros of both
+    /// signs and both infinities.
+    fn special_input(g: &ConvGeometry, n: usize) -> Tensor {
+        let (mut x, _, _) = setup(g, n);
+        let specials = [
+            f32::from_bits(0x7fc0_0031),
+            f32::from_bits(0xffc0_0032),
+            f32::from_bits(0x7f80_0033),
+            -0.0,
+            0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        for (i, v) in x.as_mut_slice().iter_mut().step_by(5).enumerate() {
+            *v = specials[i % specials.len()];
+        }
+        x
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn pixel_panels_match_the_portable_gather_bit_for_bit() {
+        // The shipped gather (512 bits on an AVX-512 build) against the
+        // portable one, into NaN-filled panels and planes: a chunk of 36-
+        // pixel samples, so that sample boundaries split panels; stride-2
+        // phase planes; a 1×1 stride-2 conv; 2×2 and 3×3 outputs; and,
+        // in all but the 12×12 stem, pad columns in the last panel.
+        let cases = [
+            (ConvGeometry::new(16, 1, 3, 1, 1, 6, 6), 3),
+            (ConvGeometry::new(3, 1, 3, 2, 1, 9, 9), 2),
+            (ConvGeometry::new(8, 1, 1, 2, 0, 9, 9), 3),
+            (ConvGeometry::new(32, 1, 3, 1, 1, 2, 2), 5),
+            (ConvGeometry::new(16, 1, 3, 1, 1, 3, 3), 7),
+            (ConvGeometry::new(3, 1, 3, 1, 1, 12, 12), 2),
+        ];
+        for (g, n) in cases {
+            let x = special_input(&g, n);
+            let np = n * g.out_pixels();
+            let mut shipped = vec![f32::NAN; np.div_ceil(NR) * g.patch_len() * NR];
+            let mut portable = shipped.clone();
+            let mut planes = vec![f32::NAN; n * padded_planes_len(&g)];
+            im2col_pixel_panels::<tile::Gather>(x.as_slice(), &g, n, &mut planes, &mut shipped);
+            planes.fill(f32::NAN);
+            let xv = x.as_slice();
+            im2col_pixel_panels::<tile::portable::Gather>(xv, &g, n, &mut planes, &mut portable);
+            assert_eq!(bits(&shipped), bits(&portable), "{g:?}");
+        }
+    }
+
+    #[test]
+    fn patch_panels_match_the_portable_gather_bit_for_bit() {
+        // Patch lengths 27, 72 and 144 (one, five and nine panels, the
+        // first two with pad columns), at strides 1 and 2, into NaN-filled
+        // panels and planes.
+        let cases = [
+            (ConvGeometry::new(3, 1, 3, 1, 1, 12, 12), 3),
+            (ConvGeometry::new(8, 1, 3, 2, 1, 8, 8), 3),
+            (ConvGeometry::new(16, 1, 3, 1, 1, 6, 6), 2),
+            (ConvGeometry::new(16, 1, 3, 1, 1, 3, 3), 5),
+        ];
+        for (g, n) in cases {
+            let x = special_input(&g, n);
+            let np = n * g.out_pixels();
+            let mut shipped = vec![f32::NAN; g.patch_len().div_ceil(NR) * np * NR];
+            let mut portable = shipped.clone();
+            let mut planes = vec![f32::NAN; padded_planes_len(&g)];
+            im2col_patch_panels::<tile::Gather>(x.as_slice(), &g, n, &mut planes, &mut shipped);
+            planes.fill(f32::NAN);
+            let xv = x.as_slice();
+            im2col_patch_panels::<tile::portable::Gather>(xv, &g, n, &mut planes, &mut portable);
+            assert_eq!(bits(&shipped), bits(&portable), "{g:?}");
+        }
+    }
+
+    /// Median microseconds of `calls` calls of `f`.
+    fn median_us(calls: usize, mut f: impl FnMut()) -> f64 {
+        let mut us: Vec<f64> = (0..calls)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                f();
+                t.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        us.sort_by(f64::total_cmp);
+        us[calls / 2]
+    }
+
+    #[test]
+    #[ignore = "timing harness; run it alone at --release with --ignored --nocapture"]
+    fn split_timings() {
+        // The data movement around the conv GEMMs and the GEMMs it feeds:
+        // SmallCNN's 3×3 pad-1 layers in det_control's full-batch TPUv2
+        // arm (batch 160, FixedTree, 16 lanes) and in impl_noise's V100
+        // arms (batch 16, Permuted, 64 lanes, amplified), then
+        // MicroResNet18's layers in those V100 arms. Per shape, the median
+        // of `CALLS` calls, one thread, each plan drawn outside the timed
+        // call: the forward lowering over the batch's chunks and its
+        // GEMMs, the weight-gradient lowering and its GEMM, and the 2×2
+        // max-pool of the conv's output where SmallCNN pools it.
+        //
+        // cargo test --release -p nstensor split_timings -- --ignored --nocapture
+        const CALLS: usize = 101;
+        let tpu = ("det_control TPUv2", 160, ReduceOrder::FixedTree, 16, 0.0);
+        let v100 = ("impl_noise V100", 16, ReduceOrder::Permuted, 64, 512.0);
+        let small_cnn = |in_c, hw| ConvGeometry::new(in_c, 16, 3, 1, 1, hw, hw);
+        let resnet = [
+            (3, 8, 3, 1, 8),
+            (8, 8, 3, 1, 8),
+            (8, 16, 3, 2, 8),
+            (8, 16, 1, 2, 8),
+            (16, 16, 3, 1, 4),
+            (16, 32, 3, 2, 4),
+            (16, 32, 1, 2, 4),
+            (32, 32, 3, 1, 2),
+        ]
+        .map(|(i, o, k, s, hw)| (v100, ConvGeometry::new(i, o, k, s, k / 2, hw, hw), false));
+        let cases = [tpu, v100]
+            .into_iter()
+            .flat_map(|arm| {
+                [(3, 12, true), (16, 6, true), (16, 3, false)]
+                    .map(|(in_c, hw, pooled)| (arm, small_cnn(in_c, hw), pooled))
+            })
+            .chain(resnet);
+        println!("shape | fwd lowering | fwd GEMM | dW lowering | dW GEMM | max-pool (µs)");
+        for ((arm, n, order, lanes, amp), g, pooled) in cases {
+            let (x, w, _) = setup(&g, n);
+            let (pl, pixels, oc) = (g.patch_len(), g.out_pixels(), g.out_c);
+            let sample = g.in_c * g.in_h * g.in_w;
+            let mut red = Reducer::new(order, lanes, 3).with_amplification(amp);
+            // Forward, as `conv2d_forward_ws` chunks the batch.
+            let chunk = (FWD_CHUNK_FLOATS / (pl * pixels)).clamp(1, n);
+            let mut packed = vec![0f32; (chunk * pixels).div_ceil(NR) * pl * NR];
+            let mut planes = vec![0f32; chunk * padded_planes_len(&g)];
+            let mut out = vec![0f32; oc * chunk * pixels];
+            let (mut fwd_lower, mut fwd_gemm) = (0.0, 0.0);
+            for xs in x.as_slice().chunks(chunk * sample) {
+                let samples = xs.len() / sample;
+                let cnp = samples * pixels;
+                let packed = &mut packed[..cnp.div_ceil(NR) * pl * NR];
+                let planes = &mut planes[..samples * padded_planes_len(&g)];
+                fwd_lower += median_us(CALLS, || {
+                    im2col_pixel_panels::<tile::Gather>(xs, &g, samples, planes, packed);
+                });
+                let plan = red.plan_dots(oc * cnp, pl).sample_blocks(pixels);
+                let out = &mut out[..oc * cnp];
+                let wv = w.as_slice();
+                fwd_gemm += median_us(CALLS, || {
+                    gemm_packed_planned(wv, packed, oc, cnp, pl, &plan, 1, out);
+                });
+            }
+            // Weight gradient, over the whole batch.
+            let np = n * pixels;
+            let dy: Vec<f32> = (0..oc * np).map(|i| (i % 13) as f32 - 6.0).collect();
+            let mut col = vec![0f32; pl.div_ceil(NR) * np * NR];
+            let mut planes = vec![0f32; padded_planes_len(&g)];
+            let xv = x.as_slice();
+            let dw_lower = median_us(CALLS, || {
+                im2col_patch_panels::<tile::Gather>(xv, &g, n, &mut planes, &mut col);
+            });
+            let plan = red.plan_dots(oc * pl, np);
+            let mut dw = vec![0f32; oc * pl];
+            let dw_gemm = median_us(CALLS, || {
+                gemm_packed_planned(&dy, &col, oc, pl, np, &plan, 1, &mut dw);
+            });
+            let pool = if pooled {
+                let (oh, ow) = (g.out_h(), g.out_w());
+                let y = Tensor::from_vec(Shape::of(&[n, oc, oh, ow]), dy.clone()).unwrap();
+                let us = median_us(CALLS, || {
+                    std::hint::black_box(crate::pool::maxpool2d_forward(&y, 2).unwrap());
+                });
+                format!("{us:.1}")
+            } else {
+                "-".into()
+            };
+            let (c, o, k, st, hw) = (g.in_c, g.out_c, g.k, g.stride, g.in_h);
+            println!(
+                "{arm} n{n} c{c}->{o} k{k} s{st} {hw}x{hw} | {fwd_lower:.1} | {fwd_gemm:.1} | \
+                 {dw_lower:.1} | {dw_gemm:.1} | {pool}"
+            );
         }
     }
 

@@ -1,9 +1,10 @@
 //! The steps of the tile kernels ([`crate::gemm`], and the col2im gather
-//! in [`crate::conv`]) that have an explicit 512-bit form: the
-//! multiply-add chain that every order runs, the FixedTree fold of its
-//! lane partials, the Permuted combine's spec derivation from the
-//! scheduler counter and its two masked passes, and the masked add of
-//! the col2im gather.
+//! in [`crate::conv`]) and of the data movement around them that have an
+//! explicit 512-bit form: the multiply-add chain that every order runs,
+//! the FixedTree fold of its lane partials, the Permuted combine's spec
+//! derivation from the scheduler counter and its two masked passes, the
+//! masked add of the col2im gather, the row gathers that lower a conv's
+//! input into packed panels, and the 2×2 max-pool.
 //!
 //! The form is chosen here, at build time, and nowhere else: a build whose
 //! target has AVX-512 F and DQ (the repository builds with
@@ -35,6 +36,24 @@
 //! - **`add_where`** is that merge-masked add under a mask the caller
 //!   holds as sixteen bits, one `kmovw` and one `vaddps`; the portable
 //!   select compiled to a 256-bit add and a masked move per half.
+//! - **The row gathers** ([`RowGather`]) fill a panel row of sixteen
+//!   lanes from fixed indices plus a row offset: the forward lowering's
+//!   rows (a panel's sixteen pixels under one tap) and the weight
+//!   gradient's (one pixel's sixteen patch positions). Per row, one
+//!   masked `vgatherdps`, or, where the selected lanes fall within 32
+//!   consecutive floats, two loads and one `vpermt2ps`; a lane the mask
+//!   skips is +0.0. The portable form copies each run of consecutive
+//!   floats with one fixed `NR`-float copy when every lane is selected
+//!   and there are at most two runs, and otherwise loads float by float.
+//!   Both only copy: no value changes on the way.
+//! - **The 2×2 max-pool** computes sixteen outputs at a time from four
+//!   gathers in window order, taking each value under an ordered `>`
+//!   (false on NaN, as the scalar `>` is) with blends of the value and
+//!   of its in-plane index, so values and argmaxes equal the scalar
+//!   loop's, which is the portable form.
+//!
+//! Each gather's largest index is checked against its slice once per
+//! call, before any gather runs.
 //!
 //! The portable code the auto-vectorizer compiles takes each mask from a
 //! compare widened to 64 bits, eight per step of a row, all on one port;
@@ -102,15 +121,48 @@ impl TileSpecs {
     }
 }
 
+/// Gathers of sixteen lanes at fixed indices into a slice: `new` takes
+/// the lanes' indices and the lanes `take` selects, once, and `rows`
+/// fills row `i` of `dst` with `src[lanes[j] + offsets[i]]` in each
+/// selected lane `j` and with +0.0 in the others, for every offset. Both
+/// forms implement it, so that a test can run a lowering on either.
+pub(crate) trait RowGather {
+    fn new(lanes: &[u32; NR], take: u16) -> Self;
+    fn rows(&self, src: &[f32], offsets: &Offsets, dst: &mut [[f32; NR]]);
+}
+
+/// The row offsets of [`RowGather::rows`] with their largest, found once
+/// for all the gathers that use them.
+pub(crate) struct Offsets<'a> {
+    at: &'a [u32],
+    max: Option<usize>,
+}
+
+impl<'a> Offsets<'a> {
+    pub(crate) fn new(at: &'a [u32]) -> Self {
+        let max = at.iter().max().map(|&m| m as usize);
+        Offsets { at, max }
+    }
+}
+
+/// The mask of lanes `0..count`, as sixteen bits.
+pub(crate) fn lanes_below(count: usize) -> u16 {
+    ((1u32 << count.min(NR)) - 1) as u16
+}
+
 cfg_select! {
     all(target_arch = "x86_64", target_feature = "avx512f", target_feature = "avx512dq") => {
         mod avx512;
-        pub(crate) use avx512::{add_where, chain, chain_from, derive_specs, fold, masked_passes};
+        pub(crate) use avx512::{
+            add_where, chain, chain_from, derive_specs, fold, masked_passes, max_pool_2x2, Gather,
+        };
         #[cfg(test)]
         pub(crate) mod portable;
     }
     _ => {
         pub(crate) mod portable;
-        pub(crate) use portable::{add_where, chain, chain_from, derive_specs, fold, masked_passes};
+        pub(crate) use portable::{
+            add_where, chain, chain_from, derive_specs, fold, masked_passes, max_pool_2x2, Gather,
+        };
     }
 }

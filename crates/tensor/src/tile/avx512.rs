@@ -1,7 +1,7 @@
 //! The 512-bit forms of the tile steps (see [the parent module](super)).
 //! One `__m512` holds the `NR` columns of a tile row.
 
-use super::TileSpecs;
+use super::{lanes_below, Offsets, RowGather, TileSpecs};
 use crate::pack::{MR, NR};
 use crate::reduce::MAX_LANES;
 use core::arch::asm;
@@ -75,6 +75,223 @@ pub(crate) fn masked_passes(
     // SAFETY: as in `derive_specs`, the target has avx512f.
     unsafe { masked_passes_512(bufs, l, rot) }
 }
+
+/// The 512-bit [`RowGather`]: per row, one masked 16-lane gather, or,
+/// where the selected lanes fall within 32 consecutive floats, two loads
+/// and one two-source permute.
+pub(crate) struct Gather {
+    lanes: [u32; NR],
+    take: u16,
+    /// The smallest and the largest selected index, or `None` when no
+    /// lane is selected.
+    bounds: Option<(usize, usize)>,
+}
+
+impl RowGather for Gather {
+    #[inline(always)]
+    fn new(lanes: &[u32; NR], take: u16) -> Self {
+        // SAFETY: the target has avx512f, as in `derive_specs`.
+        let bounds = (take != 0).then(|| unsafe { lane_bounds(lanes, take) });
+        Gather {
+            lanes: *lanes,
+            take,
+            bounds,
+        }
+    }
+
+    #[inline(always)]
+    fn rows(&self, src: &[f32], offsets: &Offsets, dst: &mut [[f32; NR]]) {
+        let Offsets { at: offsets, max } = *offsets;
+        assert_eq!(dst.len(), offsets.len(), "one row per offset");
+        let (Some((low, high)), Some(at)) = (self.bounds, max) else {
+            dst.fill([0.0; NR]);
+            return;
+        };
+        let (lanes, take) = (&self.lanes, self.take);
+        if high - low < 2 * NR && low + at + 2 * NR <= src.len() {
+            // SAFETY: the target has avx512f, as in `derive_specs`. Each
+            // row reads the 32 floats from `low + offsets[i]`, which end
+            // inside `src` (checked above).
+            unsafe { permute_rows_512(&src[low..], lanes, low as u32, take, offsets, dst) }
+            return;
+        }
+        let top = high + at;
+        assert!(
+            top < src.len() && top <= i32::MAX as usize,
+            "gather index {top} past {} floats",
+            src.len()
+        );
+        // SAFETY: the target has avx512f, as in `derive_specs`. A gather
+        // reads only the lanes `take` selects, at `lanes[j] + offsets[i]`,
+        // which is at most `top`: a valid index of `src` (checked above)
+        // that fits the gather's signed 32-bit index, so the add cannot
+        // wrap.
+        unsafe { gather_rows_512(src, lanes, take, offsets, dst) }
+    }
+}
+
+/// 512-bit `portable::max_pool_2x2`: sixteen outputs at a time, from
+/// four gathers in window order `(0,0), (0,1), (1,0), (1,1)`, each taken
+/// where an ordered `>` holds, which is false on NaN as the scalar `>`
+/// is, by a blend of the value and of the in-plane index.
+#[inline(always)]
+pub(crate) fn max_pool_2x2(x: &[f32], h: usize, w: usize, out: &mut [f32], arg: &mut [u32]) {
+    let (oh, ow) = (h / 2, w / 2);
+    let pixels = oh * ow;
+    if out.is_empty() {
+        return;
+    }
+    assert!(
+        h.is_multiple_of(2) && w.is_multiple_of(2) && out.len().is_multiple_of(pixels),
+        "{h}x{w} planes"
+    );
+    assert!(
+        x.len() == 4 * out.len() && arg.len() == out.len() && x.len() <= i32::MAX as usize,
+        "pooling buffer sizes"
+    );
+    // Per output of a plane and of the NR - 1 outputs after it, which
+    // run on into the next planes: its window's first input relative to
+    // the plane, and that input's index within its own plane.
+    let (mut corner, mut inner) = (Vec::new(), Vec::new());
+    for plane in 0..(pixels + NR - 1).div_ceil(pixels) {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let i = 2 * oy * w + 2 * ox;
+                corner.push((plane * h * w + i) as u32);
+                inner.push(i as u32);
+            }
+        }
+    }
+    // SAFETY: the target has avx512f, as in `derive_specs`. The last
+    // output's last window input is `x`'s last float, since `x` holds
+    // exactly the planes `out` pools (checked above), and the gathers
+    // read only the lanes of outputs `out` holds.
+    unsafe { max_pool_2x2_512(x, (h * w, pixels), w, &corner, &inner, out, arg) }
+}
+
+/// The smallest and the largest of the lanes `take` selects.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn lane_bounds(lanes: &[u32; NR], take: u16) -> (usize, usize) {
+    let lanes = load_u32x16(lanes);
+    let low = _mm512_mask_reduce_min_epu32(take, lanes);
+    let high = _mm512_mask_reduce_max_epu32(take, lanes);
+    (low as usize, high as usize)
+}
+
+/// # Safety
+///
+/// Every lane `take` selects plus every offset is a valid index of `src`
+/// that fits an `i32`.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn gather_rows_512(
+    src: &[f32],
+    lanes: &[u32; NR],
+    take: u16,
+    offsets: &[u32],
+    dst: &mut [[f32; NR]],
+) {
+    let lanes = load_u32x16(lanes);
+    for (row, &at) in dst.iter_mut().zip(offsets) {
+        let index = _mm512_add_epi32(lanes, _mm512_set1_epi32(at as i32));
+        // SAFETY: the caller's contract.
+        let v = unsafe { gather(take, index, src) };
+        store_f32x16(row, v);
+    }
+}
+
+/// # Safety
+///
+/// `src` holds 32 floats from each of `offsets`.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn permute_rows_512(
+    src: &[f32],
+    lanes: &[u32; NR],
+    low: u32,
+    take: u16,
+    offsets: &[u32],
+    dst: &mut [[f32; NR]],
+) {
+    // Lane j's float is element `lanes[j] - low` of the 32 a row loads:
+    // bit 4 of the permute index picks the second 16.
+    let index = _mm512_sub_epi32(load_u32x16(lanes), _mm512_set1_epi32(low as i32));
+    for (row, &at) in dst.iter_mut().zip(offsets) {
+        // SAFETY: the caller's contract.
+        let (a, b) = unsafe {
+            let p = src.as_ptr().add(at as usize);
+            (_mm512_loadu_ps(p), _mm512_loadu_ps(p.add(NR)))
+        };
+        store_f32x16(row, _mm512_maskz_permutex2var_ps(take, a, index, b));
+    }
+}
+
+/// The floats of `src` at the sixteen indices of `index` in the lanes
+/// `take` selects, +0.0 in the others.
+///
+/// # Safety
+///
+/// Every selected lane's index is a valid index of `src`.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn gather(take: __mmask16, index: __m512i, src: &[f32]) -> __m512 {
+    // SAFETY: the caller's contract: the lanes read are inside `src`,
+    // and the masked-off lanes read nothing.
+    unsafe { _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), take, index, src.as_ptr()) }
+}
+
+/// # Safety
+///
+/// `x` holds the planes of `plane` floats that `out` pools into planes of
+/// `pixels` outputs, and `corner` and `inner` are the tables
+/// `max_pool_2x2` builds.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn max_pool_2x2_512(
+    x: &[f32],
+    (plane, pixels): (usize, usize),
+    w: usize,
+    corner: &[u32],
+    inner: &[u32],
+    out: &mut [f32],
+    arg: &mut [u32],
+) {
+    let window = [0, 1, w, w + 1].map(|d| _mm512_set1_epi32(d as i32));
+    let (mut base, mut r) = (0, 0);
+    for (out, arg) in out.chunks_mut(NR).zip(arg.chunks_mut(NR)) {
+        let take = lanes_below(out.len());
+        let at = _mm512_add_epi32(_mm512_set1_epi32(base as i32), load_u32(&corner[r..]));
+        let inner = load_u32(&inner[r..]);
+        let (mut best, mut best_i) = (_mm512_set1_ps(f32::NEG_INFINITY), _mm512_setzero_si512());
+        for d in window {
+            // SAFETY: a selected lane is an output of `out`, whose window
+            // lies in its plane of `x` (the caller's contract).
+            let v = unsafe { gather(take, _mm512_add_epi32(at, d), x) };
+            let greater = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, best);
+            best = _mm512_mask_blend_ps(greater, best, v);
+            best_i = _mm512_mask_blend_epi32(greater, best_i, _mm512_add_epi32(inner, d));
+        }
+        // SAFETY: `take` selects the `out.len()` floats and `arg.len()`
+        // indices the chunks hold.
+        unsafe {
+            _mm512_mask_storeu_ps(out.as_mut_ptr(), take, best);
+            _mm512_mask_storeu_epi32(arg.as_mut_ptr().cast(), take, best_i);
+        }
+        r += NR;
+        while r >= pixels {
+            (r, base) = (r - pixels, base + plane);
+        }
+    }
+}
+
+/// Sixteen table entries from `t`'s first.
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn load_u32(t: &[u32]) -> __m512i {
+    load_u32x16(t[..NR].try_into().expect("NR entries"))
+}
+
 
 #[target_feature(enable = "avx512f")]
 #[inline]
@@ -574,6 +791,45 @@ mod tests {
         let bits = s.map(f32::to_bits);
         assert_eq!(bits[..8], [row.to_bits(); 8]);
         assert_eq!(bits[8..], [1f32.to_bits(); 8]);
+    }
+
+    #[test]
+    fn max_pool_2x2_matches_portable_bit_for_bit() {
+        // Values that tie often, NaNs with distinct payloads of both
+        // signs, zeros of both signs and -inf, into NaN-filled outputs
+        // and all-ones indices; plane sizes whose output counts are below,
+        // at and past 16 and no multiple of it, down to one output per
+        // plane, so a vector of outputs spans several planes.
+        let special = [
+            f32::from_bits(0x7fc0_0041),
+            f32::from_bits(0xffc0_0042),
+            -0.0,
+            0.0,
+            f32::NEG_INFINITY,
+        ];
+        let mut g = SplitMix64::new(24);
+        for (planes, h, w) in [(48, 12, 12), (80, 6, 6), (7, 2, 2), (3, 8, 8), (1, 4, 34)] {
+            for round in 0..4 {
+                let x: Vec<f32> = (0..planes * h * w)
+                    .map(|_| {
+                        let pick = g.next_below(3 * special.len() as u32) as usize;
+                        special
+                            .get(pick)
+                            .copied()
+                            .unwrap_or_else(|| g.next_below(5) as f32 - 2.0)
+                    })
+                    .collect();
+                let outputs = planes * h * w / 4;
+                let (mut fast, mut fast_arg) = (vec![f32::NAN; outputs], vec![u32::MAX; outputs]);
+                let (mut oracle, mut oracle_arg) = (fast.clone(), fast_arg.clone());
+                max_pool_2x2(&x, h, w, &mut fast, &mut fast_arg);
+                portable::max_pool_2x2(&x, h, w, &mut oracle, &mut oracle_arg);
+                let what = format!("{planes}x{h}x{w} round {round}");
+                let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&oracle), "{what}");
+                assert_eq!(fast_arg, oracle_arg, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The portable forms of the tile steps: plain loops the auto-vectorizer
 //! compiles for whatever target the build names.
 
-use super::TileSpecs;
+use super::{Offsets, RowGather, TileSpecs};
 use crate::pack::{MR, NR};
 use crate::reduce::MAX_LANES;
 use detrand::splitmix::GAMMA;
@@ -90,6 +90,105 @@ fn select_add(s: &mut [f32; NR], row: &[f32; NR], take: impl Fn(usize) -> bool) 
         let (kept, added) = (s[j].to_bits(), (s[j] + row[j]).to_bits());
         s[j] = f32::from_bits((added & mask) | (kept & !mask));
     }
+}
+
+/// The most runs of consecutive floats a row of [`Gather`] is copied
+/// from; lanes in more runs are gathered float by float.
+const MAX_RUNS: usize = 2;
+
+/// The portable [`RowGather`]: a float-by-float gather, or, where every
+/// lane is selected and the lanes read at most [`MAX_RUNS`] runs of
+/// consecutive floats, one fixed `NR`-float copy per run.
+pub(crate) struct Gather {
+    /// Each lane's index; a lane that `take` skips reads the first
+    /// selected lane's float, and its bits are cleared.
+    lanes: [usize; NR],
+    /// All ones for a selected lane, zero for a skipped one.
+    keep: [u32; NR],
+    /// The largest index, or `None` when no lane is selected.
+    high: Option<usize>,
+    /// The runs, as (first lane, its index), when they are copied.
+    runs: [(usize, usize); MAX_RUNS],
+    run_count: usize,
+}
+
+impl RowGather for Gather {
+    #[inline(always)]
+    fn new(lanes: &[u32; NR], take: u16) -> Self {
+        let selected = |j: usize| take >> j & 1 != 0;
+        let first = (0..NR).find(|&j| selected(j)).unwrap_or(0);
+        let lanes: [usize; NR] =
+            core::array::from_fn(|j| lanes[if selected(j) { j } else { first }] as usize);
+        let mut runs = [(0, 0); MAX_RUNS];
+        let mut run_count = 0;
+        for j in 0..NR {
+            if j == 0 || lanes[j] != lanes[j - 1] + 1 {
+                if run_count == MAX_RUNS || take != u16::MAX {
+                    run_count = 0;
+                    break;
+                }
+                runs[run_count] = (j, lanes[j]);
+                run_count += 1;
+            }
+        }
+        Gather {
+            lanes,
+            keep: core::array::from_fn(|j| u32::from(selected(j)).wrapping_neg()),
+            high: (take != 0).then(|| lanes.iter().copied().max().unwrap_or(0)),
+            runs,
+            run_count,
+        }
+    }
+
+    #[inline(always)]
+    fn rows(&self, src: &[f32], offsets: &Offsets, dst: &mut [[f32; NR]]) {
+        let Offsets { at: offsets, max } = *offsets;
+        assert_eq!(dst.len(), offsets.len(), "one row per offset");
+        let (Some(high), Some(at_max)) = (self.high, max) else {
+            dst.fill([0.0; NR]);
+            return;
+        };
+        assert!(
+            high + at_max < src.len(),
+            "gather index {} past {} floats",
+            high + at_max,
+            src.len()
+        );
+        let runs = &self.runs[..self.run_count];
+        let mut copied = 0;
+        if !runs.is_empty() && runs.iter().all(|r| r.1 + at_max + NR <= src.len()) {
+            // A fixed NR-float copy per run, in lane order and row by row,
+            // so that the floats each copies past its run's end are
+            // overwritten by the next run or the next row. The last row
+            // would spill past `dst`, so it takes the loop below.
+            copied = dst.len() - 1;
+            let flat = dst.as_flattened_mut();
+            for (i, &at) in offsets[..copied].iter().enumerate() {
+                for &(j, lane) in runs {
+                    let to = i * NR + j;
+                    flat[to..to + NR].copy_from_slice(&src[at as usize + lane..][..NR]);
+                }
+            }
+        }
+        for (row, &at) in dst[copied..].iter_mut().zip(&offsets[copied..]) {
+            let at = at as usize;
+            for ((d, &lane), &keep) in row.iter_mut().zip(&self.lanes).zip(&self.keep) {
+                // SAFETY: at + lane <= at_max + high < src.len(), checked
+                // above. Checked loads, with the mask tested per float,
+                // made the lowerings up to a third slower on an
+                // x86-64-v3 build.
+                let v = unsafe { *src.get_unchecked(at + lane) };
+                *d = f32::from_bits(v.to_bits() & keep);
+            }
+        }
+    }
+}
+
+/// 2×2 max pooling of the `h × w` planes of `x` into `out` and `arg`:
+/// the scalar loop of [`crate::pool`] at `k = 2`.
+#[inline(always)]
+pub(crate) fn max_pool_2x2(x: &[f32], h: usize, w: usize, out: &mut [f32], arg: &mut [u32]) {
+    crate::pool::max_pool(x, h, w, 2, out, arg);
 }
 
 /// Reads the `NR`-wide panel row at depth `kk` as a fixed-size array so
