@@ -548,9 +548,18 @@ fn col2im_gather(dcol: &[f32], g: &ConvGeometry, plan: &GatherPlan, batch: usize
 }
 
 /// Float budget (128 KiB) of one forward chunk's packed im2col panels,
-/// `patch_len × chunk·pixels`: a chunk takes as many samples as fit, and
-/// at least one.
+/// `patch_len × chunk·pixels`, and its padded planes together: a chunk
+/// takes as many samples as fit, and at least one ([`fwd_chunk`]).
 const FWD_CHUNK_FLOATS: usize = 1 << 15;
+
+/// The samples of a forward chunk of a batch of `n`: as many as keep
+/// their packed panels and padded planes within `FWD_CHUNK_FLOATS`, and
+/// at least one. The planes count too: at a 1×1 stride-2 conv they are
+/// about four times the panels.
+fn fwd_chunk(g: &ConvGeometry, n: usize) -> usize {
+    let per_sample = g.patch_len() * g.out_pixels() + padded_planes_len(g);
+    (FWD_CHUNK_FLOATS / per_sample).clamp(1, n.max(1))
+}
 
 /// Float budget (128 KiB) of one chunk's `[patch_len, chunk·pixels]`
 /// patch gradients in the input-gradient pass: a chunk takes as many
@@ -584,7 +593,8 @@ pub fn conv2d_forward(
 ///
 /// Bit-identical to [`conv2d_forward`] for every reducer configuration
 /// and thread count. The batch runs in chunks of samples whose packed
-/// im2col panels fit `FWD_CHUNK_FLOATS`: one GEMM per chunk, weights
+/// im2col panels and padded planes fit `FWD_CHUNK_FLOATS`
+/// (`fwd_chunk`): one GEMM per chunk, weights
 /// `[out_c, patch_len]` times the chunk's `[patch_len, chunk·pixels]`
 /// patches. The chunks plan their dots one after another, and within a
 /// chunk output `(o, s·pixels + p)` takes the draws of reference output
@@ -620,7 +630,7 @@ pub fn conv2d_forward_ws(
     let bv = bias.as_slice();
     let ov = out.as_mut_slice();
     let sample = geom.in_c * geom.in_h * geom.in_w;
-    let chunk = (FWD_CHUNK_FLOATS / (pl * pixels)).clamp(1, n.max(1));
+    let chunk = fwd_chunk(geom, n);
     let mut packed = ws.take_scratch((chunk * pixels).div_ceil(NR) * pl * NR);
     let mut planes = ws.take_scratch(chunk * padded_planes_len(geom));
     let mut out_r = ws.take_scratch(oc * chunk * pixels);
@@ -1091,7 +1101,7 @@ mod tests {
             ConvGeometry::new(64, 3, 3, 1, 1, 2, 2),
             ConvGeometry::new(480, 2, 1, 2, 0, 2, 2),
         ] {
-            let chunk = FWD_CHUNK_FLOATS / (g.patch_len() * g.out_pixels());
+            let chunk = fwd_chunk(&g, usize::MAX);
             assert!(
                 chunk > 1 && !(chunk * g.out_pixels()).is_multiple_of(NR),
                 "{g:?}"
@@ -1167,7 +1177,7 @@ mod tests {
             (ConvGeometry::new(2, 3, 3, 1, 1, 18, 20), 7),
         ];
         let (g, n) = cases[4];
-        assert!(g.out_w() > NR && n > FWD_CHUNK_FLOATS / (g.patch_len() * g.out_pixels()));
+        assert!(g.out_w() > NR && n > fwd_chunk(&g, n));
         for (g, n) in &cases {
             let (mut x, mut w, b) = setup(g, *n);
             let mut dy = conv2d_forward(&x, &w, &b, g, &mut Reducer::sequential()).unwrap();
@@ -1640,7 +1650,7 @@ mod tests {
             let sample = g.in_c * g.in_h * g.in_w;
             let mut red = Reducer::new(order, lanes, 3).with_amplification(amp);
             // Forward, as `conv2d_forward_ws` chunks the batch.
-            let chunk = (FWD_CHUNK_FLOATS / (pl * pixels)).clamp(1, n);
+            let chunk = fwd_chunk(&g, n);
             let mut packed = vec![0f32; (chunk * pixels).div_ceil(NR) * pl * NR];
             let mut planes = vec![0f32; chunk * padded_planes_len(&g)];
             let mut out = vec![0f32; oc * chunk * pixels];

@@ -42,10 +42,8 @@
 //!   gradient's (one pixel's sixteen patch positions). Per row, one
 //!   masked `vgatherdps`, or, where the selected lanes fall within 32
 //!   consecutive floats, two loads and one `vpermt2ps`; a lane the mask
-//!   skips is +0.0. The portable form copies each run of consecutive
-//!   floats with one fixed `NR`-float copy when every lane is selected
-//!   and there are at most two runs, and otherwise loads float by float.
-//!   Both only copy: no value changes on the way.
+//!   skips is +0.0. The portable form loads float by float. Both only
+//!   copy: no value changes on the way.
 //! - **The 2×2 max-pool** computes sixteen outputs at a time from four
 //!   gathers in window order, taking each value under an ordered `>`
 //!   (false on NaN, as the scalar `>` is) with blends of the value and

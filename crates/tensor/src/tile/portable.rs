@@ -92,13 +92,7 @@ fn select_add(s: &mut [f32; NR], row: &[f32; NR], take: impl Fn(usize) -> bool) 
     }
 }
 
-/// The most runs of consecutive floats a row of [`Gather`] is copied
-/// from; lanes in more runs are gathered float by float.
-const MAX_RUNS: usize = 2;
-
-/// The portable [`RowGather`]: a float-by-float gather, or, where every
-/// lane is selected and the lanes read at most [`MAX_RUNS`] runs of
-/// consecutive floats, one fixed `NR`-float copy per run.
+/// The portable [`RowGather`]: a float-by-float gather.
 pub(crate) struct Gather {
     /// Each lane's index; a lane that `take` skips reads the first
     /// selected lane's float, and its bits are cleared.
@@ -107,9 +101,6 @@ pub(crate) struct Gather {
     keep: [u32; NR],
     /// The largest index, or `None` when no lane is selected.
     high: Option<usize>,
-    /// The runs, as (first lane, its index), when they are copied.
-    runs: [(usize, usize); MAX_RUNS],
-    run_count: usize,
 }
 
 impl RowGather for Gather {
@@ -119,24 +110,10 @@ impl RowGather for Gather {
         let first = (0..NR).find(|&j| selected(j)).unwrap_or(0);
         let lanes: [usize; NR] =
             core::array::from_fn(|j| lanes[if selected(j) { j } else { first }] as usize);
-        let mut runs = [(0, 0); MAX_RUNS];
-        let mut run_count = 0;
-        for j in 0..NR {
-            if j == 0 || lanes[j] != lanes[j - 1] + 1 {
-                if run_count == MAX_RUNS || take != u16::MAX {
-                    run_count = 0;
-                    break;
-                }
-                runs[run_count] = (j, lanes[j]);
-                run_count += 1;
-            }
-        }
         Gather {
             lanes,
             keep: core::array::from_fn(|j| u32::from(selected(j)).wrapping_neg()),
             high: (take != 0).then(|| lanes.iter().copied().max().unwrap_or(0)),
-            runs,
-            run_count,
         }
     }
 
@@ -154,23 +131,7 @@ impl RowGather for Gather {
             high + at_max,
             src.len()
         );
-        let runs = &self.runs[..self.run_count];
-        let mut copied = 0;
-        if !runs.is_empty() && runs.iter().all(|r| r.1 + at_max + NR <= src.len()) {
-            // A fixed NR-float copy per run, in lane order and row by row,
-            // so that the floats each copies past its run's end are
-            // overwritten by the next run or the next row. The last row
-            // would spill past `dst`, so it takes the loop below.
-            copied = dst.len() - 1;
-            let flat = dst.as_flattened_mut();
-            for (i, &at) in offsets[..copied].iter().enumerate() {
-                for &(j, lane) in runs {
-                    let to = i * NR + j;
-                    flat[to..to + NR].copy_from_slice(&src[at as usize + lane..][..NR]);
-                }
-            }
-        }
-        for (row, &at) in dst[copied..].iter_mut().zip(&offsets[copied..]) {
+        for (row, &at) in dst.iter_mut().zip(offsets) {
             let at = at as usize;
             for ((d, &lane), &keep) in row.iter_mut().zip(&self.lanes).zip(&self.keep) {
                 // SAFETY: at + lane <= at_max + high < src.len(), checked
@@ -223,7 +184,10 @@ pub(crate) fn derive_specs<const AMP: bool>(
             let c = rows[r].wrapping_add(cols[j]);
             t.j1[r][j] = below(SplitMix64::mix(c), lanes);
             t.j2[r][j] = below(SplitMix64::mix(c.wrapping_add(GAMMA)), lanes);
-            t.rot[r][j] = below(SplitMix64::mix(c.wrapping_add(GAMMA.wrapping_mul(2))), lanes);
+            t.rot[r][j] = below(
+                SplitMix64::mix(c.wrapping_add(GAMMA.wrapping_mul(2))),
+                lanes,
+            );
             if AMP {
                 t.scale[r][j] = amp_scale(SplitMix64::mix(c.wrapping_add(last)), amp_ulps);
             }

@@ -49,6 +49,9 @@ run cargo clippy --workspace --all-targets -- -D warnings
 # AVX-512 F and DQ; this lints them on any x86-64 host, without running them.
 run env RUSTFLAGS="-C target-cpu=x86-64-v4" cargo clippy -p nstensor --all-targets -- -D warnings
 run cargo fmt --check
+# cargo fmt does not reach modules declared inside a macro: the tile
+# kernels' two forms are declared in tile.rs's cfg_select!.
+run rustfmt --edition 2021 --check crates/tensor/src/tile/avx512.rs crates/tensor/src/tile/portable.rs
 # Docs build warning-free: an intra-doc link to a deleted or private item
 # is an error.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
