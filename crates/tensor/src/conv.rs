@@ -15,13 +15,17 @@
 //! [`Workspace`] scratch (packed panels, transposes, patch-gradient
 //! chunks) across calls; the plain variants allocate privately.
 //!
+//! All three passes, the forward, the weight gradient and the input
+//! gradient, run in cache-sized chunks of samples, so no conv buffer
+//! grows with the batch.
+//!
 //! im2col never materializes in row form: the forward pass and the
 //! weight gradient each write it straight into the packed panels their
 //! GEMM reads, and both read each sample from the same zero-padded,
 //! phase-split copy of it, so neither tests a tap against the border.
-//! The forward pass runs in cache-sized chunks of samples, one GEMM per
-//! chunk over the chunk's `chunk·pixels` output columns, for every
-//! reduction order. The reference draws a Permuted spec per output
+//! Each call zeroes those planes once; a chunk writes only their
+//! interior. The forward pass runs one GEMM per chunk over the chunk's
+//! `chunk·pixels` output columns, for every reduction order. The reference draws a Permuted spec per output
 //! in sample-major `(s, o, p)` order, so each chunk plans its outputs
 //! right after the previous chunk's, and reads its columns as sample
 //! blocks (`DotPlan::sample_blocks`) to find each output's place in
@@ -35,6 +39,17 @@
 //! corner in those planes, stored as one row (see `im2col_patch_panels`).
 //! Both gathers have a 512-bit form (`tile::Gather`).
 //!
+//! The weight gradient's chunks split its GEMM's k rows, the batch's
+//! pixels, which every output reduces over. Each chunk advances every
+//! lane partial of that GEMM, and of the bias sums, over the chunk's
+//! rows, resuming where the previous chunk left it
+//! (`gemm::gemm_packed_piece`, `reduce::fill_lanes`), and the partials
+//! are combined once, after the last chunk: each lane takes the same
+//! elements in the same order as over the whole batch at once. A batch
+//! short enough to walk as one block of the lane fill, or whose panels
+//! are no larger than the partials chunking carries, is one chunk
+//! (`dw_chunk`).
+//!
 //! Backward splits into [`conv2d_param_grads_ws`] (dW and db, the
 //! reducer's draws) and [`conv2d_input_grad_ws`] (dX, which draws
 //! nothing), so a caller that discards dX, as a network's first layer
@@ -47,9 +62,9 @@
 //! add per tap (see `GatherPlan`, `col2im_gather` and `tile::add_where`).
 
 use crate::error::ShapeError;
-use crate::gemm::gemm_packed_planned;
+use crate::gemm::{gemm_packed_piece, gemm_packed_planned, lane_carry_len, BLOCK_ABOVE};
 use crate::pack::{transpose_into, NR};
-use crate::reduce::{DotPlan, Reducer};
+use crate::reduce::{fill_lanes, DotPlan, Reducer};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::tile::{self, lanes_below, Offsets, RowGather};
@@ -215,7 +230,7 @@ fn pad_sample(xs: &[f32], g: &ConvGeometry, copies: &[(usize, usize, usize)], pl
         for &(from, to, count) in copies {
             let dst = &mut dst[to..to + count];
             if g.stride == 1 {
-                dst.copy_from_slice(&chan[from..from + count]);
+                copy_row(dst, &chan[from..from + count]);
             } else {
                 for (d, &v) in dst.iter_mut().zip(chan[from..].iter().step_by(g.stride)) {
                     *d = v;
@@ -223,6 +238,32 @@ fn pad_sample(xs: &[f32], g: &ConvGeometry, copies: &[(usize, usize, usize)], pl
             }
         }
     }
+}
+
+/// Copies one input row into its planes in fixed four-float pieces, the
+/// last of which overlaps the one before it when the row's length is not
+/// a multiple of four; a row of fewer floats is copied float by float. A
+/// `copy_from_slice` of the row's length compiles to a call to `memcpy`,
+/// which cost about a quarter of a batch-160 `c16→16 6×6` lowering.
+#[inline(always)]
+fn copy_row(dst: &mut [f32], src: &[f32]) {
+    let n = dst.len();
+    let src = &src[..n];
+    if n < 4 {
+        for j in 0..3 {
+            if j < n {
+                dst[j] = src[j];
+            }
+        }
+        return;
+    }
+    let (dst4, _) = dst.as_chunks_mut::<4>();
+    let (src4, _) = src.as_chunks::<4>();
+    for (d, s) in dst4.iter_mut().zip(src4) {
+        *d = *s;
+    }
+    let tail: &mut [f32; 4] = (&mut dst[n - 4..]).try_into().expect("4 floats");
+    *tail = src[n - 4..].try_into().expect("4 floats");
 }
 
 /// Lowers a batch of samples *directly into the GEMM engine's packed
@@ -240,7 +281,10 @@ fn pad_sample(xs: &[f32], g: &ConvGeometry, copies: &[(usize, usize, usize)], pl
 /// order, with no division, and each of its rows is then one gather at
 /// those offsets plus the row's tap offset (`G::rows`, `tile::Gather`
 /// outside tests), which writes +0.0 in the pad columns. `planes` is
-/// `batch` times [`padded_planes_len`] long.
+/// `batch` times [`padded_planes_len`] long and must arrive zeroed, or
+/// as an earlier lowering of the same geometry left it: only the planes'
+/// interior is written, so a caller zeroes them once per call and its
+/// chunks reuse them.
 ///
 /// Packing only copies values, so this cannot perturb any accumulation
 /// order.
@@ -267,7 +311,6 @@ fn im2col_pixel_panels<G: RowGather>(
         "plane offsets fit 32 bits"
     );
     let copies = pad_copies(g);
-    planes.fill(0.0);
     for (xs, dst) in x
         .chunks_exact(g.in_c * g.in_h * g.in_w)
         .zip(planes.chunks_exact_mut(sample_planes))
@@ -309,7 +352,9 @@ fn im2col_pixel_panels<G: RowGather>(
 /// pixel's `NR` panel values are one gather at one panel's fixed offsets
 /// plus the pixel's (`G::rows`, `tile::Gather` outside tests), with no
 /// border test: a tap on the padding reads a zero of the planes.
-/// `planes` is [`padded_planes_len`] long.
+/// `planes` is [`padded_planes_len`] long and must arrive zeroed, or as an
+/// earlier lowering of the same geometry left it (see
+/// [`im2col_pixel_panels`]).
 ///
 /// Packing only copies values, so this cannot perturb any accumulation
 /// order.
@@ -349,7 +394,6 @@ fn im2col_patch_panels<G: RowGather>(
         .collect();
     let corners = Offsets::new(&corners);
     let copies = pad_copies(g);
-    planes.fill(0.0);
     for (s, xs) in x.chunks_exact(g.in_c * g.in_h * g.in_w).enumerate() {
         pad_sample(xs, g, &copies, planes);
         for (panel, slab) in panels.iter().zip(packed.chunks_exact_mut(np * NR)) {
@@ -566,6 +610,55 @@ fn fwd_chunk(g: &ConvGeometry, n: usize) -> usize {
 /// samples as fit, and at least one.
 const DX_CHUNK_FLOATS: usize = 1 << 15;
 
+/// Output pixels, the weight-gradient GEMM's k rows, per chunk of a batch
+/// the weight gradient runs in chunks ([`dw_chunk`]): 8 samples of
+/// SmallCNN's 12×12 stem, 32 of its 6×6 layer, 128 of its 3×3 one, and
+/// nine lane-fill blocks at 16 lanes. The chunk's panels take 144 KiB at
+/// the stem's 27 patch positions and 648 KiB at the 144 of a
+/// `c16→16 3×3` conv, within a 2 MiB L2.
+const DW_CHUNK_ROWS: usize = 1152;
+
+/// The samples of a weight-gradient chunk of a batch of `n`, whose dW
+/// GEMM runs at `lanes` lanes. The whole batch is one chunk, walked as
+/// [`gemm_packed_planned`] walks it, when its reduction is at most one
+/// block of the lane fill ([`BLOCK_ABOVE`] rows) or when its packed
+/// panels take no more floats than the lane partials chunking would carry
+/// between chunks ([`lane_carry_len`]: 144 KiB at `c16→16 3×3` and 16
+/// lanes, but 2.25 MiB at `c32→32 3×3` and 64). Otherwise a chunk takes the
+/// samples of `DW_CHUNK_ROWS` rows, and at least one.
+fn dw_chunk(g: &ConvGeometry, n: usize, lanes: usize) -> usize {
+    let (pl, np) = (g.patch_len(), n * g.out_pixels());
+    let panels = pl.div_ceil(NR) * NR * np;
+    if np <= BLOCK_ABOVE || panels <= lane_carry_len(g.out_c, pl, lanes) {
+        n.max(1)
+    } else {
+        (DW_CHUNK_ROWS / g.out_pixels()).clamp(1, n)
+    }
+}
+
+/// Re-lays one chunk of `dy` (`[samples, out_c, pixels]`) as the
+/// `[out_c, samples·pixels]` A rows `rows` of the weight-gradient GEMM,
+/// and adds each channel's values into its `l` bias-gradient lane
+/// partials in `bias` ([`fill_lanes`]): the chunk's pixels are elements
+/// `first ..` of each channel's sum over the batch.
+fn relay_dy_chunk(
+    dys: &[f32],
+    oc: usize,
+    pixels: usize,
+    first: usize,
+    rows: &mut [f32],
+    bias: &mut [f32],
+) {
+    let (cnp, l) = (rows.len() / oc, bias.len() / oc);
+    for (s, block) in dys.chunks_exact(oc * pixels).enumerate() {
+        let channels = block.chunks_exact(pixels).zip(rows.chunks_exact_mut(cnp));
+        for ((src, row), lanes) in channels.zip(bias.chunks_exact_mut(l)) {
+            row[s * pixels..(s + 1) * pixels].copy_from_slice(src);
+            fill_lanes(src, first + s * pixels, lanes);
+        }
+    }
+}
+
 /// Forward 2-D convolution.
 ///
 /// `input` is `[N, in_c, in_h, in_w]`, `weights` is `[out_c, patch_len]`
@@ -632,7 +725,8 @@ pub fn conv2d_forward_ws(
     let sample = geom.in_c * geom.in_h * geom.in_w;
     let chunk = fwd_chunk(geom, n);
     let mut packed = ws.take_scratch((chunk * pixels).div_ceil(NR) * pl * NR);
-    let mut planes = ws.take_scratch(chunk * padded_planes_len(geom));
+    // Zeroed once: the chunks' lowerings write only the interior.
+    let mut planes = ws.take_zeroed(chunk * padded_planes_len(geom));
     let mut out_r = ws.take_scratch(oc * chunk * pixels);
     for (xs, ys) in xin
         .chunks(chunk * sample)
@@ -720,10 +814,18 @@ pub fn conv2d_backward_ws(
 /// `[out_c, patch_len]` and `[out_c]`.
 ///
 /// dW is one GEMM, `dy` re-laid to `[out_c, N·pixels]` times the batch's
-/// im2col, which is written straight into the engine's packed panels. Its
-/// `out_c × patch_len` planned dots over the all-batch inner dimension
-/// come first, then `out_c` bias-gradient sums: the reducer call order of
-/// the per-element reference path.
+/// im2col, whose `out_c × patch_len` planned dots over the all-batch
+/// inner dimension come first, then `out_c` bias-gradient sums: the
+/// reducer call order of the per-element reference path. The batch runs
+/// in chunks of samples (`dw_chunk`), so no buffer grows with it. Per
+/// chunk, the chunk's `dy` is re-laid as the GEMM's A rows and added into
+/// the bias sums' lane partials, its im2col is written straight into the
+/// engine's packed panels, and every lane partial of the GEMM advances
+/// over the chunk's rows (`gemm_packed_piece`), resuming where the
+/// previous chunk left it. After the last chunk the GEMM combines, and
+/// then each bias sum (`Reducer::sum_lanes`). Each lane, of the GEMM or
+/// a bias sum, takes the same elements in the same order as over the
+/// whole batch at once, so no bit depends on the chunking.
 ///
 /// # Errors
 ///
@@ -741,41 +843,48 @@ pub fn conv2d_param_grads_ws(
     check_dy(dy, n, geom)?;
     let (oc, pl, pixels) = (geom.out_c, geom.patch_len(), geom.out_pixels());
     let np = n * pixels;
-    let dyv = dy.as_slice();
-
-    // --- dW = dYr [oc, N·pixels] × col [N·pixels, pl] ---
-    let mut dy_r = ws.take_scratch(oc * np);
-    for s in 0..n {
-        for o in 0..oc {
-            let src = &dyv[(s * oc + o) * pixels..(s * oc + o + 1) * pixels];
-            dy_r[o * np + s * pixels..o * np + (s + 1) * pixels].copy_from_slice(src);
-        }
-    }
-    let mut col_packed = ws.take_scratch(pl.div_ceil(NR) * np * NR);
-    let mut planes = ws.take_scratch(padded_planes_len(geom));
-    let x = input.as_slice();
-    im2col_patch_panels::<tile::Gather>(x, geom, n, &mut planes, &mut col_packed);
-    ws.recycle(planes);
-    let mut dw = Tensor::zeros(Shape::of(&[oc, pl]));
+    let sample = geom.in_c * geom.in_h * geom.in_w;
+    let (x, dyv) = (input.as_slice(), dy.as_slice());
     let plan = red.plan_dots(oc * pl, np);
-    gemm_packed_planned(
-        &dy_r,
-        &col_packed,
-        oc,
-        pl,
-        np,
-        &plan,
-        threads,
-        dw.as_mut_slice(),
-    );
-    ws.recycle(col_packed);
-
-    // --- db[o] = Σ_{s,p} dy[s,o,p] (cross-batch reduction) ---
+    // The bias sums reduce over the same `np` elements, so they take the
+    // GEMM's lane count.
+    let l = plan.lanes;
+    let chunk = dw_chunk(geom, n, l);
+    let chunks = n.div_ceil(chunk).max(1);
+    let mut dy_r = ws.take_scratch(oc * chunk * pixels);
+    let mut packed = ws.take_scratch(pl.div_ceil(NR) * chunk * pixels * NR);
+    // Zeroed once: the chunks' lowerings write only the interior.
+    let mut planes = ws.take_zeroed(padded_planes_len(geom));
+    let mut carry = ws.take_scratch(if chunks > 1 {
+        lane_carry_len(oc, pl, l)
+    } else {
+        0
+    });
+    let mut bias = ws.take_zeroed(oc * l);
+    let mut dw = Tensor::zeros(Shape::of(&[oc, pl]));
+    for c in 0..chunks {
+        let (s0, samples) = (c * chunk, chunk.min(n - c * chunk));
+        let (first, cnp) = (s0 * pixels, samples * pixels);
+        let dy_r = &mut dy_r[..oc * cnp];
+        let dys = &dyv[s0 * oc * pixels..(s0 + samples) * oc * pixels];
+        relay_dy_chunk(dys, oc, pixels, first, dy_r, &mut bias);
+        let packed = &mut packed[..pl.div_ceil(NR) * cnp * NR];
+        let xs = &x[s0 * sample..(s0 + samples) * sample];
+        im2col_patch_panels::<tile::Gather>(xs, geom, samples, &mut planes, packed);
+        let out = (c + 1 == chunks).then_some(dw.as_mut_slice());
+        gemm_packed_piece(
+            dy_r, packed, oc, pl, cnp, first, &plan, threads, &mut carry, out,
+        );
+    }
     let mut db = Tensor::zeros(Shape::of(&[oc]));
-    for (o, d) in db.as_mut_slice().iter_mut().enumerate() {
-        *d = red.sum(&dy_r[o * np..(o + 1) * np]);
+    for (d, lanes) in db.as_mut_slice().iter_mut().zip(bias.chunks_exact_mut(l)) {
+        *d = red.sum_lanes(lanes);
     }
     ws.recycle(dy_r);
+    ws.recycle(packed);
+    ws.recycle(planes);
+    ws.recycle(carry);
+    ws.recycle(bias);
     Ok((dw, db))
 }
 
@@ -1040,15 +1149,7 @@ mod tests {
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let n = x.shape().dim(0);
         let (oc, pl, pixels) = (g.out_c, g.patch_len(), g.out_pixels());
-        let sample = g.in_c * g.in_h * g.in_w;
-        let mut col = vec![0f32; n * pixels * pl];
-        for s in 0..n {
-            im2col(
-                &x.as_slice()[s * sample..(s + 1) * sample],
-                g,
-                &mut col[s * pixels * pl..(s + 1) * pixels * pl],
-            );
-        }
+        let col = batch_im2col(x, g);
         let wv = w.as_slice();
         let mut y = Vec::new();
         for s in 0..n {
@@ -1059,23 +1160,61 @@ mod tests {
                 }
             }
         }
+        let (dw, db) = param_grads_reference(&col, dy, g, red);
+        (y, dw, db)
+    }
+
+    /// The batch's row-form im2col, `[N·pixels, patch_len]`.
+    fn batch_im2col(x: &Tensor, g: &ConvGeometry) -> Vec<f32> {
+        let (pl, pixels) = (g.patch_len(), g.out_pixels());
+        let sample = g.in_c * g.in_h * g.in_w;
+        let mut col = vec![0f32; x.shape().dim(0) * pixels * pl];
+        for (xs, rows) in x
+            .as_slice()
+            .chunks_exact(sample)
+            .zip(col.chunks_exact_mut(pixels * pl))
+        {
+            im2col(xs, g, rows);
+        }
+        col
+    }
+
+    /// The backward half of [`reducer_reference`], from the batch's
+    /// row-form im2col `col`: `out_c × patch_len` dots over the whole
+    /// batch's `(s, p)` axis in `(o, kk)` order, then `out_c` bias sums.
+    /// The sums run on `Reducer::sum_strided`, whose lane fill is its own
+    /// loop: the bits and draws of `Reducer::sum`, without sharing the
+    /// fill the engine's bias sums use.
+    fn param_grads_reference(
+        col: &[f32],
+        dy: &Tensor,
+        g: &ConvGeometry,
+        red: &mut Reducer,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let (oc, pl, pixels) = (g.out_c, g.patch_len(), g.out_pixels());
+        let np = col.len() / pl;
         let dyv = dy.as_slice();
         let dy_r: Vec<Vec<f32>> = (0..oc)
             .map(|o| {
-                (0..n)
+                (0..np / pixels)
                     .flat_map(|s| dyv[(s * oc + o) * pixels..(s * oc + o + 1) * pixels].to_vec())
                     .collect()
             })
             .collect();
+        let columns: Vec<Vec<f32>> = (0..pl)
+            .map(|kk| (0..np).map(|q| col[q * pl + kk]).collect())
+            .collect();
         let mut dw = Vec::new();
         for row in &dy_r {
-            for kk in 0..pl {
-                let column: Vec<f32> = (0..n * pixels).map(|q| col[q * pl + kk]).collect();
-                dw.push(red.dot(row, &column));
+            for column in &columns {
+                dw.push(red.dot(row, column));
             }
         }
-        let db = dy_r.iter().map(|row| red.sum(row)).collect();
-        (y, dw, db)
+        let db = dy_r
+            .iter()
+            .map(|row| red.sum_strided(row, 0, 1, np))
+            .collect();
+        (dw, db)
     }
 
     #[test]
@@ -1306,6 +1445,149 @@ mod tests {
         }
     }
 
+    /// Whether the build runs the 512-bit tile steps, whose FixedTree
+    /// fold pins the NaN payload that survives (as in `gemm`'s tests).
+    const PINNED_FOLD: bool = cfg!(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512dq"
+    ));
+
+    /// dW as the whole batch's one GEMM, before the weight gradient ran in
+    /// chunks: `dy` re-laid to `[out_c, N·pixels]` times the batch's
+    /// packed im2col.
+    fn full_batch_dw(x: &Tensor, dy: &Tensor, g: &ConvGeometry, red: &mut Reducer) -> Vec<f32> {
+        let n = x.shape().dim(0);
+        let (oc, pl, pixels) = (g.out_c, g.patch_len(), g.out_pixels());
+        let np = n * pixels;
+        let mut dy_r = vec![0f32; oc * np];
+        for (s, block) in dy.as_slice().chunks_exact(oc * pixels).enumerate() {
+            for (o, src) in block.chunks_exact(pixels).enumerate() {
+                dy_r[o * np + s * pixels..][..pixels].copy_from_slice(src);
+            }
+        }
+        let mut col = vec![0f32; pl.div_ceil(NR) * np * NR];
+        let mut planes = vec![0f32; padded_planes_len(g)];
+        im2col_patch_panels::<tile::Gather>(x.as_slice(), g, n, &mut planes, &mut col);
+        let plan = red.plan_dots(oc * pl, np);
+        let mut dw = vec![0f32; oc * pl];
+        gemm_packed_planned(&dy_r, &col, oc, pl, np, &plan, 1, &mut dw);
+        dw
+    }
+
+    #[test]
+    fn chunked_param_grads_bit_identical_to_one_gemm_and_reference() {
+        // dW against the per-element reference (values, and NaN by
+        // position) and bit for bit against the batch's one GEMM; db bit
+        // for bit against the reference, whose sums fill their lanes with
+        // a loop of their own; and the reducer's state after the call.
+        // SmallCNN's three layers as the benchmark trains them, a stride-2
+        // 3×3 and a 1×1 stride-2 conv, each at a batch of one chunk and at
+        // a batch of three `DW_CHUNK_ROWS` chunks and a last chunk of one
+        // sample. No chunk's row count is a multiple of 27 or 44 lanes, so
+        // chunk boundaries split those lanes mid-walk; at 2, 16 and 64
+        // lanes, the single-sample chunk of 9, 16 or 36 pixels does. The
+        // workspace is reused throughout, so a carry or bias lane that a
+        // call failed to reset shows as a mismatch.
+        let geoms = [
+            ConvGeometry::new(3, 16, 3, 1, 1, 12, 12),
+            ConvGeometry::new(16, 16, 3, 1, 1, 6, 6),
+            ConvGeometry::new(16, 16, 3, 1, 1, 3, 3),
+            ConvGeometry::new(8, 16, 3, 2, 1, 8, 8),
+            ConvGeometry::new(8, 16, 1, 2, 0, 8, 8),
+        ];
+        let lane_counts = [2, 16, 27, 44, 64];
+        let nan = f32::from_bits;
+        let mut ws = Workspace::new();
+        for g in &geoms {
+            let (oc, pixels) = (g.out_c, g.out_pixels());
+            let per_chunk = DW_CHUNK_ROWS / pixels;
+            let sample = g.in_c * g.in_h * g.in_w;
+            for n in [BLOCK_ABOVE / pixels, 3 * per_chunk + 1] {
+                for lanes in lane_counts {
+                    let chunk = dw_chunk(g, n, lanes);
+                    let want = if n * pixels > BLOCK_ABOVE {
+                        per_chunk
+                    } else {
+                        n
+                    };
+                    assert_eq!(chunk, want, "{g:?} n={n} lanes={lanes}");
+                }
+                let (mut x, _, _) = setup(g, n);
+                let dy_values = (0..(n * oc * pixels) as u64).map(|i| {
+                    (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as f32 / (1 << 24) as f32 - 0.5
+                });
+                let dy_shape = Shape::of(&[n, oc, g.out_h(), g.out_w()]);
+                let mut dy = Tensor::from_vec(dy_shape, dy_values.collect()).unwrap();
+                // NaN payloads of both signs in x (samples 1 and the last)
+                // and in dy (samples 0 and n - 2, channels 0 and 1), so no
+                // product multiplies two NaNs and no bias sum adds two
+                // payloads; infinities of both signs in x and one per
+                // channel in dy (channels 2 and 3); zeros of both signs.
+                let xv = x.as_mut_slice();
+                xv[sample + 5] = nan(0x7fc0_0041);
+                xv[(n - 1) * sample + 3] = nan(0xffc0_0042);
+                xv[2 * sample + 7] = f32::INFINITY;
+                xv[3 * sample + 1] = f32::NEG_INFINITY;
+                for (i, v) in xv.iter_mut().enumerate().skip(2).step_by(9) {
+                    *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                let dyv = dy.as_mut_slice();
+                dyv[3] = nan(0x7fc0_0043);
+                dyv[(n - 2) * oc * pixels + pixels + 1] = nan(0xffc0_0044);
+                dyv[(oc + 2) * pixels + 5] = f32::INFINITY;
+                dyv[(n / 2 * oc + 3) * pixels] = f32::NEG_INFINITY;
+                for v in dyv.iter_mut().skip(4).step_by(13) {
+                    *v = -0.0;
+                }
+                let col = batch_im2col(&x, g);
+                let arms = [
+                    (ReduceOrder::FixedTree, 0.0),
+                    (ReduceOrder::Permuted, 0.0),
+                    (ReduceOrder::Permuted, 512.0),
+                ];
+                for (order, amp) in arms {
+                    for lanes in lane_counts {
+                        let base = Reducer::new(order, lanes, 23).with_amplification(amp);
+                        let mut ref_red = base.clone();
+                        let (dw0, db0) = param_grads_reference(&col, &dy, g, &mut ref_red);
+                        let full = full_batch_dw(&x, &dy, g, &mut base.clone());
+                        let probe: Vec<f32> = (0..100).map(|i| i as f32 * 0.37 - 9.0).collect();
+                        let next0 = ref_red.clone().sum(&probe);
+                        for threads in [1, 2] {
+                            let what = format!(
+                                "{g:?} n={n} {order:?} amp={amp} lanes={lanes} t={threads}"
+                            );
+                            let mut red = base.clone();
+                            let (dw, db) =
+                                conv2d_param_grads_ws(&x, &dy, g, &mut red, threads, &mut ws)
+                                    .unwrap();
+                            // Where two NaN payloads meet, the reference's
+                            // adds keep the one LLVM's operand order picks,
+                            // which can change with any edit to the tests;
+                            // the engine's 512-bit chain, fold and masked
+                            // passes pin theirs, so the one-chunk engine
+                            // path pins the payloads. The portable fold
+                            // leaves its order to LLVM too.
+                            let what_dw = format!("{what} dw");
+                            same_bits_nan_by_position(&what_dw, dw.as_slice(), &dw0);
+                            if order == ReduceOrder::Permuted || PINNED_FOLD {
+                                assert_eq!(bits(dw.as_slice()), bits(&full), "{what_dw}");
+                            } else {
+                                same_bits_nan_by_position(&what_dw, dw.as_slice(), &full);
+                            }
+                            assert_eq!(bits(db.as_slice()), bits(&db0), "{what} db");
+                            assert_eq!(red.invocations(), ref_red.invocations(), "{what}");
+                            assert_eq!(red.snapshot(), ref_red.snapshot(), "{what} snapshot");
+                            let next = red.sum(&probe);
+                            assert_eq!(next.to_bits(), next0.to_bits(), "{what} next draw");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The input gradient as the engine first computed it, kept as the
     /// oracle for the fast path: `dy` re-laid to `[pixels, out_c]` per
     /// sample, every `dcol[p, kk]` a fixed-lane dot over the channels
@@ -1433,9 +1715,9 @@ mod tests {
 
     #[test]
     fn pixel_panels_are_row_form_im2col_in_panel_layout() {
-        // Dirty buffers: every value the panels hold must be written, the
-        // padding taps as +0.0 and the last panel's pad columns as +0.0.
-        // Output pixel counts 49, 4 (samples share panels), 400 (rows
+        // Dirty panels, on planes that arrive zeroed: every value the
+        // panels hold must be written, the padding taps as +0.0 and the
+        // last panel's pad columns as +0.0. Output pixel counts 49, 4 (samples share panels), 400 (rows
         // wider than NR) and 20 (stride 3), at batches that leave a
         // partial last panel.
         let cases = [
@@ -1458,7 +1740,7 @@ mod tests {
                 im2col(xs, &g, rows);
             }
             let mut packed = vec![f32::NAN; np.div_ceil(NR) * pl * NR];
-            let mut planes = vec![f32::NAN; n * padded_planes_len(&g)];
+            let mut planes = vec![0.0; n * padded_planes_len(&g)];
             im2col_pixel_panels::<tile::Gather>(x.as_slice(), &g, n, &mut planes, &mut packed);
             for (p, panel) in packed.chunks_exact(pl * NR).enumerate() {
                 for kk in 0..pl {
@@ -1478,8 +1760,9 @@ mod tests {
         // The pixel-panel test's geometries: pad 0 and k < stride (a 1×1
         // stride-2 conv), rows wider than NR, stride 3, samples of 4
         // pixels; and patch lengths 18, 27 and 25 leave the last panel
-        // with pad columns. Dirty buffers: every value the panels hold
-        // must be written, the padding taps and pad columns as +0.0.
+        // with pad columns. Dirty panels, on planes that arrive zeroed:
+        // every value the panels hold must be written, the padding taps and
+        // pad columns as +0.0.
         let cases = [
             (ConvGeometry::new(2, 1, 3, 1, 1, 7, 7), 3),
             (ConvGeometry::new(3, 1, 3, 1, 1, 2, 2), 7),
@@ -1501,7 +1784,7 @@ mod tests {
                 im2col(xs, &g, rows);
             }
             let mut packed = vec![f32::NAN; pl.div_ceil(NR) * np * NR];
-            let mut planes = vec![f32::NAN; padded_planes_len(&g)];
+            let mut planes = vec![0.0; padded_planes_len(&g)];
             im2col_patch_panels::<tile::Gather>(x.as_slice(), &g, n, &mut planes, &mut packed);
             for (p, slab) in packed.chunks_exact(np * NR).enumerate() {
                 for q in 0..np {
@@ -1543,7 +1826,8 @@ mod tests {
     #[test]
     fn pixel_panels_match_the_portable_gather_bit_for_bit() {
         // The shipped gather (512 bits on an AVX-512 build) against the
-        // portable one, into NaN-filled panels and planes: a chunk of 36-
+        // portable one, into NaN-filled panels, the second lowering on the
+        // planes the first left: a chunk of 36-
         // pixel samples, so that sample boundaries split panels; stride-2
         // phase planes; a 1×1 stride-2 conv; 2×2 and 3×3 outputs; and,
         // in all but the 12×12 stem, pad columns in the last panel.
@@ -1560,9 +1844,8 @@ mod tests {
             let np = n * g.out_pixels();
             let mut shipped = vec![f32::NAN; np.div_ceil(NR) * g.patch_len() * NR];
             let mut portable = shipped.clone();
-            let mut planes = vec![f32::NAN; n * padded_planes_len(&g)];
+            let mut planes = vec![0.0; n * padded_planes_len(&g)];
             im2col_pixel_panels::<tile::Gather>(x.as_slice(), &g, n, &mut planes, &mut shipped);
-            planes.fill(f32::NAN);
             let xv = x.as_slice();
             im2col_pixel_panels::<tile::portable::Gather>(xv, &g, n, &mut planes, &mut portable);
             assert_eq!(bits(&shipped), bits(&portable), "{g:?}");
@@ -1573,7 +1856,7 @@ mod tests {
     fn patch_panels_match_the_portable_gather_bit_for_bit() {
         // Patch lengths 27, 72 and 144 (one, five and nine panels, the
         // first two with pad columns), at strides 1 and 2, into NaN-filled
-        // panels and planes.
+        // panels, the second lowering on the planes the first left.
         let cases = [
             (ConvGeometry::new(3, 1, 3, 1, 1, 12, 12), 3),
             (ConvGeometry::new(8, 1, 3, 2, 1, 8, 8), 3),
@@ -1585,12 +1868,59 @@ mod tests {
             let np = n * g.out_pixels();
             let mut shipped = vec![f32::NAN; g.patch_len().div_ceil(NR) * np * NR];
             let mut portable = shipped.clone();
-            let mut planes = vec![f32::NAN; padded_planes_len(&g)];
+            let mut planes = vec![0.0; padded_planes_len(&g)];
             im2col_patch_panels::<tile::Gather>(x.as_slice(), &g, n, &mut planes, &mut shipped);
-            planes.fill(f32::NAN);
             let xv = x.as_slice();
             im2col_patch_panels::<tile::portable::Gather>(xv, &g, n, &mut planes, &mut portable);
             assert_eq!(bits(&shipped), bits(&portable), "{g:?}");
+        }
+    }
+
+    #[test]
+    fn lowerings_reuse_zeroed_planes_across_chunks_bit_for_bit() {
+        // A batch lowered chunk by chunk, as `conv2d_forward_ws` and
+        // `conv2d_param_grads_ws` lower it, into one planes buffer zeroed
+        // once, against fresh zeroed planes per chunk: a chunk writes only
+        // the planes' interior, so nothing an earlier chunk left there,
+        // NaN payloads included, reaches a later chunk's panels. Strides 1
+        // and 2, a 1×1 stride-2 conv (whose odd columns no tap reads, so
+        // no copy writes them), and a last chunk smaller than the rest.
+        let cases = [
+            (ConvGeometry::new(3, 1, 3, 1, 1, 12, 12), 3, 7),
+            (ConvGeometry::new(8, 1, 3, 2, 1, 9, 9), 2, 5),
+            (ConvGeometry::new(8, 1, 1, 2, 0, 9, 9), 3, 7),
+            (ConvGeometry::new(16, 1, 3, 1, 1, 6, 6), 4, 9),
+        ];
+        for (g, chunk, n) in cases {
+            let x = special_input(&g, n);
+            let (pl, pixels) = (g.patch_len(), g.out_pixels());
+            let (sample, plen) = (g.in_c * g.in_h * g.in_w, padded_planes_len(&g));
+            let mut pixel_planes = vec![0.0; chunk * plen];
+            let mut patch_planes = vec![0.0; plen];
+            for (c, xs) in x.as_slice().chunks(chunk * sample).enumerate() {
+                let what = format!("{g:?} chunk {c}");
+                let samples = xs.len() / sample;
+                let cnp = samples * pixels;
+                let planes = &mut pixel_planes[..samples * plen];
+                let mut reused = vec![f32::NAN; cnp.div_ceil(NR) * pl * NR];
+                let mut fresh = reused.clone();
+                im2col_pixel_panels::<tile::Gather>(xs, &g, samples, planes, &mut reused);
+                let mut planes = vec![0.0; samples * plen];
+                im2col_pixel_panels::<tile::Gather>(xs, &g, samples, &mut planes, &mut fresh);
+                assert_eq!(bits(&reused), bits(&fresh), "{what} pixel panels");
+                let mut reused = vec![f32::NAN; pl.div_ceil(NR) * cnp * NR];
+                let mut fresh = reused.clone();
+                im2col_patch_panels::<tile::Gather>(
+                    xs,
+                    &g,
+                    samples,
+                    &mut patch_planes,
+                    &mut reused,
+                );
+                let mut planes = vec![0.0; plen];
+                im2col_patch_panels::<tile::Gather>(xs, &g, samples, &mut planes, &mut fresh);
+                assert_eq!(bits(&reused), bits(&fresh), "{what} patch panels");
+            }
         }
     }
 
@@ -1603,8 +1933,19 @@ mod tests {
                 t.elapsed().as_secs_f64() * 1e6
             })
             .collect();
+        median(&mut us)
+    }
+
+    fn median(us: &mut [f64]) -> f64 {
         us.sort_by(f64::total_cmp);
-        us[calls / 2]
+        us[us.len() / 2]
+    }
+
+    /// Runs `f`, adding its microseconds to `total`.
+    fn timed(total: &mut f64, f: impl FnOnce()) {
+        let t = std::time::Instant::now();
+        f();
+        *total += t.elapsed().as_secs_f64() * 1e6;
     }
 
     #[test]
@@ -1614,11 +1955,21 @@ mod tests {
         // SmallCNN's 3×3 pad-1 layers in det_control's full-batch TPUv2
         // arm (batch 160, FixedTree, 16 lanes) and in impl_noise's V100
         // arms (batch 16, Permuted, 64 lanes, amplified), then
-        // MicroResNet18's layers in those V100 arms. Per shape, the median
-        // of `CALLS` calls, one thread, each plan drawn outside the timed
-        // call: the forward lowering over the batch's chunks and its
-        // GEMMs, the weight-gradient lowering and its GEMM, and the 2×2
-        // max-pool of the conv's output where SmallCNN pools it.
+        // MicroResNet18's layers in those V100 arms. One thread, each
+        // plan drawn outside the timed calls. Per shape: the forward
+        // lowering over the batch's chunks and its GEMMs (the median of
+        // `CALLS` calls per chunk, summed); the weight gradient's chunk
+        // steps as `conv2d_param_grads_ws` runs them, dy re-lay with the
+        // bias lanes, lowering and lane fill (each step summed over a
+        // call's chunks, median of `CALLS` calls); the input gradient's
+        // steps as `conv2d_input_grad_ws` runs them, `pack_dy_panels`,
+        // its GEMM and `col2im_gather` (likewise); and the 2×2 max-pool
+        // of the conv's output where SmallCNN pools it.
+        //
+        // A hot loop over one shape under-reads what a step costs in
+        // training, where the other layers evict its buffers: it read the
+        // full-batch stem's dW GEMM at 571 µs, against 894 µs measured in
+        // training. Claims are decided by end-to-end pairs.
         //
         // cargo test --release -p nstensor split_timings -- --ignored --nocapture
         const CALLS: usize = 101;
@@ -1643,7 +1994,10 @@ mod tests {
                     .map(|(in_c, hw, pooled)| (arm, small_cnn(in_c, hw), pooled))
             })
             .chain(resnet);
-        println!("shape | fwd lowering | fwd GEMM | dW lowering | dW GEMM | max-pool (µs)");
+        println!(
+            "shape | fwd lowering | fwd GEMM | dW re-lay | dW lowering | dW GEMM | \
+             dX pack | dX GEMM | col2im | max-pool (µs)"
+        );
         for ((arm, n, order, lanes, amp), g, pooled) in cases {
             let (x, w, _) = setup(&g, n);
             let (pl, pixels, oc) = (g.patch_len(), g.out_pixels(), g.out_c);
@@ -1670,20 +2024,86 @@ mod tests {
                     gemm_packed_planned(wv, packed, oc, cnp, pl, &plan, 1, out);
                 });
             }
-            // Weight gradient, over the whole batch.
+            // Weight gradient, as `conv2d_param_grads_ws` chunks the batch.
             let np = n * pixels;
             let dy: Vec<f32> = (0..oc * np).map(|i| (i % 13) as f32 - 6.0).collect();
-            let mut col = vec![0f32; pl.div_ceil(NR) * np * NR];
-            let mut planes = vec![0f32; padded_planes_len(&g)];
-            let xv = x.as_slice();
-            let dw_lower = median_us(CALLS, || {
-                im2col_patch_panels::<tile::Gather>(xv, &g, n, &mut planes, &mut col);
-            });
             let plan = red.plan_dots(oc * pl, np);
+            let l = plan.lanes;
+            let chunk = dw_chunk(&g, n, l);
+            let chunks = n.div_ceil(chunk);
+            let mut dy_r = vec![0f32; oc * chunk * pixels];
+            let mut col = vec![0f32; pl.div_ceil(NR) * chunk * pixels * NR];
+            let mut planes = vec![0f32; padded_planes_len(&g)];
+            let mut carry = vec![
+                0f32;
+                if chunks > 1 {
+                    lane_carry_len(oc, pl, l)
+                } else {
+                    0
+                }
+            ];
+            let mut bias = vec![0f32; oc * l];
             let mut dw = vec![0f32; oc * pl];
-            let dw_gemm = median_us(CALLS, || {
-                gemm_packed_planned(&dy, &col, oc, pl, np, &plan, 1, &mut dw);
-            });
+            let mut steps = [(); 3].map(|()| Vec::with_capacity(CALLS));
+            for _ in 0..CALLS {
+                let mut call = [0.0; 3];
+                for c in 0..chunks {
+                    let (s0, samples) = (c * chunk, chunk.min(n - c * chunk));
+                    let (first, cnp) = (s0 * pixels, samples * pixels);
+                    let dy_r = &mut dy_r[..oc * cnp];
+                    let dys = &dy[s0 * oc * pixels..(s0 + samples) * oc * pixels];
+                    timed(&mut call[0], || {
+                        relay_dy_chunk(dys, oc, pixels, first, dy_r, &mut bias);
+                    });
+                    let col = &mut col[..pl.div_ceil(NR) * cnp * NR];
+                    let xs = &x.as_slice()[s0 * sample..(s0 + samples) * sample];
+                    timed(&mut call[1], || {
+                        im2col_patch_panels::<tile::Gather>(xs, &g, samples, &mut planes, col);
+                    });
+                    let out = (c + 1 == chunks).then_some(&mut dw[..]);
+                    timed(&mut call[2], || {
+                        gemm_packed_piece(dy_r, col, oc, pl, cnp, first, &plan, 1, &mut carry, out);
+                    });
+                }
+                for (step, us) in steps.iter_mut().zip(call) {
+                    step.push(us);
+                }
+            }
+            let [dw_relay, dw_lower, dw_gemm] = steps.map(|mut us| median(&mut us));
+            // Input gradient, as `conv2d_input_grad_ws` chunks the batch.
+            let mut wt = vec![0f32; pl * oc];
+            transpose_into(w.as_slice(), oc, pl, &mut wt);
+            let plan = DotPlan::fixed_lanes(lanes.min(oc));
+            let chunk = (DX_CHUNK_FLOATS / (pl * pixels)).clamp(1, n);
+            let gather = GatherPlan::new(&g);
+            let slack = gather.slack;
+            let mut dcol = vec![0f32; pl * chunk * pixels + 2 * slack];
+            let mut dy_packed = vec![0f32; (chunk * pixels).div_ceil(NR) * oc * NR];
+            let mut dx = vec![0f32; n * sample];
+            let mut steps = [(); 3].map(|()| Vec::with_capacity(CALLS));
+            for _ in 0..CALLS {
+                let mut call = [0.0; 3];
+                let chunks = dy
+                    .chunks(chunk * oc * pixels)
+                    .zip(dx.chunks_mut(chunk * sample));
+                for (dys, dxs) in chunks {
+                    let cnp = dys.len() / oc;
+                    let packed = &mut dy_packed[..cnp.div_ceil(NR) * oc * NR];
+                    timed(&mut call[0], || pack_dy_panels(dys, oc, pixels, packed));
+                    let dcol = &mut dcol[..pl * cnp + 2 * slack];
+                    let rows = &mut dcol[slack..slack + pl * cnp];
+                    timed(&mut call[1], || {
+                        gemm_packed_planned(&wt, packed, pl, cnp, oc, &plan, 1, rows);
+                    });
+                    timed(&mut call[2], || {
+                        col2im_gather(dcol, &g, &gather, cnp / pixels, dxs)
+                    });
+                }
+                for (step, us) in steps.iter_mut().zip(call) {
+                    step.push(us);
+                }
+            }
+            let [dx_pack, dx_gemm, col2im] = steps.map(|mut us| median(&mut us));
             let pool = if pooled {
                 let (oh, ow) = (g.out_h(), g.out_w());
                 let y = Tensor::from_vec(Shape::of(&[n, oc, oh, ow]), dy.clone()).unwrap();
@@ -1697,7 +2117,8 @@ mod tests {
             let (c, o, k, st, hw) = (g.in_c, g.out_c, g.k, g.stride, g.in_h);
             println!(
                 "{arm} n{n} c{c}->{o} k{k} s{st} {hw}x{hw} | {fwd_lower:.1} | {fwd_gemm:.1} | \
-                 {dw_lower:.1} | {dw_gemm:.1} | {pool}"
+                 {dw_relay:.1} | {dw_lower:.1} | {dw_gemm:.1} | {dx_pack:.1} | {dx_gemm:.1} | \
+                 {col2im:.1} | {pool}"
             );
         }
     }

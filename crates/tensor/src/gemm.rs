@@ -102,6 +102,18 @@
 //! straight to the combine, so the kernels' tile loop, and a short
 //! reduction's whole walk, keep the shape they had without blocking.
 //!
+//! The same walk (`lane_fill`) takes a reduction whose k rows arrive in
+//! pieces, as the conv weight gradient's do, one chunk of samples at a
+//! time (`gemm_packed_piece`): the piece's rows `first ..` belong to
+//! lanes `first % l, …`, every lane of every tile and panel resumes from
+//! the partial the previous piece left, and the walk runs in blocks of
+//! `BLOCK_STEPS · l` rows from the piece's first row, every tile and lane
+//! inside each block, as above. A block of a piece may start off lane
+//! 0's phase; each lane still takes its own rows of the block, in
+//! increasing order. After the last piece the kernels combine the
+//! carried partials without walking again. A GEMM that arrives in one
+//! piece runs exactly as `gemm_packed_planned` runs it.
+//!
 //! Both constants come from a timing sweep of the weight-gradient GEMM
 //! shapes (8 or 16 rows; 27 or 144 columns; k from 2,048 to 23,040;
 //! FixedTree and Permuted at 16, 32, 38, 44 and 64 lanes; one thread on
@@ -323,25 +335,143 @@ pub(crate) fn gemm_packed_planned(
     if m == 0 || n == 0 {
         return;
     }
-
-    let threads_eff = threads.max(1).min(m);
-    if threads_eff == 1 {
-        run_band(a, packed, plan, m, n, k, 0, out);
-    } else {
-        let band_rows = m.div_ceil(threads_eff);
-        std::thread::scope(|scope| {
-            for (band_idx, band) in out.chunks_mut(band_rows * n).enumerate() {
-                let row0 = band_idx * band_rows;
-                scope.spawn(move || {
-                    run_band(a, packed, plan, m, n, k, row0, band);
-                });
-            }
-        });
-    }
+    for_each_band(m, n, threads, out, &mut [], 0, |row0, rows, band, _| {
+        run_band(a, packed, plan, m, n, k, row0, rows, band, None);
+    });
 }
 
-/// Computes one contiguous row band `[row0 .. row0 + band.len() / n)` of
-/// the `m × n` output.
+/// The floats of the lane partials [`gemm_packed_piece`] carries for an
+/// `m × n` GEMM at `lanes` lanes: one `MR × NR` tile per lane, row tile
+/// and panel.
+pub(crate) fn lane_carry_len(m: usize, n: usize, lanes: usize) -> usize {
+    m.div_ceil(MR) * n.div_ceil(NR) * lanes * MR * NR
+}
+
+/// One piece of a GEMM whose k rows arrive in consecutive pieces, as a
+/// conv weight gradient's do, one chunk of samples at a time: `a` holds
+/// the piece's `[m, k]` A columns and `packed` the panels of its `k` B
+/// rows, which are rows `first .. first + k` of the whole reduction.
+///
+/// Every lane partial of every tile resumes in `carry` where the previous
+/// piece left it ([`lane_fill`]; the first piece, `first == 0`, starts
+/// from 0.0), so each lane runs the multiplies and adds of one unsplit
+/// walk, in the same increasing-k order. The last piece, the one given
+/// `out`, then combines the carried partials exactly as
+/// [`gemm_packed_planned`] combines its own, and a GEMM that arrives in
+/// one piece is [`gemm_packed_planned`]. `plan` is drawn for the whole
+/// reduction, `carry` is [`lane_carry_len`] long, and every piece runs on
+/// the same `threads`, which fixes where each band's partials sit.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_packed_piece(
+    a: &[f32],
+    packed: &[f32],
+    m: usize,
+    n: usize,
+    k: usize,
+    first: usize,
+    plan: &DotPlan,
+    threads: usize,
+    carry: &mut [f32],
+    out: Option<&mut [f32]>,
+) {
+    if first == 0 {
+        if let Some(out) = out {
+            return gemm_packed_planned(a, packed, m, n, k, plan, threads, out);
+        }
+        carry.fill(0.0);
+    }
+    assert_eq!(a.len(), m * k, "gemm A size");
+    assert_eq!(packed.len(), n.div_ceil(NR) * k * NR, "gemm packed size");
+    assert_eq!(
+        carry.len(),
+        lane_carry_len(m, n, plan.lanes),
+        "gemm carry size"
+    );
+    plan.check_outputs(m, n);
+    if m == 0 || n == 0 {
+        return;
+    }
+    let (l, panels) = (plan.lanes, n.div_ceil(NR));
+    let (carry, _) = carry.as_chunks_mut::<NR>();
+    let (carry, _) = carry.as_chunks_mut::<MR>();
+    let last = out.is_some();
+    let (out, cols) = match out {
+        Some(out) => {
+            assert_eq!(out.len(), m * n, "gemm out size");
+            (out, n)
+        }
+        None => (&mut [][..], 0),
+    };
+    for_each_band(
+        m,
+        cols,
+        threads,
+        out,
+        carry,
+        panels * l,
+        |row0, rows, band, parts| {
+            for (p, parts) in parts.chunks_exact_mut(rows.div_ceil(MR) * l).enumerate() {
+                let panel = &packed[p * k * NR..(p + 1) * k * NR];
+                lane_fill(a, panel, l, k, first, 0..k, row0, rows, parts);
+            }
+            if last {
+                run_band(&[], &[], plan, m, n, 0, row0, rows, band, Some(parts));
+            }
+        },
+    );
+}
+
+/// Splits the `m` output rows into contiguous bands of a whole number of
+/// `MR`-row tiles, one per thread up to `threads`, and calls
+/// `f(row0, rows, band, parts)` for each: `band` is the band's
+/// `cols`-wide rows of `out`, and `parts` the band's `per_tile` entries
+/// per row tile of `carry` (either may be empty). The first band runs on
+/// the calling thread, each other one on a thread of its own. Each band
+/// writes only its own rows and partials, so no result depends on the
+/// split.
+fn for_each_band<F>(
+    m: usize,
+    cols: usize,
+    threads: usize,
+    out: &mut [f32],
+    carry: &mut [Tile],
+    per_tile: usize,
+    f: F,
+) where
+    F: Fn(usize, usize, &mut [f32], &mut [Tile]) + Sync,
+{
+    let band_rows = m
+        .div_ceil(threads.max(1).min(m))
+        .next_multiple_of(MR)
+        .min(m);
+    let tiles = band_rows.div_ceil(MR) * per_tile;
+    let (band, mut out) = out.split_at_mut(band_rows * cols);
+    let (parts, mut carry) = carry.split_at_mut(tiles);
+    if band_rows == m {
+        return f(0, m, band, parts);
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        for row0 in (band_rows..m).step_by(band_rows) {
+            let rows = band_rows.min(m - row0);
+            let (band, rest) = std::mem::take(&mut out).split_at_mut(rows * cols);
+            out = rest;
+            let tiles = rows.div_ceil(MR) * per_tile;
+            let (parts, rest) = std::mem::take(&mut carry).split_at_mut(tiles);
+            carry = rest;
+            scope.spawn(move || f(row0, rows, band, parts));
+        }
+        f(0, band_rows, band, parts);
+    });
+}
+
+/// One `MR × NR` tile of accumulators or lane partials.
+type Tile = [[f32; NR]; MR];
+
+/// Computes the `rows` rows of the `m × n` output from `row0` on, the
+/// row band `band`. With `carried`, every lane partial of the band has
+/// already walked all of k ([`gemm_packed_piece`]; `a` and `packed` are
+/// then empty and `k` is 0), and only the combine runs.
 #[allow(clippy::too_many_arguments)]
 fn run_band(
     a: &[f32],
@@ -351,9 +481,10 @@ fn run_band(
     n: usize,
     k: usize,
     row0: usize,
+    rows: usize,
     band: &mut [f32],
+    carried: Option<&[Tile]>,
 ) {
-    let rows = band.len() / n;
     match plan.order {
         // A single lane *is* one left-to-right chain: the lane fill puts
         // every element in lane 0 in increasing-k order and the combine
@@ -362,14 +493,20 @@ fn run_band(
         // too (module docs, "Lanes ≥ k"). A Permuted plan has one lane
         // only when k = 1 (every Permuted device has at least 8); it takes
         // the general path, whose swap and rotation draws are then all 0.
-        ReduceOrder::FixedTree if plan.lanes == 1 || plan.lanes >= k => {
+        // Carried partials have been filled lane by lane already, so they
+        // take the lane kernels, which combine them as the reference does.
+        ReduceOrder::FixedTree if carried.is_none() && (plan.lanes == 1 || plan.lanes >= k) => {
             band_sequential(a, packed, n, k, row0, rows, band)
         }
-        ReduceOrder::FixedTree => band_fixed_tree(a, packed, plan.lanes, n, k, row0, rows, band),
-        ReduceOrder::Permuted if plan.amplified => {
-            band_permuted::<true>(a, packed, plan, m, n, k, row0, band)
+        ReduceOrder::FixedTree => {
+            band_fixed_tree(a, packed, plan.lanes, n, k, row0, rows, band, carried)
         }
-        ReduceOrder::Permuted => band_permuted::<false>(a, packed, plan, m, n, k, row0, band),
+        ReduceOrder::Permuted if plan.amplified => {
+            band_permuted::<true>(a, packed, plan, m, n, k, row0, rows, band, carried)
+        }
+        ReduceOrder::Permuted => {
+            band_permuted::<false>(a, packed, plan, m, n, k, row0, rows, band, carried)
+        }
     }
 }
 
@@ -391,8 +528,6 @@ fn band_sequential(
     let panels = n.div_ceil(NR);
     for p in 0..panels {
         let panel = &packed[p * k * NR..(p + 1) * k * NR];
-        let col0 = p * NR;
-        let cols = NR.min(n - col0);
         let mut i = 0;
         while i < rows {
             let rm = MR.min(rows - i);
@@ -401,12 +536,36 @@ fn band_sequential(
             // loops have fixed trip counts.
             let arows = tile_rows(a, k, row0 + i, rm);
             let acc = tile::chain(&arows, panel, 0, 1, k);
-            for r in 0..rm {
-                let orow = &mut band[(i + r) * n + col0..(i + r) * n + col0 + cols];
-                orow.copy_from_slice(&acc[r][..cols]);
-            }
+            store_tile(&acc, rm, band, n, i, p * NR);
             i += rm;
         }
+    }
+}
+
+/// Stores the `rm` real rows of a tile at row `i` of the band, from
+/// column `col0` on. A full panel's row is one fixed 16-float copy; only
+/// the last panel, when `n` is not a multiple of `NR`, copies fewer
+/// ([`store_partial`]). A `copy_from_slice` of `cols` floats compiles to
+/// a call to `memcpy` per row.
+#[inline(always)]
+fn store_tile(tile: &Tile, rm: usize, band: &mut [f32], n: usize, i: usize, col0: usize) {
+    if n - col0 < NR {
+        return store_partial(tile, rm, band, n, i, col0);
+    }
+    for (r, src) in tile.iter().enumerate().take(rm) {
+        let at = (i + r) * n + col0;
+        let dst: &mut [f32; NR] = (&mut band[at..at + NR]).try_into().expect("NR floats");
+        *dst = *src;
+    }
+}
+
+/// [`store_tile`] for the last panel's `n - col0 < NR` columns. Kept out
+/// of line: inlined, LLVM merged the two copies into one `memcpy` call of
+/// either length.
+#[inline(never)]
+fn store_partial(tile: &Tile, rm: usize, band: &mut [f32], n: usize, i: usize, col0: usize) {
+    for (r, src) in tile.iter().enumerate().take(rm) {
+        band[(i + r) * n + col0..(i + r + 1) * n].copy_from_slice(&src[..n - col0]);
     }
 }
 
@@ -427,16 +586,57 @@ fn tile_rows(a: &[f32], k: usize, first: usize, rm: usize) -> [&[f32]; MR] {
 pub(crate) const BLOCK_ABOVE: usize = 3072;
 
 /// Chain steps each lane runs per block of a long lane fill: a block is
-/// `BLOCK_STEPS · l` panel rows, so every lane starts each block at its
-/// own offset `dl` and runs the same number of steps between loading and
-/// storing its partial, whatever the lane count.
+/// `BLOCK_STEPS · l` panel rows, so every lane runs the same number of
+/// steps between loading and storing its partial, whatever the lane
+/// count.
 pub(crate) const BLOCK_STEPS: usize = 8;
 
+/// Advances the lane partials `parts` of every tile of one panel, over
+/// the band's `rows` rows, through the panel rows `range` of a piece of
+/// `k` rows whose row 0 is row `first` of the whole reduction: piece row
+/// `kk` belongs to lane `(first + kk) % l`, the lane the reference's
+/// `p[e % l]` fill puts it in. Tile `t`'s lane `dl` sits at
+/// `parts[t * l + dl]`. The walk runs in blocks of `BLOCK_STEPS · l`
+/// rows from `range.start`, with every tile and lane inside each block,
+/// so the block's panel rows stay in L1 while all of them read it; each
+/// lane takes its rows of the block in increasing order
+/// (`tile::chain_from`), resuming from its partial.
+#[allow(clippy::too_many_arguments)]
+fn lane_fill(
+    a: &[f32],
+    panel: &[f32],
+    l: usize,
+    k: usize,
+    first: usize,
+    range: core::ops::Range<usize>,
+    row0: usize,
+    rows: usize,
+    parts: &mut [Tile],
+) {
+    let block = BLOCK_STEPS * l;
+    for k0 in range.clone().step_by(block) {
+        let end = (k0 + block).min(range.end);
+        // Lane 0's first row in the block; lane `dl`'s is `dl` rows on,
+        // wrapped into the block's first `l` rows.
+        let lane0 = k0 + (l - (first + k0) % l) % l;
+        for (t, lanes) in parts.chunks_exact_mut(l).enumerate() {
+            let i = t * MR;
+            let arows = tile_rows(a, k, row0 + i, MR.min(rows - i));
+            let mut start = lane0;
+            for lane in lanes {
+                *lane = tile::chain_from(*lane, &arows, panel, start, l, end);
+                start += 1;
+                if start == k0 + l {
+                    start = k0;
+                }
+            }
+        }
+    }
+}
+
 /// The part of a long lane fill that runs before its last block, for
-/// every tile of one panel over the band's `rows` rows: k walks in blocks
-/// of `BLOCK_STEPS · l` rows, with every tile and lane of the band inside
-/// each block, so the block's panel rows stay in L1 while all of them
-/// read it. Leaves each lane's partial at the last block's start in
+/// every tile of one panel over the band's `rows` rows ([`lane_fill`]
+/// from row 0). Leaves each lane's partial at the last block's start in
 /// `carry`, tile `t`'s lane `dl` at `[t * l + dl]`, and returns that
 /// start; [`for_each_lane_partial`] resumes each tile's lanes from them.
 /// A reduction of at most [`BLOCK_ABOVE`] rows is one block: `carry` is
@@ -448,7 +648,7 @@ fn lane_fill_head(
     k: usize,
     row0: usize,
     rows: usize,
-    carry: &mut Vec<[[f32; NR]; MR]>,
+    carry: &mut Vec<Tile>,
 ) -> usize {
     carry.clear();
     if k <= BLOCK_ABOVE {
@@ -457,16 +657,32 @@ fn lane_fill_head(
     let block = BLOCK_STEPS * l;
     let last = (k - 1) / block * block;
     carry.resize(rows.div_ceil(MR) * l, [[0f32; NR]; MR]);
-    for k0 in (0..last).step_by(block) {
-        for (t, lanes) in carry.chunks_exact_mut(l).enumerate() {
-            let i = t * MR;
-            let arows = tile_rows(a, k, row0 + i, MR.min(rows - i));
-            for (dl, lane) in lanes.iter_mut().enumerate() {
-                *lane = tile::chain_from(*lane, &arows, panel, k0 + dl, l, k0 + block);
-            }
-        }
-    }
+    lane_fill(a, panel, l, k, 0, 0..last, row0, rows, carry);
     last
+}
+
+/// Where the tiles of panel `p` resume their lanes, and from which row:
+/// the band's `carried` partials, which have walked all of k, or those
+/// [`lane_fill_head`] leaves in `own`.
+#[allow(clippy::too_many_arguments)]
+fn resume_lanes<'c>(
+    a: &[f32],
+    panel: &[f32],
+    l: usize,
+    k: usize,
+    row0: usize,
+    rows: usize,
+    p: usize,
+    carried: Option<&'c [Tile]>,
+    own: &'c mut Vec<Tile>,
+) -> (usize, &'c [Tile]) {
+    match carried {
+        Some(parts) => {
+            let per_panel = rows.div_ceil(MR) * l;
+            (k, &parts[p * per_panel..(p + 1) * per_panel])
+        }
+        None => (lane_fill_head(a, panel, l, k, row0, rows, own), own),
+    }
 }
 
 /// Computes the lane partials of one `MR × NR` tile, one lane at a time,
@@ -480,12 +696,12 @@ fn lane_fill_head(
 /// increasing-k order, so each invocation hands the sink the exact
 /// reference lane partial. The chain runs from `k0` (a multiple of `l`),
 /// resuming from the tile's `l` lane partials `head` that
-/// [`lane_fill_head`] left there, or, when `head` is empty (then `k0` is
-/// 0), from a tile of 0.0 (`tile::chain`). Looping lanes outermost
-/// (instead of materializing an `l × NR` buffer) keeps every accumulator
-/// in registers: the k-strided walks stay inside `MR` rows of `a` and one
-/// packed panel, which stay in cache up to [`BLOCK_ABOVE`] rows, and past
-/// it inside the last block's rows.
+/// [`lane_fill_head`] or [`gemm_packed_piece`] left there, or, when
+/// `head` is empty (then `k0` is 0), from a tile of 0.0 (`tile::chain`).
+/// Looping lanes outermost (instead of materializing an `l × NR` buffer)
+/// keeps every accumulator in registers: the k-strided walks stay inside
+/// `MR` rows of `a` and one packed panel, which stay in cache up to
+/// [`BLOCK_ABOVE`] rows, and past it inside the last block's rows.
 #[inline(always)]
 fn for_each_lane_partial(
     arows: &[&[f32]; MR],
@@ -493,8 +709,8 @@ fn for_each_lane_partial(
     l: usize,
     k: usize,
     k0: usize,
-    head: &[[[f32; NR]; MR]],
-    mut sink: impl FnMut(usize, &[[f32; NR]; MR]),
+    head: &[Tile],
+    mut sink: impl FnMut(usize, &Tile),
 ) {
     // `head` holds `l` lanes or none, so whether it is empty is the same
     // for every lane and the match leaves a short reduction's loop as it
@@ -526,16 +742,15 @@ fn band_fixed_tree(
     row0: usize,
     rows: usize,
     band: &mut [f32],
+    carried: Option<&[Tile]>,
 ) {
     let panels = n.div_ceil(NR);
     // Lane partials carried between the blocks of a long lane fill,
     // reused by every panel.
-    let mut carry = Vec::new();
+    let mut own = Vec::new();
     for p in 0..panels {
         let panel = &packed[p * k * NR..(p + 1) * k * NR];
-        let col0 = p * NR;
-        let cols = NR.min(n - col0);
-        let k0 = lane_fill_head(a, panel, l, k, row0, rows, &mut carry);
+        let (k0, carry) = resume_lanes(a, panel, l, k, row0, rows, p, carried, &mut own);
         let mut i = 0;
         while i < rows {
             let rm = MR.min(rows - i);
@@ -545,10 +760,7 @@ fn band_fixed_tree(
             for_each_lane_partial(&arows, panel, l, k, k0, head, |_dl, lane| {
                 tile::fold(&mut s, lane);
             });
-            for r in 0..rm {
-                let orow = &mut band[(i + r) * n + col0..(i + r) * n + col0 + cols];
-                orow.copy_from_slice(&s[r][..cols]);
-            }
+            store_tile(&s, rm, band, n, i, p * NR);
             i += rm;
         }
     }
@@ -569,22 +781,23 @@ fn band_permuted<const AMP: bool>(
     n: usize,
     k: usize,
     row0: usize,
+    rows: usize,
     band: &mut [f32],
+    carried: Option<&[Tile]>,
 ) {
     let l = plan.lanes;
-    let rows = band.len() / n;
     let panels = n.div_ceil(NR);
     // One combine buffer per tile row. Rows `0..l` are rewritten every
     // tile, so nothing needs zeroing between tiles.
     let mut bufs = [[[0f32; NR]; MAX_LANES]; MR];
     // As in `band_fixed_tree`.
-    let mut carry = Vec::new();
+    let mut own = Vec::new();
     for p in 0..panels {
         let panel = &packed[p * k * NR..(p + 1) * k * NR];
         let col0 = p * NR;
         let cols = NR.min(n - col0);
         let col_counters = plan.column_counters(m, n, col0);
-        let k0 = lane_fill_head(a, panel, l, k, row0, rows, &mut carry);
+        let (k0, carry) = resume_lanes(a, panel, l, k, row0, rows, p, carried, &mut own);
         let mut i = 0;
         while i < rows {
             let rm = MR.min(rows - i);
@@ -876,6 +1089,57 @@ mod tests {
         }
     }
 
+    #[test]
+    fn pieces_bit_identical_to_reference() {
+        // k arrives in pieces of uneven lengths, a multiple of no lane
+        // count here: a single row, pieces shorter and longer than a
+        // block, and a last piece of several blocks at every lane count,
+        // so each lane resumes mid-walk at every boundary and the long
+        // pieces walk in blocks that start off lane 0's phase.
+        let (m, k, n) = (6, 4459, 37);
+        let pieces = [1, 700, 1153, 13, 2592];
+        assert_eq!(pieces.iter().sum::<usize>(), k);
+        let a = filled(m, k, 24);
+        let b = filled(k, n, 25);
+        for order in [ReduceOrder::FixedTree, ReduceOrder::Permuted] {
+            for lanes in [1, 2, 16, 27, 44, MAX_LANES] {
+                for amp in [0.0, 1e4] {
+                    let red = Reducer::new(order, lanes, 6).with_amplification(amp);
+                    let mut ref_red = red.clone();
+                    let reference = matmul_reference(&a, &b, &mut ref_red).unwrap();
+                    for threads in [1, 2] {
+                        let mut red = red.clone();
+                        let plan = red.plan_dots(m * n, k);
+                        let mut carry = vec![f32::NAN; lane_carry_len(m, n, plan.lanes)];
+                        let mut out = vec![f32::NAN; m * n];
+                        let mut first = 0;
+                        for (i, &len) in pieces.iter().enumerate() {
+                            let av = a.as_slice();
+                            let cols: Vec<f32> = (0..m)
+                                .flat_map(|r| av[r * k + first..r * k + first + len].to_vec())
+                                .collect();
+                            let rows = &b.as_slice()[first * n..(first + len) * n];
+                            let mut packed = vec![0f32; n.div_ceil(NR) * len * NR];
+                            pack_b_panels(rows, len, n, &mut packed);
+                            let last = (i + 1 == pieces.len()).then_some(&mut out[..]);
+                            gemm_packed_piece(
+                                &cols, &packed, m, n, len, first, &plan, threads, &mut carry, last,
+                            );
+                            first += len;
+                        }
+                        let what = format!("{order:?} lanes {lanes} amp {amp} t {threads}");
+                        assert_bits_eq(
+                            &Tensor::from_vec(Shape::of(&[m, n]), out).unwrap(),
+                            &reference,
+                            &what,
+                        );
+                        assert_eq!(red.snapshot(), ref_red.snapshot(), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
     /// Bit equality, except that a NaN matches any NaN: which payload
     /// survives an add of two NaNs is the compiler's operand order.
     fn assert_same_values(fast: &[f32], reference: &[f32], what: &str) {
@@ -931,7 +1195,17 @@ mod tests {
                 let mut packed = vec![0f32; n.div_ceil(NR) * k * NR];
                 pack_b_panels(b.as_slice(), k, n, &mut packed);
                 let mut lane_kernel = vec![0f32; m * n];
-                band_fixed_tree(a.as_slice(), &packed, lanes, n, k, 0, m, &mut lane_kernel);
+                band_fixed_tree(
+                    a.as_slice(),
+                    &packed,
+                    lanes,
+                    n,
+                    k,
+                    0,
+                    m,
+                    &mut lane_kernel,
+                    None,
+                );
                 let mut shortcut = vec![0f32; m * n];
                 let plan = DotPlan::fixed_lanes(lanes);
                 gemm_packed_planned(a.as_slice(), &packed, m, n, k, &plan, 1, &mut shortcut);

@@ -147,10 +147,20 @@ impl Reducer {
 
     /// Sums a slice under the configured accumulation order.
     pub fn sum(&mut self, xs: &[f32]) -> f32 {
-        self.invocations += 1;
         let mut p = [0f32; MAX_LANES];
-        let l = self.fill_lanes_sum(xs, &mut p);
-        self.combine(&mut p[..l])
+        let p = &mut p[..self.lanes.min(xs.len().max(1))];
+        fill_lanes(xs, 0, p);
+        self.sum_lanes(p)
+    }
+
+    /// Finishes a sum whose lane partials `p` [`fill_lanes`] has filled
+    /// with all of its elements, in pieces: counts the call and combines
+    /// `p` as [`Reducer::sum`] combines its own, so a sum over `len`
+    /// elements filled into `self.lanes().min(len.max(1))` lanes has the
+    /// bits and the draws of `sum` over all of them at once.
+    pub(crate) fn sum_lanes(&mut self, p: &mut [f32]) -> f32 {
+        self.invocations += 1;
+        self.combine(p)
     }
 
     /// Dot product of two equal-length slices under the configured order.
@@ -179,25 +189,6 @@ impl Reducer {
             idx += stride;
         }
         self.combine(&mut p[..l])
-    }
-
-    /// Fills lane partials for a plain sum; returns the lane count used.
-    ///
-    /// Element `i` lands in lane `i mod lanes`, iterated block-wise so the
-    /// inner loop vectorizes.
-    #[inline]
-    fn fill_lanes_sum(&self, xs: &[f32], p: &mut [f32; MAX_LANES]) -> usize {
-        let l = self.lanes.min(xs.len().max(1));
-        let mut chunks = xs.chunks_exact(l);
-        for chunk in &mut chunks {
-            for (lane, &x) in p[..l].iter_mut().zip(chunk) {
-                *lane += x;
-            }
-        }
-        for (lane, &x) in p[..l].iter_mut().zip(chunks.remainder()) {
-            *lane += x;
-        }
-        l
     }
 
     /// Fills lane partials for a dot product; returns the lane count used.
@@ -256,6 +247,31 @@ impl Reducer {
             s *= 1.0 + u * self.amp_ulps * f32::EPSILON;
         }
         s
+    }
+}
+
+/// Adds the elements `xs` of a sum into its lane partials `p`, `xs[0]`
+/// being the sum's element `first`: element `e` goes to lane
+/// `e % p.len()`, and each lane takes its elements in index order, so a
+/// sum filled in consecutive pieces has the lanes of one fill over all
+/// of them. The elements up to the sum's next multiple of `p.len()` go
+/// to the lanes from `first % p.len()` on; the rest run `p.len()` at a
+/// time, one add per lane, so the fill vectorizes across the lanes.
+#[inline]
+pub(crate) fn fill_lanes(xs: &[f32], first: usize, p: &mut [f32]) {
+    let l = p.len();
+    let (head, rest) = xs.split_at((l - first % l).min(xs.len()));
+    for (lane, &x) in p[first % l..].iter_mut().zip(head) {
+        *lane += x;
+    }
+    let mut rows = rest.chunks_exact(l);
+    for row in &mut rows {
+        for (lane, &x) in p.iter_mut().zip(row) {
+            *lane += x;
+        }
+    }
+    for (lane, &x) in p.iter_mut().zip(rows.remainder()) {
+        *lane += x;
     }
 }
 
