@@ -395,16 +395,11 @@ pub(crate) fn gemm_packed_piece(
     let (carry, _) = carry.as_chunks_mut::<NR>();
     let (carry, _) = carry.as_chunks_mut::<MR>();
     let last = out.is_some();
-    let (out, cols) = match out {
-        Some(out) => {
-            assert_eq!(out.len(), m * n, "gemm out size");
-            (out, n)
-        }
-        None => (&mut [][..], 0),
-    };
+    let out = out.unwrap_or_default();
+    assert!(!last || out.len() == m * n, "gemm out size");
     for_each_band(
         m,
-        cols,
+        if last { n } else { 0 },
         threads,
         out,
         carry,
@@ -412,7 +407,7 @@ pub(crate) fn gemm_packed_piece(
         |row0, rows, band, parts| {
             for (p, parts) in parts.chunks_exact_mut(rows.div_ceil(MR) * l).enumerate() {
                 let panel = &packed[p * k * NR..(p + 1) * k * NR];
-                lane_fill(a, panel, l, k, first, 0..k, row0, rows, parts);
+                lane_fill(a, panel, l, k, first, k, row0, rows, parts);
             }
             if last {
                 run_band(&[], &[], plan, m, n, 0, row0, rows, band, Some(parts));
@@ -592,12 +587,12 @@ pub(crate) const BLOCK_ABOVE: usize = 3072;
 pub(crate) const BLOCK_STEPS: usize = 8;
 
 /// Advances the lane partials `parts` of every tile of one panel, over
-/// the band's `rows` rows, through the panel rows `range` of a piece of
+/// the band's `rows` rows, through the panel rows `0..end` of a piece of
 /// `k` rows whose row 0 is row `first` of the whole reduction: piece row
 /// `kk` belongs to lane `(first + kk) % l`, the lane the reference's
 /// `p[e % l]` fill puts it in. Tile `t`'s lane `dl` sits at
 /// `parts[t * l + dl]`. The walk runs in blocks of `BLOCK_STEPS · l`
-/// rows from `range.start`, with every tile and lane inside each block,
+/// rows, with every tile and lane inside each block,
 /// so the block's panel rows stay in L1 while all of them read it; each
 /// lane takes its rows of the block in increasing order
 /// (`tile::chain_from`), resuming from its partial.
@@ -608,14 +603,14 @@ fn lane_fill(
     l: usize,
     k: usize,
     first: usize,
-    range: core::ops::Range<usize>,
+    end: usize,
     row0: usize,
     rows: usize,
     parts: &mut [Tile],
 ) {
     let block = BLOCK_STEPS * l;
-    for k0 in range.clone().step_by(block) {
-        let end = (k0 + block).min(range.end);
+    for k0 in (0..end).step_by(block) {
+        let stop = (k0 + block).min(end);
         // Lane 0's first row in the block; lane `dl`'s is `dl` rows on,
         // wrapped into the block's first `l` rows.
         let lane0 = k0 + (l - (first + k0) % l) % l;
@@ -624,7 +619,7 @@ fn lane_fill(
             let arows = tile_rows(a, k, row0 + i, MR.min(rows - i));
             let mut start = lane0;
             for lane in lanes {
-                *lane = tile::chain_from(*lane, &arows, panel, start, l, end);
+                *lane = tile::chain_from(*lane, &arows, panel, start, l, stop);
                 start += 1;
                 if start == k0 + l {
                     start = k0;
@@ -657,7 +652,7 @@ fn lane_fill_head(
     let block = BLOCK_STEPS * l;
     let last = (k - 1) / block * block;
     carry.resize(rows.div_ceil(MR) * l, [[0f32; NR]; MR]);
-    lane_fill(a, panel, l, k, 0, 0..last, row0, rows, carry);
+    lane_fill(a, panel, l, k, 0, last, row0, rows, carry);
     last
 }
 
