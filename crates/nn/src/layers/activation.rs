@@ -6,9 +6,16 @@ use hwsim::ExecutionContext;
 use nstensor::{ops, Tensor};
 
 /// Rectified linear unit.
+///
+/// A training forward pass writes the activation in place and its mask,
+/// one byte per element, into a vector the layer keeps, so from the
+/// second step on of an unchanged batch shape the mask reuses the same
+/// storage; an inference pass writes no mask, and leaves the last
+/// training pass's in place. The backward pass multiplies the gradient
+/// by the mask in place (see [`nstensor::ops::relu_forward`]).
 #[derive(Debug, Default)]
 pub struct Relu {
-    mask: Vec<f32>,
+    mask: Vec<u8>,
 }
 
 impl Relu {
@@ -27,10 +34,7 @@ impl Layer for Relu {
         _step: u64,
         training: bool,
     ) -> Tensor {
-        let mask = ops::relu_forward(&mut x);
-        if training {
-            self.mask = mask;
-        }
+        ops::relu_forward(&mut x, training.then_some(&mut self.mask));
         x
     }
 
@@ -38,6 +42,11 @@ impl Layer for Relu {
         assert!(!self.mask.is_empty(), "backward before forward");
         ops::relu_backward(&mut dy, &self.mask);
         dy
+    }
+
+    #[cfg(test)]
+    fn kept_buffers(&self) -> Vec<*const u8> {
+        vec![self.mask.as_ptr()]
     }
 
     fn kind(&self) -> &'static str {

@@ -84,6 +84,14 @@ pub trait Layer: std::fmt::Debug {
         0
     }
 
+    /// The addresses of the buffers the layer keeps from one training
+    /// step to the next and rewrites in place, for tests that check the
+    /// storage is reused.
+    #[cfg(test)]
+    fn kept_buffers(&self) -> Vec<*const u8> {
+        Vec::new()
+    }
+
     /// Human-readable layer kind.
     fn kind(&self) -> &'static str;
 }

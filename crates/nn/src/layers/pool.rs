@@ -9,10 +9,16 @@ use nstensor::{
 };
 
 /// Non-overlapping 2-D max pooling with window (and stride) `k`.
+///
+/// A training forward pass keeps two buffers for the backward pass: the
+/// argmax indices, rewritten in place each step, and the forward input
+/// itself, whose storage the backward pass zeroes and fills with the
+/// input gradient instead of allocating one. An inference pass writes no
+/// index and keeps no input.
 #[derive(Debug)]
 pub struct MaxPool2d {
     k: usize,
-    cached_shape: Option<Shape>,
+    cached_x: Option<Tensor>,
     argmax: Vec<u32>,
 }
 
@@ -26,7 +32,7 @@ impl MaxPool2d {
         assert!(k > 0, "pool window must be positive");
         Self {
             k,
-            cached_shape: None,
+            cached_x: None,
             argmax: Vec::new(),
         }
     }
@@ -41,18 +47,23 @@ impl Layer for MaxPool2d {
         _step: u64,
         training: bool,
     ) -> Tensor {
-        let shape = x.shape();
-        let (y, arg) = maxpool2d_forward(&x, self.k).expect("maxpool shape");
+        let y = maxpool2d_forward(&x, self.k, training.then_some(&mut self.argmax))
+            .expect("maxpool shape");
         if training {
-            self.cached_shape = Some(shape);
-            self.argmax = arg;
+            self.cached_x = Some(x);
         }
         y
     }
 
     fn backward(&mut self, dy: Tensor, _exec: &mut ExecutionContext) -> Tensor {
-        let shape = self.cached_shape.take().expect("backward before forward");
-        maxpool2d_backward(shape, self.k, &dy, &self.argmax).expect("maxpool backward shape")
+        let mut dx = self.cached_x.take().expect("backward before forward");
+        maxpool2d_backward(&mut dx, self.k, &dy, &self.argmax).expect("maxpool backward shape");
+        dx
+    }
+
+    #[cfg(test)]
+    fn kept_buffers(&self) -> Vec<*const u8> {
+        vec![self.argmax.as_ptr().cast()]
     }
 
     fn kind(&self) -> &'static str {

@@ -141,6 +141,14 @@ impl Layer for ResidualBlock {
         n
     }
 
+    #[cfg(test)]
+    fn kept_buffers(&self) -> Vec<*const u8> {
+        [&self.relu1, &self.relu2]
+            .iter()
+            .flat_map(|r| r.kept_buffers())
+            .collect()
+    }
+
     fn kind(&self) -> &'static str {
         "residual_block"
     }

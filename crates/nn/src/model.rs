@@ -158,6 +158,12 @@ impl Network {
     pub fn layer_kinds(&self) -> Vec<&'static str> {
         self.layers.iter().map(|l| l.kind()).collect()
     }
+
+    /// Every layer's [`Layer::kept_buffers`], in layer order.
+    #[cfg(test)]
+    pub(crate) fn kept_buffers(&self) -> Vec<*const u8> {
+        self.layers.iter().flat_map(|l| l.kept_buffers()).collect()
+    }
 }
 
 #[cfg(test)]

@@ -216,6 +216,88 @@ mod tests {
         assert_eq!(a.flat_weights(), b.flat_weights());
     }
 
+    /// One training step's input: `[4, 3, hw, hw]` values that depend on
+    /// the step, with NaN at a few places where `nan`, and labels.
+    fn batch(hw: usize, step: u64, nan: bool) -> (Tensor, Vec<u32>) {
+        let mut seed = step.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut x: Vec<f32> = (0..4 * 3 * hw * hw)
+            .map(|_| {
+                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+                ((seed >> 40) as f32 / (1u64 << 24) as f32) * 4.0 - 2.0
+            })
+            .collect();
+        if nan {
+            // A lone NaN, and a NaN 2×2 window of sample 2's first plane.
+            x[5] = f32::NAN;
+            for i in [0, 1, hw, hw + 1] {
+                x[2 * 3 * hw * hw + i] = f32::NAN;
+            }
+        }
+        let labels = (0..4).map(|i| (i * 3 + step as u32) % 10).collect();
+        (
+            Tensor::from_vec(Shape::of(&[4, 3, hw, hw]), x).unwrap(),
+            labels,
+        )
+    }
+
+    /// One training step from `net`'s current state: the logits and
+    /// every parameter gradient, as bits, then an SGD update.
+    fn train_step(net: &mut Network, root: &Philox, hw: usize, step: u64, nan: bool) -> Vec<u32> {
+        // Permuted reductions, drawn from a context made for the step,
+        // so that a fresh network sees the same draws.
+        let mut exec = ExecutionContext::new(Device::v100(), ExecutionMode::Default, step);
+        let (x, labels) = batch(hw, step, nan);
+        let logits = net.forward(x, &mut exec, root, step, true);
+        let (_, dy) = crate::loss::softmax_cross_entropy(&logits, &labels);
+        net.backward(dy, &mut exec);
+        let mut bits: Vec<u32> = logits.as_slice().iter().map(|v| v.to_bits()).collect();
+        net.visit_params(&mut |p, g| {
+            bits.extend(g.as_slice().iter().map(|v| v.to_bits()));
+            for (w, &d) in p.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                *w -= 0.05 * d;
+            }
+        });
+        bits
+    }
+
+    #[test]
+    fn kept_buffers_are_reused_and_leave_no_stale_bits() {
+        // Three training steps of one network, with an inference pass of
+        // a larger batch after the first, against a network built fresh
+        // for each step with the same state and input: a kept ReLU mask,
+        // argmax or pooling input that carried anything from an earlier
+        // pass would change a logit or a gradient. Step 3 has NaN where
+        // step 2 has none. From step 2 on the masks and argmaxes keep
+        // their storage.
+        type Build = fn(&Philox) -> Network;
+        let nets: [(Build, usize); 3] = [
+            (|root| small_cnn(12, 3, 10, false, root), 12),
+            (|root| small_cnn(12, 3, 10, true, root), 12),
+            (|root| micro_resnet18(8, 3, 10, root), 8),
+        ];
+        for (build, hw) in nets {
+            let root = Philox::from_seed(17);
+            let mut net = build(&root);
+            let mut kept = Vec::new();
+            for (step, nan) in [(1, false), (2, false), (3, true)] {
+                let mut fresh = build(&root);
+                fresh.set_flat_state(&net.flat_state()).unwrap();
+                let got = train_step(&mut net, &root, hw, step, nan);
+                let want = train_step(&mut fresh, &root, hw, step, nan);
+                assert!(got == want, "{:?} step {step}", net.layer_kinds());
+                if step == 1 {
+                    let mut exec = ExecutionContext::new(Device::v100(), ExecutionMode::Default, 9);
+                    let x = Tensor::full(Shape::of(&[6, 3, hw, hw]), -1.0);
+                    net.forward(x, &mut exec, &root, 1, false);
+                } else {
+                    kept.push(net.kept_buffers());
+                }
+            }
+            assert!(!kept[0].is_empty());
+            assert_eq!(kept[0], kept[1], "{:?}", net.layer_kinds());
+        }
+    }
+
     #[test]
     #[should_panic(expected = "divisible by 4")]
     fn odd_input_rejected() {

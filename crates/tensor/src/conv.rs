@@ -339,6 +339,39 @@ fn im2col_pixel_panels<G: RowGather>(
     }
 }
 
+/// What [`im2col_patch_panels`] reads of a geometry, built once per
+/// weight-gradient call for all its chunks: each panel's gather (its
+/// columns' tap offsets and its real columns), each output pixel's
+/// top-left tap in pixel order, and the copies that pad a sample
+/// ([`pad_copies`]).
+struct PatchGathers<G> {
+    panels: Vec<G>,
+    corners: Vec<u32>,
+    copies: Vec<(usize, usize, usize)>,
+}
+
+impl<G: RowGather> PatchGathers<G> {
+    fn new(g: &ConvGeometry) -> Self {
+        let pl = g.patch_len();
+        let row_step = g.stride * phase_plane_dims(g).0;
+        let taps = tap_offsets(g);
+        let panels = (0..pl.div_ceil(NR))
+            .map(|p| {
+                let lanes = core::array::from_fn(|j| taps[(p * NR + j).min(pl - 1)]);
+                G::new(&lanes, lanes_below(pl - p * NR))
+            })
+            .collect();
+        let corners = (0..g.out_h())
+            .flat_map(|oy| (0..g.out_w()).map(move |ox| (oy * row_step + ox) as u32))
+            .collect();
+        Self {
+            panels,
+            corners,
+            copies: pad_copies(g),
+        }
+    }
+}
+
 /// Lowers a batch of samples into packed panels with the *patch
 /// positions* as columns and the batch's output pixels as depth: element
 /// `[p * np * NR + q * NR + j]` is patch position `p * NR + j` of global
@@ -351,9 +384,10 @@ fn im2col_pixel_panels<G: RowGather>(
 /// position `kk` at a fixed offset from there ([`tap_offsets`]), so each
 /// pixel's `NR` panel values are one gather at one panel's fixed offsets
 /// plus the pixel's (`G::rows`, `tile::Gather` outside tests), with no
-/// border test: a tap on the padding reads a zero of the planes.
-/// `planes` is [`padded_planes_len`] long and must arrive zeroed, or as an
-/// earlier lowering of the same geometry left it (see
+/// border test: a tap on the padding reads a zero of the planes. The
+/// gathers, the pixels' offsets and the pad copies come from `gathers`,
+/// built for `g`. `planes` is [`padded_planes_len`] long and must arrive
+/// zeroed, or as an earlier lowering of the same geometry left it (see
 /// [`im2col_pixel_panels`]).
 ///
 /// Packing only copies values, so this cannot perturb any accumulation
@@ -361,14 +395,14 @@ fn im2col_pixel_panels<G: RowGather>(
 fn im2col_patch_panels<G: RowGather>(
     x: &[f32],
     g: &ConvGeometry,
+    gathers: &PatchGathers<G>,
     batch: usize,
     planes: &mut [f32],
     packed: &mut [f32],
 ) {
-    let (oh, ow, pl) = (g.out_h(), g.out_w(), g.patch_len());
-    let pixels = oh * ow;
+    let pl = g.patch_len();
+    let pixels = g.out_pixels();
     let np = batch * pixels;
-    let row_step = g.stride * phase_plane_dims(g).0;
     debug_assert_eq!(x.len(), batch * g.in_c * g.in_h * g.in_w);
     assert_eq!(
         packed.len(),
@@ -380,23 +414,10 @@ fn im2col_patch_panels<G: RowGather>(
         planes.len() <= u32::MAX as usize,
         "plane offsets fit 32 bits"
     );
-    let taps = tap_offsets(g);
-    // Per panel: its columns' tap offsets, and its real columns.
-    let panels: Vec<G> = (0..pl.div_ceil(NR))
-        .map(|p| {
-            let lanes = core::array::from_fn(|j| taps[(p * NR + j).min(pl - 1)]);
-            G::new(&lanes, lanes_below(pl - p * NR))
-        })
-        .collect();
-    // Each output pixel's top-left tap, in pixel order.
-    let corners: Vec<u32> = (0..oh)
-        .flat_map(|oy| (0..ow).map(move |ox| (oy * row_step + ox) as u32))
-        .collect();
-    let corners = Offsets::new(&corners);
-    let copies = pad_copies(g);
+    let corners = Offsets::new(&gathers.corners);
     for (s, xs) in x.chunks_exact(g.in_c * g.in_h * g.in_w).enumerate() {
-        pad_sample(xs, g, &copies, planes);
-        for (panel, slab) in panels.iter().zip(packed.chunks_exact_mut(np * NR)) {
+        pad_sample(xs, g, &gathers.copies, planes);
+        for (panel, slab) in gathers.panels.iter().zip(packed.chunks_exact_mut(np * NR)) {
             let (rows, _) = slab[s * pixels * NR..(s + 1) * pixels * NR].as_chunks_mut::<NR>();
             panel.rows(planes, &corners, rows);
         }
@@ -717,21 +738,18 @@ pub fn conv2d_forward_ws(
     let n = input.shape().dim(0);
     let (oh, ow, oc, pl) = (geom.out_h(), geom.out_w(), geom.out_c, geom.patch_len());
     let pixels = oh * ow;
-    let mut out = Tensor::zeros(Shape::of(&[n, oc, oh, ow]));
+    // Filled in order by the chunks' bias scatters, each element once.
+    let mut ov = Vec::with_capacity(n * oc * pixels);
     let xin = input.as_slice();
     let wv = weights.as_slice();
     let bv = bias.as_slice();
-    let ov = out.as_mut_slice();
     let sample = geom.in_c * geom.in_h * geom.in_w;
     let chunk = fwd_chunk(geom, n);
     let mut packed = ws.take_scratch((chunk * pixels).div_ceil(NR) * pl * NR);
     // Zeroed once: the chunks' lowerings write only the interior.
     let mut planes = ws.take_zeroed(chunk * padded_planes_len(geom));
     let mut out_r = ws.take_scratch(oc * chunk * pixels);
-    for (xs, ys) in xin
-        .chunks(chunk * sample)
-        .zip(ov.chunks_mut(chunk * oc * pixels))
-    {
+    for xs in xin.chunks(chunk * sample) {
         let samples = xs.len() / sample;
         let cnp = samples * pixels;
         let packed = &mut packed[..cnp.div_ceil(NR) * pl * NR];
@@ -745,20 +763,17 @@ pub fn conv2d_forward_ws(
         gemm_packed_planned(wv, packed, oc, cnp, pl, &plan, threads, out_r);
         // Scatter [oc, chunk·pixels] back to [chunk, oc, pixels], adding
         // the bias after the dot exactly as the reference computes.
-        for (s, yblock) in ys.chunks_exact_mut(oc * pixels).enumerate() {
-            for (o, dst) in yblock.chunks_exact_mut(pixels).enumerate() {
-                let b = bv[o];
+        for s in 0..samples {
+            for (o, &b) in bv.iter().enumerate() {
                 let src = &out_r[o * cnp + s * pixels..o * cnp + (s + 1) * pixels];
-                for (d, &v) in dst.iter_mut().zip(src) {
-                    *d = v + b;
-                }
+                ov.extend(src.iter().map(|&v| v + b));
             }
         }
     }
     ws.recycle(out_r);
     ws.recycle(planes);
     ws.recycle(packed);
-    Ok(out)
+    Tensor::from_vec(Shape::of(&[n, oc, oh, ow]), ov)
 }
 
 /// Backward 2-D convolution: gradients w.r.t. input, weights and bias.
@@ -862,6 +877,7 @@ pub fn conv2d_param_grads_ws(
     });
     let mut bias = ws.take_zeroed(oc * l);
     let mut dw = Tensor::zeros(Shape::of(&[oc, pl]));
+    let gathers = PatchGathers::<tile::Gather>::new(geom);
     for c in 0..chunks {
         let (s0, samples) = (c * chunk, chunk.min(n - c * chunk));
         let (first, cnp) = (s0 * pixels, samples * pixels);
@@ -870,7 +886,7 @@ pub fn conv2d_param_grads_ws(
         relay_dy_chunk(dys, oc, pixels, first, dy_r, &mut bias);
         let packed = &mut packed[..pl.div_ceil(NR) * cnp * NR];
         let xs = &x[s0 * sample..(s0 + samples) * sample];
-        im2col_patch_panels::<tile::Gather>(xs, geom, samples, &mut planes, packed);
+        im2col_patch_panels(xs, geom, &gathers, samples, &mut planes, packed);
         let out = (c + 1 == chunks).then_some(dw.as_mut_slice());
         gemm_packed_piece(
             dy_r, packed, oc, pl, cnp, first, &plan, threads, &mut carry, out,
@@ -1468,7 +1484,8 @@ mod tests {
         }
         let mut col = vec![0f32; pl.div_ceil(NR) * np * NR];
         let mut planes = vec![0f32; padded_planes_len(g)];
-        im2col_patch_panels::<tile::Gather>(x.as_slice(), g, n, &mut planes, &mut col);
+        let gathers = PatchGathers::<tile::Gather>::new(g);
+        im2col_patch_panels(x.as_slice(), g, &gathers, n, &mut planes, &mut col);
         let plan = red.plan_dots(oc * pl, np);
         let mut dw = vec![0f32; oc * pl];
         gemm_packed_planned(&dy_r, &col, oc, pl, np, &plan, 1, &mut dw);
@@ -1785,7 +1802,8 @@ mod tests {
             }
             let mut packed = vec![f32::NAN; pl.div_ceil(NR) * np * NR];
             let mut planes = vec![0.0; padded_planes_len(&g)];
-            im2col_patch_panels::<tile::Gather>(x.as_slice(), &g, n, &mut planes, &mut packed);
+            let gathers = PatchGathers::<tile::Gather>::new(&g);
+            im2col_patch_panels(x.as_slice(), &g, &gathers, n, &mut planes, &mut packed);
             for (p, slab) in packed.chunks_exact(np * NR).enumerate() {
                 for q in 0..np {
                     for j in 0..NR {
@@ -1869,9 +1887,11 @@ mod tests {
             let mut shipped = vec![f32::NAN; g.patch_len().div_ceil(NR) * np * NR];
             let mut portable = shipped.clone();
             let mut planes = vec![0.0; padded_planes_len(&g)];
-            im2col_patch_panels::<tile::Gather>(x.as_slice(), &g, n, &mut planes, &mut shipped);
             let xv = x.as_slice();
-            im2col_patch_panels::<tile::portable::Gather>(xv, &g, n, &mut planes, &mut portable);
+            let gathers = PatchGathers::<tile::Gather>::new(&g);
+            im2col_patch_panels(xv, &g, &gathers, n, &mut planes, &mut shipped);
+            let gathers = PatchGathers::<tile::portable::Gather>::new(&g);
+            im2col_patch_panels(xv, &g, &gathers, n, &mut planes, &mut portable);
             assert_eq!(bits(&shipped), bits(&portable), "{g:?}");
         }
     }
@@ -1897,6 +1917,7 @@ mod tests {
             let (sample, plen) = (g.in_c * g.in_h * g.in_w, padded_planes_len(&g));
             let mut pixel_planes = vec![0.0; chunk * plen];
             let mut patch_planes = vec![0.0; plen];
+            let gathers = PatchGathers::<tile::Gather>::new(&g);
             for (c, xs) in x.as_slice().chunks(chunk * sample).enumerate() {
                 let what = format!("{g:?} chunk {c}");
                 let samples = xs.len() / sample;
@@ -1910,15 +1931,9 @@ mod tests {
                 assert_eq!(bits(&reused), bits(&fresh), "{what} pixel panels");
                 let mut reused = vec![f32::NAN; pl.div_ceil(NR) * cnp * NR];
                 let mut fresh = reused.clone();
-                im2col_patch_panels::<tile::Gather>(
-                    xs,
-                    &g,
-                    samples,
-                    &mut patch_planes,
-                    &mut reused,
-                );
+                im2col_patch_panels(xs, &g, &gathers, samples, &mut patch_planes, &mut reused);
                 let mut planes = vec![0.0; plen];
-                im2col_patch_panels::<tile::Gather>(xs, &g, samples, &mut planes, &mut fresh);
+                im2col_patch_panels(xs, &g, &gathers, samples, &mut planes, &mut fresh);
                 assert_eq!(bits(&reused), bits(&fresh), "{what} patch panels");
             }
         }
@@ -2047,6 +2062,11 @@ mod tests {
             let mut steps = [(); 3].map(|()| Vec::with_capacity(CALLS));
             for _ in 0..CALLS {
                 let mut call = [0.0; 3];
+                let mut gathers = None;
+                timed(&mut call[1], || {
+                    gathers = Some(PatchGathers::<tile::Gather>::new(&g));
+                });
+                let gathers = gathers.expect("built");
                 for c in 0..chunks {
                     let (s0, samples) = (c * chunk, chunk.min(n - c * chunk));
                     let (first, cnp) = (s0 * pixels, samples * pixels);
@@ -2058,7 +2078,7 @@ mod tests {
                     let col = &mut col[..pl.div_ceil(NR) * cnp * NR];
                     let xs = &x.as_slice()[s0 * sample..(s0 + samples) * sample];
                     timed(&mut call[1], || {
-                        im2col_patch_panels::<tile::Gather>(xs, &g, samples, &mut planes, col);
+                        im2col_patch_panels(xs, &g, &gathers, samples, &mut planes, col);
                     });
                     let out = (c + 1 == chunks).then_some(&mut dw[..]);
                     timed(&mut call[2], || {
@@ -2107,8 +2127,11 @@ mod tests {
             let pool = if pooled {
                 let (oh, ow) = (g.out_h(), g.out_w());
                 let y = Tensor::from_vec(Shape::of(&[n, oc, oh, ow]), dy.clone()).unwrap();
+                let mut arg = Vec::new();
                 let us = median_us(CALLS, || {
-                    std::hint::black_box(crate::pool::maxpool2d_forward(&y, 2).unwrap());
+                    std::hint::black_box(
+                        crate::pool::maxpool2d_forward(&y, 2, Some(&mut arg)).unwrap(),
+                    );
                 });
                 format!("{us:.1}")
             } else {

@@ -2,35 +2,59 @@
 //!
 //! Elementwise maps are order-insensitive and never touch the reducer; any
 //! function here that *accumulates* takes a [`Reducer`].
+//!
+//! The ReLU works in place on the activation and writes its mask, one
+//! byte per element, into a vector the caller owns and may keep from
+//! step to step ([`relu_forward`]); its backward multiplies the gradient
+//! by that byte as an `f32`, in place ([`relu_backward`]).
 
 use crate::error::ShapeError;
 use crate::reduce::Reducer;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-/// In-place ReLU; returns the activation mask (1.0 where the input was
-/// positive) for the backward pass.
-pub fn relu_forward(x: &mut Tensor) -> Vec<f32> {
-    let mut mask = vec![0f32; x.len()];
-    for (v, m) in x.as_mut_slice().iter_mut().zip(&mut mask) {
-        if *v > 0.0 {
-            *m = 1.0;
-        } else {
-            *v = 0.0;
+/// In-place ReLU, and the mask its backward pass reads.
+///
+/// Each element becomes itself where it is greater than zero and `+0.0`
+/// everywhere else (NaN, `-0.0` and every negative included), in one
+/// branch-free pass. With a `mask`, the same pass writes one byte per
+/// element, 1 where the element was kept and 0 where it was zeroed,
+/// after resizing the vector to `x.len()` (which writes nothing when the
+/// length is unchanged): a caller that keeps the vector from step to
+/// step keeps its storage, and every byte is rewritten each call, so no
+/// stale byte survives. Without one, as in
+/// inference, nothing but `x` is written.
+pub fn relu_forward(x: &mut Tensor, mask: Option<&mut Vec<u8>>) {
+    let xv = x.as_mut_slice();
+    match mask {
+        Some(mask) => {
+            mask.resize(xv.len(), 0);
+            for (v, m) in xv.iter_mut().zip(mask.iter_mut()) {
+                let keep = *v > 0.0;
+                *v = if keep { *v } else { 0.0 };
+                *m = u8::from(keep);
+            }
+        }
+        None => {
+            for v in xv {
+                *v = if *v > 0.0 { *v } else { 0.0 };
+            }
         }
     }
-    mask
 }
 
-/// Backward ReLU: `dx = dy ⊙ mask` in place on `dy`.
+/// Backward ReLU: `dx = dy ⊙ mask` in place on `dy`, as `g * 1.0` or
+/// `g * 0.0` per element, so a NaN gradient stays NaN, payload and all,
+/// an infinite one under a zero mask becomes NaN, and `-0.0` keeps its
+/// sign under a one.
 ///
 /// # Panics
 ///
 /// Panics if lengths differ.
-pub fn relu_backward(dy: &mut Tensor, mask: &[f32]) {
+pub fn relu_backward(dy: &mut Tensor, mask: &[u8]) {
     assert_eq!(dy.len(), mask.len(), "relu mask length mismatch");
-    for (g, m) in dy.as_mut_slice().iter_mut().zip(mask) {
-        *g *= m;
+    for (g, &m) in dy.as_mut_slice().iter_mut().zip(mask) {
+        *g *= f32::from(m);
     }
 }
 
@@ -151,12 +175,89 @@ mod tests {
     #[test]
     fn relu_round_trip() {
         let mut x = Tensor::from_vec(Shape::of(&[4]), vec![-1.0, 2.0, 0.0, 3.0]).unwrap();
-        let mask = relu_forward(&mut x);
+        let mut mask = Vec::new();
+        relu_forward(&mut x, Some(&mut mask));
         assert_eq!(x.as_slice(), &[0.0, 2.0, 0.0, 3.0]);
-        assert_eq!(mask, vec![0.0, 1.0, 0.0, 1.0]);
+        assert_eq!(mask, vec![0, 1, 0, 1]);
         let mut dy = Tensor::from_vec(Shape::of(&[4]), vec![1.0; 4]).unwrap();
         relu_backward(&mut dy, &mask);
         assert_eq!(dy.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
+    }
+
+    /// The ReLU forward with an `f32` mask, kept as the reference the
+    /// byte-mask pass must match bit for bit.
+    fn relu_forward_reference(x: &mut [f32]) -> Vec<f32> {
+        let mut mask = vec![0f32; x.len()];
+        for (v, m) in x.iter_mut().zip(&mut mask) {
+            if *v > 0.0 {
+                *m = 1.0;
+            } else {
+                *v = 0.0;
+            }
+        }
+        mask
+    }
+
+    /// The values whose bits a ReLU must keep or zero exactly: NaN
+    /// payloads of both signs, both zeros, both infinities, subnormals
+    /// and normal values of both signs.
+    fn relu_specials() -> Vec<f32> {
+        [
+            0x7fc0_0000u32,
+            0x7fc0_0001,
+            0x7f80_0001,
+            0xffc0_0000,
+            0xffc0_0007,
+            0xff80_0003,
+            0x0000_0000,
+            0x8000_0000,
+            0x7f80_0000,
+            0xff80_0000,
+            0x0000_0001,
+            0x8000_0001,
+            0x007f_ffff,
+            0x807f_ffff,
+            0x3f80_0000,
+            0xbf80_0000,
+            0x4049_0fdb,
+            0xc049_0fdb,
+        ]
+        .map(f32::from_bits)
+        .to_vec()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn relu_matches_the_f32_mask_reference_bit_for_bit() {
+        let sp = relu_specials();
+        // Every special as x against every special as dy, and a kept
+        // mask that starts longer, then shorter, than x.
+        let x: Vec<f32> = sp.iter().flat_map(|&v| sp.iter().map(move |_| v)).collect();
+        let dy: Vec<f32> = sp.iter().flat_map(|_| sp.iter().copied()).collect();
+        let shape = Shape::of(&[x.len()]);
+        for kept in [vec![7u8; x.len() + 5], vec![9u8; 3]] {
+            let mut mask = kept;
+            let mut y = Tensor::from_vec(shape, x.clone()).unwrap();
+            relu_forward(&mut y, Some(&mut mask));
+            let mut y0 = x.clone();
+            let mask0 = relu_forward_reference(&mut y0);
+            assert_eq!(bits(y.as_slice()), bits(&y0));
+            assert_eq!(
+                mask.iter().map(|&m| f32::from(m)).collect::<Vec<_>>(),
+                mask0
+            );
+            let mut dx = Tensor::from_vec(shape, dy.clone()).unwrap();
+            relu_backward(&mut dx, &mask);
+            let dx0: Vec<f32> = dy.iter().zip(&mask0).map(|(&g, &m)| g * m).collect();
+            assert_eq!(bits(dx.as_slice()), bits(&dx0));
+            // Inference writes the same output and no mask.
+            let mut z = Tensor::from_vec(shape, x.clone()).unwrap();
+            relu_forward(&mut z, None);
+            assert_eq!(bits(z.as_slice()), bits(&y0));
+        }
     }
 
     #[test]

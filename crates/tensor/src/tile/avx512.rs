@@ -134,9 +134,16 @@ impl RowGather for Gather {
 /// 512-bit `portable::max_pool_2x2`: sixteen outputs at a time, from
 /// four gathers in window order `(0,0), (0,1), (1,0), (1,1)`, each taken
 /// where an ordered `>` holds, which is false on NaN as the scalar `>`
-/// is, by a blend of the value and of the in-plane index.
+/// is, by a blend of the value and of the in-plane index, which is
+/// stored only where `arg` is given.
 #[inline(always)]
-pub(crate) fn max_pool_2x2(x: &[f32], h: usize, w: usize, out: &mut [f32], arg: &mut [u32]) {
+pub(crate) fn max_pool_2x2(
+    x: &[f32],
+    h: usize,
+    w: usize,
+    out: &mut [f32],
+    arg: Option<&mut [u32]>,
+) {
     let (oh, ow) = (h / 2, w / 2);
     let pixels = oh * ow;
     if out.is_empty() {
@@ -147,7 +154,9 @@ pub(crate) fn max_pool_2x2(x: &[f32], h: usize, w: usize, out: &mut [f32], arg: 
         "{h}x{w} planes"
     );
     assert!(
-        x.len() == 4 * out.len() && arg.len() == out.len() && x.len() <= i32::MAX as usize,
+        x.len() == 4 * out.len()
+            && arg.as_ref().is_none_or(|arg| arg.len() == out.len())
+            && x.len() <= i32::MAX as usize,
         "pooling buffer sizes"
     );
     // Per output of a plane and of the NR - 1 outputs after it, which
@@ -256,11 +265,12 @@ unsafe fn max_pool_2x2_512(
     corner: &[u32],
     inner: &[u32],
     out: &mut [f32],
-    arg: &mut [u32],
+    arg: Option<&mut [u32]>,
 ) {
     let window = [0, 1, w, w + 1].map(|d| _mm512_set1_epi32(d as i32));
     let (mut base, mut r) = (0, 0);
-    for (out, arg) in out.chunks_mut(NR).zip(arg.chunks_mut(NR)) {
+    let mut args = arg.map(|arg| arg.chunks_mut(NR));
+    for out in out.chunks_mut(NR) {
         let take = lanes_below(out.len());
         let at = _mm512_add_epi32(_mm512_set1_epi32(base as i32), load_u32(&corner[r..]));
         let inner = load_u32(&inner[r..]);
@@ -273,11 +283,13 @@ unsafe fn max_pool_2x2_512(
             best = _mm512_mask_blend_ps(greater, best, v);
             best_i = _mm512_mask_blend_epi32(greater, best_i, _mm512_add_epi32(inner, d));
         }
-        // SAFETY: `take` selects the `out.len()` floats and `arg.len()`
-        // indices the chunks hold.
+        // SAFETY: `take` selects the `out.len()` floats the chunk holds,
+        // and as many indices of `arg`'s chunk, which is as long.
         unsafe {
             _mm512_mask_storeu_ps(out.as_mut_ptr(), take, best);
-            _mm512_mask_storeu_epi32(arg.as_mut_ptr().cast(), take, best_i);
+            if let Some(arg) = args.as_mut().and_then(Iterator::next) {
+                _mm512_mask_storeu_epi32(arg.as_mut_ptr().cast(), take, best_i);
+            }
         }
         r += NR;
         while r >= pixels {
@@ -828,12 +840,16 @@ mod tests {
                 let outputs = planes * h * w / 4;
                 let (mut fast, mut fast_arg) = (vec![f32::NAN; outputs], vec![u32::MAX; outputs]);
                 let (mut oracle, mut oracle_arg) = (fast.clone(), fast_arg.clone());
-                max_pool_2x2(&x, h, w, &mut fast, &mut fast_arg);
-                portable::max_pool_2x2(&x, h, w, &mut oracle, &mut oracle_arg);
+                max_pool_2x2(&x, h, w, &mut fast, Some(&mut fast_arg));
+                portable::max_pool_2x2(&x, h, w, &mut oracle, Some(&mut oracle_arg));
                 let what = format!("{planes}x{h}x{w} round {round}");
                 let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&fast), bits(&oracle), "{what}");
                 assert_eq!(fast_arg, oracle_arg, "{what}");
+                // Without indices, the same outputs.
+                let mut alone = vec![f32::NAN; outputs];
+                max_pool_2x2(&x, h, w, &mut alone, None);
+                assert_eq!(bits(&alone), bits(&oracle), "{what}");
             }
         }
     }

@@ -145,10 +145,16 @@ impl RowGather for Gather {
     }
 }
 
-/// 2×2 max pooling of the `h × w` planes of `x` into `out` and `arg`:
-/// the scalar loop of [`crate::pool`] at `k = 2`.
+/// 2×2 max pooling of the `h × w` planes of `x` into `out` and, given
+/// one, `arg`: the scalar loop of [`crate::pool`] at `k = 2`.
 #[inline(always)]
-pub(crate) fn max_pool_2x2(x: &[f32], h: usize, w: usize, out: &mut [f32], arg: &mut [u32]) {
+pub(crate) fn max_pool_2x2(
+    x: &[f32],
+    h: usize,
+    w: usize,
+    out: &mut [f32],
+    arg: Option<&mut [u32]>,
+) {
     crate::pool::max_pool(x, h, w, 2, out, arg);
 }
 

@@ -23,12 +23,14 @@ test "$(cd "$cost_out" && ls *.json | tr '\n' ' ')" = "fig7.json fig8a.json fig8
 rm -rf "$cost_out"
 run cargo run -q --release -p ns-examples --bin determinism_cost > /dev/null
 run cargo test -q --workspace
-# The tensor crate's bit-identity tests at opt-level 3, as shipped.
-run cargo test -q --release -p nstensor
+# The tensor crate's bit-identity tests and the network layers' tests at
+# opt-level 3, as shipped.
+run cargo test -q --release -p nstensor -p nnet
 # The same tests on a build without AVX-512, where the portable tile
 # kernels (crates/tensor/src/tile/portable.rs) are the shipped path rather
-# than only the oracle of the 512-bit ones.
-run env RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test -q --release -p nstensor
+# than only the oracle of the 512-bit ones, with the network layers'
+# tests, whose max-pooling then runs the portable 2×2 kernel.
+run env RUSTFLAGS="-C target-cpu=x86-64-v3" cargo test -q --release -p nstensor -p nnet
 # The golden weights, the one pin on the CPU device's reductions, at the
 # opt-level `repro` ships.
 run cargo test -q --release -p ns-integration --test golden_control
